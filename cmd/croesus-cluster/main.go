@@ -88,8 +88,8 @@ func main() {
 		}
 		g := s.Topology.Graph
 		if g == nil {
-			// No graph block: the classic two-stage pipeline, shown as the
-			// canonical graph it is equivalent to.
+			// No graph block: the two-stage graph, shown as the default
+			// spec it is equivalent to.
 			g = &croesus.GraphSpec{Nodes: []croesus.GraphNodeSpec{{Tier: "edge"}, {Tier: "cloud"}}}
 		}
 		fmt.Printf("scenario %q: valid\n", s.Name)

@@ -324,18 +324,21 @@ type (
 	TxnSourceFunc = core.TxnSourceFunc
 	// WorkloadSource is the paper's YCSB-A-style transaction source.
 	WorkloadSource = core.WorkloadSource
-	// Chain is the generalized m-stage pipeline of §3.5.
-	Chain = core.Chain
-	// ChainStage is one stage of a Chain.
-	ChainStage = core.ChainStage
-	// ChainOutcome is a frame's progress through a Chain.
-	ChainOutcome = core.ChainOutcome
+	// Graph is the inference graph a pipeline walks (Config.Graph): node
+	// k's labels commit transaction section k. Mode.Graph builds the
+	// paper's two-section shapes; deeper graphs are the generalized
+	// m-stage model of §3.5.
+	Graph = core.Graph
+	// GraphNode is one model of a Graph, pinned to a tier.
+	GraphNode = core.GraphNode
+	// SwitchBranch routes a GraphNode's output by confidence.
+	SwitchBranch = core.SwitchBranch
 
-	// Validator is the injectable cloud validation path: the seam
-	// between a pipeline's edge side and whatever answers for the cloud.
+	// Validator runs one graph node off the hub (GraphNode.Validator):
+	// the seam between a pipeline's edge side and whatever answers for
+	// the cloud.
 	Validator = core.Validator
-	// ValidationRequest carries one validate-interval frame to a
-	// Validator.
+	// ValidationRequest carries one frame to a Validator.
 	ValidationRequest = core.ValidationRequest
 	// ValidationResult is a Validator's reply.
 	ValidationResult = core.ValidationResult
@@ -370,11 +373,6 @@ const (
 
 // NewPipeline validates cfg and builds a pipeline.
 func NewPipeline(cfg Config) (*Pipeline, error) { return core.New(cfg) }
-
-// NewChain builds a generalized m-stage pipeline.
-func NewChain(clk Clock, client *Link, stages []ChainStage) (*Chain, error) {
-	return core.NewChain(clk, client, stages)
-}
 
 // NewWorkloadSource returns the paper's per-detection transaction source.
 func NewWorkloadSource(nKeys int, seed int64) *WorkloadSource {

@@ -106,7 +106,7 @@ func TestFacadeThresholdSolvers(t *testing.T) {
 	}
 }
 
-func TestFacadeBankAndChain(t *testing.T) {
+func TestFacadeBank(t *testing.T) {
 	b := NewBank()
 	b.Register(Registration{
 		Name:    "r",
@@ -118,25 +118,6 @@ func TestFacadeBankAndChain(t *testing.T) {
 	inv := b.Match([]Detection{{Label: "dog", Confidence: 0.9, Box: Rect{X: 0.1, Y: 0.1, W: 0.2, H: 0.2}}}, nil)
 	if len(inv) != 1 {
 		t.Fatalf("invocations = %d", len(inv))
-	}
-
-	clk := NewSimClock()
-	ch, err := NewChain(clk, ClientEdgeLink(), []ChainStage{
-		{Name: "edge", Model: TinyYOLOSim(42), Speed: 1, ThetaL: 0.4, ThetaU: 0.6},
-		{Name: "cloud", Model: YOLOv3Sim(YOLO416, 42), Speed: 1, Link: EdgeCloudCrossCountry()},
-	})
-	if err != nil {
-		t.Fatalf("NewChain: %v", err)
-	}
-	frames := NewVideoGenerator(ParkDog(), 11).Generate(10)
-	outs := ch.ProcessVideo(frames)
-	if len(outs) != 10 {
-		t.Fatalf("chain outcomes = %d", len(outs))
-	}
-	for _, o := range outs {
-		if o.StagesRun < 1 || o.StagesRun > 2 {
-			t.Errorf("frame %d ran %d stages", o.FrameIndex, o.StagesRun)
-		}
 	}
 }
 
@@ -247,8 +228,8 @@ func TestFacadeFaults(t *testing.T) {
 	}
 }
 
-// TestFacadeValidatorInjection plugs a custom Validator into the plain
-// pipeline — the seam the cluster layer is built on.
+// TestFacadeValidatorInjection plugs a custom Validator into the two-stage
+// graph's cloud node — the seam the cluster layer is built on.
 func TestFacadeValidatorInjection(t *testing.T) {
 	clk := NewSimClock()
 	shedAll := validatorFunc(func(req ValidationRequest) ValidationResult {
@@ -258,8 +239,7 @@ func TestFacadeValidatorInjection(t *testing.T) {
 		Clock:     clk,
 		EdgeModel: TinyYOLOSim(42),
 		ThetaL:    0.40,
-		ThetaU:    0.62,
-		Validator: shedAll,
+		Graph:     ModeCroesus.Graph(0.62, shedAll),
 	})
 	if err != nil {
 		t.Fatalf("NewPipeline with Validator: %v", err)

@@ -131,8 +131,10 @@ type EdgeNode struct {
 	// Cameras lists the IDs placed on this edge, in placement order.
 	Cameras []string
 
-	idx  int
-	load float64
+	// graph is what this edge's camera pipelines walk.
+	graph *core.Graph
+	idx   int
+	load  float64
 }
 
 // Load reports the expected aggregate frame rate (frames/sec) of the
@@ -202,12 +204,12 @@ type Config struct {
 	// transactions, in both sharded and unsharded fleets.
 	Protocol TxnProtocol
 
-	// Graph, when set, runs every camera over an N-node inference graph
-	// instead of the two-stage pipeline: graph node k owns transaction
-	// section k, placed on its tier (edge, peer mesh, or cloud). The
-	// canonical two-stage graph — a default edge node falling through to a
-	// default cloud node — routes to the classic executor, so declaring it
-	// is byte-identical to leaving Graph nil.
+	// Graph, when set, runs every camera over an N-node inference graph:
+	// graph node k owns transaction section k, placed on its tier (edge,
+	// peer mesh, or cloud), and the report gains a per-section block. Nil —
+	// or the default spec, an edge node falling through to a cloud node —
+	// runs the two-stage graph: bandwidth thresholding into the shared
+	// batcher.
 	Graph *node.GraphSpec
 
 	// ZipfSkew, when positive, replaces the uniform sharded key chooser
@@ -322,8 +324,9 @@ type Cluster struct {
 	edges      []*EdgeNode
 	cams       []*cameraRuntime
 	nShards    int
-	// graph is the compiled inference graph every camera pipeline runs
-	// (nil for two-stage fleets and canonical two-stage graphs).
+	// graph is the compiled Config.Graph every camera pipeline walks; nil
+	// when the fleet runs the two-stage graph, which each edge builds over
+	// its own uplink (EdgeNode.graph).
 	graph *core.Graph
 
 	// Sharded-keyspace state (nil/zero in unsharded fleets): the one
@@ -397,10 +400,13 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.CheckpointEvery < 0 {
 		return nil, fmt.Errorf("cluster: CheckpointEvery must be ≥ 0, got %s", cfg.CheckpointEvery)
 	}
+	var graph *core.Graph
 	if cfg.Graph != nil {
-		if err := cfg.Graph.Validate(len(cfg.Edges)); err != nil {
+		g, err := cfg.Graph.Compile(len(cfg.Edges), cfg.Seed)
+		if err != nil {
 			return nil, fmt.Errorf("cluster: %w", err)
 		}
+		graph = g
 	}
 
 	cloudModel := cfg.CloudModel
@@ -426,14 +432,7 @@ func New(cfg Config) (*Cluster, error) {
 	if tr == nil {
 		tr = transport.NewSim()
 	}
-	c := &Cluster{cfg: cfg, clk: cfg.Clock, cloudModel: cloudModel, batcher: batcher, transport: tr}
-	if cfg.Graph != nil && !cfg.Graph.Canonical2Stage() {
-		g, err := cfg.Graph.Compile(len(cfg.Edges), cfg.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: %w", err)
-		}
-		c.graph = g
-	}
+	c := &Cluster{cfg: cfg, clk: cfg.Clock, cloudModel: cloudModel, batcher: batcher, transport: tr, graph: graph}
 	if cfg.Obs != nil {
 		// Traced transports (TCP) emit their own net.hop spans; the sim
 		// transport ignores this and stays byte-identical.
@@ -483,7 +482,7 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	for i, es := range specs {
-		c.edges = append(c.edges, &EdgeNode{
+		e := &EdgeNode{
 			Spec:       es,
 			Model:      detect.TinyYOLOSim(cfg.Seed),
 			Store:      store.New(),
@@ -491,8 +490,18 @@ func New(cfg Config) (*Cluster, error) {
 			ClientEdge: tr.ClientEdge(i),
 			EdgeCloud:  tr.EdgeCloud(i),
 			Compute:    vclock.NewSemaphore(cfg.Clock, es.Slots),
+			graph:      graph,
 			idx:        i,
-		})
+		}
+		if graph == nil {
+			// The two-stage graph, its cloud node answered by the fleet's
+			// shared batcher across this edge's uplink.
+			e.graph = core.ModeCroesus.Graph(cfg.ThetaU, &EdgeUplink{
+				Uplink:  core.Uplink{Clock: cfg.Clock, Link: e.EdgeCloud, EdgeSpeed: es.Speed},
+				Batcher: batcher,
+			})
+		}
+		c.edges = append(c.edges, e)
 	}
 	c.edgeOut = make([]bool, len(c.edges))
 	c.retired = make([]bool, len(c.edges))
@@ -620,7 +629,6 @@ func (c *Cluster) buildPipe(edge *EdgeNode, source core.TxnSource, camID string)
 	}
 	return core.New(core.Config{
 		Clock:       cfg.Clock,
-		Mode:        core.ModeCroesus,
 		EdgeModel:   edge.Model,
 		CloudModel:  c.cloudModel,
 		EdgeSpeed:   edge.Spec.Speed,
@@ -634,20 +642,12 @@ func (c *Cluster) buildPipe(edge *EdgeNode, source core.TxnSource, camID string)
 		Source:      source,
 		CC:          edge.CC,
 		Mgr:         edge.Mgr,
-		Graph:       c.graph,
+		Graph:       edge.graph,
 		PeerPath:    peer,
-		Validator: &EdgeUplink{
-			Uplink: core.Uplink{
-				Clock:     cfg.Clock,
-				Link:      edge.EdgeCloud,
-				EdgeSpeed: edge.Spec.Speed,
-			},
-			Batcher: c.batcher,
-		},
-		Obs:        cfg.Obs,
-		SpanCtx:    spanCtxHook(cfg.Obs, camID),
-		TagKV:      []string{"edge", edge.Spec.ID, "camera", camID, "protocol", cfg.Protocol.String()},
-		QueueDepth: queueDepth,
+		Obs:         cfg.Obs,
+		SpanCtx:     spanCtxHook(cfg.Obs, camID),
+		TagKV:       []string{"edge", edge.Spec.ID, "camera", camID, "protocol", cfg.Protocol.String()},
+		QueueDepth:  queueDepth,
 	})
 }
 

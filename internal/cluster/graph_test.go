@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -20,10 +21,11 @@ func depth3Graph() *node.GraphSpec {
 	}}
 }
 
-// TestGraphCanonicalEquivalence is the backward-compatibility proof at the
-// fleet level: a config with no graph and one with the explicit canonical
-// two-stage graph must produce byte-identical reports — the graph machinery
-// routes the canonical shape through the classic executor untouched.
+// TestGraphCanonicalEquivalence pins the normalisation of the explicit
+// default spec: GraphSpec.Compile turns {edge},{cloud} into "no graph
+// block", so declaring it must produce the byte-identical report of a
+// config without one — thresholded forwarding into the shared batcher, no
+// per-section block.
 func TestGraphCanonicalEquivalence(t *testing.T) {
 	run := func(g *node.GraphSpec) string {
 		cfg := shardedConfig(vclock.NewSim(), 0.4, TxnMSIA)
@@ -36,11 +38,14 @@ func TestGraphCanonicalEquivalence(t *testing.T) {
 		return c.Run().Format()
 	}
 	plain := run(nil)
-	canonical := run(&node.GraphSpec{Nodes: []node.GraphNodeSpec{
-		{Tier: "edge"}, {Tier: "cloud"},
+	explicit := run(&node.GraphSpec{Nodes: []node.GraphNodeSpec{
+		{Tier: "edge"}, {Tier: "cloud", Model: node.ModelYOLO416},
 	}})
-	if plain != canonical {
-		t.Errorf("explicit canonical two-stage graph diverged from no-graph run:\n--- no graph\n%s\n--- canonical graph\n%s", plain, canonical)
+	if plain != explicit {
+		t.Errorf("explicit default two-stage spec diverged from no-graph run:\n--- no graph\n%s\n--- explicit spec\n%s", plain, explicit)
+	}
+	if strings.Contains(plain, "section 0") {
+		t.Errorf("a fleet that declares no graph printed a per-section block:\n%s", plain)
 	}
 }
 

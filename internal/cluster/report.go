@@ -162,8 +162,14 @@ func (c *Cluster) report(elapsed, endAt time.Duration) *ClusterReport {
 	// Component stats index: compute, queue, lock, 2PC, network — the
 	// order CriticalPath() returns them in.
 	var comp [5]metrics.LatencyStats
-	var secLat []metrics.LatencyStats
-	var secSum []core.SectionOutcome
+	// The per-section block belongs to fleets that declare a graph; the
+	// two-stage fleet's sections are the initial and final rows above it.
+	nSec := 0
+	if c.graph != nil {
+		nSec = len(c.graph.Nodes)
+	}
+	secLat := make([]metrics.LatencyStats, nSec)
+	secSum := make([]core.SectionOutcome, nSec)
 	secFrames := 0
 	phaseFinal := make([]metrics.LatencyStats, len(phases))
 	for _, cam := range c.cams {
@@ -196,27 +202,15 @@ func (c *Cluster) report(elapsed, endAt time.Duration) *ClusterReport {
 			comp[2].Add(cl)
 			comp[3].Add(ct)
 			comp[4].Add(cn)
-			if secs := outs[i].Sections; len(secs) > 0 {
-				// Every frame of a graph fleet runs the one fleet-wide
-				// graph, so the section count is uniform.
-				if len(secLat) == 0 {
-					secLat = make([]metrics.LatencyStats, len(secs))
-					secSum = make([]core.SectionOutcome, len(secs))
-					for k := range secs {
-						secSum[k] = core.SectionOutcome{Name: secs[k].Name, Tier: secs[k].Tier}
-					}
-				}
+			if nSec > 0 {
 				secFrames++
-				for k := range secs {
-					if k >= len(secLat) {
-						break
-					}
-					secLat[k].Add(secs[k].Latency)
-					secSum[k].Hop += secs[k].Hop
-					secSum[k].Detect += secs[k].Detect
-					secSum[k].Txn += secs[k].Txn
-					secSum[k].LockWait += secs[k].LockWait
-					secSum[k].TwoPC += secs[k].TwoPC
+				for k, sec := range outs[i].Sections {
+					secLat[k].Add(sec.Latency)
+					secSum[k].Hop += sec.Hop
+					secSum[k].Detect += sec.Detect
+					secSum[k].Txn += sec.Txn
+					secSum[k].LockWait += sec.LockWait
+					secSum[k].TwoPC += sec.TwoPC
 				}
 			}
 			for pi := range phases {
@@ -281,8 +275,8 @@ func (c *Cluster) report(elapsed, endAt time.Duration) *ClusterReport {
 	for k := range secLat {
 		sr := SectionReport{
 			Index:      k,
-			Name:       secSum[k].Name,
-			Tier:       secSum[k].Tier,
+			Name:       c.graph.Nodes[k].Name,
+			Tier:       c.graph.Nodes[k].Tier.String(),
 			LatencyP50: secLat[k].Percentile(50),
 			LatencyP99: secLat[k].Percentile(99),
 		}

@@ -12,15 +12,17 @@ import (
 	"croesus/internal/video"
 )
 
-// This file is the inference-graph executor: the N-section generalization
-// of the two-stage pipeline. A Graph is an ordered list of model nodes,
-// each pinned to a placement tier; node k's labels trigger section k of
-// every transaction the frame opened, so each node is one boundary commit.
-// Routing between nodes is Sequence (fall through to the next node) or a
-// confidence-threshold Switch; whichever nodes the route skips still
-// commit their sections locally with the labels assumed correct, so an
-// initially-committed transaction always reaches its last boundary — the
-// multi-stage guarantee of §4, unchanged.
+// This file is the frame executor. Every pipeline walks a Graph: an ordered
+// list of model nodes, each pinned to a placement tier; node k's labels
+// trigger section k of every transaction the frame opened, so each node is
+// one boundary commit. Routing between nodes is Sequence (fall through to
+// the next node) or a confidence-threshold Switch; whichever nodes the
+// route skips still commit their sections locally with the labels assumed
+// correct, so an initially-committed transaction always reaches its last
+// boundary — the multi-stage guarantee of §4. The paper's two-stage
+// pattern (Figure 1) and its two baselines are the shapes of Mode.Graph;
+// the generalized m-stage model of §3.5 is a deeper graph, with or without
+// a TxnSource.
 
 // DoneTarget is the Switch destination that ends the route early.
 const DoneTarget = "done"
@@ -41,8 +43,8 @@ type SwitchBranch struct {
 type GraphNode struct {
 	Name string
 	Tier txn.Tier
-	// Model is the node's detector. Node 0 defaults to Config.EdgeModel;
-	// every later node must set it.
+	// Model is the node's detector. Nil takes the tier default:
+	// Config.CloudModel on the cloud tier, Config.EdgeModel elsewhere.
 	Model detect.Model
 	// Speed divides the model's inference latency; 0 takes the tier
 	// default (Config.EdgeSpeed for edge and peer, CloudSpeed for cloud).
@@ -50,12 +52,49 @@ type GraphNode struct {
 	// Switch, when non-empty, routes by confidence after this node runs.
 	// Empty means Sequence: fall through to the next node in order.
 	Switch []SwitchBranch
+	// Validator, when set, runs the node off the hub in place of the
+	// in-pipeline model call: it owns the hop to the node, the inference,
+	// and the label return. This is the one seam deployments plug into —
+	// the single-edge DirectValidator, the fleet's shared SLO-aware
+	// batcher, the TCP edge server's cloud socket. A request it sheds or
+	// loses commits the section with the labels assumed correct:
+	// availability over freshness, per boundary.
+	Validator Validator
 }
 
 // Graph is an ordered inference graph; node k owns transaction section k.
-// Node 0 must be an edge node (the client's immediate answer).
 type Graph struct {
 	Nodes []GraphNode
+}
+
+// Graph returns the mode's built-in two-section shape, with cloud as the
+// validator of its cloud-tier node. Croesus forwards a frame to the cloud
+// when its least confident visible detection is at or below thetaU (the
+// validate interval of §3.4; detections below θL were already discarded);
+// edge-only ends every route at the edge node; cloud-only puts node 0 on
+// the cloud, so the initial commit already carries the full model's labels.
+func (m Mode) Graph(thetaU float64, cloud Validator) *Graph {
+	done := []SwitchBranch{{Lo: 0, Hi: 1, To: DoneTarget}}
+	switch m {
+	case ModeEdgeOnly:
+		return &Graph{Nodes: []GraphNode{
+			{Name: "edge", Tier: txn.TierEdge, Switch: done},
+			{Name: "final", Tier: txn.TierEdge},
+		}}
+	case ModeCloudOnly:
+		return &Graph{Nodes: []GraphNode{
+			{Name: "cloud", Tier: txn.TierCloud, Validator: cloud, Switch: done},
+			{Name: "final", Tier: txn.TierCloud, Validator: cloud},
+		}}
+	default:
+		return &Graph{Nodes: []GraphNode{
+			{Name: "edge", Tier: txn.TierEdge, Switch: []SwitchBranch{
+				{Lo: 0, Hi: thetaU, To: "cloud"},
+				{Lo: thetaU, Hi: 1, To: DoneTarget},
+			}},
+			{Name: "cloud", Tier: txn.TierCloud, Validator: cloud},
+		}}
+	}
 }
 
 // SectionPlan returns the name and tier of each node as transaction
@@ -79,15 +118,25 @@ func (g *Graph) index(name string) int {
 	return -1
 }
 
-// next returns the node the route visits after node k at the given
-// routing confidence, or -1 when the route ends.
-func (g *Graph) next(k int, conf float64) int {
+// next returns the node the route visits after node k produced dets, or -1
+// when the route ends. A Switch tests the least confident detection; a
+// frame with none ends the route — a clean frame needs no deeper model.
+func (g *Graph) next(k int, dets []detect.Detection) int {
 	nd := &g.Nodes[k]
 	if len(nd.Switch) == 0 {
 		if k+1 < len(g.Nodes) {
 			return k + 1
 		}
 		return -1
+	}
+	if len(dets) == 0 {
+		return -1
+	}
+	conf := dets[0].Confidence
+	for _, d := range dets[1:] {
+		if d.Confidence < conf {
+			conf = d.Confidence
+		}
 	}
 	for _, br := range nd.Switch {
 		if conf < br.Lo || conf > br.Hi {
@@ -101,55 +150,47 @@ func (g *Graph) next(k int, conf float64) int {
 	return -1
 }
 
-// routeConfidence is the confidence the Switch branches test: the least
-// confident visible detection (1.0 when nothing is visible — a clean
-// frame needs no deeper model).
-func routeConfidence(dets []detect.Detection) float64 {
-	conf := 1.0
-	for _, d := range dets {
-		if d.Confidence < conf {
-			conf = d.Confidence
-		}
-	}
-	return conf
+// pendingTxn tracks a triggered transaction awaiting its later sections.
+// refIdx is its trigger's position in the frame's reference label set.
+type pendingTxn struct {
+	inst    *txn.Instance
+	trigger detect.Detection
+	refIdx  int
 }
 
-// processGraph executes the frame over the configured inference graph —
-// the N-section generalization of processCroesus. Section 0 mirrors the
-// classic initial phase (client send, edge model, θL discard, boundary
-// commit, client answer); each later node charges its tier's path, runs
-// its model, matches the labels against the frame's reference set, and
-// commits its section; route-skipped sections commit locally in order.
-func (p *Pipeline) processGraph(f *video.Frame, ctx obs.SpanContext) FrameOutcome {
+// walk executes one frame over the graph. Node 0's labels pass input
+// processing (smoothing, MinConfidence, the θL discard), commit section 0
+// and answer the client; each later node the route visits refines the
+// labels, matches them against the frame's reference set, and commits its
+// section; route-skipped sections commit locally, in order.
+func (p *Pipeline) walk(f *video.Frame, ctx obs.SpanContext) FrameOutcome {
 	cfg := p.cfg
 	clk := cfg.Clock
 	g := cfg.Graph
 	n := len(g.Nodes)
-	out := FrameOutcome{FrameIndex: f.Index, CapturedAt: f.At}
-	out.Sections = make([]SectionOutcome, n)
-	for k := range out.Sections {
-		out.Sections[k].Name = g.Nodes[k].Name
-		out.Sections[k].Tier = g.Nodes[k].Tier.String()
+	out := FrameOutcome{
+		FrameIndex:  f.Index,
+		CapturedAt:  f.At,
+		SentToCloud: g.Nodes[0].Tier == txn.TierCloud,
+		Sections:    make([]SectionOutcome, n),
 	}
 
-	// Node 0: the client ships the frame to the edge hub.
+	// The client ships the frame to the edge hub.
 	t0 := clk.Now()
 	transport.SendCtx(cfg.ClientEdge, clk, f.SizeBytes, traceCtx(ctx, 0))
 	tIngest := clk.Now()
 	out.Breakdown.ClientEdge = tIngest - t0
 	cfg.Obs.SpanCtx(ctx, obs.SpanFrameIngest, p.tags, t0, tIngest)
 
-	dets, poolWait, edgeLat := p.detectNode(f, 0, ctx)
-	out.Breakdown.ComputeWait = poolWait
-	out.Breakdown.EdgeDetect = edgeLat
+	dets, _ := p.runNode(f, 0, ctx, nil, &out)
 	if cfg.Smoother != nil {
 		dets = cfg.Smoother.Apply(f.Index, dets)
 	}
 	dets = filterConfidence(dets, cfg.MinConfidence)
 	out.EdgeDetections = dets
 
-	// Bandwidth thresholding still guards what becomes visible: below θL
-	// is discarded. Forwarding is the graph's business, not θU's.
+	// Bandwidth thresholding (§3.4) guards what becomes visible: below θL
+	// is discarded. Forwarding is the graph's business.
 	visible := make([]detect.Detection, 0, len(dets))
 	for _, d := range dets {
 		if d.Confidence < cfg.ThetaL {
@@ -161,10 +202,11 @@ func (p *Pipeline) processGraph(f *video.Frame, ctx obs.SpanContext) FrameOutcom
 	out.InitialVisible = visible
 
 	// Section 0: the boundary commit behind the client's immediate answer.
-	pending := p.runGraphInitials(f, ctx, visible, &out)
+	pending := p.runFirstSection(f, ctx, visible, &out)
 	transport.SendCtx(cfg.ClientEdge, clk, netsim.LabelReturnBytes, traceCtx(ctx, 0))
 	out.InitialLatency = clk.Now() - f.At
 	out.Sections[0].Latency = out.InitialLatency
+	next := p.route(0, visible, &out)
 	if cfg.OnInitial != nil {
 		cfg.OnInitial(f, &out)
 	}
@@ -176,83 +218,122 @@ func (p *Pipeline) processGraph(f *video.Frame, ctx obs.SpanContext) FrameOutcom
 	ref := visible
 	current := visible
 	at := 0
-	next := g.next(0, routeConfidence(visible))
 	for next >= 0 {
 		// Boundaries the route jumped over commit locally, in order —
 		// section k+1 cannot run before section k.
 		for s := at + 1; s < next; s++ {
-			pending, ref = p.runGraphSection(f, ctx, s, pending, ref, nil, &out)
+			pending, ref = p.runSection(f, ctx, s, pending, ref, nil, &out)
 			out.Sections[s].Latency = clk.Now() - f.At
 		}
 		k := next
-		nd := &g.Nodes[k]
-		sec := &out.Sections[k]
-
-		// Ship the frame to the node's tier and run its model.
-		hop := p.hopTo(f, k, ctx)
-		sec.Hop = hop
-		out.Breakdown.EdgeCloud += hop
-		if nd.Tier == txn.TierCloud {
-			out.SentToCloud = true
-		}
-		nodeDets, slotWait, detLat, ok := p.graphDetect(f, k, ctx)
-		sec.Detect = detLat
-		out.Breakdown.CloudQueue += slotWait
-		out.Breakdown.CloudDetect += detLat
 
 		// The refined labels correct the reference set and commit the
-		// node's section. A lost or shed remote node (GraphValidate only)
-		// commits with the labels assumed correct instead.
+		// node's section. A lost or shed node commits with the labels
+		// assumed correct instead.
 		var matches []LabelMatch
-		if ok {
+		if nodeDets, ok := p.runNode(f, k, ctx, current, &out); ok {
 			nodeDets = filterConfidence(nodeDets, cfg.MinConfidence)
 			matches = MatchLabels(ref, nodeDets, cfg.OverlapMin)
-			if cfg.Smoother != nil && nd.Tier == txn.TierCloud {
+			if cfg.Smoother != nil && g.Nodes[k].Tier == txn.TierCloud {
 				cfg.Smoother.Learn(f.Index, matches, ref)
 			}
 			current = nodeDets
 		}
-		pending, ref = p.runGraphSection(f, ctx, k, pending, ref, matches, &out)
+		pending, ref = p.runSection(f, ctx, k, pending, ref, matches, &out)
 
 		// Boundary commit: the refreshed labels reach the client.
 		transport.SendCtx(cfg.ClientEdge, clk, netsim.LabelReturnBytes, traceCtx(ctx, k))
-		sec.Latency = clk.Now() - f.At
+		out.Sections[k].Latency = clk.Now() - f.At
 
 		at = k
-		next = g.next(k, routeConfidence(current))
+		next = p.route(k, current, &out)
 	}
 
 	// The route ended early: remaining sections commit locally with the
 	// labels assumed correct — the §3.5 early stop, once per boundary.
 	for s := at + 1; s < n; s++ {
-		pending, ref = p.runGraphSection(f, ctx, s, pending, ref, nil, &out)
+		pending, ref = p.runSection(f, ctx, s, pending, ref, nil, &out)
 		out.Sections[s].Latency = clk.Now() - f.At
 	}
-	_ = pending
 
 	out.FinalVisible = current
 	out.FinalLatency = clk.Now() - f.At
 	return out
 }
 
-// graphDetect produces node k's detections: the in-pipeline model under
-// the tier's compute slots, or — for cloud-tier nodes with a
-// GraphValidate hook — a real remote round trip. ok is false only when
-// the remote node was lost or shed the request.
-func (p *Pipeline) graphDetect(f *video.Frame, k int, ctx obs.SpanContext) ([]detect.Detection, time.Duration, time.Duration, bool) {
-	cfg := p.cfg
-	if cfg.Graph.Nodes[k].Tier == txn.TierCloud && cfg.GraphValidate != nil {
-		clk := cfg.Clock
-		start := clk.Now()
-		dets, detLat, ok := cfg.GraphValidate(f, k)
-		end := clk.Now()
-		if ok {
-			cfg.Obs.SpanCtx(ctx, obs.SpanNodeDetect, p.secTag(k), start, end)
-		}
-		return dets, 0, detLat, ok
+// route picks the node after k and marks the frame as cloud-bound when it
+// is on the cloud tier.
+func (p *Pipeline) route(k int, dets []detect.Detection, out *FrameOutcome) int {
+	g := p.cfg.Graph
+	next := g.next(k, dets)
+	if next >= 0 && g.Nodes[next].Tier == txn.TierCloud {
+		out.SentToCloud = true
 	}
-	dets, wait, lat := p.detectNode(f, k, ctx)
-	return dets, wait, lat, true
+	return next
+}
+
+// runNode produces node k's labels — through its Validator when it has
+// one, else by shipping the frame to the node's tier and running its model
+// under the tier's compute slots — and charges the time to the frame's
+// breakdown by tier: hub compute for edge nodes, the off-hub leg (also
+// recorded on the section) for peer and cloud nodes. visible is what the
+// client currently renders, for validators that prioritize by it. ok is
+// false when a Validator shed or lost the request.
+func (p *Pipeline) runNode(f *video.Frame, k int, ctx obs.SpanContext, visible []detect.Detection, out *FrameOutcome) (dets []detect.Detection, ok bool) {
+	cfg := p.cfg
+	nd := &cfg.Graph.Nodes[k]
+	sec := &out.Sections[k]
+	b := &out.Breakdown
+	if nd.Validator == nil {
+		hop := p.hopTo(f, k, ctx)
+		var wait, lat time.Duration
+		dets, wait, lat = p.detectNode(f, k, ctx)
+		if nd.Tier == txn.TierEdge {
+			b.ComputeWait += wait
+			b.EdgeDetect += lat
+		} else {
+			sec.Hop, sec.Detect = hop, lat
+			b.EdgeCloud += hop
+			b.CloudQueue += wait
+			b.CloudDetect += lat
+		}
+		return dets, true
+	}
+	clk := cfg.Clock
+	t0 := clk.Now()
+	res := nd.Validator.Validate(ValidationRequest{
+		Frame:   f,
+		Edge:    visible,
+		Margin:  ValidationMargin(visible, cfg.ThetaL, cfg.ThetaU),
+		Section: k,
+		Trace:   ctx,
+	})
+	sec.Hop, sec.Detect = res.EdgeCloud, res.CloudDetect
+	b.EdgeCloud += res.EdgeCloud
+	b.CloudQueue += res.CloudQueue
+	b.CloudDetect += res.CloudDetect
+	b.CloudReturn += res.CloudReturn
+	cfg.Obs.SpanCtx(ctx, obs.SpanUplink, p.tags, t0, t0+res.EdgeCloud)
+	cfg.Obs.SpanCtx(ctx, obs.SpanCloudValidate, p.tags, t0, clk.Now())
+	switch res.Status {
+	case ValidationShed:
+		out.Shed = true
+	case ValidationLost:
+		out.CloudLost = true
+	}
+	return res.Cloud, res.Status == Validated
+}
+
+// model resolves a node's detector: its own, or the tier default.
+func (p *Pipeline) model(nd *GraphNode) detect.Model {
+	switch {
+	case nd.Model != nil:
+		return nd.Model
+	case nd.Tier == txn.TierCloud:
+		return p.cfg.CloudModel
+	default:
+		return p.cfg.EdgeModel
+	}
 }
 
 // detectNode runs node k's model under its tier's compute slots: the edge
@@ -263,10 +344,6 @@ func (p *Pipeline) detectNode(f *video.Frame, k int, ctx obs.SpanContext) ([]det
 	cfg := p.cfg
 	clk := cfg.Clock
 	nd := &cfg.Graph.Nodes[k]
-	model := nd.Model
-	if model == nil {
-		model = cfg.EdgeModel
-	}
 	speed := nd.Speed
 	if speed <= 0 {
 		if nd.Tier == txn.TierCloud {
@@ -293,7 +370,7 @@ func (p *Pipeline) detectNode(f *video.Frame, k int, ctx obs.SpanContext) ([]det
 		p.queueDepth.Add(-1)
 	}
 	start := clk.Now()
-	res := model.Detect(f)
+	res := p.model(nd).Detect(f)
 	clk.Sleep(scale(res.Latency, speed))
 	if sem != nil {
 		sem.Release()
@@ -302,7 +379,13 @@ func (p *Pipeline) detectNode(f *video.Frame, k int, ctx obs.SpanContext) ([]det
 	if start > tw {
 		cfg.Obs.SpanCtx(ctx, obs.SpanPoolWait, p.tags, tw, start)
 	}
-	cfg.Obs.SpanCtx(ctx, obs.SpanNodeDetect, p.secTag(k), start, end)
+	// The hub's own first-pass model is the paper's edge detection; every
+	// other in-pipeline node is a graph refinement.
+	if k == 0 && nd.Tier == txn.TierEdge {
+		cfg.Obs.SpanCtx(ctx, obs.SpanEdgeDetect, p.tags, start, end)
+	} else {
+		cfg.Obs.SpanCtx(ctx, obs.SpanNodeDetect, p.secTags[k], start, end)
+	}
 	return res.Detections, start - tw, end - start
 }
 
@@ -329,20 +412,20 @@ func (p *Pipeline) hopTo(f *video.Frame, k int, ctx obs.SpanContext) time.Durati
 	clk.Sleep(scale(prepCost, cfg.EdgeSpeed))
 	transport.SendCtx(path, clk, bytes, traceCtx(ctx, k))
 	end := clk.Now()
-	cfg.Obs.SpanCtx(ctx, obs.SpanUplink, p.secTag(k), t0, end)
+	cfg.Obs.SpanCtx(ctx, obs.SpanUplink, p.secTags[k], t0, end)
 	return end - t0
 }
 
-// runGraphInitials triggers and runs section 0 for the visible detections
-// — runInitials reshaped for the graph path, recording into Sections[0].
-func (p *Pipeline) runGraphInitials(f *video.Frame, ctx obs.SpanContext, dets []detect.Detection, out *FrameOutcome) []pendingTxn {
+// runFirstSection triggers a transaction per visible detection and runs
+// its section 0.
+func (p *Pipeline) runFirstSection(f *video.Frame, ctx obs.SpanContext, dets []detect.Detection, out *FrameOutcome) []pendingTxn {
 	if p.cfg.Source == nil {
 		return nil
 	}
 	clk := p.cfg.Clock
 	sec := &out.Sections[0]
 	start := clk.Now()
-	var pending []pendingTxn
+	pending := make([]pendingTxn, 0, len(dets))
 	for i, d := range dets {
 		t := p.cfg.Source.TxnFor(f.Index, d)
 		if t == nil {
@@ -351,31 +434,31 @@ func (p *Pipeline) runGraphInitials(f *video.Frame, ctx obs.SpanContext, dets []
 		inst := p.cfg.Mgr.NewInstance(t, InitialInput{FrameIndex: f.Index, Trigger: d, Labels: dets})
 		inst.Trace = ctx
 		err := p.cfg.CC.RunSection(inst, 0)
-		p.harvestSection(inst, out, sec)
+		p.harvestTiming(inst, out, sec)
 		if err != nil {
 			out.InitialAborts++
 			continue
 		}
-		pending = append(pending, pendingTxn{inst: inst, trigger: d, edgeIdx: i})
+		pending = append(pending, pendingTxn{inst: inst, trigger: d, refIdx: i})
 	}
 	out.TxnsTriggered += len(pending)
 	end := clk.Now()
 	sec.Txn = end - start
 	out.Breakdown.InitialTxn = end - start
 	if len(dets) > 0 {
-		p.cfg.Obs.SpanCtx(ctx, obs.SpanSectionTxn, p.secTag(0), start, end)
+		p.cfg.Obs.SpanCtx(ctx, obs.SpanInitialTxn, p.tags, start, end)
 	}
 	p.secCommit(0, int64(len(pending)))
 	return pending
 }
 
-// runGraphSection runs section k (k ≥ 1) of every pending transaction with
-// the node's matches (nil matches ⇒ labels assumed correct), plus a full
+// runSection runs section k (k ≥ 1) of every pending transaction with the
+// node's matches (nil matches ⇒ labels assumed correct), plus a full
 // catch-up run — sections 0..k — for labels first seen at this node
-// (MatchNew). Fresh transactions join pending and their trigger joins the
-// reference set, so later nodes match against them instead of re-raising
-// them. Returns the updated pending and reference sets.
-func (p *Pipeline) runGraphSection(f *video.Frame, ctx obs.SpanContext, k int, pending []pendingTxn, ref []detect.Detection, matches []LabelMatch, out *FrameOutcome) ([]pendingTxn, []detect.Detection) {
+// (MatchNew, §3.3). Fresh transactions join pending and their trigger joins
+// the reference set, so later nodes match against them instead of
+// re-raising them. Returns the updated pending and reference sets.
+func (p *Pipeline) runSection(f *video.Frame, ctx obs.SpanContext, k int, pending []pendingTxn, ref []detect.Detection, matches []LabelMatch, out *FrameOutcome) ([]pendingTxn, []detect.Detection) {
 	if p.cfg.Source == nil {
 		return pending, ref
 	}
@@ -383,32 +466,35 @@ func (p *Pipeline) runGraphSection(f *video.Frame, ctx obs.SpanContext, k int, p
 	sec := &out.Sections[k]
 	last := len(p.cfg.Graph.Nodes) - 1
 	start := clk.Now()
-	byEdgeIdx := make(map[int]LabelMatch, len(matches))
-	for _, m := range matches {
-		if m.EdgeIdx >= 0 {
-			byEdgeIdx[m.EdgeIdx] = m
+	committed := int64(0)
+	// run executes section j of one instance with its input.
+	run := func(inst *txn.Instance, j int, fin FinalInput) {
+		inst.SetSectionIn(j, fin)
+		if err := p.cfg.CC.RunSection(inst, j); err != nil && err != txn.ErrRetracted {
+			out.FinalErrors++
+		} else if err == nil && j == k {
+			committed++
+		}
+		p.harvestTiming(inst, out, sec)
+		if j == last {
+			out.Apologies = append(out.Apologies, inst.TakeApologies()...)
 		}
 	}
-	committed := int64(0)
 	for _, pt := range pending {
-		m, ok := byEdgeIdx[pt.edgeIdx]
-		if !ok {
-			m = LabelMatch{Case: MatchAssumed, EdgeIdx: pt.edgeIdx}
+		// Matches are few per frame, so a backward scan (last entry wins)
+		// beats building a map.
+		m := LabelMatch{Case: MatchAssumed, EdgeIdx: pt.refIdx}
+		for i := len(matches) - 1; i >= 0; i-- {
+			if matches[i].EdgeIdx == pt.refIdx {
+				m = matches[i]
+				break
+			}
 		}
 		fin := FinalInput{FrameIndex: f.Index, Case: m.Case, Edge: pt.trigger, Cloud: m.Cloud}
 		if fin.Corrected() {
 			out.Corrections++
 		}
-		pt.inst.SetSectionIn(k, fin)
-		if err := p.cfg.CC.RunSection(pt.inst, k); err != nil && err != txn.ErrRetracted {
-			out.FinalErrors++
-		} else if err == nil {
-			committed++
-		}
-		p.harvestSection(pt.inst, out, sec)
-		if k == last {
-			out.Apologies = append(out.Apologies, pt.inst.Apologies()...)
-		}
+		run(pt.inst, k, fin)
 	}
 	// Labels every earlier node missed: trigger now and catch up through
 	// section k, so the transaction is level with the rest of the frame.
@@ -423,7 +509,7 @@ func (p *Pipeline) runGraphSection(f *video.Frame, ctx obs.SpanContext, k int, p
 		inst := p.cfg.Mgr.NewInstance(t, InitialInput{FrameIndex: f.Index, Trigger: m.Cloud})
 		inst.Trace = ctx
 		err := p.cfg.CC.RunSection(inst, 0)
-		p.harvestSection(inst, out, sec)
+		p.harvestTiming(inst, out, sec)
 		if err != nil {
 			out.InitialAborts++
 			continue
@@ -431,38 +517,31 @@ func (p *Pipeline) runGraphSection(f *video.Frame, ctx obs.SpanContext, k int, p
 		out.TxnsTriggered++
 		out.Corrections++
 		for j := 1; j < k; j++ {
-			inst.SetSectionIn(j, FinalInput{FrameIndex: f.Index, Case: MatchAssumed})
-			if err := p.cfg.CC.RunSection(inst, j); err != nil && err != txn.ErrRetracted {
-				out.FinalErrors++
-			}
-			p.harvestSection(inst, out, sec)
+			run(inst, j, FinalInput{FrameIndex: f.Index, Case: MatchAssumed})
 		}
-		inst.SetSectionIn(k, FinalInput{FrameIndex: f.Index, Case: MatchNew, Cloud: m.Cloud})
-		if err := p.cfg.CC.RunSection(inst, k); err != nil && err != txn.ErrRetracted {
-			out.FinalErrors++
-		} else if err == nil {
-			committed++
-		}
-		p.harvestSection(inst, out, sec)
-		if k == last {
-			out.Apologies = append(out.Apologies, inst.Apologies()...)
-		}
+		run(inst, k, FinalInput{FrameIndex: f.Index, Case: MatchNew, Cloud: m.Cloud})
 		ref = append(ref, m.Cloud)
-		pending = append(pending, pendingTxn{inst: inst, trigger: m.Cloud, edgeIdx: len(ref) - 1})
+		pending = append(pending, pendingTxn{inst: inst, trigger: m.Cloud, refIdx: len(ref) - 1})
 	}
 	end := clk.Now()
 	sec.Txn += end - start
 	out.Breakdown.FinalTxn += end - start
-	if len(pending) > 0 || len(matches) > 0 {
-		p.cfg.Obs.SpanCtx(ctx, obs.SpanSectionTxn, p.secTag(k), start, end)
+	if len(ref) > 0 || len(matches) > 0 {
+		name := obs.SpanSectionTxn
+		if k == last {
+			name = obs.SpanFinalTxn
+		}
+		p.cfg.Obs.SpanCtx(ctx, name, p.secTags[k], start, end)
 	}
 	p.secCommit(k, committed)
 	return pending, ref
 }
 
-// harvestSection folds an instance's instrumented lock-wait and 2PC time
-// into both the frame breakdown and the section's own decomposition.
-func (p *Pipeline) harvestSection(inst *txn.Instance, out *FrameOutcome, sec *SectionOutcome) {
+// harvestTiming folds an instance's instrumented lock-wait and 2PC time
+// (accumulated by the CC protocol while its sections ran on this frame's
+// goroutine) into both the frame breakdown and the section's own
+// decomposition.
+func (p *Pipeline) harvestTiming(inst *txn.Instance, out *FrameOutcome, sec *SectionOutcome) {
 	lw, tp := inst.TakeTiming()
 	out.Breakdown.LockWait += lw
 	out.Breakdown.TwoPC += tp
@@ -470,18 +549,9 @@ func (p *Pipeline) harvestSection(inst *txn.Instance, out *FrameOutcome, sec *Se
 	sec.TwoPC += tp
 }
 
-// secTag returns the pre-resolved tag string for section k (p.tags plus
-// the section tag).
-func (p *Pipeline) secTag(k int) string {
-	if k < len(p.secTags) {
-		return p.secTags[k]
-	}
-	return p.tags
-}
-
 // secCommit bumps section k's boundary-commit counter.
 func (p *Pipeline) secCommit(k int, n int64) {
-	if n > 0 && k < len(p.mSecCommits) {
+	if n > 0 {
 		p.mSecCommits[k].Add(n)
 	}
 }

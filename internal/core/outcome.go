@@ -77,16 +77,15 @@ func (b *Breakdown) div(n int) {
 }
 
 // SectionOutcome decomposes one graph section's share of a frame — the
-// per-section analogue of Breakdown, produced only by the graph executor
-// (Config.Graph set). Section k's boundary commit belongs to graph node k.
+// per-section analogue of Breakdown. Section k's boundary commit belongs to
+// graph node k, whose name and tier are Graph.Nodes[k]'s.
 type SectionOutcome struct {
-	Name string
-	Tier string
-	// Hop is the network time shipping the frame into the node's tier
-	// (zero for edge-tier nodes, which are co-located with the hub).
-	Hop time.Duration
-	// Detect is the node model's inference time (zero when the route
-	// skipped the node and its section committed locally).
+	// Hop and Detect are the off-hub leg of a peer or cloud node: the
+	// network time shipping the frame into its tier and its model's
+	// inference time. Both are zero for edge-tier nodes — they run on the
+	// hub, charged to Breakdown.ComputeWait and EdgeDetect — and when the
+	// route skipped the node and its section committed locally.
+	Hop    time.Duration
 	Detect time.Duration
 	// Txn is the wall time inside this section's transaction executions;
 	// LockWait and TwoPC are its transactional shares.
@@ -124,8 +123,8 @@ type FrameOutcome struct {
 	FrameIndex int
 	CapturedAt time.Duration
 
-	// EdgeDetections are the post-filter edge labels (empty in
-	// cloud-only mode).
+	// EdgeDetections are node 0's post-filter labels, before the θL
+	// discard.
 	EdgeDetections []detect.Detection
 	// InitialVisible is what the client renders at the initial commit.
 	InitialVisible []detect.Detection
@@ -154,7 +153,6 @@ type FrameOutcome struct {
 	Breakdown      Breakdown
 
 	// Sections is the per-section decomposition, one entry per graph node.
-	// Nil on the classic two-stage path (no Config.Graph).
 	Sections []SectionOutcome
 }
 
@@ -177,7 +175,7 @@ type Summary struct {
 	MeanFinalLatency   time.Duration
 	MeanBreakdown      Breakdown
 	// MeanSections is the mean per-section decomposition, one entry per
-	// graph node. Nil for classic two-stage runs.
+	// graph node.
 	MeanSections []SectionOutcome
 
 	TxnsTriggered int
@@ -221,18 +219,12 @@ func Summarize(videoName string, mode Mode, queryClass string, outcomes []FrameO
 		sumInit += o.InitialLatency
 		sumFinal += o.FinalLatency
 		s.MeanBreakdown.add(o.Breakdown)
-		if len(o.Sections) > 0 {
-			if s.MeanSections == nil {
-				s.MeanSections = make([]SectionOutcome, len(o.Sections))
-				for k := range o.Sections {
-					s.MeanSections[k].Name = o.Sections[k].Name
-					s.MeanSections[k].Tier = o.Sections[k].Tier
-				}
-			}
-			for k := range o.Sections {
-				if k < len(s.MeanSections) {
-					s.MeanSections[k].add(o.Sections[k])
-				}
+		if s.MeanSections == nil {
+			s.MeanSections = make([]SectionOutcome, len(o.Sections))
+		}
+		for k := range o.Sections {
+			if k < len(s.MeanSections) {
+				s.MeanSections[k].add(o.Sections[k])
 			}
 		}
 		s.TxnsTriggered += o.TxnsTriggered

@@ -25,7 +25,8 @@ import (
 	"croesus/internal/wire"
 )
 
-// Mode selects the system under evaluation.
+// Mode names one of the three built-in graph shapes a pipeline runs when
+// Config.Graph is nil (see Mode.Graph) — the systems the paper evaluates.
 type Mode int
 
 // Evaluation modes.
@@ -128,37 +129,22 @@ type Config struct {
 	CC     txn.CC
 	Mgr    *txn.Manager
 
-	// Graph, when set, replaces the two-stage croesus flow with the
-	// N-section inference-graph executor (ModeCroesus only): node k's
-	// labels commit transaction section k, so the frame makes one
-	// boundary commit per node instead of exactly initial+final. The
-	// TxnSource must then produce transactions with one section per node
-	// (WorkloadSource.SetPlan(Graph.SectionPlan())). Nil keeps the classic
-	// two-stage path byte-identical.
+	// Graph is the inference graph every frame walks: node k's labels
+	// commit transaction section k, so the frame makes one boundary commit
+	// per node. Nil runs Mode's built-in shape (Mode.Graph) with a
+	// DirectValidator over CloudModel, EdgeCloud and Preproc as its cloud
+	// node — the paper's single-edge deployment. A TxnSource feeding an
+	// explicit graph must produce one section per node
+	// (WorkloadSource.SetPlan(Graph.SectionPlan())).
 	Graph *Graph
 	// PeerPath carries frames to peer-tier graph nodes (the inter-edge
 	// mesh). Defaults to netsim's edge-edge link; the fleet runtime
 	// injects its transport's peer path.
 	PeerPath transport.Path
-	// GraphValidate, when set, runs cloud-tier graph nodes remotely
-	// instead of through their in-pipeline model: the tcpnet edge server
-	// ships the frame over its real cloud socket (wire.CloudRequest with
-	// the section index) and the cloud's model answers. Returning ok ==
-	// false (connection lost, request shed) commits the section with the
-	// labels assumed correct — availability over freshness, per boundary.
-	GraphValidate func(f *video.Frame, section int) (dets []detect.Detection, detectTime time.Duration, ok bool)
 
-	// Smoother, when set, applies cloud-correction feedback to edge
-	// detections (ModeCroesus only).
+	// Smoother, when set, applies cloud-correction feedback to node 0's
+	// detections and learns from every cloud-tier node's matches.
 	Smoother Smoother
-
-	// Validator, when set, replaces the in-pipeline direct cloud model
-	// call for validate-interval frames (ModeCroesus only). This is the
-	// seam the cluster runtime uses to share one SLO-aware batched cloud
-	// validator across many edges. When nil, a DirectValidator over
-	// CloudModel, EdgeCloud, and Preproc is built — the paper's
-	// single-edge behavior, unchanged.
-	Validator Validator
 
 	// OnInitial, when set, is called at every frame's initial commit —
 	// after the initial sections committed and the client-facing answer
@@ -235,10 +221,9 @@ func (c Config) Defaults() Config {
 	return c
 }
 
-// Pipeline executes frames through the configured system.
+// Pipeline executes frames over its inference graph.
 type Pipeline struct {
 	cfg       Config
-	validator Validator
 	edgeSlots *vclock.Semaphore
 	cloudSlot *vclock.Semaphore
 
@@ -256,7 +241,10 @@ type Pipeline struct {
 	mFinal     *obs.Histogram
 	mComponent [5]*obs.Histogram // compute, queue, lock, twopc, network
 
-	// Per-section handles, one per graph node (graph executor only).
+	// Per-section handles, indexed by graph node. The first and last
+	// sections are the initial and final commits and report under those
+	// names; only the sections between them carry a section tag and the
+	// per-section metric families.
 	secTags     []string
 	mSection    []*obs.Histogram
 	mSecCommits []*obs.Counter
@@ -271,33 +259,8 @@ func New(cfg Config) (*Pipeline, error) {
 	if cfg.Clock == nil {
 		return nil, fmt.Errorf("core: Config.Clock is required")
 	}
-	if cfg.EdgeModel == nil && cfg.Mode != ModeCloudOnly {
-		return nil, fmt.Errorf("core: Config.EdgeModel is required for %v", cfg.Mode)
-	}
-	if cfg.CloudModel == nil && cfg.Mode != ModeEdgeOnly && !(cfg.Mode == ModeCroesus && cfg.Validator != nil) {
-		return nil, fmt.Errorf("core: Config.CloudModel is required for %v", cfg.Mode)
-	}
-	if cfg.Mode == ModeCroesus && !(cfg.ThetaL <= cfg.ThetaU) {
-		return nil, fmt.Errorf("core: thresholds must satisfy θL ≤ θU, got (%.2f, %.2f)", cfg.ThetaL, cfg.ThetaU)
-	}
 	if (cfg.Source == nil) != (cfg.CC == nil) || (cfg.CC == nil) != (cfg.Mgr == nil) {
 		return nil, fmt.Errorf("core: Source, CC, and Mgr must be provided together")
-	}
-	if g := cfg.Graph; g != nil {
-		if cfg.Mode != ModeCroesus {
-			return nil, fmt.Errorf("core: Config.Graph requires ModeCroesus, got %v", cfg.Mode)
-		}
-		if len(g.Nodes) == 0 {
-			return nil, fmt.Errorf("core: Config.Graph needs at least one node")
-		}
-		if g.Nodes[0].Tier != txn.TierEdge {
-			return nil, fmt.Errorf("core: graph node 0 (%q) must be on the edge tier, got %q", g.Nodes[0].Name, g.Nodes[0].Tier)
-		}
-		for i := 1; i < len(g.Nodes); i++ {
-			if g.Nodes[i].Model == nil {
-				return nil, fmt.Errorf("core: graph node %d (%q) has no model", i, g.Nodes[i].Name)
-			}
-		}
 	}
 	edgeSlots := cfg.EdgeCompute
 	if edgeSlots == nil {
@@ -307,6 +270,20 @@ func New(cfg Config) (*Pipeline, error) {
 		cfg:       cfg,
 		edgeSlots: edgeSlots,
 		cloudSlot: vclock.NewSemaphore(cfg.Clock, cfg.CloudSlots),
+	}
+	if cfg.Graph == nil {
+		if err := p.compileMode(); err != nil {
+			return nil, err
+		}
+	}
+	g := p.cfg.Graph
+	if len(g.Nodes) == 0 {
+		return nil, fmt.Errorf("core: Config.Graph needs at least one node")
+	}
+	for k := range g.Nodes {
+		if nd := &g.Nodes[k]; nd.Validator == nil && p.model(nd) == nil {
+			return nil, fmt.Errorf("core: graph node %d (%q) has no model", k, nd.Name)
+		}
 	}
 	p.tags = obs.Tags(cfg.TagKV...)
 	p.queueDepth = cfg.QueueDepth
@@ -323,33 +300,53 @@ func New(cfg Config) (*Pipeline, error) {
 			p.mComponent[i] = o.Histogram(obs.MetricComponent, obs.Tags(append([]string{"component", comp}, cfg.TagKV...)...))
 		}
 	}
-	if g := cfg.Graph; g != nil {
-		p.secTags = make([]string, len(g.Nodes))
-		p.mSection = make([]*obs.Histogram, len(g.Nodes))
-		p.mSecCommits = make([]*obs.Counter, len(g.Nodes))
-		for k := range g.Nodes {
-			p.secTags[k] = obs.Tags(append([]string{"section", strconv.Itoa(k)}, cfg.TagKV...)...)
-			if cfg.Obs != nil {
-				p.mSection[k] = cfg.Obs.Histogram(obs.MetricSectionLatency, p.secTags[k])
-				p.mSecCommits[k] = cfg.Obs.Counter(obs.MetricSectionCommit, p.secTags[k])
-			}
+	n := len(g.Nodes)
+	p.secTags = make([]string, n)
+	p.mSection = make([]*obs.Histogram, n)
+	p.mSecCommits = make([]*obs.Counter, n)
+	for k := range g.Nodes {
+		p.secTags[k] = p.tags
+		if k == 0 || k == n-1 {
+			continue
 		}
-	}
-	p.validator = cfg.Validator
-	if p.validator == nil && cfg.CloudModel != nil {
-		p.validator = &DirectValidator{
-			Clock:      cfg.Clock,
-			Link:       cfg.EdgeCloud,
-			Preproc:    cfg.Preproc,
-			Model:      cfg.CloudModel,
-			Slots:      p.cloudSlot,
-			EdgeSpeed:  cfg.EdgeSpeed,
-			CloudSpeed: cfg.CloudSpeed,
-			LossProb:   cfg.CloudLossProb,
-			Timeout:    cfg.CloudTimeout,
+		p.secTags[k] = obs.Tags(append([]string{"section", strconv.Itoa(k)}, cfg.TagKV...)...)
+		if cfg.Obs != nil {
+			p.mSection[k] = cfg.Obs.Histogram(obs.MetricSectionLatency, p.secTags[k])
+			p.mSecCommits[k] = cfg.Obs.Counter(obs.MetricSectionCommit, p.secTags[k])
 		}
 	}
 	return p, nil
+}
+
+// compileMode installs Config.Mode's built-in graph: the paper's
+// single-edge deployment, with a DirectValidator as its cloud node. The
+// baselines apply no bandwidth thresholding.
+func (p *Pipeline) compileMode() error {
+	cfg := &p.cfg
+	if cfg.EdgeModel == nil && cfg.Mode != ModeCloudOnly {
+		return fmt.Errorf("core: Config.EdgeModel is required for %v", cfg.Mode)
+	}
+	if cfg.CloudModel == nil && cfg.Mode != ModeEdgeOnly {
+		return fmt.Errorf("core: Config.CloudModel is required for %v", cfg.Mode)
+	}
+	if cfg.Mode != ModeCroesus {
+		cfg.ThetaL, cfg.ThetaU = 0, 0
+	}
+	if !(cfg.ThetaL <= cfg.ThetaU) {
+		return fmt.Errorf("core: thresholds must satisfy θL ≤ θU, got (%.2f, %.2f)", cfg.ThetaL, cfg.ThetaU)
+	}
+	cfg.Graph = cfg.Mode.Graph(cfg.ThetaU, &DirectValidator{
+		Clock:      cfg.Clock,
+		Link:       cfg.EdgeCloud,
+		Preproc:    cfg.Preproc,
+		Model:      cfg.CloudModel,
+		Slots:      p.cloudSlot,
+		EdgeSpeed:  cfg.EdgeSpeed,
+		CloudSpeed: cfg.CloudSpeed,
+		LossProb:   cfg.CloudLossProb,
+		Timeout:    cfg.CloudTimeout,
+	})
+	return nil
 }
 
 // Config returns the (defaulted) configuration.
@@ -392,21 +389,11 @@ func (p *Pipeline) ProcessFrame(f *video.Frame) FrameOutcome {
 	return p.processFrame(f)
 }
 
-// processFrame is the per-frame execution pattern of Figure 1.
+// processFrame walks one frame over the graph and records it.
 func (p *Pipeline) processFrame(f *video.Frame) FrameOutcome {
 	ctx := p.spanCtx(f)
 	t0 := p.cfg.Clock.Now()
-	var out FrameOutcome
-	switch {
-	case p.cfg.Mode == ModeEdgeOnly:
-		out = p.processEdgeOnly(f, ctx)
-	case p.cfg.Mode == ModeCloudOnly:
-		out = p.processCloudOnly(f, ctx)
-	case p.cfg.Graph != nil:
-		out = p.processGraph(f, ctx)
-	default:
-		out = p.processCroesus(f, ctx)
-	}
+	out := p.walk(f, ctx)
 	if p.cfg.Obs != nil && ctx.Valid() {
 		p.cfg.Obs.EmitSpan(obs.Span{
 			Name: obs.SpanFrameRoot, Tags: p.tags,
@@ -460,341 +447,8 @@ func (p *Pipeline) observe(out *FrameOutcome) {
 		p.mComponent[i].Observe(d)
 	}
 	for k := range out.Sections {
-		if k < len(p.mSection) {
-			p.mSection[k].Observe(out.Sections[k].Latency)
-		}
+		p.mSection[k].Observe(out.Sections[k].Latency)
 	}
-}
-
-func (p *Pipeline) processCroesus(f *video.Frame, ctx obs.SpanContext) FrameOutcome {
-	cfg := p.cfg
-	clk := cfg.Clock
-	out := FrameOutcome{FrameIndex: f.Index, CapturedAt: f.At}
-
-	// Step 1: the client sends the frame to the edge node.
-	t0 := clk.Now()
-	transport.SendCtx(cfg.ClientEdge, clk, f.SizeBytes, traceCtx(ctx, 0))
-	tIngest := clk.Now()
-	out.Breakdown.ClientEdge = tIngest - t0
-	cfg.Obs.SpanCtx(ctx, obs.SpanFrameIngest, p.tags, t0, tIngest)
-
-	// Step 2: the edge model processes the frame.
-	dets, poolWait, edgeLat := p.detectEdge(f, ctx)
-	out.Breakdown.ComputeWait = poolWait
-	out.Breakdown.EdgeDetect = edgeLat
-	if cfg.Smoother != nil {
-		dets = cfg.Smoother.Apply(f.Index, dets)
-	}
-	dets = filterConfidence(dets, cfg.MinConfidence)
-	out.EdgeDetections = dets
-
-	// Bandwidth thresholding (§3.4): discard below θL, keep above θU,
-	// validate in between.
-	visible := make([]detect.Detection, 0, len(dets))
-	validate := false
-	for _, d := range dets {
-		if d.Confidence < cfg.ThetaL {
-			out.DiscardedDetections++
-			continue
-		}
-		if d.Confidence <= cfg.ThetaU {
-			validate = true
-		}
-		visible = append(visible, d)
-	}
-	out.InitialVisible = visible
-
-	// Initial transaction sections, triggered by the edge labels.
-	pending := p.runInitials(f, ctx, visible, &out)
-
-	// Initial commit: the response is rendered at the client.
-	transport.SendCtx(cfg.ClientEdge, clk, netsim.LabelReturnBytes, traceCtx(ctx, 0))
-	out.InitialLatency = clk.Now() - f.At
-	out.SentToCloud = validate
-	if cfg.OnInitial != nil {
-		cfg.OnInitial(f, &out)
-	}
-
-	if !validate {
-		// The frame is not validated: final sections run locally with
-		// the edge labels assumed correct (§3.5's early stop).
-		p.runFinals(f, ctx, pending, assumedMatches(visible), &out)
-		out.FinalVisible = visible
-		out.FinalLatency = clk.Now() - f.At
-		return out
-	}
-
-	// Step 3: the frame travels to the cloud for full detection. The
-	// validator owns the edge→cloud hop and the model call; a shed or
-	// lost request degrades to local finalization — the initial commit
-	// already answered the client, so availability is preserved at the
-	// cost of uncorrected labels.
-	tValidate := clk.Now()
-	res := p.validator.Validate(ValidationRequest{
-		Frame:  f,
-		Edge:   visible,
-		Margin: ValidationMargin(visible, cfg.ThetaL, cfg.ThetaU),
-		Trace:  ctx,
-	})
-	out.Breakdown.EdgeCloud = res.EdgeCloud
-	out.Breakdown.CloudQueue = res.CloudQueue
-	out.Breakdown.CloudDetect = res.CloudDetect
-	out.Breakdown.CloudReturn = res.CloudReturn
-	cfg.Obs.SpanCtx(ctx, obs.SpanUplink, p.tags, tValidate, tValidate+res.EdgeCloud)
-	cfg.Obs.SpanCtx(ctx, obs.SpanCloudValidate, p.tags, tValidate, clk.Now())
-	if res.Status != Validated {
-		switch res.Status {
-		case ValidationShed:
-			out.Shed = true
-		case ValidationLost:
-			out.CloudLost = true
-		}
-		p.runFinals(f, ctx, pending, assumedMatches(visible), &out)
-		out.FinalVisible = visible
-		transport.SendCtx(cfg.ClientEdge, clk, netsim.LabelReturnBytes, traceCtx(ctx, 0))
-		out.FinalLatency = clk.Now() - f.At
-		return out
-	}
-	cloudDets := res.Cloud
-
-	// Step 4: the corrected labels trigger the final sections.
-	matches := MatchLabels(visible, cloudDets, cfg.OverlapMin)
-	if cfg.Smoother != nil {
-		cfg.Smoother.Learn(f.Index, matches, visible)
-	}
-	p.runFinals(f, ctx, pending, matches, &out)
-	out.FinalVisible = cloudDets
-	transport.SendCtx(cfg.ClientEdge, clk, netsim.LabelReturnBytes, traceCtx(ctx, 0))
-	out.FinalLatency = clk.Now() - f.At
-	return out
-}
-
-func (p *Pipeline) processEdgeOnly(f *video.Frame, ctx obs.SpanContext) FrameOutcome {
-	cfg := p.cfg
-	clk := cfg.Clock
-	out := FrameOutcome{FrameIndex: f.Index, CapturedAt: f.At}
-
-	t0 := clk.Now()
-	transport.SendCtx(cfg.ClientEdge, clk, f.SizeBytes, traceCtx(ctx, 0))
-	out.Breakdown.ClientEdge = clk.Now() - t0
-
-	dets, poolWait, edgeLat := p.detectEdge(f, ctx)
-	out.Breakdown.ComputeWait = poolWait
-	out.Breakdown.EdgeDetect = edgeLat
-	dets = filterConfidence(dets, cfg.MinConfidence)
-	out.EdgeDetections = dets
-	out.InitialVisible = dets
-
-	pending := p.runInitials(f, ctx, dets, &out)
-	transport.SendCtx(cfg.ClientEdge, clk, netsim.LabelReturnBytes, traceCtx(ctx, 0))
-	out.InitialLatency = clk.Now() - f.At
-	if cfg.OnInitial != nil {
-		cfg.OnInitial(f, &out)
-	}
-
-	// Single-stage system: the edge result is final. The final sections
-	// still burn clock time (their section bodies run here), so final
-	// latency is measured after them, not copied from the initial commit.
-	p.runFinals(f, ctx, pending, assumedMatches(dets), &out)
-	out.FinalVisible = dets
-	out.FinalLatency = clk.Now() - f.At
-	return out
-}
-
-func (p *Pipeline) processCloudOnly(f *video.Frame, ctx obs.SpanContext) FrameOutcome {
-	cfg := p.cfg
-	clk := cfg.Clock
-	out := FrameOutcome{FrameIndex: f.Index, CapturedAt: f.At, SentToCloud: true}
-
-	t0 := clk.Now()
-	transport.SendCtx(cfg.ClientEdge, clk, f.SizeBytes, traceCtx(ctx, 0))
-	out.Breakdown.ClientEdge = clk.Now() - t0
-
-	tSend := clk.Now()
-	bytes, prepCost := cfg.Preproc.Process(f.SizeBytes)
-	clk.Sleep(scale(prepCost, cfg.EdgeSpeed))
-	transport.SendCtx(cfg.EdgeCloud, clk, bytes, traceCtx(ctx, 0))
-	out.Breakdown.EdgeCloud = clk.Now() - tSend
-
-	cloudDets, cloudLat := p.detectCloud(f)
-	out.Breakdown.CloudDetect = cloudLat
-
-	tBack := clk.Now()
-	transport.SendCtx(cfg.EdgeCloud, clk, netsim.LabelReturnBytes, traceCtx(ctx, 0))
-	out.Breakdown.CloudReturn = clk.Now() - tBack
-
-	out.EdgeDetections = nil
-	out.InitialVisible = cloudDets
-	pending := p.runInitials(f, ctx, cloudDets, &out)
-	// Initial latency is measured at the initial commit — before the final
-	// sections run — so the mode comparison charges each commit point the
-	// same way processCroesus does.
-	transport.SendCtx(cfg.ClientEdge, clk, netsim.LabelReturnBytes, traceCtx(ctx, 0))
-	out.InitialLatency = clk.Now() - f.At
-	if cfg.OnInitial != nil {
-		cfg.OnInitial(f, &out)
-	}
-	p.runFinals(f, ctx, pending, assumedMatches(cloudDets), &out)
-	out.FinalVisible = cloudDets
-	out.FinalLatency = clk.Now() - f.At
-	return out
-}
-
-// detectEdge runs the edge model under the edge compute slots. It
-// returns the detections, the time spent waiting for a slot, and the
-// inference time itself.
-func (p *Pipeline) detectEdge(f *video.Frame, ctx obs.SpanContext) ([]detect.Detection, time.Duration, time.Duration) {
-	clk := p.cfg.Clock
-	tw := clk.Now()
-	p.queueDepth.Add(1)
-	p.edgeSlots.Acquire()
-	p.queueDepth.Add(-1)
-	start := clk.Now()
-	res := p.cfg.EdgeModel.Detect(f)
-	clk.Sleep(scale(res.Latency, p.cfg.EdgeSpeed))
-	p.edgeSlots.Release()
-	end := clk.Now()
-	if start > tw {
-		p.cfg.Obs.SpanCtx(ctx, obs.SpanPoolWait, p.tags, tw, start)
-	}
-	p.cfg.Obs.SpanCtx(ctx, obs.SpanEdgeDetect, p.tags, start, end)
-	return res.Detections, start - tw, end - start
-}
-
-// detectCloud runs the cloud model under the cloud compute slots.
-func (p *Pipeline) detectCloud(f *video.Frame) ([]detect.Detection, time.Duration) {
-	clk := p.cfg.Clock
-	p.cloudSlot.Acquire()
-	start := clk.Now()
-	res := p.cfg.CloudModel.Detect(f)
-	clk.Sleep(scale(res.Latency, p.cfg.CloudSpeed))
-	p.cloudSlot.Release()
-	return res.Detections, clk.Now() - start
-}
-
-// pendingTxn tracks a triggered transaction awaiting its final section.
-type pendingTxn struct {
-	inst    *txn.Instance
-	trigger detect.Detection
-	edgeIdx int
-}
-
-// runInitials triggers and executes the initial sections for the visible
-// detections, recording latency and aborts on the outcome.
-func (p *Pipeline) runInitials(f *video.Frame, ctx obs.SpanContext, dets []detect.Detection, out *FrameOutcome) []pendingTxn {
-	if p.cfg.Source == nil {
-		return nil
-	}
-	clk := p.cfg.Clock
-	start := clk.Now()
-	pending := make([]pendingTxn, 0, len(dets))
-	for i, d := range dets {
-		t := p.cfg.Source.TxnFor(f.Index, d)
-		if t == nil {
-			continue
-		}
-		inst := p.cfg.Mgr.NewInstance(t, InitialInput{FrameIndex: f.Index, Trigger: d, Labels: dets})
-		inst.Trace = ctx
-		err := p.cfg.CC.RunInitial(inst)
-		p.harvestTiming(inst, out)
-		if err != nil {
-			out.InitialAborts++
-			continue
-		}
-		pending = append(pending, pendingTxn{inst: inst, trigger: d, edgeIdx: i})
-	}
-	out.TxnsTriggered += len(pending)
-	end := clk.Now()
-	out.Breakdown.InitialTxn = end - start
-	if len(dets) > 0 {
-		p.cfg.Obs.SpanCtx(ctx, obs.SpanInitialTxn, p.tags, start, end)
-	}
-	return pending
-}
-
-// harvestTiming folds an instance's instrumented lock-wait and 2PC time
-// (accumulated by the CC protocol while its sections ran on this frame's
-// goroutine) into the frame's breakdown.
-func (p *Pipeline) harvestTiming(inst *txn.Instance, out *FrameOutcome) {
-	lw, tp := inst.TakeTiming()
-	out.Breakdown.LockWait += lw
-	out.Breakdown.TwoPC += tp
-}
-
-// runFinals executes the final sections with the matched cloud labels, plus
-// fresh initial+final pairs for labels only the cloud found (MatchNew).
-func (p *Pipeline) runFinals(f *video.Frame, ctx obs.SpanContext, pending []pendingTxn, matches []LabelMatch, out *FrameOutcome) {
-	if p.cfg.Source == nil {
-		return
-	}
-	clk := p.cfg.Clock
-	start := clk.Now()
-	// Matches are few per frame, so a backward scan (preserving the
-	// previous map's last-entry-wins semantics) beats building a map.
-	matchFor := func(idx int) (LabelMatch, bool) {
-		for i := len(matches) - 1; i >= 0; i-- {
-			if matches[i].EdgeIdx == idx {
-				return matches[i], true
-			}
-		}
-		return LabelMatch{}, false
-	}
-	for _, pt := range pending {
-		m, ok := matchFor(pt.edgeIdx)
-		if !ok {
-			m = LabelMatch{Case: MatchAssumed, EdgeIdx: pt.edgeIdx}
-		}
-		fin := FinalInput{FrameIndex: f.Index, Case: m.Case, Edge: pt.trigger, Cloud: m.Cloud}
-		if fin.Corrected() {
-			out.Corrections++
-		}
-		pt.inst.FinalIn = fin
-		if err := p.cfg.CC.RunFinal(pt.inst); err != nil && err != txn.ErrRetracted {
-			out.FinalErrors++
-		}
-		p.harvestTiming(pt.inst, out)
-		out.Apologies = append(out.Apologies, pt.inst.TakeApologies()...)
-	}
-	// Labels the edge missed entirely: trigger initial+final now (§3.3).
-	for _, m := range matches {
-		if m.Case != MatchNew {
-			continue
-		}
-		t := p.cfg.Source.TxnFor(f.Index, m.Cloud)
-		if t == nil {
-			continue
-		}
-		inst := p.cfg.Mgr.NewInstance(t, InitialInput{FrameIndex: f.Index, Trigger: m.Cloud})
-		inst.Trace = ctx
-		err := p.cfg.CC.RunInitial(inst)
-		p.harvestTiming(inst, out)
-		if err != nil {
-			out.InitialAborts++
-			continue
-		}
-		out.TxnsTriggered++
-		out.Corrections++
-		inst.FinalIn = FinalInput{FrameIndex: f.Index, Case: MatchNew, Cloud: m.Cloud}
-		if err := p.cfg.CC.RunFinal(inst); err != nil && err != txn.ErrRetracted {
-			out.FinalErrors++
-		}
-		p.harvestTiming(inst, out)
-		out.Apologies = append(out.Apologies, inst.TakeApologies()...)
-	}
-	end := clk.Now()
-	out.Breakdown.FinalTxn = end - start
-	if len(pending) > 0 || len(matches) > 0 {
-		p.cfg.Obs.SpanCtx(ctx, obs.SpanFinalTxn, p.tags, start, end)
-	}
-}
-
-// assumedMatches builds MatchAssumed entries for all edge labels.
-func assumedMatches(dets []detect.Detection) []LabelMatch {
-	out := make([]LabelMatch, len(dets))
-	for i := range dets {
-		out[i] = LabelMatch{Case: MatchAssumed, EdgeIdx: i}
-	}
-	return out
 }
 
 func filterConfidence(dets []detect.Detection, min float64) []detect.Detection {

@@ -343,7 +343,7 @@ func TestEdgeOnlyFinalLatencyIncludesFinals(t *testing.T) {
 
 // TestCloudOnlyInitialLatencyExcludesFinals is the cloud-only counterpart:
 // the initial commit happens before the final sections, so InitialLatency
-// must be measured there — the old code measured it only after runFinals.
+// must be measured there, not after the final sections ran.
 func TestCloudOnlyInitialLatencyExcludesFinals(t *testing.T) {
 	const cost = 40 * time.Millisecond
 	p := slowFinalPipeline(t, ModeCloudOnly, cost)

@@ -42,14 +42,16 @@ func (s ValidationStatus) String() string {
 	}
 }
 
-// ValidationRequest carries one validate-interval frame from the edge to
-// the cloud-side validator.
+// ValidationRequest carries one frame from the edge hub to a graph node's
+// Validator.
 type ValidationRequest struct {
 	// Frame is the captured frame to validate.
 	Frame *video.Frame
-	// Edge holds the visible edge labels (post-threshold), for validators
+	// Edge holds the labels the client currently renders, for validators
 	// that want them (e.g. to prioritize by disagreement potential).
 	Edge []detect.Detection
+	// Section is the index of the graph node the request runs.
+	Section int
 	// Margin is the shedding priority under overload: how deep inside
 	// the validate interval [θL, θU] the frame's most ambiguous detection
 	// sits, normalized to [0, 1] by the interval half-width. A low margin
@@ -82,15 +84,15 @@ type ValidationResult struct {
 	CloudReturn time.Duration
 }
 
-// Validator performs cloud-side full-model validation of one frame. The
-// pipeline calls Validate on the frame's own goroutine; implementations
-// block in clock time until labels return (or the request is shed or
-// lost) and must be safe for concurrent use — frames overlap.
+// Validator runs one graph node off the hub (GraphNode.Validator):
+// full-model validation of one frame. The pipeline calls Validate on the
+// frame's own goroutine; implementations block in clock time until labels
+// return (or the request is shed or lost) and must be safe for concurrent
+// use — frames overlap.
 //
-// The in-pipeline direct model call of the paper's single-edge deployment
-// is the trivial implementation (DirectValidator); internal/cluster
-// provides an SLO-aware batching implementation shared by a fleet of
-// edges.
+// The direct model call of the paper's single-edge deployment is the
+// trivial implementation (DirectValidator); internal/cluster provides an
+// SLO-aware batching implementation shared by a fleet of edges.
 type Validator interface {
 	Validate(req ValidationRequest) ValidationResult
 }
@@ -116,15 +118,10 @@ type Uplink struct {
 	Timeout  time.Duration
 }
 
-// Ship carries one frame across the hop, sleeping out the transfer (and,
-// on loss, the timeout). It returns the transfer time and whether the
-// frame was lost.
-func (u Uplink) Ship(f *video.Frame) (edgeCloud time.Duration, lost bool) {
-	return u.ShipCtx(f, nil)
-}
-
-// ShipCtx is Ship with a trace context attached to the link send, so the
-// hop joins the frame's trace on traced transports.
+// ShipCtx carries one frame across the hop, sleeping out the transfer
+// (and, on loss, the timeout). It returns the transfer time and whether
+// the frame was lost. tc, when non-nil, rides the link send so the hop
+// joins the frame's trace on traced transports.
 func (u Uplink) ShipCtx(f *video.Frame, tc *wire.TraceCtx) (edgeCloud time.Duration, lost bool) {
 	clk := u.Clock
 	preproc := u.Preproc

@@ -78,8 +78,9 @@ func AblationSequencer(o Opts) Table {
 }
 
 // AblationChain exercises the generalized m-stage model of §3.5: a
-// three-stage edge→regional→cloud chain against the standard two-stage
-// pipeline on the street-vehicles video.
+// three-node edge→regional→cloud graph against the standard two-node one
+// on the street-vehicles video. The graphs run without a transaction
+// source — the ablation is about labels and latency.
 func AblationChain(o Opts) Table {
 	o = o.defaults()
 	t := Table{
@@ -90,41 +91,49 @@ func AblationChain(o Opts) Table {
 	prof := video.StreetVehicles()
 	frames := video.NewGenerator(prof, o.Seed).Generate(o.Frames)
 
-	runChain := func(stages []core.ChainStage) (string, string, string) {
-		clk := vclock.NewSim()
-		ch, err := core.NewChain(clk, netsim.ClientEdgeLink(), stages)
+	runChain := func(g *core.Graph) (string, string, string) {
+		p, err := core.New(core.Config{
+			Clock:     vclock.NewSim(),
+			EdgeModel: detect.TinyYOLOSim(o.Seed),
+			ThetaL:    0.40,
+			PeerPath:  &netsim.Link{Name: "edge-regional", Propagation: 12 * time.Millisecond, Bandwidth: 25 << 20},
+			Graph:     g,
+		})
 		if err != nil {
 			panic("experiments: " + err.Error())
 		}
-		outs := ch.ProcessVideo(frames)
-		truthModel := stages[len(stages)-1].Model
-		truth := core.TruthFromModel(truthModel, frames)
+		outs := p.ProcessVideo(frames)
+		truth := core.TruthFromModel(g.Nodes[len(g.Nodes)-1].Model, frames)
 		var counts [3]int
 		var sumLat time.Duration
 		var agg metrics.Counts
 		for _, out := range outs {
-			if out.StagesRun >= 1 && out.StagesRun <= 3 {
-				counts[out.StagesRun-1]++
+			// Off-hub nodes record inference time only when the route
+			// reached them.
+			deepest := 0
+			for k, sec := range out.Sections {
+				if sec.Detect > 0 {
+					deepest = k
+				}
 			}
-			sumLat += out.CommitLatency[len(out.CommitLatency)-1]
-			agg.Add(metrics.ScoreClass(out.Final(), truth(out.FrameIndex), prof.QueryClass, 0.10))
+			counts[deepest]++
+			sumLat += out.FinalLatency
+			agg.Add(metrics.ScoreClass(out.FinalVisible, truth(out.FrameIndex), prof.QueryClass, 0.10))
 		}
 		mean := sumLat / time.Duration(len(outs))
 		return f3(agg.F1()), ms(mean), fmt.Sprintf("%d/%d/%d", counts[0], counts[1], counts[2])
 	}
 
-	crossLink := netsim.EdgeCloudCrossCountry()
-	regional := &netsim.Link{Name: "edge-regional", Propagation: 12 * time.Millisecond, Bandwidth: 25 << 20}
-
-	twoStage := []core.ChainStage{
-		{Name: "edge", Model: detect.TinyYOLOSim(o.Seed), Speed: 1, ThetaL: 0.40, ThetaU: 0.62},
-		{Name: "cloud", Model: detect.YOLOv3Sim(detect.YOLO608, o.Seed), Speed: 1, Link: crossLink},
-	}
-	threeStage := []core.ChainStage{
-		{Name: "edge", Model: detect.TinyYOLOSim(o.Seed), Speed: 1, ThetaL: 0.40, ThetaU: 0.62},
-		{Name: "regional", Model: detect.YOLOv3Sim(detect.YOLO320, o.Seed), Speed: 1, Link: regional, ThetaL: 0.50, ThetaU: 0.80},
-		{Name: "cloud", Model: detect.YOLOv3Sim(detect.YOLO608, o.Seed), Speed: 1, Link: netsim.EdgeCloudCrossCountry()},
-	}
+	cloud := detect.YOLOv3Sim(detect.YOLO608, o.Seed)
+	twoStage := core.ModeCroesus.Graph(0.62, nil)
+	twoStage.Nodes[1].Model = cloud
+	threeStage := &core.Graph{Nodes: []core.GraphNode{
+		{Name: "edge", Tier: txn.TierEdge, Switch: []core.SwitchBranch{
+			{Lo: 0, Hi: 0.62, To: "regional"}, {Lo: 0.62, Hi: 1, To: core.DoneTarget}}},
+		{Name: "regional", Tier: txn.TierPeer, Model: detect.YOLOv3Sim(detect.YOLO320, o.Seed), Switch: []core.SwitchBranch{
+			{Lo: 0, Hi: 0.80, To: "cloud"}, {Lo: 0.80, Hi: 1, To: core.DoneTarget}}},
+		{Name: "cloud", Tier: txn.TierCloud, Model: cloud},
+	}}
 	f2, l2, c2 := runChain(twoStage)
 	t.Rows = append(t.Rows, []string{"2-stage (edge→cloud)", f2, l2, c2})
 	f3v, l3, c3 := runChain(threeStage)

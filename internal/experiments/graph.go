@@ -12,8 +12,8 @@ import (
 
 // depthGraph builds the linear inference graph of the given depth: an edge
 // tiny-yolo front, depth-2 peer-tier yolo-320 middles, and a cloud yolo-416
-// tail. Depth 1 is the edge node alone; depth 2 is exactly the canonical
-// two-stage pipeline, so that row doubles as the classic baseline.
+// tail. Depth 1 is the edge node alone; depth 2 is exactly the default
+// two-stage spec, so that row is the thresholded two-stage fleet.
 func depthGraph(depth int) *node.GraphSpec {
 	g := &node.GraphSpec{}
 	for k := 0; k < depth; k++ {
@@ -124,7 +124,7 @@ func GraphDepth(o Opts) Table {
 		fmt.Sprintf("MS-SR − MS-IA final p50 gap (ms): depth 1 %s, depth 2 %s, depth 3 %s, depth 4 %s — each section widens it",
 			ms(gap[1]), ms(gap[2]), ms(gap[3]), ms(gap[4])),
 		"the decomposition attributes the gap: MS-IA commits everything but pays an atomic commitment per boundary (Σ sec 2pc grows with depth), while MS-SR holds its locks across every boundary and sheds the conflicting work — its abort count grows with depth instead",
-		"depth 2 is the canonical two-stage graph and routes through the classic executor — the backward-compatibility baseline (no per-section rows by construction)",
+		"depth 2 is the default two-stage spec, which compiles to no graph block: the fleet thresholds frames into the shared batcher and reports initial/final commits, no per-section rows",
 		fmt.Sprintf("loopback-TCP spot check at depth 3 (wall-clock, not byte-stable): MS-IA final p50 %s ms vs MS-SR %s ms — the gap survives the real-socket transport",
 			ms(tcp[cluster.TxnMSIA]), ms(tcp[cluster.TxnMSSR])),
 	)

@@ -186,21 +186,18 @@ func (g *GraphSpec) validateSwitch(k int, byName map[string]int) error {
 	return nil
 }
 
-// Canonical2Stage reports whether the graph is exactly the classic
-// two-stage pipeline — a default edge node falling through to a default
-// cloud node. Deployments route canonical graphs to the original two-stage
-// executor, which is how an explicit depth-2 graph scenario is guaranteed
-// byte-identical to one with no graph at all.
-func (g *GraphSpec) Canonical2Stage() bool {
+// isDefault reports whether the spec is exactly the two-stage pipeline a
+// fleet runs without a graph block: a default edge node falling through to
+// a default cloud node.
+func (g *GraphSpec) isDefault() bool {
 	if len(g.Nodes) != 2 {
 		return false
 	}
-	for k, wantTier := range []string{"edge", "cloud"} {
+	for k, tier := range []txn.Tier{txn.TierEdge, txn.TierCloud} {
 		ns := &g.Nodes[k]
-		if ns.Tier != wantTier || ns.Speed != 0 || len(ns.Switch) != 0 {
+		if ns.Tier != tier.String() || ns.Speed != 0 || len(ns.Switch) != 0 {
 			return false
 		}
-		tier, _ := txn.ParseTier(wantTier)
 		if ns.Model != "" && ns.Model != defaultModel(tier) {
 			return false
 		}
@@ -210,10 +207,15 @@ func (g *GraphSpec) Canonical2Stage() bool {
 
 // Compile resolves the spec into the executable core graph, with models
 // seeded like the fleet's detectors. Call Validate first; Compile repeats
-// it defensively.
+// it defensively. The default two-stage spec compiles to nil — declaring
+// it is declaring no graph, and the deployment runs its built-in two-stage
+// graph (bandwidth thresholding into the shared cloud validator).
 func (g *GraphSpec) Compile(nEdges int, seed int64) (*core.Graph, error) {
 	if err := g.Validate(nEdges); err != nil {
 		return nil, err
+	}
+	if g.isDefault() {
+		return nil, nil
 	}
 	out := &core.Graph{Nodes: make([]core.GraphNode, len(g.Nodes))}
 	for k := range g.Nodes {

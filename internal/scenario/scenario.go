@@ -73,10 +73,10 @@ type Topology struct {
 
 	// Graph declares the inference graph: an ordered node list where
 	// node k hosts transaction section k, each pinned to a placement
-	// tier (edge, peer, or cloud). Absent — or the canonical two-stage
-	// edge→cloud shape — the fleet runs the classic initial→final
-	// pipeline, byte-identical to scenarios written before this field
-	// existed.
+	// tier (edge, peer, or cloud). Absent — or the default spec, an edge
+	// node falling through to a cloud node — the fleet runs the two-stage
+	// graph: bandwidth thresholding (theta_l/theta_u) into the shared
+	// batcher, reported as initial and final commits.
 	Graph *node.GraphSpec `json:"graph,omitempty"`
 
 	Batcher Batcher `json:"batcher,omitempty"`

@@ -33,12 +33,12 @@ type EdgeConfig struct {
 	// Protocol selects the multi-stage protocol: node.MSIA (default) or
 	// node.MSSR — the same selection a fleet edge makes.
 	Protocol node.Protocol
-	// Graph, when set to a non-canonical spec, runs every client session
-	// over the N-section inference graph instead of the two-stage
-	// pipeline: edge-tier nodes run their models in this server's compute
-	// pool, cloud-tier nodes ship the frame over the real cloud socket
-	// (wire.CloudRequest.Section names the hop's section). A standalone
-	// edge has no peer mesh, so peer-tier nodes are rejected.
+	// Graph, when set, runs every client session over that inference
+	// graph instead of the two-stage one: edge-tier nodes run their models
+	// in this server's compute pool, cloud-tier nodes ship the frame over
+	// the real cloud socket (wire.CloudRequest.Section names the hop's
+	// section). A standalone edge has no peer mesh, so peer-tier nodes are
+	// rejected.
 	Graph *node.GraphSpec
 	// Slots bounds concurrent edge inferences across every connected
 	// client (default 4) — the server's compute pool.
@@ -86,7 +86,7 @@ type EdgeServer struct {
 	cfg        EdgeConfig
 	clk        vclock.Clock
 	asm        *node.Assembly
-	graph      *core.Graph // non-nil when a non-canonical Graph is configured
+	graph      *core.Graph // what every session walks; cloud-tier nodes are bound per session
 	compute    *vclock.Semaphore
 	queueDepth *obs.Gauge // shared across sessions: one compute pool, one gauge
 
@@ -164,7 +164,7 @@ func NewEdgeServer(cfg EdgeConfig) (*EdgeServer, error) {
 		s.asm.Mgr.DB = b
 		s.asm.Mgr.RestoreDB = b
 	}
-	if cfg.Graph != nil && !cfg.Graph.Canonical2Stage() {
+	if cfg.Graph != nil {
 		// One standalone edge: the graph validates against a fleet of 1,
 		// which rejects peer-tier nodes. Cloud-tier models compile but run
 		// remotely; the fixed seed only feeds the extra edge-tier models.
@@ -173,9 +173,12 @@ func NewEdgeServer(cfg EdgeConfig) (*EdgeServer, error) {
 			return nil, fmt.Errorf("tcpnet: %w", err)
 		}
 		s.graph = g
-		if ps, ok := cfg.Source.(interface{ SetPlan([]txn.SectionSpec) }); ok {
+		if ps, ok := cfg.Source.(interface{ SetPlan([]txn.SectionSpec) }); ok && g != nil {
 			ps.SetPlan(g.SectionPlan())
 		}
+	}
+	if s.graph == nil {
+		s.graph = core.ModeCroesus.Graph(cfg.ThetaU, nil)
 	}
 	return s, nil
 }
@@ -302,7 +305,7 @@ func (cs *cloudSession) close() {
 // session is one client connection: its own pipeline instance (bound to
 // the server's shared assembly and compute pool) plus the reply plumbing.
 // It implements core.Validator over the cloud connection, so the pipeline's
-// validation step is a real socket round trip.
+// cloud-tier nodes are real socket round trips.
 type session struct {
 	srv    *EdgeServer
 	wc     *wire.Conn
@@ -377,11 +380,17 @@ func (s *EdgeServer) serveClient(conn net.Conn) {
 // links on top: ClientEdge is the server's shared shaped seam (zero-cost
 // unshaped, the modeled link's time when shaping is on) and EdgeCloud is
 // Null — the cloud hop is shaped inside the session's Validate, where the
-// real round trip happens.
+// real round trip happens. Every cloud-tier node of the server's graph is
+// answered by this session's cloud connection.
 func (s *EdgeServer) buildPipeline(sess *session) (*core.Pipeline, error) {
+	graph := &core.Graph{Nodes: append([]core.GraphNode(nil), s.graph.Nodes...)}
+	for k := range graph.Nodes {
+		if graph.Nodes[k].Tier == txn.TierCloud {
+			graph.Nodes[k].Validator = sess
+		}
+	}
 	cfg := core.Config{
 		Clock:         s.clk,
-		Mode:          core.ModeCroesus,
 		EdgeModel:     s.cfg.EdgeModel,
 		EdgeCompute:   s.compute,
 		ClientEdge:    s.clientPath,
@@ -390,7 +399,7 @@ func (s *EdgeServer) buildPipeline(sess *session) (*core.Pipeline, error) {
 		ThetaL:        s.cfg.ThetaL,
 		ThetaU:        s.cfg.ThetaU,
 		OverlapMin:    s.cfg.OverlapMin,
-		Validator:     sess,
+		Graph:         graph,
 		OnInitial:     sess.onInitial,
 		Obs:           s.cfg.Obs,
 		TagKV:         []string{"edge", s.cfg.EdgeID, "protocol", s.cfg.Protocol.String()},
@@ -403,10 +412,6 @@ func (s *EdgeServer) buildPipeline(sess *session) (*core.Pipeline, error) {
 		cfg.Source = s.cfg.Source
 		cfg.CC = s.asm.CC
 		cfg.Mgr = s.asm.Mgr
-	}
-	if s.graph != nil {
-		cfg.Graph = s.graph
-		cfg.GraphValidate = sess.graphValidate
 	}
 	return core.New(cfg)
 }
@@ -444,54 +449,6 @@ func (ss *session) echoCtx(f *video.Frame) *wire.TraceCtx {
 	}
 	ctx := ss.spanCtx(f)
 	return &wire.TraceCtx{Trace: ctx.Trace, Parent: ctx.Span}
-}
-
-// graphValidate runs a cloud-tier graph node over the real cloud socket:
-// the frame crosses with its section index, the cloud's batcher detects
-// (or sheds) it, and the labels come back. A lost connection or a shed
-// request returns ok == false and the section commits with the labels
-// assumed correct.
-func (ss *session) graphValidate(f *video.Frame, section int) ([]detect.Detection, time.Duration, bool) {
-	if ss.cloud == nil || ss.srv.cloudPath.IsDown() {
-		return nil, 0, false
-	}
-	ss.mu.Lock()
-	pad := ss.padding[f.Index]
-	ss.mu.Unlock()
-	var tc *wire.TraceCtx
-	var ctx obs.SpanContext
-	o := ss.srv.cfg.Obs
-	if o != nil {
-		ctx = ss.spanCtx(f)
-		tc = &wire.TraceCtx{Trace: ctx.Trace, Parent: rpcSpanID(ctx.Trace, f.Index, section), Section: section}
-	}
-	t0 := ss.srv.clk.Now()
-	ss.srv.cloudPath.Send(ss.srv.clk, f.SizeBytes) // modeled uplink (shaped runs only)
-	resp, err := ss.cloud.validate(&wire.CloudRequest{
-		FrameIndex: f.Index,
-		Frame:      *f,
-		Padding:    pad,
-		Section:    section,
-		Trace:      tc,
-	})
-	if err == nil {
-		ss.srv.cloudPath.Send(ss.srv.clk, netsim.LabelReturnBytes) // modeled downlink
-	}
-	if tc != nil {
-		o.EmitSpan(obs.Span{
-			Name: obs.SpanRPCCloud, Tags: obs.Tags("edge", ss.srv.cfg.EdgeID),
-			Start: t0, End: ss.srv.clk.Now(),
-			Trace: ctx.Trace, ID: tc.Parent, Parent: ctx.Span,
-		})
-	}
-	if err != nil {
-		ss.srv.cfg.Logf("edge: graph section %d cloud hop failed, assuming labels: %v", section, err)
-		return nil, 0, false
-	}
-	if resp.Shed {
-		return nil, 0, false
-	}
-	return resp.Labels, resp.DetectTime, true
 }
 
 // handleFrame runs one frame through the pipeline. The initial reply is
@@ -571,11 +528,12 @@ func (ss *session) onInitial(f *video.Frame, out *core.FrameOutcome) {
 	}
 }
 
-// Validate implements core.Validator over the real cloud connection: the
-// frame crosses the socket, the cloud's shared batcher detects (or sheds)
-// it, and the labels come back. No cloud configured — or a lost
-// connection — finalizes locally, immediately: availability over
-// freshness, with the initial commit already answered.
+// Validate implements core.Validator over the real cloud connection, for
+// every cloud-tier node of the session's graph: the frame crosses the
+// socket with its section index, the cloud's shared batcher detects (or
+// sheds) it, and the labels come back. No cloud configured — or a lost
+// connection — commits the section locally, immediately: availability
+// over freshness, with the initial commit already answered.
 func (ss *session) Validate(req core.ValidationRequest) core.ValidationResult {
 	if ss.cloud == nil || ss.srv.cloudPath.IsDown() {
 		return core.ValidationResult{Status: core.ValidationLost}
@@ -586,7 +544,7 @@ func (ss *session) Validate(req core.ValidationRequest) core.ValidationResult {
 	var tc *wire.TraceCtx
 	o := ss.srv.cfg.Obs
 	if o != nil && req.Trace.Valid() {
-		tc = &wire.TraceCtx{Trace: req.Trace.Trace, Parent: rpcSpanID(req.Trace.Trace, req.Frame.Index, 0)}
+		tc = &wire.TraceCtx{Trace: req.Trace.Trace, Parent: rpcSpanID(req.Trace.Trace, req.Frame.Index, req.Section), Section: req.Section}
 	}
 	start := time.Now()
 	t0 := ss.srv.clk.Now()
@@ -596,6 +554,7 @@ func (ss *session) Validate(req core.ValidationRequest) core.ValidationResult {
 		Frame:      *req.Frame,
 		Padding:    pad,
 		Margin:     req.Margin,
+		Section:    req.Section,
 		Trace:      tc,
 	})
 	if err == nil {
@@ -609,7 +568,7 @@ func (ss *session) Validate(req core.ValidationRequest) core.ValidationResult {
 		})
 	}
 	if err != nil {
-		ss.srv.cfg.Logf("edge: cloud validation failed, finalizing locally: %v", err)
+		ss.srv.cfg.Logf("edge: section %d cloud hop failed, committing locally: %v", req.Section, err)
 		return core.ValidationResult{Status: core.ValidationLost}
 	}
 	if resp.Shed {

@@ -7,6 +7,7 @@ import (
 	"croesus/internal/core"
 	"croesus/internal/detect"
 	"croesus/internal/metrics"
+	"croesus/internal/node"
 	"croesus/internal/video"
 )
 
@@ -230,5 +231,66 @@ func TestWaitUnknownFrame(t *testing.T) {
 	defer cleanup()
 	if _, err := client.WaitFrame(999, time.Second); err == nil {
 		t.Error("WaitFrame on unsubmitted frame succeeded")
+	}
+}
+
+// TestGraphOverCloudSocket runs a three-section graph on the edge server:
+// the middle node runs in the server's compute pool, the last crosses the
+// real cloud socket through the same Validate call the two-stage graph
+// uses, so every frame commits three boundaries and the cloud sees every
+// frame.
+func TestGraphOverCloudSocket(t *testing.T) {
+	cloud := NewCloudServer(detect.YOLOv3Sim(detect.YOLO416, 42), testScale)
+	cloudAddr, err := cloud.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("cloud listen: %v", err)
+	}
+	defer cloud.Close()
+	edge, err := NewEdgeServer(EdgeConfig{
+		EdgeModel: detect.TinyYOLOSim(42),
+		CloudAddr: cloudAddr,
+		TimeScale: testScale,
+		Source:    core.NewWorkloadSource(500, 7),
+		Graph: &node.GraphSpec{Nodes: []node.GraphNodeSpec{
+			{Name: "detect", Tier: "edge"},
+			{Name: "classify", Tier: "edge", Model: node.ModelYOLO320},
+			{Name: "verify", Tier: "cloud"},
+		}},
+	})
+	if err != nil {
+		t.Fatalf("edge: %v", err)
+	}
+	defer edge.Close()
+	edgeAddr, err := edge.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("edge listen: %v", err)
+	}
+	client, err := Dial(edgeAddr)
+	if err != nil {
+		t.Fatalf("dial edge: %v", err)
+	}
+	defer client.Close()
+
+	frames := video.NewGenerator(video.ParkDog(), 11).Generate(6)
+	for _, f := range frames {
+		if err := client.Submit(f, 0); err != nil {
+			t.Fatalf("submit %d: %v", f.Index, err)
+		}
+	}
+	for _, f := range frames {
+		if _, err := client.WaitFrame(f.Index, 10*time.Second); err != nil {
+			t.Fatalf("frame %d: %v", f.Index, err)
+		}
+	}
+	if got := cloud.Handled(); got != int64(len(frames)) {
+		t.Errorf("cloud handled %d frames, want %d", got, len(frames))
+	}
+	st := edge.Manager().Stats()
+	if st.InitialCommits == 0 || st.SectionCommits == 0 {
+		t.Errorf("stats %+v: the middle boundary never committed", st)
+	}
+	if unresolved := st.InitialCommits - st.FinalCommits; unresolved < 0 || unresolved > st.Retractions {
+		t.Errorf("unresolved transactions: %d initial, %d final, %d retractions",
+			st.InitialCommits, st.FinalCommits, st.Retractions)
 	}
 }

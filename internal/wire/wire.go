@@ -36,7 +36,7 @@ const (
 // 64-bit trace ID minted by the originating process (client or edge);
 // Parent is the span on the sending side that causally encloses the
 // receiver's work; Section is the inference-graph section index the hop
-// serves (0 on the classic two-stage path). Messages from untraced
+// serves (1 for the two-stage graph's cloud node). Messages from untraced
 // processes leave the pointer nil — the codec spends one flag byte on the
 // absent case, so the untraced wire cost is unchanged.
 type TraceCtx struct {
@@ -79,10 +79,9 @@ type FinalReply struct {
 
 // CloudRequest asks the cloud node to detect one frame. Margin is the
 // frame's shedding priority (core.ValidationMargin): under overload the
-// cloud batcher sheds the lowest-margin frames first. Section, when the
-// edge runs an inference graph, is the index of the graph section this
-// hop serves (0 on the classic two-stage path, where the only cloud hop
-// is the final validation).
+// cloud batcher sheds the lowest-margin frames first. Section is the index
+// of the graph section this hop serves (1 on the two-stage graph, whose
+// only cloud hop is the final validation).
 type CloudRequest struct {
 	FrameIndex int
 	Frame      video.Frame
