@@ -488,6 +488,14 @@ func (ss *session) handleFrame(f *wire.Frame) {
 	for _, a := range out.Apologies {
 		apologies = append(apologies, a.Reason)
 	}
+	// Count before the reply leaves: a client that holds every final reply
+	// must never read Served() one short.
+	srv.mu.Lock()
+	srv.served++
+	if out.Shed {
+		srv.shed++
+	}
+	srv.mu.Unlock()
 	if err := ss.send(&wire.Envelope{Kind: wire.KindFinalReply, FinalReply: &wire.FinalReply{
 		FrameIndex:  frame.Index,
 		Labels:      out.FinalVisible,
@@ -497,15 +505,8 @@ func (ss *session) handleFrame(f *wire.Frame) {
 		EdgeElapsed: time.Since(start),
 		Trace:       echo,
 	}}); err != nil {
-		ss.srv.cfg.Logf("edge: send final reply: %v", err)
+		srv.cfg.Logf("edge: send final reply: %v", err)
 	}
-
-	ss.srv.mu.Lock()
-	ss.srv.served++
-	if out.Shed {
-		ss.srv.shed++
-	}
-	ss.srv.mu.Unlock()
 }
 
 // onInitial is the pipeline's initial-commit hook: the initial reply

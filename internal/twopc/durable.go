@@ -65,8 +65,19 @@ type walStage struct {
 	stagedAt int64
 }
 
-// Durable reports whether this partition logs to a WAL.
-func (p *Partition) Durable() bool { return p.WAL != nil }
+// Durable reports whether this partition logs to a WAL. That is settled
+// before the partition serves its first commit — Checkpoint swaps the log
+// but never adds or removes one — so the answer is recorded at the first
+// call and the commit path reads it without taking the partition lock
+// Checkpoint holds while it swaps p.WAL.
+func (p *Partition) Durable() bool {
+	p.durableOnce.Do(func() {
+		p.mu.Lock()
+		p.durable = p.WAL != nil
+		p.mu.Unlock()
+	})
+	return p.durable
+}
 
 // mustAppend logs records or panics: in the simulation a WAL write error is
 // a harness bug (unwritable temp dir), not a modeled fault. Data records

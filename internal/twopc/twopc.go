@@ -45,6 +45,10 @@ type Partition struct {
 	// metrics registry's view of WAL traffic (nil: uncounted).
 	WALAppends *obs.Counter
 
+	// durable records WAL != nil at first use; see Durable.
+	durableOnce sync.Once
+	durable     bool
+
 	mu       sync.Mutex
 	staged   map[txn.ID][]stagedWrite
 	prepared map[txn.ID]bool
