@@ -597,9 +597,14 @@ func (c *Cluster) placeCamera(cs CameraSpec) (int, error) {
 
 // chooser builds the sharded key chooser for one camera's current workload
 // shape.
-func (c *Cluster) chooser(home int, crossFrac, zipfSkew float64, seed int64) workload.KeyChooser {
+func (c *Cluster) chooser(home int, crossFrac, zipfSkew float64) workload.KeyChooser {
 	if zipfSkew > 0 {
-		return workload.NewShardedZipf("item", home, c.nShards, c.cfg.WorkloadKeys, crossFrac, zipfSkew, seed)
+		return workload.ShardedZipf{
+			Home:      home,
+			Shards:    c.nShards,
+			CrossProb: crossFrac,
+			Zipf:      workload.NewZipf("item", c.cfg.WorkloadKeys, zipfSkew),
+		}
 	}
 	return workload.ShardedUniform{
 		Prefix:    "item",
@@ -690,7 +695,7 @@ func (c *Cluster) buildCamera(cs CameraSpec, idx int, startAt time.Duration) (*c
 		// The camera draws keys from the fleet-wide sharded keyspace,
 		// home-biased: CrossEdgeFraction of them belong to another shard
 		// and make the transaction multi-partition.
-		source.Keys = c.chooser(shard, c.cfg.CrossEdgeFraction, c.cfg.ZipfSkew, cs.Seed)
+		source.Keys = c.chooser(shard, c.cfg.CrossEdgeFraction, c.cfg.ZipfSkew)
 	}
 	if c.cfg.OpCost > 0 {
 		source.Clk = c.cfg.Clock

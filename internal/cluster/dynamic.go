@@ -235,7 +235,7 @@ func (c *Cluster) ShiftWorkload(cameraID string, rate, crossFrac, zipfSkew *floa
 			cam.zipfSkew = *zipfSkew
 		}
 		if crossFrac != nil || zipfSkew != nil {
-			cam.src.SetKeys(c.chooser(cam.shard, cam.crossFrac, cam.zipfSkew, cam.spec.Seed))
+			cam.src.SetKeys(c.chooser(cam.shard, cam.crossFrac, cam.zipfSkew))
 		}
 		cam.mu.Unlock()
 	}

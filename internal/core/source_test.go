@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"croesus/internal/detect"
@@ -9,6 +10,7 @@ import (
 	"croesus/internal/txn"
 	"croesus/internal/vclock"
 	"croesus/internal/video"
+	"croesus/internal/workload"
 )
 
 func sourceDet(conf float64) detect.Detection {
@@ -49,6 +51,26 @@ func TestWorkloadSourceDeterministicKeys(t *testing.T) {
 	}
 	if same {
 		t.Error("different frames drew identical key sets (suspicious)")
+	}
+}
+
+// TestWorkloadSourceZipfKeysIgnoreCallOrder: under a Zipf chooser too, a
+// transaction's keys are a function of (seed, frame, trigger box) — frames
+// that wake at the same virtual instant call TxnFor in whatever order the
+// OS threads arrive, and must not trade keys.
+func TestWorkloadSourceZipfKeysIgnoreCallOrder(t *testing.T) {
+	keys := func(order []int) map[int][]string {
+		s := NewWorkloadSource(100, 7)
+		s.Keys = workload.ShardedZipf{Home: 1, Shards: 3, CrossProb: 0.3, Zipf: workload.NewZipf("item", 100, 1.2)}
+		out := map[int][]string{}
+		for _, frame := range order {
+			out[frame] = s.TxnFor(frame, sourceDet(0.8)).InitialRW.Writes
+		}
+		return out
+	}
+	forward, backward := keys([]int{1, 2, 3, 4, 5}), keys([]int{5, 4, 3, 2, 1})
+	if !reflect.DeepEqual(forward, backward) {
+		t.Errorf("keys depend on TxnFor call order:\n%v\nvs\n%v", forward, backward)
 	}
 }
 

@@ -45,8 +45,7 @@ func runOnce(t *testing.T, path string, shards int) (string, []byte) {
 	return rep.Format(), tr.Bytes()
 }
 
-func testScenarioDeterminism(t *testing.T, name string) {
-	path := scenarioFile(name)
+func testScenarioDeterminism(t *testing.T, path string) {
 	wantReport, wantTrace := runOnce(t, path, vclock.DefaultShards)
 
 	check := func(t *testing.T, label string, shards int) {
@@ -77,12 +76,24 @@ func testScenarioDeterminism(t *testing.T, name string) {
 // TestDeterminismMigrate replays the camera-migration scenario (the CI
 // golden) across thread counts and shard counts.
 func TestDeterminismMigrate(t *testing.T) {
-	testScenarioDeterminism(t, "migrate.json")
+	testScenarioDeterminism(t, scenarioFile("migrate.json"))
 }
 
 // TestDeterminismFleetCrash replays the crash/WAL-recovery scenario — the
 // heaviest scheduler workload in testdata (edge crash, respawn, replay,
 // link fault, camera churn) — across thread counts and shard counts.
 func TestDeterminismFleetCrash(t *testing.T) {
-	testScenarioDeterminism(t, "fleet-crash.json")
+	testScenarioDeterminism(t, scenarioFile("fleet-crash.json"))
+}
+
+// TestDeterminismZipfShift replays a sharded fleet whose key stream turns
+// Zipf-skewed mid-run, with sections that hold their locks for virtual
+// time, so which hot keys a transaction drew shows in the latencies. Every
+// draw comes from the per-transaction rng (core's
+// TestWorkloadSourceZipfKeysIgnoreCallOrder pins that), so the replay is
+// as thread-count-blind as the uniform ones. The cameras keep to their home
+// shards: two transactions that meet on a hot key at one virtual instant
+// would be ordered by arrival, which no key chooser can fix.
+func TestDeterminismZipfShift(t *testing.T) {
+	testScenarioDeterminism(t, filepath.Join("testdata", "zipf-shift.json"))
 }

@@ -7,6 +7,7 @@
 package workload
 
 import (
+	"math"
 	"math/rand"
 	"strconv"
 
@@ -110,35 +111,66 @@ func (s ShardedUniform) Pick(rng *rand.Rand) string {
 	return ShardKey(shard, s.Prefix, rng.Intn(s.N))
 }
 
-// Zipf picks with a Zipfian distribution (YCSB's default skew).
+// Zipf picks with a Zipfian distribution (YCSB's default skew): key index
+// k ∈ [0, n) with probability ∝ (1+k)^-s. It is a plain value — every draw
+// comes from the rng handed to Pick, so a key stream is a function of that
+// rng alone, however many goroutines share the chooser. Sampling is
+// rejection-inversion (Hörmann & Derflinger, "Rejection-inversion to
+// generate variates from monotone discrete distributions", 1996), the
+// method of math/rand.Zipf with v = 1; the fields are its precomputed
+// constants.
 type Zipf struct {
 	Prefix string
-	zipf   *rand.Zipf
+
+	q            float64 // the exponent s
+	oneMinusQ    float64
+	oneMinusQInv float64
+	hxm          float64 // h(imax + ½)
+	hx0MinusHxm  float64
+	accept       float64 // squeeze bound: k − x ≤ accept needs no h() call
 }
 
 // NewZipf returns a Zipfian chooser over n keys with exponent s > 1.
-// Out-of-contract parameters are clamped into validity (n to at least 2,
-// s to just above 1) rather than handed to rand.NewZipf, which returns nil
-// for them and would turn the first Pick into a panic.
-func NewZipf(prefix string, n int, s float64, seed int64) *Zipf {
+// Out-of-contract parameters are clamped into validity: n to at least 2,
+// s to just above 1.
+func NewZipf(prefix string, n int, s float64) Zipf {
 	if n < 2 {
 		n = 2
 	}
 	if s <= 1 {
 		s = 1.0001
 	}
-	rng := rand.New(rand.NewSource(seed))
-	return &Zipf{Prefix: prefix, zipf: rand.NewZipf(rng, s, 1, uint64(n-1))}
+	z := Zipf{Prefix: prefix, q: s, oneMinusQ: 1 - s, oneMinusQInv: 1 / (1 - s)}
+	z.hxm = z.h(float64(n-1) + 0.5)
+	z.hx0MinusHxm = z.h(0.5) - 1 - z.hxm
+	z.accept = 1 - z.hinv(z.h(1.5)-math.Exp(-s*math.Log(2)))
+	return z
 }
 
-// Pick returns a Zipf-distributed key. The embedded source makes this
-// chooser stateful; use one per goroutine.
-func (z *Zipf) Pick(rng *rand.Rand) string {
-	return store.ItoaKey(z.Prefix, z.PickIndex())
+func (z Zipf) h(x float64) float64 {
+	return math.Exp(z.oneMinusQ*math.Log(1+x)) * z.oneMinusQInv
+}
+
+func (z Zipf) hinv(x float64) float64 {
+	return math.Exp(z.oneMinusQInv*math.Log(z.oneMinusQ*x)) - 1
+}
+
+// Pick returns a Zipf-distributed key.
+func (z Zipf) Pick(rng *rand.Rand) string {
+	return store.ItoaKey(z.Prefix, z.PickIndex(rng))
 }
 
 // PickIndex returns a Zipf-distributed key index in [0, n).
-func (z *Zipf) PickIndex() int { return int(z.zipf.Uint64()) }
+func (z Zipf) PickIndex(rng *rand.Rand) int {
+	for {
+		ur := z.hxm + rng.Float64()*z.hx0MinusHxm
+		x := z.hinv(ur)
+		k := math.Floor(x + 0.5)
+		if k-x <= z.accept || ur >= z.h(k+0.5)-math.Exp(-math.Log(k+1)*z.q) {
+			return int(k)
+		}
+	}
+}
 
 // ShardedZipf composes Zipf with the sharded fleet keyspace: key indexes
 // are Zipf-skewed (so every shard has its own hot head, and cross-edge
@@ -147,28 +179,15 @@ func (z *Zipf) PickIndex() int { return int(z.zipf.Uint64()) }
 // ShardedUniform — Home, or a uniformly random other shard with
 // probability CrossProb.
 type ShardedZipf struct {
-	Prefix    string
 	Home      int
 	Shards    int
 	CrossProb float64
-	zipf      *Zipf
-}
-
-// NewShardedZipf returns a sharded Zipf chooser over n keys per shard with
-// exponent s > 1 (clamped like NewZipf).
-func NewShardedZipf(prefix string, home, shards, n int, crossProb, s float64, seed int64) *ShardedZipf {
-	return &ShardedZipf{
-		Prefix:    prefix,
-		Home:      home,
-		Shards:    shards,
-		CrossProb: crossProb,
-		zipf:      NewZipf(prefix, n, s, seed),
-	}
+	Zipf      Zipf
 }
 
 // Pick returns a sharded, Zipf-skewed key: remote with probability
 // CrossProb, index skewed toward each shard's head.
-func (s *ShardedZipf) Pick(rng *rand.Rand) string {
+func (s ShardedZipf) Pick(rng *rand.Rand) string {
 	shard := s.Home
 	if s.Shards > 1 && rng.Float64() < s.CrossProb {
 		shard = rng.Intn(s.Shards - 1)
@@ -176,7 +195,7 @@ func (s *ShardedZipf) Pick(rng *rand.Rand) string {
 			shard++
 		}
 	}
-	return ShardKey(shard, s.Prefix, s.zipf.PickIndex())
+	return ShardKey(shard, s.Zipf.Prefix, s.Zipf.PickIndex(rng))
 }
 
 // DetectionOps builds the paper's per-detection transaction body: nOps

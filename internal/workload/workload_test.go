@@ -113,7 +113,7 @@ func TestShardedUniformAffinity(t *testing.T) {
 }
 
 func TestZipfConcentration(t *testing.T) {
-	z := NewZipf("k", 1000, 1.3, 3)
+	z := NewZipf("k", 1000, 1.3)
 	rng := rand.New(rand.NewSource(4))
 	counts := map[string]int{}
 	const n = 5000
@@ -122,6 +122,25 @@ func TestZipfConcentration(t *testing.T) {
 	}
 	if counts["k:0"] < n/20 {
 		t.Errorf("zipf head k:0 only %d/%d picks — not skewed", counts["k:0"], n)
+	}
+}
+
+// The sampler is math/rand.Zipf's rejection-inversion with v = 1, drawing
+// from the rng passed to Pick instead of an embedded one: fed the same
+// stream it must produce the same indexes.
+func TestZipfMatchesMathRand(t *testing.T) {
+	for _, tc := range []struct {
+		n int
+		s float64
+	}{{1000, 1.3}, {2, 1.0001}, {50, 3}} {
+		z := NewZipf("k", tc.n, tc.s)
+		rng := rand.New(rand.NewSource(9))
+		ref := rand.NewZipf(rand.New(rand.NewSource(9)), tc.s, 1, uint64(tc.n-1))
+		for i := 0; i < 2000; i++ {
+			if got, want := z.PickIndex(rng), int(ref.Uint64()); got != want {
+				t.Fatalf("n=%d s=%g draw %d: index %d, math/rand gives %d", tc.n, tc.s, i, got, want)
+			}
+		}
 	}
 }
 
@@ -217,8 +236,8 @@ func TestConflictsSymmetryProperty(t *testing.T) {
 	}
 }
 
-// Regression: rand.NewZipf returns nil for s <= 1 or n < 2, which made the
-// first Pick a nil-pointer panic before NewZipf clamped its parameters.
+// Regression: out-of-contract parameters (s <= 1, n < 2) once made the
+// first Pick panic; NewZipf clamps them.
 func TestZipfClampsInvalidParameters(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, tc := range []struct {
@@ -231,7 +250,7 @@ func TestZipfClampsInvalidParameters(t *testing.T) {
 		{1000, -2},  // s nonsense
 		{0, 0},
 	} {
-		z := NewZipf("k", tc.n, tc.s, 3)
+		z := NewZipf("k", tc.n, tc.s)
 		for i := 0; i < 50; i++ {
 			key := z.Pick(rng) // must not panic
 			if key == "" {
@@ -245,7 +264,7 @@ func TestZipfClampsInvalidParameters(t *testing.T) {
 // home shard's head key dominates, and the cross-shard fraction tracks
 // CrossProb.
 func TestShardedZipfConcentration(t *testing.T) {
-	z := NewShardedZipf("k", 1, 3, 1000, 0.3, 1.3, 3)
+	z := ShardedZipf{Home: 1, Shards: 3, CrossProb: 0.3, Zipf: NewZipf("k", 1000, 1.3)}
 	rng := rand.New(rand.NewSource(4))
 	counts := map[string]int{}
 	cross := 0
