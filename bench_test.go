@@ -57,7 +57,7 @@ func BenchmarkFigure6a(b *testing.B) { benchExperiment(b, "figure6a") }
 func BenchmarkFigure6b(b *testing.B) { benchExperiment(b, "figure6b") }
 func BenchmarkFigure6c(b *testing.B) { benchExperiment(b, "figure6c") }
 
-// --- DESIGN.md ablations ------------------------------------------------------
+// --- Ablations ----------------------------------------------------------------
 
 func BenchmarkAblationPolicy(b *testing.B)    { benchExperiment(b, "ablation-policy") }
 func BenchmarkAblationSequencer(b *testing.B) { benchExperiment(b, "ablation-sequencer") }

@@ -1,5 +1,5 @@
 // Command croesus-bench regenerates the paper's evaluation: every table and
-// figure of §5 plus the ablations documented in DESIGN.md.
+// figure of §5 plus the ablations of internal/experiments.
 //
 // Usage:
 //
@@ -7,7 +7,7 @@
 //	croesus-bench -run figure3         # one experiment
 //	croesus-bench -list                # list experiment IDs
 //	croesus-bench -frames 400          # bigger runs
-//	croesus-bench -markdown -o EXPERIMENTS.md
+//	croesus-bench -markdown -o experiments.md
 package main
 
 import (
@@ -128,7 +128,7 @@ func main() {
 	var b strings.Builder
 	if *markdown {
 		b.WriteString("# Croesus — Reproduced Evaluation\n\n")
-		fmt.Fprintf(&b, "Generated by `croesus-bench` in %s (virtual-time simulation; see DESIGN.md for the substitution table and EXPERIMENTS.md for paper-vs-measured commentary).\n\n", elapsed.Round(time.Millisecond))
+		fmt.Fprintf(&b, "Generated by `croesus-bench` in %s (virtual-time simulation: the detectors, links and clocks are models, so shapes carry over from the paper, absolute numbers do not).\n\n", elapsed.Round(time.Millisecond))
 		for _, t := range tables {
 			b.WriteString(t.Markdown())
 		}

@@ -348,12 +348,15 @@ type (
 	DirectValidator = core.DirectValidator
 )
 
-// Pipeline modes.
+// Pipeline modes: the built-in graph shapes (Mode.Graph).
 const (
 	ModeCroesus   = core.ModeCroesus
 	ModeEdgeOnly  = core.ModeEdgeOnly
 	ModeCloudOnly = core.ModeCloudOnly
 )
+
+// DoneTarget is the SwitchBranch destination that ends a frame's route.
+const DoneTarget = core.DoneTarget
 
 // Validation outcomes.
 const (

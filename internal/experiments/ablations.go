@@ -19,8 +19,7 @@ import (
 
 // AblationPolicy contrasts the two MS-SR acquisition policies on a
 // hot-spot batch: blocking (Wait) trades aborts for queueing delay, while
-// NoWait trades waiting for retries — the design choice behind Algorithm 1
-// called out in DESIGN.md.
+// NoWait trades waiting for retries — the design choice behind Algorithm 1.
 func AblationPolicy(o Opts) Table {
 	o = o.defaults()
 	t := Table{

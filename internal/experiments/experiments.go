@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§5) on the simulated substrate. Each experiment returns a
 // Table whose rows mirror what the paper reports; cmd/croesus-bench prints
-// them and writes EXPERIMENTS.md, and the root bench_test.go exposes each
+// them (optionally as Markdown), and the root bench_test.go exposes each
 // as a testing.B benchmark.
 //
 // Absolute numbers differ from the paper (the substrate is a simulator,
