@@ -455,9 +455,10 @@ func (p *Pipeline) runFirstSection(f *video.Frame, ctx obs.SpanContext, dets []d
 // runSection runs section k (k ≥ 1) of every pending transaction with the
 // node's matches (nil matches ⇒ labels assumed correct), plus a full
 // catch-up run — sections 0..k — for labels first seen at this node
-// (MatchNew, §3.3). Fresh transactions join pending and their trigger joins
-// the reference set, so later nodes match against them instead of
-// re-raising them. Returns the updated pending and reference sets.
+// (MatchNew, §3.3). While sections remain, fresh transactions join pending
+// and their trigger joins the reference set, so later nodes match against
+// them instead of re-raising them. Returns the updated pending and
+// reference sets.
 func (p *Pipeline) runSection(f *video.Frame, ctx obs.SpanContext, k int, pending []pendingTxn, ref []detect.Detection, matches []LabelMatch, out *FrameOutcome) ([]pendingTxn, []detect.Detection) {
 	if p.cfg.Source == nil {
 		return pending, ref
@@ -520,8 +521,10 @@ func (p *Pipeline) runSection(f *video.Frame, ctx obs.SpanContext, k int, pendin
 			run(inst, j, FinalInput{FrameIndex: f.Index, Case: MatchAssumed})
 		}
 		run(inst, k, FinalInput{FrameIndex: f.Index, Case: MatchNew, Cloud: m.Cloud})
-		ref = append(ref, m.Cloud)
-		pending = append(pending, pendingTxn{inst: inst, trigger: m.Cloud, refIdx: len(ref) - 1})
+		if k < last {
+			ref = append(ref, m.Cloud)
+			pending = append(pending, pendingTxn{inst: inst, trigger: m.Cloud, refIdx: len(ref) - 1})
+		}
 	}
 	end := clk.Now()
 	sec.Txn += end - start
