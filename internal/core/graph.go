@@ -208,7 +208,10 @@ func (p *Pipeline) walk(f *video.Frame, ctx obs.SpanContext) FrameOutcome {
 	out.Sections[0].Latency = out.InitialLatency
 	next := p.route(0, visible, &out)
 	if cfg.OnInitial != nil {
-		cfg.OnInitial(f, &out)
+		// The hook gets a snapshot: handing out &out would move every
+		// frame's outcome to the heap, hook or no hook.
+		initial := out
+		cfg.OnInitial(f, &initial)
 	}
 
 	// Walk the route. ref is the reference label set pending transactions

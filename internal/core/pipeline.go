@@ -86,7 +86,8 @@ type Smoother interface {
 // defaults via Defaults.
 type Config struct {
 	Clock vclock.Clock
-	Mode  Mode
+	// Mode picks the built-in graph when Graph is nil; ignored otherwise.
+	Mode Mode
 
 	EdgeModel  detect.Model
 	CloudModel detect.Model
@@ -119,7 +120,10 @@ type Config struct {
 	MinConfidence float64
 	// ThetaL and ThetaU are the bandwidth thresholds of §3.4: detections
 	// below ThetaL are discarded, above ThetaU kept; anything in between
-	// sends the frame to the cloud for validation.
+	// sends the frame to the cloud for validation. ThetaL applies to node
+	// 0 of any graph; ThetaU shapes the built-in Croesus graph's switch
+	// (an explicit Graph routes by its own) and bounds the interval
+	// validation margins are measured in.
 	ThetaL, ThetaU float64
 	// OverlapMin is the label-matching overlap threshold (the paper uses
 	// 10%).
@@ -151,11 +155,12 @@ type Config struct {
 	// exists, before any cloud validation. The real TCP deployment sends
 	// its initial reply from this hook, so both deployments run the one
 	// Figure-1 execution in this package instead of duplicating it. The
-	// outcome is mid-flight: only the initial-stage fields are filled.
+	// outcome is a mid-flight snapshot: only the initial-stage fields are
+	// filled, and writes to it are not seen by the pipeline.
 	OnInitial func(f *video.Frame, out *FrameOutcome)
 
-	// CloudLossProb injects edge→cloud failures: each validated frame is
-	// lost with this probability (deterministically per frame index), in
+	// CloudLossProb injects edge→cloud failures into the built-in graph's
+	// DirectValidator: each validated frame is lost with this probability (deterministically per frame index), in
 	// which case the edge waits CloudTimeout and finalizes locally with
 	// the edge labels assumed correct — availability over freshness.
 	CloudLossProb float64
