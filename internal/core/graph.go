@@ -74,16 +74,15 @@ type Graph struct {
 // edge-only ends every route at the edge node; cloud-only puts node 0 on
 // the cloud, so the initial commit already carries the full model's labels.
 func (m Mode) Graph(thetaU float64, cloud Validator) *Graph {
-	done := []SwitchBranch{{Lo: 0, Hi: 1, To: DoneTarget}}
 	switch m {
 	case ModeEdgeOnly:
 		return &Graph{Nodes: []GraphNode{
-			{Name: "edge", Tier: txn.TierEdge, Switch: done},
+			{Name: "edge", Tier: txn.TierEdge, Switch: []SwitchBranch{{Lo: 0, Hi: 1, To: DoneTarget}}},
 			{Name: "final", Tier: txn.TierEdge},
 		}}
 	case ModeCloudOnly:
 		return &Graph{Nodes: []GraphNode{
-			{Name: "cloud", Tier: txn.TierCloud, Validator: cloud, Switch: done},
+			{Name: "cloud", Tier: txn.TierCloud, Validator: cloud, Switch: []SwitchBranch{{Lo: 0, Hi: 1, To: DoneTarget}}},
 			{Name: "final", Tier: txn.TierCloud, Validator: cloud},
 		}}
 	default:
@@ -387,7 +386,7 @@ func (p *Pipeline) detectNode(f *video.Frame, k int, ctx obs.SpanContext) ([]det
 	if k == 0 && nd.Tier == txn.TierEdge {
 		cfg.Obs.SpanCtx(ctx, obs.SpanEdgeDetect, p.tags, start, end)
 	} else {
-		cfg.Obs.SpanCtx(ctx, obs.SpanNodeDetect, p.secTags[k], start, end)
+		cfg.Obs.SpanCtx(ctx, obs.SpanNodeDetect, p.sec[k].tags, start, end)
 	}
 	return res.Detections, start - tw, end - start
 }
@@ -415,7 +414,7 @@ func (p *Pipeline) hopTo(f *video.Frame, k int, ctx obs.SpanContext) time.Durati
 	clk.Sleep(scale(prepCost, cfg.EdgeSpeed))
 	transport.SendCtx(path, clk, bytes, traceCtx(ctx, k))
 	end := clk.Now()
-	cfg.Obs.SpanCtx(ctx, obs.SpanUplink, p.secTags[k], t0, end)
+	cfg.Obs.SpanCtx(ctx, obs.SpanUplink, p.sec[k].tags, t0, end)
 	return end - t0
 }
 
@@ -537,7 +536,7 @@ func (p *Pipeline) runSection(f *video.Frame, ctx obs.SpanContext, k int, pendin
 		if k == last {
 			name = obs.SpanFinalTxn
 		}
-		p.cfg.Obs.SpanCtx(ctx, name, p.secTags[k], start, end)
+		p.cfg.Obs.SpanCtx(ctx, name, p.sec[k].tags, start, end)
 	}
 	p.secCommit(k, committed)
 	return pending, ref
@@ -558,6 +557,6 @@ func (p *Pipeline) harvestTiming(inst *txn.Instance, out *FrameOutcome, sec *Sec
 // secCommit bumps section k's boundary-commit counter.
 func (p *Pipeline) secCommit(k int, n int64) {
 	if n > 0 {
-		p.mSecCommits[k].Add(n)
+		p.sec[k].commits.Add(n)
 	}
 }

@@ -246,13 +246,11 @@ type Pipeline struct {
 	mFinal     *obs.Histogram
 	mComponent [5]*obs.Histogram // compute, queue, lock, twopc, network
 
-	// Per-section handles, indexed by graph node. The first and last
-	// sections are the initial and final commits and report under those
-	// names; only the sections between them carry a section tag and the
-	// per-section metric families.
-	secTags     []string
-	mSection    []*obs.Histogram
-	mSecCommits []*obs.Counter
+	// sec holds the per-section handles, indexed by graph node. The first
+	// and last sections are the initial and final commits and report under
+	// those names; only the sections between them carry a section tag and
+	// the per-section metric families.
+	sec []sectionHandles
 
 	mu       sync.Mutex
 	outcomes []FrameOutcome
@@ -306,21 +304,28 @@ func New(cfg Config) (*Pipeline, error) {
 		}
 	}
 	n := len(g.Nodes)
-	p.secTags = make([]string, n)
-	p.mSection = make([]*obs.Histogram, n)
-	p.mSecCommits = make([]*obs.Counter, n)
-	for k := range g.Nodes {
-		p.secTags[k] = p.tags
+	p.sec = make([]sectionHandles, n)
+	for k := range p.sec {
+		h := &p.sec[k]
+		h.tags = p.tags
 		if k == 0 || k == n-1 {
 			continue
 		}
-		p.secTags[k] = obs.Tags(append([]string{"section", strconv.Itoa(k)}, cfg.TagKV...)...)
+		h.tags = obs.Tags(append([]string{"section", strconv.Itoa(k)}, cfg.TagKV...)...)
 		if cfg.Obs != nil {
-			p.mSection[k] = cfg.Obs.Histogram(obs.MetricSectionLatency, p.secTags[k])
-			p.mSecCommits[k] = cfg.Obs.Counter(obs.MetricSectionCommit, p.secTags[k])
+			h.latency = cfg.Obs.Histogram(obs.MetricSectionLatency, h.tags)
+			h.commits = cfg.Obs.Counter(obs.MetricSectionCommit, h.tags)
 		}
 	}
 	return p, nil
+}
+
+// sectionHandles are one section's span tags and metric handles (the
+// handles nil-safe no-ops where unset).
+type sectionHandles struct {
+	tags    string
+	latency *obs.Histogram
+	commits *obs.Counter
 }
 
 // compileMode installs Config.Mode's built-in graph: the paper's
@@ -452,7 +457,7 @@ func (p *Pipeline) observe(out *FrameOutcome) {
 		p.mComponent[i].Observe(d)
 	}
 	for k := range out.Sections {
-		p.mSection[k].Observe(out.Sections[k].Latency)
+		p.sec[k].latency.Observe(out.Sections[k].Latency)
 	}
 }
 
