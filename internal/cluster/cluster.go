@@ -402,11 +402,10 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	var graph *core.Graph
 	if cfg.Graph != nil {
-		g, err := cfg.Graph.Compile(len(cfg.Edges), cfg.Seed)
-		if err != nil {
+		var err error
+		if graph, err = cfg.Graph.Compile(len(cfg.Edges), cfg.Seed); err != nil {
 			return nil, fmt.Errorf("cluster: %w", err)
 		}
-		graph = g
 	}
 
 	cloudModel := cfg.CloudModel

@@ -219,15 +219,22 @@ func (p *Pipeline) walk(f *video.Frame, ctx obs.SpanContext) FrameOutcome {
 	// client renders after the latest boundary.
 	ref := visible
 	current := visible
-	at := 0
-	for next >= 0 {
-		// Boundaries the route jumped over commit locally, in order —
-		// section k+1 cannot run before section k.
-		for s := at + 1; s < next; s++ {
+	for at := 0; at < n-1; {
+		// Boundaries the route jumps over — or, once it has ended, every
+		// remaining one (the §3.5 early stop) — commit locally with the
+		// labels assumed correct, in order: section k+1 cannot run before
+		// section k.
+		k := next
+		if k < 0 {
+			k = n
+		}
+		for s := at + 1; s < k; s++ {
 			pending, ref = p.runSection(f, ctx, s, pending, ref, nil, &out)
 			out.Sections[s].Latency = clk.Now() - f.At
 		}
-		k := next
+		if k == n {
+			break
+		}
 
 		// The refined labels correct the reference set and commit the
 		// node's section. A lost or shed node commits with the labels
@@ -249,13 +256,6 @@ func (p *Pipeline) walk(f *video.Frame, ctx obs.SpanContext) FrameOutcome {
 
 		at = k
 		next = p.route(k, current, &out)
-	}
-
-	// The route ended early: remaining sections commit locally with the
-	// labels assumed correct — the §3.5 early stop, once per boundary.
-	for s := at + 1; s < n; s++ {
-		pending, ref = p.runSection(f, ctx, s, pending, ref, nil, &out)
-		out.Sections[s].Latency = clk.Now() - f.At
 	}
 
 	out.FinalVisible = current
@@ -282,7 +282,7 @@ func (p *Pipeline) route(k int, dets []detect.Detection, out *FrameOutcome) int 
 // client currently renders, for validators that prioritize by it. ok is
 // false when a Validator shed or lost the request.
 func (p *Pipeline) runNode(f *video.Frame, k int, ctx obs.SpanContext, visible []detect.Detection, out *FrameOutcome) (dets []detect.Detection, ok bool) {
-	cfg := p.cfg
+	cfg := &p.cfg
 	nd := &cfg.Graph.Nodes[k]
 	sec := &out.Sections[k]
 	b := &out.Breakdown
