@@ -188,7 +188,7 @@ func runClusterScaleBench(maxCams int) []benchResult {
 			}
 			return time.Since(t0)
 		}
-		run() // warmup: seed cache, pools
+		run() // warmup: pools
 		best := run()
 		for rep := 1; rep < benchScaleReps; rep++ {
 			if d := run(); d < best {

@@ -139,8 +139,8 @@ func (m *SimModel) Params() SimParams { return m.p }
 
 // frameRNG derives a deterministic RNG for (seed, frame index) using a
 // splitmix64-style scramble, so detections don't depend on call order. The
-// RNG is pooled and its seed expansion memoized (randsrc); the caller must
-// Put it back when done.
+// RNG is pooled and seeds in O(1) (randsrc); the caller must Put it back
+// when done.
 func frameRNG(seed int64, frameIdx int) *randsrc.R {
 	return randsrc.Get(int64(scramble(uint64(seed) ^ (uint64(frameIdx)+1)*0x9E3779B97F4A7C15)))
 }

@@ -2,13 +2,13 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"croesus/internal/core"
 	"croesus/internal/detect"
 	"croesus/internal/lock"
 	"croesus/internal/netsim"
+	"croesus/internal/randsrc"
 	"croesus/internal/store"
 	"croesus/internal/threshold"
 	"croesus/internal/txn"
@@ -299,7 +299,7 @@ func runHotspotBatches(o Opts, keyRange int, kind ccKind, sequenced bool, cloudG
 	default:
 		cc = &txn.MSIA{M: mgr}
 	}
-	rng := rand.New(rand.NewSource(o.Seed))
+	rng := randsrc.New(o.Seed)
 	res := hotspotBatchResult{}
 	start := time.Duration(0)
 	for b := 0; b < nBatches; b++ {

@@ -3,63 +3,154 @@ package randsrc
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
+// sameDraw draws one value by method i%6 from both generators and fails the
+// test if they differ — the rand.Rand method surface the repo uses.
+func sameDraw(t *testing.T, seed int64, i int, got, ref *rand.Rand) {
+	t.Helper()
+	var g, w any
+	switch i % 6 {
+	case 0:
+		g, w = got.Int63(), ref.Int63()
+	case 1:
+		g, w = got.Uint64(), ref.Uint64()
+	case 2:
+		g, w = got.Float64(), ref.Float64()
+	case 3:
+		g, w = got.NormFloat64(), ref.NormFloat64()
+	case 4:
+		g, w = got.Intn(7), ref.Intn(7)
+	case 5:
+		g, w = got.Intn(1<<40), ref.Intn(1<<40)
+	}
+	if g != w {
+		t.Fatalf("seed %d draw %d (method %d): got %v, want %v", seed, i, i%6, g, w)
+	}
+}
+
+// edgeSeeds are the seeds where Seed's reduction mod 2³¹−1 changes branch.
+var edgeSeeds = []int64{0, 1, -1, 42, 89482311, int32max, -int32max, int32max + 1, int32max - 1,
+	2 * int32max, 1 << 32, math.MaxInt32 + 2, math.MaxInt64, math.MinInt64, math.MinInt64 + 1, -987654321012345, 12345, 7}
+
 // TestStreamMatchesMathRand is the load-bearing guarantee: every derived
 // value a call site can draw — across the rand.Rand method surface the
-// repo uses — is bit-identical to rand.New(rand.NewSource(seed)). If this
-// passes, swapping frameRNG/TxnFor over to randsrc cannot perturb any
-// golden or report.
+// repo uses — is bit-identical to rand.New(rand.NewSource(seed)), through
+// the lazy phase and for more than three laps of the register beyond it.
+// If this passes, no call site of Get or New can perturb a golden or report.
 func TestStreamMatchesMathRand(t *testing.T) {
-	seeds := []int64{0, 1, -1, 42, 89482311, int32max, int32max + 1, math.MaxInt64, math.MinInt64, -987654321012345}
+	seeds := append([]int64(nil), edgeSeeds...)
+	mix := rand.New(rand.NewSource(1))
+	for len(seeds) < 220 {
+		seeds = append(seeds, int64(mix.Uint64()))
+	}
 	for _, seed := range seeds {
 		ref := rand.New(rand.NewSource(seed))
 		r := Get(seed)
-		for i := 0; i < 500; i++ {
-			switch i % 6 {
-			case 0:
-				if g, w := r.Rand.Int63(), ref.Int63(); g != w {
-					t.Fatalf("seed %d draw %d: Int63 = %d, want %d", seed, i, g, w)
-				}
-			case 1:
-				if g, w := r.Rand.Uint64(), ref.Uint64(); g != w {
-					t.Fatalf("seed %d draw %d: Uint64 = %d, want %d", seed, i, g, w)
-				}
-			case 2:
-				if g, w := r.Rand.Float64(), ref.Float64(); g != w {
-					t.Fatalf("seed %d draw %d: Float64 = %v, want %v", seed, i, g, w)
-				}
-			case 3:
-				if g, w := r.Rand.NormFloat64(), ref.NormFloat64(); g != w {
-					t.Fatalf("seed %d draw %d: NormFloat64 = %v, want %v", seed, i, g, w)
-				}
-			case 4:
-				if g, w := r.Rand.Intn(7), ref.Intn(7); g != w {
-					t.Fatalf("seed %d draw %d: Intn(7) = %d, want %d", seed, i, g, w)
-				}
-			case 5:
-				if g, w := r.Rand.Intn(1<<40), ref.Intn(1<<40); g != w {
-					t.Fatalf("seed %d draw %d: Intn(2^40) = %d, want %d", seed, i, g, w)
-				}
+		for i := 0; i < 2100; i++ {
+			sameDraw(t, seed, i, r.Rand, ref)
+		}
+		r.Put()
+
+		ref = rand.New(rand.NewSource(seed))
+		unpooled := New(seed)
+		for i := 0; i < 700; i++ {
+			sameDraw(t, seed, i, unpooled, ref)
+		}
+	}
+}
+
+// stockSeed is math/rand's eager seed expansion (Schrage's decomposition
+// and all), kept as the reference the closed form is checked against.
+func stockSeed(seed int64) (vec [rngLen]int64) {
+	seedrand := func(x int32) int32 {
+		const (
+			a = 48271
+			q = 44488
+			r = 3399
+		)
+		hi := x / q
+		lo := x % q
+		x = a*lo - r*hi
+		if x < 0 {
+			x += int32max
+		}
+		return x
+	}
+	seed = seed % int32max
+	if seed < 0 {
+		seed += int32max
+	}
+	if seed == 0 {
+		seed = 89482311
+	}
+	x := int32(seed)
+	for i := -20; i < rngLen; i++ {
+		x = seedrand(x)
+		if i >= 0 {
+			u := int64(x) << 40
+			x = seedrand(x)
+			u ^= int64(x) << 20
+			x = seedrand(x)
+			u ^= int64(x)
+			u ^= rngCooked[i]
+			vec[i] = u
+		}
+	}
+	return vec
+}
+
+// TestSeededMatchesStockSeed checks the closed form word by word: seeded(i)
+// is what the stock expansion leaves in vec[i], for all 607 words.
+func TestSeededMatchesStockSeed(t *testing.T) {
+	for _, seed := range edgeSeeds {
+		want := stockSeed(seed)
+		var s source
+		s.Seed(seed)
+		for i := range want {
+			if g := s.seeded(i); g != want[i] {
+				t.Fatalf("seed %d word %d: seeded = %d, stock Seed = %d", seed, i, g, want[i])
 			}
+		}
+	}
+}
+
+// TestPooledReuseAfterPartialStream abandons a stream at every boundary of
+// the lazy phase (tap words stop being fresh at 273, feed words at 334, the
+// register wraps at 607) and reuses the pooled R: the next stream must read
+// no word the previous one left behind.
+func TestPooledReuseAfterPartialStream(t *testing.T) {
+	for _, k := range []int{0, 1, 272, 273, 274, 333, 334, 335, 606, 607, 608, 2000} {
+		r := Get(int64(k) + 99)
+		for i := 0; i < k; i++ {
+			r.Rand.Uint64()
+		}
+		// Not returned through the pool: sync.Pool may drop an R, and the
+		// point is to reseed this one.
+		const next = 4242
+		r.src.Seed(next)
+		ref := rand.New(rand.NewSource(next))
+		for i := 0; i < 1300; i++ {
+			sameDraw(t, next, i, r.Rand, ref)
 		}
 		r.Put()
 	}
 }
 
-// TestCachedReseedIdentical proves a pooled, cache-hit R restarts the
-// stream from the top — reuse cannot leak position or state.
+// TestCachedReseedIdentical proves a pooled R restarts the stream from the
+// top — reuse cannot leak position or state.
 func TestCachedReseedIdentical(t *testing.T) {
 	const seed = 12345
 	first := make([]int64, 64)
-	r := Get(seed) // cache miss: full expansion
+	r := Get(seed)
 	for i := range first {
 		first[i] = r.Rand.Int63()
 	}
 	r.Put()
 	for round := 0; round < 3; round++ {
-		r := Get(seed) // cache hit on a pooled R
+		r := Get(seed)
 		for i := range first {
 			if g := r.Rand.Int63(); g != first[i] {
 				t.Fatalf("round %d draw %d: %d, want %d", round, i, g, first[i])
@@ -67,6 +158,45 @@ func TestCachedReseedIdentical(t *testing.T) {
 		}
 		r.Put()
 	}
+}
+
+// TestGetAllocatesNothing pins the steady-state path at zero allocations,
+// for seeds that never recur.
+func TestGetAllocatesNothing(t *testing.T) {
+	seed := int64(0)
+	if n := testing.AllocsPerRun(1000, func() {
+		seed++
+		r := Get(seed)
+		_ = r.Rand.Float64()
+		_ = r.Rand.Intn(9)
+		r.Put()
+	}); n != 0 {
+		t.Fatalf("Get+draw+Put allocates %v times per run, want 0", n)
+	}
+}
+
+// TestConcurrentGets is the -race check: the pool is the only shared state.
+func TestConcurrentGets(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				seed := int64(g*1000 + i)
+				ref := rand.New(rand.NewSource(seed))
+				r := Get(seed)
+				for d := 0; d < 8; d++ {
+					if got, want := r.Rand.Int63(), ref.Int63(); got != want {
+						t.Errorf("goroutine %d seed %d draw %d: %d, want %d", g, seed, d, got, want)
+						break
+					}
+				}
+				r.Put()
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestInterleavedGets exercises several live Rs at once (the detect path

@@ -364,3 +364,26 @@ func TestScenarioErrorsSurface(t *testing.T) {
 		t.Fatalf("got %v", err)
 	}
 }
+
+// TestSetUpAllocationCeiling keeps set-up allocation from creeping back:
+// decoding migrate.json and provisioning its fleet (every camera's video
+// included) took 807 allocations before videos were carved from slabs and
+// profiles looked up in a table, 420 after; the ceiling is that +10 %.
+func TestSetUpAllocationCeiling(t *testing.T) {
+	const ceiling = 462
+	path := scenarioFile("migrate.json")
+	n := testing.AllocsPerRun(20, func() {
+		s, err := Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt, err := NewObserved(s, vclock.NewSim(), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt.Cluster.Close()
+	})
+	if n > ceiling {
+		t.Fatalf("Load+NewObserved of migrate.json allocates %v times, ceiling %d", n, ceiling)
+	}
+}

@@ -245,18 +245,24 @@ func (s *Scenario) Sharded() bool {
 	return false
 }
 
+// profiles is video.AllProfiles built once; lookups hand out copies whose
+// Classes slice is shared and never written.
+var profiles = video.AllProfiles()
+
 // profileByName resolves a camera's profile, accepting the canonical name
 // ("v1-park-dog") or the unprefixed form ("park-dog").
 func profileByName(name string) (video.Profile, error) {
-	var names []string
-	for _, p := range video.AllProfiles() {
-		names = append(names, p.Name)
+	for _, p := range profiles {
 		if p.Name == name {
 			return p, nil
 		}
 		if i := strings.Index(p.Name, "-"); i > 0 && p.Name[i+1:] == name {
 			return p, nil
 		}
+	}
+	var names []string
+	for _, p := range profiles {
+		names = append(names, p.Name)
 	}
 	return video.Profile{}, fmt.Errorf("scenario: unknown profile %q (have %s)", name, strings.Join(names, ", "))
 }

@@ -16,6 +16,8 @@ import (
 	"math"
 	"math/rand"
 	"time"
+
+	"croesus/internal/randsrc"
 )
 
 // Rect is an axis-aligned bounding box in normalized [0,1] frame
@@ -60,8 +62,8 @@ func (r Rect) IoU(o Rect) float64 {
 
 // Clamp confines the box to the unit frame.
 func (r Rect) Clamp() Rect {
-	r.X = math.Max(0, math.Min(r.X, 1))
-	r.Y = math.Max(0, math.Min(r.Y, 1))
+	r.X = clampOrigin(r.X)
+	r.Y = clampOrigin(r.Y)
 	if r.X+r.W > 1 {
 		r.W = 1 - r.X
 	}
@@ -159,7 +161,7 @@ type Generator struct {
 
 // NewGenerator returns a generator for the given profile and seed.
 func NewGenerator(p Profile, seed int64) *Generator {
-	g := &Generator{prof: p, rng: rand.New(rand.NewSource(seed))}
+	g := &Generator{prof: p, rng: randsrc.New(seed)}
 	// Pre-populate the scene so frame 0 is not empty.
 	initial := int(math.Round(p.MeanObjects))
 	for i := 0; i < initial; i++ {
@@ -213,13 +215,23 @@ func (g *Generator) spawn() {
 
 // Next produces the next frame.
 func (g *Generator) Next() *Frame {
+	f := new(Frame)
+	g.fill(f, nil)
+	return f
+}
+
+// fill advances the scene one frame and writes it into f. The frame's
+// Objects are carved from the front of free when they fit (allocated
+// otherwise); fill returns what is left of free.
+func (g *Generator) fill(f *Frame, free []Object) []Object {
 	p := g.prof
 	idx := g.frameIdx
 	g.frameIdx++
 
 	// Retire expired tracks, move the rest.
 	alive := g.tracks[:0]
-	for _, t := range g.tracks {
+	for i := range g.tracks {
+		t := &g.tracks[i]
 		t.remaining--
 		if t.remaining <= 0 {
 			continue
@@ -232,7 +244,7 @@ func (g *Generator) Next() *Frame {
 		}
 		// Difficulty wanders slightly frame to frame (lighting, pose).
 		t.obj.Difficulty = clamp01(t.obj.Difficulty + g.rng.NormFloat64()*0.02)
-		alive = append(alive, t)
+		alive = append(alive, *t)
 	}
 	g.tracks = alive
 
@@ -251,16 +263,22 @@ func (g *Generator) Next() *Frame {
 		g.spawn()
 	}
 
-	objs := make([]Object, len(g.tracks))
-	for i, t := range g.tracks {
-		objs[i] = t.obj
+	n := len(g.tracks)
+	if len(free) < n || free == nil { // nil: an empty frame's Objects stay non-nil
+		free = make([]Object, n)
 	}
-	size := p.FrameBytesBase + p.FrameBytesPerObject*len(objs)
+	// Capacity stops at n, so an append to one frame's Objects reallocates
+	// instead of growing into the next frame's.
+	objs := free[:n:n]
+	for i := range g.tracks {
+		objs[i] = g.tracks[i].obj
+	}
+	size := p.FrameBytesBase + p.FrameBytesPerObject*n
 	size += int(g.rng.NormFloat64() * float64(size) * 0.05)
 	if size < 1024 {
 		size = 1024
 	}
-	return &Frame{
+	*f = Frame{
 		Index:     idx,
 		At:        time.Duration(float64(idx) * float64(p.FrameInterval())),
 		Width:     p.Width,
@@ -268,15 +286,33 @@ func (g *Generator) Next() *Frame {
 		SizeBytes: size,
 		Objects:   objs,
 	}
+	return free[n:]
 }
 
-// Generate produces the next n frames.
+// Generate produces the next n frames, carved from two allocations: the
+// frames, and their objects (births top the scene up to at most
+// ⌈MeanObjects⌉ tracks, so that many per frame always fit).
 func (g *Generator) Generate(n int) []*Frame {
 	frames := make([]*Frame, n)
+	slab := make([]Frame, n)
+	free := make([]Object, n*maxInt(int(math.Ceil(g.prof.MeanObjects)), 0))
 	for i := range frames {
-		frames[i] = g.Next()
+		frames[i] = &slab[i]
+		free = g.fill(&slab[i], free)
 	}
 	return frames
+}
+
+// clampOrigin is math.Max(0, math.Min(v, 1)) without the two calls, which
+// do not inline: NaN stays NaN and -0 becomes +0 (clamp01 keeps -0).
+func clampOrigin(v float64) float64 {
+	switch {
+	case v > 1:
+		return 1
+	case v <= 0:
+		return 0
+	}
+	return v
 }
 
 func clamp01(v float64) float64 {

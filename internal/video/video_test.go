@@ -67,6 +67,15 @@ func TestClamp(t *testing.T) {
 	if r.X < 0 || r.Y < 0 {
 		t.Errorf("Clamp left negative origin: %+v", r)
 	}
+	// The origin clamp is bit-for-bit math.Max(0, math.Min(v, 1)), which is
+	// what every recorded video was generated with: -0 becomes +0.
+	negZero := math.Copysign(0, -1)
+	for _, v := range []float64{negZero, 0, -1, 0.25, 1, 1.5, math.Inf(1), math.Inf(-1), math.NaN(), math.SmallestNonzeroFloat64} {
+		got, want := (Rect{X: v, Y: v}).Clamp(), math.Max(0, math.Min(v, 1))
+		if math.Float64bits(got.X) != math.Float64bits(want) || math.Float64bits(got.Y) != math.Float64bits(want) {
+			t.Errorf("Clamp origin %v = (%v, %v), want %v", v, got.X, got.Y, want)
+		}
+	}
 }
 
 func TestGeneratorDeterminism(t *testing.T) {
@@ -96,6 +105,43 @@ func TestGeneratorDeterminism(t *testing.T) {
 	}
 	if same {
 		t.Log("different seeds produced equal object counts for 50 frames (unlikely but not fatal)")
+	}
+}
+
+// TestGenerateEqualsNext pins the slab path to the frame-at-a-time path:
+// same frames field by field, for every profile, and an append to one
+// frame's Objects cannot reach the frame carved after it.
+func TestGenerateEqualsNext(t *testing.T) {
+	for _, p := range AllProfiles() {
+		const n = 120
+		batch := NewGenerator(p, 21).Generate(n)
+		one := NewGenerator(p, 21)
+		for i, got := range batch {
+			want := one.Next()
+			if got.Index != want.Index || got.At != want.At || got.Width != want.Width ||
+				got.Height != want.Height || got.SizeBytes != want.SizeBytes {
+				t.Fatalf("%s frame %d: Generate %+v, Next %+v", p.Name, i, *got, *want)
+			}
+			if (got.Objects == nil) != (want.Objects == nil) || len(got.Objects) != len(want.Objects) {
+				t.Fatalf("%s frame %d: %d objects (nil %v), Next has %d (nil %v)", p.Name, i,
+					len(got.Objects), got.Objects == nil, len(want.Objects), want.Objects == nil)
+			}
+			for j := range want.Objects {
+				if got.Objects[j] != want.Objects[j] {
+					t.Fatalf("%s frame %d object %d: Generate %+v, Next %+v", p.Name, i, j, got.Objects[j], want.Objects[j])
+				}
+			}
+		}
+		for i := 0; i+1 < n; i++ {
+			if len(batch[i+1].Objects) == 0 {
+				continue
+			}
+			next := batch[i+1].Objects[0]
+			_ = append(batch[i].Objects, Object{TrackID: -1, Class: "intruder"})
+			if batch[i+1].Objects[0] != next {
+				t.Fatalf("%s: append to frame %d's Objects overwrote frame %d's", p.Name, i, i+1)
+			}
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"strconv"
 
 	"croesus/internal/lock"
+	"croesus/internal/randsrc"
 	"croesus/internal/store"
 )
 
@@ -246,7 +247,7 @@ type Batch struct {
 // MakeBatches generates nBatches batches of batchSize transactions, each
 // with opsPerTxn updates over keyRange keys.
 func MakeBatches(seed int64, nBatches, batchSize, keyRange, opsPerTxn int) []Batch {
-	rng := rand.New(rand.NewSource(seed))
+	rng := randsrc.New(seed)
 	batches := make([]Batch, nBatches)
 	for b := range batches {
 		bodies := make([][]Op, batchSize)
