@@ -435,12 +435,6 @@ func ThresholdHeatmap(e *ThresholdEvaluator, step float64) []HeatmapCell {
 type (
 	// PartitionNode is one edge shard in a multi-partition deployment.
 	PartitionNode = twopc.Partition
-	// DistCoordinator drives distributed multi-stage transactions.
-	DistCoordinator = twopc.Coordinator
-	// DistTxn is a distributed multi-stage transaction.
-	DistTxn = twopc.DistTxn
-	// DistCtx is the distributed section context.
-	DistCtx = twopc.Ctx
 	// ShardedCC is the pipeline-facing distributed protocol: a txn.CC
 	// that routes each transaction's RW-set through the partitions owning
 	// its keys, locking remotely and committing with 2PC.
@@ -453,25 +447,10 @@ type (
 	DistStats = twopc.DistStats
 )
 
-// NewPartition returns an empty partition shard.
-func NewPartition(id int, clk Clock, link *Link) *PartitionNode {
-	if link == nil {
-		// A nil *Link must stay a nil transport.Path — a typed nil would
-		// defeat the coordinator's "local partition" check.
-		return twopc.NewPartition(id, clk, nil)
-	}
-	return twopc.NewPartition(id, clk, link)
-}
-
 // NewPartitionOver returns a partition wrapping an existing store and lock
 // manager.
 func NewPartitionOver(id int, st *Store, locks *LockManager) *PartitionNode {
 	return twopc.NewPartitionOver(id, st, locks)
-}
-
-// NewDistCoordinator returns a coordinator over the partitions.
-func NewDistCoordinator(clk Clock, parts []*PartitionNode, proto twopc.Protocol) *DistCoordinator {
-	return twopc.NewCoordinator(clk, parts, proto)
 }
 
 // Distributed protocols.

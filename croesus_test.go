@@ -123,27 +123,51 @@ func TestFacadeBank(t *testing.T) {
 
 func TestFacadeDistributed(t *testing.T) {
 	clk := NewSimClock()
-	parts := []*PartitionNode{
-		NewPartition(0, clk, nil),
-		NewPartition(1, clk, EdgeCloudSameSite()),
+	edges := []*System{NewSystem(clk), NewSystem(clk), NewSystem(clk)}
+	parts := make([]*PartitionNode, len(edges))
+	for i, e := range edges {
+		parts[i] = NewPartitionOver(i, e.Store, e.Locks)
 	}
-	co := NewDistCoordinator(clk, parts, DistMSIA)
-	dt := &DistTxn{
+	// "x:<n>" lives on partition n.
+	route := func(key string) int { return int(key[2] - '0') }
+	mgr := edges[0].Manager
+	mgr.DB = &ShardedStore{Parts: parts, Partitioner: route}
+	cc := &ShardedCC{
+		Clk: clk, M: mgr, Home: 0, Parts: parts,
+		Links:       []TransportPath{nil, EdgeCloudSameSite(), EdgeCloudSameSite()},
+		Partitioner: route, Protocol: DistMSIA, Stats: &DistStats{},
+	}
+	dt := &Txn{
 		Name:      "d",
 		InitialRW: RWSet{Writes: []string{"x:1", "x:2"}},
 		FinalRW:   RWSet{Writes: []string{"x:1"}},
-		Initial: func(c *DistCtx) error {
+		Initial: func(c *TxnCtx) error {
 			c.Put("x:1", Value("a"))
 			c.Put("x:2", Value("b"))
 			return nil
 		},
-		Final: func(c *DistCtx) error { c.Put("x:1", Value("z")); return nil },
+		Final: func(c *TxnCtx) error { c.Put("x:1", Value("z")); return nil },
 	}
 	clk.Run(func() {
-		if err := co.Run(dt); err != nil {
-			t.Errorf("Run: %v", err)
+		in := mgr.NewInstance(dt, nil)
+		if err := cc.RunInitial(in); err != nil {
+			t.Errorf("RunInitial: %v", err)
+		}
+		if err := cc.RunFinal(in); err != nil {
+			t.Errorf("RunFinal: %v", err)
 		}
 	})
+	if v, _ := edges[1].Store.Get("x:1"); string(v) != "z" {
+		t.Errorf("x:1 on edge 1 = %q, want z", v)
+	}
+	if v, _ := edges[2].Store.Get("x:2"); string(v) != "b" {
+		t.Errorf("x:2 on edge 2 = %q, want b", v)
+	}
+	// The initial commit spans two partitions (one 2PC round); the final
+	// writes one remote partition (a single commit message, no round).
+	if st := cc.Stats.Snapshot(); st.TwoPCRounds != 1 || st.RemoteCommits != 1 {
+		t.Errorf("rounds/remote commits = %d/%d, want 1/1", st.TwoPCRounds, st.RemoteCommits)
+	}
 }
 
 func TestFacadeExperimentRegistry(t *testing.T) {

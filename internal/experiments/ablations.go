@@ -1,12 +1,12 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
 	"croesus/internal/core"
 	"croesus/internal/detect"
+	"croesus/internal/lock"
 	"croesus/internal/metrics"
 	"croesus/internal/netsim"
 	"croesus/internal/store"
@@ -154,47 +154,60 @@ func AblationTwoPC(o Opts) Table {
 	for _, proto := range []twopc.Protocol{twopc.MSSR, twopc.MSIA} {
 		clk := vclock.NewSim()
 		parts := make([]*twopc.Partition, 3)
+		links := make([]transport.Path, len(parts))
 		for i := range parts {
-			var link transport.Path
+			parts[i] = twopc.NewPartitionOver(i, store.New(), lock.NewManager(clk))
 			if i != 0 {
-				link = netsim.EdgeCloudSameSite()
+				links[i] = netsim.EdgeCloudSameSite()
 			}
-			parts[i] = twopc.NewPartition(i, clk, link)
 		}
-		co := twopc.NewCoordinator(clk, parts, proto)
+		route := twopc.HashPartitioner(len(parts))
+		mgr := txn.NewManager(clk, nil, nil)
+		mgr.DB = &twopc.ShardedStore{Parts: parts, Partitioner: route}
+		cc := &twopc.ShardedCC{
+			Clk: clk, M: mgr, Home: 0, Parts: parts, Links: links,
+			Partitioner: route, Protocol: proto, Stats: &twopc.DistStats{},
+		}
 		const n = 40
+		// probe is a lock owner no transaction uses: the initial commit is
+		// visible early when a foreign owner can lock the key and read it.
+		const probe = lock.Owner(1 << 62)
 		var visibleEarly int
 		clk.Run(func() {
 			for i := 0; i < n; i++ {
 				keyA := store.ItoaKey("a", i)
 				keyB := store.ItoaKey("b", i)
-				dt := &twopc.DistTxn{
+				rw := txn.RWSet{Writes: []string{keyA, keyB}}
+				in := mgr.NewInstance(&txn.Txn{
 					Name:      "dist",
-					InitialRW: txn.RWSet{Writes: []string{keyA, keyB}},
-					FinalRW:   txn.RWSet{Writes: []string{keyA, keyB}},
-					Initial: func(c *twopc.Ctx) error {
+					InitialRW: rw,
+					FinalRW:   rw,
+					Initial: func(c *txn.Ctx) error {
 						c.Put(keyA, store.Int64Value(1))
 						c.Put(keyB, store.Int64Value(1))
 						return nil
 					},
-					Final: func(c *twopc.Ctx) error {
+					Final: func(c *txn.Ctx) error {
 						c.Put(keyA, store.Int64Value(2))
 						return nil
 					},
-				}
-				h, err := co.RunInitial(dt)
-				if err != nil && !errors.Is(err, twopc.ErrAborted) {
+				}, nil)
+				if err := cc.RunInitial(in); err != nil {
 					panic(err)
 				}
-				if _, ok := parts[co.Partitioner(keyA)].Store.Get(keyA); ok {
-					visibleEarly++
+				owner := parts[route(keyA)]
+				if owner.Locks.TryAcquire(probe, keyA, lock.Shared) {
+					if _, ok := owner.Store.Get(keyA); ok {
+						visibleEarly++
+					}
+					owner.Locks.Release(probe, keyA)
 				}
-				if err == nil {
-					co.RunFinal(h)
+				if err := cc.RunFinal(in); err != nil {
+					panic(err)
 				}
 			}
 		})
-		st := co.Stats()
+		st := cc.Stats.Snapshot()
 		t.Rows = append(t.Rows, []string{
 			proto.String(),
 			fmt.Sprintf("%d", st.TwoPCRounds),

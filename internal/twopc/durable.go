@@ -393,8 +393,6 @@ func (p *Partition) CloseWAL() error {
 // rebuilds in place) survive.
 func (p *Partition) CrashReset() {
 	p.mu.Lock()
-	p.staged = make(map[txn.ID][]stagedWrite)
-	p.prepared = make(map[txn.ID]bool)
 	p.walStaged = nil
 	p.decisions = nil
 	p.mu.Unlock()

@@ -39,13 +39,7 @@ import (
 // manager — the cluster runtime shards the fleet keyspace over the stores
 // its edge nodes already own.
 func NewPartitionOver(id int, st *store.Store, locks *lock.Manager) *Partition {
-	return &Partition{
-		ID:       id,
-		Store:    st,
-		Locks:    locks,
-		staged:   make(map[txn.ID][]stagedWrite),
-		prepared: make(map[txn.ID]bool),
-	}
+	return &Partition{ID: id, Store: st, Locks: locks}
 }
 
 // ShardedStore routes key-value operations to the partition owning each key.
