@@ -296,48 +296,6 @@ func BenchmarkCluster(b *testing.B) {
 	}
 }
 
-// BenchmarkClusterScale pushes the simulator to fleet scale: 64, 256, and
-// 1024 cameras over proportionally sized edge tiers (16 cameras per edge),
-// 8 frames each. The cams-1024/edges-64 point is the headline capacity
-// number recorded in BENCH_6.json; the metric is virtual frames simulated
-// per second of wall time.
-func BenchmarkClusterScale(b *testing.B) {
-	profiles := Videos()
-	const framesPerCam = 8
-	for _, tc := range []struct{ cams, edges int }{{64, 4}, {256, 16}, {1024, 64}} {
-		b.Run(fmt.Sprintf("cams-%d", tc.cams), func(b *testing.B) {
-			cams := make([]CameraSpec, tc.cams)
-			for i := range cams {
-				cams[i] = CameraSpec{
-					Profile: profiles[i%len(profiles)],
-					Seed:    int64(11 + i*101),
-					Frames:  framesPerCam,
-				}
-			}
-			edges := make([]EdgeSpec, tc.edges)
-			for i := range edges {
-				edges[i] = EdgeSpec{ID: fmt.Sprintf("edge-%02d", i)}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rep, err := RunCluster(ClusterConfig{
-					Clock:   NewSimClock(),
-					Cameras: cams,
-					Edges:   edges,
-					Batcher: BatcherConfig{MaxBatch: 8, SLO: 80 * time.Millisecond},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if rep.Frames != tc.cams*framesPerCam {
-					b.Fatalf("lost frames: %d of %d", rep.Frames, tc.cams*framesPerCam)
-				}
-			}
-			b.ReportMetric(float64(tc.cams*framesPerCam*b.N)/b.Elapsed().Seconds(), "frames/s")
-		})
-	}
-}
-
 // BenchmarkCluster2PC measures the sharded fleet: six cameras over three
 // edge shards of one keyspace, half of every transaction's keys crossing
 // edges, under each multi-stage protocol. The metric is virtual frames

@@ -25,19 +25,16 @@ import (
 
 func main() {
 	var (
-		runID        = flag.String("run", "", "run a single experiment by ID (default: all)")
-		list         = flag.Bool("list", false, "list experiment IDs and exit")
-		frames       = flag.Int("frames", 0, "frames per video (default 160)")
-		seed         = flag.Int64("seed", 0, "workload seed (default 42)")
-		mu           = flag.Float64("mu", 0, "F-score constraint µ for optimal-threshold experiments (default 0.8)")
-		markdown     = flag.Bool("markdown", false, "emit Markdown instead of text tables")
-		outPath      = flag.String("o", "", "write output to a file instead of stdout")
-		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile   = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		debugAddr    = flag.String("debug-addr", "", "serve /debug/vars (expvar) and /debug/pprof on this address while the run is in flight (e.g. 127.0.0.1:9414)")
-		compare      = flag.String("compare", "", "run the transport micro-benchmark and gate it against this BENCH_N.json baseline (>25% ns/op growth fails)")
-		benchJSON    = flag.String("bench-json", "", "with -compare or -cluster-scale: also write the measured results to this BENCH_N.json file")
-		clusterScale = flag.Int("cluster-scale", 0, "run the fleet-simulation scale curve (64/256/1024 cameras) up to this many cameras (e.g. 64 for a CI smoke, 1024 for the full curve)")
+		runID      = flag.String("run", "", "run a single experiment by ID (default: all)")
+		list       = flag.Bool("list", false, "list experiment IDs and exit")
+		frames     = flag.Int("frames", 0, "frames per video (default 160)")
+		seed       = flag.Int64("seed", 0, "workload seed (default 42)")
+		mu         = flag.Float64("mu", 0, "F-score constraint µ for optimal-threshold experiments (default 0.8)")
+		markdown   = flag.Bool("markdown", false, "emit Markdown instead of text tables")
+		outPath    = flag.String("o", "", "write output to a file instead of stdout")
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit")
+		debugAddr  = flag.String("debug-addr", "", "serve /debug/vars (expvar) and /debug/pprof on this address while the run is in flight (e.g. 127.0.0.1:9414)")
 	)
 	flag.Parse()
 
@@ -49,30 +46,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "croesus-bench: debug endpoint on http://%s/debug/pprof\n", bound)
-	}
-
-	if *compare != "" || *clusterScale > 0 {
-		var results []benchResult
-		regressions := 0
-		command := "croesus-bench"
-		if *compare != "" {
-			command += " -compare " + *compare
-			results = runTransportBench()
-			regressions = compareBench(*compare, results)
-		}
-		if *clusterScale > 0 {
-			command += fmt.Sprintf(" -cluster-scale %d", *clusterScale)
-			results = append(results, runClusterScaleBench(*clusterScale)...)
-		}
-		if *benchJSON != "" {
-			writeBenchJSON(*benchJSON, command+" -bench-json "+*benchJSON, results,
-				"Binary wire codec + pooled hot path (PR 10): transport rows measure per-message cost of the length-prefixed binary codec (gob retained only for the control channel) with pooled encode buffers, pooled ack waiters/timers, and RecvReuse ack reading — the untraced TCP path allocates nothing per message. Cluster-scale rows measure fleet-simulation throughput (16 cameras per edge, 8 frames per camera) on the sharded virtual-clock scheduler with the pooled detection/transaction hot path; ns_per_op is whole-run wall time, best of 3 after one warmup. Loopback timings on a shared container jitter by tens of percent; minima are stable to a few percent.")
-		}
-		if regressions > 0 {
-			fmt.Fprintf(os.Stderr, "croesus-bench: %d regression(s) over %.0f%% against %s\n", regressions, regressionThreshold*100, *compare)
-			os.Exit(1)
-		}
-		return
 	}
 
 	if *list {

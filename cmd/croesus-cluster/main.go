@@ -26,14 +26,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"time"
 
 	"croesus"
-	"croesus/internal/fleet"
-	"croesus/internal/scenario"
 )
 
 func main() {
@@ -44,10 +41,9 @@ func main() {
 		debugAddr     = flag.String("debug-addr", "", "serve /metrics (Prometheus text), /debug/vars (expvar), and /debug/pprof on this address during the run (e.g. 127.0.0.1:9090)")
 		cpuProfile    = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile    = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		transportKind = flag.String("transport", "sim", "fleet transport: sim (in-process, virtual clock, byte-deterministic), tcp (loopback TCP sockets on the wall clock), or fleet (real croesus-edge/cloud/client processes; scenarios only)")
-		timeScale     = flag.Float64("timescale", 1.0, "wall-clock compression for -transport tcp/fleet: 0.05 runs a 20s scenario in ~1s (ignored on sim)")
-		shaped        = flag.Bool("shaped", false, "shape the real hops of -transport tcp/fleet with the sim's modeled link parameters (latency + bandwidth), for like-for-like latency comparisons")
-		binDir        = flag.String("bin", "", "directory holding the croesus-edge/cloud/client binaries for -transport fleet (default: this executable's directory)")
+		transportKind = flag.String("transport", "sim", "fleet transport: sim (in-process, virtual clock, byte-deterministic) or tcp (loopback TCP sockets on the wall clock); croesus-fleet runs a scenario on real processes")
+		timeScale     = flag.Float64("timescale", 1.0, "wall-clock compression for -transport tcp: 0.05 runs a 20s scenario in ~1s (ignored on sim)")
+		shaped        = flag.Bool("shaped", false, "shape the real hops of -transport tcp with the sim's modeled link parameters (latency + bandwidth), for like-for-like latency comparisons")
 		nCams         = flag.Int("cameras", 4, "number of camera streams")
 		nEdges        = flag.Int("edges", 2, "number of edge nodes")
 		frames        = flag.Int("frames", 120, "frames per camera")
@@ -128,22 +124,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "debug endpoint: http://%s/metrics\n", addr)
 	}
 
-	// The multi-process deployment plugs in as one more transport: the
-	// scenario runner spawns real croesus-edge/cloud/client processes and
-	// returns the same merged ClusterReport shape.
-	if *transportKind == "fleet" {
-		bin := *binDir
-		if bin == "" {
-			if exe, err := os.Executable(); err == nil {
-				bin = filepath.Dir(exe)
-			}
-		}
-		scenario.RegisterRunner("fleet", fleet.Runner(fleet.Options{
-			BinDir: bin,
-			Logf:   func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) },
-		}))
-	}
-
 	if *scenarioPath != "" {
 		s, err := croesus.LoadScenario(*scenarioPath)
 		if err != nil {
@@ -165,10 +145,6 @@ func main() {
 		return
 	}
 
-	if *transportKind == "fleet" {
-		fmt.Fprintln(os.Stderr, "croesus-cluster: -transport fleet needs a -scenario file (the process fleet has no flag-built path)")
-		os.Exit(2)
-	}
 	if *transportKind != "sim" && *transportKind != "tcp" {
 		fmt.Fprintf(os.Stderr, "croesus-cluster: unknown transport %q\n", *transportKind)
 		os.Exit(2)

@@ -909,25 +909,3 @@ func (f *fleetRun) teardown() {
 		h.stop()
 	}
 }
-
-// Runner adapts Run to the scenario.Runner signature so a main package
-// can register the multi-process fleet as a transport:
-//
-//	scenario.RegisterRunner("fleet", fleet.Runner(fleet.Options{BinDir: ...}))
-//
-// The scenario options contribute the time scale and shaping; base
-// carries the process-level settings.
-func Runner(base Options) scenario.Runner {
-	return func(s *scenario.Scenario, o scenario.Options) (*cluster.ClusterReport, error) {
-		opts := base
-		opts.TimeScale = o.TimeScale
-		if o.Shaped {
-			opts.Shaped = true
-		}
-		res, err := Run(s, opts)
-		if err != nil {
-			return nil, err
-		}
-		return res.Report, nil
-	}
-}

@@ -4,35 +4,33 @@ import (
 	"bytes"
 	"path/filepath"
 	"runtime"
-	"strconv"
 	"testing"
 
 	"croesus/internal/obs"
 	"croesus/internal/vclock"
 )
 
-// The sharded scheduler's contract is that parallelism is invisible:
-// however many OS threads advance the shards and however many shards the
-// timer heap is split into, every wakeup still fires in global (at, seq)
-// order, so a scenario replay is byte-identical. These tests pin that down
-// end to end — full fleet scenarios (migration, crash/WAL recovery, link
-// faults), compared as rendered reports AND as exported JSONL span traces,
-// across GOMAXPROCS 1/2/8 and shard counts 1/4/16.
+// The sim scheduler's contract is that parallelism is invisible: however
+// many OS threads run the participants, every wakeup still fires in global
+// (at, seq) order, so a scenario replay is byte-identical. These tests pin
+// that down end to end — full fleet scenarios (migration, crash/WAL
+// recovery, link faults), compared as rendered reports AND as exported JSONL
+// span traces, across GOMAXPROCS 1/2/8.
 
 func scenarioFile(name string) string {
 	return filepath.Join("..", "..", "cmd", "croesus-cluster", "testdata", name)
 }
 
-// runOnce replays one scenario on a sharded sim clock and returns the
-// rendered report plus the deterministic JSONL trace export.
-func runOnce(t *testing.T, path string, shards int) (string, []byte) {
+// runOnce replays one scenario on a fresh sim clock and returns the rendered
+// report plus the deterministic JSONL trace export.
+func runOnce(t *testing.T, path string) (string, []byte) {
 	t.Helper()
 	s, err := Load(path)
 	if err != nil {
 		t.Fatalf("Load(%s): %v", path, err)
 	}
 	o := obs.New()
-	rt, err := NewObserved(s, vclock.NewSimSharded(shards), nil, o)
+	rt, err := NewObserved(s, vclock.NewSim(), nil, o)
 	if err != nil {
 		t.Fatalf("NewObserved(%s): %v", path, err)
 	}
@@ -46,42 +44,32 @@ func runOnce(t *testing.T, path string, shards int) (string, []byte) {
 }
 
 func testScenarioDeterminism(t *testing.T, path string) {
-	wantReport, wantTrace := runOnce(t, path, vclock.DefaultShards)
-
-	check := func(t *testing.T, label string, shards int) {
-		t.Helper()
-		report, trace := runOnce(t, path, shards)
-		if report != wantReport {
-			t.Errorf("%s: report differs from baseline\n--- baseline ---\n%s\n--- got ---\n%s", label, wantReport, report)
-		}
-		if !bytes.Equal(trace, wantTrace) {
-			t.Errorf("%s: JSONL trace differs from baseline (%d vs %d bytes)", label, len(wantTrace), len(trace))
-		}
-	}
+	wantReport, wantTrace := runOnce(t, path)
 
 	t.Run("gomaxprocs", func(t *testing.T) {
 		for _, procs := range []int{1, 2, 8} {
 			old := runtime.GOMAXPROCS(procs)
-			check(t, "GOMAXPROCS="+strconv.Itoa(procs), vclock.DefaultShards)
+			report, trace := runOnce(t, path)
 			runtime.GOMAXPROCS(old)
-		}
-	})
-	t.Run("shards", func(t *testing.T) {
-		for _, shards := range []int{1, 4, 16} {
-			check(t, "shards="+strconv.Itoa(shards), shards)
+			if report != wantReport {
+				t.Errorf("GOMAXPROCS=%d: report differs from baseline\n--- baseline ---\n%s\n--- got ---\n%s", procs, wantReport, report)
+			}
+			if !bytes.Equal(trace, wantTrace) {
+				t.Errorf("GOMAXPROCS=%d: JSONL trace differs from baseline (%d vs %d bytes)", procs, len(wantTrace), len(trace))
+			}
 		}
 	})
 }
 
 // TestDeterminismMigrate replays the camera-migration scenario (the CI
-// golden) across thread counts and shard counts.
+// golden) across thread counts.
 func TestDeterminismMigrate(t *testing.T) {
 	testScenarioDeterminism(t, scenarioFile("migrate.json"))
 }
 
 // TestDeterminismFleetCrash replays the crash/WAL-recovery scenario — the
 // heaviest scheduler workload in testdata (edge crash, respawn, replay,
-// link fault, camera churn) — across thread counts and shard counts.
+// link fault, camera churn) — across thread counts.
 func TestDeterminismFleetCrash(t *testing.T) {
 	testScenarioDeterminism(t, scenarioFile("fleet-crash.json"))
 }

@@ -53,19 +53,6 @@ type Options struct {
 	Shaped bool
 }
 
-// Runner deploys one scenario on a transport RunWith does not build in —
-// registered by packages that provide additional deployments (the
-// multi-process fleet orchestrator), keyed by the Options.Transport name
-// they serve.
-type Runner func(s *Scenario, o Options) (*cluster.ClusterReport, error)
-
-var runners = map[string]Runner{}
-
-// RegisterRunner installs a runner for a transport name. RunWith
-// dispatches unknown transport names through this registry, so a main
-// package can add a deployment without this package importing it.
-func RegisterRunner(name string, r Runner) { runners[name] = r }
-
 // Runtime is a compiled scenario bound to a cluster, ready to Run. Tests
 // reach through Cluster for post-run inspection (Injector().
 // VerifyDurability(), ShardMap(), Outcomes()).
@@ -83,22 +70,17 @@ type Runtime struct {
 // caller owns the clock (it must be the driver) and must Close the cluster
 // when done.
 func New(s *Scenario, clk vclock.Clock) (*Runtime, error) {
-	return NewOn(s, clk, nil)
+	return NewObserved(s, clk, nil, nil)
 }
 
-// NewOn is New with an explicit deployment transport (nil: simulated).
-// The cluster takes ownership of the transport and closes it with Close.
-func NewOn(s *Scenario, clk vclock.Clock, tr transport.Transport) (*Runtime, error) {
-	return NewObserved(s, clk, tr, nil)
-}
-
-// NewObserved is NewOn with an observability layer threaded through the
-// fleet (nil: disabled).
+// NewObserved is New with an explicit deployment transport (nil: simulated;
+// the cluster takes ownership of it and closes it with Close) and an
+// observability layer threaded through the fleet (nil: disabled).
 func NewObserved(s *Scenario, clk vclock.Clock, tr transport.Transport, o *obs.Obs) (*Runtime, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	cams, idx, err := s.cameraSet()
+	cams, idx, err := s.Cameras()
 	if err != nil {
 		return nil, err
 	}
@@ -123,7 +105,7 @@ func NewObserved(s *Scenario, clk vclock.Clock, tr transport.Transport, o *obs.O
 func (rt *Runtime) Run() *cluster.ClusterReport {
 	c := rt.Cluster
 	c.Start()
-	for _, ev := range rt.Scenario.sortedTimeline() {
+	for _, ev := range rt.Scenario.SortedTimeline() {
 		ev := ev
 		c.Schedule(time.Duration(ev.At), ev.Label(), func() { rt.exec(ev) })
 	}
@@ -169,35 +151,19 @@ func RunWith(s *Scenario, o Options) (*cluster.ClusterReport, error) {
 		defer rt.Cluster.Close()
 		return rt.Run(), nil
 	default:
-		if r, ok := runners[o.Transport]; ok {
-			return r(s, o)
-		}
 		return nil, fmt.Errorf("scenario: unknown transport %q (want %s or %s)", o.Transport, TransportSim, TransportTCP)
 	}
 }
 
-// seedFor is the deterministic per-camera seed: explicit, or scenario seed
-// plus the camera's global (shard) index.
-func (rt *Runtime) seedFor(cam Camera) int64 {
-	if cam.Seed != 0 {
-		return cam.Seed
-	}
-	seed := rt.Scenario.Seed
-	if seed == 0 {
-		seed = 42
-	}
-	return seed + int64(rt.idx[cam.ID])
-}
-
 func (rt *Runtime) cameraSpec(cam Camera) cluster.CameraSpec {
-	p, err := profileByName(cam.Profile)
+	p, err := ProfileFor(cam.Profile)
 	if err != nil {
 		panic(err) // validated
 	}
 	return cluster.CameraSpec{
 		ID:      cam.ID,
 		Profile: p,
-		Seed:    rt.seedFor(cam),
+		Seed:    rt.Scenario.CameraSeed(cam, rt.idx[cam.ID]),
 		Frames:  cam.Frames,
 		Edge:    cam.Edge,
 		Shard:   rt.idx[cam.ID],
@@ -289,7 +255,7 @@ func (s *Scenario) clusterConfig(clk vclock.Clock, cams []Camera, idx map[string
 
 	specs := make([]cluster.CameraSpec, len(t.Cameras))
 	for i, cam := range t.Cameras {
-		p, err := profileByName(cam.Profile)
+		p, err := ProfileFor(cam.Profile)
 		if err != nil {
 			return cluster.Config{}, err
 		}
@@ -314,7 +280,7 @@ func (s *Scenario) clusterConfig(clk vclock.Clock, cams []Camera, idx map[string
 	durable := t.Durable || t.CheckpointEvery > 0
 	if sharded {
 		p := faults.Plan{ReplayCost: time.Duration(t.ReplayCost)}
-		for _, ev := range s.sortedTimeline() {
+		for _, ev := range s.SortedTimeline() {
 			switch ev.Do {
 			case KindEdgeCrash:
 				p.Crashes = append(p.Crashes, faults.EdgeCrash{

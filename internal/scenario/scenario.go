@@ -249,9 +249,10 @@ func (s *Scenario) Sharded() bool {
 // Classes slice is shared and never written.
 var profiles = video.AllProfiles()
 
-// profileByName resolves a camera's profile, accepting the canonical name
-// ("v1-park-dog") or the unprefixed form ("park-dog").
-func profileByName(name string) (video.Profile, error) {
+// ProfileFor resolves a camera's video profile by its declared name,
+// accepting the canonical name ("v1-park-dog") or the unprefixed form
+// ("park-dog").
+func ProfileFor(name string) (video.Profile, error) {
 	for _, p := range profiles {
 		if p.Name == name {
 			return p, nil
@@ -267,10 +268,11 @@ func profileByName(name string) (video.Profile, error) {
 	return video.Profile{}, fmt.Errorf("scenario: unknown profile %q (have %s)", name, strings.Join(names, ", "))
 }
 
-// cameraSet indexes every camera the scenario ever runs: topology cameras
-// first, then joins in timeline order. The index doubles as the camera's
-// logical shard in sharded scenarios.
-func (s *Scenario) cameraSet() ([]Camera, map[string]int, error) {
+// Cameras returns every camera the scenario ever runs — topology cameras
+// first, then joins in timeline order — and the id → index map. The index
+// is the camera's deterministic identity: its default seed offset, and
+// its logical shard in sharded scenarios.
+func (s *Scenario) Cameras() ([]Camera, map[string]int, error) {
 	var all []Camera
 	byID := map[string]int{}
 	add := func(c Camera) error {
@@ -289,7 +291,7 @@ func (s *Scenario) cameraSet() ([]Camera, map[string]int, error) {
 			return nil, nil, err
 		}
 	}
-	for _, ev := range s.sortedTimeline() {
+	for _, ev := range s.SortedTimeline() {
 		if ev.Do == KindCameraJoin {
 			if ev.Join == nil {
 				return nil, nil, fmt.Errorf("scenario: camera_join at %s needs a join camera", time.Duration(ev.At))
@@ -302,25 +304,13 @@ func (s *Scenario) cameraSet() ([]Camera, map[string]int, error) {
 	return all, byID, nil
 }
 
-// sortedTimeline returns the events in clock order (stable on ties).
-func (s *Scenario) sortedTimeline() []Event {
+// SortedTimeline returns the timeline in clock order (stable on ties) —
+// the playback order every runner uses.
+func (s *Scenario) SortedTimeline() []Event {
 	out := append([]Event{}, s.Timeline...)
 	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
 	return out
 }
-
-// SortedTimeline returns the timeline in clock order (stable on ties) —
-// the playback order every runner uses.
-func (s *Scenario) SortedTimeline() []Event { return s.sortedTimeline() }
-
-// Cameras returns every camera the scenario ever runs — topology cameras
-// first, then joins in timeline order — and the id → index map. The index
-// is the camera's deterministic identity: its default seed offset, and
-// its logical shard in sharded scenarios.
-func (s *Scenario) Cameras() ([]Camera, map[string]int, error) { return s.cameraSet() }
-
-// ProfileFor resolves a camera's video profile by its declared name.
-func ProfileFor(name string) (video.Profile, error) { return profileByName(name) }
 
 // CameraSeed is the deterministic seed for one of the scenario's cameras:
 // the camera's own, or the scenario seed (default 42) plus the camera's
@@ -378,18 +368,18 @@ func (s *Scenario) Validate() error {
 	}
 
 	sharded := s.Sharded()
-	cams, camIdx, err := s.cameraSet()
+	cams, camIdx, err := s.Cameras()
 	if err != nil {
 		return err
 	}
 	joinAt := map[string]Duration{}
-	for _, ev := range s.sortedTimeline() {
+	for _, ev := range s.SortedTimeline() {
 		if ev.Do == KindCameraJoin && ev.Join != nil {
 			joinAt[ev.Join.ID] = ev.At
 		}
 	}
 	for _, c := range cams {
-		if _, err := profileByName(c.Profile); err != nil {
+		if _, err := ProfileFor(c.Profile); err != nil {
 			return fmt.Errorf("camera %q: %w", c.ID, err)
 		}
 		if c.Frames < 0 {
@@ -406,7 +396,7 @@ func (s *Scenario) Validate() error {
 	// Retirements are permanent: later events may not target a retired
 	// edge, and at least one edge must outlive the timeline.
 	retireAt := map[string]Duration{}
-	for _, ev := range s.sortedTimeline() {
+	for _, ev := range s.SortedTimeline() {
 		if ev.Do != KindEdgeRetire {
 			continue
 		}

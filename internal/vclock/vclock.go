@@ -15,20 +15,19 @@
 //
 // # Determinism contract
 //
-// The scheduler's timer queue is sharded (NewSimSharded) so that concurrent
-// sleepers contend on 1/K of a lock instead of one global mutex, and Now is
-// a single atomic load. Shards advance between global all-blocked barriers:
-// virtual time moves only when every participant is blocked, and the next
-// wakeup is always the globally minimal (at, seq) event across all shards —
-// exactly the order a single heap would produce. Replay is therefore
-// byte-identical regardless of GOMAXPROCS and regardless of the shard
-// count; sharding changes only which lock a Sleep touches, never the wake
-// order.
+// Pending sleeps sit in one min-heap on (at, seq) behind one mutex, and Now
+// is a single atomic load. Virtual time moves only at the all-blocked
+// barrier — when every participant is parked — and the next wakeup is always
+// the heap's minimal (at, seq) event, where seq is the order the sleeps were
+// issued in. Replay is therefore byte-identical regardless of GOMAXPROCS:
+// parallelism changes which OS thread runs a participant between barriers,
+// never the wake order. (PR 10 split the heap over eight locks; 30 paired
+// benchmark runs in PR 17 could not tell the two apart, so the simpler one
+// stayed.)
 package vclock
 
 import (
 	"fmt"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -132,24 +131,19 @@ func (g *realGate) Fire() { g.once.Do(func() { close(g.ch) }) }
 // ---------------------------------------------------------------------------
 // Simulated clock
 
-// timerEvent is one pending Sleep wakeup. Events live by value inside a
-// shard's heap slice, so pushing a timer allocates nothing.
+// timerEvent is one pending Sleep wakeup. Events live by value inside the
+// heap slice, so pushing a timer allocates nothing.
 type timerEvent struct {
 	at  int64         // virtual wake time, ns
 	seq uint64        // global tiebreak so equal-time events fire in creation order
 	ch  chan struct{} // pooled wake channel, capacity 1
 }
 
-// timerShard is one slice of the timer queue with its own lock. The pad
-// keeps hot shards on separate cache lines.
-type timerShard struct {
-	mu sync.Mutex
-	h  []timerEvent // min-heap on (at, seq)
-	_  [40]byte
-}
+// timerHeap is the timer queue: a min-heap on (at, seq).
+type timerHeap []timerEvent
 
-func (s *timerShard) push(ev timerEvent) {
-	h := append(s.h, ev)
+func (s *timerHeap) push(ev timerEvent) {
+	h := append(*s, ev)
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 2
@@ -159,11 +153,11 @@ func (s *timerShard) push(ev timerEvent) {
 		h[p], h[i] = h[i], h[p]
 		i = p
 	}
-	s.h = h
+	*s = h
 }
 
-func (s *timerShard) popMin() timerEvent {
-	h := s.h
+func (s *timerHeap) popMin() timerEvent {
+	h := *s
 	min := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
@@ -185,7 +179,7 @@ func (s *timerShard) popMin() timerEvent {
 		h[i], h[m] = h[m], h[i]
 		i = m
 	}
-	s.h = h
+	*s = h
 	return min
 }
 
@@ -194,63 +188,37 @@ func (s *timerShard) popMin() timerEvent {
 // Sleep path allocates nothing.
 var wakePool = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
 
-// DefaultShards is the timer-shard count NewSim uses: enough to spread a
-// fleet's sleepers across locks without making the per-barrier merge scan
-// expensive.
-const DefaultShards = 8
-
-// Sim is a deterministic virtual-time scheduler. Construct with NewSim or
-// NewSimSharded; the zero value is not usable.
+// Sim is a deterministic virtual-time scheduler. Construct with NewSim; the
+// zero value is not usable.
 //
 // Invariant: runnable counts every goroutine that may be executing
 // scheduler-visible code (participants not parked in a primitive, plus the
 // driver's hold). Virtual time advances only on the transition to
 // runnable == 0, at which point the transitioning goroutine is the only one
-// active — advance therefore runs exclusively without a global lock, and
-// Now is written only there (read anywhere via atomic load).
+// active — advance therefore runs exclusively, and Now is written only there
+// (read anywhere via atomic load).
 type Sim struct {
 	now      atomic.Int64
 	runnable atomic.Int64
 	live     atomic.Int64
 	seq      atomic.Uint64
-	// occ is a bitmask of shards with pending timers (bit i ↔ shards[i]),
-	// so advance only visits occupied heaps — with few concurrent sleepers
-	// a wakeup touches one shard lock, not all of them. Bits are set under
-	// the owning shard's lock (CAS; concurrent Sleeps race on different
-	// bits) and cleared only inside advance, which runs exclusively.
-	occ atomic.Uint64
 
-	shards []timerShard
-	mask   uint64
+	timerMu sync.Mutex
+	timers  timerHeap
 
 	stateMu  sync.Mutex // guards deadlock + waiters
 	deadlock string
 	waiters  []chan struct{}
 }
 
-// NewSim returns a virtual clock starting at time zero with DefaultShards
-// timer shards. The driver holds an implicit runnable slot so that time
-// cannot advance while it is still spawning participants; the slot is
-// released for the duration of Wait.
-func NewSim() *Sim { return NewSimSharded(DefaultShards) }
-
-// NewSimSharded returns a virtual clock whose timer queue is split across
-// nShards independently-locked heaps (rounded up to a power of two, min 1,
-// max 64 — the occupancy bitmask is one word). The shard count is a pure
-// contention knob: wake order — and therefore any simulation's output — is
-// byte-identical for every value.
-func NewSimSharded(nShards int) *Sim {
-	n := 1
-	for n < nShards && n < 64 {
-		n <<= 1
-	}
-	s := &Sim{shards: make([]timerShard, n), mask: uint64(n - 1)}
+// NewSim returns a virtual clock starting at time zero. The driver holds an
+// implicit runnable slot so that time cannot advance while it is still
+// spawning participants; the slot is released for the duration of Wait.
+func NewSim() *Sim {
+	s := &Sim{}
 	s.runnable.Store(1)
 	return s
 }
-
-// Shards reports the timer-shard count.
-func (s *Sim) Shards() int { return len(s.shards) }
 
 // Now reports the current virtual time. It is a single atomic load — safe
 // to call at arbitrary rates (trace timestamps, latency accounting) without
@@ -266,23 +234,11 @@ func (s *Sim) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	seq := s.seq.Add(1)
 	ch := wakePool.Get().(chan struct{})
-	ev := timerEvent{at: s.now.Load() + int64(d), seq: seq, ch: ch}
-	idx := seq & s.mask
-	sh := &s.shards[idx]
-	sh.mu.Lock()
-	if len(sh.h) == 0 {
-		bit := uint64(1) << idx
-		for {
-			old := s.occ.Load()
-			if old&bit != 0 || s.occ.CompareAndSwap(old, old|bit) {
-				break
-			}
-		}
-	}
-	sh.push(ev)
-	sh.mu.Unlock()
+	ev := timerEvent{at: s.now.Load() + int64(d), seq: s.seq.Add(1), ch: ch}
+	s.timerMu.Lock()
+	s.timers.push(ev)
+	s.timerMu.Unlock()
 	s.block()
 	<-ch
 	wakePool.Put(ch)
@@ -374,43 +330,24 @@ func (s *Sim) unblock() {
 	s.runnable.Add(1)
 }
 
-// advance pops the globally earliest (at, seq) timer event across all
-// shards, moves the clock to it, and wakes its sleeper. The caller has just
-// transitioned runnable to 0, so it is the only goroutine executing — the
-// scan and pop are exclusive by construction (shard locks are taken anyway;
-// they are uncontended here and keep the memory-order reasoning local). If
-// no timer is pending the simulation is deadlocked: the condition is
-// recorded and the driver is notified (its Wait panics).
+// advance pops the earliest (at, seq) timer event, moves the clock to it, and
+// wakes its sleeper. The caller has just transitioned runnable to 0, so it is
+// the only goroutine executing — the pop is exclusive by construction (the
+// lock is taken anyway; it is uncontended here and keeps the memory-order
+// reasoning local). If no timer is pending the simulation is deadlocked: the
+// condition is recorded and the driver is notified (its Wait panics).
 func (s *Sim) advance() {
-	best := -1
-	var bestAt int64
-	var bestSeq uint64
-	for m := s.occ.Load(); m != 0; m &= m - 1 {
-		i := bits.TrailingZeros64(m)
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		if len(sh.h) > 0 {
-			ev := &sh.h[0]
-			if best < 0 || ev.at < bestAt || (ev.at == bestAt && ev.seq < bestSeq) {
-				best, bestAt, bestSeq = i, ev.at, ev.seq
-			}
-		}
-		sh.mu.Unlock()
-	}
-	if best < 0 {
+	s.timerMu.Lock()
+	if len(s.timers) == 0 {
+		s.timerMu.Unlock()
 		s.stateMu.Lock()
 		s.deadlock = fmt.Sprintf("vclock: deadlock at t=%v — all %d live goroutines blocked with no pending timer", time.Duration(s.now.Load()), s.live.Load())
 		s.stateMu.Unlock()
 		s.notify()
 		return
 	}
-	sh := &s.shards[best]
-	sh.mu.Lock()
-	ev := sh.popMin()
-	if len(sh.h) == 0 {
-		s.occ.Store(s.occ.Load() &^ (uint64(1) << best))
-	}
-	sh.mu.Unlock()
+	ev := s.timers.popMin()
+	s.timerMu.Unlock()
 	if ev.at > s.now.Load() {
 		s.now.Store(ev.at)
 	}
