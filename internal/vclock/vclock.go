@@ -21,9 +21,8 @@
 // the heap's minimal (at, seq) event, where seq is the order the sleeps were
 // issued in. Replay is therefore byte-identical regardless of GOMAXPROCS:
 // parallelism changes which OS thread runs a participant between barriers,
-// never the wake order. (PR 10 split the heap over eight locks; 30 paired
-// benchmark runs in PR 17 could not tell the two apart, so the simpler one
-// stayed.)
+// never the wake order. One lock is enough: a heap split over eight locks
+// measured the same on the repo benchmark (CHANGES.md, PR 17).
 package vclock
 
 import (
