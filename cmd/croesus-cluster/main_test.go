@@ -1,20 +1,24 @@
 package main
 
 import (
+	"flag"
 	"os"
 	"testing"
 
 	"croesus"
 )
 
-// TestScenarioGolden pins the checked-in scenario smoke run: the same
-// scenario file must reproduce the same report byte for byte. CI runs the
-// binary against the same pair; if a change legitimately shifts the
-// numbers, regenerate with
+var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from the current code")
+
+// goldenReport runs testdata/<name>.json on the simulator and compares the
+// report with testdata/<name>.golden byte for byte — CI runs the binary
+// against the same pairs. If a change legitimately shifts the numbers,
+// regenerate every fixture in the tree with
 //
-//	go run ./cmd/croesus-cluster -scenario cmd/croesus-cluster/testdata/migrate.json > cmd/croesus-cluster/testdata/migrate.golden
-func TestScenarioGolden(t *testing.T) {
-	s, err := croesus.LoadScenario("testdata/migrate.json")
+//	go test ./internal/experiments ./cmd/croesus-cluster -run Golden -update
+func goldenReport(t *testing.T, name string) *croesus.ClusterReport {
+	t.Helper()
+	s, err := croesus.LoadScenario("testdata/" + name + ".json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,37 +26,35 @@ func TestScenarioGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := os.ReadFile("testdata/migrate.golden")
+	got, path := rep.Format(), "testdata/"+name+".golden"
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rep.Format(); got != string(want) {
-		t.Fatalf("scenario report drifted from the golden:\n--- got\n%s\n--- want\n%s", got, want)
+	if got != string(want) {
+		t.Fatalf("%s scenario report drifted from the golden:\n--- got\n%s\n--- want\n%s", name, got, want)
 	}
+	return rep
+}
+
+// TestScenarioGolden pins the checked-in scenario smoke run: the same
+// scenario file must reproduce the same report byte for byte.
+func TestScenarioGolden(t *testing.T) {
+	goldenReport(t, "migrate")
 }
 
 // TestGraphScenarioGolden pins the inference-graph scenario smoke run:
 // the depth-3 graph (edge detect → peer classify → cloud verify, with a
 // confidence switch short-circuiting past the cloud) must reproduce the
-// same per-section report byte for byte. Regenerate with
-//
-//	go run ./cmd/croesus-cluster -scenario cmd/croesus-cluster/testdata/graph.json > cmd/croesus-cluster/testdata/graph.golden
+// same per-section report byte for byte.
 func TestGraphScenarioGolden(t *testing.T) {
-	s, err := croesus.LoadScenario("testdata/graph.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := croesus.RunScenario(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile("testdata/graph.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rep.Format(); got != string(want) {
-		t.Fatalf("graph scenario report drifted from the golden:\n--- got\n%s\n--- want\n%s", got, want)
-	}
+	rep := goldenReport(t, "graph")
 	if len(rep.Sections) != 3 {
 		t.Fatalf("graph golden carries %d section rows, want 3", len(rep.Sections))
 	}

@@ -7,6 +7,7 @@ import (
 	"croesus/internal/detect"
 	"croesus/internal/netsim"
 	"croesus/internal/obs"
+	"croesus/internal/randsrc"
 	"croesus/internal/transport"
 	"croesus/internal/vclock"
 	"croesus/internal/video"
@@ -224,8 +225,6 @@ func LostInTransit(prob float64, frameIdx int) bool {
 	if prob <= 0 {
 		return false
 	}
-	z := uint64(frameIdx+1) * 0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z ^= z >> 31
+	z := randsrc.Mix64(uint64(frameIdx+1) * 0x9E3779B97F4A7C15)
 	return float64(z>>11)/float64(1<<53) < prob
 }

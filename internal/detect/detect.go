@@ -137,18 +137,11 @@ func (m *SimModel) Name() string { return m.p.ModelName }
 // Params returns a copy of the model's parameters.
 func (m *SimModel) Params() SimParams { return m.p }
 
-// frameRNG derives a deterministic RNG for (seed, frame index) using a
-// splitmix64-style scramble, so detections don't depend on call order. The
-// RNG is pooled and seeds in O(1) (randsrc); the caller must Put it back
-// when done.
+// frameRNG derives a deterministic RNG for (seed, frame index) by hashing
+// the pair into a seed, so detections don't depend on call order. The RNG
+// is pooled (randsrc); the caller must Put it back when done.
 func frameRNG(seed int64, frameIdx int) *randsrc.R {
-	return randsrc.Get(int64(scramble(uint64(seed) ^ (uint64(frameIdx)+1)*0x9E3779B97F4A7C15)))
-}
-
-func scramble(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
+	return randsrc.Get(int64(randsrc.Mix64(uint64(seed) ^ (uint64(frameIdx)+1)*0x9E3779B97F4A7C15)))
 }
 
 // trackUniform returns a uniform value in [0,1) that is stable for a
@@ -157,7 +150,7 @@ func scramble(z uint64) uint64 {
 // and this is what makes correction feedback (package smoothing)
 // worthwhile, exactly as the paper's §2.1 footnote describes.
 func trackUniform(seed int64, trackID int, salt uint64) float64 {
-	z := scramble(uint64(seed)*0x9E3779B97F4A7C15 ^ uint64(trackID)*0xD1B54A32D192ED03 ^ salt)
+	z := randsrc.Mix64(uint64(seed)*0x9E3779B97F4A7C15 ^ uint64(trackID)*0xD1B54A32D192ED03 ^ salt)
 	return float64(z>>11) / float64(1<<53)
 }
 
@@ -179,7 +172,7 @@ func (m *SimModel) Detect(f *video.Frame) Result {
 		// track: object-level confusions persist across frames.
 		mis := clamp01(p.MislabelBase + p.MislabelSlope*obj.Difficulty)
 		if trackUniform(p.Seed, obj.TrackID, 0x1) < mis {
-			classR := randsrc.Get(int64(scramble(uint64(p.Seed) ^ uint64(obj.TrackID)*0xA24BAED4963EE407)))
+			classR := randsrc.Get(int64(randsrc.Mix64(uint64(p.Seed) ^ uint64(obj.TrackID)*0xA24BAED4963EE407)))
 			label := confuse(obj.Class, p.Confusion, classR.Rand)
 			classR.Put()
 			dets = append(dets, Detection{

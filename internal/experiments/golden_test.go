@@ -36,9 +36,10 @@ func goldenText(t Table) string {
 
 // TestExperimentGoldens pins every table byte for byte: the single-edge
 // modes, DirectValidator, preprocessing, smoothing and the threshold
-// sweeps, which the fleet scenario goldens do not reach. Regenerate with
+// sweeps, which the fleet scenario goldens do not reach. Regenerate these
+// and the scenario goldens together with
 //
-//	go test ./internal/experiments -run TestExperimentGoldens -update
+//	go test ./internal/experiments ./cmd/croesus-cluster -run Golden -update
 func TestExperimentGoldens(t *testing.T) {
 	if raceEnabled {
 		t.Skip("byte-determinism is asserted without the race detector; see race_off_test.go")

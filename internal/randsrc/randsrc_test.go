@@ -2,6 +2,7 @@ package randsrc
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"sync"
 	"testing"
@@ -31,98 +32,11 @@ func sameDraw(t *testing.T, seed int64, i int, got, ref *rand.Rand) {
 	}
 }
 
-// edgeSeeds are the seeds where Seed's reduction mod 2³¹−1 changes branch.
-var edgeSeeds = []int64{0, 1, -1, 42, 89482311, int32max, -int32max, int32max + 1, int32max - 1,
-	2 * int32max, 1 << 32, math.MaxInt32 + 2, math.MaxInt64, math.MinInt64, math.MinInt64 + 1, -987654321012345, 12345, 7}
-
-// TestStreamMatchesMathRand is the load-bearing guarantee: every derived
-// value a call site can draw — across the rand.Rand method surface the
-// repo uses — is bit-identical to rand.New(rand.NewSource(seed)), through
-// the lazy phase and for more than three laps of the register beyond it.
-// If this passes, no call site of Get or New can perturb a golden or report.
-func TestStreamMatchesMathRand(t *testing.T) {
-	seeds := append([]int64(nil), edgeSeeds...)
-	mix := rand.New(rand.NewSource(1))
-	for len(seeds) < 220 {
-		seeds = append(seeds, int64(mix.Uint64()))
-	}
-	for _, seed := range seeds {
-		ref := rand.New(rand.NewSource(seed))
-		r := Get(seed)
-		for i := 0; i < 2100; i++ {
-			sameDraw(t, seed, i, r.Rand, ref)
-		}
-		r.Put()
-
-		ref = rand.New(rand.NewSource(seed))
-		unpooled := New(seed)
-		for i := 0; i < 700; i++ {
-			sameDraw(t, seed, i, unpooled, ref)
-		}
-	}
-}
-
-// stockSeed is math/rand's eager seed expansion (Schrage's decomposition
-// and all), kept as the reference the closed form is checked against.
-func stockSeed(seed int64) (vec [rngLen]int64) {
-	seedrand := func(x int32) int32 {
-		const (
-			a = 48271
-			q = 44488
-			r = 3399
-		)
-		hi := x / q
-		lo := x % q
-		x = a*lo - r*hi
-		if x < 0 {
-			x += int32max
-		}
-		return x
-	}
-	seed = seed % int32max
-	if seed < 0 {
-		seed += int32max
-	}
-	if seed == 0 {
-		seed = 89482311
-	}
-	x := int32(seed)
-	for i := -20; i < rngLen; i++ {
-		x = seedrand(x)
-		if i >= 0 {
-			u := int64(x) << 40
-			x = seedrand(x)
-			u ^= int64(x) << 20
-			x = seedrand(x)
-			u ^= int64(x)
-			u ^= rngCooked[i]
-			vec[i] = u
-		}
-	}
-	return vec
-}
-
-// TestSeededMatchesStockSeed checks the closed form word by word: seeded(i)
-// is what the stock expansion leaves in vec[i], for all 607 words.
-func TestSeededMatchesStockSeed(t *testing.T) {
-	for _, seed := range edgeSeeds {
-		want := stockSeed(seed)
-		var s source
-		s.Seed(seed)
-		for i := range want {
-			if g := s.seeded(i); g != want[i] {
-				t.Fatalf("seed %d word %d: seeded = %d, stock Seed = %d", seed, i, g, want[i])
-			}
-		}
-	}
-}
-
-// TestPooledReuseAfterPartialStream abandons a stream at every boundary of
-// the lazy phase (tap words stop being fresh at 273, feed words at 334, the
-// register wraps at 607) and reuses the pooled R: the next stream must read
-// no word the previous one left behind.
+// TestPooledReuseAfterPartialStream abandons a stream after k draws and
+// reseeds the same R: the next stream must be the one a fresh generator
+// gives, whatever position the previous one stopped at.
 func TestPooledReuseAfterPartialStream(t *testing.T) {
-	for _, k := range []int{0, 1, 272, 273, 274, 333, 334, 335, 606, 607, 608, 2000} {
+	for _, k := range []int{0, 1, 2, 63, 64, 607, 2000} {
 		r := Get(int64(k) + 99)
 		for i := 0; i < k; i++ {
 			r.Rand.Uint64()
@@ -131,8 +45,8 @@ func TestPooledReuseAfterPartialStream(t *testing.T) {
 		// point is to reseed this one.
 		const next = 4242
 		r.src.Seed(next)
-		ref := rand.New(rand.NewSource(next))
-		for i := 0; i < 1300; i++ {
+		ref := New(next)
+		for i := 0; i < 600; i++ {
 			sameDraw(t, next, i, r.Rand, ref)
 		}
 		r.Put()
@@ -184,7 +98,7 @@ func TestConcurrentGets(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				seed := int64(g*1000 + i)
-				ref := rand.New(rand.NewSource(seed))
+				ref := New(seed)
 				r := Get(seed)
 				for d := 0; d < 8; d++ {
 					if got, want := r.Rand.Int63(), ref.Int63(); got != want {
@@ -202,8 +116,7 @@ func TestConcurrentGets(t *testing.T) {
 // TestInterleavedGets exercises several live Rs at once (the detect path
 // holds a frame RNG while deriving per-track class RNGs).
 func TestInterleavedGets(t *testing.T) {
-	refA := rand.New(rand.NewSource(7))
-	refB := rand.New(rand.NewSource(9))
+	refA, refB := New(7), New(9)
 	a, b := Get(7), Get(9)
 	for i := 0; i < 200; i++ {
 		if g, w := a.Rand.Float64(), refA.Float64(); g != w {
@@ -217,19 +130,75 @@ func TestInterleavedGets(t *testing.T) {
 	b.Put()
 }
 
-func BenchmarkMathRandNewSource(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rng := rand.New(rand.NewSource(int64(i % 64)))
-		_ = rng.Int63()
+// TestNeighbouringSeedsUnrelated guards the one thing callers lean on beyond
+// determinism: they derive seeds as seed+i and seed+i*101, and every seed
+// walks the same splitmix cycle, so Seed has to start those streams at
+// unrelated points. Unrelated 64-bit words differ in 32 bits on average
+// (σ = 0.5 over 64 words), so ±4 is a wide margin that an unmixed seed —
+// whose streams are each other shifted by one draw — still fails on the
+// equal-words check.
+func TestNeighbouringSeedsUnrelated(t *testing.T) {
+	const draws = 64
+	stream := func(seed int64) (w [draws]uint64) {
+		r := New(seed)
+		for i := range w {
+			w[i] = r.Uint64()
+		}
+		return w
+	}
+	for _, s := range []int64{0, 1, 42, -7, 1 << 40, math.MaxInt64 - 101} {
+		base := stream(s)
+		seen := make(map[uint64]bool, 3*draws)
+		for _, w := range base {
+			seen[w] = true
+		}
+		for _, d := range []int64{1, 101} {
+			other := stream(s + d)
+			diff := 0
+			for i, w := range other {
+				if seen[w] {
+					t.Fatalf("seeds %d and %d+%d share the word %#x", s, s, d, w)
+				}
+				seen[w] = true
+				diff += bits.OnesCount64(w ^ base[i])
+			}
+			if mean := float64(diff) / draws; math.Abs(mean-32) > 4 {
+				t.Errorf("seeds %d and %d+%d differ in %.2f bits per word, want 32 ± 4", s, s, d, mean)
+			}
+		}
 	}
 }
 
-func BenchmarkRandsrcGet(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r := Get(int64(i % 64))
-		_ = r.Rand.Int63()
-		r.Put()
+// TestCoarseQuality is a smoke test that the adapter feeds rand.Rand whole
+// words — a dropped or stuck bit shows up as a skewed digit or variance —
+// not a statistical certification of splitmix64.
+func TestCoarseQuality(t *testing.T) {
+	const n = 100_000
+	r := New(2024)
+	var count [10]int
+	for i := 0; i < n; i++ {
+		count[r.Intn(10)]++
+	}
+	chi2 := 0.0
+	for _, c := range count {
+		d := float64(c) - n/10
+		chi2 += d * d / (n / 10)
+	}
+	// 9 degrees of freedom: P(χ² > 27.88) = 0.001.
+	if chi2 > 27.88 {
+		t.Errorf("Intn(10) over %d draws: χ² = %.2f, counts %v", n, chi2, count)
+	}
+
+	var sum, sumSq float64
+	for i := 0; i < n; i++ {
+		x := r.NormFloat64()
+		sum += x
+		sumSq += x * x
+	}
+	mean := sum / n
+	variance := sumSq/n - mean*mean
+	// σ(mean) = 0.0032 and σ(variance) = 0.0045 at this n.
+	if math.Abs(mean) > 0.02 || math.Abs(variance-1) > 0.03 {
+		t.Errorf("NormFloat64 over %d draws: mean %.4f, variance %.4f, want 0 and 1", n, mean, variance)
 	}
 }

@@ -3,7 +3,6 @@ package tcpnet
 import (
 	"bytes"
 	"fmt"
-	"os"
 	"sync"
 
 	"croesus/internal/store"
@@ -26,35 +25,24 @@ type walBackend struct {
 	log *wal.Log
 }
 
-// openWALBackend replays any existing log at path into st (data records in
-// log order — a respawned edge recovers its committed state), then opens
-// the log for appending. Returns the backend and the replayed record count.
+// openWALBackend recovers any existing log at path into st (a respawned
+// edge comes back with its committed state), then opens the log for
+// appending. Returns the backend and the replayed record count.
 func openWALBackend(path string, nosync bool, st *store.Store, logf func(string, ...any)) (*walBackend, int, error) {
-	replayed := 0
-	if _, err := os.Stat(path); err == nil {
-		n, truncated, err := wal.Replay(path, func(r wal.Record) error {
-			switch r.Op {
-			case wal.OpPut:
-				st.Put(r.Key, r.Value)
-			case wal.OpDelete:
-				st.Delete(r.Key)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, 0, err
-		}
-		if truncated {
-			logf("edge: wal %s had a truncated tail (dropped)", path)
-		}
-		replayed = n
+	res, err := wal.Recover(path)
+	if err != nil {
+		return nil, 0, err
 	}
+	if res.Truncated {
+		logf("edge: wal %s had a truncated tail (dropped)", path)
+	}
+	st.Restore(res.Store.Snapshot())
 	log, err := wal.Open(path)
 	if err != nil {
 		return nil, 0, err
 	}
 	log.NoSync = nosync
-	return &walBackend{st: st, path: path, nosync: nosync, logf: logf, log: log}, replayed, nil
+	return &walBackend{st: st, path: path, nosync: nosync, logf: logf, log: log}, res.Records, nil
 }
 
 // Get implements txn.Backend.
@@ -98,31 +86,23 @@ func (b *walBackend) checkpoint() error {
 	return cerr
 }
 
-// verify replays the log into a fresh store and compares it with the live
+// verify recovers the log into a fresh store and compares it with the live
 // store — the durability invariant the fleet asserts after a run: what the
 // WAL would recover is exactly what the edge is serving. Writers are
 // quiesced for the comparison. Returns the replayed record count.
 func (b *walBackend) verify() (int, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	fresh := store.New()
-	n, truncated, err := wal.Replay(b.path, func(r wal.Record) error {
-		switch r.Op {
-		case wal.OpPut:
-			fresh.Put(r.Key, r.Value)
-		case wal.OpDelete:
-			fresh.Delete(r.Key)
-		}
-		return nil
-	})
+	res, err := wal.Recover(b.path)
 	if err != nil {
-		return n, err
+		return 0, err
 	}
-	if truncated {
+	n := res.Records
+	if res.Truncated {
 		return n, fmt.Errorf("wal has a truncated tail")
 	}
 	want := b.st.Snapshot()
-	got := fresh.Snapshot()
+	got := res.Store.Snapshot()
 	if len(got) != len(want) {
 		return n, fmt.Errorf("replay yields %d keys, live store has %d", len(got), len(want))
 	}

@@ -488,34 +488,6 @@ func Decisions(path string) (map[TxnRound]bool, error) {
 	return out, nil
 }
 
-// LoggedStore wraps a store so every mutation is WAL-logged before it is
-// applied — write-ahead in the strict sense.
-type LoggedStore struct {
-	*store.Store
-	log *Log
-}
-
-// NewLoggedStore wraps st with the log.
-func NewLoggedStore(st *store.Store, log *Log) *LoggedStore {
-	return &LoggedStore{Store: st, log: log}
-}
-
-// Put logs then applies.
-func (s *LoggedStore) Put(key string, v store.Value) (uint64, error) {
-	if err := s.log.Append(Record{Op: OpPut, Key: key, Value: v}); err != nil {
-		return 0, err
-	}
-	return s.Store.Put(key, v), nil
-}
-
-// Delete logs then applies.
-func (s *LoggedStore) Delete(key string) (bool, error) {
-	if err := s.log.Append(Record{Op: OpDelete, Key: key}); err != nil {
-		return false, err
-	}
-	return s.Store.Delete(key), nil
-}
-
 // Rewrite atomically replaces the log at path with one containing exactly
 // recs (written at path.tmp, then renamed over): the checkpoint primitive.
 // Any open Log on the old path must be closed first and reopened after —

