@@ -1,16 +1,16 @@
 // Package randsrc is the repo's one seeded RNG: splitmix64 behind
 // rand.Source64, so call sites keep the *rand.Rand method surface.
 //
-// The simulated detectors and the workload source derive a fresh
-// deterministic RNG per (seed, frame) so that detections and transaction
-// key draws are pure functions of their inputs, and most of those streams
-// draw a handful of values. The generator is therefore counter-based: one
-// word of state, seeding is one mix of the seed, a draw is one add and one
-// mix. Rand wrappers are pooled, so the steady-state path allocates nothing.
+// The simulated detectors and the workload source derive a fresh RNG per
+// (seed, frame) so that detections and key draws are pure functions of
+// their inputs, and most of those streams draw a handful of values. The
+// generator is therefore counter-based — one word of state, a draw is one
+// add and one mix — and the Rand wrappers are pooled, so the steady-state
+// path allocates nothing.
 //
-// The contract is "same seed ⇒ same stream, fresh or pooled" and nothing
-// more: no golden or report depends on which generator this is, only on it
-// not changing, so replacing it means regenerating the fixtures once.
+// The contract is "same seed ⇒ same stream, fresh or pooled". No report
+// depends on which generator this is, only on it not changing: replacing
+// it means regenerating the golden fixtures once.
 package randsrc
 
 import (
@@ -19,9 +19,8 @@ import (
 )
 
 // Mix64 is the splitmix64 finalizer, a bijection on uint64 that spreads
-// every input bit over the whole word. It is the one mixer in the tree:
-// callers that hash a (seed, frame, track) key into a seed or a uniform
-// use it too.
+// every input bit over the whole word: the tree's one hash for turning a
+// (seed, frame, track) key into a seed or a uniform.
 func Mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
@@ -46,8 +45,7 @@ func (s *source) Uint64() uint64 {
 
 func (s *source) Int63() int64 { return int64(s.Uint64() >> 1) }
 
-// New returns an unpooled *rand.Rand over the seeded stream, for long-lived
-// generators.
+// New returns an unpooled *rand.Rand, for long-lived generators.
 func New(seed int64) *rand.Rand {
 	s := new(source)
 	s.Seed(seed)
@@ -55,8 +53,8 @@ func New(seed int64) *rand.Rand {
 }
 
 // R is a pooled RNG: a source plus the *rand.Rand that wraps it. Obtain
-// with Get, use Rand, and return with Put when the derived values have been
-// consumed. An R must not be used after Put.
+// with Get, use Rand, and Put it back once the derived values have been
+// consumed; an R must not be used after Put.
 type R struct {
 	src  source
 	Rand *rand.Rand
@@ -68,8 +66,7 @@ var rPool = sync.Pool{New: func() any {
 	return r
 }}
 
-// Get returns a pooled *R whose Rand produces the same value stream as
-// New(seed).
+// Get returns a pooled *R whose Rand draws the same stream as New(seed).
 func Get(seed int64) *R {
 	r := rPool.Get().(*R)
 	r.src.Seed(seed)
