@@ -174,24 +174,26 @@ func (c *Cluster) report(elapsed, endAt time.Duration) *ClusterReport {
 	phaseFinal := make([]metrics.LatencyStats, len(phases))
 	for _, cam := range c.cams {
 		// A camera that left mid-run (or lost frames to an outage) is
-		// scored on the frames it actually captured.
+		// scored on the frames it actually captured — in place: the fleet
+		// has drained, so the lock only orders this read after the last
+		// feeder's writes.
 		cam.mu.Lock()
-		outs := make([]core.FrameOutcome, 0, cam.fed)
+		outs, done := cam.outcomes[:cam.fed], cam.done[:cam.fed]
 		frames := make([]*video.Frame, 0, cam.fed)
-		for i := 0; i < cam.fed; i++ {
-			if !cam.done[i] {
-				continue
+		for i := range outs {
+			if done[i] {
+				frames = append(frames, cam.frames[i])
 			}
-			outs = append(outs, cam.outcomes[i])
-			frames = append(frames, cam.frames[i])
 		}
 		dropped, left, edge := cam.dropped, cam.left && cam.fed < len(cam.frames), cam.edge
-		cam.mu.Unlock()
 		truth := core.TruthFromModel(c.cloudModel, frames)
-		sum := core.Summarize(cam.spec.ID, core.ModeCroesus, cam.spec.Profile.QueryClass, outs, truth, c.cfg.OverlapMin)
+		sum := core.SummarizeDone(cam.spec.ID, core.ModeCroesus, cam.spec.Profile.QueryClass, outs, done, truth, c.cfg.OverlapMin)
 
 		var init, final metrics.LatencyStats
 		for i := range outs {
+			if !done[i] {
+				continue
+			}
 			init.Add(outs[i].InitialLatency)
 			final.Add(outs[i].FinalLatency)
 			fleetInit.Add(outs[i].InitialLatency)
@@ -227,6 +229,7 @@ func (c *Cluster) report(elapsed, endAt time.Duration) *ClusterReport {
 				}
 			}
 		}
+		cam.mu.Unlock()
 		r.Cameras = append(r.Cameras, CameraReport{
 			Camera:     cam.spec.ID,
 			Edge:       edge.Spec.ID,

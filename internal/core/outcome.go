@@ -196,11 +196,23 @@ type Summary struct {
 // cloud model's output, as in the paper's evaluation); queryClass is the
 // video's object query.
 func Summarize(videoName string, mode Mode, queryClass string, outcomes []FrameOutcome, truth func(int) []detect.Detection, overlapMin float64) Summary {
-	s := Summary{Video: videoName, Mode: mode, Frames: len(outcomes)}
+	return SummarizeDone(videoName, mode, queryClass, outcomes, nil, truth, overlapMin)
+}
+
+// SummarizeDone is Summarize over the outcomes whose done flag is set, for
+// a caller whose outcome slots are filled sparsely (a fleet camera that lost
+// frames to an outage) and who would otherwise copy the filled ones out. A
+// nil done scores every outcome.
+func SummarizeDone(videoName string, mode Mode, queryClass string, outcomes []FrameOutcome, done []bool, truth func(int) []detect.Detection, overlapMin float64) Summary {
+	s := Summary{Video: videoName, Mode: mode}
 	var initCounts, finalCounts metrics.Counts
 	var sent int
 	var sumInit, sumFinal time.Duration
 	for i := range outcomes {
+		if done != nil && !done[i] {
+			continue
+		}
+		s.Frames++
 		o := &outcomes[i]
 		ref := truth(o.FrameIndex)
 		initCounts.Add(metrics.ScoreClass(o.InitialVisible, ref, queryClass, overlapMin))
@@ -232,7 +244,7 @@ func Summarize(videoName string, mode Mode, queryClass string, outcomes []FrameO
 		s.Apologies += len(o.Apologies)
 		s.InitialAborts += o.InitialAborts
 	}
-	n := len(outcomes)
+	n := s.Frames
 	if n > 0 {
 		s.BU = float64(sent) / float64(n)
 		s.MeanInitialLatency = sumInit / time.Duration(n)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"croesus/internal/detect"
+	"croesus/internal/lock"
 	"croesus/internal/randsrc"
 	"croesus/internal/store"
 	"croesus/internal/txn"
@@ -84,31 +85,40 @@ func (s *WorkloadSource) SetKeys(k workload.KeyChooser) {
 	s.mu.Unlock()
 }
 
+// workloadTxn is one trigger's transaction with everything it needs in a
+// single allocation: the template itself, the operations, the declared keys
+// and the normalized lock requests. The arrays back the slices up to the
+// paper's body sizes; a larger NumOps spills to the heap through append.
+type workloadTxn struct {
+	txn.Txn
+	src    *WorkloadSource
+	ops    []workload.Op
+	opArr  [8]workload.Op
+	keyArr [8]string
+	reqArr [8]lock.Request
+}
+
 // TxnFor builds the per-detection transaction. Keys are drawn
 // deterministically from (seed, frame, trigger box), so repeated runs and
 // different pipeline modes observe identical workloads.
 func (s *WorkloadSource) TxnFor(frameIndex int, d detect.Detection) *txn.Txn {
+	t := &workloadTxn{src: s}
 	s.mu.Lock()
 	r := randsrc.Get(s.Seed ^ int64(frameIndex)*1_000_003 ^ int64(d.Box.X*8191)<<16 ^ int64(d.Box.Y*131071))
-	ops := workload.DetectionOps(r.Rand, s.Keys, s.NumOps)
+	t.ops = workload.AppendDetectionOps(t.opArr[:0], r.Rand, s.Keys, s.NumOps)
 	r.Put()
 	plan := s.plan
 	s.mu.Unlock()
 
-	nW := 0
-	for _, op := range ops {
-		if op.Kind == workload.OpInsert {
-			nW++
-		}
-	}
 	// One backing array carries both halves of the declared set.
-	keys := make([]string, 0, len(ops))
-	for _, op := range ops {
+	keys := t.keyArr[:0]
+	for _, op := range t.ops {
 		if op.Kind == workload.OpInsert {
 			keys = append(keys, op.Key)
 		}
 	}
-	for _, op := range ops {
+	nW := len(keys)
+	for _, op := range t.ops {
 		if op.Kind != workload.OpInsert {
 			keys = append(keys, op.Key)
 		}
@@ -116,61 +126,69 @@ func (s *WorkloadSource) TxnFor(frameIndex int, d detect.Detection) *txn.Txn {
 	var rw txn.RWSet
 	rw.Writes = keys[:nW:nW]
 	rw.Reads = keys[nW:]
-	rw.Precompute()
-	initial := func(c *txn.Ctx) error {
-		in, _ := c.In().(InitialInput)
-		v := store.StringValue(in.Trigger.Label)
-		for _, op := range ops {
-			s.chargeOp()
-			if op.Kind == workload.OpInsert {
-				c.Put(op.Key, v)
-			} else {
-				c.Get(op.Key)
-			}
-		}
-		return nil
-	}
-	corrective := func(c *txn.Ctx) error {
-		fin, _ := c.In().(FinalInput)
-		switch fin.Case {
-		case MatchCorrected, MatchNew:
-			// Overwrite the inserted items with the corrected label
-			// and apologize to the client.
-			v := store.StringValue(fin.Cloud.Label)
-			for _, op := range ops {
-				if op.Kind == workload.OpInsert {
-					s.chargeOp()
-					c.Put(op.Key, v)
-				}
-			}
-			c.Apologize(correctedReason(fin.Cloud.Label))
-		case MatchErroneous:
-			// False detection: retract the work of every committed
-			// section — a cascading retraction at this boundary.
-			c.Retract("erroneous detection removed by cloud validation")
-		default:
-			// MatchCorrect / MatchAssumed: the guess held; terminate
-			// (the §2.1 task-1 behaviour).
-		}
-		return nil
-	}
-	t := &txn.Txn{
-		Name:      "detect-" + d.Label + "-f" + strconv.Itoa(frameIndex),
-		InitialRW: rw,
-		FinalRW:   rw,
-		Initial:   initial,
-		Final:     corrective,
-	}
+	rw.Precompute(t.reqArr[:0])
+
+	t.Name = "detect-" + d.Label + "-f" + strconv.Itoa(frameIndex)
+	t.InitialRW, t.FinalRW = rw, rw
+	body := t.run // one bound method serves every section
+	t.Initial, t.Final = body, body
 	if len(plan) > 0 {
-		secs := make([]txn.SectionSpec, len(plan))
+		t.Sections = make([]txn.SectionSpec, len(plan))
 		for k := range plan {
-			body := corrective
-			if k == 0 {
-				body = initial
-			}
-			secs[k] = txn.SectionSpec{Name: plan[k].Name, Tier: plan[k].Tier, RW: rw, Body: body}
+			t.Sections[k] = txn.SectionSpec{Name: plan[k].Name, Tier: plan[k].Tier, RW: rw, Body: body}
 		}
-		t.Sections = secs
 	}
-	return t
+	return &t.Txn
+}
+
+// run is every section's body: section 0 runs the insert/read half, every
+// later section the corrective half.
+func (t *workloadTxn) run(c *txn.Ctx) error {
+	if c.Stage() == txn.StageInitial {
+		return t.initial(c)
+	}
+	return t.corrective(c)
+}
+
+// initial inserts the trigger's label under the write keys and reads the
+// rest.
+func (t *workloadTxn) initial(c *txn.Ctx) error {
+	in, _ := c.In().(InitialInput)
+	v := store.StringValue(in.Trigger.Label)
+	for _, op := range t.ops {
+		t.src.chargeOp()
+		if op.Kind == workload.OpInsert {
+			c.Put(op.Key, v)
+		} else {
+			c.Get(op.Key)
+		}
+	}
+	return nil
+}
+
+// corrective reconciles the transaction with the node's verdict on its
+// trigger.
+func (t *workloadTxn) corrective(c *txn.Ctx) error {
+	fin, _ := c.In().(FinalInput)
+	switch fin.Case {
+	case MatchCorrected, MatchNew:
+		// Overwrite the inserted items with the corrected label
+		// and apologize to the client.
+		v := store.StringValue(fin.Cloud.Label)
+		for _, op := range t.ops {
+			if op.Kind == workload.OpInsert {
+				t.src.chargeOp()
+				c.Put(op.Key, v)
+			}
+		}
+		c.Apologize(correctedReason(fin.Cloud.Label))
+	case MatchErroneous:
+		// False detection: retract the work of every committed
+		// section — a cascading retraction at this boundary.
+		c.Retract("erroneous detection removed by cloud validation")
+	default:
+		// MatchCorrect / MatchAssumed: the guess held; terminate
+		// (the §2.1 task-1 behaviour).
+	}
+	return nil
 }

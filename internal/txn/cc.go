@@ -49,8 +49,14 @@ func (m *Manager) MarkInitialCommitted(in *Instance) {
 
 // MarkAborted moves the instance to aborted and records the abort.
 func (m *Manager) MarkAborted(in *Instance) {
-	in.setState(StateAborted)
-	m.recordAbort()
+	m.mu.Lock()
+	in.mu.Lock()
+	in.state = StateAborted
+	in.inBody = false
+	in.mu.Unlock()
+	m.stats.Aborts++
+	m.retire(in)
+	m.mu.Unlock()
 }
 
 // MarkFinalCommitted moves an initially-committed instance to

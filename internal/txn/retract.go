@@ -16,76 +16,99 @@ import (
 // paper's §4.4 example retracts an erroneous 50-token transfer and the
 // dependent transfers it enabled, while merge-able effects are retained by
 // programmer logic instead of calling Retract.
+//
+// This is the entry point for a protocol acting on inst from outside its
+// section bodies (a commit round that failed); a body retracts its own
+// instance through Ctx.Retract.
 func (m *Manager) Retract(inst *Instance, reason string) []Apology {
-	tStart := m.now()
-	// Collect the affected set: inst plus transitive dependents.
-	affected := []*Instance{}
-	seen := map[ID]bool{}
-	var visit func(*Instance)
-	visit = func(in *Instance) {
-		if seen[in.ID] {
-			return
-		}
-		seen[in.ID] = true
-		affected = append(affected, in)
-		in.mu.Lock()
-		deps := append([]*Instance{}, in.dependents...)
-		in.mu.Unlock()
-		for _, d := range deps {
-			visit(d)
-		}
-	}
-	visit(inst)
+	inst.mu.Lock()
+	inst.inBody = false
+	inst.mu.Unlock()
+	return m.retract(inst, reason)
+}
 
-	// Gather every undo record and restore in reverse write order.
-	type rec struct {
-		r  undoRec
-		in *Instance
+// reach appends to out, in depth-first preorder, every instance reachable
+// from in over dependents edges that the current walk (m.visits) has not
+// met yet. Caller holds m.mu.
+func (m *Manager) reach(in *Instance, out []*Instance) []*Instance {
+	if in.mark == m.visits {
+		return out
 	}
-	var recs []rec
+	in.mark = m.visits
+	out = append(out, in)
+	for _, d := range in.dependents {
+		out = m.reach(d, out)
+	}
+	return out
+}
+
+func (m *Manager) retract(inst *Instance, reason string) []Apology {
+	tStart := m.now()
+	// Collect the affected set — inst plus transitive dependents — and
+	// consume every undo record of it.
+	m.mu.Lock()
+	m.visits++
+	affected := m.reach(inst, nil)
+	var recs []undoRec
 	for _, in := range affected {
-		in.mu.Lock()
-		for _, r := range in.undo {
-			recs = append(recs, rec{r: r, in: in})
+		recs = append(recs, in.undo[in.undone:]...)
+		for i := in.undone; i < len(in.undo); i++ {
+			in.undo[i].prev = nil
 		}
-		in.undo = nil
-		in.mu.Unlock()
+		in.undone = len(in.undo)
 	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].r.seq > recs[j].r.seq })
+	m.mu.Unlock()
+
+	// Restore in reverse write order.
+	sort.Slice(recs, func(i, j int) bool { return recs[i].seq > recs[j].seq })
 	db := m.restoreDB()
-	for _, rc := range recs {
-		if rc.r.existed {
-			db.Put(rc.r.key, rc.r.prev)
+	for _, r := range recs {
+		if r.existed {
+			db.Put(r.key, r.prev)
 		} else {
-			db.Delete(rc.r.key)
+			db.Delete(r.key)
 		}
 	}
 
 	// The retracted instances deliberately REMAIN the recorded last
-	// writers of the keys they touched: the restored values are the
-	// retraction's doing, and any future writer of those keys must still
-	// pick up a dependency edge so that a later cascade from an ancestor
-	// of this retraction reaches it too. (Dropping the entries here would
-	// let an ancestor's undo clobber an innocent later write — observed
-	// as a token-conservation violation by the MS-IA property test.)
+	// writers of the keys they touched (their consumed undo records keep
+	// the keys): the restored values are the retraction's doing, and any
+	// future writer of those keys must still pick up a dependency edge so
+	// that a later cascade from an ancestor of this retraction reaches it
+	// too. (Dropping the entries here would let an ancestor's undo clobber
+	// an innocent later write — observed as a token-conservation violation
+	// by the MS-IA property test.) They remain so until they settle: once
+	// no non-terminal instance reaches a retracted one, no ancestor is left
+	// that could start such a cascade, and the sweep drops the entries.
+	// A victim that is between sections will find itself retracted and run
+	// no further body, so it is terminal here; one caught inside a body
+	// (inst itself, under Ctx.Retract) retires at that section's boundary.
+	apologies := make([]Apology, len(affected))
+	cascaded := ""
+	if len(affected) > 1 {
+		cascaded = fmt.Sprintf("cascaded from %s (txn %d): %s", inst.T.Name, inst.ID, reason)
+	}
+	for i, in := range affected {
+		why := cascaded
+		if in == inst {
+			why = reason
+		}
+		apologies[i] = Apology{TxnID: in.ID, TxnName: in.T.Name, Reason: why}
+	}
 	m.mu.Lock()
 	m.stats.Retractions += int64(len(affected))
 	m.stats.Apologies += int64(len(affected))
-	m.mu.Unlock()
-
-	apologies := make([]Apology, 0, len(affected))
-	for _, in := range affected {
-		in.setState(StateRetracted)
-		why := reason
-		if in != inst {
-			why = fmt.Sprintf("cascaded from %s (txn %d): %s", inst.T.Name, inst.ID, reason)
-		}
-		a := Apology{TxnID: in.ID, TxnName: in.T.Name, Reason: why}
+	for i, in := range affected {
 		in.mu.Lock()
-		in.apologies = append(in.apologies, a)
+		in.state = StateRetracted
+		in.apologies = append(in.apologies, apologies[i])
+		inBody := in.inBody
 		in.mu.Unlock()
-		apologies = append(apologies, a)
+		if !inBody {
+			m.retire(in)
+		}
 	}
+	m.mu.Unlock()
 	m.Tracer.EmitCtx(inst.Trace, obs.SpanRetraction, m.TraceTags, tStart, m.now())
 	return apologies
 }

@@ -172,35 +172,21 @@ func (in *Instance) CommittedSections() int {
 // external protocols (twopc.ShardedCC) drive.
 func (m *Manager) MarkSectionCommitted(in *Instance, k int) (retracted bool) {
 	last := in.T.LastSection()
-	if k == 0 && k < last {
-		in.setState(StateInitialCommitted)
-	}
-	if k == last {
-		if k == 0 {
-			// Single-section transaction: the one boundary is both commits.
-			in.mu.Lock()
-			if in.state == StatePending {
-				in.state = StateInitialCommitted
-			}
-			in.mu.Unlock()
-		}
-		retracted = in.finishFinal()
-	} else {
-		retracted = in.State() == StateRetracted
-	}
-	in.mu.Lock()
-	in.committed = k + 1
-	in.mu.Unlock()
-	m.recordSectionCommit(in, k, last)
-	return retracted
-}
-
-// recordSectionCommit appends the history entry and bumps the stats for
-// one boundary commit.
-func (m *Manager) recordSectionCommit(in *Instance, k, last int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.history = append(m.history, HistoryEntry{Txn: in.ID, Stage: Stage(k)})
+	in.mu.Lock()
+	in.inBody = false
+	if k == 0 && k < last {
+		in.state = StateInitialCommitted
+	}
+	retracted = in.state == StateRetracted
+	if k == last && !retracted {
+		in.state = StateFinalCommitted
+	}
+	in.committed = k + 1
+	in.mu.Unlock()
+
+	m.recordHistory(HistoryEntry{Txn: in.ID, Stage: Stage(k)})
 	if k == 0 {
 		m.stats.InitialCommits++
 	}
@@ -209,6 +195,10 @@ func (m *Manager) recordSectionCommit(in *Instance, k, last int) {
 	} else if k > 0 {
 		m.stats.SectionCommits++
 	}
+	if k == last || retracted {
+		m.retire(in) // no later section will run a body
+	}
+	return retracted
 }
 
 // RunSection executes section k of an N-section transaction under MS-SR:
@@ -277,15 +267,13 @@ func (p *MSSR) runFirst(in *Instance) error {
 			now := p.M.now()
 			in.AddLockWait(now - tAcq)
 			p.M.Tracer.EmitCtx(in.Trace, obs.SpanLockAbort, p.M.TraceTags, tAcq, now)
-			in.setState(StateAborted)
-			p.M.recordAbort()
+			p.M.MarkAborted(in)
 			return ErrAborted
 		}
 	} else {
 		if !p.M.Locks.TryAcquireAll(owner, initReqs) {
 			in.AddLockWait(p.M.now() - tAcq)
-			in.setState(StateAborted)
-			p.M.recordAbort()
+			p.M.MarkAborted(in)
 			return ErrAborted
 		}
 	}
@@ -298,8 +286,7 @@ func (p *MSSR) runFirst(in *Instance) error {
 		} else {
 			p.M.Locks.ReleaseAll(owner, initReqs)
 		}
-		in.setState(StateAborted)
-		p.M.recordAbort()
+		p.M.MarkAborted(in)
 		return err
 	}
 
@@ -310,8 +297,7 @@ func (p *MSSR) runFirst(in *Instance) error {
 		if !p.M.Locks.TryAcquireAll(owner, extraReqs) {
 			in.AddLockWait(p.M.now() - tExtra)
 			p.M.Locks.ReleaseAll(owner, initReqs)
-			in.setState(StateAborted)
-			p.M.recordAbort()
+			p.M.MarkAborted(in)
 			return ErrAborted
 		}
 		in.AddLockWait(p.M.now() - tExtra)
@@ -379,8 +365,7 @@ func (p *MSIA) runFirst(in *Instance) error {
 	err := in.T.SectionAt(0).Body(ctx)
 	if err != nil {
 		p.M.Locks.ReleaseAll(owner, reqs)
-		in.setState(StateAborted)
-		p.M.recordAbort()
+		p.M.MarkAborted(in)
 		return err
 	}
 	retracted := p.M.MarkSectionCommitted(in, 0)

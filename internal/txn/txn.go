@@ -19,6 +19,21 @@
 // The Manager tracks, per key, the last committed writer, so a retraction
 // cascades to dependent transactions (the token-transfer scenario of §4.4)
 // and emits Apology records.
+//
+// That dependency index follows the in-flight window, not the manager's
+// uptime. An instance is terminal once it can run no further section body
+// (it aborted, committed its last boundary, or a retraction reached it
+// between sections) and settled once it is terminal and no non-terminal
+// instance reaches it over dependency edges. A cascade only ever starts at
+// an instance that is running a section, and an edge into an instance is
+// only ever added while that instance runs one, so a terminal instance gains
+// no new ancestors: settled is permanent, a settled instance can be in no
+// future retraction's affected set, and the manager forgets it — its undo
+// images, its edges, and every last-writer entry that still names it. A
+// mark-and-sweep from the non-terminal instances finds the settled ones
+// (instances that touch each other's keys form cycles, so counting
+// references would not); since it removes only state no cascade can reach,
+// when it runs is not observable.
 package txn
 
 import (
@@ -111,11 +126,12 @@ type RWSet struct {
 	norm []lock.Request
 }
 
-// Precompute builds and caches the normalized lock requests. Call it after
-// the Reads/Writes slices are final; later mutation of the set is not
-// reflected in Requests.
-func (s *RWSet) Precompute() {
-	s.norm = s.buildRequests()
+// Precompute builds and caches the normalized lock requests, appending them
+// to backing (nil allocates; a template that embeds an array for them passes
+// arr[:0]). Call it after the Reads/Writes slices are final; later mutation
+// of the set is not reflected in Requests.
+func (s *RWSet) Precompute(backing []lock.Request) {
+	s.norm = s.buildRequests(backing)
 }
 
 // Requests converts the declared set to lock requests (reads shared, writes
@@ -125,11 +141,10 @@ func (s RWSet) Requests() []lock.Request {
 	if s.norm != nil {
 		return s.norm
 	}
-	return s.buildRequests()
+	return s.buildRequests(make([]lock.Request, 0, len(s.Reads)+len(s.Writes)))
 }
 
-func (s RWSet) buildRequests() []lock.Request {
-	reqs := make([]lock.Request, 0, len(s.Reads)+len(s.Writes))
+func (s RWSet) buildRequests(reqs []lock.Request) []lock.Request {
 	for _, k := range s.Reads {
 		reqs = append(reqs, lock.Request{Key: k, Mode: lock.Shared})
 	}
@@ -224,15 +239,29 @@ type Instance struct {
 	// value disables per-instance tracing.
 	Trace obs.SpanContext
 
-	mu         sync.Mutex
-	state      State
-	undo       []undoRec    // all writes, every section, in write order
+	mu    sync.Mutex
+	state State
+	// inBody is set from the moment a section's context is handed out until
+	// the protocol reports that section's outcome (boundary commit, abort,
+	// or a Manager.Retract from outside the body): a retraction that
+	// reaches the instance in that window must leave it non-terminal.
+	inBody    bool
+	apologies []Apology
+	heldReqs  []lock.Request // MS-SR: locks held from the first to the last commit
+	sectionIn map[int]any    // middle-section inputs (0 and last alias InitialIn/FinalIn)
+	committed int            // section boundaries committed so far
+
+	// The instance's part of the manager's dependency index, guarded by
+	// mgr.mu (not mu). undo holds every write of every section in write
+	// order; a retraction consumes it, leaving undo[:undone] with only
+	// their keys so that settling still finds the last-writer entries.
+	undo       []undoRec
+	undone     int
+	undoArr    [6]undoRec   // inline backing for the first few writes
 	dependents []*Instance  // instances that read/overwrote our writes
 	depArr     [4]*Instance // inline backing for the first few dependents
-	apologies  []Apology
-	heldReqs   []lock.Request // MS-SR: locks held from the first to the last commit
-	sectionIn  map[int]any    // middle-section inputs (0 and last alias InitialIn/FinalIn)
-	committed  int            // section boundaries committed so far
+	livePos    int          // 1 + position in mgr.live; 0 when not on it
+	mark       uint64       // mgr.visits value of the last walk that reached it
 
 	// sctx is the reusable section context handed to section bodies: an
 	// instance's sections run strictly one after another, so a single
@@ -308,32 +337,17 @@ func (in *Instance) TakeApologies() []Apology {
 	return a
 }
 
-func (in *Instance) setState(s State) {
-	in.mu.Lock()
-	in.state = s
-	in.mu.Unlock()
-}
-
 // sectionCtx returns the instance's reusable section context, retargeted
-// at stage. Sections of one instance never run concurrently (the protocols
-// commit boundaries in order), so reuse is safe.
+// at stage, and marks the instance as running a section body. Sections of
+// one instance never run concurrently (the protocols commit boundaries in
+// order), so reuse is safe.
 func (in *Instance) sectionCtx(stage Stage) *Ctx {
+	in.mu.Lock()
+	in.inBody = true
+	in.mu.Unlock()
 	in.sctx.inst = in
 	in.sctx.stage = stage
 	return &in.sctx
-}
-
-// finishFinal moves an initially-committed instance to final-committed.
-// Retraction is sticky: an instance retracted during its own final section
-// stays retracted. It reports whether the instance ended retracted.
-func (in *Instance) finishFinal() (retracted bool) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if in.state == StateRetracted {
-		return true
-	}
-	in.state = StateFinalCommitted
-	return false
 }
 
 // Stats counts protocol events.
@@ -383,13 +397,27 @@ type Manager struct {
 	Tracer    *obs.Tracer
 	TraceTags string
 
-	mu         sync.Mutex
-	nextID     ID
-	nextSeq    uint64
+	mu      sync.Mutex
+	nextID  ID
+	nextSeq uint64
+	stats   Stats
+	history []HistoryEntry // ring of the last historyCap boundary commits
+	commits int            // boundary commits ever recorded (history's write cursor)
+
+	// The dependency index (see the package comment). Its edges are
+	// lastWriter and every Instance's dependents; live lists the
+	// non-terminal instances that have touched it, waiting the terminal
+	// ones not yet known to be settled. All of it — and every Instance's
+	// undo log — is guarded by mu alone, one critical section per operation.
 	lastWriter map[string]*Instance
-	stats      Stats
-	history    []HistoryEntry
+	live       []*Instance
+	waiting    []*Instance
+	sweepAt    int    // len(waiting) at which the next sweep runs
+	visits     uint64 // graph walks so far (sweeps and cascades); the current walk's mark
 }
+
+// historyCap bounds History to the most recent boundary commits.
+const historyCap = 4096
 
 // HistoryEntry records one section commit, for verifying the ordering
 // guarantees of MS-SR and MS-IA in tests.
@@ -406,6 +434,7 @@ func NewManager(clk vclock.Clock, st *store.Store, locks *lock.Manager) *Manager
 		Locks:      locks,
 		Strict:     true,
 		lastWriter: make(map[string]*Instance),
+		sweepAt:    sweepSlack,
 	}
 }
 
@@ -450,17 +479,26 @@ func (m *Manager) Stats() Stats {
 	return m.stats
 }
 
-// History returns the section-commit history.
+// History returns the most recent section commits (up to historyCap),
+// oldest first.
 func (m *Manager) History() []HistoryEntry {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return append([]HistoryEntry{}, m.history...)
+	if len(m.history) < historyCap {
+		return append([]HistoryEntry{}, m.history...)
+	}
+	oldest := m.commits % historyCap
+	return append(append(make([]HistoryEntry, 0, historyCap), m.history[oldest:]...), m.history[:oldest]...)
 }
 
-func (m *Manager) recordAbort() {
-	m.mu.Lock()
-	m.stats.Aborts++
-	m.mu.Unlock()
+// recordHistory appends one boundary commit to the ring. Caller holds m.mu.
+func (m *Manager) recordHistory(e HistoryEntry) {
+	if len(m.history) < historyCap {
+		m.history = append(m.history, e)
+	} else {
+		m.history[m.commits%historyCap] = e
+	}
+	m.commits++
 }
 
 // Ctx is the handle a section body uses to access the database. All writes
@@ -534,21 +572,30 @@ func (c *Ctx) Apologize(reason string) {
 // final section when the initial section's trigger or input turns out to be
 // erroneous and its effects cannot be merged.
 func (c *Ctx) Retract(reason string) []Apology {
-	return c.inst.mgr.Retract(c.inst, reason)
+	return c.inst.mgr.retract(c.inst, reason)
 }
 
 // noteAccess records a dependency edge from the last writer of key to inst.
 func (m *Manager) noteAccess(inst *Instance, key string) {
 	m.mu.Lock()
-	last := m.lastWriter[key]
+	m.link(inst, key)
 	m.mu.Unlock()
+}
+
+// link puts inst on the live list when it is not there (its first touch of
+// the index) and adds the edge from key's last writer to it. Caller holds
+// m.mu.
+func (m *Manager) link(inst *Instance, key string) {
+	if inst.livePos == 0 {
+		m.live = append(m.live, inst)
+		inst.livePos = len(m.live)
+	}
+	last := m.lastWriter[key]
 	if last == nil || last == inst {
 		return
 	}
-	last.mu.Lock()
 	for _, d := range last.dependents {
 		if d == inst {
-			last.mu.Unlock()
 			return
 		}
 	}
@@ -556,29 +603,97 @@ func (m *Manager) noteAccess(inst *Instance, key string) {
 		last.dependents = last.depArr[:0]
 	}
 	last.dependents = append(last.dependents, inst)
-	last.mu.Unlock()
 }
 
 func (m *Manager) writeWithUndo(inst *Instance, key string, v store.Value, del bool) {
-	m.noteAccess(inst, key)
 	db := m.db()
 	prev, existed := db.Get(key)
 	m.mu.Lock()
+	m.link(inst, key)
 	m.nextSeq++
-	seq := m.nextSeq
 	m.lastWriter[key] = inst
-	m.mu.Unlock()
-
-	inst.mu.Lock()
 	if inst.undo == nil {
-		inst.undo = make([]undoRec, 0, 8)
+		inst.undo = inst.undoArr[:0]
 	}
-	inst.undo = append(inst.undo, undoRec{seq: seq, key: key, prev: prev, existed: existed})
-	inst.mu.Unlock()
+	inst.undo = append(inst.undo, undoRec{seq: m.nextSeq, key: key, prev: prev, existed: existed})
+	m.mu.Unlock()
 
 	if del {
 		db.Delete(key)
 	} else {
 		db.Put(key, v)
 	}
+}
+
+// sweepSlack is how many terminal instances may wait beyond twice the last
+// sweep's survivors before the next sweep: each sweep walks everything the
+// live instances reach, so letting the waiting list double first keeps the
+// walks amortized against the retirements that paid for them.
+const sweepSlack = 64
+
+// retire takes a terminal instance off the live list and queues it for the
+// next sweep, running that sweep when enough have queued. An instance that
+// never touched the index is on no list and stays off. Caller holds m.mu.
+func (m *Manager) retire(in *Instance) {
+	if in.livePos == 0 {
+		return
+	}
+	tail := len(m.live) - 1
+	moved := m.live[tail]
+	m.live[in.livePos-1] = moved
+	moved.livePos = in.livePos
+	m.live[tail] = nil
+	m.live = m.live[:tail]
+	in.livePos = 0
+	m.waiting = append(m.waiting, in)
+	if len(m.waiting) >= m.sweepAt {
+		m.sweep()
+	}
+}
+
+// sweep marks every instance a live one reaches over dependents edges and
+// settles the waiting instances left unmarked. Caller holds m.mu.
+func (m *Manager) sweep() {
+	m.visits++
+	stack := make([]*Instance, len(m.live), len(m.live)+len(m.waiting))
+	copy(stack, m.live)
+	for _, in := range stack {
+		in.mark = m.visits
+	}
+	for len(stack) > 0 {
+		in := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, d := range in.dependents {
+			if d.mark != m.visits {
+				d.mark = m.visits
+				stack = append(stack, d)
+			}
+		}
+	}
+	kept := m.waiting[:0]
+	for _, in := range m.waiting {
+		if in.mark == m.visits {
+			kept = append(kept, in)
+		} else {
+			m.settle(in)
+		}
+	}
+	for i := len(kept); i < len(m.waiting); i++ {
+		m.waiting[i] = nil
+	}
+	m.waiting = kept
+	m.sweepAt = 2*len(kept) + sweepSlack
+}
+
+// settle forgets an instance no cascade can reach any more: its undo log,
+// its edges, and the last-writer entries that still name it. Caller holds
+// m.mu.
+func (m *Manager) settle(in *Instance) {
+	for i := range in.undo {
+		if k := in.undo[i].key; m.lastWriter[k] == in {
+			delete(m.lastWriter, k)
+		}
+	}
+	in.undo, in.undone, in.undoArr = nil, 0, [len(in.undoArr)]undoRec{}
+	in.dependents, in.depArr = nil, [len(in.depArr)]*Instance{}
 }

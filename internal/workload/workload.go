@@ -199,18 +199,18 @@ func (s ShardedZipf) Pick(rng *rand.Rand) string {
 	return ShardKey(shard, s.Zipf.Prefix, s.Zipf.PickIndex(rng))
 }
 
-// DetectionOps builds the paper's per-detection transaction body: nOps
-// operations, half inserts and half reads, on keys drawn from the chooser.
-func DetectionOps(rng *rand.Rand, chooser KeyChooser, nOps int) []Op {
-	ops := make([]Op, nOps)
-	for i := range ops {
+// AppendDetectionOps builds the paper's per-detection transaction body —
+// nOps operations, half inserts and half reads, on keys drawn from the
+// chooser — appending them to dst (nil allocates).
+func AppendDetectionOps(dst []Op, rng *rand.Rand, chooser KeyChooser, nOps int) []Op {
+	for i := 0; i < nOps; i++ {
 		kind := OpInsert
 		if i%2 == 1 {
 			kind = OpRead
 		}
-		ops[i] = Op{Kind: kind, Key: chooser.Pick(rng)}
+		dst = append(dst, Op{Kind: kind, Key: chooser.Pick(rng)})
 	}
-	return ops
+	return dst
 }
 
 // UpdateOps builds the Figure 6(b) hot-spot body: nOps update operations on

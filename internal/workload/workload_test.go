@@ -11,7 +11,7 @@ import (
 
 func TestDetectionOpsShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	ops := DetectionOps(rng, Uniform{Prefix: "k", N: 100}, 6)
+	ops := AppendDetectionOps(nil, rng, Uniform{Prefix: "k", N: 100}, 6)
 	if len(ops) != 6 {
 		t.Fatalf("len = %d", len(ops))
 	}
