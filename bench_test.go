@@ -18,14 +18,11 @@ import (
 	"croesus/internal/experiments"
 	"croesus/internal/lock"
 	"croesus/internal/metrics"
-	"croesus/internal/obs"
 	"croesus/internal/store"
 	"croesus/internal/threshold"
-	"croesus/internal/transport"
 	"croesus/internal/txn"
 	"croesus/internal/vclock"
 	"croesus/internal/video"
-	"croesus/internal/wire"
 	"croesus/internal/workload"
 
 	"math/rand"
@@ -381,82 +378,6 @@ func BenchmarkClusterFaults(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(6*32*b.N)/b.Elapsed().Seconds(), "frames/s")
-		})
-	}
-}
-
-// BenchmarkTransport compares the two fleet transports' per-message
-// overhead at frame-like (32 KiB) and protocol-like (256 B) payloads: the
-// in-process simulated path (a netsim link charging virtual time — wall
-// cost is the scheduler) versus the loopback TCP path (a real gob-framed
-// socket round trip per send). The gap is the price of running a scenario
-// with -transport tcp; baseline recorded in BENCH_4.json.
-func BenchmarkTransport(b *testing.B) {
-	payloads := []struct {
-		name string
-		n    int
-	}{{"frame-32KiB", 32 << 10}, {"msg-256B", 256}}
-
-	for _, p := range payloads {
-		p := p
-		b.Run("sim/"+p.name, func(b *testing.B) {
-			tr := transport.NewSim()
-			if err := tr.Provision([]transport.EdgeProfile{{ID: "a"}}); err != nil {
-				b.Fatal(err)
-			}
-			defer tr.Close()
-			clk := vclock.NewSim()
-			path := tr.ClientEdge(0)
-			b.ReportAllocs()
-			b.ResetTimer()
-			clk.Run(func() {
-				for i := 0; i < b.N; i++ {
-					path.Send(clk, p.n)
-				}
-			})
-		})
-		b.Run("tcp/"+p.name, func(b *testing.B) {
-			tr := transport.NewTCP()
-			if err := tr.Provision([]transport.EdgeProfile{{ID: "a"}}); err != nil {
-				b.Fatal(err)
-			}
-			defer tr.Close()
-			clk := vclock.NewReal()
-			path := tr.ClientEdge(0)
-			path.Send(clk, p.n) // dial outside the timer
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				path.Send(clk, p.n)
-			}
-			b.StopTimer()
-			if _, m := path.Traffic(); m != int64(b.N)+1 {
-				b.Fatalf("delivered %d messages, want %d", m, b.N+1)
-			}
-		})
-		b.Run("tcp-traced/"+p.name, func(b *testing.B) {
-			// The tracing tax: every send carries a wire.TraceCtx and
-			// emits a net.hop span against a real clock. Baseline in
-			// BENCH_5.json.
-			tr := transport.NewTCP()
-			if err := tr.Provision([]transport.EdgeProfile{{ID: "a"}}); err != nil {
-				b.Fatal(err)
-			}
-			defer tr.Close()
-			clk := vclock.NewReal()
-			tr.SetObs(obs.New(), clk)
-			tc := &wire.TraceCtx{Trace: 1, Parent: 2}
-			path := tr.ClientEdge(0)
-			transport.SendCtx(path, clk, p.n, tc) // dial outside the timer
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				transport.SendCtx(path, clk, p.n, tc)
-			}
-			b.StopTimer()
-			if _, m := path.Traffic(); m != int64(b.N)+1 {
-				b.Fatalf("delivered %d messages, want %d", m, b.N+1)
-			}
 		})
 	}
 }

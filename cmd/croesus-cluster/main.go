@@ -1,7 +1,8 @@
 // Command croesus-cluster runs a multi-camera edge fleet against one
-// SLO-aware batched cloud validator on the virtual clock and prints the
-// fleet report: per-camera accuracy and latency percentiles, fleet
-// throughput, and the batcher's batching/shedding counters.
+// SLO-aware batched cloud validator on the virtual clock (or, with
+// -timescale, a scaled wall clock) and prints the fleet report: per-camera
+// accuracy and latency percentiles, fleet throughput, and the batcher's
+// batching/shedding counters.
 //
 // The preferred interface is a declarative scenario file — topology plus
 // event timeline (camera joins/leaves, migrations, workload shifts,
@@ -35,35 +36,37 @@ import (
 
 func main() {
 	var (
-		scenarioPath  = flag.String("scenario", "", "run a declarative scenario file (topology + event timeline) instead of the flag-built fleet")
-		validateOnly  = flag.Bool("validate", false, "dry run: load and validate -scenario (including its graph block), print the resolved section plan, and exit without running the fleet")
-		traceOut      = flag.String("trace", "", "write the run's span trace to this file: Chrome trace_event JSON (open in Perfetto) by default, sorted JSONL when the name ends in .jsonl")
-		debugAddr     = flag.String("debug-addr", "", "serve /metrics (Prometheus text), /debug/vars (expvar), and /debug/pprof on this address during the run (e.g. 127.0.0.1:9090)")
-		cpuProfile    = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile    = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		transportKind = flag.String("transport", "sim", "fleet transport: sim (in-process, virtual clock, byte-deterministic) or tcp (loopback TCP sockets on the wall clock); croesus-fleet runs a scenario on real processes")
-		timeScale     = flag.Float64("timescale", 1.0, "wall-clock compression for -transport tcp: 0.05 runs a 20s scenario in ~1s (ignored on sim)")
-		shaped        = flag.Bool("shaped", false, "shape the real hops of -transport tcp with the sim's modeled link parameters (latency + bandwidth), for like-for-like latency comparisons")
-		nCams         = flag.Int("cameras", 4, "number of camera streams")
-		nEdges        = flag.Int("edges", 2, "number of edge nodes")
-		frames        = flag.Int("frames", 120, "frames per camera")
-		seed          = flag.Int64("seed", 42, "model and video seed")
-		policy        = flag.String("policy", "round-robin", "placement policy: round-robin or least-loaded")
-		maxBatch      = flag.Int("batch", 8, "cloud batch size cap")
-		slo           = flag.Duration("slo", 80*time.Millisecond, "cloud batch flush deadline")
-		pending       = flag.Int("pending", 0, "admission-control cap on outstanding validations (default 4×batch)")
-		cloudSpeed    = flag.Float64("cloud-speed", 1.0, "cloud machine speed factor (lower = starved GPU)")
-		thetaL        = flag.Float64("theta-l", 0.40, "lower bandwidth threshold θL")
-		thetaU        = flag.Float64("theta-u", 0.62, "upper bandwidth threshold θU")
-		sharded       = flag.Bool("sharded", false, "shard the fleet keyspace across the edges (implied by -cross-edge > 0)")
-		crossEdge     = flag.Float64("cross-edge", 0, "fraction of workload keys owned by another edge's shard [0,1]")
-		protocol      = flag.String("protocol", "ms-ia", "multi-stage protocol: ms-ia or ms-sr")
-		zipf          = flag.Float64("zipf", 0, "Zipf exponent for sharded workload keys (0 = uniform, >1 = skewed hot shards)")
-		crashEdge     = flag.Int("crash-edge", -1, "fail-stop this edge mid-run (WAL-backed recovery; implies -sharded)")
-		crashAt       = flag.Duration("crash-at", 5*time.Second, "virtual time of the scripted crash")
-		crashRest     = flag.Duration("crash-restart", 2*time.Second, "outage length before the edge recovers from its WAL")
+		scenarioPath = flag.String("scenario", "", "run a declarative scenario file (topology + event timeline) instead of the flag-built fleet")
+		validateOnly = flag.Bool("validate", false, "dry run: load and validate -scenario (including its graph block), print the resolved section plan, and exit without running the fleet")
+		traceOut     = flag.String("trace", "", "write the run's span trace to this file: Chrome trace_event JSON (open in Perfetto) by default, sorted JSONL when the name ends in .jsonl")
+		debugAddr    = flag.String("debug-addr", "", "serve /metrics (Prometheus text), /debug/vars (expvar), and /debug/pprof on this address during the run (e.g. 127.0.0.1:9090)")
+		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memProfile   = flag.String("memprofile", "", "write a heap profile to this file at exit")
+		timeScale    = flag.Float64("timescale", 0, "0: virtual clock, byte-deterministic; > 0: run the same fleet on a wall clock with every modeled latency multiplied by this (0.05 runs a 20s scenario in ~1s); croesus-fleet runs a scenario on real processes and sockets")
+		nCams        = flag.Int("cameras", 4, "number of camera streams")
+		nEdges       = flag.Int("edges", 2, "number of edge nodes")
+		frames       = flag.Int("frames", 120, "frames per camera")
+		seed         = flag.Int64("seed", 42, "model and video seed")
+		policy       = flag.String("policy", "round-robin", "placement policy: round-robin or least-loaded")
+		maxBatch     = flag.Int("batch", 8, "cloud batch size cap")
+		slo          = flag.Duration("slo", 80*time.Millisecond, "cloud batch flush deadline")
+		pending      = flag.Int("pending", 0, "admission-control cap on outstanding validations (default 4×batch)")
+		cloudSpeed   = flag.Float64("cloud-speed", 1.0, "cloud machine speed factor (lower = starved GPU)")
+		thetaL       = flag.Float64("theta-l", 0.40, "lower bandwidth threshold θL")
+		thetaU       = flag.Float64("theta-u", 0.62, "upper bandwidth threshold θU")
+		sharded      = flag.Bool("sharded", false, "shard the fleet keyspace across the edges (implied by -cross-edge > 0)")
+		crossEdge    = flag.Float64("cross-edge", 0, "fraction of workload keys owned by another edge's shard [0,1]")
+		protocol     = flag.String("protocol", "ms-ia", "multi-stage protocol: ms-ia or ms-sr")
+		zipf         = flag.Float64("zipf", 0, "Zipf exponent for sharded workload keys (0 = uniform, >1 = skewed hot shards)")
+		crashEdge    = flag.Int("crash-edge", -1, "fail-stop this edge mid-run (WAL-backed recovery; implies -sharded)")
+		crashAt      = flag.Duration("crash-at", 5*time.Second, "virtual time of the scripted crash")
+		crashRest    = flag.Duration("crash-restart", 2*time.Second, "outage length before the edge recovers from its WAL")
 	)
 	flag.Parse()
+	if *timeScale < 0 {
+		fmt.Fprintf(os.Stderr, "croesus-cluster: -timescale %g is negative\n", *timeScale)
+		os.Exit(2)
+	}
 
 	if *validateOnly {
 		if *scenarioPath == "" {
@@ -131,23 +134,19 @@ func main() {
 			os.Exit(1)
 		}
 		start := time.Now()
-		rep, err := croesus.RunScenarioWith(s, croesus.ScenarioOptions{Transport: *transportKind, TimeScale: *timeScale, Shaped: *shaped, Obs: o})
+		rep, err := croesus.RunScenarioWith(s, croesus.ScenarioOptions{TimeScale: *timeScale, Obs: o})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "croesus-cluster: %v\n", err)
 			os.Exit(1)
 		}
-		// The report goes to stdout alone (on sim it is byte-reproducible
-		// and diffable against a golden); wall time is a side note.
+		// The report goes to stdout alone (on the virtual clock it is
+		// byte-reproducible and diffable against a golden); wall time is a
+		// side note.
 		fmt.Print(rep.Format())
-		fmt.Fprintf(os.Stderr, "(scenario %q on %s: %s of fleet time in %s of wall time)\n",
-			s.Name, *transportKind, rep.Elapsed.Round(time.Millisecond), time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(os.Stderr, "(scenario %q: %s of fleet time in %s of wall time)\n",
+			s.Name, rep.Elapsed.Round(time.Millisecond), time.Since(start).Round(time.Millisecond))
 		writeTrace(*traceOut, o)
 		return
-	}
-
-	if *transportKind != "sim" && *transportKind != "tcp" {
-		fmt.Fprintf(os.Stderr, "croesus-cluster: unknown transport %q\n", *transportKind)
-		os.Exit(2)
 	}
 
 	var proto croesus.ClusterTxnProtocol
@@ -198,20 +197,15 @@ func main() {
 		}
 	}
 
-	// The flag-built fleet honors -transport too: the same cluster runs on
-	// the virtual clock over netsim links or on the wall clock over
-	// loopback TCP sockets.
+	// The flag-built fleet honors -timescale too.
 	clk := croesus.Clock(croesus.NewSimClock())
-	var tr croesus.Transport
-	if *transportKind == "tcp" {
+	if *timeScale > 0 {
 		clk = croesus.NewScaledRealClock(*timeScale)
-		tr = croesus.NewTCPTransport()
 	}
 
 	start := time.Now()
 	rep, err := croesus.RunCluster(croesus.ClusterConfig{
 		Clock:             clk,
-		Transport:         tr,
 		Cameras:           cams,
 		Edges:             edges,
 		Placement:         placement,

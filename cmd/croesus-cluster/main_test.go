@@ -60,64 +60,56 @@ func TestGraphScenarioGolden(t *testing.T) {
 	}
 }
 
-// TestGraphScenarioOnTCP runs the same graph scenario file over the
-// loopback TCP transport: the cloud-tier section crosses the real socket
-// per boundary, so the run is wall-clock concurrent and checked by
-// counters, not bytes.
+// TestGraphScenarioOnTCP (the name predates the deletion of the in-process
+// TCP switch) runs the same graph scenario file on a scaled wall clock: the
+// run is truly concurrent and checked by counters, not bytes.
 func TestGraphScenarioOnTCP(t *testing.T) {
 	if testing.Short() {
-		t.Skip("loopback TCP run in -short mode")
+		t.Skip("wall-clock run in -short mode")
 	}
 	s, err := croesus.LoadScenario("testdata/graph.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := croesus.RunScenarioWith(s, croesus.ScenarioOptions{Transport: croesus.TransportTCP, TimeScale: 0.02})
+	rep, err := croesus.RunScenarioWith(s, croesus.ScenarioOptions{TimeScale: 0.02})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Frames == 0 {
-		t.Fatal("TCP graph run processed no frames")
+		t.Fatal("wall-clock graph run processed no frames")
 	}
-	if rep.Transport == nil || rep.Transport.Name != "tcp" || rep.Transport.Messages == 0 {
-		t.Fatalf("no transport traffic recorded: %+v", rep.Transport)
+	if len(rep.Sections) != 3 {
+		t.Fatalf("wall-clock graph run reports %d section rows, want 3", len(rep.Sections))
 	}
 }
 
-// TestScenarioGoldenOnTCP runs the very same checked-in scenario file over
-// the loopback TCP transport — the unified-runtime acceptance: one
-// scenario JSON, two deployments. The TCP run is wall-clock concurrent,
-// so it is not byte-pinned; instead it must complete the whole fleet with
-// validated, 2PC, fault, and transport counters populated, and the
-// timeline's edge crash must show up as transport-level teardowns.
+// TestScenarioGoldenOnTCP (the name predates the deletion of the in-process
+// TCP switch) runs the very same checked-in scenario file on a scaled wall
+// clock. The run is truly concurrent, so it is not byte-pinned; instead it
+// must complete the whole fleet with validated, 2PC, fault, and migration
+// counters populated.
 func TestScenarioGoldenOnTCP(t *testing.T) {
 	if testing.Short() {
-		t.Skip("loopback TCP run in -short mode")
+		t.Skip("wall-clock run in -short mode")
 	}
 	s, err := croesus.LoadScenario("testdata/migrate.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := croesus.RunScenarioWith(s, croesus.ScenarioOptions{Transport: croesus.TransportTCP, TimeScale: 0.02})
+	rep, err := croesus.RunScenarioWith(s, croesus.ScenarioOptions{TimeScale: 0.02})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Frames == 0 || rep.Validated == 0 {
-		t.Errorf("TCP run validated nothing: %d frames, %d validated", rep.Frames, rep.Validated)
+		t.Errorf("wall-clock run validated nothing: %d frames, %d validated", rep.Frames, rep.Validated)
 	}
 	if got := rep.TwoPC.CrossEdgeCommits + rep.TwoPC.LocalCommits + rep.TwoPC.RemoteCommits; got == 0 {
-		t.Error("TCP run counted no 2PC/commit activity")
+		t.Error("wall-clock run counted no 2PC/commit activity")
 	}
 	if rep.Faults == nil || rep.Faults.Crashes == 0 || rep.Faults.Restarts == 0 {
-		t.Errorf("timeline faults did not execute over TCP: %+v", rep.Faults)
+		t.Errorf("timeline faults did not execute on the wall clock: %+v", rep.Faults)
 	}
 	if rep.Dynamic == nil || rep.Dynamic.Migrations != 1 {
-		t.Errorf("timeline migration did not execute over TCP: %+v", rep.Dynamic)
-	}
-	if rep.Transport == nil || rep.Transport.Name != "tcp" || rep.Transport.Messages == 0 {
-		t.Fatalf("no transport traffic recorded: %+v", rep.Transport)
-	}
-	if rep.Transport.Severs == 0 {
-		t.Errorf("the edge_crash caused no transport teardown: %+v", rep.Transport)
+		t.Errorf("timeline migration did not execute on the wall clock: %+v", rep.Dynamic)
 	}
 }

@@ -3,8 +3,8 @@
 // croesus-client per camera (or attaches to a pre-launched fleet), plays
 // the scenario's event timeline over each process's control channel, and
 // merges the per-process reports into the same ClusterReport the
-// in-process deployments print — so one scenario file runs unchanged on
-// the sim, on loopback TCP, and on a real multi-process fleet.
+// simulated fleet prints — so one scenario file runs unchanged on the sim
+// and on a real multi-process fleet.
 //
 // Timeline events map to real actions: edge_crash is a SIGKILL (with
 // restart_after, a respawn on the same address and WAL — clients redial,

@@ -576,21 +576,16 @@ type (
 	ScenarioDuration = scenario.Duration
 	// ScenarioRuntime is a compiled scenario bound to a cluster.
 	ScenarioRuntime = scenario.Runtime
-	// ScenarioOptions select the deployment a scenario runs on: the
-	// simulated fleet or the loopback-TCP fleet, plus the wall-clock
-	// compression for the latter.
+	// ScenarioOptions select the clock a scenario runs on — virtual, or a
+	// scaled wall clock (TimeScale > 0) — and the observability layer.
 	ScenarioOptions = scenario.Options
 
 	// Transport is the fleet's network seam: every frame delivery,
-	// validation transfer, and 2PC message crosses it, and network-level
-	// faults act through it. See NewSimTransport and NewTCPTransport.
+	// validation transfer, and 2PC message crosses one of its paths. See
+	// NewSimTransport, the one implementation.
 	Transport = transport.Transport
 	// TransportPath is one directed fleet network path.
 	TransportPath = transport.Path
-	// TransportReport is a non-simulated transport's section of a fleet
-	// report (traffic carried over sockets, drops while severed,
-	// teardowns).
-	TransportReport = cluster.TransportReport
 
 	// DynamicReport tallies a run's fleet churn (joins, leaves,
 	// migrations, outages, dropped frames).
@@ -613,11 +608,6 @@ const (
 	EventLinkFault     = scenario.KindLinkFault
 	EventCheckpoint    = scenario.KindCheckpoint
 
-	// TransportSim and TransportTCP name the two deployments a scenario
-	// (or flag-built fleet) can run on.
-	TransportSim = scenario.TransportSim
-	TransportTCP = scenario.TransportTCP
-
 	ScenarioPointParticipantPrepared = scenario.PointParticipantPrepared
 	ScenarioPointAfterPrepare        = scenario.PointAfterPrepare
 	ScenarioPointAfterDecision       = scenario.PointAfterDecision
@@ -634,10 +624,9 @@ func DecodeScenario(data []byte) (*Scenario, error) { return scenario.Decode(dat
 // fleet report. Same scenario, same seed ⇒ byte-identical report.
 func RunScenario(s *Scenario) (*ClusterReport, error) { return scenario.Run(s) }
 
-// RunScenarioWith plays a scenario on the selected deployment: the
-// simulated fleet (byte-identical replay) or the same fleet over loopback
-// TCP sockets on the wall clock, where timeline faults tear real
-// connections down. One scenario JSON, two transports.
+// RunScenarioWith plays a scenario on the selected clock: the virtual clock
+// (byte-identical replay) or, with TimeScale > 0, the same fleet on a scaled
+// wall clock, where goroutines truly overlap.
 func RunScenarioWith(s *Scenario, o ScenarioOptions) (*ClusterReport, error) {
 	return scenario.RunWith(s, o)
 }
@@ -682,14 +671,10 @@ func ServeDebug(addr string, reg *ObsRegistry) (string, error) {
 // the fleet clock) — the default when ClusterConfig.Transport is nil.
 func NewSimTransport() Transport { return transport.NewSim() }
 
-// NewTCPTransport returns the loopback-TCP fleet transport: every fleet
-// hop ships real bytes over sockets, and faults tear connections down.
-// Pair it with NewScaledRealClock in a ClusterConfig.
-func NewTCPTransport() Transport { return transport.NewTCP() }
-
 // NewScaledRealClock returns a wall clock whose modeled time runs
-// 1/scale faster than real time — how a TCP fleet compresses modeled
-// inference latencies and the event timeline. Scale 0 or 1 is real time.
+// 1/scale faster than real time — how a wall-clock fleet compresses modeled
+// link and inference latencies and the event timeline. Scale 0 or 1 is real
+// time.
 func NewScaledRealClock(scale float64) Clock { return vclock.NewScaledReal(scale) }
 
 // NewScenarioRuntime compiles a scenario onto the caller's clock for

@@ -9,11 +9,11 @@
 // traffic" are data, not code. The last scenario is also printed as its
 // JSON encoding, which is exactly what `croesus-cluster -scenario` runs.
 //
-// Every scenario also runs unmodified over loopback TCP — the unified
-// runtime's second transport — with -transport tcp:
+// Every scenario also runs unmodified on a wall clock, where the fleet's
+// goroutines truly overlap, with -timescale:
 //
 //	go run ./examples/cityfleet
-//	go run ./examples/cityfleet -transport tcp -timescale 0.05
+//	go run ./examples/cityfleet -timescale 0.05
 package main
 
 import (
@@ -64,10 +64,8 @@ func ms(d int64) croesus.ScenarioDuration  { return croesus.ScenarioDuration(d *
 func sec(d int64) croesus.ScenarioDuration { return croesus.ScenarioDuration(d * 1e9) }
 
 func main() {
-	flag.StringVar(&opts.Transport, "transport", croesus.TransportSim,
-		"deployment: sim (virtual clock, deterministic) or tcp (loopback sockets, wall clock)")
-	flag.Float64Var(&opts.TimeScale, "timescale", 0.05,
-		"wall-clock compression for -transport tcp")
+	flag.Float64Var(&opts.TimeScale, "timescale", 0,
+		"0: virtual clock, deterministic; > 0: wall clock with modeled latencies multiplied by this")
 	flag.Parse()
 
 	// A healthy cloud: batches form under the SLO, nothing is shed.

@@ -13,11 +13,10 @@
 //
 // The graph scenario is also printed as its JSON encoding — exactly what
 // `croesus-cluster -scenario` (and `-validate`) accepts — and runs
-// unmodified over loopback TCP, where the cloud-tier section crosses a
-// real socket per boundary:
+// unmodified on a wall clock with -timescale:
 //
 //	go run ./examples/inferencegraph
-//	go run ./examples/inferencegraph -transport tcp -timescale 0.05
+//	go run ./examples/inferencegraph -timescale 0.05
 package main
 
 import (
@@ -76,10 +75,8 @@ func run(s *croesus.Scenario) {
 }
 
 func main() {
-	flag.StringVar(&opts.Transport, "transport", croesus.TransportSim,
-		`"sim" (default) or "tcp"`)
-	flag.Float64Var(&opts.TimeScale, "timescale", 0.05,
-		"wall seconds per virtual second over tcp")
+	flag.Float64Var(&opts.TimeScale, "timescale", 0,
+		"0: virtual clock, deterministic; > 0: wall clock with modeled latencies multiplied by this")
 	flag.Parse()
 
 	// The baseline: no graph block at all — the classic two-stage

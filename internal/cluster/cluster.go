@@ -119,7 +119,7 @@ type EdgeNode struct {
 	// their transactions under.
 	CC txn.CC
 	// ClientEdge and EdgeCloud are this edge's network paths, provisioned
-	// by the fleet's transport (netsim links on sim, real sockets on TCP);
+	// by the fleet's transport (netsim links on the fleet clock);
 	// Peers[i] is the one-way path to edge i (nil for itself), carrying
 	// cross-edge lock and commit traffic in sharded fleets.
 	ClientEdge transport.Path
@@ -159,13 +159,11 @@ type Config struct {
 	Placement Placement
 
 	// Transport provisions the fleet's network paths — client→edge frame
-	// delivery, edge→cloud validation traffic, inter-edge 2PC messages —
-	// and applies network-level faults. Nil defaults to the simulated
-	// transport (netsim links on the fleet clock, byte-deterministic).
-	// Inject transport.NewTCP() — what croesus-cluster -transport tcp
-	// does, together with a real Clock — to run the same fleet over
-	// loopback TCP sockets. The cluster takes ownership and closes the
-	// transport with Close.
+	// delivery, edge→cloud validation traffic, inter-edge 2PC messages.
+	// Nil, what every caller passes, is transport.NewSim(): netsim links
+	// charging modeled time on Clock, byte-deterministic on the virtual
+	// clock. The cluster takes ownership and closes the transport with
+	// Close.
 	Transport transport.Transport
 
 	// Batcher configures the shared cloud validator; its Clock and Model
@@ -433,11 +431,6 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{cfg: cfg, clk: cfg.Clock, cloudModel: cloudModel, batcher: batcher, transport: tr, graph: graph}
 	if cfg.Obs != nil {
-		// Traced transports (TCP) emit their own net.hop spans; the sim
-		// transport ignores this and stays byte-identical.
-		if oa, ok := tr.(transport.ObsAware); ok {
-			oa.SetObs(cfg.Obs, cfg.Clock)
-		}
 		// The transport keeps its own lifetime counters; a pull collector
 		// mirrors them into the registry at scrape time.
 		ttags := obs.Tags("transport", tr.Name())
@@ -833,11 +826,6 @@ func (c *Cluster) provisionShards() error {
 	if err != nil {
 		return fmt.Errorf("cluster: %w", err)
 	}
-	// Crashes and recoveries mirror to the transport: the TCP fleet tears
-	// a crashed edge's connections down and blackholes its traffic until
-	// restart; the sim transport ignores the hook (its fleet models
-	// crashes above the network).
-	inj.EdgeDown = c.transport.SetEdgeDown
 	if c.cfg.Obs != nil {
 		edgeTags := make([]string, n)
 		for i, e := range c.edges {
@@ -853,8 +841,7 @@ func (c *Cluster) provisionShards() error {
 }
 
 // closeDurability closes the partition logs, removes a temp WAL dir, and
-// releases the transport (listeners and connections on TCP; a no-op on the
-// simulated transport).
+// releases the transport.
 func (c *Cluster) closeDurability() {
 	for _, e := range c.edges {
 		if e.Partition != nil {

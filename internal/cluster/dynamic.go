@@ -440,16 +440,15 @@ func (c *Cluster) rebindLocked(cam *cameraRuntime) {
 // down, frames captured by its cameras are dropped and counted — the
 // availability cost of a fail-stop without the durable-partition machinery.
 // Sharded fleets crash edges through the fault injector instead, which
-// models the transaction-level consequences. Either way the outage mirrors
-// to the transport, so a TCP fleet's crash is a real connection teardown.
+// models the transaction-level consequences.
 func (c *Cluster) SetEdgeOutage(edgeID string, down bool) error {
 	i, err := c.edgeByID(edgeID)
 	if err != nil {
 		return err
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.edgeOut[i] == down {
-		c.mu.Unlock()
 		return nil
 	}
 	c.edgeOut[i] = down
@@ -459,8 +458,6 @@ func (c *Cluster) SetEdgeOutage(edgeID string, down bool) error {
 		c.dyn.OutageRestores++
 	}
 	c.dynActive = true
-	c.mu.Unlock()
-	c.transport.SetEdgeDown(i, down)
 	return nil
 }
 

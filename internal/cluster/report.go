@@ -105,13 +105,6 @@ type ClusterReport struct {
 	// Phases slices the run on the timeline's event boundaries. Nil when
 	// no phase was marked.
 	Phases []PhaseReport
-
-	// Transport describes the deployment transport when the fleet ran on
-	// an injected non-simulated one (the loopback/real TCP fleet): traffic
-	// actually carried over sockets, messages blackholed while a path was
-	// severed, and connection teardowns. Nil on the default simulated
-	// transport, whose traffic lives on the netsim links.
-	Transport *TransportReport
 }
 
 // CriticalPath is the per-component decomposition of final latency at two
@@ -141,15 +134,6 @@ type SectionReport struct {
 	MeanTxn      time.Duration
 	MeanLockWait time.Duration
 	MeanTwoPC    time.Duration
-}
-
-// TransportReport is the non-simulated transport's contribution to a fleet
-// report.
-type TransportReport struct {
-	Name            string
-	Bytes, Messages int64
-	Drops           int64
-	Severs          int64
 }
 
 // report scores every camera and aggregates the fleet. elapsed is the
@@ -308,16 +292,6 @@ func (c *Cluster) report(elapsed, endAt time.Duration) *ClusterReport {
 	}
 	c.mu.Unlock()
 	r.Phases = phases
-	if c.transport != nil && c.transport.Name() != "sim" {
-		st := c.transport.Stats()
-		r.Transport = &TransportReport{
-			Name:     c.transport.Name(),
-			Bytes:    st.Bytes,
-			Messages: st.Messages,
-			Drops:    st.Drops,
-			Severs:   st.Severs,
-		}
-	}
 	return r
 }
 
@@ -378,10 +352,6 @@ func (r *ClusterReport) Format() string {
 		if d.Retired > 0 {
 			fmt.Fprintf(&b, "retired edges: %d (gracefully drained: cameras and shards migrated, then excluded from placement)\n", d.Retired)
 		}
-	}
-	if tr := r.Transport; tr != nil {
-		fmt.Fprintf(&b, "transport %s: %d messages (%.1f KiB) carried over sockets, %d dropped while severed, %d teardowns\n",
-			tr.Name, tr.Messages, float64(tr.Bytes)/1024, tr.Drops, tr.Severs)
 	}
 	for _, p := range r.Phases {
 		fmt.Fprintf(&b, "phase %-28s [%8s → %8s] %5d frames, %4d validated, %3d shed, final p50/p99 %s/%s\n",

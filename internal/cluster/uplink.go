@@ -3,8 +3,6 @@ package cluster
 import (
 	"croesus/internal/core"
 	"croesus/internal/netsim"
-	"croesus/internal/transport"
-	"croesus/internal/wire"
 )
 
 // EdgeUplink adapts one edge node's uplink to the fleet's shared cloud
@@ -26,11 +24,7 @@ func (u *EdgeUplink) Validate(req core.ValidationRequest) core.ValidationResult 
 		// locally after its timeout — the paper's loss path.
 		return core.ValidationResult{Status: core.ValidationLost}
 	}
-	var tc *wire.TraceCtx
-	if req.Trace.Valid() {
-		tc = &wire.TraceCtx{Trace: req.Trace.Trace, Parent: req.Trace.Span}
-	}
-	edgeCloud, lost := u.Uplink.ShipCtx(req.Frame, tc)
+	edgeCloud, lost := u.Uplink.Ship(req.Frame)
 	if lost {
 		return core.ValidationResult{Status: core.ValidationLost, EdgeCloud: edgeCloud}
 	}
@@ -40,7 +34,7 @@ func (u *EdgeUplink) Validate(req core.ValidationRequest) core.ValidationResult 
 	if res.Status == core.Validated {
 		clk := u.Uplink.Clock
 		t2 := clk.Now()
-		transport.SendCtx(u.Uplink.Link, clk, netsim.LabelReturnBytes, tc)
+		u.Uplink.Link.Send(clk, netsim.LabelReturnBytes)
 		res.CloudReturn = clk.Now() - t2
 	}
 	return res

@@ -176,7 +176,7 @@ func (p *Pipeline) walk(f *video.Frame, ctx obs.SpanContext) FrameOutcome {
 
 	// The client ships the frame to the edge hub.
 	t0 := clk.Now()
-	transport.SendCtx(cfg.ClientEdge, clk, f.SizeBytes, traceCtx(ctx, 0))
+	cfg.ClientEdge.Send(clk, f.SizeBytes)
 	tIngest := clk.Now()
 	out.Breakdown.ClientEdge = tIngest - t0
 	cfg.Obs.SpanCtx(ctx, obs.SpanFrameIngest, p.tags, t0, tIngest)
@@ -202,7 +202,7 @@ func (p *Pipeline) walk(f *video.Frame, ctx obs.SpanContext) FrameOutcome {
 
 	// Section 0: the boundary commit behind the client's immediate answer.
 	pending := p.runFirstSection(f, ctx, visible, &out)
-	transport.SendCtx(cfg.ClientEdge, clk, netsim.LabelReturnBytes, traceCtx(ctx, 0))
+	cfg.ClientEdge.Send(clk, netsim.LabelReturnBytes)
 	out.InitialLatency = clk.Now() - f.At
 	out.Sections[0].Latency = out.InitialLatency
 	next := p.route(0, visible, &out)
@@ -251,7 +251,7 @@ func (p *Pipeline) walk(f *video.Frame, ctx obs.SpanContext) FrameOutcome {
 		pending, ref = p.runSection(f, ctx, k, pending, ref, matches, &out)
 
 		// Boundary commit: the refreshed labels reach the client.
-		transport.SendCtx(cfg.ClientEdge, clk, netsim.LabelReturnBytes, traceCtx(ctx, k))
+		cfg.ClientEdge.Send(clk, netsim.LabelReturnBytes)
 		out.Sections[k].Latency = clk.Now() - f.At
 
 		at = k
@@ -412,7 +412,7 @@ func (p *Pipeline) hopTo(f *video.Frame, k int, ctx obs.SpanContext) time.Durati
 	t0 := clk.Now()
 	bytes, prepCost := cfg.Preproc.Process(f.SizeBytes)
 	clk.Sleep(scale(prepCost, cfg.EdgeSpeed))
-	transport.SendCtx(path, clk, bytes, traceCtx(ctx, k))
+	path.Send(clk, bytes)
 	end := clk.Now()
 	cfg.Obs.SpanCtx(ctx, obs.SpanUplink, p.sec[k].tags, t0, end)
 	return end - t0

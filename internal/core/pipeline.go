@@ -22,7 +22,6 @@ import (
 	"croesus/internal/txn"
 	"croesus/internal/vclock"
 	"croesus/internal/video"
-	"croesus/internal/wire"
 )
 
 // Mode names one of the three built-in graph shapes a pipeline runs when
@@ -107,9 +106,9 @@ type Config struct {
 
 	// ClientEdge and EdgeCloud are the node's network paths. The defaults
 	// are the simulated deployment's netsim links; the fleet runtime
-	// injects whatever its transport provisioned (a real TCP path on the
-	// loopback deployment, transport.Null where the node's own socket
-	// already carried the bytes).
+	// injects whatever its transport provisioned, and the socket
+	// deployment transport.Null or a ShapedPath where the node's own
+	// socket already carried the bytes.
 	ClientEdge transport.Path
 	EdgeCloud  transport.Path
 	// Preproc optionally shrinks frames before the edge→cloud hop
@@ -422,15 +421,6 @@ func (p *Pipeline) spanCtx(f *video.Frame) obs.SpanContext {
 		return obs.SpanContext{}
 	}
 	return p.cfg.SpanCtx(f)
-}
-
-// traceCtx converts a span context to its wire form for a traced
-// transport send (nil when tracing is off — the zero-cost path).
-func traceCtx(ctx obs.SpanContext, section int) *wire.TraceCtx {
-	if !ctx.Valid() {
-		return nil
-	}
-	return &wire.TraceCtx{Trace: ctx.Trace, Parent: ctx.Span, Section: section}
 }
 
 // observe feeds the finished frame into the metrics registry. No-op when

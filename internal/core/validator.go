@@ -11,7 +11,6 @@ import (
 	"croesus/internal/transport"
 	"croesus/internal/vclock"
 	"croesus/internal/video"
-	"croesus/internal/wire"
 )
 
 // ValidationStatus classifies how a cloud validation request concluded.
@@ -119,11 +118,10 @@ type Uplink struct {
 	Timeout  time.Duration
 }
 
-// ShipCtx carries one frame across the hop, sleeping out the transfer
-// (and, on loss, the timeout). It returns the transfer time and whether
-// the frame was lost. tc, when non-nil, rides the link send so the hop
-// joins the frame's trace on traced transports.
-func (u Uplink) ShipCtx(f *video.Frame, tc *wire.TraceCtx) (edgeCloud time.Duration, lost bool) {
+// Ship carries one frame across the hop, sleeping out the transfer (and,
+// on loss, the timeout). It returns the transfer time and whether the
+// frame was lost.
+func (u Uplink) Ship(f *video.Frame) (edgeCloud time.Duration, lost bool) {
 	clk := u.Clock
 	preproc := u.Preproc
 	if preproc == nil {
@@ -132,7 +130,7 @@ func (u Uplink) ShipCtx(f *video.Frame, tc *wire.TraceCtx) (edgeCloud time.Durat
 	t0 := clk.Now()
 	bytes, prepCost := preproc.Process(f.SizeBytes)
 	clk.Sleep(scale(prepCost, u.EdgeSpeed))
-	transport.SendCtx(u.Link, clk, bytes, tc)
+	u.Link.Send(clk, bytes)
 	edgeCloud = clk.Now() - t0
 	if LostInTransit(u.LossProb, f.Index) {
 		timeout := u.Timeout
@@ -170,7 +168,7 @@ func (v *DirectValidator) Validate(req ValidationRequest) ValidationResult {
 	var res ValidationResult
 
 	up := Uplink{Clock: clk, Link: v.Link, Preproc: v.Preproc, EdgeSpeed: v.EdgeSpeed, LossProb: v.LossProb, Timeout: v.Timeout}
-	edgeCloud, lost := up.ShipCtx(req.Frame, traceCtx(req.Trace, 0))
+	edgeCloud, lost := up.Ship(req.Frame)
 	res.EdgeCloud = edgeCloud
 	if lost {
 		res.Status = ValidationLost
@@ -187,7 +185,7 @@ func (v *DirectValidator) Validate(req ValidationRequest) ValidationResult {
 	res.CloudDetect = clk.Now() - t1
 
 	t2 := clk.Now()
-	transport.SendCtx(v.Link, clk, netsim.LabelReturnBytes, traceCtx(req.Trace, 0))
+	v.Link.Send(clk, netsim.LabelReturnBytes)
 	res.CloudReturn = clk.Now() - t2
 
 	res.Cloud = r.Detections

@@ -115,7 +115,7 @@ func FleetCrash(o Opts) Table {
 		})
 	}
 
-	simRep, err := scenario.RunWith(s, scenario.Options{Transport: "sim"})
+	simRep, err := scenario.Run(s)
 	if err != nil {
 		t.Notes = append(t.Notes, "sim run failed: "+err.Error())
 	} else {

@@ -24,16 +24,6 @@ var goldenIDs = []string{
 	"ablation-2pc", "ablation-smoothing", "ablation-chain",
 }
 
-// goldenText is the part of a table the fixture pins. graph-depth keeps
-// only its rows: its notes carry a loopback-TCP spot check timed on the
-// wall clock.
-func goldenText(t Table) string {
-	if t.ID == "graph-depth" {
-		t.Notes = nil
-	}
-	return t.Format()
-}
-
 // TestExperimentGoldens pins every table byte for byte: the single-edge
 // modes, DirectValidator, preprocessing, smoothing and the threshold
 // sweeps, which the fleet scenario goldens do not reach. Regenerate these
@@ -51,7 +41,7 @@ func TestExperimentGoldens(t *testing.T) {
 			if !ok {
 				t.Fatalf("unknown experiment %q", id)
 			}
-			got := goldenText(tab)
+			got := tab.Format()
 			path := filepath.Join("testdata", id+".golden")
 			if *updateGolden {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {

@@ -6,7 +6,6 @@ import (
 
 	"croesus/internal/cluster"
 	"croesus/internal/node"
-	"croesus/internal/transport"
 	"croesus/internal/vclock"
 )
 
@@ -95,38 +94,11 @@ func GraphDepth(o Opts) Table {
 			})
 		}
 	}
-	// The same depth-3 graph once more per protocol over loopback TCP —
-	// the second transport. Wall-clock concurrent, so the numbers vary
-	// run to run and go in a note, not a byte-stable row; what must hold
-	// is that the fleet completes and the gap's direction survives the
-	// real-socket deployment.
-	tcp := map[cluster.TxnProtocol]time.Duration{}
-	for _, proto := range []cluster.TxnProtocol{cluster.TxnMSIA, cluster.TxnMSSR} {
-		rep, err := cluster.Run(cluster.Config{
-			Clock:             vclock.NewScaledReal(0.02),
-			Transport:         transport.NewTCP(),
-			Cameras:           clusterCams(4, o.Frames, o.Seed),
-			Edges:             []cluster.EdgeSpec{{ID: "west"}, {ID: "east"}},
-			Batcher:           cluster.BatcherConfig{MaxBatch: 8, SLO: 80 * time.Millisecond},
-			Seed:              o.Seed,
-			Sharded:           true,
-			CrossEdgeFraction: 0.25,
-			OpCost:            200 * time.Microsecond,
-			Protocol:          proto,
-			Graph:             depthGraph(3),
-		})
-		if err != nil {
-			panic("experiments: graph-depth (tcp): " + err.Error())
-		}
-		tcp[proto] = rep.FinalP50
-	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("MS-SR − MS-IA final p50 gap (ms): depth 1 %s, depth 2 %s, depth 3 %s, depth 4 %s — each section widens it",
 			ms(gap[1]), ms(gap[2]), ms(gap[3]), ms(gap[4])),
 		"the decomposition attributes the gap: MS-IA commits everything but pays an atomic commitment per boundary (Σ sec 2pc grows with depth), while MS-SR holds its locks across every boundary and sheds the conflicting work — its abort count grows with depth instead",
 		"depth 2 is the default two-stage spec, which compiles to no graph block: the fleet thresholds frames into the shared batcher and reports initial/final commits, no per-section rows",
-		fmt.Sprintf("loopback-TCP spot check at depth 3 (wall-clock, not byte-stable): MS-IA final p50 %s ms vs MS-SR %s ms — the gap survives the real-socket transport",
-			ms(tcp[cluster.TxnMSIA]), ms(tcp[cluster.TxnMSSR])),
 	)
 	return t
 }

@@ -140,13 +140,6 @@ type Injector struct {
 	links [][]transport.Path // links[i][j]: edge i's one-way path to edge j
 	paths []string           // WAL file per partition
 
-	// EdgeDown, when set, is told about every fail-stop and recovery so the
-	// deployment transport can mirror the crash at the network layer — the
-	// TCP transport tears the edge's connections down and blackholes its
-	// traffic until restart; the sim transport ignores it. Set before
-	// Start.
-	EdgeDown func(edge int, down bool)
-
 	// Observability hooks, wired by Bind (nil without it): obs carries the
 	// wal.replay span each recovery emits; edgeTags[i] is the pre-rendered
 	// tag string for edge i's spans.
@@ -414,9 +407,6 @@ func (i *Injector) crash(e int) bool {
 	i.counters.Crashes++
 	i.mu.Unlock()
 	i.parts[e].CrashReset()
-	if i.EdgeDown != nil {
-		i.EdgeDown(e, true)
-	}
 	return true
 }
 
@@ -497,9 +487,6 @@ func (i *Injector) restart(e int, charge bool) {
 	}
 	i.mu.Unlock()
 	i.obs.Span(obs.SpanWALReplay, i.edgeTag(e), tReplay, i.clk.Now())
-	if i.EdgeDown != nil {
-		i.EdgeDown(e, false)
-	}
 
 	// Peers may hold blocks whose coordinator was e; its decisions are
 	// durable again, so they can resolve now.

@@ -549,7 +549,6 @@ func (f *fleetRun) play() *Result {
 		WorkDir:      f.dir,
 	}
 	res.Report = mergeReport(elapsed, f.ts, clients, edges, cloud, crashes, dyn)
-	res.Report.Transport = &cluster.TransportReport{Name: "fleet"}
 
 	// Trace collection needs the processes' SIGTERM flush first.
 	if f.o.Attach == nil {

@@ -196,9 +196,6 @@ func TestFleetAttachTimeline(t *testing.T) {
 	if d.Leaves != 1 {
 		t.Errorf("leaves = %d, want 1", d.Leaves)
 	}
-	if r.Transport == nil || r.Transport.Name != "fleet" {
-		t.Errorf("transport = %+v, want fleet", r.Transport)
-	}
 	// Camera a ends on e1 (the migration's destination).
 	for _, cr := range res.Clients {
 		if cr.Camera == "a" && cr.Redials == 0 {

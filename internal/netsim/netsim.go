@@ -23,7 +23,6 @@ type Link struct {
 	bytes    int64
 	messages int64
 	down     bool
-	outages  int64
 }
 
 // TransferTime returns the modeled one-way transfer time for n bytes.
@@ -56,9 +55,6 @@ func (l *Link) Charge(n int) time.Duration {
 // sharded fleet fails the transaction touching it).
 func (l *Link) SetDown(down bool) {
 	l.mu.Lock()
-	if down && !l.down {
-		l.outages++
-	}
 	l.down = down
 	l.mu.Unlock()
 }
@@ -68,13 +64,6 @@ func (l *Link) IsDown() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.down
-}
-
-// Outages reports how many times the link transitioned to down.
-func (l *Link) Outages() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.outages
 }
 
 // Traffic reports cumulative bytes and message count.

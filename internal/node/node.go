@@ -1,10 +1,9 @@
 // Package node is the shared fleet-node assembly layer: the storage and
-// transaction stack every Croesus edge runs, whatever transport delivers
-// its frames. Both deployments build on it — internal/cluster assembles
-// its (simulated or loopback-TCP) edge nodes here, and internal/tcpnet its
-// real multi-process TCP edge servers — so protocol selection and the
-// store/locks/manager wiring exist exactly once instead of being
-// duplicated per deployment.
+// transaction stack every Croesus edge runs, whatever delivers its frames.
+// Both deployments build on it — internal/cluster assembles its simulated
+// edge nodes here, and internal/tcpnet its real TCP edge servers — so
+// protocol selection and the store/locks/manager wiring exist exactly once
+// instead of being duplicated per deployment.
 package node
 
 import (

@@ -36,7 +36,7 @@ func componentOf(name string) string {
 		return CompLock
 	case obs.SpanTwoPC:
 		return CompTwoPC
-	case obs.SpanNetHop, obs.SpanUplink:
+	case obs.SpanUplink:
 		return CompNetwork
 	default:
 		return ""

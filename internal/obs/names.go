@@ -8,7 +8,6 @@ const (
 	SpanClientFrame   = "client.frame"    // client-side root: submit → final reply received
 	SpanRPCCloud      = "rpc.cloud"       // edge-side cloud round trip (request out → response in)
 	SpanCloudRequest  = "cloud.request"   // cloud-side handling of one validation request (tag section=<k>)
-	SpanNetHop        = "net.hop"         // one traced transport payload's socket round trip (tag path=<name>)
 	SpanFrameIngest   = "frame.ingest"    // client→edge transfer of one frame
 	SpanPoolWait      = "edge.pool.wait"  // waiting for an edge inference slot
 	SpanEdgeDetect    = "edge.detect"     // compact-model inference
@@ -59,7 +58,7 @@ const (
 	MetricCommitsLocal   = "croesus_commits_local_total"
 	MetricCommitsCross   = "croesus_commits_cross_edge_total"
 	MetricCommitsRemote  = "croesus_commits_remote_total"
-	MetricTransportMsgs  = "croesus_transport_messages_total" // tag transport=sim|tcp
+	MetricTransportMsgs  = "croesus_transport_messages_total" // tag transport=sim: modeled link traffic
 	MetricTransportBytes = "croesus_transport_bytes_total"
 	MetricFaultCrashes   = "croesus_fault_crashes_total"
 	MetricFaultRecover   = "croesus_fault_recoveries_total"

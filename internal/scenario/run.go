@@ -19,38 +19,22 @@ import (
 	"croesus/internal/vclock"
 )
 
-// Transport names accepted by Options.Transport.
-const (
-	// TransportSim runs the fleet in-process on the virtual clock over
-	// netsim links — deterministic, byte-identical replay.
-	TransportSim = "sim"
-	// TransportTCP runs the same fleet over loopback TCP sockets on the
-	// wall clock: frames, validation traffic, and 2PC messages cross real
-	// connections, and timeline faults tear those connections down.
-	TransportTCP = "tcp"
-)
-
-// Options select how a scenario deploys. The zero value is the simulated
-// deployment.
+// Options select the clock a scenario runs on. The zero value is the
+// virtual clock.
 type Options struct {
-	// Transport is TransportSim (default) or TransportTCP.
-	Transport string
-	// TimeScale compresses modeled latencies — inference sleeps, frame
-	// pacing, SLO deadlines, and the event timeline — on the TCP
-	// deployment's wall clock: 0.05 runs a 20-second scenario in about one
-	// real second. 0 or 1 runs at full fidelity. Ignored on sim, where
-	// virtual time is already free.
+	// TimeScale > 0 runs the fleet on a wall clock (vclock.NewScaledReal)
+	// with every modeled latency — link transfers, inference sleeps, frame
+	// pacing, SLO deadlines, the event timeline — multiplied by it: 0.05
+	// runs a 20-second scenario in about one real second, 1 runs at full
+	// fidelity. Goroutines then truly overlap, so reports are not
+	// byte-pinned. 0 is the virtual clock: deterministic, byte-identical
+	// replay.
 	TimeScale float64
 	// Obs, when set, threads the observability layer through the fleet:
 	// per-stage spans to its tracer, fleet counters and latency histograms
-	// into its registry. Works identically on both transports; on sim the
-	// resulting trace is deterministic.
+	// into its registry. On the virtual clock the resulting trace is
+	// deterministic.
 	Obs *obs.Obs
-	// Shaped applies the modeled per-path latency/bandwidth shaping
-	// (transport.ShapedTCP: the sim's netsim link parameters as
-	// token-bucket pacing plus injected delay) to the TCP deployment, so
-	// its latencies are directly comparable to sim's. Ignored on sim.
-	Shaped bool
 }
 
 // Runtime is a compiled scenario bound to a cluster, ready to Run. Tests
@@ -66,16 +50,17 @@ type Runtime struct {
 }
 
 // New validates the scenario, compiles it to a cluster configuration, and
-// provisions the fleet on clk over the default simulated transport. The
+// provisions the fleet on clk over the modeled links. The
 // caller owns the clock (it must be the driver) and must Close the cluster
 // when done.
 func New(s *Scenario, clk vclock.Clock) (*Runtime, error) {
 	return NewObserved(s, clk, nil, nil)
 }
 
-// NewObserved is New with an explicit deployment transport (nil: simulated;
-// the cluster takes ownership of it and closes it with Close) and an
-// observability layer threaded through the fleet (nil: disabled).
+// NewObserved is New with an explicit transport (nil, what every caller
+// passes: transport.NewSim; the cluster takes ownership of it and closes it
+// with Close) and an observability layer threaded through the fleet (nil:
+// disabled).
 func NewObserved(s *Scenario, clk vclock.Clock, tr transport.Transport, o *obs.Obs) (*Runtime, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -116,43 +101,23 @@ func (rt *Runtime) Run() *cluster.ClusterReport {
 // Run builds and runs a scenario in one call on a fresh virtual clock,
 // releasing the fleet's durability resources when the run finishes.
 func Run(s *Scenario) (*cluster.ClusterReport, error) {
-	rt, err := New(s, vclock.NewSim())
+	return RunWith(s, Options{})
+}
+
+// RunWith runs one scenario on the clock o selects: the virtual clock (Run,
+// byte-identical replay) or, with TimeScale > 0, the same compiled cluster
+// on a scaled wall clock over the same modeled links.
+func RunWith(s *Scenario, o Options) (*cluster.ClusterReport, error) {
+	var clk vclock.Clock = vclock.NewSim()
+	if o.TimeScale > 0 {
+		clk = vclock.NewScaledReal(o.TimeScale)
+	}
+	rt, err := NewObserved(s, clk, nil, o.Obs)
 	if err != nil {
 		return nil, err
 	}
 	defer rt.Cluster.Close()
 	return rt.Run(), nil
-}
-
-// RunWith runs one scenario on the selected deployment: the simulated
-// fleet (Run, byte-identical replay) or the loopback-TCP fleet — the same
-// compiled cluster on a wall clock, every fleet hop crossing a real
-// socket, timeline faults acting as connection teardowns. One scenario
-// JSON, two transports.
-func RunWith(s *Scenario, o Options) (*cluster.ClusterReport, error) {
-	switch o.Transport {
-	case "", TransportSim:
-		rt, err := NewObserved(s, vclock.NewSim(), nil, o.Obs)
-		if err != nil {
-			return nil, err
-		}
-		defer rt.Cluster.Close()
-		return rt.Run(), nil
-	case TransportTCP:
-		clk := vclock.NewScaledReal(o.TimeScale)
-		var tr transport.Transport = transport.NewTCP()
-		if o.Shaped {
-			tr = transport.NewShapedTCP(clk)
-		}
-		rt, err := NewObserved(s, clk, tr, o.Obs)
-		if err != nil {
-			return nil, err
-		}
-		defer rt.Cluster.Close()
-		return rt.Run(), nil
-	default:
-		return nil, fmt.Errorf("scenario: unknown transport %q (want %s or %s)", o.Transport, TransportSim, TransportTCP)
-	}
 }
 
 func (rt *Runtime) cameraSpec(cam Camera) cluster.CameraSpec {

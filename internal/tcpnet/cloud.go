@@ -3,8 +3,8 @@
 // batcher, edge servers running the shared fleet-node assembly (compact
 // model, store, locks, MS-IA/MS-SR transactions) through the one core
 // pipeline, and a client that streams frames. The node logic IS
-// internal/core and internal/node — the same code the simulated and
-// loopback-TCP fleets run — against wall-clock time and real sockets;
+// internal/core and internal/node — the same code the simulated fleet
+// runs — against wall-clock time and real sockets;
 // TimeScale compresses the modeled inference latencies so integration
 // tests finish quickly.
 package tcpnet

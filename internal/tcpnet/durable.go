@@ -179,9 +179,9 @@ func (s *EdgeServer) Dropped() int64 {
 func (s *EdgeServer) SetPathDown(path string, down bool) error {
 	switch path {
 	case "client":
-		s.clientPath.SetShapedDown(down)
+		s.clientPath.SetDown(down)
 	case "cloud":
-		s.cloudPath.SetShapedDown(down)
+		s.cloudPath.SetDown(down)
 	default:
 		return fmt.Errorf("tcpnet: unknown path %q (want client or cloud)", path)
 	}

@@ -145,8 +145,8 @@ func NewEdgeServer(cfg EdgeConfig) (*EdgeServer, error) {
 		compute: vclock.NewSemaphore(clk, cfg.Slots),
 		conns:   make(map[net.Conn]struct{}),
 	}
-	s.clientPath = transport.NewShapedPath(transport.Null{}, cfg.ClientEdgeShape, clk)
-	s.cloudPath = transport.NewShapedPath(transport.Null{}, cfg.EdgeCloudShape, clk)
+	s.clientPath = transport.NewShapedPath(cfg.ClientEdgeShape, clk)
+	s.cloudPath = transport.NewShapedPath(cfg.EdgeCloudShape, clk)
 	if cfg.Obs != nil {
 		s.queueDepth = cfg.Obs.Gauge(obs.MetricEdgeQueueDepth, obs.Tags("edge", cfg.EdgeID))
 		s.asm.Mgr.Tracer = cfg.Obs.Tracer()

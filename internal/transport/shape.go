@@ -8,7 +8,6 @@ import (
 
 	"croesus/internal/netsim"
 	"croesus/internal/vclock"
-	"croesus/internal/wire"
 )
 
 // Shaper injects a modeled link's latency/bandwidth profile into a real
@@ -34,11 +33,6 @@ type Shaper struct {
 // bandwidth in bytes per second (0 = infinite).
 func NewShaper(propagation time.Duration, bandwidth float64) *Shaper {
 	return &Shaper{propagation: propagation, bandwidth: bandwidth}
-}
-
-// ShaperFromLink mirrors a modeled link's parameters.
-func ShaperFromLink(l *netsim.Link) *Shaper {
-	return NewShaper(l.Propagation, l.Bandwidth)
 }
 
 // transmission returns n's serialization time on the link.
@@ -100,15 +94,13 @@ func FormatLinkSpec(l *netsim.Link) string {
 	return fmt.Sprintf("%s:%g", l.Propagation, l.Bandwidth)
 }
 
-// ShapedPath wraps a real Path with a Shaper so its deliveries take the
-// modeled link's time even though the real socket (or in-process hop) is
-// nearly free. A Send measures the real cost on the clock, runs the inner
-// delivery, and sleeps for whatever the model still owes; a Charge returns
-// the remainder for the caller to sleep (the fan-out contract). The wrapper
-// carries its own severed flag so an orchestrator can blackhole one path
-// without tearing the inner transport down.
+// ShapedPath is a Path that costs a Shaper's modeled delay and nothing
+// else: the socket deployment's edge uses it for hops whose real bytes its
+// own sockets already carried, so a modeled link profile can be injected on
+// top. A Send sleeps the modeled delay on the clock; a Charge returns it for
+// the caller to sleep (the fan-out contract). It carries its own severed
+// flag so an orchestrator can blackhole one path.
 type ShapedPath struct {
-	inner  Path
 	shaper *Shaper
 	clk    vclock.Clock
 
@@ -117,214 +109,74 @@ type ShapedPath struct {
 	bytes    int64
 	messages int64
 	drops    int64
-	severs   int64
 }
 
-// NewShapedPath wraps inner with the shaper, reading modeled time from clk.
-// A nil shaper passes through unshaped (still countable and severable).
-func NewShapedPath(inner Path, shaper *Shaper, clk vclock.Clock) *ShapedPath {
-	return &ShapedPath{inner: inner, shaper: shaper, clk: clk}
+// NewShapedPath builds a path shaped by shaper, reading modeled time from
+// clk. A nil shaper costs nothing (still countable and severable).
+func NewShapedPath(shaper *Shaper, clk vclock.Clock) *ShapedPath {
+	return &ShapedPath{shaper: shaper, clk: clk}
 }
 
-// delay accounts n bytes on the shaper at the current modeled time.
-func (p *ShapedPath) delay(n int) time.Duration {
+// Send implements Path: the modeled delay, slept on clk.
+func (p *ShapedPath) Send(clk vclock.Clock, n int) {
+	if d := p.Charge(n); d > 0 {
+		clk.Sleep(d)
+	}
+}
+
+// Charge implements Path: it accounts n bytes on the shaper at the current
+// modeled time and returns the delay for the caller to sleep. A message
+// charged while the path is severed is dropped and costs nothing.
+func (p *ShapedPath) Charge(n int) time.Duration {
+	p.mu.Lock()
+	if p.down {
+		p.drops++
+		p.mu.Unlock()
+		return 0
+	}
+	p.bytes += int64(n)
+	p.messages++
+	p.mu.Unlock()
 	if p.shaper == nil {
 		return 0
 	}
 	return p.shaper.Delay(p.clk.Now(), n)
 }
 
-func (p *ShapedPath) account(n int) {
-	p.mu.Lock()
-	p.bytes += int64(n)
-	p.messages++
-	p.mu.Unlock()
-}
-
-func (p *ShapedPath) drop() {
-	p.mu.Lock()
-	p.drops++
-	p.mu.Unlock()
-}
-
-// Send implements Path: real delivery plus the modeled remainder.
-func (p *ShapedPath) Send(clk vclock.Clock, n int) {
-	p.sendCtx(clk, n, nil)
-}
-
-// SendTraced implements TracedPath.
-func (p *ShapedPath) SendTraced(clk vclock.Clock, n int, tc *wire.TraceCtx) {
-	p.sendCtx(clk, n, tc)
-}
-
-func (p *ShapedPath) sendCtx(clk vclock.Clock, n int, tc *wire.TraceCtx) {
-	if p.IsDown() {
-		p.drop()
-		return
-	}
-	d := p.delay(n)
-	t0 := clk.Now()
-	SendCtx(p.inner, clk, n, tc)
-	if rem := d - (clk.Now() - t0); rem > 0 {
-		clk.Sleep(rem)
-	}
-	p.account(n)
-}
-
-// Charge implements Path: the inner path delivers (synchronously on TCP),
-// and the modeled remainder is returned for the caller to sleep.
-func (p *ShapedPath) Charge(n int) time.Duration {
-	return p.chargeCtx(n, nil)
-}
-
-// ChargeTraced implements TracedPath.
-func (p *ShapedPath) ChargeTraced(n int, tc *wire.TraceCtx) time.Duration {
-	return p.chargeCtx(n, tc)
-}
-
-func (p *ShapedPath) chargeCtx(n int, tc *wire.TraceCtx) time.Duration {
-	if p.IsDown() {
-		p.drop()
-		return 0
-	}
-	d := p.delay(n)
-	t0 := p.clk.Now()
-	innerRem := ChargeCtx(p.inner, n, tc)
-	p.account(n)
-	rem := d - (p.clk.Now() - t0)
-	if innerRem > rem {
-		return innerRem
-	}
-	if rem > 0 {
-		return rem
-	}
-	return 0
-}
-
 // TransferTime implements Path: the uncontended modeled transfer time.
 func (p *ShapedPath) TransferTime(n int) time.Duration {
 	if p.shaper == nil {
-		return p.inner.TransferTime(n)
+		return 0
 	}
 	return p.shaper.TransferTime(n)
 }
 
-// SetDown implements Path. The severed flag lives on the wrapper AND is
-// forwarded to the inner path, so a loopback-TCP link fault still tears the
-// real connection down.
+// SetDown implements Path: the orchestrator's per-path blackhole.
 func (p *ShapedPath) SetDown(down bool) {
 	p.mu.Lock()
-	if down && !p.down {
-		p.severs++
-	}
-	p.down = down
-	p.mu.Unlock()
-	p.inner.SetDown(down)
-}
-
-// SetShapedDown severs (or heals) only the wrapper — the orchestrator's
-// per-path blackhole, which must not disturb the inner transport's own
-// link/edge fault state.
-func (p *ShapedPath) SetShapedDown(down bool) {
-	p.mu.Lock()
-	if down && !p.down {
-		p.severs++
-	}
 	p.down = down
 	p.mu.Unlock()
 }
 
-// IsDown implements Path: severed if either the wrapper or the inner path is.
+// IsDown implements Path.
 func (p *ShapedPath) IsDown() bool {
 	p.mu.Lock()
-	down := p.down
-	p.mu.Unlock()
-	return down || p.inner.IsDown()
+	defer p.mu.Unlock()
+	return p.down
 }
 
-// Traffic implements Path, reporting the wrapper's own counters (the inner
-// Null path of a multi-process node counts nothing).
+// Traffic implements Path.
 func (p *ShapedPath) Traffic() (int64, int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.bytes, p.messages
 }
 
-// Drops reports messages blackholed by the wrapper's severed flag.
+// Drops reports messages blackholed by the severed flag.
 func (p *ShapedPath) Drops() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.drops
 }
 
-var (
-	_ Path       = (*ShapedPath)(nil)
-	_ TracedPath = (*ShapedPath)(nil)
-)
-
-// ShapedTCP is the loopback TCP transport with every path wrapped in the
-// modeled link profile the sim transport would have provisioned — same
-// topology (client→edge, edge→cloud cross-country or same-site, inter-edge
-// mesh), same parameters, so sim and shaped-TCP latency distributions are
-// comparable like-for-like. Real bytes still cross real sockets; the shaper
-// sleeps only for what the model still owes after the socket round trip.
-type ShapedTCP struct {
-	*TCP
-	clk vclock.Clock
-
-	shapedClientEdge []*ShapedPath
-	shapedEdgeCloud  []*ShapedPath
-	shapedPeers      [][]*ShapedPath
-}
-
-// NewShapedTCP returns an unprovisioned shaped TCP transport reading
-// modeled time from clk (the run's clock, so -timescale scales the injected
-// delays along with everything else).
-func NewShapedTCP(clk vclock.Clock) *ShapedTCP {
-	return &ShapedTCP{TCP: NewTCP(), clk: clk}
-}
-
-// Name returns "tcp+shaped".
-func (t *ShapedTCP) Name() string { return "tcp+shaped" }
-
-// Provision builds the TCP paths, then wraps each in its modeled profile.
-func (t *ShapedTCP) Provision(edges []EdgeProfile) error {
-	if err := t.TCP.Provision(edges); err != nil {
-		return err
-	}
-	n := len(edges)
-	t.shapedClientEdge = make([]*ShapedPath, n)
-	t.shapedEdgeCloud = make([]*ShapedPath, n)
-	t.shapedPeers = make([][]*ShapedPath, n)
-	for i, e := range edges {
-		t.shapedClientEdge[i] = NewShapedPath(t.TCP.ClientEdge(i), ShaperFromLink(netsim.ClientEdgeLink()), t.clk)
-		up := netsim.EdgeCloudCrossCountry()
-		if e.SameSite {
-			up = netsim.EdgeCloudSameSite()
-		}
-		t.shapedEdgeCloud[i] = NewShapedPath(t.TCP.EdgeCloud(i), ShaperFromLink(up), t.clk)
-		t.shapedPeers[i] = make([]*ShapedPath, n)
-		for j := range edges {
-			if j != i {
-				t.shapedPeers[i][j] = NewShapedPath(t.TCP.Peer(i, j), ShaperFromLink(netsim.EdgeEdgeLink()), t.clk)
-			}
-		}
-	}
-	return nil
-}
-
-// ClientEdge returns edge i's shaped client→edge path.
-func (t *ShapedTCP) ClientEdge(i int) Path { return t.shapedClientEdge[i] }
-
-// EdgeCloud returns edge i's shaped cloud uplink.
-func (t *ShapedTCP) EdgeCloud(i int) Path { return t.shapedEdgeCloud[i] }
-
-// Peer returns edge from's shaped path to edge to (nil on the diagonal).
-func (t *ShapedTCP) Peer(from, to int) Path {
-	if p := t.shapedPeers[from][to]; p != nil {
-		return p
-	}
-	return nil
-}
-
-var _ Transport = (*ShapedTCP)(nil)
+var _ Path = (*ShapedPath)(nil)

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"sort"
 	"testing"
 	"time"
 
@@ -51,7 +50,8 @@ func TestShaperInfiniteBandwidth(t *testing.T) {
 }
 
 // At low utilization the shaper's delay is exactly the modeled link's
-// transfer time — the property that makes shaped-TCP comparable to sim.
+// transfer time — the property that makes a shaped fleet comparable to sim.
+// The shaper is built the way croesus-fleet hands it to an edge: as a spec.
 func TestShaperMatchesLinkTransferTime(t *testing.T) {
 	for _, l := range []*netsim.Link{
 		netsim.ClientEdgeLink(),
@@ -60,7 +60,10 @@ func TestShaperMatchesLinkTransferTime(t *testing.T) {
 		netsim.EdgeEdgeLink(),
 	} {
 		for _, n := range []int{0, 1000, 32 << 10, 1 << 20} {
-			s := ShaperFromLink(l) // fresh: no queued state
+			s, err := ParseLinkSpec(FormatLinkSpec(l)) // fresh: no queued state
+			if err != nil {
+				t.Fatal(err)
+			}
 			if got, want := s.TransferTime(n), l.TransferTime(n); got != want {
 				t.Errorf("%s TransferTime(%d): shaper %v, link %v", l.Name, n, got, want)
 			}
@@ -94,11 +97,11 @@ func TestParseLinkSpec(t *testing.T) {
 	}
 }
 
-// A shaped path over the Null inner path (the multi-process node's
-// pipeline seam) injects the full modeled delay.
+// A shaped path (the multi-process node's pipeline seam) injects the full
+// modeled delay.
 func TestShapedPathOverNull(t *testing.T) {
 	clk := vclock.NewReal()
-	p := NewShapedPath(Null{}, NewShaper(20*time.Millisecond, 0), clk)
+	p := NewShapedPath(NewShaper(20*time.Millisecond, 0), clk)
 	t0 := clk.Now()
 	p.Send(clk, 1000)
 	if got := clk.Now() - t0; got < 18*time.Millisecond {
@@ -107,62 +110,13 @@ func TestShapedPathOverNull(t *testing.T) {
 	if b, m := p.Traffic(); b != 1000 || m != 1 {
 		t.Fatalf("traffic: %d bytes, %d messages", b, m)
 	}
-	// Severing the wrapper blackholes without touching the inner path.
-	p.SetShapedDown(true)
+	p.SetDown(true)
 	p.Send(clk, 1000)
 	if p.Drops() != 1 {
 		t.Fatalf("drops: %d, want 1", p.Drops())
 	}
-	p.SetShapedDown(false)
+	p.SetDown(false)
 	if p.IsDown() {
 		t.Fatal("path still down after heal")
-	}
-}
-
-// Loopback tolerance test (satellite): shaped sends over real sockets land
-// within tolerance of the modeled netsim.Link transfer time. Sequential
-// sends keep the serializer uncontended, so the model predicts exactly
-// TransferTime; the socket round trip and sleep granularity add a little.
-func TestShapedTCPLatencyWithinTolerance(t *testing.T) {
-	clk := vclock.NewReal()
-	tr := NewShapedTCP(clk)
-	if err := tr.Provision([]EdgeProfile{{ID: "e0"}}); err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-
-	const n = 32 << 10
-	link := netsim.ClientEdgeLink()
-	want := link.TransferTime(n)
-	path := tr.ClientEdge(0)
-	if got := path.TransferTime(n); got != want {
-		t.Fatalf("shaped TransferTime %v, want modeled %v", got, want)
-	}
-
-	samples := make([]time.Duration, 0, 30)
-	for i := 0; i < 30; i++ {
-		t0 := clk.Now()
-		path.Send(clk, n)
-		samples = append(samples, clk.Now()-t0)
-	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	p50 := samples[len(samples)/2]
-	p99 := samples[len(samples)-1]
-
-	// The shaped send can never be meaningfully faster than the model, and
-	// scheduling overhead should stay small on loopback.
-	lo, hi := want-time.Millisecond, want+15*time.Millisecond
-	if p50 < lo || p50 > hi {
-		t.Errorf("p50 %v outside [%v, %v] of modeled %v", p50, lo, hi, want)
-	}
-	if p99 > want+40*time.Millisecond {
-		t.Errorf("p99 %v beyond modeled %v + 40ms", p99, want)
-	}
-
-	if b, _ := path.Traffic(); b != int64(30*n) {
-		t.Errorf("shaped path bytes %d, want %d", b, 30*n)
-	}
-	if st := tr.Stats(); st.Bytes != int64(30*n) {
-		t.Errorf("transport bytes %d, want %d (real sockets carried the traffic)", st.Bytes, 30*n)
 	}
 }

@@ -9,8 +9,7 @@ import (
 // Sim is the simulated transport: every path is a netsim.Link with the
 // standard fleet topology (clients adjacent to their edge, a cross-country
 // — or same-site — cloud uplink per edge, a metro peer mesh), charging
-// modeled transfer time on the fleet's clock. It is the default transport
-// and reproduces the pre-seam cluster byte for byte.
+// modeled transfer time on the fleet's clock.
 type Sim struct {
 	clientEdge []*netsim.Link
 	edgeCloud  []*netsim.Link
@@ -69,12 +68,7 @@ func (s *Sim) Peer(from, to int) Path {
 	return nil
 }
 
-// SetEdgeDown is a no-op: the simulated fleet models edge crashes above
-// the network (see Transport.SetEdgeDown).
-func (s *Sim) SetEdgeDown(int, bool) {}
-
-// Stats aggregates link traffic; drops stay zero (the sim models loss
-// above the transport) and severs count link outages.
+// Stats aggregates link traffic.
 func (s *Sim) Stats() Stats {
 	var st Stats
 	add := func(l *netsim.Link) {
@@ -84,7 +78,6 @@ func (s *Sim) Stats() Stats {
 		b, m := l.Traffic()
 		st.Bytes += b
 		st.Messages += m
-		st.Severs += l.Outages()
 	}
 	for i := range s.clientEdge {
 		add(s.clientEdge[i])

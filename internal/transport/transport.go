@@ -1,23 +1,17 @@
 // Package transport is the network seam between the fleet runtime and its
-// deployment. The cluster runtime (internal/cluster, driven by
+// modeled network. The cluster runtime (internal/cluster, driven by
 // internal/scenario) speaks to the network only through the Path and
 // Transport interfaces defined here: every client→edge frame delivery,
 // every edge→cloud validation transfer, and every inter-edge 2PC message
-// crosses a Path, and every fault that the network can express — a severed
-// link, a dark edge — is applied through the Transport.
+// crosses a Path, and a severed link is a Path's SetDown.
 //
-// Two implementations ship:
-//
-//   - Sim wraps the netsim links of the simulated deployment. Paths charge
-//     modeled propagation + bandwidth time on the fleet's virtual clock,
-//     exactly as the fleet always has — a scenario replay over Sim is
-//     byte-identical to the pre-seam runtime.
-//   - TCP ships every path's traffic as real bytes over loopback TCP
-//     connections framed with wire.Envelope (KindPayload/KindAck). Faults
-//     act at the transport: severing a path tears its connection down and
-//     blackholes messages until healed.
-//
-// One fleet runtime, two transports: the same scenario JSON runs on either.
+// Sim is the one Transport: it wraps the netsim links of the simulated
+// fleet. Paths charge modeled propagation + bandwidth time on the fleet's
+// clock — the virtual clock for byte-identical replay, or a scaled real
+// clock for a wall-clock run of the same fleet. Real bytes cross real
+// sockets only in the process deployment (internal/tcpnet, croesus-fleet),
+// whose per-node pipelines use Null where the node's own socket carried the
+// bytes and ShapedPath where a modeled link profile is injected on top.
 package transport
 
 import (
@@ -25,29 +19,25 @@ import (
 
 	"croesus/internal/netsim"
 	"croesus/internal/vclock"
-	"croesus/internal/wire"
 )
 
 // Path is one directed network path of the fleet (client→edge, edge→cloud,
-// or edge→edge peer). *netsim.Link implements it natively; the TCP
-// transport implements it over a real socket. Implementations must be safe
-// for concurrent use — frames overlap.
+// or edge→edge peer). *netsim.Link implements it natively. Implementations
+// must be safe for concurrent use — frames overlap.
 type Path interface {
 	// Send carries an n-byte message across the path, blocking the caller
-	// in clock time until delivery (modeled transfer time on sim, the real
-	// socket round trip on TCP). A message sent while the path is severed
-	// is lost; callers that need to know check IsDown.
+	// in clock time for the modeled transfer time. A message sent while
+	// the path is severed is lost; callers that need to know check IsDown.
 	Send(clk vclock.Clock, n int)
-	// Charge accounts an n-byte message and returns the time the caller
-	// should sleep for it — the modeled transfer time on sim (callers
-	// fanning a round out in parallel charge every path and sleep once for
-	// the maximum), zero on TCP, where Charge delivers synchronously.
+	// Charge accounts an n-byte message and returns the modeled transfer
+	// time the caller should sleep for it: callers fanning a round out in
+	// parallel charge every path and sleep once for the maximum.
 	Charge(n int) time.Duration
 	// TransferTime returns the modeled one-way transfer time for n bytes
-	// without sending anything (zero on TCP).
+	// without sending anything.
 	TransferTime(n int) time.Duration
-	// SetDown severs (true) or heals (false) the path. On TCP this tears
-	// the underlying connection down; messages are blackholed until healed.
+	// SetDown severs (true) or heals (false) the path; messages are
+	// blackholed until healed.
 	SetDown(down bool)
 	// IsDown reports whether the path is currently severed.
 	IsDown() bool
@@ -58,49 +48,12 @@ type Path interface {
 // *netsim.Link is the simulated Path.
 var _ Path = (*netsim.Link)(nil)
 
-// TracedPath is an optional Path extension: a path that can carry a trace
-// context with each message (stamped on the wire.Payload) and emit a
-// net.hop span per delivery. The sim's netsim.Link deliberately does NOT
-// implement it — modeled links have no real socket time to trace, and the
-// simulated deployment's bytes must stay identical with tracing enabled.
-type TracedPath interface {
-	// SendTraced is Send with a trace context attached to the message.
-	SendTraced(clk vclock.Clock, n int, tc *wire.TraceCtx)
-	// ChargeTraced is Charge with a trace context attached.
-	ChargeTraced(n int, tc *wire.TraceCtx) time.Duration
-}
-
-// SendCtx sends n bytes across p, attaching tc when the path supports
-// tracing. A nil tc or an untraced path degrades to the plain Send — the
-// zero-cost path the simulator always takes.
-func SendCtx(p Path, clk vclock.Clock, n int, tc *wire.TraceCtx) {
-	if tc != nil {
-		if tp, ok := p.(TracedPath); ok {
-			tp.SendTraced(clk, n, tc)
-			return
-		}
-	}
-	p.Send(clk, n)
-}
-
-// ChargeCtx charges n bytes on p, attaching tc when the path supports
-// tracing; otherwise it degrades to the plain Charge.
-func ChargeCtx(p Path, n int, tc *wire.TraceCtx) time.Duration {
-	if tc != nil {
-		if tp, ok := p.(TracedPath); ok {
-			return tp.ChargeTraced(n, tc)
-		}
-	}
-	return p.Charge(n)
-}
-
 // EdgeProfile is what a Transport needs to know about one edge to
 // provision its paths.
 type EdgeProfile struct {
 	// ID names the edge's paths.
 	ID string
-	// SameSite co-locates the edge with the cloud (short modeled uplink on
-	// sim; no effect on TCP, where the loopback is the loopback).
+	// SameSite co-locates the edge with the cloud (short modeled uplink).
 	SameSite bool
 }
 
@@ -108,20 +61,13 @@ type EdgeProfile struct {
 type Stats struct {
 	// Bytes and Messages count traffic delivered across all paths.
 	Bytes, Messages int64
-	// Drops counts messages lost because their path was severed (or its
-	// connection died mid-flight) — TCP only; the sim models loss above
-	// the transport.
-	Drops int64
-	// Severs counts path teardown transitions (SetDown(true) and
-	// SetEdgeDown edges going dark).
-	Severs int64
 }
 
 // Transport provisions and owns every network path of one fleet: a
 // client→edge and an edge→cloud path per edge, plus the full inter-edge
 // peer mesh. Provision is called exactly once, before any path is used.
 type Transport interface {
-	// Name identifies the transport in reports: "sim" or "tcp".
+	// Name identifies the transport in metric tags: "sim".
 	Name() string
 	// Provision builds the paths for a fleet of the given edges.
 	Provision(edges []EdgeProfile) error
@@ -132,22 +78,16 @@ type Transport interface {
 	// Peer returns edge from's one-way path to edge to, or nil when
 	// from == to (a partition's home needs no hop).
 	Peer(from, to int) Path
-	// SetEdgeDown severs (true) or restores (false) every path touching
-	// edge i — what an edge crash looks like from the network. On TCP this
-	// tears the edge's connections down; the sim is a no-op, because the
-	// simulated fleet models crashes above the network (dropped frames,
-	// fault-injector epochs) and its links must stay byte-identical.
-	SetEdgeDown(i int, down bool)
-	// Stats reports lifetime traffic and fault activity.
+	// Stats reports lifetime traffic.
 	Stats() Stats
-	// Close releases the transport's resources (listeners, connections).
-	// Paths must not be used after Close.
+	// Close releases the transport's resources. Paths must not be used
+	// after Close.
 	Close() error
 }
 
 // Null is a zero-cost Path for hops some outer layer already paid for: the
-// real TCP deployment's per-node pipeline uses it where the node's own
-// socket carried the bytes, so nothing is double-charged.
+// socket deployment's per-node pipeline uses it where the node's own socket
+// carried the bytes, so nothing is double-charged.
 type Null struct{}
 
 // Send is a no-op.

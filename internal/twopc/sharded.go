@@ -31,7 +31,6 @@ import (
 	"croesus/internal/transport"
 	"croesus/internal/txn"
 	"croesus/internal/vclock"
-	"croesus/internal/wire"
 	"croesus/internal/workload"
 )
 
@@ -292,21 +291,11 @@ const maxMapRetries = 4
 // Name returns the protocol name, e.g. "sharded-MS-IA".
 func (c *ShardedCC) Name() string { return "sharded-" + c.Protocol.String() }
 
-// hopTo pays one one-way message delay to the edge hosting partition pi,
-// carrying the transaction's trace context when the transport is traced.
-func (c *ShardedCC) hopTo(pi int, tc *wire.TraceCtx) {
+// hopTo pays one one-way message delay to the edge hosting partition pi.
+func (c *ShardedCC) hopTo(pi int) {
 	if l := c.Links[pi]; l != nil {
-		transport.SendCtx(l, c.Clk, lockMsgBytes, tc)
+		l.Send(c.Clk, lockMsgBytes)
 	}
-}
-
-// wireCtx returns the wire trace context for an instance's lock and 2PC
-// messages — nil when the instance carries no trace, the zero-cost path.
-func wireCtx(in *txn.Instance) *wire.TraceCtx {
-	if in == nil || !in.Trace.Valid() {
-		return nil
-	}
-	return &wire.TraceCtx{Trace: in.Trace.Trace, Parent: in.Trace.Span}
 }
 
 func (c *ShardedCC) partDown(pi int) bool { return c.Faults != nil && c.Faults.Down(pi) }
@@ -440,7 +429,7 @@ func (c *ShardedCC) routeStale(epoch int64, byPart map[int][]lock.Request) bool 
 // remote read fetch, so section bodies read remote keys without further
 // hops. It reports false — releasing everything taken — when a partition
 // is unreachable (its edge crashed or the link is partitioned).
-func (c *ShardedCC) acquire(owner lock.Owner, byPart map[int][]lock.Request, tc *wire.TraceCtx) bool {
+func (c *ShardedCC) acquire(owner lock.Owner, byPart map[int][]lock.Request) bool {
 	got := make([]int, 0, len(c.Parts))
 	for pi := 0; pi < len(c.Parts); pi++ {
 		rs, ok := byPart[pi]
@@ -449,14 +438,14 @@ func (c *ShardedCC) acquire(owner lock.Owner, byPart map[int][]lock.Request, tc 
 		}
 		if !c.reachable(pi) {
 			for _, gi := range got {
-				c.hopTo(gi, tc)
+				c.hopTo(gi)
 				c.Parts[gi].Locks.ReleaseAll(owner, byPart[gi])
 			}
 			return false
 		}
-		c.hopTo(pi, tc)
+		c.hopTo(pi)
 		c.Parts[pi].Locks.AcquireAll(owner, rs)
-		c.hopTo(pi, tc)
+		c.hopTo(pi)
 		if c.Links[pi] != nil {
 			c.Stats.add(func(d *DistCounters) { d.LockRPCs++ })
 		}
@@ -475,11 +464,11 @@ func (c *ShardedCC) acquire(owner lock.Owner, byPart map[int][]lock.Request, tc 
 // is returned. Fleet-wide monotonic IDs make the age comparison valid
 // across edges. fault reports whether the failure was an unreachable
 // partition rather than a wait-die death.
-func (c *ShardedCC) acquireWaitDie(owner lock.Owner, byPart map[int][]lock.Request, tc *wire.TraceCtx) (ok, fault bool) {
+func (c *ShardedCC) acquireWaitDie(owner lock.Owner, byPart map[int][]lock.Request) (ok, fault bool) {
 	got := make([]int, 0, len(c.Parts))
 	bail := func(fault bool) (bool, bool) {
 		for _, gi := range got {
-			c.hopTo(gi, tc)
+			c.hopTo(gi)
 			c.Parts[gi].Locks.ReleaseAll(owner, byPart[gi])
 		}
 		return false, fault
@@ -492,9 +481,9 @@ func (c *ShardedCC) acquireWaitDie(owner lock.Owner, byPart map[int][]lock.Reque
 		if !c.reachable(pi) {
 			return bail(true)
 		}
-		c.hopTo(pi, tc)
+		c.hopTo(pi)
 		ok = c.Parts[pi].Locks.AcquireAllWaitDie(owner, rs)
-		c.hopTo(pi, tc)
+		c.hopTo(pi)
 		if c.Links[pi] != nil {
 			c.Stats.add(func(d *DistCounters) { d.LockRPCs++ })
 		}
@@ -506,13 +495,13 @@ func (c *ShardedCC) acquireWaitDie(owner lock.Owner, byPart map[int][]lock.Reque
 	return true, false
 }
 
-func (c *ShardedCC) release(owner lock.Owner, byPart map[int][]lock.Request, tc *wire.TraceCtx) {
+func (c *ShardedCC) release(owner lock.Owner, byPart map[int][]lock.Request) {
 	for pi := 0; pi < len(c.Parts); pi++ {
 		rs, ok := byPart[pi]
 		if !ok {
 			continue
 		}
-		c.hopTo(pi, tc)
+		c.hopTo(pi)
 		c.Parts[pi].Locks.ReleaseAll(owner, rs)
 	}
 }
@@ -535,7 +524,7 @@ func (c *ShardedCC) release(owner lock.Owner, byPart map[int][]lock.Request, tc 
 // the commit must land where the locks (and the eager writes) are, even if
 // the live map has since moved an *unrelated* shard — the held shard
 // intents guarantee the transaction's own shards cannot have moved.
-func (c *ShardedCC) commitSection(id txn.ID, round uint8, writes []lock.Request, epochs map[int]int, route map[string]int, tc *wire.TraceCtx) error {
+func (c *ShardedCC) commitSection(id txn.ID, round uint8, writes []lock.Request, epochs map[int]int, route map[string]int) error {
 	cr := CommitRound{ID: id, Round: round}
 	keysByPart := map[int][]string{}
 	involved := make([]int, 0, len(c.Parts))
@@ -577,7 +566,7 @@ func (c *ShardedCC) commitSection(id txn.ID, round uint8, writes []lock.Request,
 			c.Stats.add(func(d *DistCounters) { d.LocalCommits++ })
 			return nil
 		}
-		c.hopTo(pi, tc)
+		c.hopTo(pi)
 		c.Stats.add(func(d *DistCounters) { d.RemoteCommits++; d.CommitRPCs++ })
 		return nil
 	}
@@ -595,12 +584,8 @@ func (c *ShardedCC) commitSection(id txn.ID, round uint8, writes []lock.Request,
 
 	// Phase 1: parallel prepare fan-out. Each participant stages its share
 	// durably (data records + prepare marker) and votes; the round costs
-	// the slowest participant's round trip. The link charges run on their
-	// own goroutines so a transport that delivers synchronously (TCP)
-	// also pays max-of-RTT, not sum — on the sim, Charge is pure
-	// accounting and the goroutines finish without touching the clock, so
-	// replay stays byte-identical.
-	maxRTT := chargeFanOut(c.Links, involved, 2, tc, func() {
+	// the slowest participant's round trip.
+	maxRTT := chargeFanOut(c.Links, involved, 2, func() {
 		c.Stats.add(func(d *DistCounters) { d.PrepareRPCs++ })
 	})
 	for _, pi := range involved {
@@ -645,7 +630,7 @@ func (c *ShardedCC) commitSection(id txn.ID, round uint8, writes []lock.Request,
 			c.Parts[pi].DeliverDecision(cr, true)
 			live = append(live, pi)
 		}
-		maxOne := chargeFanOut(c.Links, live, 1, tc, func() {
+		maxOne := chargeFanOut(c.Links, live, 1, func() {
 			c.Stats.add(func(d *DistCounters) { d.CommitRPCs++ })
 		})
 		c.Clk.Sleep(maxOne)
@@ -655,39 +640,25 @@ func (c *ShardedCC) commitSection(id txn.ID, round uint8, writes []lock.Request,
 }
 
 // chargeFanOut charges msgs protocol messages on every listed partition's
-// link concurrently and returns the slowest per-link total — the modeled
-// cost of a parallel round. onEach runs once per listed partition (link
-// or not), mirroring the per-RPC counters. The goroutines never touch the
-// clock: on the sim, Charge is pure accounting, so replay stays
-// byte-identical; on a synchronous transport (TCP) they make the fan-out
-// pay max-of-RTT instead of a sum of sequential round trips.
-func chargeFanOut(links []transport.Path, parts []int, msgs int, tc *wire.TraceCtx, onEach func()) time.Duration {
-	var (
-		mu  sync.Mutex
-		max time.Duration
-		wg  sync.WaitGroup
-	)
+// link and returns the slowest per-link total — the modeled cost of a
+// parallel round, which the caller sleeps once. onEach runs once per listed
+// partition (link or not), mirroring the per-RPC counters.
+func chargeFanOut(links []transport.Path, parts []int, msgs int, onEach func()) time.Duration {
+	var max time.Duration
 	for _, pi := range parts {
 		onEach()
 		l := links[pi]
 		if l == nil {
 			continue
 		}
-		wg.Add(1)
-		go func(l transport.Path) {
-			defer wg.Done()
-			var t time.Duration
-			for i := 0; i < msgs; i++ {
-				t += transport.ChargeCtx(l, lockMsgBytes, tc)
-			}
-			mu.Lock()
-			if t > max {
-				max = t
-			}
-			mu.Unlock()
-		}(l)
+		var t time.Duration
+		for i := 0; i < msgs; i++ {
+			t += l.Charge(lockMsgBytes)
+		}
+		if t > max {
+			max = t
+		}
 	}
-	wg.Wait()
 	return max
 }
 
@@ -707,7 +678,7 @@ func (c *ShardedCC) abortTxn(in *txn.Instance, reason string) {
 // Returns the route snapshot the locks were granted under, the pre-wait
 // crash epochs, and — on failure — whether the failure was a fault
 // (unreachable partition) rather than a wait-die death or map churn.
-func (c *ShardedCC) acquireRouted(owner lock.Owner, reqs []lock.Request, tc *wire.TraceCtx) (byPart map[int][]lock.Request, epochs map[int]int, ok, fault bool) {
+func (c *ShardedCC) acquireRouted(owner lock.Owner, reqs []lock.Request) (byPart map[int][]lock.Request, epochs map[int]int, ok, fault bool) {
 	for attempt := 0; ; attempt++ {
 		mapEpoch := c.mapEpoch()
 		byPart = c.byPartition(reqs)
@@ -718,9 +689,9 @@ func (c *ShardedCC) acquireRouted(owner lock.Owner, reqs []lock.Request, tc *wir
 		// compare against the pre-wait world.
 		epochs = c.snapshotEpochs(byPart)
 		if c.Protocol == MSSR {
-			ok, fault = c.acquireWaitDie(owner, byPart, tc)
+			ok, fault = c.acquireWaitDie(owner, byPart)
 		} else {
-			ok, fault = c.acquire(owner, byPart, tc), true
+			ok, fault = c.acquire(owner, byPart), true
 		}
 		if !ok {
 			return byPart, epochs, false, fault
@@ -728,7 +699,7 @@ func (c *ShardedCC) acquireRouted(owner lock.Owner, reqs []lock.Request, tc *wir
 		if !c.routeStale(mapEpoch, byPart) {
 			return byPart, epochs, true, false
 		}
-		c.release(owner, byPart, tc)
+		c.release(owner, byPart)
 		if attempt >= maxMapRetries {
 			return byPart, epochs, false, false
 		}
@@ -740,7 +711,7 @@ func (c *ShardedCC) acquireRouted(owner lock.Owner, reqs []lock.Request, tc *wir
 // breakdown accumulator and emitting a lock.wait (or lock.abort) span.
 func (c *ShardedCC) timedAcquire(in *txn.Instance, owner lock.Owner, reqs []lock.Request) (byPart map[int][]lock.Request, epochs map[int]int, ok, fault bool) {
 	t0 := c.Clk.Now()
-	byPart, epochs, ok, fault = c.acquireRouted(owner, reqs, wireCtx(in))
+	byPart, epochs, ok, fault = c.acquireRouted(owner, reqs)
 	t1 := c.Clk.Now()
 	in.AddLockWait(t1 - t0)
 	if t1 > t0 {
@@ -758,7 +729,7 @@ func (c *ShardedCC) timedAcquire(in *txn.Instance, owner lock.Owner, reqs []lock
 // (purely local commits run no 2PC and get no span).
 func (c *ShardedCC) timedCommit(in *txn.Instance, round uint8, writes []lock.Request, epochs map[int]int, route map[string]int) error {
 	t0 := c.Clk.Now()
-	err := c.commitSection(in.ID, round, writes, epochs, route, wireCtx(in))
+	err := c.commitSection(in.ID, round, writes, epochs, route)
 	t1 := c.Clk.Now()
 	in.AddTwoPC(t1 - t0)
 	if c.Obs != nil {
@@ -823,7 +794,7 @@ func (c *ShardedCC) runFirstSection(in *txn.Instance, last int) error {
 	if c.epochsBroken(epochs) {
 		// A partition crashed while we waited for its locks: nothing was
 		// written yet, so this is a plain abort, not a retraction.
-		c.release(owner, byPart, wireCtx(in))
+		c.release(owner, byPart)
 		c.M.MarkAborted(in)
 		c.Stats.add(func(d *DistCounters) { d.Aborts++ })
 		c.noteFault()
@@ -831,7 +802,7 @@ func (c *ShardedCC) runFirstSection(in *txn.Instance, last int) error {
 	}
 
 	if err := c.M.ExecSection(in, txn.StageInitial); err != nil {
-		c.release(owner, byPart, wireCtx(in))
+		c.release(owner, byPart)
 		c.M.MarkAborted(in)
 		c.Stats.add(func(d *DistCounters) { d.Aborts++ })
 		return err
@@ -857,11 +828,11 @@ func (c *ShardedCC) runFirstSection(in *txn.Instance, last int) error {
 		// The initial commit could not complete (a partition crashed
 		// mid-round): undo the section's eager writes and abort.
 		c.abortTxn(in, "initial commit interrupted by edge failure")
-		c.release(owner, byPart, wireCtx(in))
+		c.release(owner, byPart)
 		return txn.ErrAborted
 	}
 	retracted := c.M.MarkSectionCommitted(in, 0)
-	c.release(owner, byPart, wireCtx(in))
+	c.release(owner, byPart)
 	if retracted {
 		return txn.ErrRetracted
 	}
@@ -902,7 +873,7 @@ func (c *ShardedCC) runHeldSection(in *txn.Instance, k, last int) error {
 			delete(c.held, in.ID)
 			c.mu.Unlock()
 		}
-		c.release(owner, heldBy, wireCtx(in))
+		c.release(owner, heldBy)
 	}
 	if in.State() == txn.StateRetracted {
 		drop() // a cascade got here first
@@ -921,13 +892,13 @@ func (c *ShardedCC) runHeldSection(in *txn.Instance, k, last int) error {
 		// One 2PC covers every section's writes (Algorithm 1).
 		if cerr := c.timedCommit(in, uint8(last), in.T.AllRW().Requests(), hs.epochs, routeOf(heldBy)); cerr != nil {
 			c.abortTxn(in, "final commit interrupted by edge failure")
-			c.release(owner, heldBy, wireCtx(in))
+			c.release(owner, heldBy)
 			return txn.ErrRetracted
 		}
 	}
 	retracted := c.M.MarkSectionCommitted(in, k)
 	if k == last {
-		c.release(owner, heldBy, wireCtx(in))
+		c.release(owner, heldBy)
 	} else if retracted {
 		drop() // the body retracted its own transaction mid-graph
 	}
@@ -968,19 +939,19 @@ func (c *ShardedCC) runOwnSection(in *txn.Instance, k, last int) error {
 	}
 	if c.epochsBroken(epochs) {
 		c.abortTxn(in, "edge crashed while "+secName+" waited for locks")
-		c.release(owner, byPart, wireCtx(in))
+		c.release(owner, byPart)
 		return txn.ErrRetracted
 	}
 	err := c.M.ExecSection(in, txn.Stage(k))
 	if err == nil {
 		if cerr := c.timedCommit(in, uint8(k), in.T.SectionAt(k).RW.Requests(), epochs, routeOf(byPart)); cerr != nil {
 			c.abortTxn(in, "commit of "+secName+" interrupted by edge failure")
-			c.release(owner, byPart, wireCtx(in))
+			c.release(owner, byPart)
 			return txn.ErrRetracted
 		}
 	}
 	retracted := c.M.MarkSectionCommitted(in, k)
-	c.release(owner, byPart, wireCtx(in))
+	c.release(owner, byPart)
 	if err == nil && retracted {
 		return txn.ErrRetracted
 	}

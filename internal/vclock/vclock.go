@@ -78,9 +78,9 @@ func NewReal() Clock { return NewScaledReal(1) }
 // 1/scale times faster than real time: Sleep(d) sleeps d×scale of wall
 // time and Now reports wall-elapsed/scale, so sleeps and timestamps stay
 // mutually consistent. A 20-second scenario at scale 0.05 finishes in one
-// real second — the knob the loopback-TCP deployment uses to compress
-// modeled inference latencies, frame pacing, SLO deadlines, and the event
-// timeline uniformly. scale ≤ 0 means 1 (real time).
+// real second — the knob wall-clock runs use to compress modeled link and
+// inference latencies, frame pacing, SLO deadlines, and the event timeline
+// uniformly. scale ≤ 0 means 1 (real time).
 func NewScaledReal(scale float64) Clock {
 	if scale <= 0 {
 		scale = 1

@@ -1,19 +1,18 @@
 // Binary codec for the wire protocol.
 //
 // Every message is framed as [1-byte tag][uvarint body length][body]. The
-// hot kinds — Payload, Ack, Frame, InitialReply, FinalReply, CloudRequest,
-// CloudResponse — are hand-encoded: varints for integers, 8-byte
-// little-endian for floats, length-prefixed bytes for strings and padding,
-// one flag byte for the optional trace context. Bye is a bare tag with an
-// empty body. Only the low-rate control channel (Control, ControlReply)
-// still rides gob, encoded standalone inside the body so the stream framing
-// stays self-describing.
+// hot kinds — Frame, InitialReply, FinalReply, CloudRequest, CloudResponse —
+// are hand-encoded: varints for integers, 8-byte little-endian for floats,
+// length-prefixed bytes for strings and padding, one flag byte for the
+// optional trace context. Bye is a bare tag with an empty body. Only the
+// low-rate control channel (Control, ControlReply) still rides gob, encoded
+// standalone inside the body so the stream framing stays self-describing.
 //
 // Encode buffers are pooled and written with a single Write per message;
-// the receive side reads each body into a per-connection buffer, so a
-// steady-state Payload/Ack exchange allocates nothing. gob's per-connection
-// type dictionaries, reflection walks, and decode-side allocations — which
-// dominated the TCP transport's bytes/op — are gone from the hot path.
+// the receive side reads each body into a per-connection buffer and copies
+// out only what the caller keeps, so gob's per-connection type
+// dictionaries, reflection walks, and decode-side allocations are gone from
+// the hot path.
 package wire
 
 import (
@@ -33,18 +32,18 @@ import (
 )
 
 // Wire tags (the 1-byte kind discriminator). Append-only: renumbering is a
-// protocol break between binaries.
+// protocol break between binaries. Tags 6 and 7 (the deleted in-process
+// switch's payload and ack) are retired in place: a message carrying one is
+// rejected as unknown, and a new kind takes the next free number, not theirs.
 const (
-	tagFrame byte = iota + 1
-	tagInitialReply
-	tagFinalReply
-	tagCloudRequest
-	tagCloudResponse
-	tagPayload
-	tagAck
-	tagBye
-	tagControl
-	tagControlReply
+	tagFrame         byte = 1
+	tagInitialReply  byte = 2
+	tagFinalReply    byte = 3
+	tagCloudRequest  byte = 4
+	tagCloudResponse byte = 5
+	tagBye           byte = 8
+	tagControl       byte = 9
+	tagControlReply  byte = 10
 )
 
 // maxBody bounds one message body (256 MiB) so a corrupt length prefix
@@ -66,10 +65,6 @@ func tagOf(k Kind) (byte, bool) {
 		return tagCloudRequest, true
 	case KindCloudResponse:
 		return tagCloudResponse, true
-	case KindPayload:
-		return tagPayload, true
-	case KindAck:
-		return tagAck, true
 	case KindBye:
 		return tagBye, true
 	case KindControl:
@@ -89,9 +84,9 @@ var encPool = sync.Pool{New: func() any {
 
 // Conn frames Envelopes over a stream using the binary codec. Send is safe
 // for concurrent use — an internal mutex serializes writers, so every
-// producer on a shared socket (edge reply writers, transport paths) gets a
-// whole-message write without its own lock. Recv/RecvReuse remain
-// single-reader: exactly one goroutine may receive.
+// producer on a shared socket (the edge's reply writers) gets a
+// whole-message write without its own lock. Recv remains single-reader:
+// exactly one goroutine may receive.
 type Conn struct {
 	sendMu sync.Mutex // serializes whole-message writes
 	w      io.Writer
@@ -100,9 +95,6 @@ type Conn struct {
 
 	// readBuf holds the current message body; valid until the next receive.
 	readBuf []byte
-	// lastPath interns the previous Payload.Path so a homogeneous payload
-	// stream does not re-allocate the string per message.
-	lastPath string
 }
 
 // NewConn wraps rwc.
@@ -148,37 +140,18 @@ func (c *Conn) Send(e *Envelope) error {
 // caller: strings, padding, and labels are copied out of the connection's
 // read buffer.
 func (c *Conn) Recv() (*Envelope, error) {
+	tag, body, err := c.readMessage()
+	if err != nil {
+		return nil, err
+	}
 	var e Envelope
-	if err := c.recv(&e, false); err != nil {
+	if err := decodeBody(&e, tag, body); err != nil {
+		return nil, err
+	}
+	if err := e.Validate(); err != nil {
 		return nil, err
 	}
 	return &e, nil
-}
-
-// RecvReuse reads and validates one envelope into e, reusing e.Payload, its
-// Padding backing array, and e.Ack across calls — a receive loop over
-// homogeneous payload or ack traffic allocates nothing per message. Only
-// for callers that do NOT retain the envelope or its padding beyond one
-// iteration (the transport switch and ack reader); anything that keeps
-// frame payloads must use Recv.
-func (c *Conn) RecvReuse(e *Envelope) error {
-	return c.recv(e, true)
-}
-
-func (c *Conn) recv(e *Envelope, reuse bool) error {
-	tag, body, err := c.readMessage()
-	if err != nil {
-		return err
-	}
-	pay, ack := e.Payload, e.Ack
-	*e = Envelope{}
-	if reuse {
-		e.Payload, e.Ack = pay, ack
-	}
-	if err := decodeBody(c, e, tag, body, reuse); err != nil {
-		return err
-	}
-	return e.Validate()
 }
 
 // readMessage reads one frame header and its body into the connection
@@ -260,15 +233,6 @@ func appendBody(b []byte, e *Envelope) ([]byte, error) {
 		b = binary.AppendVarint(b, int64(r.DetectTime))
 		b = appendBool(b, r.Shed)
 		return appendTrace(b, r.Trace), nil
-	case KindPayload:
-		p := e.Payload
-		b = appendString(b, p.Path)
-		b = binary.AppendUvarint(b, p.Seq)
-		b = appendByteSlice(b, p.Padding)
-		return appendTrace(b, p.Trace), nil
-	case KindAck:
-		b = binary.AppendUvarint(b, e.Ack.Seq)
-		return appendTrace(b, e.Ack.Trace), nil
 	case KindBye:
 		return b, nil
 	case KindControl:
@@ -504,20 +468,7 @@ func (d *dec) byteSlice() []byte {
 	return out
 }
 
-// byteSliceInto copies the payload bytes into dst's backing array
-// (RecvReuse: the buffer is reused across messages).
-func (d *dec) byteSliceInto(dst []byte) []byte {
-	b := d.take(int(d.uvarint()))
-	if len(b) == 0 {
-		if dst != nil {
-			return dst[:0]
-		}
-		return nil
-	}
-	return append(dst[:0], b...)
-}
-
-func decodeBody(c *Conn, e *Envelope, tag byte, body []byte, reuse bool) error {
+func decodeBody(e *Envelope, tag byte, body []byte) error {
 	d := dec{b: body}
 	switch tag {
 	case tagFrame:
@@ -568,31 +519,6 @@ func decodeBody(c *Conn, e *Envelope, tag byte, body []byte, reuse bool) error {
 		r.Shed = d.bool()
 		r.Trace = d.trace()
 		e.Kind, e.CloudResponse = KindCloudResponse, r
-	case tagPayload:
-		p := e.Payload
-		if !reuse || p == nil {
-			p = &Payload{}
-		}
-		pad := p.Padding
-		*p = Payload{}
-		p.Path = c.internPath(d.take(int(d.uvarint())))
-		p.Seq = d.uvarint()
-		if reuse {
-			p.Padding = d.byteSliceInto(pad)
-		} else {
-			p.Padding = d.byteSlice()
-		}
-		p.Trace = d.trace()
-		e.Kind, e.Payload = KindPayload, p
-	case tagAck:
-		a := e.Ack
-		if !reuse || a == nil {
-			a = &Ack{}
-		}
-		*a = Ack{}
-		a.Seq = d.uvarint()
-		a.Trace = d.trace()
-		e.Kind, e.Ack = KindAck, a
 	case tagBye:
 		e.Kind = KindBye
 	case tagControl:
@@ -613,15 +539,4 @@ func decodeBody(c *Conn, e *Envelope, tag byte, body []byte, reuse bool) error {
 		return fmt.Errorf("wire: unknown tag %d", tag)
 	}
 	return d.err
-}
-
-// internPath turns the on-wire path bytes into a string, reusing the
-// previous message's string when it matches — payload streams are
-// per-path, so this is a hit on every message after the first.
-func (c *Conn) internPath(b []byte) string {
-	if string(b) == c.lastPath { // compiler avoids the alloc in this compare
-		return c.lastPath
-	}
-	c.lastPath = string(b)
-	return c.lastPath
 }

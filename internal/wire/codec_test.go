@@ -28,12 +28,11 @@ func hotEnvelopes() []*Envelope {
 		{Kind: KindInitialReply, InitialReply: &InitialReply{FrameIndex: 9, Labels: dets, Triggered: 4, Aborted: 1, SentToCloud: true, EdgeElapsed: 250 * time.Millisecond, Trace: tc}},
 		{Kind: KindInitialReply, InitialReply: &InitialReply{}},
 		{Kind: KindFinalReply, FinalReply: &FinalReply{FrameIndex: 9, Labels: dets, Corrections: 2, Apologies: []string{"label corrected to \"dog\"", ""}, Shed: true, EdgeElapsed: time.Hour}},
+		{Kind: KindFinalReply, FinalReply: &FinalReply{}},
 		{Kind: KindCloudRequest, CloudRequest: &CloudRequest{FrameIndex: 5, Frame: sampleFrame(), Padding: bytes.Repeat([]byte{0xAB}, 1024), Margin: -0.25, Section: 3, Trace: tc}},
+		{Kind: KindCloudRequest, CloudRequest: &CloudRequest{}},
 		{Kind: KindCloudResponse, CloudResponse: &CloudResponse{FrameIndex: 5, Labels: dets[:1], DetectTime: 42 * time.Millisecond, Shed: true}},
-		{Kind: KindPayload, Payload: &Payload{Path: "edge-a-cloud", Seq: 1 << 40, Padding: bytes.Repeat([]byte{7}, 333), Trace: tc}},
-		{Kind: KindPayload, Payload: &Payload{Path: "", Seq: 0}},
-		{Kind: KindAck, Ack: &Ack{Seq: 12345, Trace: tc}},
-		{Kind: KindAck, Ack: &Ack{}},
+		{Kind: KindCloudResponse, CloudResponse: &CloudResponse{}},
 		{Kind: KindBye},
 	}
 }
@@ -79,7 +78,7 @@ func TestCodecMatchesGob(t *testing.T) {
 // the codec decodes out of a shared per-connection buffer.
 func TestRecvOwnsData(t *testing.T) {
 	a, b := pair()
-	first := &Envelope{Kind: KindPayload, Payload: &Payload{Path: "keep", Seq: 1, Padding: bytes.Repeat([]byte{0x5A}, 2048)}}
+	first := &Envelope{Kind: KindFrame, Frame: &Frame{Frame: sampleFrame(), Padding: bytes.Repeat([]byte{0x5A}, 2048)}}
 	if err := a.Send(first); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
@@ -87,20 +86,21 @@ func TestRecvOwnsData(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Recv: %v", err)
 	}
-	keep := got.Payload
-	// Hammer the same connection with different payloads; if Recv aliased
+	keep := got.Frame
+	// Hammer the same connection with different frames; if Recv aliased
 	// the read buffer, these would scribble over the retained message.
 	for i := 0; i < 8; i++ {
 		pad := bytes.Repeat([]byte{byte(i)}, 4096)
-		if err := a.Send(&Envelope{Kind: KindPayload, Payload: &Payload{Path: fmt.Sprintf("other-%d", i), Seq: uint64(i + 2), Padding: pad}}); err != nil {
+		other := video.Frame{Index: i + 100, Objects: []video.Object{{TrackID: i, Class: fmt.Sprintf("other-%d", i)}}}
+		if err := a.Send(&Envelope{Kind: KindFrame, Frame: &Frame{Frame: other, Padding: pad}}); err != nil {
 			t.Fatalf("Send #%d: %v", i, err)
 		}
 		if _, err := b.Recv(); err != nil {
 			t.Fatalf("Recv #%d: %v", i, err)
 		}
 	}
-	if keep.Path != "keep" || keep.Seq != 1 || len(keep.Padding) != 2048 {
-		t.Fatalf("retained payload mutated: path=%q seq=%d pad=%d", keep.Path, keep.Seq, len(keep.Padding))
+	if !reflect.DeepEqual(keep.Frame, sampleFrame()) || len(keep.Padding) != 2048 {
+		t.Fatalf("retained frame mutated: %+v pad=%d", keep.Frame, len(keep.Padding))
 	}
 	for i, v := range keep.Padding {
 		if v != 0x5A {
@@ -125,8 +125,7 @@ func TestConcurrentSend(t *testing.T) {
 		go func(w int) {
 			pad := bytes.Repeat([]byte{byte(w)}, 512+w)
 			for i := 0; i < perWriter; i++ {
-				seq := uint64(w)<<32 | uint64(i)
-				e := &Envelope{Kind: KindPayload, Payload: &Payload{Path: fmt.Sprintf("writer-%d", w), Seq: seq, Padding: pad}}
+				e := &Envelope{Kind: KindFrame, Frame: &Frame{Frame: video.Frame{Index: i, Width: w}, Padding: pad}}
 				if err := sender.Send(e); err != nil {
 					errc <- fmt.Errorf("writer %d send %d: %v", w, i, err)
 					return
@@ -136,23 +135,23 @@ func TestConcurrentSend(t *testing.T) {
 		}(w)
 	}
 
-	next := make([]uint64, writers)
+	next := make([]int, writers)
 	for n := 0; n < writers*perWriter; n++ {
 		got, err := receiver.Recv()
 		if err != nil {
 			t.Fatalf("Recv #%d: %v", n, err)
 		}
-		p := got.Payload
-		w := int(p.Seq >> 32)
+		p := got.Frame
+		w := p.Frame.Width
 		if w < 0 || w >= writers {
-			t.Fatalf("mangled seq %#x", p.Seq)
+			t.Fatalf("mangled writer id %d", w)
 		}
-		if i := p.Seq & 0xFFFFFFFF; i != next[w] {
+		if i := p.Frame.Index; i != next[w] {
 			t.Fatalf("writer %d out of order: got %d, want %d", w, i, next[w])
 		}
 		next[w]++
-		if p.Path != fmt.Sprintf("writer-%d", w) || len(p.Padding) != 512+w {
-			t.Fatalf("interleaved frame from writer %d: path=%q pad=%d", w, p.Path, len(p.Padding))
+		if len(p.Padding) != 512+w {
+			t.Fatalf("interleaved frame from writer %d: pad=%d", w, len(p.Padding))
 		}
 		for _, v := range p.Padding {
 			if v != byte(w) {
@@ -181,7 +180,8 @@ func FuzzDecode(f *testing.F) {
 		f.Add(buf.Bytes())
 	}
 	f.Add([]byte{tagBye, 0})
-	f.Add([]byte{tagPayload, 3, 0, 0, 0})
+	f.Add([]byte{6, 3, 0, 0, 0}) // retired payload tag
+	f.Add([]byte{7, 2, 9, 0})    // retired ack tag
 	f.Add([]byte{0xFF, 1, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -207,24 +207,33 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-func BenchmarkCodec(b *testing.B) {
-	bench := func(name string, env *Envelope) {
-		b.Run(name, func(b *testing.B) {
-			var buf bytes.Buffer
-			c := NewConn(pipeRWC{Reader: &buf, Writer: &buf})
-			var e Envelope
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := c.Send(env); err != nil {
-					b.Fatal(err)
-				}
-				if err := c.RecvReuse(&e); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+// TestTagsPinned pins the numeric value of every wire tag — they are the
+// protocol between binaries, append-only — and checks that the retired tags
+// (6 and 7, the deleted switch's payload and ack, bodies as their last
+// encoder wrote them) and the first unassigned tag are rejected with an
+// error, not a panic and not a reinterpretation as another kind.
+func TestTagsPinned(t *testing.T) {
+	want := map[Kind]byte{
+		KindFrame: 1, KindInitialReply: 2, KindFinalReply: 3,
+		KindCloudRequest: 4, KindCloudResponse: 5,
+		KindBye: 8, KindControl: 9, KindControlReply: 10,
 	}
-	bench("payload-32KiB", &Envelope{Kind: KindPayload, Payload: &Payload{Path: "client-edge-a", Seq: 9, Padding: make([]byte, 32<<10)}})
-	bench("ack", &Envelope{Kind: KindAck, Ack: &Ack{Seq: 9}})
+	if len(want) != len(allKinds) {
+		t.Fatalf("%d kinds pinned, protocol has %d", len(want), len(allKinds))
+	}
+	for _, k := range allKinds {
+		if tag, ok := tagOf(k); !ok || tag != want[k] {
+			t.Errorf("kind %q has tag %d (ok=%v), want %d", k, tag, ok, want[k])
+		}
+	}
+	for _, msg := range [][]byte{
+		{6, 5, 1, 'p', 1, 0, 0}, // payload: path "p", seq 1, no padding, no trace
+		{7, 2, 9, 0},            // ack: seq 9, no trace
+		{11, 0},                 // first tag no binary has ever sent
+	} {
+		c := NewConn(pipeRWC{Reader: bytes.NewReader(msg), Writer: &bytes.Buffer{}})
+		if env, err := c.Recv(); err == nil {
+			t.Errorf("tag %d decoded as %q, want an error", msg[0], env.Kind)
+		}
+	}
 }

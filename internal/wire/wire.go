@@ -24,8 +24,6 @@ const (
 	KindFinalReply    Kind = "final-reply"    // edge → client
 	KindCloudRequest  Kind = "cloud-request"  // edge → cloud
 	KindCloudResponse Kind = "cloud-response" // cloud → edge
-	KindPayload       Kind = "payload"        // fleet transport: opaque path traffic
-	KindAck           Kind = "ack"            // fleet transport: delivery acknowledgement
 	KindBye           Kind = "bye"            // either direction: drain and close
 	KindControl       Kind = "control"        // orchestrator → node: control-channel command
 	KindControlReply  Kind = "control-reply"  // node → orchestrator: command result
@@ -103,24 +101,6 @@ type CloudResponse struct {
 	Trace      *TraceCtx // echo of the request's context
 }
 
-// Payload is one opaque fleet-transport message: the TCP transport ships
-// every modeled fleet hop (client→edge frames, edge→cloud validation
-// traffic, inter-edge 2PC messages) as a Payload whose Padding carries the
-// modeled byte count, so the wire cost is paid for real. Path names the
-// fleet path for debugging; Seq matches the switch's Ack.
-type Payload struct {
-	Path    string
-	Seq     uint64
-	Padding []byte
-	Trace   *TraceCtx
-}
-
-// Ack acknowledges delivery of the Payload with the same Seq.
-type Ack struct {
-	Seq   uint64
-	Trace *TraceCtx // echo of the payload's context
-}
-
 // Control is one orchestrator command on a node's control channel
 // (croesus-fleet → croesus-edge/-cloud/-client). Op selects the command;
 // the remaining fields are its operands — unused ones stay zero. The
@@ -163,8 +143,6 @@ type Envelope struct {
 	FinalReply    *FinalReply
 	CloudRequest  *CloudRequest
 	CloudResponse *CloudResponse
-	Payload       *Payload
-	Ack           *Ack
 	Control       *Control
 	ControlReply  *ControlReply
 }
@@ -183,10 +161,6 @@ func (e *Envelope) Validate() error {
 		ok = e.CloudRequest != nil
 	case KindCloudResponse:
 		ok = e.CloudResponse != nil
-	case KindPayload:
-		ok = e.Payload != nil
-	case KindAck:
-		ok = e.Ack != nil
 	case KindControl:
 		ok = e.Control != nil
 	case KindControlReply:

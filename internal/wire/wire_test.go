@@ -58,14 +58,13 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 var allKinds = []Kind{
 	KindFrame, KindInitialReply, KindFinalReply,
 	KindCloudRequest, KindCloudResponse,
-	KindPayload, KindAck, KindBye,
+	KindBye,
 	KindControl, KindControlReply,
 }
 
 // TestAllKindsRoundTrip sends one envelope of every message type —
-// including the fleet-transport Payload/Ack pair and the batched-cloud
-// fields (Margin, Shed) the TCP deployment added — and checks each
-// payload's fields survive the trip intact.
+// including the batched-cloud fields (Margin, Shed) the TCP deployment
+// added — and checks each payload's fields survive the trip intact.
 func TestAllKindsRoundTrip(t *testing.T) {
 	d := detect.Detection{Label: "dog", Confidence: 0.9, Box: video.Rect{X: 0.1, Y: 0.1, W: 0.2, H: 0.2}, TrackID: 4}
 	cases := []struct {
@@ -113,26 +112,6 @@ func TestAllKindsRoundTrip(t *testing.T) {
 				r := got.CloudResponse
 				if r.FrameIndex != 2 || !r.Shed || r.DetectTime != time.Second {
 					t.Errorf("cloud response fields lost: %+v", r)
-				}
-			},
-		},
-		{
-			env: &Envelope{Kind: KindPayload, Payload: &Payload{Path: "west-cloud", Seq: 99, Padding: make([]byte, 1<<10), Trace: &TraceCtx{Trace: 0xabc, Parent: 0xdef, Section: 1}}},
-			check: func(t *testing.T, got *Envelope) {
-				p := got.Payload
-				if p.Path != "west-cloud" || p.Seq != 99 || len(p.Padding) != 1<<10 {
-					t.Errorf("payload fields lost: path=%q seq=%d pad=%d", p.Path, p.Seq, len(p.Padding))
-				}
-				if p.Trace == nil || p.Trace.Trace != 0xabc || p.Trace.Parent != 0xdef || p.Trace.Section != 1 {
-					t.Errorf("payload trace ctx lost: %+v", p.Trace)
-				}
-			},
-		},
-		{
-			env: &Envelope{Kind: KindAck, Ack: &Ack{Seq: 99}},
-			check: func(t *testing.T, got *Envelope) {
-				if got.Ack.Seq != 99 {
-					t.Errorf("ack seq lost: %+v", got.Ack)
 				}
 			},
 		},
@@ -195,8 +174,6 @@ func TestTraceCtxRoundTrip(t *testing.T) {
 		{Kind: KindFinalReply, FinalReply: &FinalReply{FrameIndex: 1, Trace: tc}},
 		{Kind: KindCloudRequest, CloudRequest: &CloudRequest{FrameIndex: 2, Frame: sampleFrame(), Trace: tc}},
 		{Kind: KindCloudResponse, CloudResponse: &CloudResponse{FrameIndex: 2, Trace: tc}},
-		{Kind: KindPayload, Payload: &Payload{Path: "p", Seq: 1, Trace: tc}},
-		{Kind: KindAck, Ack: &Ack{Seq: 1, Trace: tc}},
 	}
 	extract := func(e *Envelope) *TraceCtx {
 		switch e.Kind {
@@ -210,10 +187,6 @@ func TestTraceCtxRoundTrip(t *testing.T) {
 			return e.CloudRequest.Trace
 		case KindCloudResponse:
 			return e.CloudResponse.Trace
-		case KindPayload:
-			return e.Payload.Trace
-		case KindAck:
-			return e.Ack.Trace
 		}
 		return nil
 	}
@@ -231,15 +204,15 @@ func TestTraceCtxRoundTrip(t *testing.T) {
 		}
 	}
 	// Untraced messages arrive with a nil context.
-	if err := a.Send(&Envelope{Kind: KindAck, Ack: &Ack{Seq: 7}}); err != nil {
+	if err := a.Send(&Envelope{Kind: KindCloudResponse, CloudResponse: &CloudResponse{FrameIndex: 7}}); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
 	got, err := b.Recv()
 	if err != nil {
 		t.Fatalf("Recv: %v", err)
 	}
-	if got.Ack.Trace != nil {
-		t.Errorf("untraced ack grew a context: %+v", got.Ack.Trace)
+	if got.CloudResponse.Trace != nil {
+		t.Errorf("untraced response grew a context: %+v", got.CloudResponse.Trace)
 	}
 }
 
@@ -249,9 +222,8 @@ func TestValidateRejectsMismatches(t *testing.T) {
 		{Kind: KindInitialReply},                   // missing payload
 		{Kind: Kind("nonsense")},                   // unknown kind
 		{Kind: KindCloudResponse, Frame: &Frame{}}, // wrong payload
-		{Kind: KindPayload},                        // missing transport payload
-		{Kind: KindAck},                            // missing ack
-		{Kind: KindPayload, Ack: &Ack{Seq: 1}},     // wrong payload for kind
+		{Kind: Kind("payload")},                    // retired kind
+		{Kind: Kind("ack")},                        // retired kind
 	}
 	for _, e := range bad {
 		if err := e.Validate(); err == nil {
@@ -291,53 +263,5 @@ func TestRecvEOF(t *testing.T) {
 	c := NewConn(pipeRWC{Reader: &bytes.Buffer{}, Writer: &bytes.Buffer{}})
 	if _, err := c.Recv(); !errors.Is(err, io.EOF) {
 		t.Errorf("Recv on empty stream = %v, want EOF", err)
-	}
-}
-
-// RecvReuse must decode a mixed payload stream correctly while reusing the
-// envelope and padding buffer, with no state leaking between messages.
-func TestRecvReuse(t *testing.T) {
-	a, b := pair()
-	sent := []*Envelope{
-		{Kind: KindPayload, Payload: &Payload{Path: "p1", Seq: 1, Padding: make([]byte, 1<<10), Trace: &TraceCtx{Trace: 9, Parent: 8}}},
-		{Kind: KindPayload, Payload: &Payload{Path: "p2", Seq: 2, Padding: make([]byte, 64)}},
-		{Kind: KindPayload, Payload: &Payload{Path: "p3", Seq: 3}},
-		{Kind: KindControl, Control: &Control{Seq: 4, Op: "ping"}},
-		{Kind: KindBye},
-	}
-	for _, e := range sent {
-		if err := a.Send(e); err != nil {
-			t.Fatalf("Send(%s): %v", e.Kind, err)
-		}
-	}
-	var env Envelope
-	var firstPad []byte
-	for i, want := range sent {
-		if err := b.RecvReuse(&env); err != nil {
-			t.Fatalf("RecvReuse #%d: %v", i, err)
-		}
-		if env.Kind != want.Kind {
-			t.Fatalf("#%d kind = %s, want %s", i, env.Kind, want.Kind)
-		}
-		if want.Kind != KindPayload {
-			continue
-		}
-		p := env.Payload
-		if p.Path != want.Payload.Path || p.Seq != want.Payload.Seq || len(p.Padding) != len(want.Payload.Padding) {
-			t.Fatalf("#%d payload = path %q seq %d pad %d, want %+v", i, p.Path, p.Seq, len(p.Padding), want.Payload)
-		}
-		if i == 0 {
-			firstPad = p.Padding[:cap(p.Padding)]
-			if p.Trace == nil || p.Trace.Trace != 9 {
-				t.Fatalf("#%d trace lost: %+v", i, p.Trace)
-			}
-		} else {
-			if p.Trace != nil {
-				t.Fatalf("#%d stale trace leaked: %+v", i, p.Trace)
-			}
-			if len(p.Padding) > 0 && &p.Padding[0] != &firstPad[0] {
-				t.Errorf("#%d padding buffer not reused", i)
-			}
-		}
 	}
 }
