@@ -10,7 +10,6 @@ package croesus
 // benchmarks here use reduced frame counts so the whole suite stays fast.
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -256,130 +255,6 @@ func BenchmarkPipelineVideo(b *testing.B) {
 		p.ProcessVideo(frames)
 	}
 	b.ReportMetric(float64(len(frames)*b.N)/b.Elapsed().Seconds(), "frames/s")
-}
-
-// BenchmarkCluster measures fleet simulation throughput — how many
-// virtual frames per second of wall time the cluster runtime sustains as
-// the camera count grows (two edges, one batched cloud validator).
-func BenchmarkCluster(b *testing.B) {
-	profiles := Videos()
-	for _, nCams := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("cams-%d", nCams), func(b *testing.B) {
-			cams := make([]CameraSpec, nCams)
-			for i := range cams {
-				cams[i] = CameraSpec{
-					Profile: profiles[i%len(profiles)],
-					Seed:    int64(11 + i*101),
-					Frames:  32,
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rep, err := RunCluster(ClusterConfig{
-					Clock:   NewSimClock(),
-					Cameras: cams,
-					Edges:   []EdgeSpec{{ID: "west"}, {ID: "east"}},
-					Batcher: BatcherConfig{MaxBatch: 8, SLO: 80 * time.Millisecond},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if rep.Frames != nCams*32 {
-					b.Fatalf("lost frames: %d of %d", rep.Frames, nCams*32)
-				}
-			}
-			b.ReportMetric(float64(nCams*32*b.N)/b.Elapsed().Seconds(), "frames/s")
-		})
-	}
-}
-
-// BenchmarkCluster2PC measures the sharded fleet: six cameras over three
-// edge shards of one keyspace, half of every transaction's keys crossing
-// edges, under each multi-stage protocol. The metric is virtual frames
-// simulated per second of wall time with the full remote-lock/2PC
-// machinery engaged.
-func BenchmarkCluster2PC(b *testing.B) {
-	profiles := Videos()
-	for _, proto := range []ClusterTxnProtocol{TxnMSIA, TxnMSSR} {
-		b.Run(proto.String(), func(b *testing.B) {
-			cams := make([]CameraSpec, 6)
-			for i := range cams {
-				cams[i] = CameraSpec{
-					Profile: profiles[i%len(profiles)],
-					Seed:    int64(11 + i*101),
-					Frames:  32,
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rep, err := RunCluster(ClusterConfig{
-					Clock:             NewSimClock(),
-					Cameras:           cams,
-					Edges:             []EdgeSpec{{ID: "west"}, {ID: "mid"}, {ID: "east"}},
-					Batcher:           BatcherConfig{MaxBatch: 8, SLO: 80 * time.Millisecond},
-					Sharded:           true,
-					CrossEdgeFraction: 0.5,
-					Protocol:          proto,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if rep.Frames != 6*32 {
-					b.Fatalf("lost frames: %d of %d", rep.Frames, 6*32)
-				}
-				if rep.TwoPC.CrossEdgeCommits == 0 {
-					b.Fatal("no cross-edge commits — the 2PC path was not exercised")
-				}
-			}
-			b.ReportMetric(float64(6*32*b.N)/b.Elapsed().Seconds(), "frames/s")
-		})
-	}
-}
-
-// BenchmarkClusterFaults measures the fault-injected sharded fleet: the
-// cluster-2pc setup plus a scripted schedule (an edge crash with
-// WAL-backed recovery and a participant crash mid-2PC), so the metric
-// includes WAL logging on every commit, crash handling, replay, and
-// in-doubt resolution.
-func BenchmarkClusterFaults(b *testing.B) {
-	profiles := Videos()
-	for _, proto := range []ClusterTxnProtocol{TxnMSIA, TxnMSSR} {
-		b.Run(proto.String(), func(b *testing.B) {
-			cams := make([]CameraSpec, 6)
-			for i := range cams {
-				cams[i] = CameraSpec{
-					Profile: profiles[i%len(profiles)],
-					Seed:    int64(11 + i*101),
-					Frames:  32,
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rep, err := RunCluster(ClusterConfig{
-					Clock:             NewSimClock(),
-					Cameras:           cams,
-					Edges:             []EdgeSpec{{ID: "west"}, {ID: "mid"}, {ID: "east"}},
-					Batcher:           BatcherConfig{MaxBatch: 8, SLO: 80 * time.Millisecond},
-					CrossEdgeFraction: 0.5,
-					Protocol:          proto,
-					Faults: &FaultPlan{
-						Crashes: []EdgeCrash{{Edge: 1, At: 4 * time.Second, RestartAfter: 2 * time.Second}},
-						TwoPC:   []TwoPCCrash{{Edge: 2, Point: PointParticipantPrepared, Round: 1, RestartAfter: time.Second}},
-					},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if rep.Frames != 6*32 {
-					b.Fatalf("lost frames: %d of %d", rep.Frames, 6*32)
-				}
-				if rep.Faults == nil || rep.Faults.Crashes != 2 || rep.Faults.Restarts != 2 {
-					b.Fatalf("fault schedule not executed: %+v", rep.Faults)
-				}
-			}
-			b.ReportMetric(float64(6*32*b.N)/b.Elapsed().Seconds(), "frames/s")
-		})
-	}
 }
 
 // BenchmarkVirtualClock measures the scheduler's sleep/wake cost.

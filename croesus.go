@@ -18,6 +18,9 @@
 //	})
 //	outs := p.ProcessVideo(croesus.NewVideoGenerator(croesus.ParkDog(), 11).Generate(100))
 //
+// A multi-camera fleet is described once, as a Scenario (topology plus
+// event timeline), and played with RunScenario.
+//
 // See examples/ for runnable programs and internal/experiments for the
 // harnesses that regenerate every table and figure of the paper.
 package croesus
@@ -30,7 +33,6 @@ import (
 	"croesus/internal/core"
 	"croesus/internal/detect"
 	"croesus/internal/experiments"
-	"croesus/internal/faults"
 	"croesus/internal/lock"
 	"croesus/internal/netsim"
 	"croesus/internal/node"
@@ -460,104 +462,24 @@ const (
 )
 
 // ---------------------------------------------------------------------------
-// Cluster: multi-camera edge fleets with batched cloud validation
+// Fleet reports
 
 type (
-	// Cluster runs N camera streams across M edge nodes sharing one
-	// SLO-aware batched cloud validator.
-	Cluster = cluster.Cluster
-	// ClusterConfig assembles a cluster.
-	ClusterConfig = cluster.Config
 	// ClusterReport aggregates a fleet run: per-camera summaries plus
 	// fleet throughput, latency percentiles, and shedding.
 	ClusterReport = cluster.ClusterReport
 	// CameraReport is one camera's share of a ClusterReport.
 	CameraReport = cluster.CameraReport
-	// CameraSpec declares one camera stream.
-	CameraSpec = cluster.CameraSpec
-	// EdgeSpec declares one edge node.
-	EdgeSpec = cluster.EdgeSpec
-	// EdgeNode is a provisioned edge: storage stack, model, and links.
-	EdgeNode = cluster.EdgeNode
-	// Placement assigns cameras to edge nodes.
-	Placement = cluster.Placement
-	// RoundRobin cycles cameras across edges.
-	RoundRobin = cluster.RoundRobin
-	// LeastLoaded places each camera on the least-loaded edge.
-	LeastLoaded = cluster.LeastLoaded
-	// ValidationBatcher is the cloud-side SLO-aware batcher (a
-	// Validator).
-	ValidationBatcher = cluster.Batcher
-	// BatcherConfig configures a ValidationBatcher.
-	BatcherConfig = cluster.BatcherConfig
-	// BatcherStats summarizes a batcher's lifetime activity.
-	BatcherStats = cluster.BatcherStats
-	// EdgeUplink adapts one edge's uplink to a shared batcher.
-	EdgeUplink = cluster.EdgeUplink
-	// ClusterTxnProtocol selects MS-IA or MS-SR for a fleet's
-	// transactions (sharded and unsharded).
-	ClusterTxnProtocol = cluster.TxnProtocol
 )
-
-// Fleet transaction protocols.
-const (
-	TxnMSIA = cluster.TxnMSIA
-	TxnMSSR = cluster.TxnMSSR
-)
-
-// ---------------------------------------------------------------------------
-// Fault injection and recovery
-
-type (
-	// FaultPlan schedules scripted, deterministic failures against a
-	// sharded fleet: fail-stop edge crashes with WAL-backed recovery,
-	// crashes at chosen 2PC points, and inter-edge link partitions. Set
-	// it on ClusterConfig.Faults (implies Sharded).
-	FaultPlan = faults.Plan
-	// EdgeCrash fail-stops an edge at a virtual time and recovers it
-	// from its write-ahead log after RestartAfter.
-	EdgeCrash = faults.EdgeCrash
-	// TwoPCCrash fail-stops an edge at a scripted instant inside an
-	// atomic-commitment round.
-	TwoPCCrash = faults.TwoPCCrash
-	// LinkFault partitions (and later heals) a peer link between edges.
-	LinkFault = faults.LinkFault
-	// FaultReport summarizes a run's injected faults and recovery work.
-	FaultReport = faults.Report
-	// FaultInjector executes a FaultPlan; Cluster.Injector exposes it for
-	// post-run inspection (e.g. VerifyDurability).
-	FaultInjector = faults.Injector
-	// TwoPCPoint names the scripted instants inside a 2PC round.
-	TwoPCPoint = twopc.TwoPCPoint
-)
-
-// The scripted 2PC crash points: a participant right after its yes vote,
-// the coordinator after collecting votes but before its decision is
-// durable (participants presume abort), and the coordinator after the
-// durable decision but before delivery (participants learn the commit from
-// its log).
-const (
-	PointParticipantPrepared = twopc.PointParticipantPrepared
-	PointAfterPrepare        = twopc.PointAfterPrepare
-	PointAfterDecision       = twopc.PointAfterDecision
-)
-
-// NewCluster validates cfg, provisions edges and the shared batcher,
-// and places every camera.
-func NewCluster(cfg ClusterConfig) (*Cluster, error) { return cluster.New(cfg) }
-
-// RunCluster builds and runs a cluster in one call.
-func RunCluster(cfg ClusterConfig) (*ClusterReport, error) { return cluster.Run(cfg) }
 
 // ---------------------------------------------------------------------------
 // Scenarios: declarative topology + event timeline
 //
-// A Scenario is the preferred way to describe a deployment: the topology
-// (edges, cameras, shards, protocol, batcher) plus a clock-ordered
-// timeline of runtime events — cameras joining/leaving, a camera and its
-// shard migrating between edges, workload shifts, scripted faults, WAL
-// checkpoints. Assembling a ClusterConfig by hand remains supported as the
-// static subset (see the README's deprecation mapping).
+// A Scenario is the one way to describe a fleet: the topology (edges,
+// cameras, shards, protocol, batcher) plus a clock-ordered timeline of
+// runtime events — cameras joining/leaving, a camera and its shard
+// migrating between edges, workload shifts, scripted faults, WAL
+// checkpoints.
 
 type (
 	// Scenario is a declarative fleet deployment: topology + timeline.
@@ -580,10 +502,6 @@ type (
 	// scaled wall clock (TimeScale > 0) — and the observability layer.
 	ScenarioOptions = scenario.Options
 
-	// Transport is the fleet's network seam: every frame delivery,
-	// validation transfer, and 2PC message crosses one of its paths. See
-	// NewSimTransport, the one implementation.
-	Transport = transport.Transport
 	// TransportPath is one directed fleet network path.
 	TransportPath = transport.Path
 
@@ -636,8 +554,8 @@ func RunScenarioWith(s *Scenario, o ScenarioOptions) (*ClusterReport, error) {
 
 type (
 	// Obs bundles a span tracer and a metrics registry; set it on
-	// ClusterConfig.Obs or ScenarioOptions.Obs to thread observability
-	// through a fleet. Nil disables all instrumentation.
+	// ScenarioOptions.Obs to thread observability through a fleet. Nil
+	// disables all instrumentation.
 	Obs = obs.Obs
 	// ObsSpan is one traced interval on the run's clock.
 	ObsSpan = obs.Span
@@ -667,10 +585,6 @@ func ServeDebug(addr string, reg *ObsRegistry) (string, error) {
 	return obs.ServeDebug(addr, reg)
 }
 
-// NewSimTransport returns the simulated fleet transport (netsim links on
-// the fleet clock) — the default when ClusterConfig.Transport is nil.
-func NewSimTransport() Transport { return transport.NewSim() }
-
 // NewScaledRealClock returns a wall clock whose modeled time runs
 // 1/scale faster than real time — how a wall-clock fleet compresses modeled
 // link and inference latencies and the event timeline. Scale 0 or 1 is real
@@ -682,13 +596,6 @@ func NewScaledRealClock(scale float64) Clock { return vclock.NewScaledReal(scale
 // shard map, outcomes). Close the runtime's Cluster when done.
 func NewScenarioRuntime(s *Scenario, clk Clock) (*ScenarioRuntime, error) {
 	return scenario.New(s, clk)
-}
-
-// NewValidationBatcher returns the SLO-aware cloud validation batcher.
-// Clock and Model are required here (unlike inside a ClusterConfig,
-// which fills them in).
-func NewValidationBatcher(cfg BatcherConfig) (*ValidationBatcher, error) {
-	return cluster.NewBatcher(cfg)
 }
 
 // ---------------------------------------------------------------------------

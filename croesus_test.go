@@ -188,20 +188,20 @@ func TestFacadeExperimentRegistry(t *testing.T) {
 }
 
 func TestFacadeCluster(t *testing.T) {
-	rep, err := RunCluster(ClusterConfig{
-		Clock: NewSimClock(),
-		Cameras: []CameraSpec{
-			{ID: "a", Profile: ParkDog(), Seed: 11, Frames: 30},
-			{ID: "b", Profile: StreetVehicles(), Seed: 12, Frames: 30},
-			{ID: "c", Profile: MallSurveillance(), Seed: 13, Frames: 30},
-			{ID: "d", Profile: AirportRunway(), Seed: 14, Frames: 30},
+	rep, err := RunScenario(&Scenario{
+		Topology: ScenarioTopology{
+			Edges: []ScenarioEdge{{ID: "west"}, {ID: "east"}},
+			Cameras: []ScenarioCamera{
+				{ID: "a", Profile: ParkDog().Name, Seed: 11, Frames: 30},
+				{ID: "b", Profile: StreetVehicles().Name, Seed: 12, Frames: 30},
+				{ID: "c", Profile: MallSurveillance().Name, Seed: 13, Frames: 30},
+				{ID: "d", Profile: AirportRunway().Name, Seed: 14, Frames: 30},
+			},
+			Batcher: ScenarioBatcher{MaxBatch: 4, SLO: ScenarioDuration(80 * time.Millisecond)},
 		},
-		Edges:     []EdgeSpec{{ID: "west"}, {ID: "east"}},
-		Placement: LeastLoaded{},
-		Batcher:   BatcherConfig{MaxBatch: 4, SLO: 80 * time.Millisecond},
 	})
 	if err != nil {
-		t.Fatalf("RunCluster: %v", err)
+		t.Fatalf("RunScenario: %v", err)
 	}
 	if rep.Frames != 120 || len(rep.Cameras) != 4 {
 		t.Fatalf("report covers %d frames over %d cameras", rep.Frames, len(rep.Cameras))
@@ -218,27 +218,29 @@ func TestFacadeCluster(t *testing.T) {
 }
 
 // TestFacadeFaults drives a fault-injected sharded fleet entirely through
-// the public API: a scripted edge crash plus a participant crash mid-2PC,
-// recovered from the WAL, reported in the cluster report.
+// the public API: a scripted edge crash, a participant crash mid-2PC and a
+// peer-link partition as timeline events, recovered from the WAL, reported
+// in the cluster report.
 func TestFacadeFaults(t *testing.T) {
-	rep, err := RunCluster(ClusterConfig{
-		Clock: NewSimClock(),
-		Cameras: []CameraSpec{
-			{ID: "a", Profile: ParkDog(), Seed: 11, Frames: 30},
-			{ID: "b", Profile: StreetVehicles(), Seed: 12, Frames: 30},
-			{ID: "c", Profile: MallSurveillance(), Seed: 13, Frames: 30},
+	rep, err := RunScenario(&Scenario{
+		Topology: ScenarioTopology{
+			Edges: []ScenarioEdge{{ID: "west"}, {ID: "mid"}, {ID: "east"}},
+			Cameras: []ScenarioCamera{
+				{ID: "a", Profile: ParkDog().Name, Seed: 11, Frames: 30, Edge: "west"},
+				{ID: "b", Profile: StreetVehicles().Name, Seed: 12, Frames: 30, Edge: "mid"},
+				{ID: "c", Profile: MallSurveillance().Name, Seed: 13, Frames: 30, Edge: "east"},
+			},
+			Batcher:           ScenarioBatcher{MaxBatch: 4, SLO: ScenarioDuration(80 * time.Millisecond)},
+			CrossEdgeFraction: 0.4,
 		},
-		Edges:             []EdgeSpec{{ID: "west"}, {ID: "mid"}, {ID: "east"}},
-		Batcher:           BatcherConfig{MaxBatch: 4, SLO: 80 * time.Millisecond},
-		CrossEdgeFraction: 0.4,
-		Faults: &FaultPlan{
-			Crashes: []EdgeCrash{{Edge: 1, At: 3 * time.Second, RestartAfter: time.Second}},
-			TwoPC:   []TwoPCCrash{{Edge: 2, Point: PointParticipantPrepared, Round: 1, RestartAfter: time.Second}},
-			Links:   []LinkFault{{A: 0, B: 2, At: 7 * time.Second, Heal: 8 * time.Second}},
+		Timeline: []ScenarioEvent{
+			{At: ScenarioDuration(3 * time.Second), Do: EventEdgeCrash, Edge: "mid", RestartAfter: ScenarioDuration(time.Second)},
+			{Do: EventTwoPCCrash, Edge: "east", Point: ScenarioPointParticipantPrepared, Round: 1, RestartAfter: ScenarioDuration(time.Second)},
+			{At: ScenarioDuration(7 * time.Second), Do: EventLinkFault, A: "west", B: "east", Heal: ScenarioDuration(8 * time.Second)},
 		},
 	})
 	if err != nil {
-		t.Fatalf("RunCluster: %v", err)
+		t.Fatalf("RunScenario: %v", err)
 	}
 	if rep.Frames != 90 {
 		t.Fatalf("frames = %d", rep.Frames)

@@ -29,8 +29,8 @@ var opts croesus.ScenarioOptions
 func cameras() []croesus.ScenarioCamera {
 	return []croesus.ScenarioCamera{
 		// The slow south cabinet (0.45× speed) carries two streams; the
-		// fast north one carries four — the layout least-loaded placement
-		// converges to, made explicit by the declarative topology.
+		// fast north one carries four — a speed-weighted layout, made
+		// explicit by the declarative topology's edge pins.
 		{ID: "corridor-n", Profile: "street-vehicles", Seed: 101, Frames: 100, Edge: "north"},
 		{ID: "corridor-s", Profile: "street-vehicles", Seed: 102, Frames: 100, Edge: "north"},
 		{ID: "crossing-e", Profile: "street-person", Seed: 103, Frames: 100, Edge: "north"},

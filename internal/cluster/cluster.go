@@ -15,6 +15,10 @@
 // the one vclock.Clock, so a sixteen-camera fleet under a full event
 // timeline is as deterministic and as fast to simulate as a single
 // pipeline.
+//
+// Config is the form a scenario compiles to, not a public deployment API:
+// the croesus facade exports no way to build one. Cameras without an edge
+// pin are placed round-robin over the live edges.
 package cluster
 
 import (
@@ -78,8 +82,8 @@ type CameraSpec struct {
 	// Frames is how many frames the camera captures.
 	Frames int
 	// Edge, when set, pins the camera to the named edge node instead of
-	// consulting the Placement policy — how a scenario's declarative
-	// topology fixes its layout.
+	// round-robin placement over the live edges — how a scenario's
+	// declarative topology fixes its layout.
 	Edge string
 	// Shard is the camera's logical shard in a fleet with an explicit
 	// shard space (Config.Shards > 0); ignored otherwise, where each
@@ -134,29 +138,15 @@ type EdgeNode struct {
 	// graph is what this edge's camera pipelines walk.
 	graph *core.Graph
 	idx   int
-	load  float64
 }
 
-// Load reports the expected aggregate frame rate (frames/sec) of the
-// cameras placed on this edge — what LeastLoaded balances.
-func (e *EdgeNode) Load() float64 { return e.load }
-
-// Config assembles a cluster. Zero-value fields take the documented
-// defaults.
-//
-// Deprecated usage note: assembling fleets directly from a Config (and
-// scheduling failures via Faults) still works but is the static subset of
-// what a declarative scenario expresses; new callers should describe the
-// fleet as a scenario.Scenario — topology plus event timeline — and let
-// internal/scenario drive the cluster (see README "Scenarios" for the
-// field-by-field mapping).
+// Config assembles a cluster: what a scenario compiles to (and what the
+// §4.5 experiments build directly, for per-edge shards). Zero-value fields
+// take the documented defaults.
 type Config struct {
 	Clock   vclock.Clock
 	Cameras []CameraSpec
 	Edges   []EdgeSpec
-	// Placement assigns cameras to edges (default round-robin) unless a
-	// camera pins itself with CameraSpec.Edge.
-	Placement Placement
 
 	// Transport provisions the fleet's network paths — client→edge frame
 	// delivery, edge→cloud validation traffic, inter-edge 2PC messages.
@@ -170,10 +160,8 @@ type Config struct {
 	// are filled in from the cluster when unset.
 	Batcher BatcherConfig
 
-	// Seed seeds the detection models (default 42). CloudModel overrides
-	// the default YOLOv3-416 simulator.
-	Seed       int64
-	CloudModel detect.Model
+	// Seed seeds the detection models (default 42).
+	Seed int64
 
 	// ThetaL and ThetaU are the fleet-wide bandwidth thresholds
 	// (defaults 0.40 / 0.62, the paper's operating point).
@@ -237,11 +225,9 @@ type Config struct {
 	Durable bool
 	// CheckpointEvery, when positive, checkpoints every partition's WAL
 	// on that period, bounding crash-recovery replay time. Implies
-	// Durable.
+	// Durable. Durable partitions keep their logs in a fresh temporary
+	// directory, removed by Close.
 	CheckpointEvery time.Duration
-	// WALDir is where durable partitions keep their logs (default: a
-	// fresh temporary directory, removed when the run finishes).
-	WALDir string
 
 	// Obs, when set, threads the observability layer through the fleet:
 	// every pipeline, the batcher, the sharded commit path, migrations,
@@ -252,9 +238,6 @@ type Config struct {
 }
 
 func (c Config) defaults() Config {
-	if c.Placement == nil {
-		c.Placement = &RoundRobin{}
-	}
 	if c.Faults != nil && c.Faults.Empty() {
 		c.Faults = nil // nothing scheduled: skip the fault machinery
 	}
@@ -356,6 +339,9 @@ type Cluster struct {
 	// retired marks edges drained out of the fleet by RetireEdge: no
 	// placement targets them again.
 	retired []bool
+	// rrNext is the round-robin cursor over the live edges: how many
+	// unpinned cameras have been placed.
+	rrNext int
 	// pending counts live feeders and scheduled events; background
 	// tickers exit when it drains so Clock.Wait can return.
 	pending int
@@ -406,10 +392,7 @@ func New(cfg Config) (*Cluster, error) {
 		}
 	}
 
-	cloudModel := cfg.CloudModel
-	if cloudModel == nil {
-		cloudModel = detect.YOLOv3Sim(detect.YOLO416, cfg.Seed)
-	}
+	cloudModel := detect.YOLOv3Sim(detect.YOLO416, cfg.Seed)
 	bcfg := cfg.Batcher
 	if bcfg.Clock == nil {
 		bcfg.Clock = cfg.Clock
@@ -446,7 +429,7 @@ func New(cfg Config) (*Cluster, error) {
 	// Edge IDs name reports, transport paths, and — under a fault plan —
 	// the per-partition WAL files, so they must be unique (two edges
 	// sharing one log would corrupt recovery) and free of path separators
-	// (an ID like "../x" would escape WALDir).
+	// (an ID like "../x" would escape the WAL directory).
 	edgeIDs := make(map[string]bool, len(cfg.Edges))
 	specs := make([]EdgeSpec, len(cfg.Edges))
 	profiles := make([]transport.EdgeProfile, len(cfg.Edges))
@@ -554,9 +537,10 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// placeCamera resolves a camera's edge: its pin when set, the placement
-// policy otherwise. Retired edges are never placement targets: a pin to
-// one is an error, and the policy only sees the live edges.
+// placeCamera resolves a camera's edge: its pin when set, the next live
+// edge of the round-robin cursor otherwise. Retired edges are never
+// placement targets: a pin to one is an error, and the cursor only cycles
+// over the live edges.
 func (c *Cluster) placeCamera(cs CameraSpec) (int, error) {
 	if cs.Edge != "" {
 		for i, e := range c.edges {
@@ -569,22 +553,18 @@ func (c *Cluster) placeCamera(cs CameraSpec) (int, error) {
 		}
 		return 0, fmt.Errorf("cluster: camera %q pinned to unknown edge %q", cs.ID, cs.Edge)
 	}
-	live := make([]*EdgeNode, 0, len(c.edges))
-	back := make([]int, 0, len(c.edges))
-	for i, e := range c.edges {
+	live := make([]int, 0, len(c.edges))
+	for i := range c.edges {
 		if !c.retired[i] {
-			live = append(live, e)
-			back = append(back, i)
+			live = append(live, i)
 		}
 	}
 	if len(live) == 0 {
 		return 0, fmt.Errorf("cluster: no live edge to place camera %q on (all retired)", cs.ID)
 	}
-	idx := c.cfg.Placement.Pick(cs, live)
-	if idx < 0 || idx >= len(live) {
-		return 0, fmt.Errorf("cluster: placement %q picked edge %d of %d for camera %q", c.cfg.Placement.Name(), idx, len(live), cs.ID)
-	}
-	return back[idx], nil
+	idx := live[c.rrNext%len(live)]
+	c.rrNext++
+	return idx, nil
 }
 
 // chooser builds the sharded key chooser for one camera's current workload
@@ -715,7 +695,6 @@ func (c *Cluster) buildCamera(cs CameraSpec, idx int, startAt time.Duration) (*c
 		zipfSkew:  c.cfg.ZipfSkew,
 	}
 	edge.Cameras = append(edge.Cameras, cs.ID)
-	edge.load += cs.Profile.FPS
 	c.cams = append(c.cams, cam)
 	return cam, nil
 }
@@ -790,21 +769,15 @@ func (c *Cluster) provisionShards() error {
 		return nil
 	}
 
-	dir := c.cfg.WALDir
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "croesus-wal-")
-		if err != nil {
-			return fmt.Errorf("cluster: wal dir: %w", err)
-		}
-		dir, c.walTemp = tmp, tmp
+	dir, err := os.MkdirTemp("", "croesus-wal-")
+	if err != nil {
+		return fmt.Errorf("cluster: wal dir: %w", err)
 	}
+	c.walTemp = dir
 	paths := make([]string, n)
 	linkRows := make([][]transport.Path, n)
 	for i, e := range c.edges {
 		paths[i] = filepath.Join(dir, fmt.Sprintf("%s.wal", e.Spec.ID))
-		// A fresh fleet starts from a fresh log: stale records from an
-		// earlier run in the same WALDir would poison recovery.
-		os.Remove(paths[i])
 		log, err := wal.Open(paths[i])
 		if err != nil {
 			return fmt.Errorf("cluster: wal for edge %s: %w", e.Spec.ID, err)

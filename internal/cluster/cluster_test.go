@@ -251,32 +251,6 @@ func TestOverloadSheds(t *testing.T) {
 	}
 }
 
-// TestLeastLoadedBalances checks that least-loaded placement spreads a
-// lopsided camera set better than declaration order would.
-func TestLeastLoadedBalances(t *testing.T) {
-	clk := vclock.NewSim()
-	// Six cameras, all the same rate, three times as many as edges.
-	var cams []CameraSpec
-	for i := 0; i < 6; i++ {
-		cams = append(cams, CameraSpec{Profile: video.ParkDog(), Seed: int64(31 + i), Frames: 10})
-	}
-	c, err := New(Config{
-		Clock:     clk,
-		Cameras:   cams,
-		Edges:     []EdgeSpec{{ID: "fast", Speed: 1.0}, {ID: "slow", Speed: 0.5}},
-		Placement: LeastLoaded{},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, slow := c.Edges()[0], c.Edges()[1]
-	// The speed-normalized load of the fast edge can absorb twice the
-	// cameras of the slow one: 4 vs 2.
-	if len(fast.Cameras) != 4 || len(slow.Cameras) != 2 {
-		t.Fatalf("least-loaded placed %d/%d cameras on fast/slow, want 4/2", len(fast.Cameras), len(slow.Cameras))
-	}
-}
-
 // TestConfigValidation exercises New's error paths.
 func TestConfigValidation(t *testing.T) {
 	clk := vclock.NewSim()

@@ -428,9 +428,7 @@ func (c *Cluster) rebindLocked(cam *cameraRuntime) {
 			break
 		}
 	}
-	old.load -= cam.spec.Profile.FPS
 	dest.Cameras = append(dest.Cameras, cam.spec.ID)
-	dest.load += cam.spec.Profile.FPS
 	c.mu.Unlock()
 	cam.edge = dest
 	cam.pipe = pipe

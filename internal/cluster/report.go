@@ -38,6 +38,7 @@ type CameraReport struct {
 // ClusterReport aggregates a whole fleet run: per-camera reports plus
 // fleet-wide throughput, latency percentiles, accuracy, and shedding.
 type ClusterReport struct {
+	// Policy names how unpinned cameras were placed: always "round-robin".
 	Policy  string
 	Cameras []CameraReport
 
@@ -140,7 +141,7 @@ type SectionReport struct {
 // run's makespan; endAt the absolute virtual time it ended (phase windows
 // are absolute).
 func (c *Cluster) report(elapsed, endAt time.Duration) *ClusterReport {
-	r := &ClusterReport{Policy: c.cfg.Placement.Name(), Elapsed: elapsed}
+	r := &ClusterReport{Policy: "round-robin", Elapsed: elapsed}
 	phases := c.phaseReports(endAt)
 	var fleetInit, fleetFinal metrics.LatencyStats
 	// Component stats index: compute, queue, lock, 2PC, network — the

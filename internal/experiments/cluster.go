@@ -13,8 +13,17 @@ import (
 	"croesus/internal/video"
 )
 
-// clusterCams builds n cameras cycling through the paper's profiles with
-// distinct seeds, so fleets of any size stay deterministic.
+// clusterCams builds n unpinned cameras cycling through the paper's
+// profiles with distinct seeds, so fleets of any size stay deterministic.
+//
+// The three §4.5 experiments (cluster-2pc, cluster-faults, graph-depth)
+// take them in the cluster's own form and build a cluster.Config instead of
+// a scenario. They model §4.5's per-edge partitions, where the cameras on
+// one edge share one shard; a scenario gives each camera its own shard, so
+// that a migration moves exactly one camera's data, and that dilutes the
+// contention these tables exist to show (cluster-2pc at 40 frames as a
+// pinned scenario: MS-IA cross-edge commits at 25 % fall from 1081 to 943,
+// the MS-SR lock-wait p99 at 50 % from 2023.80 ms to 224.55 ms).
 func clusterCams(n, frames int, seed int64) []cluster.CameraSpec {
 	profiles := video.AllProfiles()
 	cams := make([]cluster.CameraSpec, n)
@@ -25,6 +34,15 @@ func clusterCams(n, frames int, seed int64) []cluster.CameraSpec {
 			Seed:    seed + int64(i)*101,
 			Frames:  frames,
 		}
+	}
+	return cams
+}
+
+// fleetCams is clusterCams as scenario cameras.
+func fleetCams(n, frames int, seed int64) []scenario.Camera {
+	cams := make([]scenario.Camera, n)
+	for i, c := range clusterCams(n, frames, seed) {
+		cams[i] = scenario.Camera{ID: c.ID, Profile: c.Profile.Name, Seed: c.Seed, Frames: c.Frames}
 	}
 	return cams
 }
@@ -41,12 +59,13 @@ func ClusterScale(o Opts) Table {
 		Header: []string{"cameras", "frames", "fps", "F1", "init p50 (ms)", "final p99 (ms)", "batches", "mean batch", "shed"},
 	}
 	for _, n := range []int{1, 2, 4, 8, 16} {
-		rep, err := cluster.Run(cluster.Config{
-			Clock:   vclock.NewSim(),
-			Cameras: clusterCams(n, o.Frames, o.Seed),
-			Edges:   []cluster.EdgeSpec{{ID: "west"}, {ID: "east"}},
-			Batcher: cluster.BatcherConfig{MaxBatch: 8, SLO: 80 * time.Millisecond},
-			Seed:    o.Seed,
+		rep, err := scenario.Run(&scenario.Scenario{
+			Seed: o.Seed,
+			Topology: scenario.Topology{
+				Edges:   []scenario.Edge{{ID: "west"}, {ID: "east"}},
+				Cameras: fleetCams(n, o.Frames, o.Seed),
+				Batcher: scenario.Batcher{MaxBatch: 8, SLO: scenario.Duration(80 * time.Millisecond)},
+			},
 		})
 		if err != nil {
 			panic("experiments: cluster-scale: " + err.Error())
@@ -311,18 +330,19 @@ func ClusterShed(o Opts) Table {
 	// MaxPending must stay ≥ MaxBatch (4): NewBatcher rejects a cap a
 	// batch could never fill under.
 	for _, pending := range []int{64, 32, 16, 8, 4} {
-		rep, err := cluster.Run(cluster.Config{
-			Clock:   vclock.NewSim(),
-			Cameras: clusterCams(8, o.Frames, o.Seed),
-			Edges:   []cluster.EdgeSpec{{ID: "west"}, {ID: "east"}},
-			// CloudSpeed 0.15 models a starved (oversubscribed) GPU.
-			Batcher: cluster.BatcherConfig{
-				MaxBatch:   4,
-				SLO:        60 * time.Millisecond,
-				MaxPending: pending,
-				CloudSpeed: 0.15,
-			},
+		rep, err := scenario.Run(&scenario.Scenario{
 			Seed: o.Seed,
+			Topology: scenario.Topology{
+				Edges:   []scenario.Edge{{ID: "west"}, {ID: "east"}},
+				Cameras: fleetCams(8, o.Frames, o.Seed),
+				// CloudSpeed 0.15 models a starved (oversubscribed) GPU.
+				Batcher: scenario.Batcher{
+					MaxBatch:   4,
+					SLO:        scenario.Duration(60 * time.Millisecond),
+					MaxPending: pending,
+					CloudSpeed: 0.15,
+				},
+			},
 		})
 		if err != nil {
 			panic("experiments: cluster-shed: " + err.Error())

@@ -47,6 +47,7 @@ func GraphDepth(o Opts) Table {
 	gap := map[int]time.Duration{}
 	for _, depth := range []int{1, 2, 3, 4} {
 		for _, proto := range []cluster.TxnProtocol{cluster.TxnMSIA, cluster.TxnMSSR} {
+			// A cluster.Config, not a scenario: per-edge shards (see clusterCams).
 			rep, err := cluster.Run(cluster.Config{
 				Clock:             vclock.NewSim(),
 				Cameras:           clusterCams(4, o.Frames, o.Seed),

@@ -13,6 +13,7 @@ import (
 
 	"croesus/internal/cluster"
 	"croesus/internal/faults"
+	"croesus/internal/node"
 	"croesus/internal/obs"
 	"croesus/internal/transport"
 	"croesus/internal/twopc"
@@ -44,9 +45,8 @@ type Runtime struct {
 	Scenario *Scenario
 	Cluster  *cluster.Cluster
 
-	clk  vclock.Clock
-	cams []Camera       // every camera the scenario ever runs, shard-indexed
-	idx  map[string]int // camera id → shard index
+	clk vclock.Clock
+	idx map[string]int // camera id → index in Scenario.Cameras (and shard)
 }
 
 // New validates the scenario, compiles it to a cluster configuration, and
@@ -69,10 +69,7 @@ func NewObserved(s *Scenario, clk vclock.Clock, tr transport.Transport, o *obs.O
 	if err != nil {
 		return nil, err
 	}
-	cfg, err := s.clusterConfig(clk, cams, idx)
-	if err != nil {
-		return nil, err
-	}
+	cfg := s.clusterConfig(clk, cams, idx)
 	cfg.Transport = tr
 	cfg.Obs = o
 	c, err := cluster.New(cfg)
@@ -82,7 +79,7 @@ func NewObserved(s *Scenario, clk vclock.Clock, tr transport.Transport, o *obs.O
 		}
 		return nil, err
 	}
-	return &Runtime{Scenario: s, Cluster: c, clk: clk, cams: cams, idx: idx}, nil
+	return &Runtime{Scenario: s, Cluster: c, clk: clk, idx: idx}, nil
 }
 
 // Run plays the timeline against the fleet and blocks until the run
@@ -120,7 +117,10 @@ func RunWith(s *Scenario, o Options) (*cluster.ClusterReport, error) {
 	return rt.Run(), nil
 }
 
-func (rt *Runtime) cameraSpec(cam Camera) cluster.CameraSpec {
+// cameraSpec compiles one of the scenario's cameras, at its index from
+// Cameras, to the cluster's form: topology cameras at construction, joins
+// at their event.
+func (s *Scenario) cameraSpec(cam Camera, index int) cluster.CameraSpec {
 	p, err := ProfileFor(cam.Profile)
 	if err != nil {
 		panic(err) // validated
@@ -128,10 +128,10 @@ func (rt *Runtime) cameraSpec(cam Camera) cluster.CameraSpec {
 	return cluster.CameraSpec{
 		ID:      cam.ID,
 		Profile: p,
-		Seed:    rt.Scenario.CameraSeed(cam, rt.idx[cam.ID]),
+		Seed:    s.CameraSeed(cam, index),
 		Frames:  cam.Frames,
 		Edge:    cam.Edge,
-		Shard:   rt.idx[cam.ID],
+		Shard:   index,
 	}
 }
 
@@ -143,7 +143,7 @@ func (rt *Runtime) exec(ev Event) {
 	c := rt.Cluster
 	switch ev.Do {
 	case KindCameraJoin:
-		if err := c.AddCamera(rt.cameraSpec(*ev.Join)); err != nil {
+		if err := c.AddCamera(rt.Scenario.cameraSpec(*ev.Join, rt.idx[ev.Join.ID])); err != nil {
 			panic(fmt.Sprintf("scenario: %s: %v", ev.Label(), err))
 		}
 	case KindCameraLeave:
@@ -194,14 +194,11 @@ func (rt *Runtime) exec(ev Event) {
 }
 
 // clusterConfig compiles the scenario's topology (and the fault half of
-// its timeline) into the static cluster configuration.
-func (s *Scenario) clusterConfig(clk vclock.Clock, cams []Camera, idx map[string]int) (cluster.Config, error) {
+// its timeline) into the static cluster configuration. The scenario must
+// have passed Validate.
+func (s *Scenario) clusterConfig(clk vclock.Clock, cams []Camera, idx map[string]int) cluster.Config {
 	t := s.Topology
 	sharded := s.Sharded()
-	seed := s.Seed
-	if seed == 0 {
-		seed = 42
-	}
 
 	edgeIdx := map[string]int{}
 	edges := make([]cluster.EdgeSpec, len(t.Edges))
@@ -220,22 +217,7 @@ func (s *Scenario) clusterConfig(clk vclock.Clock, cams []Camera, idx map[string
 
 	specs := make([]cluster.CameraSpec, len(t.Cameras))
 	for i, cam := range t.Cameras {
-		p, err := ProfileFor(cam.Profile)
-		if err != nil {
-			return cluster.Config{}, err
-		}
-		camSeed := cam.Seed
-		if camSeed == 0 {
-			camSeed = seed + int64(idx[cam.ID])
-		}
-		specs[i] = cluster.CameraSpec{
-			ID:      cam.ID,
-			Profile: p,
-			Seed:    camSeed,
-			Frames:  cam.Frames,
-			Edge:    cam.Edge,
-			Shard:   idx[cam.ID],
-		}
+		specs[i] = s.cameraSpec(cam, idx[cam.ID])
 	}
 
 	// The timeline's fault events compile to a faults.Plan: the injector
@@ -292,15 +274,12 @@ func (s *Scenario) clusterConfig(clk vclock.Clock, cams []Camera, idx map[string
 	if sharded {
 		shards = len(cams)
 	}
-	var proto cluster.TxnProtocol
-	if t.Protocol == "ms-sr" {
-		proto = cluster.TxnMSSR
-	}
+	proto, _ := node.ParseProtocol(t.Protocol) // validated
 	return cluster.Config{
 		Clock:             clk,
 		Cameras:           specs,
 		Edges:             edges,
-		Seed:              seed,
+		Seed:              s.seed(),
 		ThetaL:            t.ThetaL,
 		ThetaU:            t.ThetaU,
 		OverlapMin:        t.OverlapMin,
@@ -322,5 +301,5 @@ func (s *Scenario) clusterConfig(clk vclock.Clock, cams []Camera, idx map[string
 			MaxPending: t.Batcher.MaxPending,
 			CloudSpeed: t.Batcher.CloudSpeed,
 		},
-	}, nil
+	}
 }

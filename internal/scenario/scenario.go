@@ -12,8 +12,8 @@
 // Scenarios have a versioned JSON encoding (Decode/Encode, currently
 // version 1) so they live in files next to experiments; internal/scenario
 // also owns the runtime that drives a cluster.Cluster through the
-// timeline (run.go). The old cluster.Config remains as the static subset —
-// see the README's deprecation mapping.
+// timeline (run.go). A scenario is the only public way to describe a
+// fleet: it compiles to a cluster.Config, the cluster's internal form.
 package scenario
 
 import (
@@ -319,11 +319,15 @@ func (s *Scenario) CameraSeed(cam Camera, index int) int64 {
 	if cam.Seed != 0 {
 		return cam.Seed
 	}
-	seed := s.Seed
-	if seed == 0 {
-		seed = 42
+	return s.seed() + int64(index)
+}
+
+// seed is the scenario seed, 42 when unset.
+func (s *Scenario) seed() int64 {
+	if s.Seed == 0 {
+		return 42
 	}
-	return seed + int64(index)
+	return s.Seed
 }
 
 // Validate checks the scenario for structural errors: unknown references,
@@ -350,9 +354,7 @@ func (s *Scenario) Validate() error {
 		}
 		edgeIdx[e.ID] = true
 	}
-	switch t.Protocol {
-	case "", "ms-ia", "ms-sr":
-	default:
+	if _, err := node.ParseProtocol(t.Protocol); err != nil {
 		return fmt.Errorf("scenario: unknown protocol %q (want ms-ia or ms-sr)", t.Protocol)
 	}
 	if t.CrossEdgeFraction < 0 || t.CrossEdgeFraction > 1 {
