@@ -179,14 +179,10 @@ func TestClusterFaultsCoordinatorCrashPoints(t *testing.T) {
 }
 
 // Two fault-injected runs with the same seed and plan must be
-// byte-identical — crashes, recoveries, and all. (Skipped under the race
-// detector, whose instrumentation perturbs the only scheduling freedom
-// the virtual clock leaves open: real-time interleavings of goroutines
-// runnable within one virtual instant — see race_off_test.go.)
+// byte-identical — crashes, recoveries, and all — race detector or not:
+// the virtual clock runs one participant at a time, so no real-time
+// interleaving is left for its instrumentation to perturb.
 func TestClusterFaultsDeterministic(t *testing.T) {
-	if raceEnabled {
-		t.Skip("byte determinism is asserted on non-race builds only")
-	}
 	for _, proto := range []TxnProtocol{TxnMSIA, TxnMSSR} {
 		t.Run(proto.String(), func(t *testing.T) {
 			run := func() string {

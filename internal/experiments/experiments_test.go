@@ -497,12 +497,9 @@ func TestClusterFaultsShape(t *testing.T) {
 		}
 	}
 	// Determinism of the whole harness: regenerating the table gives the
-	// same bytes. (Non-race builds only — the race detector perturbs
-	// same-virtual-instant goroutine interleavings; see race_off_test.go.)
-	if !raceEnabled {
-		again := ClusterFaults(quick())
-		if tab.Format() != again.Format() {
-			t.Error("cluster-faults experiment not deterministic across runs")
-		}
+	// same bytes.
+	again := ClusterFaults(quick())
+	if tab.Format() != again.Format() {
+		t.Error("cluster-faults experiment not deterministic across runs")
 	}
 }

@@ -281,8 +281,11 @@ type hotspotBatchResult struct {
 // runHotspotBatches executes nBatches batches of batchSize hot-spot update
 // transactions. When sequenced is true, MS-IA runs under the batch
 // sequencer; otherwise all transactions in a batch run concurrently under
-// the given CC, with cloudGap of simulated time between each transaction's
-// initial and final sections (the window in which MS-SR holds its locks).
+// the given CC, each arriving at a seeded offset within the batch's first
+// millisecond (so arrival order is not age order, and wait-die has older
+// transactions to queue), with cloudGap of simulated time between each
+// transaction's initial and final sections (the window in which MS-SR holds
+// its locks).
 func runHotspotBatches(o Opts, keyRange int, kind ccKind, sequenced bool, cloudGap time.Duration) hotspotBatchResult {
 	o = o.defaults()
 	const nBatches, batchSize, opsPerTxn = 3, 50, 5
@@ -322,9 +325,11 @@ func runHotspotBatches(o Opts, keyRange int, kind ccKind, sequenced bool, cloudG
 			})
 			clk.Wait()
 		} else {
-			for _, in := range insts {
+			for i, in := range insts {
 				in := in
+				arrive := time.Duration(randsrc.Mix64(uint64(o.Seed)<<20|uint64(b*batchSize+i)) % uint64(time.Millisecond))
 				clk.Go(func() {
+					clk.Sleep(arrive)
 					if err := cc.RunInitial(in); err != nil {
 						return
 					}

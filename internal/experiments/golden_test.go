@@ -11,17 +11,15 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from the current code")
 
-// goldenIDs are the pipeline-driven experiments whose tables are
-// byte-stable at Opts{Frames: 40}. Left out because they are not stable
-// run to run: figure6b, ablation-policy and ablation-sequencer (their
-// MS-SR abort counts follow goroutine arrival order within one virtual
-// instant).
+// goldenIDs are the pipeline-driven experiments, pinned byte for byte at
+// Opts{Frames: 40}.
 var goldenIDs = []string{
 	"figure2", "table1", "figure3", "table2", "figure4", "figure5",
-	"figure6a", "figure6c",
+	"figure6a", "figure6b", "figure6c",
 	"cluster-scale", "cluster-shed", "cluster-2pc", "cluster-faults",
 	"cluster-migrate", "fleet-crash", "graph-depth",
-	"ablation-2pc", "ablation-smoothing", "ablation-chain",
+	"ablation-2pc", "ablation-policy", "ablation-sequencer",
+	"ablation-smoothing", "ablation-chain",
 }
 
 // TestExperimentGoldens pins every table byte for byte: the single-edge
@@ -31,9 +29,6 @@ var goldenIDs = []string{
 //
 //	go test ./internal/experiments ./cmd/croesus-cluster -run Golden -update
 func TestExperimentGoldens(t *testing.T) {
-	if raceEnabled {
-		t.Skip("byte-determinism is asserted without the race detector; see race_off_test.go")
-	}
 	for _, id := range goldenIDs {
 		id := id
 		t.Run(id, func(t *testing.T) {

@@ -10,12 +10,13 @@ import (
 	"croesus/internal/vclock"
 )
 
-// The sim scheduler's contract is that parallelism is invisible: however
-// many OS threads run the participants, every wakeup still fires in global
-// (at, seq) order, so a scenario replay is byte-identical. These tests pin
-// that down end to end — full fleet scenarios (migration, crash/WAL
-// recovery, link faults), compared as rendered reports AND as exported JSONL
-// span traces, across GOMAXPROCS 1/2/8.
+// The sim scheduler's contract is that parallelism is invisible: it runs one
+// participant at a time, handing the baton on in ready-list order and then
+// in (at, seq) order, so however many OS threads the process has, a scenario
+// replay is byte-identical. These tests pin that down end to end — full
+// fleet scenarios (migration, crash/WAL recovery, link faults, hot-key
+// contention), compared as rendered reports AND as exported JSONL span
+// traces, across GOMAXPROCS 1/2/8.
 
 func scenarioFile(name string) string {
 	return filepath.Join("..", "..", "cmd", "croesus-cluster", "testdata", name)
@@ -79,9 +80,17 @@ func TestDeterminismFleetCrash(t *testing.T) {
 // time, so which hot keys a transaction drew shows in the latencies. Every
 // draw comes from the per-transaction rng (core's
 // TestWorkloadSourceZipfKeysIgnoreCallOrder pins that), so the replay is
-// as thread-count-blind as the uniform ones. The cameras keep to their home
-// shards: two transactions that meet on a hot key at one virtual instant
-// would be ordered by arrival, which no key chooser can fix.
+// as thread-count-blind as the uniform ones. Its cameras keep to their home
+// shards; TestDeterminismZipfContended is the case where they do not.
 func TestDeterminismZipfShift(t *testing.T) {
 	testScenarioDeterminism(t, filepath.Join("testdata", "zipf-shift.json"))
+}
+
+// TestDeterminismZipfContended replays an MS-SR fleet of 16 cameras on 4
+// edges whose transactions cross edges half the time and draw from 20
+// Zipf-skewed keys: hundreds of wait-die aborts, decided by which of two
+// transactions meeting on a hot key at one virtual instant asks first.
+// That order is the ready list's, so the aborts replay too.
+func TestDeterminismZipfContended(t *testing.T) {
+	testScenarioDeterminism(t, filepath.Join("testdata", "zipf-contended.json"))
 }

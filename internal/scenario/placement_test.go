@@ -62,10 +62,7 @@ func TestPlacementSkipsRetiredEdges(t *testing.T) {
 		Timeline: []Event{
 			{At: Duration(time.Second), Do: KindEdgeRetire, Edge: "b"},
 			{At: Duration(2 * time.Second), Do: KindCameraJoin, Join: &Camera{ID: "j0", Profile: "park-dog", Frames: 2}},
-			// A later instant than j0: same-instant events run in
-			// goroutine arrival order, which would make the pair's
-			// placement order a coin toss.
-			{At: Duration(2500 * time.Millisecond), Do: KindCameraJoin, Join: &Camera{ID: "j1", Profile: "park-dog", Frames: 2}},
+			{At: Duration(2 * time.Second), Do: KindCameraJoin, Join: &Camera{ID: "j1", Profile: "park-dog", Frames: 2}},
 		},
 	}
 	rt, err := New(s, vclock.NewSim())

@@ -3,26 +3,37 @@
 // virtual-time scheduler (Sim) in which sleeping for simulated seconds costs
 // microseconds of wall time.
 //
-// The virtual scheduler is cooperative: every goroutine that participates in
-// simulated time must be started with Go (or Run), and may block only
-// through scheduler-aware primitives — Sleep, Gate, or Semaphore. A single
-// external driver goroutine (typically a test or main) creates the Sim,
-// spawns participants with Go, and calls Wait; virtual time advances only
-// while the driver is parked in Wait and every participant is blocked. If
-// every participant is blocked on a gate with no pending timer, the
-// simulation has deadlocked and Wait panics with a diagnostic instead of
-// hanging.
+// # The baton contract
+//
+// Sim runs one participant at a time. A participant is a goroutine started
+// with Go (or Run). It holds the baton until it blocks — in Sleep, a Gate's
+// Wait or a Semaphore's Acquire — or returns, and then hands the baton on:
+//
+//   - to the head of a FIFO ready list, which Go and Gate.Fire append to, so
+//     a participant started with Go first runs when the baton reaches it;
+//   - only when that list is empty, to the sleeper with the minimal (at, seq)
+//     in the timer heap, moving virtual time to at (seq is the order the
+//     sleeps were issued in);
+//   - with neither, back to the driver: the run is over or, if participants
+//     are still live, deadlocked, and Wait panics with a diagnostic instead
+//     of hanging.
+//
+// A single external driver goroutine (typically a test or main) creates the
+// Sim, spawns participants with Go and calls Wait; nothing runs until it
+// does. Participants may call any method. The driver may call Go, Run, Wait,
+// NewGate and Fire, outside Wait. Any goroutine may call Now, one atomic
+// load. A participant must block only through these primitives: one parked
+// on a mutex or a channel keeps the baton and stalls the run.
 //
 // # Determinism contract
 //
-// Pending sleeps sit in one min-heap on (at, seq) behind one mutex, and Now
-// is a single atomic load. Virtual time moves only at the all-blocked
-// barrier — when every participant is parked — and the next wakeup is always
-// the heap's minimal (at, seq) event, where seq is the order the sleeps were
-// issued in. Replay is therefore byte-identical regardless of GOMAXPROCS:
-// parallelism changes which OS thread runs a participant between barriers,
-// never the wake order. One lock is enough: a heap split over eight locks
-// measured the same on the repo benchmark (CHANGES.md, PR 17).
+// Every scheduler field but now is touched only by the baton holder, or by
+// the driver outside Wait, and the channel send that passes the baton orders
+// those accesses, so there is no lock and no parallelism. The order in which
+// participants run — and with it every timestamp, lock queue and batch — is
+// a function of the program alone: replay is byte-identical regardless of
+// GOMAXPROCS or the race detector. For the same reason no data race between
+// participants can show here; races are hunted in wall-clock runs.
 package vclock
 
 import (
@@ -52,8 +63,8 @@ type Clock interface {
 // Gate is a one-shot synchronization point: exactly one goroutine Waits and
 // some other participating goroutine Fires to release it. Fire may happen
 // before Wait, and firing more than once is a no-op. (The single-waiter
-// contract is what lets the simulated scheduler keep an exact runnable
-// count.)
+// contract is what lets the simulated scheduler park the waiter's own wake
+// channel on the gate.)
 type Gate interface {
 	Wait()
 	Fire()
@@ -135,7 +146,7 @@ func (g *realGate) Fire() { g.once.Do(func() { close(g.ch) }) }
 type timerEvent struct {
 	at  int64         // virtual wake time, ns
 	seq uint64        // global tiebreak so equal-time events fire in creation order
-	ch  chan struct{} // pooled wake channel, capacity 1
+	ch  chan struct{} // the sleeper's wake channel
 }
 
 // timerHeap is the timer queue: a min-heap on (at, seq).
@@ -182,46 +193,32 @@ func (s *timerHeap) popMin() timerEvent {
 	return min
 }
 
-// wakePool recycles the capacity-1 channels Sleep parks on: exactly one
-// send per Sleep, so a drained channel is safe to reuse and the steady-state
-// Sleep path allocates nothing.
-var wakePool = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
-
 // Sim is a deterministic virtual-time scheduler. Construct with NewSim; the
 // zero value is not usable.
 //
-// Invariant: runnable counts every goroutine that may be executing
-// scheduler-visible code (participants not parked in a primitive, plus the
-// driver's hold). Virtual time advances only on the transition to
-// runnable == 0, at which point the transitioning goroutine is the only one
-// active — advance therefore runs exclusively, and Now is written only there
-// (read anywhere via atomic load).
+// A participant is named by its wake channel (capacity 1, so the baton can
+// be passed to a goroutine that has not parked yet). Every field but now is
+// owned by the baton holder, or by the driver outside Wait.
 type Sim struct {
-	now      atomic.Int64
-	runnable atomic.Int64
-	live     atomic.Int64
-	seq      atomic.Uint64
+	now atomic.Int64 // written by the baton holder, read anywhere
 
-	timerMu sync.Mutex
-	timers  timerHeap
-
-	stateMu  sync.Mutex // guards deadlock + waiters
+	seq      uint64          // sleeps issued so far: the heap's tiebreak
+	live     int             // participants started and not yet returned
+	timers   timerHeap       // sleepers
+	ready    []chan struct{} // started or woken participants, FIFO from ready[head]
+	head     int
+	cur      chan struct{} // the baton holder; nil while the driver has it
+	done     chan struct{} // the driver parks here inside Wait
 	deadlock string
-	waiters  []chan struct{}
 }
 
-// NewSim returns a virtual clock starting at time zero. The driver holds an
-// implicit runnable slot so that time cannot advance while it is still
-// spawning participants; the slot is released for the duration of Wait.
+// NewSim returns a virtual clock starting at time zero.
 func NewSim() *Sim {
-	s := &Sim{}
-	s.runnable.Store(1)
-	return s
+	return &Sim{done: make(chan struct{}, 1)}
 }
 
-// Now reports the current virtual time. It is a single atomic load — safe
-// to call at arbitrary rates (trace timestamps, latency accounting) without
-// touching any scheduler lock.
+// Now reports the current virtual time. It is a single atomic load, safe
+// from any goroutine (trace timestamps, exporters, latency accounting).
 func (s *Sim) Now() time.Duration {
 	return time.Duration(s.now.Load())
 }
@@ -233,62 +230,44 @@ func (s *Sim) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	ch := wakePool.Get().(chan struct{})
-	ev := timerEvent{at: s.now.Load() + int64(d), seq: s.seq.Add(1), ch: ch}
-	s.timerMu.Lock()
-	s.timers.push(ev)
-	s.timerMu.Unlock()
-	s.block()
-	<-ch
-	wakePool.Put(ch)
+	me := s.holder()
+	s.seq++
+	s.timers.push(timerEvent{at: s.now.Load() + int64(d), seq: s.seq, ch: me})
+	s.dispatch()
+	<-me
 }
 
-// NewGate returns a Gate tied to this scheduler. Waiting counts the caller
-// as blocked (allowing time to advance); firing makes it runnable again.
+// NewGate returns a Gate tied to this scheduler.
 func (s *Sim) NewGate() Gate {
-	return &simGate{s: s, ch: make(chan struct{})}
+	return &simGate{s: s}
 }
 
-// Go starts fn as a participating goroutine. It may be called by the driver
-// before or between Waits, or by a participant at any time.
+// Go starts fn as a participant; it first runs when the baton reaches it.
+// It may be called by the driver before or between Waits, or by a
+// participant at any time.
 func (s *Sim) Go(fn func()) {
-	s.live.Add(1)
-	s.runnable.Add(1)
+	s.live++
+	wake := make(chan struct{}, 1)
+	s.ready = append(s.ready, wake)
 	go func() {
-		defer s.finish()
+		<-wake
 		fn()
+		s.live--
+		s.dispatch()
 	}()
 }
 
-// Wait parks the driver until every participant has returned, releasing the
-// driver's hold so virtual time can advance. It panics if the simulation
-// deadlocks (every participant blocked with no pending timer).
+// Wait hands the baton to the participants and parks the driver until every
+// one has returned. It panics if the simulation deadlocks (every
+// participant blocked with no pending timer).
 func (s *Sim) Wait() {
-	s.stateMu.Lock()
+	if s.deadlock == "" && s.live > 0 {
+		s.dispatch()
+		<-s.done
+	}
 	if s.deadlock != "" {
-		msg := s.deadlock
-		s.stateMu.Unlock()
-		panic(msg)
+		panic(s.deadlock)
 	}
-	if s.live.Load() == 0 {
-		s.stateMu.Unlock()
-		return
-	}
-	// Register for completion first: releasing the hold below can itself
-	// detect a deadlock, and that notification must reach this waiter.
-	ch := make(chan struct{})
-	s.waiters = append(s.waiters, ch)
-	s.stateMu.Unlock()
-	s.block()
-	<-ch
-
-	s.stateMu.Lock()
-	msg := s.deadlock
-	s.stateMu.Unlock()
-	if msg != "" {
-		panic(msg)
-	}
-	s.runnable.Add(1) // re-acquire the driver's hold for the next phase
 }
 
 // Run is shorthand for Go(fn) followed by Wait.
@@ -297,110 +276,68 @@ func (s *Sim) Run(fn func()) {
 	s.Wait()
 }
 
-func (s *Sim) finish() {
-	l := s.live.Add(-1)
-	n := s.runnable.Add(-1)
-	if n < 0 {
-		panic("vclock: runnable count underflow")
+// holder returns the calling participant's wake channel.
+func (s *Sim) holder() chan struct{} {
+	if s.cur == nil {
+		panic("vclock: blocking call outside a participant started with Go")
 	}
-	if l == 0 {
-		s.notify()
-		return
-	}
-	if n == 0 {
-		s.advance()
-	}
+	return s.cur
 }
 
-// block marks the caller as blocked and, if it was the last runnable
-// goroutine, advances virtual time.
-func (s *Sim) block() {
-	n := s.runnable.Add(-1)
-	if n < 0 {
-		panic("vclock: runnable count underflow (blocking goroutine not started with Go?)")
-	}
-	if n == 0 && s.live.Load() > 0 {
-		s.advance()
-	}
-}
-
-// unblock marks one goroutine runnable again (wakeup by a peer).
-func (s *Sim) unblock() {
-	s.runnable.Add(1)
-}
-
-// advance pops the earliest (at, seq) timer event, moves the clock to it, and
-// wakes its sleeper. The caller has just transitioned runnable to 0, so it is
-// the only goroutine executing — the pop is exclusive by construction (the
-// lock is taken anyway; it is uncontended here and keeps the memory-order
-// reasoning local). If no timer is pending the simulation is deadlocked: the
-// condition is recorded and the driver is notified (its Wait panics).
-func (s *Sim) advance() {
-	s.timerMu.Lock()
-	if len(s.timers) == 0 {
-		s.timerMu.Unlock()
-		s.stateMu.Lock()
-		s.deadlock = fmt.Sprintf("vclock: deadlock at t=%v — all %d live goroutines blocked with no pending timer", time.Duration(s.now.Load()), s.live.Load())
-		s.stateMu.Unlock()
-		s.notify()
-		return
-	}
-	ev := s.timers.popMin()
-	s.timerMu.Unlock()
-	if ev.at > s.now.Load() {
+// dispatch passes the baton on: to the head of the ready list, else to the
+// earliest (at, seq) sleeper, moving now to its wake time. With neither, the
+// driver gets it back, and a latched deadlock if participants are still
+// live.
+func (s *Sim) dispatch() {
+	var next chan struct{}
+	switch {
+	case s.head < len(s.ready):
+		next = s.ready[s.head]
+		s.ready[s.head] = nil
+		if s.head++; s.head == len(s.ready) {
+			s.ready, s.head = s.ready[:0], 0
+		}
+	case len(s.timers) > 0:
+		ev := s.timers.popMin()
 		s.now.Store(ev.at)
+		next = ev.ch
+	default:
+		if s.live > 0 {
+			s.deadlock = fmt.Sprintf("vclock: deadlock at t=%v — all %d live goroutines blocked with no pending timer", s.Now(), s.live)
+		}
+		s.cur = nil
+		s.done <- struct{}{}
+		return
 	}
-	s.runnable.Add(1)
-	ev.ch <- struct{}{}
-}
-
-func (s *Sim) notify() {
-	s.stateMu.Lock()
-	ws := s.waiters
-	s.waiters = nil
-	s.stateMu.Unlock()
-	for _, ch := range ws {
-		close(ch)
-	}
+	s.cur = next
+	next <- struct{}{}
 }
 
 type simGate struct {
-	s       *Sim
-	mu      sync.Mutex
-	fired   bool
-	waiting bool
-	ch      chan struct{}
+	s      *Sim
+	fired  bool
+	waiter chan struct{} // the parked waiter's wake channel
 }
 
 // Wait blocks until the gate fires, letting virtual time advance meanwhile.
-// If the gate already fired, Wait returns immediately without touching the
-// scheduler's runnable accounting.
+// If the gate already fired, Wait returns at once and keeps the baton.
 func (g *simGate) Wait() {
-	g.mu.Lock()
 	if g.fired {
-		g.mu.Unlock()
 		return
 	}
-	g.waiting = true
-	g.mu.Unlock()
-	g.s.block()
-	<-g.ch
+	g.waiter = g.s.holder()
+	g.s.dispatch()
+	<-g.waiter
 }
 
-// Fire wakes the waiter. Safe to call before Wait and more than once; the
-// runnable count is only credited when a waiter actually blocked (or is
-// about to block), keeping the scheduler's accounting exact.
+// Fire appends the waiter, if one is parked, to the ready list. Safe to call
+// before Wait and more than once.
 func (g *simGate) Fire() {
-	g.mu.Lock()
 	if g.fired {
-		g.mu.Unlock()
 		return
 	}
 	g.fired = true
-	waiting := g.waiting
-	g.mu.Unlock()
-	if waiting {
-		g.s.unblock()
+	if g.waiter != nil {
+		g.s.ready = append(g.s.ready, g.waiter)
 	}
-	close(g.ch)
 }

@@ -138,6 +138,82 @@ func TestSimGateDoubleFire(t *testing.T) {
 	s.Wait()
 }
 
+// TestSimReadyListIsFIFO: participants first run in Go order, gate waiters
+// resume in the order their gates fired, and sleepers due at one instant
+// wake in the order they went to sleep — never in OS-thread arrival order.
+// The slices need no lock: only the baton holder runs.
+func TestSimReadyListIsFIFO(t *testing.T) {
+	const n = 8
+	inOrder := func(got []int, want func(i int) int) bool {
+		for i, v := range got {
+			if v != want(i) {
+				return false
+			}
+		}
+		return len(got) == n
+	}
+
+	s := NewSim()
+	var started []int
+	for i := 0; i < n/2; i++ {
+		i := i
+		s.Go(func() { started = append(started, i) })
+	}
+	s.Go(func() {
+		// Started by a participant: queued behind the driver's four.
+		for i := n / 2; i < n; i++ {
+			i := i
+			s.Go(func() { started = append(started, i) })
+		}
+	})
+	s.Wait()
+	if !inOrder(started, func(i int) int { return i }) {
+		t.Errorf("participants ran in order %v, want Go order", started)
+	}
+
+	s = NewSim()
+	gates := make([]Gate, n)
+	var resumed []int
+	for i := range gates {
+		i := i
+		gates[i] = s.NewGate()
+		s.Go(func() {
+			gates[i].Wait()
+			resumed = append(resumed, i)
+		})
+	}
+	s.Go(func() {
+		s.Sleep(time.Millisecond)     // every waiter has parked by now
+		for i := n - 1; i >= 0; i-- { // fire back to front
+			gates[i].Fire()
+		}
+	})
+	s.Wait()
+	if !inOrder(resumed, func(i int) int { return n - 1 - i }) {
+		t.Errorf("waiters resumed in order %v, want firing order", resumed)
+	}
+
+	s = NewSim()
+	var woke []int
+	for i := 0; i < n; i++ {
+		i := i
+		s.Go(func() {
+			// Participant i issues its sleep to t=1s at t=(n-i) ms, so the
+			// last started goes to sleep first.
+			s.Sleep(time.Duration(n-i) * time.Millisecond)
+			s.Sleep(time.Second - s.Now())
+			woke = append(woke, i)
+		})
+	}
+	s.Wait()
+	if !inOrder(woke, func(i int) int { return n - 1 - i }) {
+		t.Errorf("same-instant sleepers woke in order %v, want issue order", woke)
+	}
+	if s.Now() != time.Second {
+		t.Errorf("Now() = %v, want 1s", s.Now())
+	}
+}
+
 func TestSimDeadlockPanics(t *testing.T) {
 	s := NewSim()
 	g := s.NewGate()
@@ -152,9 +228,8 @@ func TestSimDeadlockPanics(t *testing.T) {
 }
 
 func TestSimDeadlockDetectedBeforeWait(t *testing.T) {
-	// Two participants block on gates nobody fires while the driver is
-	// still outside Wait; the deadlock is latched and reported when the
-	// driver eventually calls Wait.
+	// Two participants block on gates nobody fires; once both have parked
+	// the deadlock is latched and Wait reports it.
 	s := NewSim()
 	s.Go(func() { s.NewGate().Wait() })
 	s.Go(func() { s.NewGate().Wait() })
