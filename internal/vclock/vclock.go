@@ -325,9 +325,10 @@ func (g *simGate) Wait() {
 	if g.fired {
 		return
 	}
-	g.waiter = g.s.holder()
+	me := g.s.holder()
+	g.waiter = me
 	g.s.dispatch()
-	<-g.waiter
+	<-me
 }
 
 // Fire appends the waiter, if one is parked, to the ready list. Safe to call
