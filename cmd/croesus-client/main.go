@@ -7,8 +7,7 @@
 //	croesus-client -edge localhost:9401 -video park -frames 50 -fps 2
 //	croesus-client -camera cam0 -control 127.0.0.1:0 -report cam0.json
 //
-// The streaming loop is fleet.CamStream — the same loop the croesus-fleet
-// orchestrator runs for in-process cameras — so the client survives edge
+// The streaming loop is fleet.CamStream, so the client survives edge
 // restarts by redialing (frames submitted while the edge is dark count as
 // dropped) and takes live control ops over -control: rate shifts,
 // redials to a new edge (camera migration), and a graceful quit. SIGTERM

@@ -1,10 +1,9 @@
 // Command croesus-fleet deploys a scenario on real processes: it spawns
 // croesus-cloud, one croesus-edge per topology edge, and one
-// croesus-client per camera (or attaches to a pre-launched fleet), plays
-// the scenario's event timeline over each process's control channel, and
-// merges the per-process reports into the same ClusterReport the
-// simulated fleet prints — so one scenario file runs unchanged on the sim
-// and on a real multi-process fleet.
+// croesus-client per camera, plays the scenario's event timeline over each
+// process's control channel, and merges the per-process reports into the
+// same ClusterReport the simulated fleet prints — so one scenario file
+// runs unchanged on the sim and on a real multi-process fleet.
 //
 // Timeline events map to real actions: edge_crash is a SIGKILL (with
 // restart_after, a respawn on the same address and WAL — clients redial,
@@ -15,9 +14,11 @@
 // Usage:
 //
 //	croesus-fleet -scenario testdata/fleet-crash.json -bin ./bin -timescale 0.1
-//	croesus-fleet -scenario s.json -shaped -trace -workdir /tmp/fleet
-//	croesus-fleet -scenario s.json -attach-cloud 127.0.0.1:9502 \
-//	    -attach-edge e0=127.0.0.1:9401,127.0.0.1:9501
+//	croesus-fleet -scenario s.json -shaped -trace -workdir /tmp/fleet -json run.json
+//
+// -bin defaults to this executable's directory, so a `go build -o dir/` of
+// croesus-fleet, croesus-edge, croesus-cloud, and croesus-client needs no
+// further flags.
 package main
 
 import (
@@ -26,7 +27,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"croesus/internal/fleet"
@@ -35,32 +35,7 @@ import (
 	"croesus/internal/scenario"
 )
 
-// attachEdges collects repeated -attach-edge flags ("id=data,control").
-type attachEdges []fleet.AttachEdge
-
-func (l *attachEdges) String() string {
-	var parts []string
-	for _, e := range *l {
-		parts = append(parts, fmt.Sprintf("%s=%s,%s", e.ID, e.Addr, e.Control))
-	}
-	return strings.Join(parts, " ")
-}
-
-func (l *attachEdges) Set(v string) error {
-	id, addrs, ok := strings.Cut(v, "=")
-	if !ok {
-		return fmt.Errorf("want id=data-addr,control-addr, got %q", v)
-	}
-	data, control, ok := strings.Cut(addrs, ",")
-	if !ok {
-		return fmt.Errorf("want id=data-addr,control-addr, got %q", v)
-	}
-	*l = append(*l, fleet.AttachEdge{ID: id, Addr: data, Control: control})
-	return nil
-}
-
 func main() {
-	var edges attachEdges
 	var (
 		scenarioPath = flag.String("scenario", "", "scenario file to deploy (required): topology + event timeline, same schema as croesus-cluster")
 		binDir       = flag.String("bin", "", "directory holding the croesus-edge/croesus-cloud/croesus-client binaries (default: this executable's directory)")
@@ -70,9 +45,7 @@ func main() {
 		trace        = flag.Bool("trace", false, "run every process with -trace, then merge, clock-align, and orphan-prune the spans into one distributed trace")
 		frameTimeout = flag.Duration("frame-timeout", 30*time.Second, "wall bound on one frame's wait at a client before it counts as dropped")
 		jsonOut      = flag.String("json", "", "write the run's merged report and verdicts as JSON to this file")
-		attachCloud  = flag.String("attach-cloud", "", "attach mode: the pre-launched cloud's control address (cameras run in-process; crash events are rejected)")
 	)
-	flag.Var(&edges, "attach-edge", "attach mode: a pre-launched edge as id=data-addr,control-addr (repeatable)")
 	flag.Parse()
 
 	if *scenarioPath == "" {
@@ -95,9 +68,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},
 	}
-	if len(edges) > 0 || *attachCloud != "" {
-		opts.Attach = &fleet.Attach{CloudControl: *attachCloud, Edges: edges}
-	} else if opts.BinDir == "" {
+	if opts.BinDir == "" {
 		exe, err := os.Executable()
 		if err != nil {
 			fatalf("cannot locate binaries: %v (pass -bin)", err)

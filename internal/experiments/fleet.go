@@ -11,8 +11,9 @@ import (
 )
 
 // fleetCrashScenario is the crash/migration scenario FleetCrash replays on
-// every runtime — the in-code twin of
-// cmd/croesus-cluster/testdata/fleet-crash.json.
+// every runtime. It follows cmd/croesus-cluster/testdata/fleet-crash.json
+// but leaves out that file's workload_shift and checkpoint events
+// (fleet-crash.golden pins the table this one produces).
 func fleetCrashScenario(frames int) *scenario.Scenario {
 	if frames <= 0 {
 		frames = 40

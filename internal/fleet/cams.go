@@ -11,59 +11,9 @@ import (
 	"croesus/internal/wire"
 )
 
-// inprocCam runs a CamStream in this process — attach mode's cameras.
-// Control ops are direct method calls, so the orchestrator's event code
-// is identical either way.
-type inprocCam struct {
-	cs   *CamStream
-	name string
-	done chan struct{}
-	rep  ClientReport
-}
-
-func startInprocCam(cfg CamConfig) *inprocCam {
-	c := &inprocCam{cs: NewCamStream(cfg), name: cfg.Camera, done: make(chan struct{})}
-	go func() {
-		c.rep = c.cs.Run()
-		close(c.done)
-	}()
-	return c
-}
-
-func (c *inprocCam) id() string { return c.name }
-
-func (c *inprocCam) rate(mult float64) error {
-	c.cs.SetRate(mult)
-	return nil
-}
-
-func (c *inprocCam) redial(addr string) error {
-	c.cs.Redial(addr)
-	return nil
-}
-
-func (c *inprocCam) stop() { c.cs.Stop() }
-
-func (c *inprocCam) wait(timeout time.Duration) (ClientReport, bool) {
-	select {
-	case <-c.done:
-		return c.rep, true
-	case <-time.After(timeout):
-		c.cs.Stop()
-		select {
-		case <-c.done:
-			return c.rep, true
-		case <-time.After(5 * time.Second):
-			return c.cs.Report(), false
-		}
-	}
-}
-
-func (c *inprocCam) traceFile() string { return "" }
-
-// procCam drives a spawned croesus-client over its control channel. The
-// client writes its ClientReport JSON to reportPath at exit (normal end,
-// quit op, or SIGTERM).
+// procCam is one camera: a spawned croesus-client driven over its control
+// channel. The client writes its ClientReport JSON to reportPath at exit
+// (normal end, quit op, or SIGTERM).
 type procCam struct {
 	name       string
 	p          *proc
@@ -117,8 +67,6 @@ func (f *fleetRun) startProcCam(camID, edgeAddr, profile string, seed int64, fra
 	return &procCam{name: camID, p: p, ctl: ctl, reportPath: reportPath, trace: trace}, nil
 }
 
-func (c *procCam) id() string { return c.name }
-
 func (c *procCam) rate(mult float64) error {
 	_, err := c.ctl.CallOK(wire.Control{Op: OpRate, Rate: mult}, 0)
 	return err
@@ -133,6 +81,8 @@ func (c *procCam) stop() {
 	c.ctl.Call(wire.Control{Op: OpQuit}, 5*time.Second)
 }
 
+// wait blocks for the stream's end and returns its report; ok=false means
+// the report could not be recovered.
 func (c *procCam) wait(timeout time.Duration) (ClientReport, bool) {
 	if err := c.p.waitExit(timeout); err != nil {
 		// Still running past the deadline: ask it to stop, then read
@@ -151,5 +101,3 @@ func (c *procCam) wait(timeout time.Duration) (ClientReport, bool) {
 	}
 	return rep, true
 }
-
-func (c *procCam) traceFile() string { return c.trace }

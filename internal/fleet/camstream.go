@@ -39,8 +39,7 @@ type CamConfig struct {
 	OnFrame func(FrameRecord)
 }
 
-// CamStream is the camera streaming loop shared by croesus-client and the
-// orchestrator's in-process cameras: it paces frames at the profile's
+// CamStream is croesus-client's camera streaming loop: it paces frames at the profile's
 // capture rate, survives edge restarts by redialing (frames submitted
 // while the edge is dark are dropped, matching the in-process fleet's
 // outage semantics), and takes live control ops — rate shifts

@@ -5,20 +5,20 @@
 // timeline over a control channel on each process, and folds the
 // per-process reports and trace streams into one cluster.ClusterReport.
 //
-// The package splits into four seams, each usable on its own:
+// The package splits into these seams:
 //
 //   - control.go — the control protocol: a tiny request/reply RPC carried
-//     by wire.Control / wire.ControlReply envelopes over the same gob
-//     framing as the data plane. Every fleet binary serves it; the
-//     orchestrator drives it.
-//   - camstream.go — the camera streaming loop shared by croesus-client
-//     and the orchestrator's in-process (attach-mode) cameras: pacing,
+//     by wire.Control / wire.ControlReply envelopes in the same binary
+//     codec as the data plane. Every fleet binary serves it (handlers.go);
+//     the orchestrator drives it.
+//   - camstream.go — croesus-client's camera streaming loop: pacing,
 //     reconnect across edge crashes, live rate shifts and redials.
 //   - procs.go — process management: spawn with ready-file address
 //     discovery, SIGKILL crashes, respawns, graceful SIGTERM stops.
+//   - cams.go — the orchestrator's handle on one spawned croesus-client.
 //   - fleet.go — the orchestrator: scenario validation for the
-//     multi-process fleet, timeline playback, report merge, trace
-//     collection.
+//     multi-process fleet, timeline playback, report merge (report.go),
+//     trace collection.
 package fleet
 
 import (

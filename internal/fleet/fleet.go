@@ -19,7 +19,7 @@ import (
 // Options configures a fleet run.
 type Options struct {
 	// BinDir holds the croesus-edge / croesus-cloud / croesus-client
-	// binaries (spawn mode).
+	// binaries.
 	BinDir string
 	// WorkDir holds WALs, ready files, logs, reports, and traces
 	// (default: a fresh temp dir).
@@ -32,29 +32,12 @@ type Options struct {
 	// bandwidth token bucket) to each edge's client and cloud paths.
 	Shaped bool
 	// Trace collects per-process span streams and merges them into one
-	// aligned distributed trace in the result (spawn mode).
+	// aligned distributed trace in the result.
 	Trace bool
 	// FrameTimeout bounds one frame's wall wait at the client (default
 	// 30s).
 	FrameTimeout time.Duration
 	Logf         func(format string, args ...any)
-	// Attach connects to a pre-launched fleet instead of spawning
-	// processes: cameras run in-process, crash events are rejected.
-	Attach *Attach
-}
-
-// Attach names a pre-launched fleet's control and data addresses.
-type Attach struct {
-	// CloudControl is the cloud's control address ("" : no cloud).
-	CloudControl string
-	Edges        []AttachEdge
-}
-
-// AttachEdge is one pre-launched edge, in topology order.
-type AttachEdge struct {
-	ID      string
-	Addr    string // data-plane address clients dial
-	Control string
 }
 
 // Result is a fleet run's full outcome: the merged ClusterReport plus the
@@ -69,10 +52,10 @@ type Result struct {
 	// at the end of the run replays to exactly its live store.
 	DurabilityOK bool
 
-	// Trace is the aligned multi-process trace (spawn mode with
-	// Options.Trace); PrunedSpans counts orphans dropped because a
-	// SIGKILLed process lost its span tail; Incidents is the offline
-	// watchdog's verdict over the merged stream.
+	// Trace is the aligned multi-process trace (with Options.Trace);
+	// PrunedSpans counts orphans dropped because a SIGKILLed process lost
+	// its span tail; Incidents is the offline watchdog's verdict over the
+	// merged stream.
 	Trace       *collect.Merged
 	PrunedSpans int
 	Incidents   []collect.Incident
@@ -83,9 +66,8 @@ type Result struct {
 // ValidateForFleet checks that a scenario can run on the multi-process
 // fleet: standalone edge processes share no keyspace, so sharded
 // scenarios (cross-edge transactions, 2PC crash points, peer-link
-// faults) and inference graphs need the in-process deployments. attach
-// additionally rejects crash events — there is no process to kill.
-func ValidateForFleet(s *scenario.Scenario, attach bool) error {
+// faults) and inference graphs need the in-process deployments.
+func ValidateForFleet(s *scenario.Scenario) error {
 	if err := s.Validate(); err != nil {
 		return err
 	}
@@ -104,39 +86,22 @@ func ValidateForFleet(s *scenario.Scenario, attach bool) error {
 			if ev.B != "cloud" {
 				return fmt.Errorf("fleet: edge↔edge link faults need the in-process sharded fleet; fault the cloud uplink with b: \"cloud\"")
 			}
-		case scenario.KindEdgeCrash:
-			if attach {
-				return fmt.Errorf("fleet: edge_crash needs spawn mode — an attached fleet's processes are not the orchestrator's to kill")
-			}
 		}
 	}
 	return nil
 }
 
-// fleetEdge is one edge process (or attached server) under orchestration.
+// fleetEdge is one edge process under orchestration.
 type fleetEdge struct {
 	id       string
 	addr     string // fixed data address (respawns rebind it)
 	ctl      *ControlClient
-	p        *proc // nil in attach mode
+	p        *proc
 	respawn  func(addr string) (*proc, *ReadyInfo, error)
 	trace    string
 	sameSite bool
 	retired  bool
 	dark     bool // crashed, not (yet) respawned
-}
-
-// camHandle abstracts a running camera: an in-process CamStream (attach
-// mode) or a croesus-client process (spawn mode).
-type camHandle interface {
-	id() string
-	rate(mult float64) error
-	redial(addr string) error
-	stop()
-	// wait blocks for the stream's end and returns its report; ok=false
-	// means the report could not be recovered.
-	wait(timeout time.Duration) (ClientReport, bool)
-	traceFile() string
 }
 
 // fleetRun is the orchestrator's mutable state for one run.
@@ -153,7 +118,7 @@ type fleetRun struct {
 	cloud   *ControlClient
 	cloudP  *proc
 	cloudA  string // cloud data address
-	cams    map[string]camHandle
+	cams    map[string]*procCam
 	camEdge map[string]string // camera id → edge id
 	camIdx  map[string]int
 	camAll  []scenario.Camera
@@ -172,11 +137,10 @@ func (f *fleetRun) scaled(d time.Duration) time.Duration {
 	return d
 }
 
-// Run deploys the scenario on real processes (or an attached fleet),
-// plays its timeline, and collects the merged report.
+// Run deploys the scenario on real processes, plays its timeline, and
+// collects the merged report.
 func Run(s *scenario.Scenario, o Options) (*Result, error) {
-	attach := o.Attach != nil
-	if err := ValidateForFleet(s, attach); err != nil {
+	if err := ValidateForFleet(s); err != nil {
 		return nil, err
 	}
 	ts := o.TimeScale
@@ -199,7 +163,7 @@ func Run(s *scenario.Scenario, o Options) (*Result, error) {
 	f := &fleetRun{
 		s: s, o: o, ts: ts, dir: dir, logf: logf,
 		byID:    map[string]*fleetEdge{},
-		cams:    map[string]camHandle{},
+		cams:    map[string]*procCam{},
 		camEdge: map[string]string{},
 	}
 	var err error
@@ -207,43 +171,13 @@ func Run(s *scenario.Scenario, o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if attach {
-		err = f.attachFleet()
-	} else {
-		err = f.spawnFleet()
-	}
-	if err != nil {
+	if err := f.spawnFleet(); err != nil {
 		f.teardown()
 		return nil, err
 	}
 	res := f.play()
 	f.teardown()
 	return res, nil
-}
-
-// attachFleet dials the pre-launched fleet's control channels.
-func (f *fleetRun) attachFleet() error {
-	a := f.o.Attach
-	if len(a.Edges) == 0 {
-		return fmt.Errorf("fleet: attach needs at least one edge")
-	}
-	for _, ae := range a.Edges {
-		ctl, err := DialControl(ae.Control)
-		if err != nil {
-			return fmt.Errorf("fleet: attach edge %s: %w", ae.ID, err)
-		}
-		fe := &fleetEdge{id: ae.ID, addr: ae.Addr, ctl: ctl}
-		f.edges = append(f.edges, fe)
-		f.byID[ae.ID] = fe
-	}
-	if a.CloudControl != "" {
-		ctl, err := DialControl(a.CloudControl)
-		if err != nil {
-			return fmt.Errorf("fleet: attach cloud: %w", err)
-		}
-		f.cloud = ctl
-	}
-	return nil
 }
 
 // spawnFleet launches the cloud, then every edge, discovering addresses
@@ -409,18 +343,9 @@ func (f *fleetRun) startCamera(cam scenario.Camera) error {
 	if frames <= 0 {
 		frames = 100
 	}
-	var h camHandle
-	if f.o.Attach != nil {
-		h = startInprocCam(CamConfig{
-			Camera: cam.ID, Edge: fe.addr, Profile: prof, Seed: seed,
-			Frames: frames, TimeScale: f.ts, FrameTimeout: f.o.FrameTimeout,
-			Logf: f.logf,
-		})
-	} else {
-		h, err = f.startProcCam(cam.ID, fe.addr, prof.Name, seed, frames)
-		if err != nil {
-			return err
-		}
+	h, err := f.startProcCam(cam.ID, fe.addr, prof.Name, seed, frames)
+	if err != nil {
+		return err
 	}
 	f.mu.Lock()
 	f.cams[cam.ID] = h
@@ -471,7 +396,7 @@ func (f *fleetRun) play() *Result {
 
 	// Wait for every camera stream to finish.
 	f.mu.Lock()
-	handles := make([]camHandle, 0, len(f.cams))
+	handles := make([]*procCam, 0, len(f.cams))
 	for _, h := range f.cams {
 		handles = append(handles, h)
 	}
@@ -485,8 +410,8 @@ func (f *fleetRun) play() *Result {
 		}
 		rep, ok := h.wait(left)
 		if !ok {
-			f.logf("fleet: camera %s: report not recovered", h.id())
-			rep.Camera = h.id()
+			f.logf("fleet: camera %s: report not recovered", h.name)
+			rep.Camera = h.name
 		}
 		clients = append(clients, rep)
 	}
@@ -539,6 +464,7 @@ func (f *fleetRun) play() *Result {
 	f.mu.Lock()
 	crashes := append([]crashRecord{}, f.crashes...)
 	dyn := f.dyn
+	camEdge := f.camEdge
 	f.mu.Unlock()
 
 	res := &Result{
@@ -548,14 +474,12 @@ func (f *fleetRun) play() *Result {
 		DurabilityOK: durableOK,
 		WorkDir:      f.dir,
 	}
-	res.Report = mergeReport(elapsed, f.ts, clients, edges, cloud, crashes, dyn)
+	res.Report = mergeReport(elapsed, f.ts, clients, camEdge, edges, cloud, crashes, dyn)
 
 	// Trace collection needs the processes' SIGTERM flush first.
-	if f.o.Attach == nil {
-		f.stopProcs()
-		if f.o.Trace {
-			f.collectTrace(res)
-		}
+	f.stopProcs()
+	if f.o.Trace {
+		f.collectTrace(res)
 	}
 	return res
 }
@@ -610,7 +534,7 @@ func (f *fleetRun) exec(ev scenario.Event) {
 			return // cross-edge/zipf shifts were rejected by validation
 		}
 		f.mu.Lock()
-		var targets []camHandle
+		var targets []*procCam
 		if ev.Camera != "" {
 			if h := f.cams[ev.Camera]; h != nil {
 				targets = append(targets, h)
@@ -665,7 +589,7 @@ func (f *fleetRun) migrate(camID, to string) {
 // replays.
 func (f *fleetRun) crash(ev scenario.Event) {
 	fe := f.byID[ev.Edge]
-	if fe == nil || fe.p == nil {
+	if fe == nil {
 		return
 	}
 	f.mu.Lock()
@@ -816,7 +740,7 @@ func (f *fleetRun) stopProcs() {
 		p := fe.p
 		dark := fe.dark
 		f.mu.Unlock()
-		if p == nil || dark {
+		if dark {
 			continue
 		}
 		if err := p.term(10 * time.Second); err != nil {
@@ -855,13 +779,13 @@ func (f *fleetRun) collectTrace(res *Result) {
 		add(fe.trace)
 	}
 	f.mu.Lock()
-	handles := make([]camHandle, 0, len(f.cams))
+	handles := make([]*procCam, 0, len(f.cams))
 	for _, h := range f.cams {
 		handles = append(handles, h)
 	}
 	f.mu.Unlock()
 	for _, h := range handles {
-		add(h.traceFile())
+		add(h.trace)
 	}
 	res.TraceFiles = files
 	if len(streams) == 0 {
@@ -883,8 +807,8 @@ func (f *fleetRun) collectTrace(res *Result) {
 	res.Incidents = w.Finish()
 }
 
-// teardown closes control connections and, in spawn mode, makes sure no
-// process outlives the orchestrator.
+// teardown closes control connections and makes sure no process outlives
+// the orchestrator.
 func (f *fleetRun) teardown() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -893,7 +817,7 @@ func (f *fleetRun) teardown() {
 			fe.ctl.Close()
 			fe.ctl = nil
 		}
-		if fe.p != nil && fe.p.alive() {
+		if fe.p.alive() {
 			fe.p.kill()
 		}
 	}

@@ -1,20 +1,14 @@
 package fleet
 
 import (
+	"os/exec"
 	"path/filepath"
+	"runtime"
 	"testing"
-	"time"
 
-	"croesus/internal/core"
-	"croesus/internal/detect"
 	"croesus/internal/scenario"
-	"croesus/internal/tcpnet"
 	"croesus/internal/wire"
 )
-
-// testScale compresses modeled time 50× so the attach-mode run finishes
-// in well under a second of wall time.
-const testScale = 0.02
 
 // TestControlRoundTrip exercises the control protocol end to end: dial,
 // dispatch, op-specific JSON, unknown-op errors.
@@ -62,157 +56,99 @@ func TestControlRoundTrip(t *testing.T) {
 	}
 }
 
-// startAttachFleet stands up a real cloud and two real edges (each with a
-// WAL and a control server — exactly what the binaries run), and returns
-// the Attach descriptor plus a cleanup.
-func startAttachFleet(t *testing.T) (*Attach, func()) {
+// buildFleetBinaries compiles the edge, cloud, and client binaries the
+// orchestrator spawns into a fresh directory, with the toolchain that built
+// this test.
+func buildFleetBinaries(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
-
-	cloud, err := tcpnet.NewCloudServerWith(tcpnet.CloudConfig{
-		Model:     detect.YOLOv3Sim(detect.YOLO416, 42),
-		TimeScale: testScale,
-	})
-	if err != nil {
-		t.Fatalf("cloud: %v", err)
+	gobin := filepath.Join(runtime.GOROOT(), "bin", "go")
+	cmd := exec.Command(gobin, "build", "-o", dir+string(filepath.Separator),
+		"croesus/cmd/croesus-edge", "croesus/cmd/croesus-cloud", "croesus/cmd/croesus-client")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	cloudAddr, err := cloud.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("cloud listen: %v", err)
-	}
-	cloudCtl, err := ServeControl("127.0.0.1:0", CloudHandlers(cloud, nil))
-	if err != nil {
-		t.Fatalf("cloud control: %v", err)
-	}
-
-	var cleanups []func()
-	cleanups = append(cleanups, func() { cloudCtl.Close(); cloud.Close() })
-	attach := &Attach{CloudControl: cloudCtl.Addr()}
-	for _, id := range []string{"e0", "e1"} {
-		edge, err := tcpnet.NewEdgeServer(tcpnet.EdgeConfig{
-			EdgeModel: detect.TinyYOLOSim(42),
-			CloudAddr: cloudAddr,
-			TimeScale: testScale,
-			ThetaL:    0.4,
-			ThetaU:    0.6,
-			Source:    core.NewWorkloadSource(500, 7),
-			WALPath:   filepath.Join(dir, "edge-"+id+".wal"),
-			WALNoSync: true,
-		})
-		if err != nil {
-			t.Fatalf("edge %s: %v", id, err)
-		}
-		addr, err := edge.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("edge %s listen: %v", id, err)
-		}
-		ctl, err := ServeControl("127.0.0.1:0", EdgeHandlers(id, edge, nil))
-		if err != nil {
-			t.Fatalf("edge %s control: %v", id, err)
-		}
-		e, c := edge, ctl
-		cleanups = append(cleanups, func() { c.Close(); e.Close() })
-		attach.Edges = append(attach.Edges, AttachEdge{ID: id, Addr: addr, Control: ctl.Addr()})
-	}
-	return attach, func() {
-		for i := len(cleanups) - 1; i >= 0; i-- {
-			cleanups[i]()
-		}
-	}
+	return dir
 }
 
-// rate returns a pointer — timeline literals need one.
-func rate(v float64) *float64 { return &v }
-
-// TestFleetAttachTimeline runs a full scenario — workload shift,
-// migration, cloud-link fault with heal, WAL checkpoint, camera leave —
-// against real tcpnet servers through the orchestrator's attach mode,
-// and checks the merged report and the durability verdict.
-func TestFleetAttachTimeline(t *testing.T) {
-	attach, cleanup := startAttachFleet(t)
-	defer cleanup()
-
-	s := &scenario.Scenario{
-		Name: "fleet-attach",
-		Topology: scenario.Topology{
-			Edges: []scenario.Edge{{ID: "e0"}, {ID: "e1"}},
-			Cameras: []scenario.Camera{
-				{ID: "a", Profile: "park-dog", Edge: "e0", Frames: 12},
-				{ID: "b", Profile: "street-vehicles", Edge: "e0", Frames: 12},
-			},
-		},
-		Timeline: []scenario.Event{
-			{At: scenario.Duration(500 * time.Millisecond), Do: scenario.KindWorkloadShift, Camera: "a", Rate: rate(2)},
-			{At: scenario.Duration(1 * time.Second), Do: scenario.KindMigrateCamera, Camera: "a", To: "e1"},
-			{At: scenario.Duration(1500 * time.Millisecond), Do: scenario.KindLinkFault, A: "e0", B: "cloud",
-				Heal: scenario.Duration(2500 * time.Millisecond)},
-			{At: scenario.Duration(2 * time.Second), Do: scenario.KindCheckpoint},
-			{At: scenario.Duration(3 * time.Second), Do: scenario.KindCameraLeave, Camera: "b"},
-		},
+// TestFleetSpawnCrash plays fleet-crash.json — a SIGKILL crash with WAL
+// respawn, a workload shift, a migration, a cloud-link fault with heal, a
+// checkpoint, and a camera leave — on real croesus-edge / croesus-cloud /
+// croesus-client processes, and checks the merged report, the durability
+// verdict, and the merged trace.
+func TestFleetSpawnCrash(t *testing.T) {
+	bin := buildFleetBinaries(t)
+	s, err := scenario.Load(filepath.Join("..", "..", "cmd", "croesus-cluster", "testdata", "fleet-crash.json"))
+	if err != nil {
+		t.Fatalf("load scenario: %v", err)
 	}
 	res, err := Run(s, Options{
-		TimeScale:    testScale,
-		FrameTimeout: 10 * time.Second,
-		Attach:       attach,
-		Logf:         t.Logf,
+		BinDir:    bin,
+		WorkDir:   t.TempDir(),
+		TimeScale: 0.1,
+		Trace:     true,
+		Logf:      t.Logf,
 	})
 	if err != nil {
 		t.Fatalf("fleet run: %v", err)
+	}
+
+	if !res.DurabilityOK {
+		t.Errorf("durability verdict not clean: %+v", res.Edges)
+	}
+	if len(res.Incidents) != 0 {
+		t.Errorf("trace incidents: %v", res.Incidents)
 	}
 	r := res.Report
 	if r == nil {
 		t.Fatal("no merged report")
 	}
-	if len(r.Cameras) != 2 {
-		t.Fatalf("report has %d cameras, want 2", len(r.Cameras))
+	if f := r.Faults; f == nil || f.Crashes != 1 || f.Restarts != 1 || f.ReplayedRecords == 0 {
+		t.Errorf("faults = %+v, want 1 crash, 1 restart, replayed records", f)
 	}
-	if r.Frames == 0 {
-		t.Fatal("no frames completed")
+	if len(r.Cameras) != 3 {
+		t.Fatalf("report has %d cameras, want 3", len(r.Cameras))
+	}
+	if r.Frames == 0 || r.Validated == 0 {
+		t.Errorf("frames = %d, validated = %d, want both > 0", r.Frames, r.Validated)
 	}
 	if r.FinalP50 <= 0 {
 		t.Error("final p50 latency is zero")
 	}
-	if !res.DurabilityOK {
-		t.Errorf("durability verdict not clean: %+v", res.Edges)
-	}
-	for _, er := range res.Edges {
-		if !er.DurableOK {
-			t.Errorf("edge %s durability: %s", er.Edge, er.DurableErr)
-		}
-	}
-	if r.Dynamic == nil {
+	d := r.Dynamic
+	if d == nil {
 		t.Fatal("no dynamic report")
 	}
-	d := r.Dynamic
-	if d.Migrations != 1 {
-		t.Errorf("migrations = %d, want 1", d.Migrations)
+	if d.Migrations != 1 || d.WorkloadShifts != 1 || d.CloudLinkOutages != 1 || d.Leaves != 1 {
+		t.Errorf("dynamic = %+v, want 1 migration, shift, cloud-link outage, and leave", *d)
 	}
-	if d.WorkloadShifts != 1 {
-		t.Errorf("workload shifts = %d, want 1", d.WorkloadShifts)
-	}
-	if d.CloudLinkOutages != 1 {
-		t.Errorf("cloud link outages = %d, want 1", d.CloudLinkOutages)
-	}
-	if d.Leaves != 1 {
-		t.Errorf("leaves = %d, want 1", d.Leaves)
-	}
-	// Camera a ends on e1 (the migration's destination).
-	for _, cr := range res.Clients {
-		if cr.Camera == "a" && cr.Redials == 0 {
-			t.Errorf("camera a migrated but never redialed: %+v", cr)
+
+	// Cameras are named by edge id, as the sim names them; cam2 ends on
+	// its migration's destination.
+	wantEdge := map[string]string{"cam0": "e0", "cam1": "e1", "cam2": "e1"}
+	for _, c := range r.Cameras {
+		if c.Edge != wantEdge[c.Camera] {
+			t.Errorf("camera %s on edge %q, want %q", c.Camera, c.Edge, wantEdge[c.Camera])
 		}
 	}
-	// The edges served traffic and the fleet validated frames at the
-	// cloud through real sockets.
+	for _, cr := range res.Clients {
+		if cr.Camera == "cam2" && cr.Redials == 0 {
+			t.Errorf("cam2 migrated but never redialed: %+v", cr)
+		}
+	}
+
 	var served int64
 	for _, er := range res.Edges {
 		served += er.Served
+		if !er.DurableOK {
+			t.Errorf("edge %s durability: %s", er.Edge, er.DurableErr)
+		}
+		if er.Edge == "e0" && er.WALReplayed == 0 {
+			t.Errorf("e0 replayed no WAL records on respawn: %+v", er)
+		}
 	}
 	if served == 0 {
 		t.Error("edges served no frames")
-	}
-	if r.Validated == 0 {
-		t.Error("no frame was cloud-validated")
 	}
 }
 
@@ -227,29 +163,26 @@ func TestValidateForFleet(t *testing.T) {
 		}
 	}
 	ok := base()
-	if err := ValidateForFleet(ok, false); err != nil {
+	if err := ValidateForFleet(ok); err != nil {
 		t.Fatalf("plain scenario rejected: %v", err)
 	}
 
 	sharded := base()
 	sharded.Topology.Sharded = true
-	if err := ValidateForFleet(sharded, false); err == nil {
+	if err := ValidateForFleet(sharded); err == nil {
 		t.Error("sharded scenario accepted")
 	}
 
 	crash := base()
 	crash.Timeline = []scenario.Event{{At: 1, Do: scenario.KindEdgeCrash, Edge: "e0"}}
-	if err := ValidateForFleet(crash, false); err != nil {
-		t.Errorf("crash rejected in spawn mode: %v", err)
-	}
-	if err := ValidateForFleet(crash, true); err == nil {
-		t.Error("crash accepted in attach mode")
+	if err := ValidateForFleet(crash); err != nil {
+		t.Errorf("crash rejected: %v", err)
 	}
 
 	peer := base()
 	peer.Topology.Sharded = true
 	peer.Timeline = []scenario.Event{{At: 1, Do: scenario.KindLinkFault, A: "e0", B: "e1"}}
-	if err := ValidateForFleet(peer, false); err == nil {
+	if err := ValidateForFleet(peer); err == nil {
 		t.Error("edge↔edge link fault accepted")
 	}
 }

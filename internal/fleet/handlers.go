@@ -9,9 +9,7 @@ import (
 
 // EdgeHandlers wires an edge server to the control protocol. quit, when
 // non-nil, runs (in its own goroutine) after a quit op is acknowledged —
-// the binary's graceful-shutdown trigger. The same handlers serve a
-// spawned croesus-edge and an in-process attach-mode edge, so the
-// orchestrator cannot tell them apart.
+// the binary's graceful-shutdown trigger.
 func EdgeHandlers(id string, srv *tcpnet.EdgeServer, quit func()) *Handler {
 	h := NewHandler("edge")
 	h.On(OpReport, func(wire.Control) (any, error) {

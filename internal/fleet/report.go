@@ -78,10 +78,12 @@ type crashRecord struct {
 // mergeReport folds the per-process reports into the same ClusterReport
 // shape the in-process deployments produce, so one scenario's sim, TCP,
 // and fleet runs are comparable side by side. scale is the run's time
-// scale: wall latencies divide by it to land in modeled time. Accuracy
+// scale: wall latencies divide by it to land in modeled time. camEdge maps
+// each camera to the id of the edge it ended on (a ClientReport knows only
+// the socket address it dialed). Accuracy
 // (F1) needs ground truth the orchestrator does not recompute, so
 // Summary carries counts and latencies only.
-func mergeReport(elapsed time.Duration, scale float64, clients []ClientReport,
+func mergeReport(elapsed time.Duration, scale float64, clients []ClientReport, camEdge map[string]string,
 	edges []EdgeReport, cloud *CloudReport, crashes []crashRecord, dyn cluster.DynamicReport) *cluster.ClusterReport {
 	if scale <= 0 {
 		scale = 1
@@ -96,7 +98,7 @@ func mergeReport(elapsed time.Duration, scale float64, clients []ClientReport,
 	var fleetInit, fleetFinal metrics.LatencyStats
 	for _, cr := range clients {
 		var init, final metrics.LatencyStats
-		rep := cluster.CameraReport{Camera: cr.Camera, Edge: cr.Edge, Left: cr.Stopped, Dropped: cr.Dropped}
+		rep := cluster.CameraReport{Camera: cr.Camera, Edge: camEdge[cr.Camera], Left: cr.Stopped, Dropped: cr.Dropped}
 		rep.Summary.Video = cr.Video
 		for _, f := range cr.Frames {
 			if f.Dropped {

@@ -4,9 +4,8 @@
 // hot kinds — Frame, InitialReply, FinalReply, CloudRequest, CloudResponse —
 // are hand-encoded: varints for integers, 8-byte little-endian for floats,
 // length-prefixed bytes for strings and padding, one flag byte for the
-// optional trace context. Bye is a bare tag with an empty body. Only the
-// low-rate control channel (Control, ControlReply) still rides gob, encoded
-// standalone inside the body so the stream framing stays self-describing.
+// optional trace context. The low-rate control channel (Control,
+// ControlReply) uses the same helpers. Bye is a bare tag with an empty body.
 //
 // Encode buffers are pooled and written with a single Write per message;
 // the receive side reads each body into a per-connection buffer and copies
@@ -17,9 +16,7 @@ package wire
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -32,9 +29,10 @@ import (
 )
 
 // Wire tags (the 1-byte kind discriminator). Append-only: renumbering is a
-// protocol break between binaries. Tags 6 and 7 (the deleted in-process
-// switch's payload and ack) are retired in place: a message carrying one is
-// rejected as unknown, and a new kind takes the next free number, not theirs.
+// protocol break between binaries. Retired tags stay retired: a message
+// carrying one is rejected as unknown, and a new kind takes the next free
+// number, not theirs. 6 and 7 were the deleted in-process switch's payload
+// and ack; 9 and 10 were the gob-encoded Control and ControlReply.
 const (
 	tagFrame         byte = 1
 	tagInitialReply  byte = 2
@@ -42,8 +40,8 @@ const (
 	tagCloudRequest  byte = 4
 	tagCloudResponse byte = 5
 	tagBye           byte = 8
-	tagControl       byte = 9
-	tagControlReply  byte = 10
+	tagControl       byte = 11
+	tagControlReply  byte = 12
 )
 
 // maxBody bounds one message body (256 MiB) so a corrupt length prefix
@@ -236,9 +234,19 @@ func appendBody(b []byte, e *Envelope) ([]byte, error) {
 	case KindBye:
 		return b, nil
 	case KindControl:
-		return appendGob(b, e.Control)
+		c := e.Control
+		b = binary.AppendUvarint(b, c.Seq)
+		b = appendString(b, c.Op)
+		b = appendString(b, c.Path)
+		b = appendString(b, c.Addr)
+		b = appendBool(b, c.Down)
+		return appendF64(b, c.Rate), nil
 	case KindControlReply:
-		return appendGob(b, e.ControlReply)
+		r := e.ControlReply
+		b = binary.AppendUvarint(b, r.Seq)
+		b = appendBool(b, r.OK)
+		b = appendString(b, r.Err)
+		return appendByteSlice(b, r.Data), nil
 	}
 	return b, fmt.Errorf("wire: unknown kind %q", e.Kind)
 }
@@ -308,14 +316,6 @@ func appendBool(b []byte, v bool) []byte {
 		return append(b, 1)
 	}
 	return append(b, 0)
-}
-
-func appendGob(b []byte, v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return b, err
-	}
-	return append(b, buf.Bytes()...), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -522,19 +522,21 @@ func decodeBody(e *Envelope, tag byte, body []byte) error {
 	case tagBye:
 		e.Kind = KindBye
 	case tagControl:
-		ctl := &Control{}
-		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(ctl); err != nil {
-			return err
-		}
-		e.Kind, e.Control = KindControl, ctl
-		return nil
+		c := &Control{}
+		c.Seq = d.uvarint()
+		c.Op = d.str()
+		c.Path = d.str()
+		c.Addr = d.str()
+		c.Down = d.bool()
+		c.Rate = d.f64()
+		e.Kind, e.Control = KindControl, c
 	case tagControlReply:
 		r := &ControlReply{}
-		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(r); err != nil {
-			return err
-		}
+		r.Seq = d.uvarint()
+		r.OK = d.bool()
+		r.Err = d.str()
+		r.Data = d.byteSlice() // empty decodes as nil, gob's convention (TestCodecMatchesGob)
 		e.Kind, e.ControlReply = KindControlReply, r
-		return nil
 	default:
 		return fmt.Errorf("wire: unknown tag %d", tag)
 	}

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"net"
@@ -14,8 +15,8 @@ import (
 )
 
 // hotEnvelopes is one representative envelope per hand-encoded kind, with
-// edge cases (empty slices, zero values, present and absent trace) mixed
-// in across the set.
+// edge cases (empty slices, zero values, present and absent trace, nil and
+// non-nil control Data) mixed in across the set.
 func hotEnvelopes() []*Envelope {
 	tc := &TraceCtx{Trace: 0xDEADBEEFCAFE, Parent: 7, Section: 2}
 	dets := []detect.Detection{
@@ -33,6 +34,9 @@ func hotEnvelopes() []*Envelope {
 		{Kind: KindCloudRequest, CloudRequest: &CloudRequest{}},
 		{Kind: KindCloudResponse, CloudResponse: &CloudResponse{FrameIndex: 5, Labels: dets[:1], DetectTime: 42 * time.Millisecond, Shed: true}},
 		{Kind: KindCloudResponse, CloudResponse: &CloudResponse{}},
+		{Kind: KindControl, Control: &Control{Seq: 1 << 40, Op: "link", Path: "cloud", Addr: "127.0.0.1:9", Down: true, Rate: -0.5}},
+		{Kind: KindControlReply, ControlReply: &ControlReply{Seq: 3, OK: true, Data: []byte(`{"records":12}`)}},
+		{Kind: KindControlReply, ControlReply: &ControlReply{Seq: 4, Err: "unknown control op \"x\""}},
 		{Kind: KindBye},
 	}
 }
@@ -52,7 +56,7 @@ func gobTrip(t *testing.T, e *Envelope) *Envelope {
 	return &out
 }
 
-// TestCodecMatchesGob cross-checks every hot kind: the binary codec's
+// TestCodecMatchesGob cross-checks every hand-encoded kind: the binary codec's
 // round trip must land on exactly the struct gob's round trip lands on
 // (including nil-vs-empty slice conventions), so swapping the codec under
 // the deployment binaries cannot change observable message content.
@@ -182,6 +186,8 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{tagBye, 0})
 	f.Add([]byte{6, 3, 0, 0, 0}) // retired payload tag
 	f.Add([]byte{7, 2, 9, 0})    // retired ack tag
+	f.Add(gobControl(f, &Control{Seq: 1, Op: "ping"}))
+	f.Add(gobControl(f, &ControlReply{Seq: 1, OK: true, Data: []byte("{}")}))
 	f.Add([]byte{0xFF, 1, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -207,16 +213,34 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
+// gobControl frames a control message under the retired gob encoding —
+// tag 9 (Control) or 10 (ControlReply), the body as its last encoder wrote
+// it.
+func gobControl(tb testing.TB, v any) []byte {
+	tb.Helper()
+	tag := byte(9)
+	if _, ok := v.(*ControlReply); ok {
+		tag = 10
+	}
+	var body bytes.Buffer
+	if err := gob.NewEncoder(&body).Encode(v); err != nil {
+		tb.Fatalf("gob encode: %v", err)
+	}
+	msg := binary.AppendUvarint([]byte{tag}, uint64(body.Len()))
+	return append(msg, body.Bytes()...)
+}
+
 // TestTagsPinned pins the numeric value of every wire tag — they are the
 // protocol between binaries, append-only — and checks that the retired tags
-// (6 and 7, the deleted switch's payload and ack, bodies as their last
-// encoder wrote them) and the first unassigned tag are rejected with an
-// error, not a panic and not a reinterpretation as another kind.
+// (6 and 7, the deleted switch's payload and ack; 9 and 10, the gob-encoded
+// control channel; bodies as their last encoder wrote them) and the first
+// unassigned tag are rejected with an error, not a panic and not a
+// reinterpretation as another kind.
 func TestTagsPinned(t *testing.T) {
 	want := map[Kind]byte{
 		KindFrame: 1, KindInitialReply: 2, KindFinalReply: 3,
 		KindCloudRequest: 4, KindCloudResponse: 5,
-		KindBye: 8, KindControl: 9, KindControlReply: 10,
+		KindBye: 8, KindControl: 11, KindControlReply: 12,
 	}
 	if len(want) != len(allKinds) {
 		t.Fatalf("%d kinds pinned, protocol has %d", len(want), len(allKinds))
@@ -229,7 +253,9 @@ func TestTagsPinned(t *testing.T) {
 	for _, msg := range [][]byte{
 		{6, 5, 1, 'p', 1, 0, 0}, // payload: path "p", seq 1, no padding, no trace
 		{7, 2, 9, 0},            // ack: seq 9, no trace
-		{11, 0},                 // first tag no binary has ever sent
+		gobControl(t, &Control{Seq: 1, Op: "ping"}),
+		gobControl(t, &ControlReply{Seq: 1, OK: true, Data: []byte("{}")}),
+		{13, 0}, // first tag no binary has ever sent
 	} {
 		c := NewConn(pipeRWC{Reader: bytes.NewReader(msg), Writer: &bytes.Buffer{}})
 		if env, err := c.Recv(); err == nil {

@@ -2,8 +2,8 @@
 // TCP deployment binaries (croesus-client, croesus-edge, croesus-cloud).
 // Every connection carries a stream of Envelopes; the Kind field selects
 // the payload, keeping decoding trivial and version drift visible. The
-// framing and per-kind encoding live in codec.go: a length-prefixed binary
-// codec for the hot kinds, gob only for the control channel.
+// framing and per-kind encoding live in codec.go: one length-prefixed
+// binary codec for every kind, data plane and control channel alike.
 package wire
 
 import (
