@@ -38,7 +38,6 @@ import (
 	"croesus/internal/node"
 	"croesus/internal/obs"
 	"croesus/internal/scenario"
-	"croesus/internal/smoothing"
 	"croesus/internal/store"
 	"croesus/internal/threshold"
 	"croesus/internal/transport"
@@ -57,22 +56,10 @@ type (
 	Clock = vclock.Clock
 	// SimClock is the virtual-time scheduler.
 	SimClock = vclock.Sim
-	// Gate is a one-shot wakeup primitive tied to a Clock.
-	Gate = vclock.Gate
-	// Semaphore is a FIFO counted resource on a Clock.
-	Semaphore = vclock.Semaphore
 )
 
 // NewSimClock returns a fresh virtual-time scheduler.
 func NewSimClock() *SimClock { return vclock.NewSim() }
-
-// NewRealClock returns a wall-clock Clock.
-func NewRealClock() Clock { return vclock.NewReal() }
-
-// NewSemaphore returns a counted resource on clk.
-func NewSemaphore(clk Clock, capacity int) *Semaphore {
-	return vclock.NewSemaphore(clk, capacity)
-}
 
 // ---------------------------------------------------------------------------
 // Video and detection
@@ -86,8 +73,6 @@ type (
 	Frame = video.Frame
 	// Rect is a normalized bounding box.
 	Rect = video.Rect
-	// Object is a ground-truth object in a frame.
-	Object = video.Object
 	// ClassFreq weights one object class in a video profile.
 	ClassFreq = video.ClassFreq
 
@@ -99,8 +84,6 @@ type (
 	SimModel = detect.SimModel
 	// YOLOSize selects a cloud model variant (320, 416, 608).
 	YOLOSize = detect.YOLOSize
-	// Oracle is a perfect zero-latency detector for tests.
-	Oracle = detect.Oracle
 )
 
 // Cloud model sizes (Table 2).
@@ -154,21 +137,6 @@ type (
 	RWSet = txn.RWSet
 	// CC is a multi-stage concurrency-control protocol.
 	CC = txn.CC
-	// MSSR is multi-stage serializability via Two Stage 2PL.
-	MSSR = txn.MSSR
-	// MSIA is multi-stage invariant confluence with apologies.
-	MSIA = txn.MSIA
-	// Sequencer orders batches so conflicting transactions don't overlap.
-	Sequencer = txn.Sequencer
-	// Apology records a user-visible correction.
-	Apology = txn.Apology
-	// Stage names a transaction section.
-	Stage = txn.Stage
-	// SectionSpec declares one section of an N-section transaction:
-	// its name, placement tier, lock footprint, and body.
-	SectionSpec = txn.SectionSpec
-	// Tier is a section's placement: edge, peer, or cloud.
-	Tier = txn.Tier
 
 	// GraphSpec declares an inference graph — the ordered node list a
 	// scenario's "graph" block decodes into; node k hosts transaction
@@ -182,20 +150,8 @@ type (
 	SwitchBranchSpec = node.SwitchBranchSpec
 )
 
-// Section stages and MS-SR lock policies.
+// Graph model names.
 const (
-	StageInitial = txn.StageInitial
-	StageFinal   = txn.StageFinal
-	PolicyWait   = txn.Wait
-	PolicyNoWait = txn.NoWait
-)
-
-// Section placement tiers and graph model names.
-const (
-	TierEdge  = txn.TierEdge
-	TierPeer  = txn.TierPeer
-	TierCloud = txn.TierCloud
-
 	ModelTinyYOLO = node.ModelTinyYOLO
 	ModelYOLO320  = node.ModelYOLO320
 	ModelYOLO416  = node.ModelYOLO416
@@ -234,9 +190,6 @@ func (s *System) MSIA() CC { return &txn.MSIA{M: s.Manager} }
 // MSSRWait returns MS-SR with blocking (wait-die) acquisition.
 func (s *System) MSSRWait() CC { return &txn.MSSR{M: s.Manager, Policy: txn.Wait} }
 
-// MSSRNoWait returns MS-SR with abort-on-conflict acquisition.
-func (s *System) MSSRNoWait() CC { return &txn.MSSR{M: s.Manager, Policy: txn.NoWait} }
-
 // ---------------------------------------------------------------------------
 // Transactions bank
 
@@ -250,51 +203,23 @@ type (
 	Trigger = bank.Trigger
 	// AuxEvent is an auxiliary-device input (e.g., a controller click).
 	AuxEvent = bank.AuxEvent
-	// Invocation is a transaction the bank decided to trigger.
-	Invocation = bank.Invocation
 )
 
 // NewBank returns an empty transactions bank.
 func NewBank() *Bank { return bank.New() }
 
 // ---------------------------------------------------------------------------
-// Correction feedback (smoothing)
-
-type (
-	// Smoother feeds cloud corrections back into the edge path.
-	Smoother = core.Smoother
-	// Corrector is the per-track label smoother of the paper's §2.1
-	// footnote: cloud-settled tracks stop re-validating.
-	Corrector = smoothing.Corrector
-)
-
-// NewCorrector returns a Corrector with default TTL, boost, and hit gates.
-func NewCorrector() *Corrector { return smoothing.New() }
-
-// ---------------------------------------------------------------------------
 // Network
 
-type (
-	// Link is a one-way network path with delay, bandwidth, and traffic
-	// accounting.
-	Link = netsim.Link
-	// Preprocessor shrinks frames before the edge→cloud hop.
-	Preprocessor = netsim.Preprocessor
-	// Compression is a re-encoding preprocessor.
-	Compression = netsim.Compression
-	// DiffComm is a frame-differencing preprocessor.
-	DiffComm = netsim.DiffComm
-	// PreprocessorChain composes preprocessors.
-	PreprocessorChain = netsim.Chain
-)
+// Link is a one-way network path with delay, bandwidth, and traffic
+// accounting.
+type Link = netsim.Link
 
 // Link presets for the paper's deployment.
-func ClientEdgeLink() *Link           { return netsim.ClientEdgeLink() }
-func EdgeCloudCrossCountry() *Link    { return netsim.EdgeCloudCrossCountry() }
-func EdgeCloudSameSite() *Link        { return netsim.EdgeCloudSameSite() }
-func EdgeEdgeLink() *Link             { return netsim.EdgeEdgeLink() }
-func DefaultCompression() Compression { return netsim.DefaultCompression() }
-func DefaultDiffComm() DiffComm       { return netsim.DefaultDiffComm() }
+func ClientEdgeLink() *Link        { return netsim.ClientEdgeLink() }
+func EdgeCloudCrossCountry() *Link { return netsim.EdgeCloudCrossCountry() }
+func EdgeCloudSameSite() *Link     { return netsim.EdgeCloudSameSite() }
+func EdgeEdgeLink() *Link          { return netsim.EdgeEdgeLink() }
 
 // ---------------------------------------------------------------------------
 // Pipeline (the paper's §3)
@@ -310,20 +235,12 @@ type (
 	FrameOutcome = core.FrameOutcome
 	// Summary aggregates a run.
 	Summary = core.Summary
-	// Breakdown decomposes latency into the Figure 2 components.
-	Breakdown = core.Breakdown
 	// InitialInput is what initial sections receive.
 	InitialInput = core.InitialInput
 	// FinalInput is what final sections receive.
 	FinalInput = core.FinalInput
-	// MatchCase classifies an edge label against the cloud labels.
-	MatchCase = core.MatchCase
 	// LabelMatch pairs an edge label with its correction.
 	LabelMatch = core.LabelMatch
-	// TxnSource supplies per-detection transactions.
-	TxnSource = core.TxnSource
-	// TxnSourceFunc adapts a function to TxnSource.
-	TxnSourceFunc = core.TxnSourceFunc
 	// WorkloadSource is the paper's YCSB-A-style transaction source.
 	WorkloadSource = core.WorkloadSource
 	// Graph is the inference graph a pipeline walks (Config.Graph): node
@@ -331,10 +248,6 @@ type (
 	// paper's two-section shapes; deeper graphs are the generalized
 	// m-stage model of §3.5.
 	Graph = core.Graph
-	// GraphNode is one model of a Graph, pinned to a tier.
-	GraphNode = core.GraphNode
-	// SwitchBranch routes a GraphNode's output by confidence.
-	SwitchBranch = core.SwitchBranch
 
 	// Validator runs one graph node off the hub (GraphNode.Validator):
 	// the seam between a pipeline's edge side and whatever answers for
@@ -344,10 +257,6 @@ type (
 	ValidationRequest = core.ValidationRequest
 	// ValidationResult is a Validator's reply.
 	ValidationResult = core.ValidationResult
-	// ValidationStatus classifies a validation outcome.
-	ValidationStatus = core.ValidationStatus
-	// DirectValidator is the unbatched single-edge cloud path.
-	DirectValidator = core.DirectValidator
 )
 
 // Pipeline modes: the built-in graph shapes (Mode.Graph).
@@ -443,8 +352,6 @@ type (
 	ShardedCC = twopc.ShardedCC
 	// ShardedStore routes key-value operations to the owning partition.
 	ShardedStore = twopc.ShardedStore
-	// DistCounters counts a sharded fleet's distributed-commit events.
-	DistCounters = twopc.DistCounters
 	// DistStats is the shared concurrency-safe counter block.
 	DistStats = twopc.DistStats
 )
@@ -464,13 +371,9 @@ const (
 // ---------------------------------------------------------------------------
 // Fleet reports
 
-type (
-	// ClusterReport aggregates a fleet run: per-camera summaries plus
-	// fleet throughput, latency percentiles, and shedding.
-	ClusterReport = cluster.ClusterReport
-	// CameraReport is one camera's share of a ClusterReport.
-	CameraReport = cluster.CameraReport
-)
+// ClusterReport aggregates a fleet run: per-camera summaries plus fleet
+// throughput, latency percentiles, and shedding.
+type ClusterReport = cluster.ClusterReport
 
 // ---------------------------------------------------------------------------
 // Scenarios: declarative topology + event timeline
@@ -496,22 +399,12 @@ type (
 	ScenarioEvent = scenario.Event
 	// ScenarioDuration is a JSON-friendly duration ("80ms").
 	ScenarioDuration = scenario.Duration
-	// ScenarioRuntime is a compiled scenario bound to a cluster.
-	ScenarioRuntime = scenario.Runtime
 	// ScenarioOptions select the clock a scenario runs on — virtual, or a
 	// scaled wall clock (TimeScale > 0) — and the observability layer.
 	ScenarioOptions = scenario.Options
 
 	// TransportPath is one directed fleet network path.
 	TransportPath = transport.Path
-
-	// DynamicReport tallies a run's fleet churn (joins, leaves,
-	// migrations, outages, dropped frames).
-	DynamicReport = cluster.DynamicReport
-	// PhaseReport is one timeline-bounded slice of a run.
-	PhaseReport = cluster.PhaseReport
-	// ShardMap is the sharded fleet's mutable shard→edge routing table.
-	ShardMap = twopc.ShardMap
 )
 
 // Scenario event kinds and 2PC crash points (Event.Do / Event.Point).
@@ -535,9 +428,6 @@ const (
 // JSON).
 func LoadScenario(path string) (*Scenario, error) { return scenario.Load(path) }
 
-// DecodeScenario parses and validates a scenario document.
-func DecodeScenario(data []byte) (*Scenario, error) { return scenario.Decode(data) }
-
 // RunScenario plays a scenario on a fresh virtual clock and returns the
 // fleet report. Same scenario, same seed ⇒ byte-identical report.
 func RunScenario(s *Scenario) (*ClusterReport, error) { return scenario.Run(s) }
@@ -559,13 +449,8 @@ type (
 	Obs = obs.Obs
 	// ObsSpan is one traced interval on the run's clock.
 	ObsSpan = obs.Span
-	// ObsTracer collects spans into a bounded in-memory buffer.
-	ObsTracer = obs.Tracer
 	// ObsRegistry holds tagged counters, gauges, and latency histograms.
 	ObsRegistry = obs.Registry
-	// ClusterCriticalPath decomposes a fleet's final latency into
-	// compute / queue / lock / 2PC / network components at p50 and p99.
-	ClusterCriticalPath = cluster.CriticalPath
 )
 
 // NewObs returns an observability layer with a fresh tracer and registry.
@@ -585,19 +470,6 @@ func ServeDebug(addr string, reg *ObsRegistry) (string, error) {
 	return obs.ServeDebug(addr, reg)
 }
 
-// NewScaledRealClock returns a wall clock whose modeled time runs
-// 1/scale faster than real time — how a wall-clock fleet compresses modeled
-// link and inference latencies and the event timeline. Scale 0 or 1 is real
-// time.
-func NewScaledRealClock(scale float64) Clock { return vclock.NewScaledReal(scale) }
-
-// NewScenarioRuntime compiles a scenario onto the caller's clock for
-// callers that need post-run access to the cluster (durability checks,
-// shard map, outcomes). Close the runtime's Cluster when done.
-func NewScenarioRuntime(s *Scenario, clk Clock) (*ScenarioRuntime, error) {
-	return scenario.New(s, clk)
-}
-
 // ---------------------------------------------------------------------------
 // Experiments
 
@@ -612,11 +484,6 @@ type (
 // ExperimentIDs).
 func RunExperiment(id string, opts ExperimentOpts) (ExperimentTable, bool) {
 	return experiments.ByID(id, opts)
-}
-
-// RunAllExperiments regenerates every table and figure.
-func RunAllExperiments(opts ExperimentOpts) []ExperimentTable {
-	return experiments.All(opts)
 }
 
 // ExperimentIDs lists the available experiment IDs.

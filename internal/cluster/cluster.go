@@ -86,7 +86,7 @@ type CameraSpec struct {
 	// declarative topology fixes its layout.
 	Edge string
 	// Shard is the camera's logical shard in a fleet with an explicit
-	// shard space (Config.Shards > 0); ignored otherwise, where each
+	// shard space (Config.ShardOwners set); ignored otherwise, where each
 	// camera draws from its edge's shard.
 	Shard int
 }
@@ -140,9 +140,8 @@ type EdgeNode struct {
 	idx   int
 }
 
-// Config assembles a cluster: what a scenario compiles to (and what the
-// §4.5 experiments build directly, for per-edge shards). Zero-value fields
-// take the documented defaults.
+// Config assembles a cluster. It is what a scenario compiles to, and
+// nothing else builds one. Zero-value fields take the documented defaults.
 type Config struct {
 	Clock   vclock.Clock
 	Cameras []CameraSpec
@@ -204,13 +203,12 @@ type Config struct {
 	// concentrates on remote hot keys. Sharded fleets only.
 	ZipfSkew float64
 
-	// Shards sizes an explicit logical shard space routed through a
-	// mutable shard map (scenario fleets give every camera its own shard
-	// so a migration moves exactly that camera's data). 0 — the default —
-	// keeps the classic one-shard-per-edge identity layout. ShardOwners,
-	// when set, is the initial shard→edge owner table (length Shards);
-	// unset, shard i starts on edge i mod len(Edges).
-	Shards      int
+	// ShardOwners, when set, sizes an explicit logical shard space routed
+	// through a mutable shard map: shard i starts on edge ShardOwners[i],
+	// and there are len(ShardOwners) shards (a per-camera scenario gives
+	// every camera its own, so a migration moves exactly that camera's
+	// data). Nil — the default — keeps the classic one-shard-per-edge
+	// identity layout, §4.5's model. Setting it implies Sharded.
 	ShardOwners []int
 
 	// Faults schedules scripted failures — fail-stop edge crashes with
@@ -244,7 +242,7 @@ func (c Config) defaults() Config {
 	if c.CheckpointEvery > 0 {
 		c.Durable = true
 	}
-	if c.CrossEdgeFraction > 0 || c.Faults != nil || c.ZipfSkew > 0 || c.Durable || c.Shards > 0 {
+	if c.CrossEdgeFraction > 0 || c.Faults != nil || c.ZipfSkew > 0 || c.Durable || len(c.ShardOwners) > 0 {
 		c.Sharded = true
 	}
 	if c.Seed == 0 {
@@ -375,12 +373,6 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.WorkloadKeys < 0 {
 		return nil, fmt.Errorf("cluster: WorkloadKeys must be ≥ 0, got %d", cfg.WorkloadKeys)
 	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("cluster: Shards must be ≥ 0, got %d", cfg.Shards)
-	}
-	if cfg.ShardOwners != nil && len(cfg.ShardOwners) != cfg.Shards {
-		return nil, fmt.Errorf("cluster: %d ShardOwners for %d Shards", len(cfg.ShardOwners), cfg.Shards)
-	}
 	if cfg.CheckpointEvery < 0 {
 		return nil, fmt.Errorf("cluster: CheckpointEvery must be ≥ 0, got %s", cfg.CheckpointEvery)
 	}
@@ -480,7 +472,7 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c.edgeOut = make([]bool, len(c.edges))
 	c.retired = make([]bool, len(c.edges))
-	c.nShards = cfg.Shards
+	c.nShards = len(cfg.ShardOwners)
 	if cfg.Sharded && c.nShards == 0 {
 		c.nShards = len(c.edges)
 	}
@@ -520,9 +512,9 @@ func New(cfg Config) (*Cluster, error) {
 		if cs.Frames == 0 {
 			cs.Frames = 100
 		}
-		if cfg.Shards > 0 && (cs.Shard < 0 || cs.Shard >= cfg.Shards) {
+		if n := len(cfg.ShardOwners); n > 0 && (cs.Shard < 0 || cs.Shard >= n) {
 			c.closeDurability()
-			return nil, fmt.Errorf("cluster: camera %q shard %d outside [0, %d)", cs.ID, cs.Shard, cfg.Shards)
+			return nil, fmt.Errorf("cluster: camera %q shard %d outside [0, %d)", cs.ID, cs.Shard, n)
 		}
 		idx, err := c.placeCamera(cs)
 		if err != nil {
@@ -653,7 +645,7 @@ func (c *Cluster) buildCamera(cs CameraSpec, idx int, startAt time.Duration) (*c
 	shard := -1
 	if c.cfg.Sharded {
 		shard = idx
-		if c.cfg.Shards > 0 {
+		if len(c.cfg.ShardOwners) > 0 {
 			shard = cs.Shard
 		}
 	}

@@ -275,8 +275,7 @@ func TestConfigValidation(t *testing.T) {
 		// already checked; camera IDs were not).
 		{"duplicate camera IDs", Config{Clock: clk, Cameras: []CameraSpec{{ID: "cam", Profile: video.ParkDog(), Frames: 1}, {ID: "cam", Profile: video.ParkDog(), Frames: 1}}, Edges: []EdgeSpec{{}}}},
 		{"camera pinned to unknown edge", Config{Clock: clk, Cameras: []CameraSpec{{ID: "cam", Profile: video.ParkDog(), Frames: 1, Edge: "nowhere"}}, Edges: []EdgeSpec{{ID: "west"}}}},
-		{"shard owners without shards", Config{Clock: clk, Cameras: []CameraSpec{cam}, Edges: []EdgeSpec{{}}, ShardOwners: []int{0}}},
-		{"camera shard out of range", Config{Clock: clk, Cameras: []CameraSpec{{ID: "cam", Profile: video.ParkDog(), Frames: 1, Shard: 9}}, Edges: []EdgeSpec{{}}, Shards: 2}},
+		{"camera shard out of range", Config{Clock: clk, Cameras: []CameraSpec{{ID: "cam", Profile: video.ParkDog(), Frames: 1, Shard: 9}}, Edges: []EdgeSpec{{}}, ShardOwners: []int{0, 0}}},
 	}
 	for _, tc := range cases {
 		if _, err := New(tc.cfg); err == nil {

@@ -147,9 +147,9 @@ func (c *Cluster) AddCamera(cs CameraSpec) error {
 	if cs.Frames == 0 {
 		cs.Frames = 100
 	}
-	if c.cfg.Shards > 0 && (cs.Shard < 0 || cs.Shard >= c.cfg.Shards) {
+	if n := len(c.cfg.ShardOwners); n > 0 && (cs.Shard < 0 || cs.Shard >= n) {
 		c.mu.Unlock()
-		return fmt.Errorf("cluster: camera %q shard %d outside [0, %d)", cs.ID, cs.Shard, c.cfg.Shards)
+		return fmt.Errorf("cluster: camera %q shard %d outside [0, %d)", cs.ID, cs.Shard, n)
 	}
 	idx, err := c.placeCamera(cs)
 	if err != nil {

@@ -6,43 +6,24 @@ import (
 	"time"
 
 	"croesus/internal/cluster"
-	"croesus/internal/faults"
 	"croesus/internal/scenario"
-	"croesus/internal/twopc"
-	"croesus/internal/vclock"
 	"croesus/internal/video"
 )
 
-// clusterCams builds n unpinned cameras cycling through the paper's
-// profiles with distinct seeds, so fleets of any size stay deterministic.
-//
-// The three §4.5 experiments (cluster-2pc, cluster-faults, graph-depth)
-// take them in the cluster's own form and build a cluster.Config instead of
-// a scenario. They model §4.5's per-edge partitions, where the cameras on
-// one edge share one shard; a scenario gives each camera its own shard, so
-// that a migration moves exactly one camera's data, and that dilutes the
-// contention these tables exist to show (cluster-2pc at 40 frames as a
-// pinned scenario: MS-IA cross-edge commits at 25 % fall from 1081 to 943,
-// the MS-SR lock-wait p99 at 50 % from 2023.80 ms to 224.55 ms).
-func clusterCams(n, frames int, seed int64) []cluster.CameraSpec {
+// fleetCams builds n cameras cycling through the paper's profiles with
+// distinct seeds, so fleets of any size stay deterministic. Camera i is
+// pinned to edges[i % len(edges)].
+func fleetCams(n, frames int, seed int64, edges []scenario.Edge) []scenario.Camera {
 	profiles := video.AllProfiles()
-	cams := make([]cluster.CameraSpec, n)
-	for i := 0; i < n; i++ {
-		cams[i] = cluster.CameraSpec{
+	cams := make([]scenario.Camera, n)
+	for i := range cams {
+		cams[i] = scenario.Camera{
 			ID:      fmt.Sprintf("cam%d", i),
-			Profile: profiles[i%len(profiles)],
+			Profile: profiles[i%len(profiles)].Name,
 			Seed:    seed + int64(i)*101,
 			Frames:  frames,
+			Edge:    edges[i%len(edges)].ID,
 		}
-	}
-	return cams
-}
-
-// fleetCams is clusterCams as scenario cameras.
-func fleetCams(n, frames int, seed int64) []scenario.Camera {
-	cams := make([]scenario.Camera, n)
-	for i, c := range clusterCams(n, frames, seed) {
-		cams[i] = scenario.Camera{ID: c.ID, Profile: c.Profile.Name, Seed: c.Seed, Frames: c.Frames}
 	}
 	return cams
 }
@@ -58,12 +39,13 @@ func ClusterScale(o Opts) Table {
 		Title:  "Fleet scaling: cameras vs throughput, batching, and tail latency (2 edges, 1 batched cloud)",
 		Header: []string{"cameras", "frames", "fps", "F1", "init p50 (ms)", "final p99 (ms)", "batches", "mean batch", "shed"},
 	}
+	edges := []scenario.Edge{{ID: "west"}, {ID: "east"}}
 	for _, n := range []int{1, 2, 4, 8, 16} {
 		rep, err := scenario.Run(&scenario.Scenario{
 			Seed: o.Seed,
 			Topology: scenario.Topology{
-				Edges:   []scenario.Edge{{ID: "west"}, {ID: "east"}},
-				Cameras: fleetCams(n, o.Frames, o.Seed),
+				Edges:   edges,
+				Cameras: fleetCams(n, o.Frames, o.Seed, edges),
 				Batcher: scenario.Batcher{MaxBatch: 8, SLO: scenario.Duration(80 * time.Millisecond)},
 			},
 		})
@@ -106,28 +88,30 @@ func Cluster2PC(o Opts) Table {
 	}
 	finalP50 := map[string]time.Duration{}
 	cpAtHalf := map[string]cluster.CriticalPath{}
-	for _, proto := range []cluster.TxnProtocol{cluster.TxnMSIA, cluster.TxnMSSR} {
+	edges := []scenario.Edge{{ID: "west"}, {ID: "mid"}, {ID: "east"}}
+	for _, proto := range []string{"MS-IA", "MS-SR"} {
 		for _, frac := range []float64{0, 0.25, 0.5} {
-			rep, err := cluster.Run(cluster.Config{
-				Clock:             vclock.NewSim(),
-				Cameras:           clusterCams(6, o.Frames, o.Seed),
-				Edges:             []cluster.EdgeSpec{{ID: "west"}, {ID: "mid"}, {ID: "east"}},
-				Batcher:           cluster.BatcherConfig{MaxBatch: 8, SLO: 80 * time.Millisecond},
-				Seed:              o.Seed,
-				Sharded:           true,
-				CrossEdgeFraction: frac,
-				Protocol:          proto,
+			rep, err := scenario.Run(&scenario.Scenario{
+				Seed: o.Seed,
+				Topology: scenario.Topology{
+					Edges:             edges,
+					Cameras:           fleetCams(6, o.Frames, o.Seed, edges),
+					Protocol:          strings.ToLower(proto),
+					Partition:         scenario.PartitionEdge,
+					CrossEdgeFraction: frac,
+					Batcher:           scenario.Batcher{MaxBatch: 8, SLO: scenario.Duration(80 * time.Millisecond)},
+				},
 			})
 			if err != nil {
 				panic("experiments: cluster-2pc: " + err.Error())
 			}
 			if frac == 0.5 {
-				finalP50[proto.String()] = rep.FinalP50
-				cpAtHalf[proto.String()] = rep.CriticalPath
+				finalP50[proto] = rep.FinalP50
+				cpAtHalf[proto] = rep.CriticalPath
 			}
 			cp := rep.CriticalPath
 			t.Rows = append(t.Rows, []string{
-				proto.String(),
+				proto,
 				pct(frac),
 				fmt.Sprintf("%d", rep.TwoPC.CrossEdgeCommits),
 				fmt.Sprintf("%d", rep.TwoPC.TwoPCRounds),
@@ -173,30 +157,26 @@ func ClusterFaults(o Opts) Table {
 	// The schedule scales with the run: the paper profiles capture at
 	// 2 fps, so a run lasts Frames/2 seconds.
 	runLen := time.Duration(o.Frames) * 500 * time.Millisecond
-	plan := func() *faults.Plan {
-		return &faults.Plan{
-			Crashes: []faults.EdgeCrash{
-				{Edge: 1, At: runLen / 4, RestartAfter: runLen / 10},
-			},
-			TwoPC: []faults.TwoPCCrash{
-				{Edge: 2, Point: twopc.PointParticipantPrepared, Round: 1, RestartAfter: runLen / 20},
-				{Edge: 0, Point: twopc.PointAfterPrepare, Round: 3, RestartAfter: runLen / 20},
-			},
-			Links: []faults.LinkFault{
-				{A: 0, B: 2, At: runLen / 2, Heal: runLen * 6 / 10},
-			},
-		}
+	edges := []scenario.Edge{{ID: "west"}, {ID: "mid"}, {ID: "east"}}
+	restart := scenario.Duration(runLen / 20)
+	timeline := []scenario.Event{
+		{At: scenario.Duration(runLen / 4), Do: scenario.KindEdgeCrash, Edge: "mid", RestartAfter: scenario.Duration(runLen / 10)},
+		{Do: scenario.KindTwoPCCrash, Edge: "east", Point: scenario.PointParticipantPrepared, Round: 1, RestartAfter: restart},
+		{Do: scenario.KindTwoPCCrash, Edge: "west", Point: scenario.PointAfterPrepare, Round: 3, RestartAfter: restart},
+		{At: scenario.Duration(runLen / 2), Do: scenario.KindLinkFault, A: "west", B: "east", Heal: scenario.Duration(runLen * 6 / 10)},
 	}
-	for _, proto := range []cluster.TxnProtocol{cluster.TxnMSIA, cluster.TxnMSSR} {
-		rep, err := cluster.Run(cluster.Config{
-			Clock:             vclock.NewSim(),
-			Cameras:           clusterCams(6, o.Frames, o.Seed),
-			Edges:             []cluster.EdgeSpec{{ID: "west"}, {ID: "mid"}, {ID: "east"}},
-			Batcher:           cluster.BatcherConfig{MaxBatch: 8, SLO: 80 * time.Millisecond},
-			Seed:              o.Seed,
-			CrossEdgeFraction: 0.3,
-			Protocol:          proto,
-			Faults:            plan(),
+	for _, proto := range []string{"MS-IA", "MS-SR"} {
+		rep, err := scenario.Run(&scenario.Scenario{
+			Seed: o.Seed,
+			Topology: scenario.Topology{
+				Edges:             edges,
+				Cameras:           fleetCams(6, o.Frames, o.Seed, edges),
+				Protocol:          strings.ToLower(proto),
+				Partition:         scenario.PartitionEdge,
+				CrossEdgeFraction: 0.3,
+				Batcher:           scenario.Batcher{MaxBatch: 8, SLO: scenario.Duration(80 * time.Millisecond)},
+			},
+			Timeline: timeline,
 		})
 		if err != nil {
 			panic("experiments: cluster-faults: " + err.Error())
@@ -207,7 +187,7 @@ func ClusterFaults(o Opts) Table {
 			avail = 1 - float64(f.TxnsFailed)/float64(rep.TxnsTriggered)
 		}
 		t.Rows = append(t.Rows, []string{
-			proto.String(),
+			proto,
 			fmt.Sprintf("%d", f.Crashes),
 			fmt.Sprintf("%d", f.Restarts),
 			fmt.Sprintf("%d", f.TxnsFailed),
@@ -329,12 +309,13 @@ func ClusterShed(o Opts) Table {
 	}
 	// MaxPending must stay ≥ MaxBatch (4): NewBatcher rejects a cap a
 	// batch could never fill under.
+	edges := []scenario.Edge{{ID: "west"}, {ID: "east"}}
 	for _, pending := range []int{64, 32, 16, 8, 4} {
 		rep, err := scenario.Run(&scenario.Scenario{
 			Seed: o.Seed,
 			Topology: scenario.Topology{
-				Edges:   []scenario.Edge{{ID: "west"}, {ID: "east"}},
-				Cameras: fleetCams(8, o.Frames, o.Seed),
+				Edges:   edges,
+				Cameras: fleetCams(8, o.Frames, o.Seed, edges),
 				// CloudSpeed 0.15 models a starved (oversubscribed) GPU.
 				Batcher: scenario.Batcher{
 					MaxBatch:   4,

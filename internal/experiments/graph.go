@@ -2,11 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"croesus/internal/cluster"
 	"croesus/internal/node"
-	"croesus/internal/vclock"
+	"croesus/internal/scenario"
 )
 
 // depthGraph builds the linear inference graph of the given depth: an edge
@@ -45,20 +46,21 @@ func GraphDepth(o Opts) Table {
 		Header: []string{"protocol", "sections", "final p50 (ms)", "final p99 (ms)", "aborts", "2pc aborts", "apologies", "Σ sec lock (ms)", "Σ sec 2pc (ms)", "Σ sec txn (ms)", "deepest section (lock/2pc ms)"},
 	}
 	gap := map[int]time.Duration{}
+	edges := []scenario.Edge{{ID: "west"}, {ID: "east"}}
 	for _, depth := range []int{1, 2, 3, 4} {
-		for _, proto := range []cluster.TxnProtocol{cluster.TxnMSIA, cluster.TxnMSSR} {
-			// A cluster.Config, not a scenario: per-edge shards (see clusterCams).
-			rep, err := cluster.Run(cluster.Config{
-				Clock:             vclock.NewSim(),
-				Cameras:           clusterCams(4, o.Frames, o.Seed),
-				Edges:             []cluster.EdgeSpec{{ID: "west"}, {ID: "east"}},
-				Batcher:           cluster.BatcherConfig{MaxBatch: 8, SLO: 80 * time.Millisecond},
-				Seed:              o.Seed,
-				Sharded:           true,
-				CrossEdgeFraction: 0.25,
-				OpCost:            200 * time.Microsecond,
-				Protocol:          proto,
-				Graph:             depthGraph(depth),
+		for _, proto := range []string{"MS-IA", "MS-SR"} {
+			rep, err := scenario.Run(&scenario.Scenario{
+				Seed: o.Seed,
+				Topology: scenario.Topology{
+					Edges:             edges,
+					Cameras:           fleetCams(4, o.Frames, o.Seed, edges),
+					Protocol:          strings.ToLower(proto),
+					Partition:         scenario.PartitionEdge,
+					CrossEdgeFraction: 0.25,
+					OpCost:            scenario.Duration(200 * time.Microsecond),
+					Graph:             depthGraph(depth),
+					Batcher:           scenario.Batcher{MaxBatch: 8, SLO: scenario.Duration(80 * time.Millisecond)},
+				},
 			})
 			if err != nil {
 				panic("experiments: graph-depth: " + err.Error())
@@ -75,13 +77,13 @@ func GraphDepth(o Opts) Table {
 			for _, cam := range rep.Cameras {
 				aborts += cam.Summary.InitialAborts
 			}
-			if proto == cluster.TxnMSIA {
+			if proto == "MS-IA" {
 				gap[depth] -= rep.FinalP50
 			} else {
 				gap[depth] += rep.FinalP50
 			}
 			t.Rows = append(t.Rows, []string{
-				proto.String(),
+				proto,
 				fmt.Sprintf("%d", depth),
 				ms(rep.FinalP50),
 				ms(rep.FinalP99),

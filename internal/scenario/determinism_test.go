@@ -94,3 +94,10 @@ func TestDeterminismZipfShift(t *testing.T) {
 func TestDeterminismZipfContended(t *testing.T) {
 	testScenarioDeterminism(t, filepath.Join("testdata", "zipf-contended.json"))
 }
+
+// TestDeterminismEdgePartition replays cluster-faults' fleet as a scenario
+// file: one shard per edge shared by that edge's cameras, under an edge
+// crash, two 2PC crashes and a peer-link partition.
+func TestDeterminismEdgePartition(t *testing.T) {
+	testScenarioDeterminism(t, filepath.Join("testdata", "edge-partition.json"))
+}

@@ -207,8 +207,10 @@ func (s *Scenario) clusterConfig(clk vclock.Clock, cams []Camera, idx map[string
 		edges[i] = cluster.EdgeSpec{ID: e.ID, Speed: e.Speed, Slots: e.Slots, SameSite: e.SameSite}
 	}
 
+	// Per-camera shards start on their cameras' edges; per-edge shards are
+	// the cluster's default layout (nil owners, one shard per edge).
 	var owners []int
-	if sharded {
+	if sharded && t.Partition != PartitionEdge {
 		owners = make([]int, len(cams))
 		for _, cam := range cams {
 			owners[idx[cam.ID]] = edgeIdx[cam.Edge]
@@ -270,10 +272,6 @@ func (s *Scenario) clusterConfig(clk vclock.Clock, cams []Camera, idx map[string
 		}
 	}
 
-	shards := 0
-	if sharded {
-		shards = len(cams)
-	}
 	proto, _ := node.ParseProtocol(t.Protocol) // validated
 	return cluster.Config{
 		Clock:             clk,
@@ -290,7 +288,6 @@ func (s *Scenario) clusterConfig(clk vclock.Clock, cams []Camera, idx map[string
 		CrossEdgeFraction: t.CrossEdgeFraction,
 		Protocol:          proto,
 		ZipfSkew:          t.ZipfSkew,
-		Shards:            shards,
 		ShardOwners:       owners,
 		Faults:            plan,
 		Durable:           durable,

@@ -57,6 +57,18 @@ func TestDecodeRejects(t *testing.T) {
 		{"unknown event kind", `{"version":1,"topology":{"edges":[{"id":"e"}],"cameras":[{"id":"c","profile":"park-dog"}]},"timeline":[{"at":"1s","do":"explode"}]}`, "unknown event kind"},
 		{"unknown camera ref", `{"version":1,"topology":{"edges":[{"id":"e"}],"cameras":[{"id":"c","profile":"park-dog"}]},"timeline":[{"at":"1s","do":"camera_leave","camera":"ghost"}]}`, "unknown camera"},
 		{"bad duration", `{"version":1,"topology":{"edges":[{"id":"e"}],"cameras":[{"id":"c","profile":"park-dog"}]},"timeline":[{"at":"soon","do":"camera_leave","camera":"c"}]}`, "bad duration"},
+		// Knobs that used to validate and then panic or fail in cluster.New.
+		{"negative slots", `{"version":1,"topology":{"edges":[{"id":"e","slots":-1}],"cameras":[{"id":"c","profile":"park-dog"}]}}`, "slots"},
+		{"negative speed", `{"version":1,"topology":{"edges":[{"id":"e","speed":-1}],"cameras":[{"id":"c","profile":"park-dog"}]}}`, "speed"},
+		{"negative max_batch", `{"version":1,"topology":{"edges":[{"id":"e"}],"cameras":[{"id":"c","profile":"park-dog"}],"batcher":{"max_batch":-1}}}`, "batcher"},
+		{"negative max_pending", `{"version":1,"topology":{"edges":[{"id":"e"}],"cameras":[{"id":"c","profile":"park-dog"}],"batcher":{"max_pending":-1}}}`, "batcher"},
+		{"negative slo", `{"version":1,"topology":{"edges":[{"id":"e"}],"cameras":[{"id":"c","profile":"park-dog"}],"batcher":{"slo":"-1ms"}}}`, "batcher"},
+		{"negative cloud_speed", `{"version":1,"topology":{"edges":[{"id":"e"}],"cameras":[{"id":"c","profile":"park-dog"}],"batcher":{"cloud_speed":-1}}}`, "batcher"},
+		{"max_pending below max_batch", `{"version":1,"topology":{"edges":[{"id":"e"}],"cameras":[{"id":"c","profile":"park-dog"}],"batcher":{"max_pending":2}}}`, "never fill"},
+		{"theta_l above theta_u", `{"version":1,"topology":{"edges":[{"id":"e"}],"cameras":[{"id":"c","profile":"park-dog"}],"theta_l":0.7,"theta_u":0.5}}`, "theta_l"},
+		{"unknown partition", `{"version":1,"topology":{"edges":[{"id":"e"}],"cameras":[{"id":"c","profile":"park-dog","edge":"e"}],"partition":"key"}}`, "unknown partition"},
+		{"migrate under per-edge shards", `{"version":1,"topology":{"edges":[{"id":"e"},{"id":"f"}],"cameras":[{"id":"c","profile":"park-dog","edge":"e"}],"partition":"edge"},"timeline":[{"at":"1s","do":"migrate_camera","camera":"c","to":"f"}]}`, "migrate_camera"},
+		{"retire under per-edge shards", `{"version":1,"topology":{"edges":[{"id":"e"},{"id":"f"}],"cameras":[{"id":"c","profile":"park-dog","edge":"e"}],"partition":"edge"},"timeline":[{"at":"1s","do":"edge_retire","edge":"e"}]}`, "edge_retire"},
 	}
 	for _, tc := range cases {
 		_, err := Decode([]byte(tc.doc))
