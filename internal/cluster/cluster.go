@@ -41,7 +41,6 @@ import (
 	"croesus/internal/txn"
 	"croesus/internal/vclock"
 	"croesus/internal/video"
-	"croesus/internal/wal"
 	"croesus/internal/workload"
 )
 
@@ -315,8 +314,8 @@ type Cluster struct {
 	dist     *twopc.DistStats
 	shardMap *twopc.ShardMap
 
-	// Fault-injection state (nil in fault-free fleets): the injector, the
-	// WAL paths, and the temp WAL dir to remove after the run.
+	// Fault-injection state (nil in fault-free fleets): the injector and
+	// the temp WAL dir to remove after the run.
 	injector *faults.Injector
 	walTemp  string
 
@@ -766,18 +765,13 @@ func (c *Cluster) provisionShards() error {
 		return fmt.Errorf("cluster: wal dir: %w", err)
 	}
 	c.walTemp = dir
-	paths := make([]string, n)
 	linkRows := make([][]transport.Path, n)
 	for i, e := range c.edges {
-		paths[i] = filepath.Join(dir, fmt.Sprintf("%s.wal", e.Spec.ID))
-		log, err := wal.Open(paths[i])
-		if err != nil {
-			return fmt.Errorf("cluster: wal for edge %s: %w", e.Spec.ID, err)
-		}
 		// The log models durability inside one simulated process; skipping
 		// fsync keeps big fleets fast without changing any outcome.
-		log.NoSync = true
-		parts[i].WAL = log
+		if _, err := parts[i].OpenWAL(filepath.Join(dir, e.Spec.ID+".wal"), true); err != nil {
+			return fmt.Errorf("cluster: wal for edge %s: %w", e.Spec.ID, err)
+		}
 		linkRows[i] = e.Peers
 	}
 	// Retraction cascades re-install before-images through the journaling
@@ -787,7 +781,7 @@ func (c *Cluster) provisionShards() error {
 	if c.cfg.Faults != nil {
 		plan = *c.cfg.Faults
 	}
-	inj, err := faults.NewInjector(c.cfg.Clock, plan, parts, linkRows, paths)
+	inj, err := faults.NewInjector(c.cfg.Clock, plan, parts, linkRows)
 	if err != nil {
 		return fmt.Errorf("cluster: %w", err)
 	}

@@ -13,7 +13,7 @@
 // state transitions, and performs recovery. A crashed edge loses its
 // volatile state — lock grants, staged 2PC blocks, uncommitted eager
 // writes; what survives is its write-ahead log. Restart replays the log
-// with wal.Recover (charging a per-record replay cost in virtual time),
+// with Partition.Recover (charging a per-record replay cost in virtual time),
 // reinstalls the committed state, and resolves each prepared-but-undecided
 // commit round by inquiring its coordinator: a durable commit decision for
 // that exact (txn, round) applies the staged writes (minus any a later
@@ -138,7 +138,6 @@ type Injector struct {
 	plan  Plan
 	parts []*twopc.Partition
 	links [][]transport.Path // links[i][j]: edge i's one-way path to edge j
-	paths []string           // WAL file per partition
 
 	// Observability hooks, wired by Bind (nil without it): obs carries the
 	// wal.replay span each recovery emits; edgeTags[i] is the pre-rendered
@@ -163,15 +162,16 @@ type pointKey struct {
 }
 
 // NewInjector validates the plan against the fleet shape. links[i][j] is
-// edge i's one-way link to edge j (nil on the diagonal); paths[i] is the
-// WAL file partition i logs to and recovers from.
-func NewInjector(clk vclock.Clock, plan Plan, parts []*twopc.Partition, links [][]transport.Path, paths []string) (*Injector, error) {
+// edge i's one-way link to edge j (nil on the diagonal). Every partition
+// must already log to its WAL (Partition.OpenWAL), which is what it
+// recovers from.
+func NewInjector(clk vclock.Clock, plan Plan, parts []*twopc.Partition, links [][]transport.Path) (*Injector, error) {
 	n := len(parts)
 	if n == 0 {
 		return nil, fmt.Errorf("faults: no partitions")
 	}
-	if len(links) != n || len(paths) != n {
-		return nil, fmt.Errorf("faults: %d partitions but %d link rows and %d wal paths", n, len(links), len(paths))
+	if len(links) != n {
+		return nil, fmt.Errorf("faults: %d partitions but %d link rows", n, len(links))
 	}
 	for i, p := range parts {
 		if !p.Durable() {
@@ -204,7 +204,6 @@ func NewInjector(clk vclock.Clock, plan Plan, parts []*twopc.Partition, links []
 		plan:       plan.defaults(),
 		parts:      parts,
 		links:      links,
-		paths:      paths,
 		down:       make([]bool, n),
 		recovering: make([]bool, n),
 		epoch:      make([]int, n),
@@ -430,9 +429,10 @@ func (i *Injector) restart(e int, charge bool) {
 	tReplay := i.clk.Now()
 
 	if charge {
-		records, coords, err := wal.Probe(i.paths[e])
+		path := i.parts[e].WALPath()
+		records, coords, err := wal.Probe(path)
 		if err != nil {
-			panic(fmt.Sprintf("faults: sizing recovery of edge %d from %s: %v", e, i.paths[e], err))
+			panic(fmt.Sprintf("faults: sizing recovery of edge %d from %s: %v", e, path, err))
 		}
 		cost := time.Duration(records) * i.plan.ReplayCost
 		for _, coord := range coords {
@@ -449,12 +449,10 @@ func (i *Injector) restart(e int, charge bool) {
 
 	// No virtual time passes below: the state the replay sees is the
 	// state the fleet observes when the edge rejoins.
-	res, err := wal.Recover(i.paths[e])
+	res, err := i.parts[e].Recover()
 	if err != nil {
-		panic(fmt.Sprintf("faults: recovering edge %d from %s: %v", e, i.paths[e], err))
+		panic(fmt.Sprintf("faults: recovering edge %d: %v", e, err))
 	}
-	i.parts[e].Store.Restore(res.Store.Snapshot())
-	i.parts[e].RestoreDecisions(res.Decisions)
 	deadLogs := make(map[int]map[wal.TxnRound]bool) // per-coordinator inquiry cache
 	for _, d := range res.InDoubt {
 		cr := twopc.CommitRound{ID: txn.ID(d.Txn), Round: d.Round}
@@ -524,7 +522,7 @@ func (i *Injector) inquire(at, coord int, cr twopc.CommitRound, deadLogs map[int
 	d, ok := deadLogs[coord]
 	if !ok {
 		var err error
-		d, err = wal.Decisions(i.paths[coord])
+		d, err = wal.Decisions(i.parts[coord].WALPath())
 		if err != nil {
 			panic(fmt.Sprintf("faults: inquiring coordinator %d log: %v", coord, err))
 		}
@@ -614,39 +612,25 @@ func (i *Injector) Report() *Report {
 }
 
 // VerifyDurability checks, after a drained and Finished run, that every
-// partition's live store is exactly the state its WAL recovers to, that
-// no in-doubt block is left unresolved, and that atomic commitment held
-// across partitions per commit round (no round both committed on one log
-// and aborted on another — a transaction whose initial round committed
-// and whose final round aborted is a legitimate retraction, not a split)
-// — i.e. the crash schedule lost no committed write, leaked no staged
-// state, and half-committed nothing.
+// partition passes its durability check (Partition.VerifyWAL: the log
+// replays cleanly, with no in-doubt round left, to exactly the live store)
+// and that atomic commitment held across partitions per commit round (no
+// round both committed on one log and aborted on another — a transaction
+// whose initial round committed and whose final round aborted is a
+// legitimate retraction, not a split) — i.e. the crash schedule lost no
+// committed write, leaked no staged state, and half-committed nothing.
 func (i *Injector) VerifyDurability() error {
 	verdicts := make(map[wal.TxnRound]bool)
 	for pi, p := range i.parts {
-		res, err := wal.Recover(i.paths[pi])
+		res, err := p.VerifyWAL()
 		if err != nil {
-			return fmt.Errorf("faults: verify partition %d: %w", pi, err)
-		}
-		if len(res.InDoubt) > 0 {
-			return fmt.Errorf("faults: partition %d left %d in-doubt commit rounds", pi, len(res.InDoubt))
+			return fmt.Errorf("faults: partition %d: %w", pi, err)
 		}
 		for k, commit := range res.Decisions {
 			if prev, ok := verdicts[k]; ok && prev != commit {
 				return fmt.Errorf("faults: txn %d round %d committed on one partition and aborted on another (seen at partition %d)", k.Txn, k.Round, pi)
 			}
 			verdicts[k] = commit
-		}
-		live := p.Store.Snapshot()
-		rec := res.Store.Snapshot()
-		if len(live) != len(rec) {
-			return fmt.Errorf("faults: partition %d: live store has %d keys, log recovers %d", pi, len(live), len(rec))
-		}
-		for k, v := range live {
-			rv, ok := rec[k]
-			if !ok || string(rv) != string(v) {
-				return fmt.Errorf("faults: partition %d key %q: live %q, recovered %q", pi, k, v, rv)
-			}
 		}
 	}
 	return nil

@@ -13,25 +13,21 @@ import (
 	"croesus/internal/twopc"
 	"croesus/internal/txn"
 	"croesus/internal/vclock"
-	"croesus/internal/wal"
 )
 
 // miniFleet builds a two-partition durable fleet on clk: edge 0 is the
 // home of the returned ShardedCC, edge 1 is remote over a 5ms link.
-func miniFleet(t *testing.T, clk vclock.Clock) (*twopc.ShardedCC, []*twopc.Partition, [][]transport.Path, []string) {
+func miniFleet(t *testing.T, clk vclock.Clock) (*twopc.ShardedCC, []*twopc.Partition, [][]transport.Path) {
 	t.Helper()
 	dir := t.TempDir()
 	parts := make([]*twopc.Partition, 2)
-	paths := make([]string, 2)
 	for i := range parts {
-		parts[i] = twopc.NewPartitionOver(i, store.New(), lock.NewManager(clk))
-		paths[i] = filepath.Join(dir, "edge.wal"+string(rune('0'+i)))
-		l, err := wal.Open(paths[i])
-		if err != nil {
+		p := twopc.NewPartitionOver(i, store.New(), lock.NewManager(clk))
+		if _, err := p.OpenWAL(filepath.Join(dir, "edge.wal"+string(rune('0'+i))), false); err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { l.Close() })
-		parts[i].WAL = l
+		t.Cleanup(func() { p.CloseWAL() })
+		parts[i] = p
 	}
 	mk := func() *netsim.Link { return &netsim.Link{Name: "peer", Propagation: 5 * time.Millisecond} }
 	links := [][]transport.Path{{nil, mk()}, {mk(), nil}}
@@ -55,7 +51,7 @@ func miniFleet(t *testing.T, clk vclock.Clock) (*twopc.ShardedCC, []*twopc.Parti
 		Protocol:    twopc.MSIA,
 		Stats:       &twopc.DistStats{},
 	}
-	return cc, parts, links, paths
+	return cc, parts, links
 }
 
 func writeTxn(key string, v int64) *txn.Txn {
@@ -100,7 +96,7 @@ func runTxn(t *testing.T, cc *twopc.ShardedCC, tx *txn.Txn) error {
 
 func TestInjectorValidation(t *testing.T) {
 	clk := vclock.NewSim()
-	_, parts, links, paths := miniFleet(t, clk)
+	_, parts, links := miniFleet(t, clk)
 	for _, tc := range []struct {
 		name string
 		plan Plan
@@ -112,13 +108,13 @@ func TestInjectorValidation(t *testing.T) {
 		{"2pc bad round", Plan{TwoPC: []TwoPCCrash{{Edge: 0, Round: -2}}}, "round"},
 		{"self link", Plan{Links: []LinkFault{{A: 1, B: 1}}}, "link fault"},
 	} {
-		if _, err := NewInjector(clk, tc.plan, parts, links, paths); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, err := NewInjector(clk, tc.plan, parts, links); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want mention of %q", tc.name, err, tc.want)
 		}
 	}
 	// A partition without a WAL cannot be crashed survivably.
 	bare := []*twopc.Partition{twopc.NewPartitionOver(0, store.New(), lock.NewManager(clk))}
-	if _, err := NewInjector(clk, Plan{}, bare, [][]transport.Path{{nil}}, []string{"x"}); err == nil {
+	if _, err := NewInjector(clk, Plan{}, bare, [][]transport.Path{{nil}}); err == nil {
 		t.Error("injector accepted a WAL-less partition")
 	}
 }
@@ -128,10 +124,10 @@ func TestInjectorValidation(t *testing.T) {
 // committed writes are back, and work resumes.
 func TestCrashRestartRebuildsFromLog(t *testing.T) {
 	clk := vclock.NewSim()
-	cc, parts, links, paths := miniFleet(t, clk)
+	cc, parts, links := miniFleet(t, clk)
 	inj, err := NewInjector(clk, Plan{
 		Crashes: []EdgeCrash{{Edge: 1, At: 100 * time.Millisecond, RestartAfter: 50 * time.Millisecond}},
-	}, parts, links, paths)
+	}, parts, links)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,14 +198,14 @@ func TestCrashRestartRebuildsFromLog(t *testing.T) {
 // carries a round-0 commit marker on the coordinator's log.
 func TestFinalRoundNotResolvedByInitialCommitMarker(t *testing.T) {
 	clk := vclock.NewSim()
-	cc, parts, links, paths := miniFleet(t, clk)
+	cc, parts, links := miniFleet(t, clk)
 	inj, err := NewInjector(clk, Plan{
 		TwoPC: []TwoPCCrash{
 			// Edge 0 coordinates both rounds; its second after-prepare
 			// instant is the final round.
 			{Edge: 0, Point: twopc.PointAfterPrepare, Round: 2, RestartAfter: 50 * time.Millisecond},
 		},
-	}, parts, links, paths)
+	}, parts, links)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +252,7 @@ func TestFinalRoundNotResolvedByInitialCommitMarker(t *testing.T) {
 // until the link heals (here: until the end-of-run sweep resolves it).
 func TestInquiryDefersAcrossPartitionedLink(t *testing.T) {
 	clk := vclock.NewSim()
-	cc, parts, links, paths := miniFleet(t, clk)
+	cc, parts, links := miniFleet(t, clk)
 	inj, err := NewInjector(clk, Plan{
 		TwoPC: []TwoPCCrash{
 			{Edge: 1, Point: twopc.PointParticipantPrepared, Round: 1, RestartAfter: 100 * time.Millisecond},
@@ -267,7 +263,7 @@ func TestInquiryDefersAcrossPartitionedLink(t *testing.T) {
 			// participant instead of pushing the decision across.
 			{Edge: 0, At: 600 * time.Millisecond, RestartAfter: 100 * time.Millisecond},
 		},
-	}, parts, links, paths)
+	}, parts, links)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,10 +325,10 @@ func TestInquiryDefersAcrossPartitionedLink(t *testing.T) {
 // recovery-latency percentiles.
 func TestEndOfRunRepairNotSampled(t *testing.T) {
 	clk := vclock.NewSim()
-	cc, parts, links, paths := miniFleet(t, clk)
+	cc, parts, links := miniFleet(t, clk)
 	inj, err := NewInjector(clk, Plan{
 		Crashes: []EdgeCrash{{Edge: 1, At: 10 * time.Millisecond}}, // no RestartAfter: down until drain
-	}, parts, links, paths)
+	}, parts, links)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,10 +357,10 @@ func TestEndOfRunRepairNotSampled(t *testing.T) {
 // anything, and healing restores them.
 func TestLinkPartitionFailsCrossEdgeTxns(t *testing.T) {
 	clk := vclock.NewSim()
-	cc, parts, links, paths := miniFleet(t, clk)
+	cc, parts, links := miniFleet(t, clk)
 	inj, err := NewInjector(clk, Plan{
 		Links: []LinkFault{{A: 0, B: 1, At: 10 * time.Millisecond, Heal: 30 * time.Millisecond}},
-	}, parts, links, paths)
+	}, parts, links)
 	if err != nil {
 		t.Fatal(err)
 	}

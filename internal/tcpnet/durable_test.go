@@ -2,11 +2,13 @@ package tcpnet
 
 import (
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
 	"croesus/internal/core"
 	"croesus/internal/detect"
+	"croesus/internal/node"
 	"croesus/internal/video"
 )
 
@@ -97,28 +99,80 @@ func TestEdgeWALReplayAcrossRestart(t *testing.T) {
 }
 
 // Checkpointing compacts the WAL to a state snapshot without changing what
-// a replay recovers.
+// a replay recovers — after the frames land, and (tcp_saturate's shape:
+// MS-SR, two clients) over and over while frames are still in flight.
 func TestEdgeWALCheckpoint(t *testing.T) {
-	walPath := filepath.Join(t.TempDir(), "edge.wal")
-	client, edge, cleanup := startDurableEdge(t, walPath)
-	defer cleanup()
-
-	frames := video.NewGenerator(video.ParkDog(), 11).Generate(4)
-	for _, f := range frames {
-		if err := client.Submit(f, 0); err != nil {
-			t.Fatalf("submit %d: %v", f.Index, err)
-		}
-	}
-	for _, f := range frames {
-		if _, err := client.WaitFrame(f.Index, 10*time.Second); err != nil {
-			t.Fatalf("frame %d: %v", f.Index, err)
-		}
-	}
-	if err := edge.CheckpointWAL(); err != nil {
-		t.Fatalf("checkpoint: %v", err)
-	}
-	if _, err := edge.VerifyWAL(); err != nil {
-		t.Fatalf("durability verify after checkpoint: %v", err)
+	for _, tc := range []struct {
+		name     string
+		protocol node.Protocol
+		clients  int
+		inFlight bool
+	}{
+		{"MS-IA one client, after the frames", node.MSIA, 1, false},
+		{"MS-SR two clients, frames in flight", node.MSSR, 2, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			edge, err := NewEdgeServer(EdgeConfig{
+				EdgeModel: detect.TinyYOLOSim(42),
+				TimeScale: testScale,
+				ThetaL:    0.4,
+				ThetaU:    0.6,
+				Protocol:  tc.protocol,
+				Source:    core.NewWorkloadSource(500, 7),
+				WALPath:   filepath.Join(t.TempDir(), "edge.wal"),
+				WALNoSync: true,
+			})
+			if err != nil {
+				t.Fatalf("edge: %v", err)
+			}
+			defer edge.Close()
+			addr, err := edge.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatalf("edge listen: %v", err)
+			}
+			var wg sync.WaitGroup
+			for c := 0; c < tc.clients; c++ {
+				client, err := Dial(addr)
+				if err != nil {
+					t.Fatalf("dial edge: %v", err)
+				}
+				defer client.Close()
+				frames := video.NewGenerator(video.ParkDog(), int64(11+c)).Generate(8)
+				for _, f := range frames {
+					if err := client.Submit(f, 0); err != nil {
+						t.Fatalf("submit %d: %v", f.Index, err)
+					}
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for _, f := range frames {
+						if _, err := client.WaitFrame(f.Index, 10*time.Second); err != nil {
+							t.Errorf("frame %d: %v", f.Index, err)
+						}
+					}
+				}()
+			}
+			answered := make(chan struct{})
+			go func() { wg.Wait(); close(answered) }()
+			for tc.inFlight {
+				if err := edge.CheckpointWAL(); err != nil {
+					t.Fatalf("checkpoint in flight: %v", err)
+				}
+				select {
+				case <-answered:
+					tc.inFlight = false
+				default:
+				}
+			}
+			<-answered
+			if err := edge.CheckpointWAL(); err != nil {
+				t.Fatalf("checkpoint: %v", err)
+			}
+			if _, err := edge.VerifyWAL(); err != nil {
+				t.Fatalf("durability verify after checkpoint: %v", err)
+			}
+		})
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"croesus/internal/node"
 	"croesus/internal/obs"
 	"croesus/internal/transport"
+	"croesus/internal/twopc"
 	"croesus/internal/txn"
 	"croesus/internal/vclock"
 	"croesus/internal/video"
@@ -54,10 +55,12 @@ type EdgeConfig struct {
 	Obs *obs.Obs
 	// EdgeID tags this server's metrics and spans (default "edge").
 	EdgeID string
-	// WALPath, when set, makes the edge durable: every transactional write
-	// is journaled write-ahead to this file, and on startup any existing
-	// log is replayed into the store first — so a SIGKILLed edge respawned
-	// on the same path recovers its committed state.
+	// WALPath, when set, makes the edge durable: its store becomes a
+	// one-partition twopc.Partition logging to this file — the same WAL
+	// backend the simulated fleet uses — so every transactional write is
+	// journaled write-ahead, and on startup any existing log is replayed
+	// into the store first: a SIGKILLed edge respawned on the same path
+	// recovers its committed state.
 	WALPath string
 	// WALNoSync skips the per-append fsync. Process-crash durability is
 	// unaffected (the bytes are in the page cache); only a machine crash
@@ -99,8 +102,8 @@ type EdgeServer struct {
 	clientPath *transport.ShapedPath
 	cloudPath  *transport.ShapedPath
 
-	walB     *walBackend // nil without WALPath
-	replayed int         // WAL records replayed at startup
+	part     *twopc.Partition // the durable store; nil without WALPath
+	replayed int              // WAL records replayed at startup
 
 	mu       sync.Mutex
 	ln       net.Listener
@@ -153,16 +156,23 @@ func NewEdgeServer(cfg EdgeConfig) (*EdgeServer, error) {
 		s.asm.Mgr.TraceTags = obs.Tags("edge", cfg.EdgeID, "protocol", cfg.Protocol.String())
 	}
 	if cfg.WALPath != "" {
-		b, replayed, err := openWALBackend(cfg.WALPath, cfg.WALNoSync, s.asm.Store, cfg.Logf)
+		p := twopc.NewPartitionOver(0, s.asm.Store, s.asm.Locks)
+		res, err := p.OpenWAL(cfg.WALPath, cfg.WALNoSync)
 		if err != nil {
 			return nil, fmt.Errorf("tcpnet: wal: %w", err)
 		}
-		s.walB = b
-		s.replayed = replayed
+		if res.Truncated {
+			cfg.Logf("edge: wal %s had a truncated tail (dropped)", cfg.WALPath)
+		}
+		s.part, s.replayed = p, res.Records
 		// Every section write and every retraction restore journals
 		// write-ahead; a respawned edge replays to committed state.
-		s.asm.Mgr.DB = b
-		s.asm.Mgr.RestoreDB = b
+		db := twopc.JournaledShardedStore{ShardedStore: &twopc.ShardedStore{
+			Parts:       []*twopc.Partition{p},
+			Partitioner: func(string) int { return 0 },
+		}}
+		s.asm.Mgr.DB = db
+		s.asm.Mgr.RestoreDB = db
 	}
 	if cfg.Graph != nil {
 		// One standalone edge: the graph validates against a fleet of 1,
@@ -620,8 +630,77 @@ func (s *EdgeServer) Close() error {
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
-	if s.walB != nil {
-		return s.walB.close()
+	if s.part != nil {
+		return s.part.CloseWAL()
+	}
+	return nil
+}
+
+// WALReplayed reports how many WAL records were replayed at startup (0
+// without a WAL or on a fresh path) — a respawned edge reports its
+// recovery here.
+func (s *EdgeServer) WALReplayed() int { return s.replayed }
+
+// CheckpointWAL compacts the edge's WAL to a snapshot of current state
+// (twopc.Partition.Checkpoint).
+func (s *EdgeServer) CheckpointWAL() error {
+	if s.part == nil {
+		return fmt.Errorf("tcpnet: no WAL configured")
+	}
+	_, _, err := s.part.Checkpoint()
+	return err
+}
+
+// VerifyWAL runs the durability check (twopc.Partition.VerifyWAL): the WAL
+// must replay cleanly to exactly the live store. Returns the replayed
+// record count; a nil error is a clean verdict. Call at quiesce — writers
+// are paused during the comparison, but frames mid-pipeline can land
+// writes between two calls.
+func (s *EdgeServer) VerifyWAL() (int, error) {
+	if s.part == nil {
+		return 0, fmt.Errorf("tcpnet: no WAL configured")
+	}
+	res, err := s.part.VerifyWAL()
+	if res == nil {
+		return 0, err
+	}
+	return res.Records, err
+}
+
+// SetDraining makes the edge refuse new frames while in-flight ones finish
+// (true) or accept again (false) — the fleet's edge_retire drain.
+func (s *EdgeServer) SetDraining(d bool) {
+	s.mu.Lock()
+	s.draining = d
+	s.mu.Unlock()
+}
+
+// Draining reports whether the edge is refusing new frames.
+func (s *EdgeServer) Draining() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.draining
+}
+
+// Dropped reports frames refused by drain or a severed client path.
+func (s *EdgeServer) Dropped() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.dropped
+}
+
+// SetPathDown blackholes (down=true) or heals one of the edge's modeled
+// paths: "client" (frames are dropped on ingest) or "cloud" (validations
+// are lost and frames finalize with edge answers) — the orchestrator's
+// per-path link fault.
+func (s *EdgeServer) SetPathDown(path string, down bool) error {
+	switch path {
+	case "client":
+		s.clientPath.SetDown(down)
+	case "cloud":
+		s.cloudPath.SetDown(down)
+	default:
+		return fmt.Errorf("tcpnet: unknown path %q (want client or cloud)", path)
 	}
 	return nil
 }

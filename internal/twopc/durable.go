@@ -1,11 +1,15 @@
-// Durable partitions: the write-ahead-log side of a sharded fleet. When a
+// Durable partitions: the one write-ahead-log backend, serving both the
+// simulated sharded fleet and a standalone croesus-edge (a one-partition
+// fleet whose writes all journal through JournaledShardedStore). When a
 // Partition carries a WAL, every section commit it participates in is
 // logged — single-partition commits as a data batch closed by a commit
 // marker, multi-partition commits as the participant's staged block (data
 // records + prepare marker) followed by the coordinator's decision — so a
-// crashed edge rebuilds exactly the committed state with wal.Recover and
+// crashed edge rebuilds exactly the committed state with Recover and
 // resolves prepared-but-undecided rounds against the coordinator's log
 // (presumed abort: no durable commit decision for that round means abort).
+// Callers open a log only through OpenWAL and judge one only through
+// VerifyWAL.
 //
 // A multi-stage transaction runs up to two independent atomic-commitment
 // rounds (MS-IA commits at both section boundaries), so all durable state
@@ -79,15 +83,106 @@ func (p *Partition) Durable() bool {
 	return p.durable
 }
 
-// mustAppend logs records or panics: in the simulation a WAL write error is
-// a harness bug (unwritable temp dir), not a modeled fault. Data records
-// also advance the partition's live last-writer index, which deferred
-// in-doubt resolutions consult. The partition lock is held across the
-// append so a concurrent Checkpoint cannot swap the log out from under a
-// half-written batch.
+// OpenWAL makes the partition durable on the log at path. Any existing log
+// is recovered first (see Recover), so a respawned edge serves its
+// committed state, and then opened for append. The returned replay's
+// InDoubt rounds are the caller's to resolve.
+func (p *Partition) OpenWAL(path string, noSync bool) (*wal.RecoverResult, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	res, err := p.recoverLocked(path)
+	if err != nil {
+		return nil, err
+	}
+	log, err := wal.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	log.NoSync = noSync
+	p.WAL = log
+	return res, nil
+}
+
+// Recover rebuilds a crashed partition from its own log: the store is
+// replaced by the replayed committed state and the decision cache by the
+// logged decisions. Prepared-but-undecided rounds come back in InDoubt,
+// to be re-staged (Restage) and resolved against their coordinators.
+func (p *Partition) Recover() (*wal.RecoverResult, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.recoverLocked(p.WAL.Path())
+}
+
+func (p *Partition) recoverLocked(path string) (*wal.RecoverResult, error) {
+	res, err := wal.Recover(path)
+	if err != nil {
+		return nil, err
+	}
+	p.Store.Restore(res.Store.Snapshot())
+	p.decisions = make(map[CommitRound]bool, len(res.Decisions))
+	for k, c := range res.Decisions {
+		p.decisions[CommitRound{ID: txn.ID(k.Txn), Round: k.Round}] = c
+	}
+	return res, nil
+}
+
+// WALPath is the file the partition logs to; checkpoints rewrite it in
+// place, so it never changes.
+func (p *Partition) WALPath() string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.WAL.Path()
+}
+
+// VerifyWAL is the durability check: with writers quiesced on the
+// partition lock, the log is replayed and must have no torn tail, no
+// prepared-but-undecided round, and exactly the live store's keys and
+// values. The replay is returned once it succeeds, even alongside a
+// failed verdict; its Decisions let a fleet cross-check atomic commitment.
+func (p *Partition) VerifyWAL() (*wal.RecoverResult, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	res, err := wal.Recover(p.WAL.Path())
+	if err != nil {
+		return nil, err
+	}
+	if res.Truncated {
+		return res, fmt.Errorf("log has a torn tail")
+	}
+	if len(res.InDoubt) > 0 {
+		return res, fmt.Errorf("log leaves %d in-doubt commit rounds", len(res.InDoubt))
+	}
+	live := p.Store.Snapshot()
+	rec := res.Store.Snapshot()
+	for k, v := range live {
+		rv, ok := rec[k]
+		if !ok {
+			return res, fmt.Errorf("live key %q missing from replay", k)
+		}
+		if string(rv) != string(v) {
+			return res, fmt.Errorf("key %q: live %q, replay %q", k, v, rv)
+		}
+	}
+	if len(rec) != len(live) {
+		return res, fmt.Errorf("replay yields %d keys, live store has %d", len(rec), len(live))
+	}
+	return res, nil
+}
+
+// mustAppend logs records or panics: a write the log cannot take must not
+// be served as durable, so a WAL write error fail-stops the edge (in the
+// simulation it is a harness bug — an unwritable temp dir — not a modeled
+// fault). Data records also advance the partition's live last-writer
+// index, which deferred in-doubt resolutions consult. The partition lock
+// is held across the append so a concurrent Checkpoint cannot swap the log
+// out from under a half-written batch.
 func (p *Partition) mustAppend(recs ...wal.Record) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.appendLocked(recs...)
+}
+
+func (p *Partition) appendLocked(recs ...wal.Record) {
 	if p.WAL == nil {
 		return
 	}
@@ -257,17 +352,6 @@ func (p *Partition) StagedCoords() []int {
 	return out
 }
 
-// RestoreDecisions replaces the in-memory decision cache with the set
-// recovered from this partition's log.
-func (p *Partition) RestoreDecisions(d map[wal.TxnRound]bool) {
-	p.mu.Lock()
-	p.decisions = make(map[CommitRound]bool, len(d))
-	for k, c := range d {
-		p.decisions[CommitRound{ID: txn.ID(k.Txn), Round: k.Round}] = c
-	}
-	p.mu.Unlock()
-}
-
 // Checkpoint rewrites this partition's write-ahead log as a compact
 // equivalent — the full committed store snapshot as non-transactional puts,
 // the durable decision cache (so in-doubt peers can still inquire here),
@@ -403,22 +487,29 @@ func (p *Partition) CrashReset() {
 // is the RestoreDB of a durable fleet's transaction manager: retraction
 // cascades re-install before-images through it, so a partition recovered
 // from its log agrees with the live store even after a cascade crossed it.
+// A standalone croesus-edge uses it as DB too, over one partition.
 type JournaledShardedStore struct {
 	*ShardedStore
 }
 
 // Put journals then applies. The route is resolved once (behind the shard
 // map's cutover barrier) so the journal record and the live write land on
-// the same partition even while a migration rebinds the shard.
+// the same partition even while a migration rebinds the shard. Both happen
+// under one hold of the partition lock: a Checkpoint in between would
+// snapshot the old value while the live store took the new one.
 func (s JournaledShardedStore) Put(key string, v store.Value) uint64 {
-	pi := s.route(key)
-	s.Parts[pi].mustAppend(wal.Record{Op: wal.OpPut, Key: key, Value: v})
-	return s.Parts[pi].Store.Put(key, v)
+	p := s.Parts[s.route(key)]
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.appendLocked(wal.Record{Op: wal.OpPut, Key: key, Value: v})
+	return p.Store.Put(key, v)
 }
 
-// Delete journals then applies.
+// Delete journals then applies, like Put.
 func (s JournaledShardedStore) Delete(key string) bool {
-	pi := s.route(key)
-	s.Parts[pi].mustAppend(wal.Record{Op: wal.OpDelete, Key: key})
-	return s.Parts[pi].Store.Delete(key)
+	p := s.Parts[s.route(key)]
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.appendLocked(wal.Record{Op: wal.OpDelete, Key: key})
+	return p.Store.Delete(key)
 }

@@ -13,7 +13,6 @@ import (
 	"croesus/internal/transport"
 	"croesus/internal/txn"
 	"croesus/internal/vclock"
-	"croesus/internal/wal"
 )
 
 // prefixPartitioner routes "1..." to partition 1, "2..." to 2, rest to 0.
@@ -370,15 +369,11 @@ func TestDurableCommitLifecycle(t *testing.T) {
 	clk := vclock.NewSim()
 	cc, parts := testFleet(clk)
 	dir := t.TempDir()
-	paths := make([]string, len(parts))
 	for i, p := range parts {
-		paths[i] = filepath.Join(dir, "p.wal"+string(rune('0'+i)))
-		l, err := wal.Open(paths[i])
-		if err != nil {
+		if _, err := p.OpenWAL(filepath.Join(dir, "p.wal"+string(rune('0'+i))), false); err != nil {
 			t.Fatal(err)
 		}
-		defer l.Close()
-		p.WAL = l
+		defer p.CloseWAL()
 	}
 
 	clk.Run(func() {
@@ -411,22 +406,8 @@ func TestDurableCommitLifecycle(t *testing.T) {
 	})
 
 	for i, p := range parts {
-		res, err := wal.Recover(paths[i])
-		if err != nil {
-			t.Fatalf("recover partition %d: %v", i, err)
-		}
-		if len(res.InDoubt) != 0 {
-			t.Errorf("partition %d: %d in-doubt blocks after clean commits", i, len(res.InDoubt))
-		}
-		live := p.Store.Snapshot()
-		rec := res.Store.Snapshot()
-		if len(live) != len(rec) {
-			t.Errorf("partition %d: live %d keys, recovered %d", i, len(live), len(rec))
-		}
-		for k, v := range live {
-			if rv, ok := rec[k]; !ok || string(rv) != string(v) {
-				t.Errorf("partition %d key %q: live %q recovered %q", i, k, v, rv)
-			}
+		if _, err := p.VerifyWAL(); err != nil {
+			t.Errorf("partition %d: %v", i, err)
 		}
 		if ids := p.StagedBy(0); len(ids) != 0 {
 			t.Errorf("partition %d still stages %v", i, ids)

@@ -489,10 +489,11 @@ func Decisions(path string) (map[TxnRound]bool, error) {
 }
 
 // Rewrite atomically replaces the log at path with one containing exactly
-// recs (written at path.tmp, then renamed over): the checkpoint primitive.
-// Any open Log on the old path must be closed first and reopened after —
-// appends through a stale handle would land on the orphaned inode. The log
-// must be externally quiesced for the swap.
+// recs (written at path.tmp, then renamed over): the primitive under
+// twopc.Partition.Checkpoint, which also carries the decision cache and
+// in-doubt blocks forward. Any open Log on the old path must be closed
+// first and reopened after — appends through a stale handle would land on
+// the orphaned inode. The log must be externally quiesced for the swap.
 func Rewrite(path string, recs []Record, noSync bool) error {
 	tmp := path + ".tmp"
 	l, err := Open(tmp)
@@ -510,24 +511,4 @@ func Rewrite(path string, recs []Record, noSync bool) error {
 		return err
 	}
 	return os.Rename(tmp, path)
-}
-
-// Checkpoint writes the store's full current state (in sorted key order,
-// so checkpoints of equal states are byte-identical) as a fresh log at
-// path, bounding replay time. The log must be externally quiesced during a
-// checkpoint. Partitions with two-phase-commit state checkpoint through
-// twopc.Partition.Checkpoint instead, which also carries the decision
-// cache and in-doubt blocks forward.
-func Checkpoint(st *store.Store, path string) error {
-	snap := st.Snapshot()
-	keys := make([]string, 0, len(snap))
-	for k := range snap {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	recs := make([]Record, 0, len(keys))
-	for _, k := range keys {
-		recs = append(recs, Record{Op: OpPut, Key: k, Value: snap[k]})
-	}
-	return Rewrite(path, recs, false)
 }

@@ -186,44 +186,6 @@ func TestLoggedStoreWritesThrough(t *testing.T) {
 	}
 }
 
-func TestCheckpointCompactsLog(t *testing.T) {
-	path := tmpLog(t)
-	l, _ := Open(path)
-	st := store.New()
-	// Many overwrites of few keys: the log grows, the state stays small.
-	for i := 0; i < 200; i++ {
-		k, v := store.ItoaKey("k", i%4), store.Int64Value(int64(i))
-		if err := l.Append(Record{Op: OpPut, Key: k, Value: v}); err != nil {
-			t.Fatal(err)
-		}
-		st.Put(k, v)
-	}
-	bigSize := l.Size()
-	l.Close()
-
-	if err := Checkpoint(st, path); err != nil {
-		t.Fatal(err)
-	}
-	fi, _ := os.Stat(path)
-	if fi.Size() >= bigSize/10 {
-		t.Errorf("checkpoint did not compact: %d vs %d", fi.Size(), bigSize)
-	}
-	res, err := Recover(path)
-	if err != nil || res.Truncated {
-		t.Fatalf("recover after checkpoint: %+v err=%v", res, err)
-	}
-	if res.Records != 4 {
-		t.Errorf("checkpoint has %d records, want 4", res.Records)
-	}
-	for i := 0; i < 4; i++ {
-		want, _ := st.Get(store.ItoaKey("k", i))
-		got, _ := res.Store.Get(store.ItoaKey("k", i))
-		if store.AsInt64(want) != store.AsInt64(got) {
-			t.Errorf("k:%d = %d, want %d", i, store.AsInt64(got), store.AsInt64(want))
-		}
-	}
-}
-
 // Property: any sequence of put/delete operations recovers to exactly the
 // state of an in-memory store receiving the same sequence.
 func TestRecoveryEquivalenceProperty(t *testing.T) {

@@ -114,8 +114,8 @@ type CloudResponse struct {
 //	rate        client: multiply the capture rate by Rate (workload_shift)
 //	redial      client: reconnect to the edge at Addr (migrate_camera)
 //	checkpoint  edge: compact the WAL to a snapshot of current state
-//	verify      edge: replay the WAL into a fresh store and compare with
-//	            the live store — the fleet's VerifyDurability
+//	verify      edge: the durability check (twopc.Partition.VerifyWAL) —
+//	            the same one the sim's VerifyDurability runs per partition
 //	quit        shut down gracefully (flush traces and reports first)
 type Control struct {
 	Seq  uint64
