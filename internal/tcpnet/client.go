@@ -31,8 +31,7 @@ type FrameResult struct {
 // Client streams frames to an edge server and collects both commit
 // responses per frame.
 type Client struct {
-	conn   *wire.Conn
-	sendMu sync.Mutex
+	conn *wire.Conn
 
 	mu      sync.Mutex
 	started map[int]time.Time
@@ -170,8 +169,6 @@ func (c *Client) Submit(f *video.Frame, padding int) error {
 	if padding > 0 {
 		pad = make([]byte, padding)
 	}
-	c.sendMu.Lock()
-	defer c.sendMu.Unlock()
 	return c.conn.Send(&wire.Envelope{Kind: wire.KindFrame, Frame: &wire.Frame{Frame: *f, Padding: pad, Trace: tc}})
 }
 
@@ -217,8 +214,6 @@ func (c *Client) Results() []*FrameResult {
 
 // Close says goodbye and closes the connection.
 func (c *Client) Close() error {
-	c.sendMu.Lock()
 	c.conn.Send(&wire.Envelope{Kind: wire.KindBye})
-	c.sendMu.Unlock()
 	return c.conn.Close()
 }

@@ -152,7 +152,6 @@ func (s *CloudServer) serve(conn net.Conn) {
 		conn.Close()
 	}()
 	wc := wire.NewConn(conn)
-	var sendMu sync.Mutex
 	for {
 		env, err := wc.Recv()
 		if err != nil {
@@ -204,8 +203,6 @@ func (s *CloudServer) serve(conn net.Conn) {
 					s.shed++
 					s.mu.Unlock()
 				}
-				sendMu.Lock()
-				defer sendMu.Unlock()
 				if err := wc.Send(&wire.Envelope{Kind: wire.KindCloudResponse, CloudResponse: resp}); err != nil {
 					s.Logf("cloud: send response: %v", err)
 				}

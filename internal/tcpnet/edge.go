@@ -233,7 +233,6 @@ func (s *EdgeServer) acceptLoop(ln net.Listener) {
 // cloudSession multiplexes cloud requests over one connection.
 type cloudSession struct {
 	conn    *wire.Conn
-	sendMu  sync.Mutex
 	mu      sync.Mutex
 	pending map[int]chan *wire.CloudResponse
 	err     error
@@ -292,10 +291,7 @@ func (cs *cloudSession) validate(req *wire.CloudRequest) (*wire.CloudResponse, e
 	cs.pending[req.FrameIndex] = ch
 	cs.mu.Unlock()
 
-	cs.sendMu.Lock()
-	err := cs.conn.Send(&wire.Envelope{Kind: wire.KindCloudRequest, CloudRequest: req})
-	cs.sendMu.Unlock()
-	if err != nil {
+	if err := cs.conn.Send(&wire.Envelope{Kind: wire.KindCloudRequest, CloudRequest: req}); err != nil {
 		return nil, err
 	}
 	resp, ok := <-ch
@@ -306,9 +302,7 @@ func (cs *cloudSession) validate(req *wire.CloudRequest) (*wire.CloudResponse, e
 }
 
 func (cs *cloudSession) close() {
-	cs.sendMu.Lock()
 	cs.conn.Send(&wire.Envelope{Kind: wire.KindBye})
-	cs.sendMu.Unlock()
 	cs.conn.Close()
 }
 
@@ -317,11 +311,10 @@ func (cs *cloudSession) close() {
 // It implements core.Validator over the cloud connection, so the pipeline's
 // cloud-tier nodes are real socket round trips.
 type session struct {
-	srv    *EdgeServer
-	wc     *wire.Conn
-	sendMu sync.Mutex
-	cloud  *cloudSession
-	pipe   *core.Pipeline
+	srv   *EdgeServer
+	wc    *wire.Conn
+	cloud *cloudSession
+	pipe  *core.Pipeline
 
 	mu      sync.Mutex
 	started map[int]time.Time
@@ -506,7 +499,7 @@ func (ss *session) handleFrame(f *wire.Frame) {
 		srv.shed++
 	}
 	srv.mu.Unlock()
-	if err := ss.send(&wire.Envelope{Kind: wire.KindFinalReply, FinalReply: &wire.FinalReply{
+	if err := ss.wc.Send(&wire.Envelope{Kind: wire.KindFinalReply, FinalReply: &wire.FinalReply{
 		FrameIndex:  frame.Index,
 		Labels:      out.FinalVisible,
 		Corrections: out.Corrections,
@@ -526,7 +519,7 @@ func (ss *session) onInitial(f *video.Frame, out *core.FrameOutcome) {
 	ss.mu.Lock()
 	start := ss.started[f.Index]
 	ss.mu.Unlock()
-	if err := ss.send(&wire.Envelope{Kind: wire.KindInitialReply, InitialReply: &wire.InitialReply{
+	if err := ss.wc.Send(&wire.Envelope{Kind: wire.KindInitialReply, InitialReply: &wire.InitialReply{
 		FrameIndex:  f.Index,
 		Labels:      out.InitialVisible,
 		Triggered:   out.TxnsTriggered,
@@ -595,12 +588,6 @@ func (ss *session) Validate(req core.ValidationRequest) core.ValidationResult {
 		CloudDetect: resp.DetectTime,
 		CloudReturn: ret,
 	}
-}
-
-func (ss *session) send(env *wire.Envelope) error {
-	ss.sendMu.Lock()
-	defer ss.sendMu.Unlock()
-	return ss.wc.Send(env)
 }
 
 // Served reports how many frames have completed their final commit.

@@ -5,39 +5,42 @@
 //
 // # The baton contract
 //
-// Sim runs one participant at a time. A participant is a goroutine started
-// with Go (or Run). It holds the baton until it blocks — in Sleep, a Gate's
-// Wait or a Semaphore's Acquire — or returns, and then hands the baton on:
+// Sim runs one participant at a time. A participant is an iter.Pull
+// coroutine started with Go (or Run), and Wait is the loop that resumes
+// them. One holds the baton until it blocks — in Sleep, a Gate's Wait or a
+// Semaphore's Acquire — or returns, and then yields back to Wait, which
+// resumes:
 //
-//   - to the head of a FIFO ready list, which Go and Gate.Fire append to, so
+//   - the head of a FIFO ready list, which Go and Gate.Fire append to, so
 //     a participant started with Go first runs when the baton reaches it;
-//   - only when that list is empty, to the sleeper with the minimal (at, seq)
+//   - only when that list is empty, the sleeper with the minimal (at, seq)
 //     in the timer heap, moving virtual time to at (seq is the order the
 //     sleeps were issued in);
-//   - with neither, back to the driver: the run is over or, if participants
-//     are still live, deadlocked, and Wait panics with a diagnostic instead
-//     of hanging.
+//   - with neither, no one: the run is over or, if participants are still
+//     live, deadlocked, and Wait panics with a diagnostic.
 //
-// A single external driver goroutine (typically a test or main) creates the
-// Sim, spawns participants with Go and calls Wait; nothing runs until it
-// does. Participants may call any method. The driver may call Go, Run, Wait,
-// NewGate and Fire, outside Wait. Any goroutine may call Now, one atomic
-// load. A participant must block only through these primitives: one parked
-// on a mutex or a channel keeps the baton and stalls the run.
+// A single driver goroutine (typically a test or main) creates the Sim,
+// spawns participants with Go and calls Wait; nothing runs until it does.
+// Participants may call any method but Wait. Any goroutine may call Now,
+// one atomic load. A participant must block only through these primitives:
+// one parked on a mutex or a channel never yields and stalls the run. A
+// participant's panic ends the run and surfaces from Wait, with its value,
+// on the driver's goroutine.
 //
 // # Determinism contract
 //
-// Every scheduler field but now is touched only by the baton holder, or by
-// the driver outside Wait, and the channel send that passes the baton orders
-// those accesses, so there is no lock and no parallelism. The order in which
-// participants run — and with it every timestamp, lock queue and batch — is
-// a function of the program alone: replay is byte-identical regardless of
-// GOMAXPROCS or the race detector. For the same reason no data race between
-// participants can show here; races are hunted in wall-clock runs.
+// Every scheduler field but now is touched only by the baton holder or the
+// driver, and the coroutine switch between them orders those accesses: no
+// lock, no parallelism. The order participants run in — and with it every
+// timestamp, lock queue and batch — is a function of the program alone, so
+// replay is byte-identical at any GOMAXPROCS or under the race detector,
+// and no data race between participants can show; races are hunted in
+// wall-clock runs.
 package vclock
 
 import (
 	"fmt"
+	"iter"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,9 +65,8 @@ type Clock interface {
 
 // Gate is a one-shot synchronization point: exactly one goroutine Waits and
 // some other participating goroutine Fires to release it. Fire may happen
-// before Wait, and firing more than once is a no-op. (The single-waiter
-// contract is what lets the simulated scheduler park the waiter's own wake
-// channel on the gate.)
+// before Wait, and firing more than once is a no-op. (The single waiter is
+// what lets the simulated scheduler park it on the gate itself.)
 type Gate interface {
 	Wait()
 	Fire()
@@ -116,9 +118,7 @@ func (c *realClock) Sleep(d time.Duration) {
 	time.Sleep(d)
 }
 
-func (c *realClock) NewGate() Gate {
-	return &realGate{ch: make(chan struct{})}
-}
+func (c *realClock) NewGate() Gate { return &realGate{ch: make(chan struct{})} }
 
 func (c *realClock) Go(fn func()) {
 	c.wg.Add(1)
@@ -144,9 +144,9 @@ func (g *realGate) Fire() { g.once.Do(func() { close(g.ch) }) }
 // timerEvent is one pending Sleep wakeup. Events live by value inside the
 // heap slice, so pushing a timer allocates nothing.
 type timerEvent struct {
-	at  int64         // virtual wake time, ns
-	seq uint64        // global tiebreak so equal-time events fire in creation order
-	ch  chan struct{} // the sleeper's wake channel
+	at  int64        // virtual wake time, ns
+	seq uint64       // global tiebreak so equal-time events fire in creation order
+	p   *participant // the sleeper
 }
 
 // timerHeap is the timer queue: a min-heap on (at, seq).
@@ -193,80 +193,111 @@ func (s *timerHeap) popMin() timerEvent {
 	return min
 }
 
-// Sim is a deterministic virtual-time scheduler. Construct with NewSim; the
-// zero value is not usable.
-//
-// A participant is named by its wake channel (capacity 1, so the baton can
-// be passed to a goroutine that has not parked yet). Every field but now is
-// owned by the baton holder, or by the driver outside Wait.
+// Sim is a deterministic virtual-time scheduler. Construct with NewSim.
 type Sim struct {
-	now atomic.Int64 // written by the baton holder, read anywhere
+	now    atomic.Int64   // written by the driver, read anywhere
+	seq    uint64         // sleeps issued so far: the heap's tiebreak
+	live   int            // participants started and not yet returned
+	timers timerHeap      // sleepers
+	ready  []*participant // started or woken participants, FIFO from ready[head]
+	head   int
+	cur    *participant   // the baton holder; nil while the driver has it
+	idle   []*participant // coroutines whose fn returned, for Go to reuse
+}
 
-	seq      uint64          // sleeps issued so far: the heap's tiebreak
-	live     int             // participants started and not yet returned
-	timers   timerHeap       // sleepers
-	ready    []chan struct{} // started or woken participants, FIFO from ready[head]
-	head     int
-	cur      chan struct{} // the baton holder; nil while the driver has it
-	done     chan struct{} // the driver parks here inside Wait
-	deadlock string
+// participant is one coroutine: next resumes it until it yields, reporting
+// whether fn returned (true) or blocked. After fn returns it idles until Go
+// hands it a new fn or Wait, at the end of the run, stops it.
+type participant struct {
+	fn    func()
+	next  func() (bool, bool)
+	yield func(bool) bool
+	stop  func()
 }
 
 // NewSim returns a virtual clock starting at time zero.
-func NewSim() *Sim {
-	return &Sim{done: make(chan struct{}, 1)}
-}
+func NewSim() *Sim { return &Sim{} }
 
 // Now reports the current virtual time. It is a single atomic load, safe
 // from any goroutine (trace timestamps, exporters, latency accounting).
-func (s *Sim) Now() time.Duration {
-	return time.Duration(s.now.Load())
-}
+func (s *Sim) Now() time.Duration { return time.Duration(s.now.Load()) }
 
-// Sleep blocks the calling goroutine for d of virtual time. The caller must
-// be a participant started with Go. Non-positive durations return
-// immediately.
+// Sleep blocks the calling participant for d of virtual time. Non-positive
+// durations return immediately.
 func (s *Sim) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
 	me := s.holder()
 	s.seq++
-	s.timers.push(timerEvent{at: s.now.Load() + int64(d), seq: s.seq, ch: me})
-	s.dispatch()
-	<-me
+	s.timers.push(timerEvent{at: s.now.Load() + int64(d), seq: s.seq, p: me})
+	me.yield(false)
 }
 
 // NewGate returns a Gate tied to this scheduler.
-func (s *Sim) NewGate() Gate {
-	return &simGate{s: s}
-}
+func (s *Sim) NewGate() Gate { return &simGate{s: s} }
 
 // Go starts fn as a participant; it first runs when the baton reaches it.
-// It may be called by the driver before or between Waits, or by a
-// participant at any time.
+// The driver may call it before or between Waits, a participant any time.
 func (s *Sim) Go(fn func()) {
+	var p *participant
+	if n := len(s.idle); n > 0 {
+		p, s.idle = s.idle[n-1], s.idle[:n-1]
+	} else {
+		p = &participant{}
+		p.next, p.stop = iter.Pull(func(yield func(bool) bool) {
+			for p.yield = yield; ; {
+				if p.fn(); !yield(true) {
+					return
+				}
+			}
+		})
+	}
+	p.fn = fn
 	s.live++
-	wake := make(chan struct{}, 1)
-	s.ready = append(s.ready, wake)
-	go func() {
-		<-wake
-		fn()
-		s.live--
-		s.dispatch()
-	}()
+	s.ready = append(s.ready, p)
 }
 
-// Wait hands the baton to the participants and parks the driver until every
-// one has returned. It panics if the simulation deadlocks (every
-// participant blocked with no pending timer).
+// Wait resumes participants — the head of the ready list, else the earliest
+// (at, seq) sleeper, moving now to its wake time — until every one has
+// returned. It panics on deadlock (every participant blocked with no
+// pending timer), with a participant's panic, or if called from one.
 func (s *Sim) Wait() {
-	if s.deadlock == "" && s.live > 0 {
-		s.dispatch()
-		<-s.done
+	if s.cur != nil {
+		panic("vclock: Wait called from a participant; only the driver may call it")
 	}
-	if s.deadlock != "" {
-		panic(s.deadlock)
+	defer func() {
+		if s.cur != nil { // a participant panicked or called Goexit: it is gone
+			s.cur, s.live = nil, s.live-1
+		}
+	}()
+	for {
+		var next *participant
+		switch {
+		case s.head < len(s.ready):
+			next = s.ready[s.head]
+			if s.head++; s.head == len(s.ready) {
+				s.ready, s.head = s.ready[:0], 0
+			}
+		case len(s.timers) > 0:
+			ev := s.timers.popMin()
+			s.now.Store(ev.at)
+			next = ev.p
+		case s.live > 0:
+			panic(fmt.Sprintf("vclock: deadlock at t=%v — all %d live goroutines blocked with no pending timer", s.Now(), s.live))
+		default:
+			for _, p := range s.idle {
+				p.stop()
+			}
+			s.idle = s.idle[:0]
+			return
+		}
+		s.cur = next
+		if returned, _ := next.next(); returned {
+			s.live--
+			s.idle = append(s.idle, next)
+		}
+		s.cur = nil
 	}
 }
 
@@ -276,47 +307,18 @@ func (s *Sim) Run(fn func()) {
 	s.Wait()
 }
 
-// holder returns the calling participant's wake channel.
-func (s *Sim) holder() chan struct{} {
+// holder returns the calling participant.
+func (s *Sim) holder() *participant {
 	if s.cur == nil {
 		panic("vclock: blocking call outside a participant started with Go")
 	}
 	return s.cur
 }
 
-// dispatch passes the baton on: to the head of the ready list, else to the
-// earliest (at, seq) sleeper, moving now to its wake time. With neither, the
-// driver gets it back, and a latched deadlock if participants are still
-// live.
-func (s *Sim) dispatch() {
-	var next chan struct{}
-	switch {
-	case s.head < len(s.ready):
-		next = s.ready[s.head]
-		s.ready[s.head] = nil
-		if s.head++; s.head == len(s.ready) {
-			s.ready, s.head = s.ready[:0], 0
-		}
-	case len(s.timers) > 0:
-		ev := s.timers.popMin()
-		s.now.Store(ev.at)
-		next = ev.ch
-	default:
-		if s.live > 0 {
-			s.deadlock = fmt.Sprintf("vclock: deadlock at t=%v — all %d live goroutines blocked with no pending timer", s.Now(), s.live)
-		}
-		s.cur = nil
-		s.done <- struct{}{}
-		return
-	}
-	s.cur = next
-	next <- struct{}{}
-}
-
 type simGate struct {
 	s      *Sim
 	fired  bool
-	waiter chan struct{} // the parked waiter's wake channel
+	waiter *participant // the parked waiter
 }
 
 // Wait blocks until the gate fires, letting virtual time advance meanwhile.
@@ -325,10 +327,8 @@ func (g *simGate) Wait() {
 	if g.fired {
 		return
 	}
-	me := g.s.holder()
-	g.waiter = me
-	g.s.dispatch()
-	<-me
+	g.waiter = g.s.holder()
+	g.waiter.yield(false)
 }
 
 // Fire appends the waiter, if one is parked, to the ready list. Safe to call

@@ -2,7 +2,9 @@ package vclock
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -239,6 +241,94 @@ func TestSimDeadlockDetectedBeforeWait(t *testing.T) {
 		}
 	}()
 	s.Wait()
+}
+
+// A participant's panic ends the run: it surfaces from Wait on the driver's
+// goroutine with its own value, and the Sim stays usable afterwards.
+func TestSimParticipantPanicSurfacesFromWait(t *testing.T) {
+	type boom struct{ at time.Duration }
+	s := NewSim()
+	s.Go(func() { s.Sleep(time.Hour) }) // still parked when the panic lands
+	s.Go(func() {
+		s.Sleep(time.Second)
+		panic(boom{s.Now()})
+	})
+	func() {
+		defer func() {
+			if r := recover(); r != (boom{time.Second}) {
+				t.Errorf("Wait panicked with %#v, want boom{1s}", r)
+			}
+		}()
+		s.Wait()
+		t.Error("Wait returned normally after a participant panicked")
+	}()
+	s.Wait() // the surviving sleeper finishes
+	if s.Now() != time.Hour {
+		t.Errorf("Now() = %v after the second Wait, want 1h", s.Now())
+	}
+}
+
+// Wait is the driver's loop; a participant calling it gets a clear panic
+// rather than a nested driver loop.
+func TestSimWaitFromParticipantPanics(t *testing.T) {
+	s := NewSim()
+	var got any
+	s.Run(func() {
+		defer func() { got = recover() }()
+		s.Wait()
+	})
+	if msg, _ := got.(string); !strings.Contains(msg, "only the driver") {
+		t.Errorf("Wait inside a participant panicked with %#v, want the driver-only message", got)
+	}
+}
+
+// A steady-state Sleep handoff — push the timer, yield to Wait, pop the
+// next sleeper, resume it — allocates nothing, and neither does a Go that
+// reuses a finished participant's coroutine.
+func TestSimSleepHandoffAllocatesNothing(t *testing.T) {
+	s := NewSim()
+	done := false
+	for g := 1; g <= 15; g++ {
+		s.Go(func() {
+			for !done {
+				s.Sleep(time.Duration(g) * time.Millisecond)
+			}
+		})
+	}
+	var sleep, spawn float64
+	child := func() {}
+	s.Go(func() {
+		sleep = testing.AllocsPerRun(1000, func() { s.Sleep(time.Millisecond) })
+		// A participant that returned leaves its coroutine idle for the
+		// next Go to reuse.
+		spawn = testing.AllocsPerRun(1000, func() {
+			s.Go(child)
+			s.Sleep(time.Millisecond)
+		})
+		done = true
+	})
+	s.Wait()
+	if sleep != 0 || spawn != 0 {
+		t.Errorf("a Sleep handoff allocates %v times and a Go from a participant %v, want 0 and 0", sleep, spawn)
+	}
+}
+
+// Wait stops the idle coroutines when the run is over, so a finished Sim
+// leaves no goroutine behind. (The count may drop, if a goroutine of an
+// earlier test is still exiting, but must not grow.)
+func TestSimLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := NewSim()
+	for i := 0; i < 32; i++ {
+		s.Go(func() {
+			s.Go(func() { s.Sleep(time.Second) })
+			s.Sleep(time.Millisecond)
+		})
+	}
+	s.Wait()
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines before the run, %d after", before, after)
+	}
 }
 
 func TestSemaphoreLimitsConcurrency(t *testing.T) {
