@@ -202,12 +202,16 @@ func (p *Partition) appendLocked(recs ...wal.Record) {
 }
 
 // RedoRecords captures the redo batch for a section commit: each key's
-// current store value, read under the section's still-held exclusive locks.
+// current store value, read under the section's still-held exclusive locks,
+// in key order. The batch has room for the closing marker LogLocalCommit or
+// StagePrepare appends, so that append does not reallocate.
 func (p *Partition) RedoRecords(cr CommitRound, keys []string) []wal.Record {
-	sorted := append([]string{}, keys...)
-	sort.Strings(sorted)
-	recs := make([]wal.Record, 0, len(sorted))
-	for _, k := range sorted {
+	if !sort.StringsAreSorted(keys) {
+		keys = append([]string{}, keys...)
+		sort.Strings(keys)
+	}
+	recs := make([]wal.Record, 0, len(keys)+1)
+	for _, k := range keys {
 		if v, ok := p.Store.Get(k); ok {
 			recs = append(recs, wal.Record{Op: wal.OpPut, Txn: uint64(cr.ID), Round: cr.Round, Key: k, Value: v})
 		} else {

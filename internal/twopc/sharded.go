@@ -20,8 +20,10 @@
 package twopc
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -233,11 +235,14 @@ const lockMsgBytes = 256
 // ShardedCC implements txn.CC over a sharded fleet keyspace. One instance
 // serves one edge node (its Home partition is lock- and hop-free); all
 // instances of a fleet share the Parts slice, the Manager, and the Stats
-// block. Locks are acquired partition-by-partition in ascending partition
-// index, with keys ordered inside each partition, so concurrent
-// transactions from any number of edges follow one global acquisition order
-// and cannot deadlock — the distributed generalization of the ordered
-// acquisition the declared RW-sets ("get_rwsets") enable in Algorithm 1/2.
+// block. Each acquisition plans one route (see route): the transaction's
+// requests, routed once and sorted by (partition, key). Locks are taken by
+// walking it, partition by partition in ascending index with keys ordered
+// inside each partition, so concurrent transactions from any number of
+// edges follow one global acquisition order and cannot deadlock — the
+// distributed generalization of the ordered acquisition the declared
+// RW-sets ("get_rwsets") enable in Algorithm 1/2. The commit round and the
+// release walk the same route.
 type ShardedCC struct {
 	Clk vclock.Clock
 	// M is the fleet-wide manager; M.DB must be the fleet's ShardedStore.
@@ -268,20 +273,47 @@ type ShardedCC struct {
 	Obs  *obs.Obs
 	Tags string
 
-	mu   sync.Mutex
-	held map[txn.ID]heldState // MS-SR: locks held from initial to final commit
+	mu sync.Mutex
+	// held is what MS-SR remembers between the initial and the final
+	// commit: the route its locks were granted under. The final commit and
+	// the release target those partitions, never a re-derived live route,
+	// and a batch whose partition's crash epoch changed since planning
+	// lost its lock table (and the eager initial writes) with the edge.
+	held map[txn.ID]route
 }
 
-// heldState is what MS-SR remembers between the initial and the final
-// commit: the held requests plus the crash epoch of every partition they
-// live on — a changed epoch at final-commit time means that partition's
-// lock table (and the eager initial writes) died with the edge.
-type heldState struct {
-	// byPart is the acquisition-time route snapshot: the final commit
-	// and the release must target the partitions the locks were granted
-	// on, never a re-derived live route.
-	byPart map[int][]lock.Request
-	epochs map[int]int
+// route is a transaction's route snapshot, planned once per acquisition:
+// its lock requests plus, on a mapped fleet, the shared shard intents, each
+// routed to its owning partition once, sorted by (partition, key) and
+// merged as lock.Normalize merges. It holds one batch per partition, in
+// ascending partition order; the batches' requests are sub-slices of one
+// backing array, already in the order lock.Manager takes them. Nothing
+// downstream re-derives a key's partition from the live map: acquisition,
+// the stale-route check, the commit round and the release all walk this.
+type route []batch
+
+// batch is one partition's share of a route.
+type batch struct {
+	part int
+	// epoch is the partition's crash epoch at planning time (0 without a
+	// fault oracle): a different epoch later means the edge crashed and
+	// its lock table — and any eager writes under it — died with it.
+	epoch int
+	reqs  []lock.Request
+}
+
+func exclusive(r lock.Request) bool { return r.Mode == lock.Exclusive }
+
+// writeKeys lists the keys of the batch's exclusive requests — its share of
+// the write set — in key order.
+func (b batch) writeKeys() []string {
+	keys := make([]string, 0, len(b.reqs))
+	for _, r := range b.reqs {
+		if exclusive(r) {
+			keys = append(keys, r.Key)
+		}
+	}
+	return keys
 }
 
 // maxMapRetries bounds how many times one transaction re-plans after waking
@@ -308,27 +340,15 @@ func (c *ShardedCC) linkDown(pi int) bool {
 // its edge is up and the peer link is not partitioned.
 func (c *ShardedCC) reachable(pi int) bool { return !c.partDown(pi) && !c.linkDown(pi) }
 
-// snapshotEpochs records the crash epoch of every partition in byPart at
-// lock-acquisition time; nil when no fault oracle is installed.
-func (c *ShardedCC) snapshotEpochs(byPart map[int][]lock.Request) map[int]int {
-	if c.Faults == nil {
-		return nil
-	}
-	out := make(map[int]int, len(byPart))
-	for pi := range byPart {
-		out[pi] = c.Faults.Epoch(pi)
-	}
-	return out
-}
-
-// epochsBroken reports whether any recorded partition crashed (or is down)
-// since its epoch was snapshotted — its locks and eager writes are gone.
-func (c *ShardedCC) epochsBroken(epochs map[int]int) bool {
+// epochsBroken reports whether any of the route's partitions crashed (or
+// is down) since the route was planned — its locks and eager writes are
+// gone.
+func (c *ShardedCC) epochsBroken(rt route) bool {
 	if c.Faults == nil {
 		return false
 	}
-	for pi, e := range epochs {
-		if c.Faults.Down(pi) || c.Faults.Epoch(pi) != e {
+	for _, b := range rt {
+		if c.Faults.Down(b.part) || c.Faults.Epoch(b.part) != b.epoch {
 			return true
 		}
 	}
@@ -365,58 +385,74 @@ func (c *ShardedCC) mapEpoch() int64 {
 	return c.Map.Epoch()
 }
 
-// withIntents appends the shared shard-intent request for every distinct
-// logical shard among reqs — the locks that serialize this transaction
-// against a migration of any shard it touches. No-op on unmapped fleets.
-func (c *ShardedCC) withIntents(reqs []lock.Request) []lock.Request {
-	if c.Map == nil {
-		return reqs
-	}
-	seen := map[int]bool{}
-	out := reqs
+// routed is one request of a route being planned, with its partition.
+type routed struct {
+	part int
+	req  lock.Request
+}
+
+// plan routes reqs — plus, on a mapped fleet, the shared shard-intent
+// request of every logical shard among them, the locks that serialize this
+// transaction against a migration of any shard it touches — into a route
+// under the current map, snapshotting each partition's crash epoch. reqs
+// is only read: a template's cached requests are never appended to.
+func (c *ShardedCC) plan(reqs []lock.Request) route {
+	var buf [16]routed
+	rs := buf[:0]
+	prev := -1
 	for _, r := range reqs {
-		if s, ok := workload.ShardOf(r.Key); ok && !seen[s] {
-			seen[s] = true
-			out = append(out, lock.Request{Key: ShardIntentKey(s), Mode: lock.Shared})
+		rs = append(rs, routed{c.routeKey(r.Key), r})
+		if c.Map == nil {
+			continue
+		}
+		// Normalized requests keep a shard's keys adjacent ("s1/" sorts
+		// apart from "s12/"), so this skips most repeats; the merge below
+		// drops any that remain.
+		if s, ok := workload.ShardOf(r.Key); ok && s != prev {
+			prev = s
+			k := ShardIntentKey(s)
+			rs = append(rs, routed{c.routeKey(k), lock.Request{Key: k, Mode: lock.Shared}})
 		}
 	}
-	return out
-}
-
-// byPartition groups lock requests by owning partition index under the
-// current route. The grouping is the transaction's route snapshot: every
-// later step (stale check, commit) compares against or reuses it.
-func (c *ShardedCC) byPartition(reqs []lock.Request) map[int][]lock.Request {
-	out := map[int][]lock.Request{}
-	for _, r := range reqs {
-		pi := c.routeKey(r.Key)
-		out[pi] = append(out[pi], r)
-	}
-	return out
-}
-
-// routeOf flattens a route snapshot into a key→partition map, the form
-// commitSection consumes.
-func routeOf(byPart map[int][]lock.Request) map[string]int {
-	out := make(map[string]int)
-	for pi, rs := range byPart {
-		for _, r := range rs {
-			out[r.Key] = pi
+	slices.SortFunc(rs, func(a, b routed) int {
+		return cmp.Or(a.part-b.part, strings.Compare(a.req.Key, b.req.Key),
+			int(b.req.Mode)-int(a.req.Mode)) // Exclusive first: it wins the merge
+	})
+	rs = slices.CompactFunc(rs, func(a, b routed) bool { return a.req.Key == b.req.Key })
+	parts := 0
+	for i := range rs {
+		if i == 0 || rs[i].part != rs[i-1].part {
+			parts++
 		}
 	}
-	return out
+	all := make([]lock.Request, len(rs))
+	rt := make(route, 0, parts)
+	start := 0
+	for i := range rs {
+		all[i] = rs[i].req
+		if i+1 < len(rs) && rs[i+1].part == rs[i].part {
+			continue
+		}
+		b := batch{part: rs[i].part, reqs: all[start : i+1 : i+1]}
+		if c.Faults != nil {
+			b.epoch = c.Faults.Epoch(b.part)
+		}
+		rt = append(rt, b)
+		start = i + 1
+	}
+	return rt
 }
 
-// routeStale reports whether a migration moved any of the snapshot's keys
+// routeStale reports whether a migration moved any of the route's keys
 // since epoch — the locks just acquired may sit on partitions that no
 // longer own the data, so the caller must release and re-plan.
-func (c *ShardedCC) routeStale(epoch int64, byPart map[int][]lock.Request) bool {
+func (c *ShardedCC) routeStale(epoch int64, rt route) bool {
 	if c.Map == nil || c.Map.Epoch() == epoch {
 		return false
 	}
-	for pi, rs := range byPart {
-		for _, r := range rs {
-			if c.Map.Lookup(r.Key) != pi {
+	for _, b := range rt {
+		for _, r := range b.reqs {
+			if c.Map.Lookup(r.Key) != b.part {
 				return true
 			}
 		}
@@ -424,85 +460,52 @@ func (c *ShardedCC) routeStale(epoch int64, byPart map[int][]lock.Request) bool 
 	return false
 }
 
-// acquire takes every request, visiting partitions in ascending index
+// acquire takes the route batch by batch, in ascending partition order
 // (remote ones over the edge link). The lock-grant reply doubles as the
 // remote read fetch, so section bodies read remote keys without further
-// hops. It reports false — releasing everything taken — when a partition
-// is unreachable (its edge crashed or the link is partitioned).
-func (c *ShardedCC) acquire(owner lock.Owner, byPart map[int][]lock.Request) bool {
-	got := make([]int, 0, len(c.Parts))
-	for pi := 0; pi < len(c.Parts); pi++ {
-		rs, ok := byPart[pi]
-		if !ok {
-			continue
-		}
-		if !c.reachable(pi) {
-			for _, gi := range got {
-				c.hopTo(gi)
-				c.Parts[gi].Locks.ReleaseAll(owner, byPart[gi])
-			}
-			return false
-		}
-		c.hopTo(pi)
-		c.Parts[pi].Locks.AcquireAll(owner, rs)
-		c.hopTo(pi)
-		if c.Links[pi] != nil {
-			c.Stats.add(func(d *DistCounters) { d.LockRPCs++ })
-		}
-		got = append(got, pi)
-	}
-	return true
-}
-
-// acquireWaitDie is the MS-SR variant: because MS-SR holds every lock from
-// the initial commit across the cloud round trip to the final commit (and a
+// hops. On failure it releases the batches already taken and reports
+// false; fault says the failure was an unreachable partition (its edge
+// crashed or the link is partitioned).
+//
+// MS-SR acquires under wait-die: because it holds every lock from the
+// initial commit across the cloud round trip to the final commit (and a
 // frame triggers its transactions one after another on one goroutine),
 // plain blocking acquisition could wait on a lock the caller itself will
 // only release later. Wait-die breaks that: at each partition the
 // transaction may wait only while older than every holder, otherwise it
-// dies — everything taken so far, on every partition, is released and false
-// is returned. Fleet-wide monotonic IDs make the age comparison valid
-// across edges. fault reports whether the failure was an unreachable
-// partition rather than a wait-die death.
-func (c *ShardedCC) acquireWaitDie(owner lock.Owner, byPart map[int][]lock.Request) (ok, fault bool) {
-	got := make([]int, 0, len(c.Parts))
-	bail := func(fault bool) (bool, bool) {
-		for _, gi := range got {
-			c.hopTo(gi)
-			c.Parts[gi].Locks.ReleaseAll(owner, byPart[gi])
+// dies (ok and fault both false). Fleet-wide monotonic IDs make the age
+// comparison valid across edges.
+func (c *ShardedCC) acquire(owner lock.Owner, rt route) (ok, fault bool) {
+	for i, b := range rt {
+		if !c.reachable(b.part) {
+			c.release(owner, rt[:i])
+			return false, true
 		}
-		return false, fault
-	}
-	for pi := 0; pi < len(c.Parts); pi++ {
-		rs, ok := byPart[pi]
-		if !ok {
-			continue
+		locks := c.Parts[b.part].Locks
+		c.hopTo(b.part)
+		granted := true
+		if c.Protocol == MSSR {
+			granted = locks.AcquireAllWaitDie(owner, b.reqs)
+		} else {
+			locks.AcquireAll(owner, b.reqs)
 		}
-		if !c.reachable(pi) {
-			return bail(true)
-		}
-		c.hopTo(pi)
-		ok = c.Parts[pi].Locks.AcquireAllWaitDie(owner, rs)
-		c.hopTo(pi)
-		if c.Links[pi] != nil {
+		c.hopTo(b.part)
+		if c.Links[b.part] != nil {
 			c.Stats.add(func(d *DistCounters) { d.LockRPCs++ })
 		}
-		if !ok {
-			return bail(false)
+		if !granted {
+			c.release(owner, rt[:i])
+			return false, false
 		}
-		got = append(got, pi)
 	}
 	return true, false
 }
 
-func (c *ShardedCC) release(owner lock.Owner, byPart map[int][]lock.Request) {
-	for pi := 0; pi < len(c.Parts); pi++ {
-		rs, ok := byPart[pi]
-		if !ok {
-			continue
-		}
-		c.hopTo(pi)
-		c.Parts[pi].Locks.ReleaseAll(owner, rs)
+// release gives back every batch of rt, in route order.
+func (c *ShardedCC) release(owner lock.Owner, rt route) {
+	for _, b := range rt {
+		c.hopTo(b.part)
+		c.Parts[b.part].Locks.ReleaseAll(owner, b.reqs)
 	}
 }
 
@@ -520,47 +523,39 @@ func (c *ShardedCC) release(owner lock.Owner, byPart map[int][]lock.Request) {
 // not happen — the caller must undo the section's eager writes. round
 // (RoundInitial or RoundFinal) disambiguates the up-to-two independent
 // rounds one transaction runs, so each round's WAL markers, staged blocks,
-// and decisions stand alone. route is the acquisition-time route snapshot:
-// the commit must land where the locks (and the eager writes) are, even if
-// the live map has since moved an *unrelated* shard — the held shard
-// intents guarantee the transaction's own shards cannot have moved.
-func (c *ShardedCC) commitSection(id txn.ID, round uint8, writes []lock.Request, epochs map[int]int, route map[string]int) error {
+// and decisions stand alone. rt is the route the section's locks were
+// granted under, and its exclusive requests are the write set: the commit
+// must land where the locks (and the eager writes) are, even if the live
+// map has since moved an *unrelated* shard — the held shard intents
+// guarantee the transaction's own shards cannot have moved.
+func (c *ShardedCC) commitSection(id txn.ID, round uint8, rt route) error {
 	cr := CommitRound{ID: id, Round: round}
-	keysByPart := map[int][]string{}
-	involved := make([]int, 0, len(c.Parts))
-	for _, r := range writes {
-		if r.Mode != lock.Exclusive {
-			continue
+	var buf [8]batch
+	involved := buf[:0]
+	for _, b := range rt {
+		if slices.ContainsFunc(b.reqs, exclusive) {
+			involved = append(involved, b)
 		}
-		pi, ok := route[r.Key]
-		if !ok {
-			pi = c.routeKey(r.Key)
-		}
-		if _, ok := keysByPart[pi]; !ok {
-			involved = append(involved, pi)
-		}
-		keysByPart[pi] = append(keysByPart[pi], r.Key)
 	}
 	if len(involved) == 0 {
 		return nil // read-only section: nothing to commit
 	}
 	// Every involved partition must still be the one we locked at: a
 	// crashed (or unreachable) partition lost our locks and eager writes.
-	sort.Ints(involved)
-	for _, pi := range involved {
-		if !c.reachable(pi) {
+	for _, b := range involved {
+		if !c.reachable(b.part) {
 			return ErrCrashed
 		}
-		if epochs != nil && c.Faults.Epoch(pi) != epochs[pi] {
+		if c.Faults != nil && c.Faults.Epoch(b.part) != b.epoch {
 			return ErrCrashed
 		}
 	}
 
 	if len(involved) == 1 {
-		pi := involved[0]
+		pi := involved[0].part
 		p := c.Parts[pi]
 		if p.Durable() {
-			p.LogLocalCommit(cr, p.RedoRecords(cr, keysByPart[pi]))
+			p.LogLocalCommit(cr, p.RedoRecords(cr, involved[0].writeKeys()))
 		}
 		if c.Links[pi] == nil {
 			c.Stats.add(func(d *DistCounters) { d.LocalCommits++ })
@@ -588,15 +583,15 @@ func (c *ShardedCC) commitSection(id txn.ID, round uint8, writes []lock.Request,
 	maxRTT := chargeFanOut(c.Links, involved, 2, func() {
 		c.Stats.add(func(d *DistCounters) { d.PrepareRPCs++ })
 	})
-	for _, pi := range involved {
-		p := c.Parts[pi]
+	for _, b := range involved {
+		p := c.Parts[b.part]
 		if p.Durable() {
-			p.StagePrepare(cr, c.Home, p.RedoRecords(cr, keysByPart[pi]))
+			p.StagePrepare(cr, c.Home, p.RedoRecords(cr, b.writeKeys()))
 		}
 		// A scripted participant crash lands here: the yes vote is already
 		// durable, so the round proceeds and the participant resolves the
 		// transaction from the coordinator's log when it recovers.
-		c.at2PC(pi, PointParticipantPrepared)
+		c.at2PC(b.part, PointParticipantPrepared)
 	}
 	c.Clk.Sleep(maxRTT)
 
@@ -622,13 +617,13 @@ func (c *ShardedCC) commitSection(id txn.ID, round uint8, writes []lock.Request,
 	// transaction is committed either way — that is what the durable
 	// decision means; participants learn it from the coordinator's log).
 	if delivered {
-		live := make([]int, 0, len(involved))
-		for _, pi := range involved {
-			if !c.reachable(pi) {
+		live := involved[:0] // filtered in place: involved is not read again
+		for _, b := range involved {
+			if !c.reachable(b.part) {
 				continue // resolves from the coordinator's log at recovery
 			}
-			c.Parts[pi].DeliverDecision(cr, true)
-			live = append(live, pi)
+			c.Parts[b.part].DeliverDecision(cr, true)
+			live = append(live, b)
 		}
 		maxOne := chargeFanOut(c.Links, live, 1, func() {
 			c.Stats.add(func(d *DistCounters) { d.CommitRPCs++ })
@@ -639,15 +634,15 @@ func (c *ShardedCC) commitSection(id txn.ID, round uint8, writes []lock.Request,
 	return nil
 }
 
-// chargeFanOut charges msgs protocol messages on every listed partition's
-// link and returns the slowest per-link total — the modeled cost of a
-// parallel round, which the caller sleeps once. onEach runs once per listed
-// partition (link or not), mirroring the per-RPC counters.
-func chargeFanOut(links []transport.Path, parts []int, msgs int, onEach func()) time.Duration {
+// chargeFanOut charges msgs protocol messages on every listed batch's
+// partition link and returns the slowest per-link total — the modeled cost
+// of a parallel round, which the caller sleeps once. onEach runs once per
+// listed batch (link or not), mirroring the per-RPC counters.
+func chargeFanOut(links []transport.Path, bs []batch, msgs int, onEach func()) time.Duration {
 	var max time.Duration
-	for _, pi := range parts {
+	for _, b := range bs {
 		onEach()
-		l := links[pi]
+		l := links[b.part]
 		if l == nil {
 			continue
 		}
@@ -671,37 +666,31 @@ func (c *ShardedCC) abortTxn(in *txn.Instance, reason string) {
 	c.noteFault()
 }
 
-// acquireRouted plans the transaction's routes under the live map, acquires
-// the locks, and re-plans when it wakes into a moved map (a migration
+// acquireRouted plans the transaction's route under the live map, acquires
+// its locks, and re-plans when it wakes into a moved map (a migration
 // completed while it waited): the stale locks are released and the
-// acquisition retried on the new routes, at most maxMapRetries times.
-// Returns the route snapshot the locks were granted under, the pre-wait
-// crash epochs, and — on failure — whether the failure was a fault
-// (unreachable partition) rather than a wait-die death or map churn.
-func (c *ShardedCC) acquireRouted(owner lock.Owner, reqs []lock.Request) (byPart map[int][]lock.Request, epochs map[int]int, ok, fault bool) {
+// acquisition retried on a new route, at most maxMapRetries times. Returns
+// the route the locks were granted under and — on failure — whether the
+// failure was a fault (unreachable partition) rather than a wait-die death
+// or map churn.
+func (c *ShardedCC) acquireRouted(owner lock.Owner, reqs []lock.Request) (rt route, ok, fault bool) {
 	for attempt := 0; ; attempt++ {
 		mapEpoch := c.mapEpoch()
-		byPart = c.byPartition(reqs)
-		// Epochs are snapshotted BEFORE acquisition: a partition that
-		// crashes and even recovers while this transaction waits for a
-		// contended lock must still be detected (its lock table and any
+		// Planning snapshots crash epochs BEFORE acquisition: a partition
+		// that crashes and even recovers while this transaction waits for
+		// a contended lock must still be detected (its lock table and any
 		// state the wait spanned died with it), so the checks downstream
 		// compare against the pre-wait world.
-		epochs = c.snapshotEpochs(byPart)
-		if c.Protocol == MSSR {
-			ok, fault = c.acquireWaitDie(owner, byPart)
-		} else {
-			ok, fault = c.acquire(owner, byPart), true
+		rt = c.plan(reqs)
+		if ok, fault = c.acquire(owner, rt); !ok {
+			return rt, false, fault
 		}
-		if !ok {
-			return byPart, epochs, false, fault
+		if !c.routeStale(mapEpoch, rt) {
+			return rt, true, false
 		}
-		if !c.routeStale(mapEpoch, byPart) {
-			return byPart, epochs, true, false
-		}
-		c.release(owner, byPart)
+		c.release(owner, rt)
 		if attempt >= maxMapRetries {
-			return byPart, epochs, false, false
+			return rt, false, false
 		}
 		c.Stats.add(func(d *DistCounters) { d.MapRetries++ })
 	}
@@ -709,9 +698,9 @@ func (c *ShardedCC) acquireRouted(owner lock.Owner, reqs []lock.Request) (byPart
 
 // timedAcquire wraps acquireRouted, charging the wait to the instance's
 // breakdown accumulator and emitting a lock.wait (or lock.abort) span.
-func (c *ShardedCC) timedAcquire(in *txn.Instance, owner lock.Owner, reqs []lock.Request) (byPart map[int][]lock.Request, epochs map[int]int, ok, fault bool) {
+func (c *ShardedCC) timedAcquire(in *txn.Instance, owner lock.Owner, reqs []lock.Request) (rt route, ok, fault bool) {
 	t0 := c.Clk.Now()
-	byPart, epochs, ok, fault = c.acquireRouted(owner, reqs)
+	rt, ok, fault = c.acquireRouted(owner, reqs)
 	t1 := c.Clk.Now()
 	in.AddLockWait(t1 - t0)
 	if t1 > t0 {
@@ -721,20 +710,20 @@ func (c *ShardedCC) timedAcquire(in *txn.Instance, owner lock.Owner, reqs []lock
 		}
 		c.Obs.SpanCtx(in.Trace, name, c.Tags, t0, t1)
 	}
-	return byPart, epochs, ok, fault
+	return rt, ok, fault
 }
 
 // timedCommit wraps commitSection, charging the round to the instance
-// and emitting a twopc.commit span when the commit left the home edge
+// and emitting a twopc.commit span when the route left the home edge
 // (purely local commits run no 2PC and get no span).
-func (c *ShardedCC) timedCommit(in *txn.Instance, round uint8, writes []lock.Request, epochs map[int]int, route map[string]int) error {
+func (c *ShardedCC) timedCommit(in *txn.Instance, round uint8, rt route) error {
 	t0 := c.Clk.Now()
-	err := c.commitSection(in.ID, round, writes, epochs, route)
+	err := c.commitSection(in.ID, round, rt)
 	t1 := c.Clk.Now()
 	in.AddTwoPC(t1 - t0)
 	if c.Obs != nil {
-		for _, pi := range route {
-			if pi != c.Home {
+		for _, b := range rt {
+			if b.part != c.Home {
 				c.Obs.SpanCtx(in.Trace, obs.SpanTwoPC, c.Tags, t0, t1)
 				break
 			}
@@ -781,8 +770,7 @@ func (c *ShardedCC) runFirstSection(in *txn.Instance, last int) error {
 	} else {
 		reqs = in.T.SectionAt(0).RW.Requests()
 	}
-	reqs = c.withIntents(reqs)
-	byPart, epochs, ok, fault := c.timedAcquire(in, owner, reqs)
+	rt, ok, fault := c.timedAcquire(in, owner, reqs)
 	if !ok {
 		c.M.MarkAborted(in)
 		c.Stats.add(func(d *DistCounters) { d.Aborts++ })
@@ -791,10 +779,10 @@ func (c *ShardedCC) runFirstSection(in *txn.Instance, last int) error {
 		}
 		return txn.ErrAborted
 	}
-	if c.epochsBroken(epochs) {
+	if c.epochsBroken(rt) {
 		// A partition crashed while we waited for its locks: nothing was
 		// written yet, so this is a plain abort, not a retraction.
-		c.release(owner, byPart)
+		c.release(owner, rt)
 		c.M.MarkAborted(in)
 		c.Stats.add(func(d *DistCounters) { d.Aborts++ })
 		c.noteFault()
@@ -802,7 +790,7 @@ func (c *ShardedCC) runFirstSection(in *txn.Instance, last int) error {
 	}
 
 	if err := c.M.ExecSection(in, txn.StageInitial); err != nil {
-		c.release(owner, byPart)
+		c.release(owner, rt)
 		c.M.MarkAborted(in)
 		c.Stats.add(func(d *DistCounters) { d.Aborts++ })
 		return err
@@ -813,26 +801,24 @@ func (c *ShardedCC) runFirstSection(in *txn.Instance, last int) error {
 		// locks make the earlier writes unobservable until then.
 		c.mu.Lock()
 		if c.held == nil {
-			c.held = make(map[txn.ID]heldState)
+			c.held = make(map[txn.ID]route)
 		}
-		c.held[in.ID] = heldState{byPart: byPart, epochs: epochs}
+		c.held[in.ID] = rt
 		c.mu.Unlock()
 		c.M.MarkInitialCommitted(in)
 		return nil
 	}
-	writes := in.T.SectionAt(0).RW.Requests()
-	if c.Protocol == MSSR {
-		writes = in.T.AllRW().Requests() // single-section MS-SR: the one round covers it all
-	}
-	if err := c.timedCommit(in, RoundInitial, writes, epochs, routeOf(byPart)); err != nil {
+	// The route's write set is the section's (single-section MS-SR: every
+	// section's, which the one round covers).
+	if err := c.timedCommit(in, RoundInitial, rt); err != nil {
 		// The initial commit could not complete (a partition crashed
 		// mid-round): undo the section's eager writes and abort.
 		c.abortTxn(in, "initial commit interrupted by edge failure")
-		c.release(owner, byPart)
+		c.release(owner, rt)
 		return txn.ErrAborted
 	}
 	retracted := c.M.MarkSectionCommitted(in, 0)
-	c.release(owner, byPart)
+	c.release(owner, rt)
 	if retracted {
 		return txn.ErrRetracted
 	}
@@ -858,12 +844,11 @@ func (c *ShardedCC) runHeldSection(in *txn.Instance, k, last int) error {
 		return fmt.Errorf("txn %d: RunSection(%d) in state %s", in.ID, k, s)
 	}
 	c.mu.Lock()
-	hs := c.held[in.ID]
+	rt := c.held[in.ID]
 	if k == last {
 		delete(c.held, in.ID)
 	}
 	c.mu.Unlock()
-	heldBy := hs.byPart
 	// drop surrenders the held state on a terminal exit before the last
 	// boundary (a cascade or crash retracted the transaction) so the
 	// remaining boundaries find nothing to release twice.
@@ -873,13 +858,13 @@ func (c *ShardedCC) runHeldSection(in *txn.Instance, k, last int) error {
 			delete(c.held, in.ID)
 			c.mu.Unlock()
 		}
-		c.release(owner, heldBy)
+		c.release(owner, rt)
 	}
 	if in.State() == txn.StateRetracted {
 		drop() // a cascade got here first
 		return txn.ErrRetracted
 	}
-	if c.epochsBroken(hs.epochs) {
+	if c.epochsBroken(rt) {
 		// A partition holding our locks crashed during the round trip:
 		// the locks and the eager earlier writes there are gone. The only
 		// safe outcome is retraction.
@@ -889,16 +874,17 @@ func (c *ShardedCC) runHeldSection(in *txn.Instance, k, last int) error {
 	}
 	err := c.M.ExecSection(in, txn.Stage(k))
 	if err == nil && k == last {
-		// One 2PC covers every section's writes (Algorithm 1).
-		if cerr := c.timedCommit(in, uint8(last), in.T.AllRW().Requests(), hs.epochs, routeOf(heldBy)); cerr != nil {
+		// One 2PC covers every section's writes (Algorithm 1): the held
+		// route was planned over all of them.
+		if cerr := c.timedCommit(in, uint8(last), rt); cerr != nil {
 			c.abortTxn(in, "final commit interrupted by edge failure")
-			c.release(owner, heldBy)
+			c.release(owner, rt)
 			return txn.ErrRetracted
 		}
 	}
 	retracted := c.M.MarkSectionCommitted(in, k)
 	if k == last {
-		c.release(owner, heldBy)
+		c.release(owner, rt)
 	} else if retracted {
 		drop() // the body retracted its own transaction mid-graph
 	}
@@ -927,8 +913,7 @@ func (c *ShardedCC) runOwnSection(in *txn.Instance, k, last int) error {
 	if k != last {
 		secName = fmt.Sprintf("section %d", k)
 	}
-	reqs := c.withIntents(in.T.SectionAt(k).RW.Requests())
-	byPart, epochs, ok, _ := c.timedAcquire(in, owner, reqs)
+	rt, ok, _ := c.timedAcquire(in, owner, in.T.SectionAt(k).RW.Requests())
 	if !ok {
 		// The section cannot reach its partitions (or the shard map
 		// churned past the retry budget); the multi-stage guarantee
@@ -937,21 +922,21 @@ func (c *ShardedCC) runOwnSection(in *txn.Instance, k, last int) error {
 		c.abortTxn(in, "edge crashed before "+secName)
 		return txn.ErrRetracted
 	}
-	if c.epochsBroken(epochs) {
+	if c.epochsBroken(rt) {
 		c.abortTxn(in, "edge crashed while "+secName+" waited for locks")
-		c.release(owner, byPart)
+		c.release(owner, rt)
 		return txn.ErrRetracted
 	}
 	err := c.M.ExecSection(in, txn.Stage(k))
 	if err == nil {
-		if cerr := c.timedCommit(in, uint8(k), in.T.SectionAt(k).RW.Requests(), epochs, routeOf(byPart)); cerr != nil {
+		if cerr := c.timedCommit(in, uint8(k), rt); cerr != nil {
 			c.abortTxn(in, "commit of "+secName+" interrupted by edge failure")
-			c.release(owner, byPart)
+			c.release(owner, rt)
 			return txn.ErrRetracted
 		}
 	}
 	retracted := c.M.MarkSectionCommitted(in, k)
-	c.release(owner, byPart)
+	c.release(owner, rt)
 	if err == nil && retracted {
 		return txn.ErrRetracted
 	}

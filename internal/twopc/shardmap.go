@@ -42,10 +42,38 @@ import (
 // migrations of one logical shard. It parses as a key of that shard (so it
 // routes to the shard's home partition) and sorts before every data key of
 // the shard ('!' < any alphanumeric), which keeps AcquireAll's per-partition
-// sorted batches acquiring the intent before the shard's data keys.
+// sorted batches acquiring the intent before the shard's data keys. The
+// strings are interned, so a repeated call allocates nothing.
 func ShardIntentKey(shard int) string {
-	return "s" + strconv.Itoa(shard) + "/!intent"
+	if shard < 0 || shard >= maxInternedIntents {
+		return intentKey(shard)
+	}
+	intentKeysMu.RLock()
+	if shard < len(intentKeys) {
+		k := intentKeys[shard]
+		intentKeysMu.RUnlock()
+		return k
+	}
+	intentKeysMu.RUnlock()
+	intentKeysMu.Lock()
+	defer intentKeysMu.Unlock()
+	for len(intentKeys) <= shard {
+		intentKeys = append(intentKeys, intentKey(len(intentKeys)))
+	}
+	return intentKeys[shard]
 }
+
+// intentKeys interns ShardIntentKey's strings for shards below
+// maxInternedIntents; every transaction on a mapped fleet takes one intent
+// per shard it touches.
+var (
+	intentKeysMu sync.RWMutex
+	intentKeys   []string
+)
+
+const maxInternedIntents = 1 << 16
+
+func intentKey(shard int) string { return "s" + strconv.Itoa(shard) + "/!intent" }
 
 // ShardMap routes keys to partitions: a tagged key ("s<k>/...") goes to the
 // partition currently owning logical shard k, an untagged key hashes. The

@@ -5,6 +5,7 @@ import (
 	"os"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"croesus/internal/store"
@@ -78,5 +79,70 @@ func TestAppendBatchFormatPinned(t *testing.T) {
 		if !reflect.DeepEqual(got[i], recs[i]) {
 			t.Errorf("record %d decoded as %+v, want %+v", i, got[i], recs[i])
 		}
+	}
+}
+
+// TestAppendBatchSteadyStateAllocsNothing: once the log's frame buffer has
+// grown to the largest record, appending a batch allocates nothing.
+func TestAppendBatchSteadyStateAllocsNothing(t *testing.T) {
+	l, err := Open(tmpLog(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	l.NoSync = true
+	recs := make([]Record, len(formatGolden))
+	for i, g := range formatGolden {
+		recs[i] = g.rec
+	}
+	if err := l.AppendBatch(recs); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := l.AppendBatch(recs); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("steady-state AppendBatch allocates %v times, want 0", n)
+	}
+}
+
+// Concurrent appenders share the log's frame buffer under its lock: every
+// record replays intact and the size matches the file (run under -race).
+func TestConcurrentAppendBatch(t *testing.T) {
+	path := tmpLog(t)
+	l, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.NoSync = true
+	const writers, batches = 4, 50
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for b := 0; b < batches; b++ {
+				recs := []Record{
+					{Op: OpPut, Txn: uint64(w + 1), Key: strings.Repeat("k", b+1), Value: store.Int64Value(int64(b))},
+					{Op: OpCommit, Txn: uint64(w + 1)},
+				}
+				if err := l.AppendBatch(recs); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	n, truncated, err := Replay(path, func(Record) error { return nil })
+	if err != nil || truncated || n != writers*batches*2 {
+		t.Errorf("replayed %d records (truncated %v, err %v), want %d", n, truncated, err, writers*batches*2)
+	}
+	if st, err := os.Stat(path); err != nil || st.Size() != l.Size() {
+		t.Errorf("file size %v (err %v), Size() %d", st.Size(), err, l.Size())
 	}
 }

@@ -106,11 +106,12 @@ type Log struct {
 	// cut. Set before first use.
 	NoSync bool
 
-	mu   sync.Mutex
-	f    *os.File
-	w    *bufio.Writer
-	path string
-	size int64
+	mu    sync.Mutex
+	f     *os.File
+	w     *bufio.Writer
+	path  string
+	size  int64
+	frame []byte // one record's framed bytes, reused under mu
 }
 
 // Open opens (creating if needed) the log at path, ready for appends.
@@ -133,22 +134,18 @@ func (l *Log) Append(rec Record) error {
 }
 
 // AppendBatch logs several records with a single flush and fsync — the
-// natural unit is a transaction section's write set.
+// natural unit is a transaction section's write set. Each record is framed
+// (header and payload) in the log's reused frame buffer and handed to the
+// buffered writer in one write, so a steady-state append allocates nothing.
 func (l *Log) AppendBatch(recs []Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for _, rec := range recs {
-		payload := encodePayload(rec)
-		var hdr [8]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-		if _, err := l.w.Write(hdr[:]); err != nil {
+		l.frame = appendFrame(l.frame[:0], rec)
+		if _, err := l.w.Write(l.frame); err != nil {
 			return err
 		}
-		if _, err := l.w.Write(payload); err != nil {
-			return err
-		}
-		l.size += int64(8 + len(payload))
+		l.size += int64(len(l.frame))
 	}
 	if err := l.w.Flush(); err != nil {
 		return err
@@ -183,25 +180,26 @@ func (l *Log) Close() error {
 // payload layout: op(1) txn(8) round(1) coord(4) klen(4) key value.
 const payloadHeader = 1 + 8 + 1 + 4 + 4
 
-func encodePayload(rec Record) []byte {
-	n := payloadHeader + len(rec.Key)
-	if rec.Op == OpPut {
-		n += len(rec.Value)
-	}
-	buf := make([]byte, 0, n)
+// frameHeader is the length and CRC32 that precede every payload.
+const frameHeader = 4 + 4
+
+// appendFrame appends rec's framed form — header, then payload — to buf.
+func appendFrame(buf []byte, rec Record) []byte {
+	start := len(buf)
+	var hdr [frameHeader]byte // filled in once the payload is known
+	buf = append(buf, hdr[:]...)
 	buf = append(buf, byte(rec.Op))
-	var num [8]byte
-	binary.LittleEndian.PutUint64(num[:], rec.Txn)
-	buf = append(buf, num[:]...)
+	buf = binary.LittleEndian.AppendUint64(buf, rec.Txn)
 	buf = append(buf, rec.Round)
-	binary.LittleEndian.PutUint32(num[:4], uint32(rec.Coord))
-	buf = append(buf, num[:4]...)
-	binary.LittleEndian.PutUint32(num[:4], uint32(len(rec.Key)))
-	buf = append(buf, num[:4]...)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(rec.Coord))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rec.Key)))
 	buf = append(buf, rec.Key...)
 	if rec.Op == OpPut {
 		buf = append(buf, rec.Value...)
 	}
+	payload := buf[start+frameHeader:]
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
 	return buf
 }
 
@@ -253,7 +251,7 @@ func Replay(path string, fn func(Record) error) (records int, truncated bool, er
 		return records, true, os.Truncate(path, offset)
 	}
 	for {
-		var hdr [8]byte
+		var hdr [frameHeader]byte
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			if errors.Is(err, io.EOF) {
 				f.Close()
@@ -283,7 +281,7 @@ func Replay(path string, fn func(Record) error) (records int, truncated bool, er
 			return records, false, err
 		}
 		records++
-		offset += int64(8 + len(payload))
+		offset += int64(frameHeader + len(payload))
 	}
 }
 

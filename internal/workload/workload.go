@@ -10,6 +10,7 @@ import (
 	"math"
 	"math/rand"
 	"strconv"
+	"sync"
 
 	"croesus/internal/lock"
 	"croesus/internal/randsrc"
@@ -66,9 +67,39 @@ func (h HotSpot) Pick(rng *rand.Rand) string {
 
 // ShardKey builds the fleet-wide sharded key "s<shard>/<prefix>:<i>". The
 // shard tag makes key ownership syntactic, so the cluster's
-// placement-aware partitioner routes without a directory lookup.
+// placement-aware partitioner routes without a directory lookup. Keys are
+// interned like store.ItoaKey's, under the interned shard prefix
+// "s<shard>/<prefix>", so repeated draws allocate nothing.
 func ShardKey(shard int, prefix string, i int) string {
-	return "s" + strconv.Itoa(shard) + "/" + store.ItoaKey(prefix, i)
+	return store.ItoaKey(shardPrefix(shard, prefix), i)
+}
+
+// shardPrefixes interns ShardKey's "s<shard>/<prefix>" prefixes.
+var (
+	shardPrefixMu sync.RWMutex
+	shardPrefixes = make(map[shardPrefixKey]string)
+)
+
+type shardPrefixKey struct {
+	shard  int
+	prefix string
+}
+
+func shardPrefix(shard int, prefix string) string {
+	k := shardPrefixKey{shard, prefix}
+	shardPrefixMu.RLock()
+	p, ok := shardPrefixes[k]
+	shardPrefixMu.RUnlock()
+	if ok {
+		return p
+	}
+	shardPrefixMu.Lock()
+	defer shardPrefixMu.Unlock()
+	if p, ok = shardPrefixes[k]; !ok {
+		p = "s" + strconv.Itoa(shard) + "/" + prefix
+		shardPrefixes[k] = p
+	}
+	return p
 }
 
 // ShardOf parses the owning shard of a sharded key; ok is false for keys

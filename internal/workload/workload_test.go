@@ -2,7 +2,9 @@ package workload
 
 import (
 	"math/rand"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -81,6 +83,49 @@ func TestShardKeyRoundTrip(t *testing.T) {
 			t.Errorf("ShardOf(%q) parsed an unsharded key", k)
 		}
 	}
+}
+
+// ShardKey interns its strings: the text is exactly "s<shard>/<prefix>:<i>",
+// inside and outside the interned range, and a repeated call allocates
+// nothing.
+func TestShardKeyInterned(t *testing.T) {
+	for _, c := range []struct {
+		shard, i int
+		want     string
+	}{
+		{0, 0, "s0/item:0"},
+		{12, 42, "s12/item:42"},
+		{3, 1 << 20, "s3/item:1048576"},
+	} {
+		if k := ShardKey(c.shard, "item", c.i); k != c.want {
+			t.Errorf("ShardKey(%d, item, %d) = %q, want %q", c.shard, c.i, k, c.want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { ShardKey(12, "item", 42) }); n != 0 {
+		t.Errorf("ShardKey allocates %v times after the first call, want 0", n)
+	}
+}
+
+// Concurrent first draws of new shard prefixes and keys all see the same
+// interned text (run under -race, this checks the caches' locking).
+func TestShardKeyConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for shard := 0; shard < 32; shard++ {
+				for i := 0; i < 1100; i += 50 {
+					want := "s" + strconv.Itoa(shard) + "/conc:" + strconv.Itoa(i)
+					if k := ShardKey(shard, "conc", i); k != want {
+						t.Errorf("ShardKey(%d, conc, %d) = %q, want %q", shard, i, k, want)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestShardedUniformAffinity(t *testing.T) {
