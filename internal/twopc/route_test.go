@@ -79,6 +79,9 @@ func TestPlanSortsAndMerges(t *testing.T) {
 	}
 }
 
+// keySink makes the key under test escape, as a lock request's key does.
+var keySink string
+
 func TestShardIntentKeyInterned(t *testing.T) {
 	// Concurrent first calls grow the table under its lock (run under
 	// -race, this checks the locking).
@@ -96,16 +99,16 @@ func TestShardIntentKeyInterned(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n := testing.AllocsPerRun(100, func() { ShardIntentKey(7) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { keySink = ShardIntentKey(7) }); n != 0 {
 		t.Errorf("ShardIntentKey allocates %v times after the first call, want 0", n)
 	}
 }
 
 // sectionAllocCeiling bounds the allocations of one single-partition MS-IA
 // section 0 on a mapped fleet whose partition logs to a WAL: plan,
-// acquire, execute, the durable local commit, release. It measures 10
-// (the per-section maps the route replaced cost 27); under -race the lock
-// manager's sync.Pool drops a share of its puts, which adds 1–2.
+// acquire, execute, the durable local commit, release. It measures 10;
+// under -race the lock manager's sync.Pool drops a share of its puts,
+// which adds 1–2.
 const sectionAllocCeiling = 12
 
 func TestSinglePartitionSectionAllocCeiling(t *testing.T) {
