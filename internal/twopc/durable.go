@@ -202,14 +202,11 @@ func (p *Partition) appendLocked(recs ...wal.Record) {
 }
 
 // RedoRecords captures the redo batch for a section commit: each key's
-// current store value, read under the section's still-held exclusive locks,
-// in key order. The batch has room for the closing marker LogLocalCommit or
-// StagePrepare appends, so that append does not reallocate.
+// current store value, read under the section's still-held exclusive locks.
+// keys must arrive in key order, as a route's batch lists them; the records
+// keep that order. The batch has room for the closing marker LogLocalCommit
+// or StagePrepare appends, so that append does not reallocate.
 func (p *Partition) RedoRecords(cr CommitRound, keys []string) []wal.Record {
-	if !sort.StringsAreSorted(keys) {
-		keys = append([]string{}, keys...)
-		sort.Strings(keys)
-	}
 	recs := make([]wal.Record, 0, len(keys)+1)
 	for _, k := range keys {
 		if v, ok := p.Store.Get(k); ok {

@@ -3,7 +3,6 @@ package twopc
 import (
 	"path/filepath"
 	"strconv"
-	"sync"
 	"testing"
 
 	"croesus/internal/lock"
@@ -82,34 +81,26 @@ func TestPlanSortsAndMerges(t *testing.T) {
 // keySink makes the key under test escape, as a lock request's key does.
 var keySink string
 
-func TestShardIntentKeyInterned(t *testing.T) {
-	// Concurrent first calls grow the table under its lock (run under
-	// -race, this checks the locking).
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for s := 0; s < 300; s++ {
-				if k, want := ShardIntentKey(s), "s"+strconv.Itoa(s)+"/!intent"; k != want {
-					t.Errorf("ShardIntentKey(%d) = %q, want %q", s, k, want)
-					return
-				}
-			}
-		}()
+// A shard map builds its shards' intent keys once; looking one up for a
+// transaction allocates nothing.
+func TestShardMapIntentKeys(t *testing.T) {
+	m := IdentityShardMap(300)
+	for s := 0; s < 301; s++ {
+		if k, want := m.intentKey(s), "s"+strconv.Itoa(s)+"/!intent"; k != want {
+			t.Errorf("intentKey(%d) = %q, want %q", s, k, want)
+		}
 	}
-	wg.Wait()
-	if n := testing.AllocsPerRun(100, func() { keySink = ShardIntentKey(7) }); n != 0 {
-		t.Errorf("ShardIntentKey allocates %v times after the first call, want 0", n)
+	if n := testing.AllocsPerRun(100, func() { keySink = m.intentKey(7) }); n != 0 {
+		t.Errorf("intentKey allocates %v times, want 0", n)
 	}
 }
 
 // sectionAllocCeiling bounds the allocations of one single-partition MS-IA
 // section 0 on a mapped fleet whose partition logs to a WAL: plan,
-// acquire, execute, the durable local commit, release. It measures 10;
-// under -race the lock manager's sync.Pool drops a share of its puts,
-// which adds 1–2.
-const sectionAllocCeiling = 12
+// acquire, execute, the durable local commit, release. It measures 10.
+// Race builds raise it (see race_test.go): there the lock manager's
+// sync.Pool drops a share of its puts.
+const sectionAllocCeiling = 12 + raceAllocSlack
 
 func TestSinglePartitionSectionAllocCeiling(t *testing.T) {
 	clk := vclock.NewSim()
@@ -149,6 +140,7 @@ func TestSinglePartitionSectionAllocCeiling(t *testing.T) {
 	if st := ccs[0].Stats.Snapshot(); st.LocalCommits != runs+1 {
 		t.Fatalf("%d local commits, want %d", st.LocalCommits, runs+1)
 	}
+	t.Logf("single-partition MS-IA section: %v allocations", allocs)
 	if allocs > sectionAllocCeiling {
 		t.Errorf("single-partition MS-IA section allocates %v times, ceiling %d", allocs, sectionAllocCeiling)
 	}

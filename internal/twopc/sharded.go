@@ -20,10 +20,8 @@
 package twopc
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
-	"strings"
 	"sync"
 	"time"
 
@@ -284,10 +282,10 @@ type ShardedCC struct {
 
 // route is a transaction's route snapshot, planned once per acquisition:
 // its lock requests plus, on a mapped fleet, the shared shard intents, each
-// routed to its owning partition once, sorted by (partition, key) and
-// merged as lock.Normalize merges. It holds one batch per partition, in
-// ascending partition order; the batches' requests are sub-slices of one
-// backing array, already in the order lock.Manager takes them. Nothing
+// routed to its owning partition once, merged by lock.NormalizeInPlace and
+// grouped by partition. It holds one batch per partition, in ascending
+// partition order; the batches' requests are sub-slices of one backing
+// array, in key order — already the order lock.Manager takes them. Nothing
 // downstream re-derives a key's partition from the live map: acquisition,
 // the stale-route check, the commit round and the release all walk this.
 type route []batch
@@ -385,23 +383,19 @@ func (c *ShardedCC) mapEpoch() int64 {
 	return c.Map.Epoch()
 }
 
-// routed is one request of a route being planned, with its partition.
-type routed struct {
-	part int
-	req  lock.Request
-}
-
 // plan routes reqs — plus, on a mapped fleet, the shared shard-intent
 // request of every logical shard among them, the locks that serialize this
 // transaction against a migration of any shard it touches — into a route
-// under the current map, snapshotting each partition's crash epoch. reqs
-// is only read: a template's cached requests are never appended to.
+// under the current map, snapshotting each partition's crash epoch. The
+// requests are merged by lock.NormalizeInPlace, then grouped by ascending
+// partition, which keeps each batch in key order. reqs is only read: a
+// template's cached requests are never appended to.
 func (c *ShardedCC) plan(reqs []lock.Request) route {
-	var buf [16]routed
-	rs := buf[:0]
+	var reqBuf [16]lock.Request
+	all := reqBuf[:0]
 	prev := -1
 	for _, r := range reqs {
-		rs = append(rs, routed{c.routeKey(r.Key), r})
+		all = append(all, r)
 		if c.Map == nil {
 			continue
 		}
@@ -410,37 +404,41 @@ func (c *ShardedCC) plan(reqs []lock.Request) route {
 		// drops any that remain.
 		if s, ok := workload.ShardOf(r.Key); ok && s != prev {
 			prev = s
-			k := ShardIntentKey(s)
-			rs = append(rs, routed{c.routeKey(k), lock.Request{Key: k, Mode: lock.Shared}})
+			all = append(all, lock.Request{Key: c.Map.intentKey(s), Mode: lock.Shared})
 		}
 	}
-	slices.SortFunc(rs, func(a, b routed) int {
-		return cmp.Or(a.part-b.part, strings.Compare(a.req.Key, b.req.Key),
-			int(b.req.Mode)-int(a.req.Mode)) // Exclusive first: it wins the merge
-	})
-	rs = slices.CompactFunc(rs, func(a, b routed) bool { return a.req.Key == b.req.Key })
-	parts := 0
-	for i := range rs {
-		if i == 0 || rs[i].part != rs[i-1].part {
-			parts++
-		}
+	all = lock.NormalizeInPlace(all)
+	var partBuf [16]int
+	parts := partBuf[:0]
+	for _, r := range all {
+		parts = append(parts, c.routeKey(r.Key))
 	}
-	all := make([]lock.Request, len(rs))
-	rt := make(route, 0, parts)
-	start := 0
-	for i := range rs {
-		all[i] = rs[i].req
-		if i+1 < len(rs) && rs[i+1].part == rs[i].part {
-			continue
+	// Group by partition: each pass takes the smallest partition above
+	// the last one, in key order.
+	grouped := make([]lock.Request, 0, len(all))
+	var rtBuf [8]batch
+	rt := rtBuf[:0]
+	for last := -1; len(grouped) < len(all); {
+		next := -1
+		for _, p := range parts {
+			if p > last && (next < 0 || p < next) {
+				next = p
+			}
 		}
-		b := batch{part: rs[i].part, reqs: all[start : i+1 : i+1]}
+		start := len(grouped)
+		for i, p := range parts {
+			if p == next {
+				grouped = append(grouped, all[i])
+			}
+		}
+		b := batch{part: next, reqs: grouped[start:len(grouped):len(grouped)]}
 		if c.Faults != nil {
-			b.epoch = c.Faults.Epoch(b.part)
+			b.epoch = c.Faults.Epoch(next)
 		}
 		rt = append(rt, b)
-		start = i + 1
+		last = next
 	}
-	return rt
+	return slices.Clone(rt)
 }
 
 // routeStale reports whether a migration moved any of the route's keys

@@ -42,38 +42,8 @@ import (
 // migrations of one logical shard. It parses as a key of that shard (so it
 // routes to the shard's home partition) and sorts before every data key of
 // the shard ('!' < any alphanumeric), which keeps AcquireAll's per-partition
-// sorted batches acquiring the intent before the shard's data keys. The
-// strings are interned, so a repeated call allocates nothing.
-func ShardIntentKey(shard int) string {
-	if shard < 0 || shard >= maxInternedIntents {
-		return intentKey(shard)
-	}
-	intentKeysMu.RLock()
-	if shard < len(intentKeys) {
-		k := intentKeys[shard]
-		intentKeysMu.RUnlock()
-		return k
-	}
-	intentKeysMu.RUnlock()
-	intentKeysMu.Lock()
-	defer intentKeysMu.Unlock()
-	for len(intentKeys) <= shard {
-		intentKeys = append(intentKeys, intentKey(len(intentKeys)))
-	}
-	return intentKeys[shard]
-}
-
-// intentKeys interns ShardIntentKey's strings for shards below
-// maxInternedIntents; every transaction on a mapped fleet takes one intent
-// per shard it touches.
-var (
-	intentKeysMu sync.RWMutex
-	intentKeys   []string
-)
-
-const maxInternedIntents = 1 << 16
-
-func intentKey(shard int) string { return "s" + strconv.Itoa(shard) + "/!intent" }
+// sorted batches acquiring the intent before the shard's data keys.
+func ShardIntentKey(shard int) string { return "s" + strconv.Itoa(shard) + "/!intent" }
 
 // ShardMap routes keys to partitions: a tagged key ("s<k>/...") goes to the
 // partition currently owning logical shard k, an untagged key hashes. The
@@ -86,6 +56,10 @@ type ShardMap struct {
 	epoch  int64
 	frozen map[int][]vclock.Gate // mid-cutover shards; gates wake blocked routers
 	hash   func(string) int
+	// intents[k] is ShardIntentKey(k), built once: every transaction on
+	// the fleet takes one intent per shard it touches. The owner table
+	// never grows, so neither does this.
+	intents []string
 }
 
 // NewShardMap returns a map of len(owners) logical shards over nParts
@@ -101,7 +75,20 @@ func NewShardMap(owners []int, nParts int) (*ShardMap, error) {
 			return nil, fmt.Errorf("twopc: shard %d owned by unknown partition %d", s, p)
 		}
 	}
-	return &ShardMap{owner: own, frozen: make(map[int][]vclock.Gate), hash: HashPartitioner(nParts)}, nil
+	intents := make([]string, len(own))
+	for k := range intents {
+		intents[k] = ShardIntentKey(k)
+	}
+	return &ShardMap{owner: own, frozen: make(map[int][]vclock.Gate), hash: HashPartitioner(nParts), intents: intents}, nil
+}
+
+// intentKey returns ShardIntentKey(shard), without allocating for the
+// map's own shards.
+func (m *ShardMap) intentKey(shard int) string {
+	if shard < len(m.intents) {
+		return m.intents[shard]
+	}
+	return ShardIntentKey(shard)
 }
 
 // IdentityShardMap returns the classic one-shard-per-partition map: logical
@@ -337,7 +324,7 @@ func (g *ShardMigration) attempt() error {
 	// Quiesce: the exclusive shard intents wait out every in-flight
 	// transaction touching the shard and block new ones at either home.
 	owner := lock.Owner(g.Owner)
-	intent := []lock.Request{{Key: ShardIntentKey(g.Shard), Mode: lock.Exclusive}}
+	intent := []lock.Request{{Key: g.Map.intentKey(g.Shard), Mode: lock.Exclusive}}
 	first, second := g.From, g.To
 	if second < first {
 		first, second = second, first
