@@ -28,7 +28,6 @@ package croesus
 import (
 	"io"
 
-	"croesus/internal/bank"
 	"croesus/internal/cluster"
 	"croesus/internal/core"
 	"croesus/internal/detect"
@@ -189,24 +188,6 @@ func (s *System) MSIA() CC { return &txn.MSIA{M: s.Manager} }
 
 // MSSRWait returns MS-SR with blocking (wait-die) acquisition.
 func (s *System) MSSRWait() CC { return &txn.MSSR{M: s.Manager, Policy: txn.Wait} }
-
-// ---------------------------------------------------------------------------
-// Transactions bank
-
-type (
-	// Bank is the transactions bank mapping label classes (and auxiliary
-	// inputs) to transactions.
-	Bank = bank.Bank
-	// Registration is one bank row.
-	Registration = bank.Registration
-	// Trigger describes when a registration fires.
-	Trigger = bank.Trigger
-	// AuxEvent is an auxiliary-device input (e.g., a controller click).
-	AuxEvent = bank.AuxEvent
-)
-
-// NewBank returns an empty transactions bank.
-func NewBank() *Bank { return bank.New() }
 
 // ---------------------------------------------------------------------------
 // Network

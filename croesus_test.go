@@ -106,21 +106,6 @@ func TestFacadeThresholdSolvers(t *testing.T) {
 	}
 }
 
-func TestFacadeBank(t *testing.T) {
-	b := NewBank()
-	b.Register(Registration{
-		Name:    "r",
-		Trigger: Trigger{Classes: []string{"dog"}},
-		Make: func(d Detection, _ *AuxEvent) *Txn {
-			return &Txn{Name: "t"}
-		},
-	})
-	inv := b.Match([]Detection{{Label: "dog", Confidence: 0.9, Box: Rect{X: 0.1, Y: 0.1, W: 0.2, H: 0.2}}}, nil)
-	if len(inv) != 1 {
-		t.Fatalf("invocations = %d", len(inv))
-	}
-}
-
 func TestFacadeDistributed(t *testing.T) {
 	clk := NewSimClock()
 	edges := []*System{NewSystem(clk), NewSystem(clk), NewSystem(clk)}

@@ -1,16 +1,19 @@
 // Smartcampus is the paper's §2.1 running example: a campus AR application
-// with two tasks driven by the transactions bank.
+// with two tasks, the rows of its §3.3 transactions bank.
 //
 //   - Task 1 (tbldng): whenever a building is detected, read its info from
-//     the database and render it on the headset. The final section re-renders
-//     with an apology if the cloud model disagrees with the edge model.
+//     the database and render it on the headset. It fires once per building
+//     label. The final section re-renders with an apology if the cloud model
+//     disagrees with the edge model.
 //   - Task 2 (trsrv): when the user clicks the auxiliary device, reserve a
-//     study room in the center-most detected building. The final section
-//     checks the corrected labels; a reservation made in the wrong building
-//     is retracted and re-made in the right one, with an apology.
+//     study room in the center-most detected building. It fires once per
+//     click. The final section checks the corrected labels; a reservation
+//     made in the wrong building is retracted and re-made in the right one,
+//     with an apology.
 //
-// The example drives the edge/cloud models, the bank, and MS-IA manually —
-// the low-level API underneath core.Pipeline.
+// The example drives the edge/cloud models and MS-IA manually, and matches
+// labels to transactions in plain code — the low-level API underneath
+// core.Pipeline, whose transactions bank is a TxnSource.
 //
 //	go run ./examples/smartcampus
 package main
@@ -18,6 +21,7 @@ package main
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"croesus"
@@ -74,101 +78,92 @@ func main() {
 	}
 
 	// ----- The transactions bank (§3.3) -----
-	bank := croesus.NewBank()
 
 	// Task 1: display building info.
-	bank.Register(croesus.Registration{
-		Name:    "tbldng",
-		Trigger: croesus.Trigger{Classes: []string{"building"}},
-		Make: func(d croesus.Detection, _ *croesus.AuxEvent) *croesus.Txn {
-			return &croesus.Txn{
-				Name:      "tbldng",
-				InitialRW: croesus.RWSet{Reads: allKeys},
-				FinalRW:   croesus.RWSet{Reads: allKeys},
-				Initial: func(c *croesus.TxnCtx) error {
-					in := c.In().(croesus.InitialInput)
-					name := nameOf(in.Trigger)
-					if info, ok := c.Get("bldg:" + name); ok {
-						fmt.Printf("  [initial] rendering info for %-12s → %s\n", name, info)
-					}
+	tbldng := func() *croesus.Txn {
+		return &croesus.Txn{
+			Name:      "tbldng",
+			InitialRW: croesus.RWSet{Reads: allKeys},
+			FinalRW:   croesus.RWSet{Reads: allKeys},
+			Initial: func(c *croesus.TxnCtx) error {
+				in := c.In().(croesus.InitialInput)
+				name := nameOf(in.Trigger)
+				if info, ok := c.Get("bldg:" + name); ok {
+					fmt.Printf("  [initial] rendering info for %-12s → %s\n", name, info)
+				}
+				return nil
+			},
+			Final: func(c *croesus.TxnCtx) error {
+				fin := c.In().(croesus.FinalInput)
+				switch fin.Case {
+				case croesus.MatchCorrect, croesus.MatchAssumed:
+					return nil // labels agree: terminate (paper task 1)
+				case croesus.MatchErroneous:
+					c.Apologize("that wasn't a building after all — info card removed")
+					fmt.Println("  [final]   removed an info card (false detection)")
 					return nil
-				},
-				Final: func(c *croesus.TxnCtx) error {
-					fin := c.In().(croesus.FinalInput)
-					switch fin.Case {
-					case croesus.MatchCorrect, croesus.MatchAssumed:
-						return nil // labels agree: terminate (paper task 1)
-					case croesus.MatchErroneous:
-						c.Apologize("that wasn't a building after all — info card removed")
-						fmt.Println("  [final]   removed an info card (false detection)")
-						return nil
-					default:
-						name := nameOf(fin.Cloud)
-						if info, ok := c.Get("bldg:" + name); ok {
-							fmt.Printf("  [final]   corrected card → %s\n", info)
-						}
-						c.Apologize("building identity corrected to " + name)
-						return nil
+				default:
+					name := nameOf(fin.Cloud)
+					if info, ok := c.Get("bldg:" + name); ok {
+						fmt.Printf("  [final]   corrected card → %s\n", info)
 					}
-				},
-			}
-		},
-	})
+					c.Apologize("building identity corrected to " + name)
+					return nil
+				}
+			},
+		}
+	}
 
 	// Task 2: reserve a study room on click.
-	bank.Register(croesus.Registration{
-		Name:    "trsrv",
-		Trigger: croesus.Trigger{Classes: []string{"building"}, Aux: "click"},
-		Make: func(d croesus.Detection, _ *croesus.AuxEvent) *croesus.Txn {
-			var reserved string // key of the room taken in the initial section
-			return &croesus.Txn{
-				Name:      "trsrv",
-				InitialRW: croesus.RWSet{Writes: allKeys},
-				FinalRW:   croesus.RWSet{Writes: allKeys},
-				Initial: func(c *croesus.TxnCtx) error {
-					in := c.In().(croesus.InitialInput)
-					name := nameOf(in.Trigger)
-					for r := 0; r < nRooms; r++ {
-						k := roomKey(name, r)
-						if v, _ := c.Get(k); string(v) == "free" {
-							c.Put(k, croesus.Value("reserved"))
-							reserved = k
-							fmt.Printf("  [initial] reserved %s\n", k)
-							return nil
-						}
-					}
-					return errors.New("no free rooms in " + name)
-				},
-				Final: func(c *croesus.TxnCtx) error {
-					fin := c.In().(croesus.FinalInput)
-					if fin.Case == croesus.MatchCorrect || fin.Case == croesus.MatchAssumed {
-						return nil // right building: keep the reservation
-					}
-					// Wrong building (or not a building): undo and re-book.
-					if reserved != "" {
-						c.Put(reserved, croesus.Value("free"))
-						fmt.Printf("  [final]   released %s (wrong building)\n", reserved)
-					}
-					if fin.Case == croesus.MatchErroneous {
-						c.Apologize("reservation cancelled: no building was there")
+	trsrv := func() *croesus.Txn {
+		var reserved string // key of the room taken in the initial section
+		return &croesus.Txn{
+			Name:      "trsrv",
+			InitialRW: croesus.RWSet{Writes: allKeys},
+			FinalRW:   croesus.RWSet{Writes: allKeys},
+			Initial: func(c *croesus.TxnCtx) error {
+				in := c.In().(croesus.InitialInput)
+				name := nameOf(in.Trigger)
+				for r := 0; r < nRooms; r++ {
+					k := roomKey(name, r)
+					if v, _ := c.Get(k); string(v) == "free" {
+						c.Put(k, croesus.Value("reserved"))
+						reserved = k
+						fmt.Printf("  [initial] reserved %s\n", k)
 						return nil
 					}
-					name := nameOf(fin.Cloud)
-					for r := 0; r < nRooms; r++ {
-						k := roomKey(name, r)
-						if v, _ := c.Get(k); string(v) == "free" {
-							c.Put(k, croesus.Value("reserved"))
-							c.Apologize("moved your reservation to " + name)
-							fmt.Printf("  [final]   re-booked %s\n", k)
-							return nil
-						}
-					}
-					c.Apologize("no rooms available in " + name + " — reservation cancelled")
+				}
+				return errors.New("no free rooms in " + name)
+			},
+			Final: func(c *croesus.TxnCtx) error {
+				fin := c.In().(croesus.FinalInput)
+				if fin.Case == croesus.MatchCorrect || fin.Case == croesus.MatchAssumed {
+					return nil // right building: keep the reservation
+				}
+				// Wrong building (or not a building): undo and re-book.
+				if reserved != "" {
+					c.Put(reserved, croesus.Value("free"))
+					fmt.Printf("  [final]   released %s (wrong building)\n", reserved)
+				}
+				if fin.Case == croesus.MatchErroneous {
+					c.Apologize("reservation cancelled: no building was there")
 					return nil
-				},
-			}
-		},
-	})
+				}
+				name := nameOf(fin.Cloud)
+				for r := 0; r < nRooms; r++ {
+					k := roomKey(name, r)
+					if v, _ := c.Get(k); string(v) == "free" {
+						c.Put(k, croesus.Value("reserved"))
+						c.Apologize("moved your reservation to " + name)
+						fmt.Printf("  [final]   re-booked %s\n", k)
+						return nil
+					}
+				}
+				c.Apologize("no rooms available in " + name + " — reservation cancelled")
+				return nil
+			},
+		}
+	}
 
 	// ----- Drive frames through edge and cloud models -----
 	edge := croesus.TinyYOLOSim(42)
@@ -181,28 +176,42 @@ func main() {
 			f := gen.Next()
 			edgeDets := edge.Detect(f).Detections
 			// The user clicks on some frames.
-			var aux []croesus.AuxEvent
+			clicks := 0
 			if rng.Float64() < 0.5 {
-				aux = append(aux, croesus.AuxEvent{Kind: "click"})
+				clicks = 1
 			}
-			inv := bank.Match(relabel(edgeDets), aux)
-			if len(inv) == 0 {
+			// The bank: tbldng once per building label, then trsrv once
+			// per click on the center-most building.
+			labels := relabel(edgeDets)
+			var txns []*croesus.Txn
+			var fired []croesus.Detection
+			for _, d := range labels {
+				if d.Label == "building" {
+					txns, fired = append(txns, tbldng()), append(fired, d)
+				}
+			}
+			if d, ok := centerMost(labels); ok {
+				for range clicks {
+					txns, fired = append(txns, trsrv()), append(fired, d)
+				}
+			}
+			if len(txns) == 0 {
 				continue
 			}
 			fmt.Printf("frame %d: %d labels, %d click(s) → %d transaction(s)\n",
-				f.Index, len(edgeDets), len(aux), len(inv))
+				f.Index, len(edgeDets), clicks, len(txns))
 
 			// Initial sections at the edge.
 			var pend []*croesus.TxnInstance
 			var trig []croesus.Detection
-			for _, iv := range inv {
-				inst := sys.Manager.NewInstance(iv.Txn, croesus.InitialInput{FrameIndex: f.Index, Trigger: iv.Label})
+			for j, t := range txns {
+				inst := sys.Manager.NewInstance(t, croesus.InitialInput{FrameIndex: f.Index, Trigger: fired[j]})
 				if err := cc.RunInitial(inst); err != nil {
-					fmt.Printf("  [initial] %s aborted: %v\n", iv.Txn.Name, err)
+					fmt.Printf("  [initial] %s aborted: %v\n", t.Name, err)
 					continue
 				}
 				pend = append(pend, inst)
-				trig = append(trig, iv.Label)
+				trig = append(trig, fired[j])
 			}
 
 			// Cloud validation and final sections. Each transaction's
@@ -233,6 +242,24 @@ func main() {
 		}
 	}
 	fmt.Printf("rooms reserved at end of day: %d\n", reservedCount)
+}
+
+// centerMost returns the building label whose box center is nearest the
+// frame center — the paper's rule for task 2 ("the initial section picks
+// the label that is closest to the center of the frame").
+func centerMost(labels []croesus.Detection) (croesus.Detection, bool) {
+	best, bestDist := croesus.Detection{}, math.Inf(1)
+	for _, d := range labels {
+		if d.Label != "building" {
+			continue
+		}
+		cx := d.Box.X + d.Box.W/2 - 0.5
+		cy := d.Box.Y + d.Box.H/2 - 0.5
+		if dist := cx*cx + cy*cy; dist < bestDist {
+			best, bestDist = d, dist
+		}
+	}
+	return best, !math.IsInf(bestDist, 1)
 }
 
 // relabel maps the airport-derived classes onto campus vocabulary.

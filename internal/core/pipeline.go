@@ -54,9 +54,9 @@ func (m Mode) String() string {
 	}
 }
 
-// TxnSource supplies the transaction triggered by each detection — the
-// pipeline-facing face of the transactions bank. Implementations must be
-// safe for concurrent use.
+// TxnSource is §3.3's transactions bank: it maps each triggering detection
+// to the transaction it fires. Implementations must be safe for concurrent
+// use.
 type TxnSource interface {
 	// TxnFor returns the transaction template instance for one triggering
 	// detection of one frame, or nil if no transaction is registered for
