@@ -44,31 +44,6 @@ import (
 	"croesus/internal/workload"
 )
 
-// TxnProtocol selects the multi-stage concurrency-control protocol the
-// fleet's transactions run under. It is the shared fleet-node layer's
-// protocol type (internal/node), so the cluster and the real TCP
-// deployment select protocols identically. The zero value is MS-IA,
-// matching the single-edge cluster default.
-type TxnProtocol = node.Protocol
-
-// Fleet transaction protocols.
-const (
-	// TxnMSIA is multi-stage invariant confluence with apologies: each
-	// section locks (and, cross-edge, 2PC-commits) its own set.
-	TxnMSIA = node.MSIA
-	// TxnMSSR is multi-stage serializability: both sections' locks are
-	// held from the initial commit to the final commit, with one atomic
-	// commitment at the final — across the cloud round trip.
-	TxnMSSR = node.MSSR
-)
-
-func distProtocol(p TxnProtocol) twopc.Protocol {
-	if p == TxnMSSR {
-		return twopc.MSSR
-	}
-	return twopc.MSIA
-}
-
 // CameraSpec declares one camera stream.
 type CameraSpec struct {
 	// ID names the camera in reports. Defaults to "cam<i>".
@@ -186,7 +161,7 @@ type Config struct {
 	CrossEdgeFraction float64
 	// Protocol selects MS-IA (default) or MS-SR for the fleet's
 	// transactions, in both sharded and unsharded fleets.
-	Protocol TxnProtocol
+	Protocol twopc.Protocol
 
 	// Graph, when set, runs every camera over an N-node inference graph:
 	// graph node k owns transaction section k, placed on its tier (edge,
@@ -746,7 +721,7 @@ func (c *Cluster) provisionShards() error {
 			Links:       e.Peers,
 			Partitioner: smap.Lookup,
 			Map:         smap,
-			Protocol:    distProtocol(c.cfg.Protocol),
+			Protocol:    c.cfg.Protocol,
 			Stats:       c.dist,
 		}
 		if c.cfg.Obs != nil {

@@ -12,7 +12,7 @@ import (
 
 // faultyConfig is the canonical fault-injection fleet: the sharded test
 // fleet plus a scripted failure plan.
-func faultyConfig(clk vclock.Clock, proto TxnProtocol, plan *faults.Plan) Config {
+func faultyConfig(clk vclock.Clock, proto twopc.Protocol, plan *faults.Plan) Config {
 	cfg := shardedConfig(clk, 0.4, proto)
 	cfg.Faults = plan
 	return cfg
@@ -40,7 +40,7 @@ func crashPlan() *faults.Plan {
 // locks, and the fleet must keep running through the other faults.
 func TestClusterFaultsParticipantCrashRecovery(t *testing.T) {
 	clk := vclock.NewSim()
-	c, err := New(faultyConfig(clk, TxnMSIA, crashPlan()))
+	c, err := New(faultyConfig(clk, twopc.MSIA, crashPlan()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestClusterFaultsMSSRNoLeakedLocks(t *testing.T) {
 			{Edge: 2, At: 8 * time.Second, RestartAfter: 2 * time.Second},
 		},
 	}
-	c, err := New(faultyConfig(clk, TxnMSSR, plan))
+	c, err := New(faultyConfig(clk, twopc.MSSR, plan))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestClusterFaultsCoordinatorCrashPoints(t *testing.T) {
 					{Edge: 0, Point: tc.point, Round: 1, RestartAfter: time.Second},
 				},
 			}
-			c, err := New(faultyConfig(clk, TxnMSIA, plan))
+			c, err := New(faultyConfig(clk, twopc.MSIA, plan))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -183,7 +183,7 @@ func TestClusterFaultsCoordinatorCrashPoints(t *testing.T) {
 // the virtual clock runs one participant at a time, so no real-time
 // interleaving is left for its instrumentation to perturb.
 func TestClusterFaultsDeterministic(t *testing.T) {
-	for _, proto := range []TxnProtocol{TxnMSIA, TxnMSSR} {
+	for _, proto := range []twopc.Protocol{twopc.MSIA, twopc.MSSR} {
 		t.Run(proto.String(), func(t *testing.T) {
 			run := func() string {
 				rep, err := Run(faultyConfig(vclock.NewSim(), proto, crashPlan()))
@@ -203,7 +203,7 @@ func TestClusterFaultsDeterministic(t *testing.T) {
 // A Zipf-skewed sharded workload must still run (hot shards under faults
 // are the stress the ROADMAP asks for) and stay deterministic.
 func TestClusterFaultsZipfWorkload(t *testing.T) {
-	cfg := faultyConfig(vclock.NewSim(), TxnMSIA, crashPlan())
+	cfg := faultyConfig(vclock.NewSim(), twopc.MSIA, crashPlan())
 	cfg.ZipfSkew = 1.3
 	rep, err := Run(cfg)
 	if err != nil {
@@ -227,7 +227,7 @@ func TestClusterFaultsOverlappingCrashEvents(t *testing.T) {
 		},
 	}
 	clk := vclock.NewSim()
-	c, err := New(faultyConfig(clk, TxnMSIA, plan))
+	c, err := New(faultyConfig(clk, twopc.MSIA, plan))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestClusterFaultsFastRestartStaysInDoubt(t *testing.T) {
 		},
 	}
 	clk := vclock.NewSim()
-	c, err := New(faultyConfig(clk, TxnMSIA, plan))
+	c, err := New(faultyConfig(clk, twopc.MSIA, plan))
 	if err != nil {
 		t.Fatal(err)
 	}

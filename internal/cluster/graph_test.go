@@ -28,7 +28,7 @@ func depth3Graph() *node.GraphSpec {
 // per-section block.
 func TestGraphCanonicalEquivalence(t *testing.T) {
 	run := func(g *node.GraphSpec) string {
-		cfg := shardedConfig(vclock.NewSim(), 0.4, TxnMSIA)
+		cfg := shardedConfig(vclock.NewSim(), 0.4, twopc.MSIA)
 		cfg.Graph = g
 		c, err := New(cfg)
 		if err != nil {
@@ -54,7 +54,7 @@ func TestGraphCanonicalEquivalence(t *testing.T) {
 // report rows present and ordered), the peer hop must charge real time,
 // and the fleet's corrections prove later boundaries rewrote earlier ones.
 func TestGraphDepth3EndToEnd(t *testing.T) {
-	cfg := shardedConfig(vclock.NewSim(), 0.4, TxnMSIA)
+	cfg := shardedConfig(vclock.NewSim(), 0.4, twopc.MSIA)
 	cfg.Graph = depth3Graph()
 	c, err := New(cfg)
 	if err != nil {
@@ -100,7 +100,7 @@ func TestGraphDepth3EndToEnd(t *testing.T) {
 // the determinism contract extended to the N-section executor.
 func TestGraphDeterminism(t *testing.T) {
 	run := func() string {
-		cfg := shardedConfig(vclock.NewSim(), 0.4, TxnMSIA)
+		cfg := shardedConfig(vclock.NewSim(), 0.4, twopc.MSIA)
 		cfg.Graph = depth3Graph()
 		c, err := New(cfg)
 		if err != nil {
@@ -122,7 +122,7 @@ func TestGraphDeterminism(t *testing.T) {
 // retractions recorded, no in-doubt leftovers, VerifyDurability clean, no
 // leaked locks.
 func TestGraphCrossEdgeRetractionWithCrash(t *testing.T) {
-	cfg := shardedConfig(vclock.NewSim(), 0.4, TxnMSIA)
+	cfg := shardedConfig(vclock.NewSim(), 0.4, twopc.MSIA)
 	cfg.Graph = depth3Graph()
 	cfg.Faults = &faults.Plan{
 		TwoPC: []faults.TwoPCCrash{
@@ -175,7 +175,7 @@ func TestGraphCrossEdgeRetractionWithCrash(t *testing.T) {
 // locks across the whole graph; the run must still end with zero
 // outstanding locks and a deterministic report.
 func TestGraphMSSRDepth3NoLeaks(t *testing.T) {
-	cfg := shardedConfig(vclock.NewSim(), 0.4, TxnMSSR)
+	cfg := shardedConfig(vclock.NewSim(), 0.4, twopc.MSSR)
 	cfg.Graph = depth3Graph()
 	c, err := New(cfg)
 	if err != nil {

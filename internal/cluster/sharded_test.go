@@ -13,7 +13,7 @@ import (
 
 // shardedConfig builds the canonical sharded test fleet: four cameras
 // over three edges, one database sharded three ways.
-func shardedConfig(clk vclock.Clock, crossEdge float64, proto TxnProtocol) Config {
+func shardedConfig(clk vclock.Clock, crossEdge float64, proto twopc.Protocol) Config {
 	return Config{
 		Clock: clk,
 		Cameras: []CameraSpec{
@@ -36,7 +36,7 @@ func shardedConfig(clk vclock.Clock, crossEdge float64, proto TxnProtocol) Confi
 // store of the shard that owns it.
 func TestShardedCrossEdge(t *testing.T) {
 	clk := vclock.NewSim()
-	c, err := New(shardedConfig(clk, 0.4, TxnMSIA))
+	c, err := New(shardedConfig(clk, 0.4, twopc.MSIA))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestShardedCrossEdge(t *testing.T) {
 // home shard — the sharded machinery runs but no 2PC and no peer traffic.
 func TestShardedHomeOnly(t *testing.T) {
 	clk := vclock.NewSim()
-	c, err := New(shardedConfig(clk, 0, TxnMSIA))
+	c, err := New(shardedConfig(clk, 0, twopc.MSIA))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,14 +132,14 @@ func TestShardedHomeOnly(t *testing.T) {
 // produce byte-identical reports, including every 2PC counter — the
 // virtual-clock concurrency guard for the sharded fleet.
 func TestShardedDeterminism(t *testing.T) {
-	run := func(proto TxnProtocol) *ClusterReport {
+	run := func(proto twopc.Protocol) *ClusterReport {
 		rep, err := Run(shardedConfig(vclock.NewSim(), 0.3, proto))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return rep
 	}
-	for _, proto := range []TxnProtocol{TxnMSIA, TxnMSSR} {
+	for _, proto := range []twopc.Protocol{twopc.MSIA, twopc.MSSR} {
 		a, b := run(proto), run(proto)
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("%s: two identical sharded runs diverged:\n%s\nvs\n%s", proto, a.Format(), b.Format())
@@ -155,7 +155,7 @@ func TestShardedDeterminism(t *testing.T) {
 // cloud round trip) must drain every frame without deadlock and with no
 // distributed work counted.
 func TestUnshardedMSSR(t *testing.T) {
-	cfg := shardedConfig(vclock.NewSim(), 0, TxnMSSR)
+	cfg := shardedConfig(vclock.NewSim(), 0, twopc.MSSR)
 	cfg.Sharded = false
 	rep, err := Run(cfg)
 	if err != nil {
@@ -180,7 +180,7 @@ func TestUnshardedMSSR(t *testing.T) {
 // at the final — so MS-IA runs strictly more 2PC rounds. Both must drain
 // the fleet completely.
 func TestShardedProtocolContrast(t *testing.T) {
-	run := func(proto TxnProtocol) *ClusterReport {
+	run := func(proto twopc.Protocol) *ClusterReport {
 		rep, err := Run(shardedConfig(vclock.NewSim(), 0.5, proto))
 		if err != nil {
 			t.Fatal(err)
@@ -190,8 +190,8 @@ func TestShardedProtocolContrast(t *testing.T) {
 		}
 		return rep
 	}
-	msia := run(TxnMSIA)
-	mssr := run(TxnMSSR)
+	msia := run(twopc.MSIA)
+	mssr := run(twopc.MSSR)
 	if msia.TwoPC.TwoPCRounds <= mssr.TwoPC.TwoPCRounds {
 		t.Errorf("MS-IA rounds %d not above MS-SR rounds %d (two commits vs one)",
 			msia.TwoPC.TwoPCRounds, mssr.TwoPC.TwoPCRounds)

@@ -5,6 +5,7 @@ import (
 
 	"croesus/internal/lock"
 	"croesus/internal/store"
+	"croesus/internal/twopc"
 	"croesus/internal/txn"
 	"croesus/internal/vclock"
 )
@@ -12,11 +13,11 @@ import (
 func TestParseProtocol(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
-		want Protocol
+		want twopc.Protocol
 	}{
-		{"", MSIA},
-		{"ms-ia", MSIA},
-		{"ms-sr", MSSR},
+		{"", twopc.MSIA},
+		{"ms-ia", twopc.MSIA},
+		{"ms-sr", twopc.MSSR},
 	} {
 		got, err := ParseProtocol(tc.in)
 		if err != nil || got != tc.want {
@@ -34,7 +35,7 @@ func TestNewOverBindsStack(t *testing.T) {
 	clk := vclock.NewSim()
 	st, locks := store.New(), lock.NewManager(clk)
 
-	sr := NewOver(clk, st, locks, MSSR)
+	sr := NewOver(clk, st, locks, twopc.MSSR)
 	if sr.Store != st || sr.Locks != locks || sr.Mgr.Store != st || sr.Mgr.Locks != locks {
 		t.Fatal("MS-SR assembly is not over the store and locks passed in")
 	}
@@ -46,7 +47,7 @@ func TestNewOverBindsStack(t *testing.T) {
 		t.Errorf("MS-SR CC = {Policy: %v, M bound: %v}, want wait-die over the assembly's manager", cc.Policy, cc.M == sr.Mgr)
 	}
 
-	ia := NewOver(clk, st, locks, MSIA)
+	ia := NewOver(clk, st, locks, twopc.MSIA)
 	if ia.Store != st || ia.Locks != locks || ia.Mgr.Store != st || ia.Mgr.Locks != locks {
 		t.Fatal("MS-IA assembly is not over the store and locks passed in")
 	}

@@ -8,7 +8,7 @@ import (
 
 	"croesus/internal/core"
 	"croesus/internal/detect"
-	"croesus/internal/node"
+	"croesus/internal/twopc"
 	"croesus/internal/video"
 )
 
@@ -104,12 +104,12 @@ func TestEdgeWALReplayAcrossRestart(t *testing.T) {
 func TestEdgeWALCheckpoint(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
-		protocol node.Protocol
+		protocol twopc.Protocol
 		clients  int
 		inFlight bool
 	}{
-		{"MS-IA one client, after the frames", node.MSIA, 1, false},
-		{"MS-SR two clients, frames in flight", node.MSSR, 2, true},
+		{"MS-IA one client, after the frames", twopc.MSIA, 1, false},
+		{"MS-SR two clients, frames in flight", twopc.MSSR, 2, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			edge, err := NewEdgeServer(EdgeConfig{

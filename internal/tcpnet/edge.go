@@ -31,9 +31,9 @@ type EdgeConfig struct {
 	ThetaL, ThetaU float64
 	MinConfidence  float64
 	OverlapMin     float64
-	// Protocol selects the multi-stage protocol: node.MSIA (default) or
-	// node.MSSR — the same selection a fleet edge makes.
-	Protocol node.Protocol
+	// Protocol selects the multi-stage protocol: twopc.MSIA (default) or
+	// twopc.MSSR — the same selection a fleet edge makes.
+	Protocol twopc.Protocol
 	// Graph, when set, runs every client session over that inference
 	// graph instead of the two-stage one: edge-tier nodes run their models
 	// in this server's compute pool, cloud-tier nodes ship the frame over

@@ -6,7 +6,7 @@ import (
 
 	"croesus/internal/core"
 	"croesus/internal/detect"
-	"croesus/internal/node"
+	"croesus/internal/twopc"
 	"croesus/internal/video"
 )
 
@@ -24,7 +24,7 @@ func TestMSSROverTCP(t *testing.T) {
 		CloudAddr: cloudAddr,
 		TimeScale: testScale,
 		ThetaL:    0, ThetaU: 1,
-		Protocol: node.MSSR,
+		Protocol: twopc.MSSR,
 		Source:   core.NewWorkloadSource(500, 7),
 	})
 	if err != nil {

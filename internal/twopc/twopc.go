@@ -55,14 +55,22 @@ type Partition struct {
 	walLastData map[string]int64
 }
 
-// Protocol selects which multi-stage protocol governs lock scope, matching
-// txn.MSSR and txn.MSIA semantics.
+// Protocol selects the multi-stage concurrency-control protocol (§4): it
+// governs lock scope, matching txn.MSIA and txn.MSSR semantics, for a
+// standalone edge node and for ShardedCC alike. The zero value is MS-IA,
+// the paper's default.
 type Protocol int
 
-// Protocols.
+// Multi-stage protocols.
 const (
-	MSSR Protocol = iota
-	MSIA
+	// MSIA is multi-stage invariant confluence with apologies: each
+	// section locks (and, cross-edge, 2PC-commits) its own set; erroneous
+	// initial commits are repaired by retraction cascades and apologies.
+	MSIA Protocol = iota
+	// MSSR is multi-stage serializability: both sections' locks are held
+	// from the initial commit to the final commit, across the cloud round
+	// trip, with one atomic commitment at the final.
+	MSSR
 )
 
 func (p Protocol) String() string {
