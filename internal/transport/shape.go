@@ -2,6 +2,8 @@ package transport
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -79,9 +81,9 @@ func ParseLinkSpec(spec string) (*Shaper, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: link spec %q: %v", spec, err)
 	}
-	var bw float64
-	if _, err := fmt.Sscanf(parts[1], "%g", &bw); err != nil {
-		return nil, fmt.Errorf("transport: link spec %q: bandwidth: %v", spec, err)
+	bw, err := strconv.ParseFloat(parts[1], 64)
+	if err != nil || math.IsNaN(bw) || math.IsInf(bw, 0) {
+		return nil, fmt.Errorf("transport: link spec %q: bandwidth %q is not a finite number of bytes/s", spec, parts[1])
 	}
 	if prop < 0 || bw < 0 {
 		return nil, fmt.Errorf("transport: link spec %q: negative parameter", spec)

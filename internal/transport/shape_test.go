@@ -90,7 +90,7 @@ func TestParseLinkSpec(t *testing.T) {
 	} else if rt, err := ParseLinkSpec(spec); err != nil || rt == nil {
 		t.Fatalf("round trip %q: %v", spec, err)
 	}
-	for _, bad := range []string{"60ms", "x:1e6", "60ms:x", "-1ms:5"} {
+	for _, bad := range []string{"60ms", "x:1e6", "60ms:x", "-1ms:5", "60ms:25MB", "60ms:NaN", "60ms:+Inf"} {
 		if _, err := ParseLinkSpec(bad); err == nil {
 			t.Errorf("spec %q: want error", bad)
 		}
