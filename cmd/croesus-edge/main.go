@@ -60,6 +60,9 @@ func main() {
 	)
 	flag.Parse()
 
+	if *keys <= 0 {
+		log.Fatalf("croesus-edge: -keys %d must be > 0", *keys)
+	}
 	proto, err := node.ParseProtocol(*protocol)
 	if err != nil {
 		log.Fatalf("croesus-edge: %v", err)

@@ -252,11 +252,9 @@ func (f *fleetRun) spawnFleet() error {
 				"-wal", filepath.Join(f.dir, fmt.Sprintf("edge-%s.wal", e.ID)),
 				"-wal-nosync",
 			}
-			if t.ThetaL > 0 {
-				args = append(args, "-thetal", fmt.Sprintf("%g", t.ThetaL))
-			}
-			if t.ThetaU > 0 {
-				args = append(args, "-thetau", fmt.Sprintf("%g", t.ThetaU))
+			if t.ThetaL > 0 || t.ThetaU > 0 {
+				// As in the sim, setting either threshold sets both.
+				args = append(args, "-thetal", fmt.Sprintf("%g", t.ThetaL), "-thetau", fmt.Sprintf("%g", t.ThetaU))
 			}
 			if t.OverlapMin > 0 {
 				args = append(args, "-overlap", fmt.Sprintf("%g", t.OverlapMin))

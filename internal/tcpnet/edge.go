@@ -117,10 +117,17 @@ type EdgeServer struct {
 }
 
 // NewEdgeServer builds an edge server; the data stack is the shared
-// fleet-node assembly on a scaled wall clock.
+// fleet-node assembly on a scaled wall clock. It rejects the
+// configurations scenario.Validate rejects for a simulated edge.
 func NewEdgeServer(cfg EdgeConfig) (*EdgeServer, error) {
 	if cfg.EdgeModel == nil {
 		return nil, fmt.Errorf("tcpnet: EdgeModel is required")
+	}
+	if cfg.Slots < 0 {
+		return nil, fmt.Errorf("tcpnet: Slots %d must be ≥ 0 (0 takes the default)", cfg.Slots)
+	}
+	if cfg.ThetaL > cfg.ThetaU {
+		return nil, fmt.Errorf("tcpnet: thresholds must satisfy θL ≤ θU, got (%.2f, %.2f)", cfg.ThetaL, cfg.ThetaU)
 	}
 	if cfg.TimeScale <= 0 {
 		cfg.TimeScale = 1

@@ -294,3 +294,32 @@ func TestGraphOverCloudSocket(t *testing.T) {
 			st.InitialCommits, st.FinalCommits, st.Retractions)
 	}
 }
+
+// TestNewEdgeServerRejectsBadConfig: a standalone edge refuses the
+// configurations scenario.Validate refuses for a simulated one, with an
+// error rather than a panic or a silently empty validation interval.
+func TestNewEdgeServerRejectsBadConfig(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*EdgeConfig)
+		ok   bool
+	}{
+		{"defaults", func(*EdgeConfig) {}, true},
+		{"empty interval", func(c *EdgeConfig) { c.ThetaL, c.ThetaU = 0.5, 0.5 }, true},
+		{"no edge model", func(c *EdgeConfig) { c.EdgeModel = nil }, false},
+		{"negative slots", func(c *EdgeConfig) { c.Slots = -1 }, false},
+		{"theta_l above theta_u", func(c *EdgeConfig) { c.ThetaL, c.ThetaU = 0.7, 0.4 }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := EdgeConfig{EdgeModel: detect.TinyYOLOSim(42), TimeScale: testScale, ThetaL: 0.4, ThetaU: 0.62}
+			tc.edit(&cfg)
+			s, err := NewEdgeServer(cfg)
+			if s != nil {
+				defer s.Close()
+			}
+			if (err == nil) != tc.ok {
+				t.Errorf("NewEdgeServer: err = %v, want ok = %v", err, tc.ok)
+			}
+		})
+	}
+}
