@@ -13,9 +13,11 @@
 // Under croesus-fleet the orchestrator passes -control (the fleet
 // control channel: reports, drain, link faults, WAL checkpoint/verify,
 // quit), -ready-file (bound-address handshake for :0 listeners), -wal
-// (crash durability: a SIGKILLed edge respawned on the same path
-// replays its committed state), and -shape-client/-shape-cloud (the
-// sim's modeled link parameters on the real hops).
+// (crash durability: the edge runs as a one-partition twopc fleet that
+// logs each section commit as one batch, and a SIGKILLed edge respawned
+// on the same path replays its committed sections, never half of one),
+// and -shape-client/-shape-cloud (the sim's modeled link parameters on
+// the real hops).
 package main
 
 import (
@@ -49,7 +51,7 @@ func main() {
 		slots       = flag.Int("slots", 4, "concurrent edge inferences across all clients")
 		timeScale   = flag.Float64("timescale", 1.0, "inference latency multiplier")
 		keys        = flag.Int("keys", 1000, "database key space for the per-detection transactions")
-		walPath     = flag.String("wal", "", "write-ahead log path: journal transactional writes, replay them at startup (crash durability)")
+		walPath     = flag.String("wal", "", "write-ahead log path: log each committed section's writes plus a commit marker in one batch, replay the committed sections at startup (crash durability)")
 		walNoSync   = flag.Bool("wal-nosync", false, "skip the per-append fsync (process-crash safe; only a machine crash can lose the tail)")
 		shapeClient = flag.String("shape-client", "", "shape the client→edge hop with a modeled link \"propagation:bytes-per-sec\" (e.g. 5ms:1.25e9)")
 		shapeCloud  = flag.String("shape-cloud", "", "shape the edge→cloud hop with a modeled link \"propagation:bytes-per-sec\"")

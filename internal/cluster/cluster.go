@@ -462,11 +462,10 @@ func New(cfg Config) (*Cluster, error) {
 		// manager and protocol over each edge's private store and locks.
 		for _, e := range c.edges {
 			asm := node.NewOver(cfg.Clock, e.Store, e.Locks, cfg.Protocol)
-			e.Mgr, e.CC = asm.Mgr, asm.CC
 			if cfg.Obs != nil {
-				e.Mgr.Tracer = cfg.Obs.Tracer()
-				e.Mgr.TraceTags = obs.Tags("edge", e.Spec.ID, "protocol", cfg.Protocol.String())
+				asm.Observe(cfg.Obs, obs.Tags("edge", e.Spec.ID, "protocol", cfg.Protocol.String()))
 			}
+			e.Mgr, e.CC = asm.Mgr, asm.CC
 		}
 	}
 

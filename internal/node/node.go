@@ -3,17 +3,20 @@
 // Both deployments build on it — internal/cluster assembles its simulated
 // edge nodes here, and internal/tcpnet its real TCP edge servers — so
 // protocol selection and the store/locks/manager wiring exist exactly once
-// instead of being duplicated per deployment.
+// instead of being duplicated per deployment. A durable edge (croesus-edge
+// -wal) is assembled here too, as a one-partition twopc fleet (NewDurable).
 package node
 
 import (
 	"fmt"
 
 	"croesus/internal/lock"
+	"croesus/internal/obs"
 	"croesus/internal/store"
 	"croesus/internal/twopc"
 	"croesus/internal/txn"
 	"croesus/internal/vclock"
+	"croesus/internal/wal"
 )
 
 // ParseProtocol reads the command-line spelling: "ms-ia" or "ms-sr".
@@ -37,6 +40,9 @@ type Assembly struct {
 	Locks *lock.Manager
 	Mgr   *txn.Manager
 	CC    txn.CC
+	// Part is a durable node's one partition, which owns the write-ahead
+	// log; nil on a volatile node (see NewDurable).
+	Part *twopc.Partition
 }
 
 // New assembles a fresh edge node on clk.
@@ -55,4 +61,48 @@ func NewOver(clk vclock.Clock, st *store.Store, locks *lock.Manager, p twopc.Pro
 		cc = &txn.MSIA{M: mgr}
 	}
 	return &Assembly{Store: st, Locks: locks, Mgr: mgr, CC: cc}
+}
+
+// NewDurable assembles a fresh edge node whose writes survive a crash: a
+// fleet of one partition logging to the write-ahead log at walPath, whose
+// commits take the path a simulated durable partition's do. The manager
+// writes through the plain twopc.ShardedStore, and a twopc.ShardedCC over
+// the partition (no links: it has no peer) logs each section boundary as
+// its redo records plus a commit marker, in one batch — MS-IA at every
+// boundary, MS-SR once, at the last. Only retraction restores and aborted
+// sections' undo journal write by write, through the manager's RestoreDB,
+// as non-transactional records. An existing log is replayed into the store
+// first; the replay is returned for its record count and torn-tail flag.
+// noSync skips the fsync per batch.
+func NewDurable(clk vclock.Clock, p twopc.Protocol, walPath string, noSync bool) (*Assembly, *wal.RecoverResult, error) {
+	st, locks := store.New(), lock.NewManager(clk)
+	part := twopc.NewPartitionOver(0, st, locks)
+	res, err := part.OpenWAL(walPath, noSync)
+	if err != nil {
+		return nil, nil, err
+	}
+	db := &twopc.ShardedStore{Parts: []*twopc.Partition{part}, Partitioner: onePartition}
+	mgr := txn.NewManager(clk, st, locks)
+	mgr.DB = db
+	mgr.RestoreDB = twopc.JournaledShardedStore{ShardedStore: db}
+	cc := &twopc.ShardedCC{
+		Clk:         clk,
+		M:           mgr,
+		Parts:       db.Parts,
+		Partitioner: onePartition,
+		Protocol:    p,
+		Stats:       &twopc.DistStats{},
+	}
+	return &Assembly{Store: st, Locks: locks, Mgr: mgr, CC: cc, Part: part}, res, nil
+}
+
+func onePartition(string) int { return 0 }
+
+// Observe sends the node's retraction spans — and, on a durable node, its
+// lock-wait spans — to o's tracer under the tag string tags.
+func (a *Assembly) Observe(o *obs.Obs, tags string) {
+	a.Mgr.Tracer, a.Mgr.TraceTags = o.Tracer(), tags
+	if cc, ok := a.CC.(*twopc.ShardedCC); ok {
+		cc.Obs, cc.Tags = o, tags
+	}
 }

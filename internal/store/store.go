@@ -55,6 +55,18 @@ func (s *Store) Get(key string) (Value, bool) {
 	return e.val.Clone(), true
 }
 
+// Peek returns the value stored at key without copying it and without
+// counting a read — for a write-ahead log capturing a commit's redo image.
+// The caller must not modify the slice. Stored values are never modified in
+// place (Put and Restore store fresh copies), so it stays valid after later
+// writes to the key.
+func (s *Store) Peek(key string) (Value, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	e, ok := s.m[key]
+	return e.val, ok
+}
+
 // Version returns the key's write version (0 if absent). Versions increase
 // monotonically across all keys, so they double as a write timestamp.
 func (s *Store) Version(key string) uint64 {

@@ -55,12 +55,13 @@ type EdgeConfig struct {
 	Obs *obs.Obs
 	// EdgeID tags this server's metrics and spans (default "edge").
 	EdgeID string
-	// WALPath, when set, makes the edge durable: its store becomes a
-	// one-partition twopc.Partition logging to this file — the same WAL
-	// backend the simulated fleet uses — so every transactional write is
-	// journaled write-ahead, and on startup any existing log is replayed
-	// into the store first: a SIGKILLed edge respawned on the same path
-	// recovers its committed state.
+	// WALPath, when set, makes the edge durable: it runs as a fleet of one
+	// twopc.Partition logging to this file (node.NewDurable), committing
+	// through twopc.ShardedCC like a simulated durable partition, so each
+	// section boundary logs its writes plus a commit marker in one batch.
+	// On startup any existing log is replayed into the store first: a
+	// SIGKILLed edge respawned on the same path recovers its committed
+	// state, and never half a section.
 	WALPath string
 	// WALNoSync skips the per-append fsync. Process-crash durability is
 	// unaffected (the bytes are in the page cache); only a machine crash
@@ -102,8 +103,7 @@ type EdgeServer struct {
 	clientPath *transport.ShapedPath
 	cloudPath  *transport.ShapedPath
 
-	part     *twopc.Partition // the durable store; nil without WALPath
-	replayed int              // WAL records replayed at startup
+	replayed int // WAL records replayed at startup
 
 	mu       sync.Mutex
 	ln       net.Listener
@@ -151,35 +151,26 @@ func NewEdgeServer(cfg EdgeConfig) (*EdgeServer, error) {
 	s := &EdgeServer{
 		cfg:     cfg,
 		clk:     clk,
-		asm:     node.New(clk, cfg.Protocol),
 		compute: vclock.NewSemaphore(clk, cfg.Slots),
 		conns:   make(map[net.Conn]struct{}),
 	}
-	s.clientPath = transport.NewShapedPath(cfg.ClientEdgeShape, clk)
-	s.cloudPath = transport.NewShapedPath(cfg.EdgeCloudShape, clk)
-	if cfg.Obs != nil {
-		s.queueDepth = cfg.Obs.Gauge(obs.MetricEdgeQueueDepth, obs.Tags("edge", cfg.EdgeID))
-		s.asm.Mgr.Tracer = cfg.Obs.Tracer()
-		s.asm.Mgr.TraceTags = obs.Tags("edge", cfg.EdgeID, "protocol", cfg.Protocol.String())
-	}
-	if cfg.WALPath != "" {
-		p := twopc.NewPartitionOver(0, s.asm.Store, s.asm.Locks)
-		res, err := p.OpenWAL(cfg.WALPath, cfg.WALNoSync)
+	if cfg.WALPath == "" {
+		s.asm = node.New(clk, cfg.Protocol)
+	} else {
+		asm, res, err := node.NewDurable(clk, cfg.Protocol, cfg.WALPath, cfg.WALNoSync)
 		if err != nil {
 			return nil, fmt.Errorf("tcpnet: wal: %w", err)
 		}
 		if res.Truncated {
 			cfg.Logf("edge: wal %s had a truncated tail (dropped)", cfg.WALPath)
 		}
-		s.part, s.replayed = p, res.Records
-		// Every section write and every retraction restore journals
-		// write-ahead; a respawned edge replays to committed state.
-		db := twopc.JournaledShardedStore{ShardedStore: &twopc.ShardedStore{
-			Parts:       []*twopc.Partition{p},
-			Partitioner: func(string) int { return 0 },
-		}}
-		s.asm.Mgr.DB = db
-		s.asm.Mgr.RestoreDB = db
+		s.asm, s.replayed = asm, res.Records
+	}
+	s.clientPath = transport.NewShapedPath(cfg.ClientEdgeShape, clk)
+	s.cloudPath = transport.NewShapedPath(cfg.EdgeCloudShape, clk)
+	if cfg.Obs != nil {
+		s.queueDepth = cfg.Obs.Gauge(obs.MetricEdgeQueueDepth, obs.Tags("edge", cfg.EdgeID))
+		s.asm.Observe(cfg.Obs, obs.Tags("edge", cfg.EdgeID, "protocol", cfg.Protocol.String()))
 	}
 	if cfg.Graph != nil {
 		// One standalone edge: the graph validates against a fleet of 1,
@@ -624,8 +615,8 @@ func (s *EdgeServer) Close() error {
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
-	if s.part != nil {
-		return s.part.CloseWAL()
+	if s.asm.Part != nil {
+		return s.asm.Part.CloseWAL()
 	}
 	return nil
 }
@@ -638,10 +629,10 @@ func (s *EdgeServer) WALReplayed() int { return s.replayed }
 // CheckpointWAL compacts the edge's WAL to a snapshot of current state
 // (twopc.Partition.Checkpoint).
 func (s *EdgeServer) CheckpointWAL() error {
-	if s.part == nil {
+	if s.asm.Part == nil {
 		return fmt.Errorf("tcpnet: no WAL configured")
 	}
-	_, _, err := s.part.Checkpoint()
+	_, _, err := s.asm.Part.Checkpoint()
 	return err
 }
 
@@ -651,10 +642,10 @@ func (s *EdgeServer) CheckpointWAL() error {
 // are paused during the comparison, but frames mid-pipeline can land
 // writes between two calls.
 func (s *EdgeServer) VerifyWAL() (int, error) {
-	if s.part == nil {
+	if s.asm.Part == nil {
 		return 0, fmt.Errorf("tcpnet: no WAL configured")
 	}
-	res, err := s.part.VerifyWAL()
+	res, err := s.asm.Part.VerifyWAL()
 	if res == nil {
 		return 0, err
 	}

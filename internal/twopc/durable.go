@@ -1,8 +1,8 @@
 // Durable partitions: the one write-ahead-log backend, serving both the
 // simulated sharded fleet and a standalone croesus-edge (a one-partition
-// fleet whose writes all journal through JournaledShardedStore). When a
-// Partition carries a WAL, every section commit it participates in is
-// logged — single-partition commits as a data batch closed by a commit
+// fleet, node.NewDurable, that commits through ShardedCC like any other).
+// When a Partition carries a WAL, every section commit it participates in
+// is logged — single-partition commits as a data batch closed by a commit
 // marker, multi-partition commits as the participant's staged block (data
 // records + prepare marker) followed by the coordinator's decision — so a
 // crashed edge rebuilds exactly the committed state with Recover and
@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"sort"
 
+	"croesus/internal/lock"
 	"croesus/internal/store"
 	"croesus/internal/txn"
 	"croesus/internal/wal"
@@ -201,28 +202,42 @@ func (p *Partition) appendLocked(recs ...wal.Record) {
 	p.WALAppends.Add(int64(len(recs)))
 }
 
-// RedoRecords captures the redo batch for a section commit: each key's
-// current store value, read under the section's still-held exclusive locks.
-// keys must arrive in key order, as a route's batch lists them; the records
-// keep that order. The batch has room for the closing marker LogLocalCommit
-// or StagePrepare appends, so that append does not reallocate.
-func (p *Partition) RedoRecords(cr CommitRound, keys []string) []wal.Record {
-	recs := make([]wal.Record, 0, len(keys)+1)
-	for _, k := range keys {
-		if v, ok := p.Store.Get(k); ok {
-			recs = append(recs, wal.Record{Op: wal.OpPut, Txn: uint64(cr.ID), Round: cr.Round, Key: k, Value: v})
+// RedoRecords captures the redo batch for a section commit: the current
+// store value of every key reqs lock exclusively, read under those
+// still-held locks, in request order (a route's batch lists its requests
+// in key order). The values are the store's own (store.Peek): stored values
+// are never modified in place, so the records need no copies. The batch
+// has room for the marker StagePrepare appends, so that append does not
+// reallocate.
+func (p *Partition) RedoRecords(cr CommitRound, reqs []lock.Request) []wal.Record {
+	return p.appendRedo(make([]wal.Record, 0, len(reqs)+1), cr, reqs)
+}
+
+func (p *Partition) appendRedo(recs []wal.Record, cr CommitRound, reqs []lock.Request) []wal.Record {
+	for _, r := range reqs {
+		if r.Mode != lock.Exclusive {
+			continue
+		}
+		if v, ok := p.Store.Peek(r.Key); ok {
+			recs = append(recs, wal.Record{Op: wal.OpPut, Txn: uint64(cr.ID), Round: cr.Round, Key: r.Key, Value: v})
 		} else {
-			recs = append(recs, wal.Record{Op: wal.OpDelete, Txn: uint64(cr.ID), Round: cr.Round, Key: k})
+			recs = append(recs, wal.Record{Op: wal.OpDelete, Txn: uint64(cr.ID), Round: cr.Round, Key: r.Key})
 		}
 	}
 	return recs
 }
 
-// LogLocalCommit durably commits a single-partition section: the data
-// records and the commit marker land in one batch, so a torn tail can only
-// lose the whole commit (presumed abort), never half of it.
-func (p *Partition) LogLocalCommit(cr CommitRound, recs []wal.Record) {
-	p.mustAppend(append(recs, wal.Record{Op: wal.OpCommit, Txn: uint64(cr.ID), Round: cr.Round})...)
+// LogLocalCommit durably commits a single-partition section holding the
+// locks reqs: the redo records of its write set (see RedoRecords) and the
+// commit marker land in one batch, so a torn tail can only lose the whole
+// commit (presumed abort), never half of it. The batch is built in a buffer
+// the partition reuses under its lock, so a commit allocates nothing here.
+func (p *Partition) LogLocalCommit(cr CommitRound, reqs []lock.Request) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.redo = append(p.appendRedo(p.redo[:0], cr, reqs), wal.Record{Op: wal.OpCommit, Txn: uint64(cr.ID), Round: cr.Round})
+	p.appendLocked(p.redo...)
+	clear(p.redo) // hold no keys or values past the append
 }
 
 // StagePrepare stages a participant's share of a multi-partition commit:
@@ -484,11 +499,14 @@ func (p *Partition) CrashReset() {
 }
 
 // JournaledShardedStore wraps a ShardedStore so every mutation is also
-// appended to the owning partition's WAL as a non-transactional record. It
-// is the RestoreDB of a durable fleet's transaction manager: retraction
-// cascades re-install before-images through it, so a partition recovered
-// from its log agrees with the live store even after a cascade crossed it.
-// A standalone croesus-edge uses it as DB too, over one partition.
+// appended to the owning partition's WAL as a non-transactional record,
+// which recovery applies unconditionally. It is only ever the RestoreDB of
+// a durable fleet's transaction manager (a standalone durable edge's too):
+// retraction cascades and aborted sections re-install before-images
+// through it, so a partition recovered from its log agrees with the live
+// store even after a cascade crossed it. Section writes go through the
+// plain ShardedStore and reach the log at their commit round, so a crash
+// image never holds half a section.
 type JournaledShardedStore struct {
 	*ShardedStore
 }

@@ -248,7 +248,8 @@ type ShardedCC struct {
 	Home int
 	// Parts lists the fleet's partitions; Links[i] is this edge's one-way
 	// path to the edge hosting Parts[i] (nil for Home and for co-located
-	// partitions).
+	// partitions). Links may be nil altogether: a fleet of one partition
+	// (a standalone durable edge, internal/node) has no peer to reach.
 	Parts       []*Partition
 	Links       []transport.Path
 	Partitioner func(key string) int
@@ -302,18 +303,6 @@ type batch struct {
 
 func exclusive(r lock.Request) bool { return r.Mode == lock.Exclusive }
 
-// writeKeys lists the keys of the batch's exclusive requests — its share of
-// the write set — in key order.
-func (b batch) writeKeys() []string {
-	keys := make([]string, 0, len(b.reqs))
-	for _, r := range b.reqs {
-		if exclusive(r) {
-			keys = append(keys, r.Key)
-		}
-	}
-	return keys
-}
-
 // maxMapRetries bounds how many times one transaction re-plans after waking
 // into a moved shard map before giving up with a plain abort.
 const maxMapRetries = 4
@@ -321,9 +310,18 @@ const maxMapRetries = 4
 // Name returns the protocol name, e.g. "sharded-MS-IA".
 func (c *ShardedCC) Name() string { return "sharded-" + c.Protocol.String() }
 
+// link is this edge's path to the edge hosting partition pi: nil when the
+// partition is local or co-located, or when the fleet has no links.
+func (c *ShardedCC) link(pi int) transport.Path {
+	if pi < len(c.Links) {
+		return c.Links[pi]
+	}
+	return nil
+}
+
 // hopTo pays one one-way message delay to the edge hosting partition pi.
 func (c *ShardedCC) hopTo(pi int) {
-	if l := c.Links[pi]; l != nil {
+	if l := c.link(pi); l != nil {
 		l.Send(c.Clk, lockMsgBytes)
 	}
 }
@@ -331,7 +329,8 @@ func (c *ShardedCC) hopTo(pi int) {
 func (c *ShardedCC) partDown(pi int) bool { return c.Faults != nil && c.Faults.Down(pi) }
 
 func (c *ShardedCC) linkDown(pi int) bool {
-	return c.Links[pi] != nil && c.Links[pi].IsDown()
+	l := c.link(pi)
+	return l != nil && l.IsDown()
 }
 
 // reachable reports whether partition pi can currently serve this edge:
@@ -388,9 +387,14 @@ func (c *ShardedCC) mapEpoch() int64 {
 // transaction against a migration of any shard it touches — into a route
 // under the current map, snapshotting each partition's crash epoch. The
 // requests are merged by lock.NormalizeInPlace, then grouped by ascending
-// partition, which keeps each batch in key order. reqs is only read: a
-// template's cached requests are never appended to.
-func (c *ShardedCC) plan(reqs []lock.Request) route {
+// partition, which keeps each batch in key order. The route's batches are
+// appended to buf[:0], so a caller whose route does not outlive it can keep
+// them on its stack. reqs is only read: a template's cached requests are
+// never appended to.
+func (c *ShardedCC) plan(reqs []lock.Request, buf route) route {
+	if b, ok := c.onePart(reqs); ok {
+		return append(buf[:0], b)
+	}
 	var reqBuf [16]lock.Request
 	all := reqBuf[:0]
 	prev := -1
@@ -416,8 +420,7 @@ func (c *ShardedCC) plan(reqs []lock.Request) route {
 	// Group by partition: each pass takes the smallest partition above
 	// the last one, in key order.
 	grouped := make([]lock.Request, 0, len(all))
-	var rtBuf [8]batch
-	rt := rtBuf[:0]
+	rt := buf[:0]
 	for last := -1; len(grouped) < len(all); {
 		next := -1
 		for _, p := range parts {
@@ -438,7 +441,29 @@ func (c *ShardedCC) plan(reqs []lock.Request) route {
 		rt = append(rt, b)
 		last = next
 	}
-	return slices.Clone(rt)
+	return rt
+}
+
+// onePart plans the common case without copying: an unmapped fleet (no
+// intents to add) whose already-normalized requests — sorted, one per key,
+// as txn.RWSet.Requests returns them — all live on one partition. The
+// batch is those requests themselves, capped so nothing can append into
+// them.
+func (c *ShardedCC) onePart(reqs []lock.Request) (batch, bool) {
+	if c.Map != nil || len(reqs) == 0 {
+		return batch{}, false
+	}
+	part := c.Partitioner(reqs[0].Key)
+	for i := 1; i < len(reqs); i++ {
+		if reqs[i].Key <= reqs[i-1].Key || c.Partitioner(reqs[i].Key) != part {
+			return batch{}, false
+		}
+	}
+	b := batch{part: part, reqs: reqs[:len(reqs):len(reqs)]}
+	if c.Faults != nil {
+		b.epoch = c.Faults.Epoch(part)
+	}
+	return b, true
 }
 
 // routeStale reports whether a migration moved any of the route's keys
@@ -488,7 +513,7 @@ func (c *ShardedCC) acquire(owner lock.Owner, rt route) (ok, fault bool) {
 			locks.AcquireAll(owner, b.reqs)
 		}
 		c.hopTo(b.part)
-		if c.Links[b.part] != nil {
+		if c.link(b.part) != nil {
 			c.Stats.add(func(d *DistCounters) { d.LockRPCs++ })
 		}
 		if !granted {
@@ -553,9 +578,9 @@ func (c *ShardedCC) commitSection(id txn.ID, round uint8, rt route) error {
 		pi := involved[0].part
 		p := c.Parts[pi]
 		if p.Durable() {
-			p.LogLocalCommit(cr, p.RedoRecords(cr, involved[0].writeKeys()))
+			p.LogLocalCommit(cr, involved[0].reqs)
 		}
-		if c.Links[pi] == nil {
+		if c.link(pi) == nil {
 			c.Stats.add(func(d *DistCounters) { d.LocalCommits++ })
 			return nil
 		}
@@ -578,13 +603,13 @@ func (c *ShardedCC) commitSection(id txn.ID, round uint8, rt route) error {
 	// Phase 1: parallel prepare fan-out. Each participant stages its share
 	// durably (data records + prepare marker) and votes; the round costs
 	// the slowest participant's round trip.
-	maxRTT := chargeFanOut(c.Links, involved, 2, func() {
+	maxRTT := c.chargeFanOut(involved, 2, func() {
 		c.Stats.add(func(d *DistCounters) { d.PrepareRPCs++ })
 	})
 	for _, b := range involved {
 		p := c.Parts[b.part]
 		if p.Durable() {
-			p.StagePrepare(cr, c.Home, p.RedoRecords(cr, b.writeKeys()))
+			p.StagePrepare(cr, c.Home, p.RedoRecords(cr, b.reqs))
 		}
 		// A scripted participant crash lands here: the yes vote is already
 		// durable, so the round proceeds and the participant resolves the
@@ -623,7 +648,7 @@ func (c *ShardedCC) commitSection(id txn.ID, round uint8, rt route) error {
 			c.Parts[b.part].DeliverDecision(cr, true)
 			live = append(live, b)
 		}
-		maxOne := chargeFanOut(c.Links, live, 1, func() {
+		maxOne := c.chargeFanOut(live, 1, func() {
 			c.Stats.add(func(d *DistCounters) { d.CommitRPCs++ })
 		})
 		c.Clk.Sleep(maxOne)
@@ -636,11 +661,11 @@ func (c *ShardedCC) commitSection(id txn.ID, round uint8, rt route) error {
 // partition link and returns the slowest per-link total — the modeled cost
 // of a parallel round, which the caller sleeps once. onEach runs once per
 // listed batch (link or not), mirroring the per-RPC counters.
-func chargeFanOut(links []transport.Path, bs []batch, msgs int, onEach func()) time.Duration {
+func (c *ShardedCC) chargeFanOut(bs []batch, msgs int, onEach func()) time.Duration {
 	var max time.Duration
 	for _, b := range bs {
 		onEach()
-		l := links[b.part]
+		l := c.link(b.part)
 		if l == nil {
 			continue
 		}
@@ -671,7 +696,7 @@ func (c *ShardedCC) abortTxn(in *txn.Instance, reason string) {
 // the route the locks were granted under and — on failure — whether the
 // failure was a fault (unreachable partition) rather than a wait-die death
 // or map churn.
-func (c *ShardedCC) acquireRouted(owner lock.Owner, reqs []lock.Request) (rt route, ok, fault bool) {
+func (c *ShardedCC) acquireRouted(owner lock.Owner, reqs []lock.Request, buf route) (rt route, ok, fault bool) {
 	for attempt := 0; ; attempt++ {
 		mapEpoch := c.mapEpoch()
 		// Planning snapshots crash epochs BEFORE acquisition: a partition
@@ -679,7 +704,7 @@ func (c *ShardedCC) acquireRouted(owner lock.Owner, reqs []lock.Request) (rt rou
 		// a contended lock must still be detected (its lock table and any
 		// state the wait spanned died with it), so the checks downstream
 		// compare against the pre-wait world.
-		rt = c.plan(reqs)
+		rt = c.plan(reqs, buf)
 		if ok, fault = c.acquire(owner, rt); !ok {
 			return rt, false, fault
 		}
@@ -696,9 +721,9 @@ func (c *ShardedCC) acquireRouted(owner lock.Owner, reqs []lock.Request) (rt rou
 
 // timedAcquire wraps acquireRouted, charging the wait to the instance's
 // breakdown accumulator and emitting a lock.wait (or lock.abort) span.
-func (c *ShardedCC) timedAcquire(in *txn.Instance, owner lock.Owner, reqs []lock.Request) (rt route, ok, fault bool) {
+func (c *ShardedCC) timedAcquire(in *txn.Instance, owner lock.Owner, reqs []lock.Request, buf route) (rt route, ok, fault bool) {
 	t0 := c.Clk.Now()
-	rt, ok, fault = c.acquireRouted(owner, reqs)
+	rt, ok, fault = c.acquireRouted(owner, reqs, buf)
 	t1 := c.Clk.Now()
 	in.AddLockWait(t1 - t0)
 	if t1 > t0 {
@@ -764,11 +789,12 @@ func (c *ShardedCC) runFirstSection(in *txn.Instance, last int) error {
 	owner := lock.Owner(in.ID)
 	var reqs []lock.Request
 	if c.Protocol == MSSR {
-		reqs = in.T.AllRW().Requests()
+		reqs = in.T.AllRequests()
 	} else {
 		reqs = in.T.SectionAt(0).RW.Requests()
 	}
-	rt, ok, fault := c.timedAcquire(in, owner, reqs)
+	var buf [4]batch
+	rt, ok, fault := c.timedAcquire(in, owner, reqs, buf[:0])
 	if !ok {
 		c.M.MarkAborted(in)
 		c.Stats.add(func(d *DistCounters) { d.Aborts++ })
@@ -788,8 +814,10 @@ func (c *ShardedCC) runFirstSection(in *txn.Instance, last int) error {
 	}
 
 	if err := c.M.ExecSection(in, txn.StageInitial); err != nil {
-		c.release(owner, rt)
+		// The writes never reach a commit round (or the log): undo them
+		// under the locks that hid them.
 		c.M.MarkAborted(in)
+		c.release(owner, rt)
 		c.Stats.add(func(d *DistCounters) { d.Aborts++ })
 		return err
 	}
@@ -797,11 +825,12 @@ func (c *ShardedCC) runFirstSection(in *txn.Instance, last int) error {
 	if c.Protocol == MSSR && last > 0 {
 		// Atomic commitment is deferred to the last commit; the held
 		// locks make the earlier writes unobservable until then.
+		held := slices.Clone(rt) // rt may live in this frame's buf
 		c.mu.Lock()
 		if c.held == nil {
 			c.held = make(map[txn.ID]route)
 		}
-		c.held[in.ID] = rt
+		c.held[in.ID] = held
 		c.mu.Unlock()
 		c.M.MarkInitialCommitted(in)
 		return nil
@@ -870,8 +899,11 @@ func (c *ShardedCC) runHeldSection(in *txn.Instance, k, last int) error {
 		drop()
 		return txn.ErrRetracted
 	}
+	// A body error does not stop the boundary from committing (the
+	// multi-stage contract, as in txn.MSSR), so the commit round runs and
+	// logs whatever the sections wrote.
 	err := c.M.ExecSection(in, txn.Stage(k))
-	if err == nil && k == last {
+	if k == last {
 		// One 2PC covers every section's writes (Algorithm 1): the held
 		// route was planned over all of them.
 		if cerr := c.timedCommit(in, uint8(last), rt); cerr != nil {
@@ -911,7 +943,8 @@ func (c *ShardedCC) runOwnSection(in *txn.Instance, k, last int) error {
 	if k != last {
 		secName = fmt.Sprintf("section %d", k)
 	}
-	rt, ok, _ := c.timedAcquire(in, owner, in.T.SectionAt(k).RW.Requests())
+	var buf [4]batch
+	rt, ok, _ := c.timedAcquire(in, owner, in.T.SectionAt(k).RW.Requests(), buf[:0])
 	if !ok {
 		// The section cannot reach its partitions (or the shard map
 		// churned past the retry budget); the multi-stage guarantee
@@ -925,13 +958,13 @@ func (c *ShardedCC) runOwnSection(in *txn.Instance, k, last int) error {
 		c.release(owner, rt)
 		return txn.ErrRetracted
 	}
+	// The boundary commits even when the body errs (as in txn.MSIA), so
+	// the commit round logs what the body wrote.
 	err := c.M.ExecSection(in, txn.Stage(k))
-	if err == nil {
-		if cerr := c.timedCommit(in, uint8(k), rt); cerr != nil {
-			c.abortTxn(in, "commit of "+secName+" interrupted by edge failure")
-			c.release(owner, rt)
-			return txn.ErrRetracted
-		}
+	if cerr := c.timedCommit(in, uint8(k), rt); cerr != nil {
+		c.abortTxn(in, "commit of "+secName+" interrupted by edge failure")
+		c.release(owner, rt)
+		return txn.ErrRetracted
 	}
 	retracted := c.M.MarkSectionCommitted(in, k)
 	c.release(owner, rt)

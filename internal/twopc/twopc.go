@@ -53,6 +53,8 @@ type Partition struct {
 	// later record superseded. They survive CrashReset like the log does.
 	walDataSeq  int64
 	walLastData map[string]int64
+	// redo is LogLocalCommit's record buffer, reused under mu.
+	redo []wal.Record
 }
 
 // Protocol selects the multi-stage concurrency-control protocol (§4): it

@@ -1,6 +1,8 @@
 package txn
 
 import (
+	"slices"
+
 	"croesus/internal/lock"
 )
 
@@ -47,9 +49,23 @@ func (m *Manager) MarkInitialCommitted(in *Instance) {
 	m.MarkSectionCommitted(in, 0)
 }
 
-// MarkAborted moves the instance to aborted and records the abort.
+// MarkAborted undoes the instance's writes, moves it to aborted and records
+// the abort. The undo is the instance's own log alone, newest write first,
+// through the backend retractions restore through (a durable node journals
+// it): no cascade and no apology, because the caller still holds the
+// instance's locks, so nothing has read what it undoes. Call it before
+// releasing them.
 func (m *Manager) MarkAborted(in *Instance) {
 	m.mu.Lock()
+	recs := in.undo[in.undone:]
+	in.undone = len(in.undo)
+	slices.Reverse(recs)
+	m.mu.Unlock()
+	m.restore(recs)
+	m.mu.Lock()
+	for i := range recs {
+		recs[i].prev = nil // only the key stays, as after a retraction
+	}
 	in.mu.Lock()
 	in.state = StateAborted
 	in.inBody = false

@@ -27,6 +27,19 @@ func (m *Manager) Retract(inst *Instance, reason string) []Apology {
 	return m.retract(inst, reason)
 }
 
+// restore re-installs the before-images of recs, in order, through the
+// restore backend.
+func (m *Manager) restore(recs []undoRec) {
+	db := m.restoreDB()
+	for _, r := range recs {
+		if r.existed {
+			db.Put(r.key, r.prev)
+		} else {
+			db.Delete(r.key)
+		}
+	}
+}
+
 // reach appends to out, in depth-first preorder, every instance reachable
 // from in over dependents edges that the current walk (m.visits) has not
 // met yet. Caller holds m.mu.
@@ -61,14 +74,7 @@ func (m *Manager) retract(inst *Instance, reason string) []Apology {
 
 	// Restore in reverse write order.
 	sort.Slice(recs, func(i, j int) bool { return recs[i].seq > recs[j].seq })
-	db := m.restoreDB()
-	for _, r := range recs {
-		if r.existed {
-			db.Put(r.key, r.prev)
-		} else {
-			db.Delete(r.key)
-		}
-	}
+	m.restore(recs)
 
 	// The retracted instances deliberately REMAIN the recorded last
 	// writers of the keys they touched (their consumed undo records keep

@@ -110,6 +110,24 @@ func (t *Txn) AllRW() RWSet {
 	return out
 }
 
+// AllRequests returns AllRW().Requests() — every section's lock requests,
+// normalized — without building the union when there is nothing to unite:
+// when every section shares one cached request slice (a template that
+// declares a single set for all its sections and precomputes it), that
+// slice is returned as is, with no allocation.
+func (t *Txn) AllRequests() []lock.Request {
+	first := t.SectionAt(0).RW.norm
+	for k := 1; k < t.NumSections() && first != nil; k++ {
+		if other := t.SectionAt(k).RW.norm; len(other) != len(first) || &other[0] != &first[0] {
+			first = nil
+		}
+	}
+	if first != nil {
+		return first
+	}
+	return t.AllRW().Requests()
+}
+
 // laterRequests returns the normalized union of the lock requests of
 // sections from..last — the locks MS-SR must add before the first commit.
 func (t *Txn) laterRequests(from int) []lock.Request {
@@ -281,12 +299,12 @@ func (p *MSSR) runFirst(in *Instance) error {
 
 	ctx := in.sectionCtx(StageInitial)
 	if err := in.T.SectionAt(0).Body(ctx); err != nil {
+		p.M.MarkAborted(in)
 		if p.Policy == Wait {
 			p.M.Locks.ReleaseAll(owner, allReqs)
 		} else {
 			p.M.Locks.ReleaseAll(owner, initReqs)
 		}
-		p.M.MarkAborted(in)
 		return err
 	}
 
@@ -296,8 +314,8 @@ func (p *MSSR) runFirst(in *Instance) error {
 		tExtra := p.M.now()
 		if !p.M.Locks.TryAcquireAll(owner, extraReqs) {
 			in.AddLockWait(p.M.now() - tExtra)
-			p.M.Locks.ReleaseAll(owner, initReqs)
 			p.M.MarkAborted(in)
+			p.M.Locks.ReleaseAll(owner, initReqs)
 			return ErrAborted
 		}
 		in.AddLockWait(p.M.now() - tExtra)
@@ -364,8 +382,8 @@ func (p *MSIA) runFirst(in *Instance) error {
 	ctx := in.sectionCtx(StageInitial)
 	err := in.T.SectionAt(0).Body(ctx)
 	if err != nil {
-		p.M.Locks.ReleaseAll(owner, reqs)
 		p.M.MarkAborted(in)
+		p.M.Locks.ReleaseAll(owner, reqs)
 		return err
 	}
 	retracted := p.M.MarkSectionCommitted(in, 0)

@@ -384,11 +384,11 @@ type Manager struct {
 	// be nil). Every section read/write and every retraction restore goes
 	// through it.
 	DB Backend
-	// RestoreDB, when set, is the backend retraction restores go through
-	// instead of DB. A durable sharded fleet points it at a journaling
-	// wrapper so the before-images a cascade re-installs reach each
-	// partition's write-ahead log — otherwise a recovered edge would
-	// resurrect the retracted writes.
+	// RestoreDB, when set, is the backend retraction restores (and an
+	// aborted section's undo) go through instead of DB. A durable sharded
+	// fleet points it at a journaling wrapper so the before-images a
+	// cascade re-installs reach each partition's write-ahead log —
+	// otherwise a recovered edge would resurrect the retracted writes.
 	RestoreDB Backend
 	Strict    bool // enforce declared read/write sets in Ctx (default on)
 	// Tracer, when set, records retraction-cascade spans (timestamps from
