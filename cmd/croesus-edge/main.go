@@ -15,7 +15,9 @@
 // quit), -ready-file (bound-address handshake for :0 listeners), -wal
 // (crash durability: the edge runs as a one-partition twopc fleet that
 // logs each section commit as one batch, and a SIGKILLed edge respawned
-// on the same path replays its committed sections, never half of one),
+// on the same path replays its committed sections — never half of one
+// between checkpoints; a checkpoint snapshots running sections'
+// uncommitted writes too, see ROADMAP item 3(d)),
 // and -shape-client/-shape-cloud (the sim's modeled link parameters on
 // the real hops).
 package main

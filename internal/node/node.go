@@ -13,6 +13,7 @@ import (
 	"croesus/internal/lock"
 	"croesus/internal/obs"
 	"croesus/internal/store"
+	"croesus/internal/transport"
 	"croesus/internal/twopc"
 	"croesus/internal/txn"
 	"croesus/internal/vclock"
@@ -67,9 +68,9 @@ func NewOver(clk vclock.Clock, st *store.Store, locks *lock.Manager, p twopc.Pro
 // fleet of one partition logging to the write-ahead log at walPath, whose
 // commits take the path a simulated durable partition's do. The manager
 // writes through the plain twopc.ShardedStore, and a twopc.ShardedCC over
-// the partition (no links: it has no peer) logs each section boundary as
-// its redo records plus a commit marker, in one batch — MS-IA at every
-// boundary, MS-SR once, at the last. Only retraction restores and aborted
+// the partition (its one link nil: the partition is local) logs each
+// section boundary as its redo records plus a commit marker, in one batch —
+// MS-IA at every boundary, MS-SR once, at the last. Only retraction restores and aborted
 // sections' undo journal write by write, through the manager's RestoreDB,
 // as non-transactional records. An existing log is replayed into the store
 // first; the replay is returned for its record count and torn-tail flag.
@@ -89,6 +90,7 @@ func NewDurable(clk vclock.Clock, p twopc.Protocol, walPath string, noSync bool)
 		Clk:         clk,
 		M:           mgr,
 		Parts:       db.Parts,
+		Links:       make([]transport.Path, 1), // the partition is local
 		Partitioner: onePartition,
 		Protocol:    p,
 		Stats:       &twopc.DistStats{},

@@ -114,7 +114,7 @@ func TestNewDurableBindsStack(t *testing.T) {
 		if !ok {
 			t.Fatalf("%v: CC = %T, want *twopc.ShardedCC", p, asm.CC)
 		}
-		if cc.M != asm.Mgr || cc.Protocol != p || len(cc.Parts) != 1 || cc.Parts[0] != asm.Part || cc.Links != nil {
+		if cc.M != asm.Mgr || cc.Protocol != p || len(cc.Parts) != 1 || cc.Parts[0] != asm.Part || len(cc.Links) != 1 || cc.Links[0] != nil {
 			t.Errorf("%v: CC is not a link-less %v ShardedCC over the one partition", p, p)
 		}
 	}
@@ -224,25 +224,38 @@ func records(t *testing.T, path string) []wal.Record {
 }
 
 // An MS-SR transaction commits atomically once, at its last boundary: the
-// log holds nothing after section 0, then one put per key it wrote and a
-// single commit marker, all of that round.
+// log holds nothing new after section 0, then one put per key it wrote and
+// a single commit marker, all of that round. A key it only read (a shared
+// lock) logs nothing, though it holds a value.
 func TestMSSRLogsWritesAndOneMarker(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "edge.wal")
 	clk := vclock.NewSim()
 	asm := durable(t, clk, twopc.MSSR, path)
-	in := asm.Mgr.NewInstance(writeTxn([]string{"a", "b"}, 1, 7), nil)
+	run(t, clk, asm, writeTxn([]string{"r"}, 5, 0))
+	prior := len(records(t, path))
+	tx := writeTxn([]string{"a", "b"}, 1, 7)
+	rw := txn.RWSet{Reads: []string{"r"}, Writes: []string{"a", "b"}}
+	tx.InitialRW, tx.FinalRW = rw, rw
+	initial := tx.Initial
+	tx.Initial = func(c *txn.Ctx) error {
+		if v, ok := c.Get("r"); !ok || store.AsInt64(v) != 5 {
+			t.Errorf("read r = %v, %v; want 5", v, ok)
+		}
+		return initial(c)
+	}
+	in := asm.Mgr.NewInstance(tx, nil)
 	clk.Run(func() {
 		if err := asm.CC.RunInitial(in); err != nil {
 			t.Fatalf("RunInitial: %v", err)
 		}
-		if recs := records(t, path); len(recs) != 0 {
+		if recs := records(t, path)[prior:]; len(recs) != 0 {
 			t.Errorf("MS-SR logged %d records at the initial commit, want 0: %+v", len(recs), recs)
 		}
 		if err := asm.CC.RunFinal(in); err != nil {
 			t.Fatalf("RunFinal: %v", err)
 		}
 	})
-	recs := records(t, path)
+	recs := records(t, path)[prior:]
 	want := []wal.Record{
 		{Op: wal.OpPut, Key: "a", Value: store.Int64Value(7)},
 		{Op: wal.OpPut, Key: "b", Value: store.Int64Value(1)},
@@ -402,7 +415,8 @@ func TestFailedLaterSectionIsLogged(t *testing.T) {
 
 // The durable edge's transaction allocates no more than the volatile
 // one's: logging a section as one batch must not cost allocations the
-// per-write journal did not.
+// per-write journal did not. Race builds allow slack (see race_test.go):
+// the lock manager's pool makes both counts noisy there.
 func TestDurableTxnAllocs(t *testing.T) {
 	allocs := func(asm *Assembly) float64 {
 		src := core.NewWorkloadSource(500, 7)
@@ -430,7 +444,7 @@ func TestDurableTxnAllocs(t *testing.T) {
 		volatile := allocs(New(clk, p))
 		dur := allocs(durable(t, clk, p, filepath.Join(t.TempDir(), "edge.wal")))
 		t.Logf("%v: volatile %v, durable %v allocations per transaction", p, volatile, dur)
-		if dur > volatile {
+		if dur > volatile+raceAllocSlack {
 			t.Errorf("%v: a durable transaction allocates %v times, a volatile one %v", p, dur, volatile)
 		}
 	}

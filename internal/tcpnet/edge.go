@@ -61,7 +61,9 @@ type EdgeConfig struct {
 	// section boundary logs its writes plus a commit marker in one batch.
 	// On startup any existing log is replayed into the store first: a
 	// SIGKILLed edge respawned on the same path recovers its committed
-	// state, and never half a section.
+	// state, and never half a section between checkpoints (a checkpoint
+	// snapshots running sections' uncommitted writes too; ROADMAP item
+	// 3(d)).
 	WALPath string
 	// WALNoSync skips the per-append fsync. Process-crash durability is
 	// unaffected (the bytes are in the page cache); only a machine crash

@@ -380,7 +380,10 @@ func (p *Partition) StagedCoords() []int {
 // A checkpoint is skipped (ok false) while a *live* 2PC block is staged:
 // its eager writes are in the store but its pre-images are not, so a
 // snapshot taken mid-round could not represent the abort outcome. The
-// caller retries after the round's decision lands.
+// caller retries after the round's decision lands. A local section that
+// has not reached its commit round does not stop a checkpoint, so the
+// snapshot holds its eager writes: a crash before that commit recovers
+// them, possibly half a section (ROADMAP item 3(d)).
 func (p *Partition) Checkpoint() (records int, ok bool, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -506,7 +509,7 @@ func (p *Partition) CrashReset() {
 // through it, so a partition recovered from its log agrees with the live
 // store even after a cascade crossed it. Section writes go through the
 // plain ShardedStore and reach the log at their commit round, so a crash
-// image never holds half a section.
+// image never holds half a section between checkpoints (see Checkpoint).
 type JournaledShardedStore struct {
 	*ShardedStore
 }

@@ -9,6 +9,7 @@ import (
 	"croesus/internal/store"
 	"croesus/internal/txn"
 	"croesus/internal/vclock"
+	"croesus/internal/wal"
 	"croesus/internal/workload"
 )
 
@@ -45,20 +46,23 @@ func TestPlanLeavesTemplateRequestsAlone(t *testing.T) {
 
 // plan merges a key requested in both modes to Exclusive, groups the route
 // by ascending partition with keys sorted inside each batch, and adds one
-// shared intent per shard, on the shard's home partition.
+// shared intent per shard, on the shard's home partition. A batch's write
+// set — what its commit logs — is exactly its exclusive requests, in key
+// order.
 func TestPlanSortsAndMerges(t *testing.T) {
 	clk := vclock.NewSim()
-	_, ccs, _ := mappedFleet(clk)
-	k0, k1a, k1b := workload.ShardKey(0, "item", 3), workload.ShardKey(1, "item", 1), workload.ShardKey(1, "item", 2)
+	_, ccs, parts := mappedFleet(clk)
+	k0, k1a, k1b, k1c := workload.ShardKey(0, "item", 3), workload.ShardKey(1, "item", 1), workload.ShardKey(1, "item", 2), workload.ShardKey(1, "item", 3)
 	rt := ccs[1].plan([]lock.Request{
 		{Key: k1b, Mode: lock.Shared},
+		{Key: k1c, Mode: lock.Shared},
 		{Key: k0, Mode: lock.Shared},
 		{Key: k1a, Mode: lock.Exclusive},
 		{Key: k1b, Mode: lock.Exclusive},
 	}, nil)
 	want := route{
 		{part: 0, reqs: []lock.Request{{Key: ShardIntentKey(0), Mode: lock.Shared}, {Key: k0, Mode: lock.Shared}}},
-		{part: 1, reqs: []lock.Request{{Key: ShardIntentKey(1), Mode: lock.Shared}, {Key: k1a, Mode: lock.Exclusive}, {Key: k1b, Mode: lock.Exclusive}}},
+		{part: 1, reqs: []lock.Request{{Key: ShardIntentKey(1), Mode: lock.Shared}, {Key: k1a, Mode: lock.Exclusive}, {Key: k1b, Mode: lock.Exclusive}, {Key: k1c, Mode: lock.Shared}}},
 	}
 	if len(rt) != len(want) {
 		t.Fatalf("route has %d batches, want %d: %+v", len(rt), len(want), rt)
@@ -72,6 +76,21 @@ func TestPlanSortsAndMerges(t *testing.T) {
 				t.Errorf("batch %d request %d = %+v, want %+v", i, j, rt[i].reqs[j], want[i].reqs[j])
 			}
 		}
+	}
+	// Every key of batch 1 holds a value, so a shared one would be logged
+	// if the write-set filter let it through.
+	for _, k := range []string{k1a, k1b, k1c} {
+		parts[1].Store.Put(k, store.StringValue(k))
+	}
+	var w []string
+	for _, r := range parts[1].RedoRecords(CommitRound{ID: 1, Round: RoundInitial}, rt[1].reqs) {
+		if r.Op != wal.OpPut {
+			t.Errorf("redo record %+v, want only puts", r)
+		}
+		w = append(w, r.Key)
+	}
+	if len(w) != 2 || w[0] != k1a || w[1] != k1b {
+		t.Errorf("batch 1 writes %v, want [%s %s]", w, k1a, k1b)
 	}
 }
 

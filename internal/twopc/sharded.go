@@ -248,8 +248,7 @@ type ShardedCC struct {
 	Home int
 	// Parts lists the fleet's partitions; Links[i] is this edge's one-way
 	// path to the edge hosting Parts[i] (nil for Home and for co-located
-	// partitions). Links may be nil altogether: a fleet of one partition
-	// (a standalone durable edge, internal/node) has no peer to reach.
+	// partitions).
 	Parts       []*Partition
 	Links       []transport.Path
 	Partitioner func(key string) int
@@ -310,18 +309,9 @@ const maxMapRetries = 4
 // Name returns the protocol name, e.g. "sharded-MS-IA".
 func (c *ShardedCC) Name() string { return "sharded-" + c.Protocol.String() }
 
-// link is this edge's path to the edge hosting partition pi: nil when the
-// partition is local or co-located, or when the fleet has no links.
-func (c *ShardedCC) link(pi int) transport.Path {
-	if pi < len(c.Links) {
-		return c.Links[pi]
-	}
-	return nil
-}
-
 // hopTo pays one one-way message delay to the edge hosting partition pi.
 func (c *ShardedCC) hopTo(pi int) {
-	if l := c.link(pi); l != nil {
+	if l := c.Links[pi]; l != nil {
 		l.Send(c.Clk, lockMsgBytes)
 	}
 }
@@ -329,8 +319,7 @@ func (c *ShardedCC) hopTo(pi int) {
 func (c *ShardedCC) partDown(pi int) bool { return c.Faults != nil && c.Faults.Down(pi) }
 
 func (c *ShardedCC) linkDown(pi int) bool {
-	l := c.link(pi)
-	return l != nil && l.IsDown()
+	return c.Links[pi] != nil && c.Links[pi].IsDown()
 }
 
 // reachable reports whether partition pi can currently serve this edge:
@@ -513,7 +502,7 @@ func (c *ShardedCC) acquire(owner lock.Owner, rt route) (ok, fault bool) {
 			locks.AcquireAll(owner, b.reqs)
 		}
 		c.hopTo(b.part)
-		if c.link(b.part) != nil {
+		if c.Links[b.part] != nil {
 			c.Stats.add(func(d *DistCounters) { d.LockRPCs++ })
 		}
 		if !granted {
@@ -580,7 +569,7 @@ func (c *ShardedCC) commitSection(id txn.ID, round uint8, rt route) error {
 		if p.Durable() {
 			p.LogLocalCommit(cr, involved[0].reqs)
 		}
-		if c.link(pi) == nil {
+		if c.Links[pi] == nil {
 			c.Stats.add(func(d *DistCounters) { d.LocalCommits++ })
 			return nil
 		}
@@ -603,7 +592,7 @@ func (c *ShardedCC) commitSection(id txn.ID, round uint8, rt route) error {
 	// Phase 1: parallel prepare fan-out. Each participant stages its share
 	// durably (data records + prepare marker) and votes; the round costs
 	// the slowest participant's round trip.
-	maxRTT := c.chargeFanOut(involved, 2, func() {
+	maxRTT := chargeFanOut(c.Links, involved, 2, func() {
 		c.Stats.add(func(d *DistCounters) { d.PrepareRPCs++ })
 	})
 	for _, b := range involved {
@@ -648,7 +637,7 @@ func (c *ShardedCC) commitSection(id txn.ID, round uint8, rt route) error {
 			c.Parts[b.part].DeliverDecision(cr, true)
 			live = append(live, b)
 		}
-		maxOne := c.chargeFanOut(live, 1, func() {
+		maxOne := chargeFanOut(c.Links, live, 1, func() {
 			c.Stats.add(func(d *DistCounters) { d.CommitRPCs++ })
 		})
 		c.Clk.Sleep(maxOne)
@@ -661,11 +650,11 @@ func (c *ShardedCC) commitSection(id txn.ID, round uint8, rt route) error {
 // partition link and returns the slowest per-link total — the modeled cost
 // of a parallel round, which the caller sleeps once. onEach runs once per
 // listed batch (link or not), mirroring the per-RPC counters.
-func (c *ShardedCC) chargeFanOut(bs []batch, msgs int, onEach func()) time.Duration {
+func chargeFanOut(links []transport.Path, bs []batch, msgs int, onEach func()) time.Duration {
 	var max time.Duration
 	for _, b := range bs {
 		onEach()
-		l := c.link(b.part)
+		l := links[b.part]
 		if l == nil {
 			continue
 		}
