@@ -5,11 +5,13 @@
 // same ClusterReport the simulated fleet prints — so one scenario file
 // runs unchanged on the sim and on a real multi-process fleet.
 //
-// Timeline events map to real actions: edge_crash is a SIGKILL (with
-// restart_after, a respawn on the same address and WAL — clients redial,
-// the store replays), edge_retire drains the edge and migrates its
-// cameras, link_fault blackholes the edge's modeled cloud path,
-// workload_shift and migrate_camera steer the clients live.
+// The timeline is played by scenario.Play, the same player the simulated
+// fleet uses; the process driver's verbs map each event to real actions:
+// edge_crash is a SIGKILL (with restart_after, a respawn on the same
+// address and WAL — clients redial, the store replays; a crash of an edge
+// that is already dark does nothing), edge_retire drains the edge and
+// migrates its cameras, link_fault blackholes the edge's modeled cloud
+// path, workload_shift and migrate_camera steer the clients live.
 //
 // Usage:
 //

@@ -91,9 +91,10 @@ func main() {
 	// operational day in one timeline:
 	//
 	//   t=10s  the south cabinet loses power mid-shift; its write-ahead
-	//          log brings the partition back 4s later, and a scripted
-	//          participant crash right after a 2PC yes vote resolves
-	//          from the coordinator's log,
+	//          log brings the partition back 4s later,
+	//   t=12s  a participant crash is armed on south: right after its
+	//          first 2PC yes vote from then on (once it is back) it dies
+	//          again, and that round resolves from the coordinator's log,
 	//   t=20s  rush hour: the crossings double their capture rate and
 	//          their queries go 50% cross-shard,
 	//   t=25s  the operations center re-homes corridor-n to the south

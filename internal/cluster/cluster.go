@@ -121,14 +121,6 @@ type Config struct {
 	Cameras []CameraSpec
 	Edges   []EdgeSpec
 
-	// Transport provisions the fleet's network paths — client→edge frame
-	// delivery, edge→cloud validation traffic, inter-edge 2PC messages.
-	// Nil, what every caller passes, is transport.NewSim(): netsim links
-	// charging modeled time on Clock, byte-deterministic on the virtual
-	// clock. The cluster takes ownership and closes the transport with
-	// Close.
-	Transport transport.Transport
-
 	// Batcher configures the shared cloud validator; its Clock and Model
 	// are filled in from the cluster when unset.
 	Batcher BatcherConfig
@@ -185,16 +177,14 @@ type Config struct {
 	// identity layout, §4.5's model. Setting it implies Sharded.
 	ShardOwners []int
 
-	// Faults schedules scripted failures — fail-stop edge crashes with
-	// WAL-backed recovery, crashes at chosen 2PC points, inter-edge link
-	// partitions — against the fleet (see internal/faults). Setting it
-	// implies Sharded and Durable.
-	Faults *faults.Plan
-	// Durable gives every partition a write-ahead log (and the fleet a
-	// fault injector, even with an empty plan) without scheduling any
-	// failure — what checkpointing and scenario-driven crashes build on.
-	// Implies Sharded.
+	// Durable gives every partition a write-ahead log and the fleet a
+	// fault injector (see internal/faults), whose verbs crash, recover and
+	// partition the edges — what checkpointing and scenario-driven crashes
+	// build on. Implies Sharded.
 	Durable bool
+	// ReplayCost is the clock time a crash recovery charges per WAL record
+	// it replays (default 5µs).
+	ReplayCost time.Duration
 	// CheckpointEvery, when positive, checkpoints every partition's WAL
 	// on that period, bounding crash-recovery replay time. Implies
 	// Durable. Durable partitions keep their logs in a fresh temporary
@@ -210,13 +200,10 @@ type Config struct {
 }
 
 func (c Config) defaults() Config {
-	if c.Faults != nil && c.Faults.Empty() {
-		c.Faults = nil // nothing scheduled: skip the fault machinery
-	}
 	if c.CheckpointEvery > 0 {
 		c.Durable = true
 	}
-	if c.CrossEdgeFraction > 0 || c.Faults != nil || c.ZipfSkew > 0 || c.Durable || len(c.ShardOwners) > 0 {
+	if c.CrossEdgeFraction > 0 || c.ZipfSkew > 0 || c.Durable || len(c.ShardOwners) > 0 {
 		c.Sharded = true
 	}
 	if c.Seed == 0 {
@@ -273,7 +260,7 @@ type Cluster struct {
 	clk        vclock.Clock
 	cloudModel detect.Model
 	batcher    *Batcher
-	transport  transport.Transport
+	transport  *transport.Sim
 	edges      []*EdgeNode
 	cams       []*cameraRuntime
 	nShards    int
@@ -289,8 +276,8 @@ type Cluster struct {
 	dist     *twopc.DistStats
 	shardMap *twopc.ShardMap
 
-	// Fault-injection state (nil in fault-free fleets): the injector and
-	// the temp WAL dir to remove after the run.
+	// Fault-injection state (nil unless the fleet is durable): the
+	// injector and the temp WAL dir to remove after the run.
 	injector *faults.Injector
 	walTemp  string
 
@@ -374,15 +361,12 @@ func New(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr := cfg.Transport
-	if tr == nil {
-		tr = transport.NewSim()
-	}
+	tr := transport.NewSim()
 	c := &Cluster{cfg: cfg, clk: cfg.Clock, cloudModel: cloudModel, batcher: batcher, transport: tr, graph: graph}
 	if cfg.Obs != nil {
 		// The transport keeps its own lifetime counters; a pull collector
 		// mirrors them into the registry at scrape time.
-		ttags := obs.Tags("transport", tr.Name())
+		ttags := obs.Tags("transport", "sim")
 		msgs := cfg.Obs.Counter(obs.MetricTransportMsgs, ttags)
 		bytes := cfg.Obs.Counter(obs.MetricTransportBytes, ttags)
 		cfg.Obs.Registry().RegisterCollector(func(*obs.Registry) {
@@ -392,7 +376,7 @@ func New(cfg Config) (*Cluster, error) {
 		})
 	}
 
-	// Edge IDs name reports, transport paths, and — under a fault plan —
+	// Edge IDs name reports, transport paths, and — in a durable fleet —
 	// the per-partition WAL files, so they must be unique (two edges
 	// sharing one log would corrupt recovery) and free of path separators
 	// (an ID like "../x" would escape the WAL directory).
@@ -669,8 +653,7 @@ func (c *Cluster) buildCamera(cs CameraSpec, idx int, startAt time.Duration) (*c
 // inter-edge links carries cross-edge lock and commit traffic, one
 // fleet-wide txn.Manager (whose backend routes every key through the shard
 // map) spans all edges, and each edge gets a ShardedCC bound to its home
-// partition. A durable fleet (fault plan, Durable, or checkpointing)
-// additionally gets per-partition write-ahead logs and a fault injector, so
+// partition. A durable fleet (Durable or checkpointing) additionally gets per-partition write-ahead logs and a fault injector, so
 // scripted crashes are survivable: committed state recovers from the log,
 // retraction restores are journaled, and in-doubt 2PC blocks resolve
 // against coordinator logs.
@@ -730,7 +713,7 @@ func (c *Cluster) provisionShards() error {
 			parts[i].WALAppends = c.cfg.Obs.Counter(obs.MetricWALAppends, obs.Tags("edge", e.Spec.ID))
 		}
 	}
-	if c.cfg.Faults == nil && !c.cfg.Durable {
+	if !c.cfg.Durable {
 		return nil
 	}
 
@@ -751,11 +734,7 @@ func (c *Cluster) provisionShards() error {
 	// Retraction cascades re-install before-images through the journaling
 	// backend so a recovered partition agrees with the live store.
 	c.fleetMgr.RestoreDB = twopc.JournaledShardedStore{ShardedStore: shardedStore}
-	plan := faults.Plan{}
-	if c.cfg.Faults != nil {
-		plan = *c.cfg.Faults
-	}
-	inj, err := faults.NewInjector(c.cfg.Clock, plan, parts, linkRows)
+	inj, err := faults.NewInjector(c.cfg.Clock, c.cfg.ReplayCost, parts, linkRows)
 	if err != nil {
 		return fmt.Errorf("cluster: %w", err)
 	}
@@ -773,8 +752,7 @@ func (c *Cluster) provisionShards() error {
 	return nil
 }
 
-// closeDurability closes the partition logs, removes a temp WAL dir, and
-// releases the transport.
+// closeDurability closes the partition logs and removes a temp WAL dir.
 func (c *Cluster) closeDurability() {
 	for _, e := range c.edges {
 		if e.Partition != nil {
@@ -784,9 +762,6 @@ func (c *Cluster) closeDurability() {
 	if c.walTemp != "" {
 		os.RemoveAll(c.walTemp)
 		c.walTemp = ""
-	}
-	if c.transport != nil {
-		c.transport.Close()
 	}
 }
 
@@ -810,10 +785,11 @@ func (c *Cluster) DistStats() twopc.DistCounters {
 	return c.dist.Snapshot()
 }
 
-// Injector returns the fleet's fault injector, or nil without a fault plan.
+// Injector returns the fleet's fault injector, or nil in a fleet that is
+// not durable.
 func (c *Cluster) Injector() *faults.Injector { return c.injector }
 
-// Close releases the durability resources of a fault-injected fleet (the
+// Close releases the durability resources of a durable fleet (the
 // partition logs and any auto-created WAL directory). The one-call Run
 // closes automatically; New+Run callers close when done — after any
 // post-run log inspection such as Injector().VerifyDurability().
@@ -842,9 +818,9 @@ func (c *Cluster) Outcomes(cameraID string) []core.FrameOutcome {
 // Batcher returns the shared cloud validator.
 func (c *Cluster) Batcher() *Batcher { return c.batcher }
 
-// Start spawns the fleet's background machinery — the fault injector's
-// scheduled events and the checkpoint ticker — on the clock. It runs first
-// so the virtual-time tiebreak (and with it the whole run) is reproducible.
+// Start spawns the fleet's background machinery — the checkpoint ticker —
+// on the clock. It runs first so the virtual-time tiebreak (and with it
+// the whole run) is reproducible.
 // Call exactly once, from the clock's driver, before Schedule and
 // StartCameras; Run does all three.
 func (c *Cluster) Start() {
@@ -856,24 +832,21 @@ func (c *Cluster) Start() {
 	c.started = true
 	c.startAt = c.clk.Now()
 	c.mu.Unlock()
-	if c.injector != nil {
-		c.injector.Start()
-		if every := c.cfg.CheckpointEvery; every > 0 {
-			c.clk.Go(func() {
-				for {
-					c.clk.Sleep(every)
-					c.mu.Lock()
-					idle := c.pending == 0
-					c.mu.Unlock()
-					if idle {
-						return // fleet drained: stop ticking so Wait can return
-					}
-					for e := range c.edges {
-						c.injector.Checkpoint(e)
-					}
+	if every := c.cfg.CheckpointEvery; every > 0 {
+		c.clk.Go(func() {
+			for {
+				c.clk.Sleep(every)
+				c.mu.Lock()
+				idle := c.pending == 0
+				c.mu.Unlock()
+				if idle {
+					return // fleet drained: stop ticking so Wait can return
 				}
-			})
-		}
+				for e := range c.edges {
+					c.injector.Checkpoint(e)
+				}
+			}
+		})
 	}
 }
 

@@ -437,17 +437,18 @@ func (c *Cluster) rebindLocked(cam *cameraRuntime) {
 // SetEdgeOutage darkens (or restores) an unsharded edge's data plane: while
 // down, frames captured by its cameras are dropped and counted — the
 // availability cost of a fail-stop without the durable-partition machinery.
-// Sharded fleets crash edges through the fault injector instead, which
-// models the transaction-level consequences.
-func (c *Cluster) SetEdgeOutage(edgeID string, down bool) error {
+// It reports whether the edge changed state: darkening a dark edge (or
+// restoring a lit one) is a no-op. Sharded fleets crash edges through the
+// fault injector instead, which models the transaction-level consequences.
+func (c *Cluster) SetEdgeOutage(edgeID string, down bool) (bool, error) {
 	i, err := c.edgeByID(edgeID)
 	if err != nil {
-		return err
+		return false, err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.edgeOut[i] == down {
-		return nil
+		return false, nil
 	}
 	c.edgeOut[i] = down
 	if down {
@@ -456,7 +457,7 @@ func (c *Cluster) SetEdgeOutage(edgeID string, down bool) error {
 		c.dyn.OutageRestores++
 	}
 	c.dynActive = true
-	return nil
+	return true, nil
 }
 
 func (c *Cluster) edgeOutage(i int) bool {
@@ -489,7 +490,7 @@ func (c *Cluster) SetCloudLink(edgeID string, down bool) error {
 // fleet.
 func (c *Cluster) CheckpointNow(edgeID string) error {
 	if c.injector == nil {
-		return fmt.Errorf("cluster: checkpointing needs a durable fleet (Config.Durable or a fault plan)")
+		return fmt.Errorf("cluster: checkpointing needs a durable fleet (Config.Durable)")
 	}
 	if edgeID == "" {
 		for e := range c.edges {

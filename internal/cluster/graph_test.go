@@ -122,24 +122,21 @@ func TestGraphDeterminism(t *testing.T) {
 // retractions recorded, no in-doubt leftovers, VerifyDurability clean, no
 // leaked locks.
 func TestGraphCrossEdgeRetractionWithCrash(t *testing.T) {
-	cfg := shardedConfig(vclock.NewSim(), 0.4, twopc.MSIA)
+	cfg := faultyConfig(vclock.NewSim(), twopc.MSIA)
 	cfg.Graph = depth3Graph()
-	cfg.Faults = &faults.Plan{
-		TwoPC: []faults.TwoPCCrash{
-			// Round 1 is the middle section's boundary commit: the
-			// participant dies after voting yes, between boundaries.
-			{Edge: 2, Point: twopc.PointParticipantPrepared, Round: 1, RestartAfter: 600 * time.Millisecond},
-		},
-		Crashes: []faults.EdgeCrash{
-			{Edge: 1, At: 4 * time.Second, RestartAfter: 1500 * time.Millisecond},
-		},
-	}
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	rep := c.Run()
+	rep := runFaulty(c, schedule{
+		twoPC: []faults.TwoPCCrash{
+			// Round 1 is the middle section's boundary commit: the
+			// participant dies after voting yes, between boundaries.
+			{Edge: 2, Point: twopc.PointParticipantPrepared, Round: 1, RestartAfter: 600 * time.Millisecond},
+		},
+		crashes: []crash{{edge: 1, at: 4 * time.Second, restartAfter: 1500 * time.Millisecond}},
+	})
 
 	if rep.Frames != 160 {
 		t.Fatalf("frames = %d, want 160 (the fleet must finish through the faults)", rep.Frames)

@@ -1,16 +1,18 @@
-// Package faults injects scripted, deterministic failures into a sharded
-// Croesus fleet and drives the WAL-backed recovery that survives them. A
-// Plan schedules fail-stop edge crashes (with restart after a delay),
-// crashes pinned to instants inside a two-phase commit (a participant right
-// after its yes vote; the coordinator after collecting votes but before its
-// decision is durable; the coordinator after the durable decision but
-// before delivery), and inter-edge link partitions — all on the fleet's
-// virtual clock, so a faulty run is exactly as deterministic as a healthy
-// one: same seed, same schedule, byte-identical report.
+// Package faults injects deterministic failures into a sharded Croesus
+// fleet and drives the WAL-backed recovery that survives them. The
+// Injector's verbs are what a timeline player calls at each fault's
+// instant: Crash fail-stops an edge, Restart recovers it from its log,
+// SetLink severs or heals an inter-edge peer path, and Arm sets a trigger
+// that crashes an edge at a scripted instant inside a two-phase commit (a
+// participant right after its yes vote; the coordinator after collecting
+// votes but before its decision is durable; the coordinator after the
+// durable decision but before delivery). On the fleet's virtual clock a
+// faulty run is exactly as deterministic as a healthy one: same seed, same
+// timeline, byte-identical report.
 //
-// The Injector is the runtime half: it implements twopc.FaultOracle (the
-// protocol consults it before trusting a partition), executes the plan's
-// state transitions, and performs recovery. A crashed edge loses its
+// The Injector implements twopc.FaultOracle (the protocol consults it
+// before trusting a partition), executes the state transitions, and
+// performs recovery. A crashed edge loses its
 // volatile state — lock grants, staged 2PC blocks, uncommitted eager
 // writes; what survives is its write-ahead log. Restart replays the log
 // with Partition.Recover (charging a per-record replay cost in virtual time),
@@ -37,22 +39,12 @@ import (
 	"croesus/internal/wal"
 )
 
-// EdgeCrash fail-stops an edge's data plane at a virtual time. The edge's
-// in-flight transactions abort or retract, its partition refuses new work,
-// and — when RestartAfter is positive — it recovers from its WAL after the
-// outage. A non-positive RestartAfter keeps the edge down until the run
-// drains (the end-of-run repair still recovers it, so reports always
-// describe a healed fleet).
-type EdgeCrash struct {
-	Edge         int
-	At           time.Duration
-	RestartAfter time.Duration
-}
-
-// TwoPCCrash fail-stops an edge at a scripted instant inside an atomic
+// TwoPCCrash fail-stops Edge at a scripted instant inside an atomic
 // commitment round: the Round-th time (1-based; 0 means first) Edge reaches
-// Point. For PointParticipantPrepared the edge crashes as a participant
-// that just voted yes; for the other points it crashes as the coordinator.
+// Point after the trigger is armed. For PointParticipantPrepared the edge
+// crashes as a participant that just voted yes; for the other points it
+// crashes as the coordinator. A positive RestartAfter recovers the edge
+// that long after the crash.
 type TwoPCCrash struct {
 	Edge         int
 	Point        twopc.TwoPCPoint
@@ -60,34 +52,11 @@ type TwoPCCrash struct {
 	RestartAfter time.Duration
 }
 
-// LinkFault partitions both directions of the peer path between edges A
-// and B from At until Heal (a Heal at or before At never heals).
-type LinkFault struct {
-	A, B     int
-	At, Heal time.Duration
-}
-
-// Plan is a scripted failure schedule for one fleet run.
-type Plan struct {
-	Crashes []EdgeCrash
-	TwoPC   []TwoPCCrash
-	Links   []LinkFault
-	// ReplayCost is the virtual time charged per WAL record replayed
-	// during recovery (default 5µs) — what makes recovery time a
-	// function of how much the edge had committed.
-	ReplayCost time.Duration
-}
-
-// Empty reports whether the plan schedules nothing.
-func (p Plan) Empty() bool {
-	return len(p.Crashes) == 0 && len(p.TwoPC) == 0 && len(p.Links) == 0
-}
-
-func (p Plan) defaults() Plan {
-	if p.ReplayCost == 0 {
-		p.ReplayCost = 5 * time.Microsecond
-	}
-	return p
+// trigger is an armed TwoPCCrash and the occurrences of its point at its
+// edge since it was armed.
+type trigger struct {
+	TwoPCCrash
+	seen int
 }
 
 // Counters tallies every fault injected and every recovery action taken.
@@ -130,14 +99,14 @@ type Report struct {
 	RecoveryP99 time.Duration
 }
 
-// Injector executes a Plan against a fleet's partitions and peer links.
-// Construct with NewInjector, call Start once before the fleet runs and
-// Finish after it drains. It implements twopc.FaultOracle.
+// Injector crashes, recovers and partitions a fleet's partitions and peer
+// links. Construct with NewInjector, call its verbs while the fleet runs
+// and Finish after it drains. It implements twopc.FaultOracle.
 type Injector struct {
-	clk   vclock.Clock
-	plan  Plan
-	parts []*twopc.Partition
-	links [][]transport.Path // links[i][j]: edge i's one-way path to edge j
+	clk        vclock.Clock
+	replayCost time.Duration
+	parts      []*twopc.Partition
+	links      [][]transport.Path // links[i][j]: edge i's one-way path to edge j
 
 	// Observability hooks, wired by Bind (nil without it): obs carries the
 	// wal.replay span each recovery emits; edgeTags[i] is the pre-rendered
@@ -150,22 +119,18 @@ type Injector struct {
 	recovering []bool
 	epoch      []int
 	crashedAt  []time.Duration
-	armed      []TwoPCCrash
-	seen       map[pointKey]int
+	armed      []trigger
 	counters   Counters
 	recovery   metrics.LatencyStats
 }
 
-type pointKey struct {
-	edge  int
-	point twopc.TwoPCPoint
-}
-
-// NewInjector validates the plan against the fleet shape. links[i][j] is
-// edge i's one-way link to edge j (nil on the diagonal). Every partition
-// must already log to its WAL (Partition.OpenWAL), which is what it
-// recovers from.
-func NewInjector(clk vclock.Clock, plan Plan, parts []*twopc.Partition, links [][]transport.Path) (*Injector, error) {
+// NewInjector builds the injector for a fleet. replayCost is the virtual
+// time a recovery charges per WAL record replayed (0 means 5µs) — what
+// makes recovery time a function of how much the edge had committed.
+// links[i][j] is edge i's one-way link to edge j (nil on the diagonal).
+// Every partition must already log to its WAL (Partition.OpenWAL), which
+// is what it recovers from.
+func NewInjector(clk vclock.Clock, replayCost time.Duration, parts []*twopc.Partition, links [][]transport.Path) (*Injector, error) {
 	n := len(parts)
 	if n == 0 {
 		return nil, fmt.Errorf("faults: no partitions")
@@ -178,38 +143,18 @@ func NewInjector(clk vclock.Clock, plan Plan, parts []*twopc.Partition, links []
 			return nil, fmt.Errorf("faults: partition %d has no WAL — crashes would lose committed state", i)
 		}
 	}
-	for _, ev := range plan.Crashes {
-		if ev.Edge < 0 || ev.Edge >= n {
-			return nil, fmt.Errorf("faults: crash of unknown edge %d", ev.Edge)
-		}
-	}
-	for _, ev := range plan.TwoPC {
-		if ev.Edge < 0 || ev.Edge >= n {
-			return nil, fmt.Errorf("faults: 2PC crash of unknown edge %d", ev.Edge)
-		}
-		if ev.Point < twopc.PointParticipantPrepared || ev.Point > twopc.PointAfterDecision {
-			return nil, fmt.Errorf("faults: unknown 2PC point %d", ev.Point)
-		}
-		if ev.Round < 0 {
-			return nil, fmt.Errorf("faults: negative 2PC round %d", ev.Round)
-		}
-	}
-	for _, ev := range plan.Links {
-		if ev.A < 0 || ev.A >= n || ev.B < 0 || ev.B >= n || ev.A == ev.B {
-			return nil, fmt.Errorf("faults: link fault between edges %d and %d", ev.A, ev.B)
-		}
+	if replayCost == 0 {
+		replayCost = 5 * time.Microsecond
 	}
 	return &Injector{
 		clk:        clk,
-		plan:       plan.defaults(),
+		replayCost: replayCost,
 		parts:      parts,
 		links:      links,
 		down:       make([]bool, n),
 		recovering: make([]bool, n),
 		epoch:      make([]int, n),
 		crashedAt:  make([]time.Duration, n),
-		armed:      append([]TwoPCCrash{}, plan.TwoPC...),
-		seen:       make(map[pointKey]int),
 	}, nil
 }
 
@@ -217,7 +162,7 @@ func NewInjector(clk vclock.Clock, plan Plan, parts []*twopc.Partition, links []
 // wal.replay span tagged with edgeTags[e], and the fault counters are
 // pulled into the registry at scrape time (the report keeps its own
 // Counters snapshot — the registry mirrors it, never replaces it). Call
-// before Start.
+// before the fleet runs.
 func (i *Injector) Bind(o *obs.Obs, edgeTags []string) {
 	if o == nil {
 		return
@@ -240,39 +185,6 @@ func (i *Injector) edgeTag(e int) string {
 		return i.edgeTags[e]
 	}
 	return ""
-}
-
-// Start spawns the plan's time-scheduled events on the clock. Call exactly
-// once, from the clock's driver, before the fleet's own goroutines start —
-// the spawn order pins the virtual-time tiebreak and keeps runs identical.
-func (i *Injector) Start() {
-	for _, ev := range i.plan.Crashes {
-		ev := ev
-		i.clk.Go(func() {
-			i.clk.Sleep(ev.At)
-			// A crash that found the edge already down (another event got
-			// there first) owns no recovery either — the event that did
-			// crash it schedules the restart.
-			if !i.crash(ev.Edge) {
-				return
-			}
-			if ev.RestartAfter > 0 {
-				i.clk.Sleep(ev.RestartAfter)
-				i.restart(ev.Edge, true)
-			}
-		})
-	}
-	for _, ev := range i.plan.Links {
-		ev := ev
-		i.clk.Go(func() {
-			i.clk.Sleep(ev.At)
-			i.setLink(ev.A, ev.B, true)
-			if ev.Heal > ev.At {
-				i.clk.Sleep(ev.Heal - ev.At)
-				i.setLink(ev.A, ev.B, false)
-			}
-		})
-	}
 }
 
 // Finish repairs the fleet after the run drains: every edge still down is
@@ -346,29 +258,34 @@ func (i *Injector) TxnFault() {
 	i.mu.Unlock()
 }
 
+// Arm sets a 2PC crash trigger: from now on, the Round-th time t.Edge
+// reaches t.Point, the edge fail-stops there.
+func (i *Injector) Arm(t TwoPCCrash) {
+	i.mu.Lock()
+	i.armed = append(i.armed, trigger{TwoPCCrash: t})
+	i.mu.Unlock()
+}
+
 // At2PCPoint implements twopc.FaultOracle: it counts the instant against
-// the armed TwoPCCrash triggers and, on a match, fail-stops the acting
-// edge (part) right there — synchronously, on the transaction's own
-// goroutine, which is what makes the crash land at exactly the scripted
-// protocol step on every run.
+// the armed triggers and, on a match, fail-stops the acting edge (part)
+// right there — synchronously, on the transaction's own goroutine, which
+// is what makes the crash land at exactly the scripted protocol step on
+// every run.
 func (i *Injector) At2PCPoint(coord, part int, point twopc.TwoPCPoint) bool {
 	i.mu.Lock()
 	if i.down[part] {
 		i.mu.Unlock()
 		return false
 	}
-	k := pointKey{edge: part, point: point}
-	i.seen[k]++
-	n := i.seen[k]
 	hit := -1
-	for j, t := range i.armed {
-		round := t.Round
-		if round == 0 {
-			round = 1
+	for j := range i.armed {
+		t := &i.armed[j]
+		if t.Edge != part || t.Point != point {
+			continue
 		}
-		if t.Edge == part && t.Point == point && round == n {
+		t.seen++
+		if hit < 0 && t.seen == max(t.Round, 1) {
 			hit = j
-			break
 		}
 	}
 	if hit < 0 {
@@ -379,22 +296,22 @@ func (i *Injector) At2PCPoint(coord, part int, point twopc.TwoPCPoint) bool {
 	i.armed = append(i.armed[:hit], i.armed[hit+1:]...)
 	i.mu.Unlock()
 
-	if i.crash(part) && t.RestartAfter > 0 {
+	if i.Crash(part) && t.RestartAfter > 0 {
 		i.clk.Go(func() {
 			i.clk.Sleep(t.RestartAfter)
-			i.restart(part, true)
+			i.Restart(part)
 		})
 	}
 	return false
 }
 
-// crash fail-stops edge e: liveness flips, the crash epoch advances (the
+// Crash fail-stops edge e: liveness flips, the crash epoch advances (the
 // signal to in-flight transactions that their locks there are gone), and
 // the partition's volatile protocol state is dropped. The store object is
-// left for restart to rebuild — nothing may trust it while down. It
+// left for Restart to rebuild — nothing may trust it while down. It
 // reports whether this call performed the crash; false means the edge was
-// already down, and the event that downed it owns the recovery.
-func (i *Injector) crash(e int) bool {
+// already down, and the crash that downed it owns the recovery.
+func (i *Injector) Crash(e int) bool {
 	i.mu.Lock()
 	if i.down[e] {
 		i.mu.Unlock()
@@ -408,6 +325,10 @@ func (i *Injector) crash(e int) bool {
 	i.parts[e].CrashReset()
 	return true
 }
+
+// Restart recovers edge e from its WAL, charging the recovery cost in
+// clock time; it does nothing unless e is down and not already recovering.
+func (i *Injector) Restart(e int) { i.restart(e, true) }
 
 // restart recovers edge e from its WAL: the recovery cost (ReplayCost per
 // record plus one inquiry round trip per in-doubt block, when charge is
@@ -434,7 +355,7 @@ func (i *Injector) restart(e int, charge bool) {
 		if err != nil {
 			panic(fmt.Sprintf("faults: sizing recovery of edge %d from %s: %v", e, path, err))
 		}
-		cost := time.Duration(records) * i.plan.ReplayCost
+		cost := time.Duration(records) * i.replayCost
 		for _, coord := range coords {
 			if coord != e && !i.peerDown(e, coord) {
 				if l := i.links[e][coord]; l != nil {
@@ -578,7 +499,9 @@ func (i *Injector) peerDown(a, b int) bool {
 	return false
 }
 
-func (i *Injector) setLink(a, b int, down bool) {
+// SetLink severs (down) or heals both directions of the peer path between
+// edges a and b.
+func (i *Injector) SetLink(a, b int, down bool) {
 	if l := i.links[a][b]; l != nil {
 		l.SetDown(down)
 	}

@@ -94,27 +94,28 @@ func runTxn(t *testing.T, cc *twopc.ShardedCC, tx *txn.Txn) error {
 	return cc.RunFinal(in)
 }
 
+// crashAt fail-stops edge e at clock time at and, with a positive
+// restartAfter, recovers it that long later — what a timeline player does
+// for an edge_crash event.
+func crashAt(clk vclock.Clock, inj *Injector, e int, at, restartAfter time.Duration) {
+	clk.Go(func() {
+		clk.Sleep(at)
+		if inj.Crash(e) && restartAfter > 0 {
+			clk.Sleep(restartAfter)
+			inj.Restart(e)
+		}
+	})
+}
+
 func TestInjectorValidation(t *testing.T) {
 	clk := vclock.NewSim()
 	_, parts, links := miniFleet(t, clk)
-	for _, tc := range []struct {
-		name string
-		plan Plan
-		want string
-	}{
-		{"crash unknown edge", Plan{Crashes: []EdgeCrash{{Edge: 7}}}, "unknown edge"},
-		{"2pc unknown edge", Plan{TwoPC: []TwoPCCrash{{Edge: -1}}}, "unknown edge"},
-		{"2pc bad point", Plan{TwoPC: []TwoPCCrash{{Edge: 0, Point: 99}}}, "2PC point"},
-		{"2pc bad round", Plan{TwoPC: []TwoPCCrash{{Edge: 0, Round: -2}}}, "round"},
-		{"self link", Plan{Links: []LinkFault{{A: 1, B: 1}}}, "link fault"},
-	} {
-		if _, err := NewInjector(clk, tc.plan, parts, links); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: err = %v, want mention of %q", tc.name, err, tc.want)
-		}
+	if _, err := NewInjector(clk, 0, parts, links[:1]); err == nil || !strings.Contains(err.Error(), "link rows") {
+		t.Errorf("mismatched link rows: err = %v", err)
 	}
 	// A partition without a WAL cannot be crashed survivably.
 	bare := []*twopc.Partition{twopc.NewPartitionOver(0, store.New(), lock.NewManager(clk))}
-	if _, err := NewInjector(clk, Plan{}, bare, [][]transport.Path{{nil}}); err == nil {
+	if _, err := NewInjector(clk, 0, bare, [][]transport.Path{{nil}}); err == nil {
 		t.Error("injector accepted a WAL-less partition")
 	}
 }
@@ -125,16 +126,14 @@ func TestInjectorValidation(t *testing.T) {
 func TestCrashRestartRebuildsFromLog(t *testing.T) {
 	clk := vclock.NewSim()
 	cc, parts, links := miniFleet(t, clk)
-	inj, err := NewInjector(clk, Plan{
-		Crashes: []EdgeCrash{{Edge: 1, At: 100 * time.Millisecond, RestartAfter: 50 * time.Millisecond}},
-	}, parts, links)
+	inj, err := NewInjector(clk, 0, parts, links)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cc.Faults = inj
 
 	sleepUntil := func(at time.Duration) { clk.Sleep(at - clk.Now()) }
-	inj.Start()
+	crashAt(clk, inj, 1, 100*time.Millisecond, 50*time.Millisecond)
 	clk.Go(func() {
 		// Before the crash: a committed remote write and a cross one.
 		if err := runTxn(t, cc, writeTxn("1a", 1)); err != nil {
@@ -199,19 +198,15 @@ func TestCrashRestartRebuildsFromLog(t *testing.T) {
 func TestFinalRoundNotResolvedByInitialCommitMarker(t *testing.T) {
 	clk := vclock.NewSim()
 	cc, parts, links := miniFleet(t, clk)
-	inj, err := NewInjector(clk, Plan{
-		TwoPC: []TwoPCCrash{
-			// Edge 0 coordinates both rounds; its second after-prepare
-			// instant is the final round.
-			{Edge: 0, Point: twopc.PointAfterPrepare, Round: 2, RestartAfter: 50 * time.Millisecond},
-		},
-	}, parts, links)
+	inj, err := NewInjector(clk, 0, parts, links)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cc.Faults = inj
+	// Edge 0 coordinates both rounds; its second after-prepare instant is
+	// the final round.
+	inj.Arm(TwoPCCrash{Edge: 0, Point: twopc.PointAfterPrepare, Round: 2, RestartAfter: 50 * time.Millisecond})
 
-	inj.Start()
 	clk.Go(func() {
 		if err := runTxn(t, cc, crossTxn(7)); err == nil {
 			t.Error("transaction survived its coordinator dying before the final decision")
@@ -253,23 +248,17 @@ func TestFinalRoundNotResolvedByInitialCommitMarker(t *testing.T) {
 func TestInquiryDefersAcrossPartitionedLink(t *testing.T) {
 	clk := vclock.NewSim()
 	cc, parts, links := miniFleet(t, clk)
-	inj, err := NewInjector(clk, Plan{
-		TwoPC: []TwoPCCrash{
-			{Edge: 1, Point: twopc.PointParticipantPrepared, Round: 1, RestartAfter: 100 * time.Millisecond},
-		},
-		Crashes: []EdgeCrash{
-			// The coordinator itself crashes and restarts while the link is
-			// still severed: its recovery sweep must skip the partitioned
-			// participant instead of pushing the decision across.
-			{Edge: 0, At: 600 * time.Millisecond, RestartAfter: 100 * time.Millisecond},
-		},
-	}, parts, links)
+	inj, err := NewInjector(clk, 0, parts, links)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cc.Faults = inj
+	inj.Arm(TwoPCCrash{Edge: 1, Point: twopc.PointParticipantPrepared, Round: 1, RestartAfter: 100 * time.Millisecond})
+	// The coordinator itself crashes and restarts while the link is still
+	// severed: its recovery sweep must skip the partitioned participant
+	// instead of pushing the decision across.
+	crashAt(clk, inj, 0, 600*time.Millisecond, 100*time.Millisecond)
 
-	inj.Start()
 	clk.Go(func() {
 		// The participant crashes right after its durable yes vote; the
 		// coordinator commits the initial round without it, then the final
@@ -326,15 +315,13 @@ func TestInquiryDefersAcrossPartitionedLink(t *testing.T) {
 func TestEndOfRunRepairNotSampled(t *testing.T) {
 	clk := vclock.NewSim()
 	cc, parts, links := miniFleet(t, clk)
-	inj, err := NewInjector(clk, Plan{
-		Crashes: []EdgeCrash{{Edge: 1, At: 10 * time.Millisecond}}, // no RestartAfter: down until drain
-	}, parts, links)
+	inj, err := NewInjector(clk, 0, parts, links)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cc.Faults = inj
+	crashAt(clk, inj, 1, 10*time.Millisecond, 0) // no restart: down until drain
 
-	inj.Start()
 	clk.Go(func() {
 		if err := runTxn(t, cc, writeTxn("0a", 1)); err != nil {
 			t.Errorf("home txn: %v", err)
@@ -358,15 +345,18 @@ func TestEndOfRunRepairNotSampled(t *testing.T) {
 func TestLinkPartitionFailsCrossEdgeTxns(t *testing.T) {
 	clk := vclock.NewSim()
 	cc, parts, links := miniFleet(t, clk)
-	inj, err := NewInjector(clk, Plan{
-		Links: []LinkFault{{A: 0, B: 1, At: 10 * time.Millisecond, Heal: 30 * time.Millisecond}},
-	}, parts, links)
+	inj, err := NewInjector(clk, 0, parts, links)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cc.Faults = inj
+	clk.Go(func() {
+		clk.Sleep(10 * time.Millisecond)
+		inj.SetLink(0, 1, true)
+		clk.Sleep(20 * time.Millisecond)
+		inj.SetLink(0, 1, false)
+	})
 
-	inj.Start()
 	clk.Go(func() {
 		clk.Sleep(15 * time.Millisecond)
 		if err := runTxn(t, cc, writeTxn("1a", 1)); err == nil {
@@ -393,6 +383,40 @@ func TestLinkPartitionFailsCrossEdgeTxns(t *testing.T) {
 	}
 	if v, _ := parts[1].Store.Get("1a"); store.AsInt64(v) != 2 {
 		t.Errorf("post-heal write = %v", v)
+	}
+	if err := inj.VerifyDurability(); err != nil {
+		t.Errorf("durability: %v", err)
+	}
+}
+
+// A 2PC trigger counts its point from the moment it is armed: the
+// participant's first prepared vote after Arm crashes it, however many
+// votes it cast before.
+func TestArmCountsFromArming(t *testing.T) {
+	clk := vclock.NewSim()
+	cc, parts, links := miniFleet(t, clk)
+	inj, err := NewInjector(clk, 0, parts, links)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc.Faults = inj
+	clk.Go(func() {
+		// Both rounds of this transaction reach edge 1's prepared vote.
+		if err := runTxn(t, cc, crossTxn(1)); err != nil {
+			t.Errorf("unarmed txn: %v", err)
+		}
+		inj.Arm(TwoPCCrash{Edge: 1, Point: twopc.PointParticipantPrepared, Round: 1})
+		if err := runTxn(t, cc, crossTxn(2)); err == nil {
+			t.Error("txn survived the trigger armed before it")
+		}
+		if !inj.Down(1) {
+			t.Error("edge 1 not down after its first prepared vote since Arm")
+		}
+	})
+	clk.Wait()
+	inj.Finish()
+	if c := inj.Counters(); c.Crashes != 1 {
+		t.Errorf("crashes = %d, want 1", c.Crashes)
 	}
 	if err := inj.VerifyDurability(); err != nil {
 		t.Errorf("durability: %v", err)

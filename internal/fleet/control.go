@@ -17,8 +17,9 @@
 //     discovery, SIGKILL crashes, respawns, graceful SIGTERM stops.
 //   - cams.go — the orchestrator's handle on one spawned croesus-client.
 //   - fleet.go — the orchestrator: scenario validation for the
-//     multi-process fleet, timeline playback, report merge (report.go),
-//     trace collection.
+//     multi-process fleet, the process deployment's scenario.Driver (its
+//     verbs, which scenario.Play calls at each event's scaled wall
+//     instant), report merge (report.go), trace collection.
 package fleet
 
 import (

@@ -13,6 +13,7 @@ import (
 	"croesus/internal/obs/collect"
 	"croesus/internal/scenario"
 	"croesus/internal/transport"
+	"croesus/internal/vclock"
 	"croesus/internal/wire"
 )
 
@@ -102,9 +103,16 @@ type fleetEdge struct {
 	sameSite bool
 	retired  bool
 	dark     bool // crashed, not (yet) respawned
+	// killedAt and crash describe the latest crash: when the SIGKILL
+	// landed and the index of its record in fleetRun.crashes.
+	killedAt time.Time
+	crash    int
 }
 
-// fleetRun is the orchestrator's mutable state for one run.
+// fleetRun is the orchestrator's mutable state for one run, and the
+// process deployment's scenario.Driver: scenario.Play schedules the
+// timeline on clk, and each verb acts on the processes through their
+// control channels, signals and respawns.
 type fleetRun struct {
 	s    *scenario.Scenario
 	o    Options
@@ -125,7 +133,7 @@ type fleetRun struct {
 	rrNext  int // round-robin placement cursor
 	crashes []crashRecord
 	dyn     cluster.DynamicReport
-	wg      sync.WaitGroup // respawn/heal timers
+	clk     vclock.Clock // the timeline's clock: scaled wall time from start
 	start   time.Time
 }
 
@@ -314,7 +322,7 @@ func edgeLinkSpecs(sameSite bool) (client, cloud string) {
 }
 
 // placeCamera picks the camera's edge: its pinned one, or round-robin
-// over edges still accepting placements.
+// over edges still accepting placements. Caller holds f.mu.
 func (f *fleetRun) placeCamera(cam scenario.Camera) *fleetEdge {
 	if cam.Edge != "" {
 		return f.byID[cam.Edge]
@@ -331,7 +339,9 @@ func (f *fleetRun) placeCamera(cam scenario.Camera) *fleetEdge {
 
 // startCamera launches one camera stream on its edge.
 func (f *fleetRun) startCamera(cam scenario.Camera) error {
+	f.mu.Lock()
 	fe := f.placeCamera(cam)
+	f.mu.Unlock()
 	prof, err := scenario.ProfileFor(cam.Profile)
 	if err != nil {
 		return err
@@ -352,10 +362,11 @@ func (f *fleetRun) startCamera(cam scenario.Camera) error {
 	return nil
 }
 
-// play brings up the cameras, walks the timeline at scaled wall time,
+// play brings up the cameras, plays the timeline at scaled wall time,
 // waits for the streams to drain, and collects everything.
 func (f *fleetRun) play() *Result {
 	f.start = time.Now()
+	f.clk = vclock.NewScaledReal(f.ts)
 
 	// Topology cameras start at time zero.
 	for _, cam := range f.s.Topology.Cameras {
@@ -368,29 +379,20 @@ func (f *fleetRun) play() *Result {
 	stopTick := make(chan struct{})
 	if every := time.Duration(f.s.Topology.CheckpointEvery); every > 0 {
 		tick := time.NewTicker(f.scaled(every))
-		f.wg.Add(1)
-		go func() {
-			defer f.wg.Done()
+		f.clk.Go(func() {
 			defer tick.Stop()
 			for {
 				select {
 				case <-tick.C:
-					f.checkpoint("")
+					f.Checkpoint("")
 				case <-stopTick:
 					return
 				}
 			}
-		}()
+		})
 	}
 
-	for _, ev := range f.s.SortedTimeline() {
-		wake := f.start.Add(f.scaled(time.Duration(ev.At)))
-		if d := time.Until(wake); d > 0 {
-			time.Sleep(d)
-		}
-		f.logf("fleet: t=%s %s", time.Duration(ev.At), ev.Label())
-		f.exec(ev)
-	}
+	scenario.Play(f.s, f.clk, f)
 
 	// Wait for every camera stream to finish.
 	f.mu.Lock()
@@ -414,7 +416,7 @@ func (f *fleetRun) play() *Result {
 		clients = append(clients, rep)
 	}
 	close(stopTick)
-	f.wg.Wait() // respawns and heals still in flight
+	f.clk.Wait() // events, respawns and heals still in flight
 
 	elapsed := time.Since(f.start)
 
@@ -506,62 +508,67 @@ func (f *fleetRun) camDeadline() time.Time {
 	return f.start.Add(f.scaled(longest) + timeout + 15*time.Second)
 }
 
-// exec applies one timeline event to the live fleet.
-func (f *fleetRun) exec(ev scenario.Event) {
-	switch ev.Do {
-	case scenario.KindCameraJoin:
-		if err := f.startCamera(*ev.Join); err != nil {
-			f.logf("fleet: %s: %v", ev.Label(), err)
-			return
-		}
-		f.mu.Lock()
-		f.dyn.Joins++
-		f.mu.Unlock()
-	case scenario.KindCameraLeave:
-		f.mu.Lock()
-		h := f.cams[ev.Camera]
-		f.dyn.Leaves++
-		f.mu.Unlock()
-		if h != nil {
-			h.stop()
-		}
-	case scenario.KindMigrateCamera:
-		f.migrate(ev.Camera, ev.To)
-	case scenario.KindWorkloadShift:
-		if ev.Rate == nil {
-			return // cross-edge/zipf shifts were rejected by validation
-		}
-		f.mu.Lock()
-		var targets []*procCam
-		if ev.Camera != "" {
-			if h := f.cams[ev.Camera]; h != nil {
-				targets = append(targets, h)
-			}
-		} else {
-			for _, h := range f.cams {
-				targets = append(targets, h)
-			}
-		}
-		f.dyn.WorkloadShifts++
-		f.mu.Unlock()
-		for _, h := range targets {
-			if err := h.rate(*ev.Rate); err != nil {
-				f.logf("fleet: %s: %v", ev.Label(), err)
-			}
-		}
-	case scenario.KindEdgeCrash:
-		f.crash(ev)
-	case scenario.KindEdgeRetire:
-		f.retire(ev.Edge)
-	case scenario.KindLinkFault:
-		f.linkFault(ev)
-	case scenario.KindCheckpoint:
-		f.checkpoint(ev.Edge)
+// Schedule implements scenario.Driver: fn runs on its own goroutine at
+// the event's scaled wall instant.
+func (f *fleetRun) Schedule(at time.Duration, label string, fn func()) {
+	f.clk.Go(func() {
+		f.clk.Sleep(at - f.clk.Now())
+		f.logf("fleet: t=%s %s", at, label)
+		fn()
+	})
+}
+
+// Join implements scenario.Driver: the camera's client starts now.
+func (f *fleetRun) Join(cam scenario.Camera) {
+	if err := f.startCamera(cam); err != nil {
+		f.logf("fleet: join %s: %v", cam.ID, err)
+		return
+	}
+	f.mu.Lock()
+	f.dyn.Joins++
+	f.mu.Unlock()
+}
+
+// Stop implements scenario.Driver.
+func (f *fleetRun) Stop(camera string) {
+	f.mu.Lock()
+	h := f.cams[camera]
+	f.dyn.Leaves++
+	f.mu.Unlock()
+	if h != nil {
+		h.stop()
 	}
 }
 
-// migrate points a camera at a new edge.
-func (f *fleetRun) migrate(camID, to string) {
+// Shift implements scenario.Driver: a rate change steers the clients live
+// (cross-edge and zipf shifts were rejected by ValidateForFleet).
+func (f *fleetRun) Shift(camera string, rate, _, _ *float64) {
+	if rate == nil {
+		return
+	}
+	f.mu.Lock()
+	var targets []*procCam
+	if camera != "" {
+		if h := f.cams[camera]; h != nil {
+			targets = append(targets, h)
+		}
+	} else {
+		for _, h := range f.cams {
+			targets = append(targets, h)
+		}
+	}
+	f.dyn.WorkloadShifts++
+	f.mu.Unlock()
+	for _, h := range targets {
+		if err := h.rate(*rate); err != nil {
+			f.logf("fleet: shift %s: %v", camera, err)
+		}
+	}
+}
+
+// Migrate implements scenario.Driver: the camera's client redials the new
+// edge.
+func (f *fleetRun) Migrate(camID, to string) {
 	f.mu.Lock()
 	h := f.cams[camID]
 	fe := f.byID[to]
@@ -582,70 +589,81 @@ func (f *fleetRun) migrate(camID, to string) {
 	f.mu.Unlock()
 }
 
-// crash SIGKILLs an edge process and, with restart_after, respawns it on
-// the same data address and WAL so clients reconnect and the store
-// replays.
-func (f *fleetRun) crash(ev scenario.Event) {
-	fe := f.byID[ev.Edge]
+// Crash implements scenario.Driver: it SIGKILLs the edge process. An edge
+// that is already dark is left alone and the call reports false.
+func (f *fleetRun) Crash(edge string) bool {
+	fe := f.byID[edge]
 	if fe == nil {
-		return
+		return false
 	}
 	f.mu.Lock()
+	if fe.dark {
+		f.mu.Unlock()
+		return false
+	}
 	fe.dark = true
-	ctl := fe.ctl
+	ctl, p := fe.ctl, fe.p
 	fe.ctl = nil
+	fe.killedAt = time.Now()
+	fe.crash = len(f.crashes)
+	f.crashes = append(f.crashes, crashRecord{edge: fe.id})
 	f.dyn.EdgeOutages++
 	f.mu.Unlock()
 	if ctl != nil {
 		ctl.Close()
 	}
-	killedAt := time.Now()
-	fe.p.kill()
+	p.kill()
 	f.logf("fleet: edge %s killed (SIGKILL)", fe.id)
-	if ev.RestartAfter <= 0 {
+	return true
+}
+
+// Restart implements scenario.Driver: it respawns the edge on the same
+// data address and WAL, so clients reconnect and the store replays.
+func (f *fleetRun) Restart(edge string) {
+	fe := f.byID[edge]
+	if fe == nil {
+		return
+	}
+	p, info, err := fe.respawn(fe.addr)
+	if err != nil {
+		f.logf("fleet: edge %s respawn: %v", fe.id, err)
+		return
+	}
+	ctl, err := DialControl(info.Control)
+	if err != nil {
+		f.logf("fleet: edge %s respawn control: %v", fe.id, err)
 		f.mu.Lock()
-		f.crashes = append(f.crashes, crashRecord{edge: fe.id})
+		fe.p = p // still torn down at the end of the run
 		f.mu.Unlock()
 		return
 	}
-	f.wg.Add(1)
-	go func() {
-		defer f.wg.Done()
-		time.Sleep(f.scaled(time.Duration(ev.RestartAfter)))
-		p, info, err := fe.respawn(fe.addr)
-		if err != nil {
-			f.logf("fleet: edge %s respawn: %v", fe.id, err)
-			f.mu.Lock()
-			f.crashes = append(f.crashes, crashRecord{edge: fe.id})
-			f.mu.Unlock()
-			return
-		}
-		ctl, err := DialControl(info.Control)
-		if err != nil {
-			f.logf("fleet: edge %s respawn control: %v", fe.id, err)
-			return
-		}
-		var er EdgeReport
-		replayed := 0
-		if err := ctl.CallJSON(wire.Control{Op: OpReport}, 0, &er); err == nil {
-			replayed = er.WALReplayed
-		}
-		f.mu.Lock()
-		fe.p = p
-		fe.ctl = ctl
-		fe.dark = false
-		f.dyn.OutageRestores++
-		f.crashes = append(f.crashes, crashRecord{
-			edge: fe.id, downFor: time.Since(killedAt), replayed: replayed,
-		})
-		f.mu.Unlock()
-		f.logf("fleet: edge %s respawned on %s, %d WAL records replayed", fe.id, info.Addr, replayed)
-	}()
+	var er EdgeReport
+	replayed := 0
+	if err := ctl.CallJSON(wire.Control{Op: OpReport}, 0, &er); err == nil {
+		replayed = er.WALReplayed
+	}
+	f.mu.Lock()
+	fe.p = p
+	fe.ctl = ctl
+	fe.dark = false
+	f.dyn.OutageRestores++
+	rec := &f.crashes[fe.crash]
+	rec.downFor = time.Since(fe.killedAt)
+	rec.replayed = replayed
+	f.mu.Unlock()
+	f.logf("fleet: edge %s respawned on %s, %d WAL records replayed", fe.id, info.Addr, replayed)
 }
 
-// retire drains an edge and migrates its cameras to the remaining edges
-// in index order — the planned counterpart of a crash.
-func (f *fleetRun) retire(edgeID string) {
+// ArmTwoPCCrash implements scenario.Driver. Standalone edges run no 2PC
+// round, and ValidateForFleet rejects the event.
+func (f *fleetRun) ArmTwoPCCrash(edge, _ string, _ int, _ time.Duration) {
+	f.logf("fleet: twopc_crash on %s needs the in-process sharded fleet", edge)
+}
+
+// Retire implements scenario.Driver: it drains an edge and migrates its
+// cameras to the remaining edges in index order — the planned
+// counterpart of a crash.
+func (f *fleetRun) Retire(edgeID string) {
 	fe := f.byID[edgeID]
 	if fe == nil {
 		return
@@ -676,43 +694,36 @@ func (f *fleetRun) retire(edgeID string) {
 		if len(dests) == 0 {
 			break
 		}
-		f.migrate(cam, dests[i%len(dests)].id)
+		f.Migrate(cam, dests[i%len(dests)].id)
 	}
 }
 
-// linkFault blackholes an edge's modeled cloud path until heal.
-func (f *fleetRun) linkFault(ev scenario.Event) {
-	fe := f.byID[ev.A]
-	if fe == nil {
+// SetLink implements scenario.Driver for an edge's cloud uplink: the edge
+// blackholes its modeled cloud path (edge↔edge links were rejected by
+// ValidateForFleet).
+func (f *fleetRun) SetLink(a, b string, down bool) {
+	fe := f.byID[a]
+	if fe == nil || b != "cloud" {
+		f.logf("fleet: link %s↔%s needs the in-process sharded fleet", a, b)
 		return
 	}
-	set := func(down bool) {
-		f.mu.Lock()
-		ctl := fe.ctl
-		f.mu.Unlock()
-		if ctl == nil {
-			return
-		}
-		if _, err := ctl.CallOK(wire.Control{Op: OpLink, Path: "cloud", Down: down}, 0); err != nil {
-			f.logf("fleet: link %s↔cloud down=%v: %v", ev.A, down, err)
-		}
-	}
-	set(true)
 	f.mu.Lock()
-	f.dyn.CloudLinkOutages++
+	ctl := fe.ctl
+	if down {
+		f.dyn.CloudLinkOutages++
+	}
 	f.mu.Unlock()
-	if ev.Heal > ev.At {
-		f.wg.Add(1)
-		go func() {
-			defer f.wg.Done()
-			time.Sleep(f.scaled(time.Duration(ev.Heal - ev.At)))
-			set(false)
-		}()
+	if ctl == nil {
+		return
+	}
+	if _, err := ctl.CallOK(wire.Control{Op: OpLink, Path: "cloud", Down: down}, 0); err != nil {
+		f.logf("fleet: link %s↔cloud down=%v: %v", a, down, err)
 	}
 }
 
-// checkpoint compacts one edge's WAL (or every live edge's).
-func (f *fleetRun) checkpoint(edgeID string) {
+// Checkpoint implements scenario.Driver: it compacts one edge's WAL (or
+// every live edge's).
+func (f *fleetRun) Checkpoint(edgeID string) {
 	for _, fe := range f.edges {
 		if edgeID != "" && fe.id != edgeID {
 			continue

@@ -1,10 +1,11 @@
 // The scenario runtime: compile a Scenario into a cluster.Config, then
-// drive the cluster through the timeline. Fault events ride the cluster's
-// deterministic fault injector (the old cluster.Config.Faults machinery,
-// now an implementation detail behind the timeline); membership, migration,
-// workload, outage, and checkpoint events become scheduled calls into the
-// cluster's dynamic-fleet API. Every event also marks a phase boundary, so
-// the report slices the run into before/during/after windows.
+// play the timeline against the cluster. Runtime is the simulated (and
+// scaled wall-clock) deployment's Driver: Play schedules every event on
+// the cluster's clock, and its verbs call the cluster's dynamic-fleet API
+// or, on a durable sharded fleet, the fault injector's Crash, Restart,
+// SetLink and Arm at the event's own instant. Every event also marks a
+// phase boundary, so the report slices the run into before/during/after
+// windows.
 package scenario
 
 import (
@@ -57,11 +58,11 @@ func New(s *Scenario, clk vclock.Clock) (*Runtime, error) {
 	return NewObserved(s, clk, nil, nil)
 }
 
-// NewObserved is New with an explicit transport (nil, what every caller
-// passes: transport.NewSim; the cluster takes ownership of it and closes it
-// with Close) and an observability layer threaded through the fleet (nil:
-// disabled).
-func NewObserved(s *Scenario, clk vclock.Clock, tr transport.Transport, o *obs.Obs) (*Runtime, error) {
+// NewObserved is New with an observability layer threaded through the
+// fleet (nil: disabled). The third argument is unused and should be nil:
+// the cluster always provisions its own transport.Sim over the modeled
+// links.
+func NewObserved(s *Scenario, clk vclock.Clock, _ *transport.Sim, o *obs.Obs) (*Runtime, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -70,13 +71,9 @@ func NewObserved(s *Scenario, clk vclock.Clock, tr transport.Transport, o *obs.O
 		return nil, err
 	}
 	cfg := s.clusterConfig(clk, cams, idx)
-	cfg.Transport = tr
 	cfg.Obs = o
 	c, err := cluster.New(cfg)
 	if err != nil {
-		if tr != nil {
-			tr.Close()
-		}
 		return nil, err
 	}
 	return &Runtime{Scenario: s, Cluster: c, clk: clk, idx: idx}, nil
@@ -87,10 +84,7 @@ func NewObserved(s *Scenario, clk vclock.Clock, tr transport.Transport, o *obs.O
 func (rt *Runtime) Run() *cluster.ClusterReport {
 	c := rt.Cluster
 	c.Start()
-	for _, ev := range rt.Scenario.SortedTimeline() {
-		ev := ev
-		c.Schedule(time.Duration(ev.At), ev.Label(), func() { rt.exec(ev) })
-	}
+	Play(rt.Scenario, rt.clk, rt)
 	c.StartCameras()
 	return c.Drain()
 }
@@ -135,67 +129,98 @@ func (s *Scenario) cameraSpec(cam Camera, index int) cluster.CameraSpec {
 	}
 }
 
-// exec applies one timeline event to the live fleet. Reference errors were
-// ruled out by validation; the errors that remain are modeled outcomes (a
-// migration that never found its edges up exhausts its retries and is
-// counted in the report), so exec never fails the run.
-func (rt *Runtime) exec(ev Event) {
-	c := rt.Cluster
-	switch ev.Do {
-	case KindCameraJoin:
-		if err := c.AddCamera(rt.Scenario.cameraSpec(*ev.Join, rt.idx[ev.Join.ID])); err != nil {
-			panic(fmt.Sprintf("scenario: %s: %v", ev.Label(), err))
-		}
-	case KindCameraLeave:
-		if err := c.StopCamera(ev.Camera); err != nil {
-			panic(fmt.Sprintf("scenario: %s: %v", ev.Label(), err))
-		}
-	case KindMigrateCamera:
-		// A failed migration (edges down past the retry budget) is a
-		// legitimate run outcome, counted in Dynamic.MigrationsFailed.
-		_ = c.MigrateCamera(ev.Camera, ev.To)
-	case KindWorkloadShift:
-		if err := c.ShiftWorkload(ev.Camera, ev.Rate, ev.CrossEdgeFraction, ev.ZipfSkew); err != nil {
-			panic(fmt.Sprintf("scenario: %s: %v", ev.Label(), err))
-		}
-	case KindEdgeRetire:
-		if err := c.RetireEdge(ev.Edge); err != nil {
-			panic(fmt.Sprintf("scenario: %s: %v", ev.Label(), err))
-		}
-	case KindEdgeCrash:
-		if rt.Scenario.Sharded() {
-			return // rides the fault injector, scheduled at Start
-		}
-		if err := c.SetEdgeOutage(ev.Edge, true); err != nil {
-			panic(fmt.Sprintf("scenario: %s: %v", ev.Label(), err))
-		}
-		if ev.RestartAfter > 0 {
-			rt.clk.Sleep(time.Duration(ev.RestartAfter))
-			c.SetEdgeOutage(ev.Edge, false)
-		}
-	case KindTwoPCCrash:
-		// Armed in the fault plan at Start; the event here is the phase
-		// boundary.
-	case KindLinkFault:
-		if ev.B == "cloud" {
-			c.SetCloudLink(ev.A, true)
-			if ev.Heal > ev.At {
-				rt.clk.Sleep(time.Duration(ev.Heal - ev.At))
-				c.SetCloudLink(ev.A, false)
-			}
-			return
-		}
-		// Edge↔edge partitions ride the fault injector.
-	case KindCheckpoint:
-		if err := c.CheckpointNow(ev.Edge); err != nil {
-			panic(fmt.Sprintf("scenario: %s: %v", ev.Label(), err))
-		}
+// must panics on an error a validated scenario cannot produce.
+func must(err error) {
+	if err != nil {
+		panic(fmt.Sprintf("scenario: %v", err))
 	}
 }
 
-// clusterConfig compiles the scenario's topology (and the fault half of
-// its timeline) into the static cluster configuration. The scenario must
-// have passed Validate.
+// edge is the cluster index of a topology edge.
+func (rt *Runtime) edge(id string) int {
+	for i, e := range rt.Scenario.Topology.Edges {
+		if e.ID == id {
+			return i
+		}
+	}
+	panic(fmt.Sprintf("scenario: unknown edge %q", id)) // validated
+}
+
+// Schedule implements Driver on the cluster's clock.
+func (rt *Runtime) Schedule(at time.Duration, label string, fn func()) {
+	rt.Cluster.Schedule(at, label, fn)
+}
+
+// Join implements Driver.
+func (rt *Runtime) Join(cam Camera) {
+	must(rt.Cluster.AddCamera(rt.Scenario.cameraSpec(cam, rt.idx[cam.ID])))
+}
+
+// Stop implements Driver.
+func (rt *Runtime) Stop(camera string) { must(rt.Cluster.StopCamera(camera)) }
+
+// Migrate implements Driver. A failed migration (edges down past the retry
+// budget) is a legitimate run outcome, counted in Dynamic.MigrationsFailed.
+func (rt *Runtime) Migrate(camera, to string) { _ = rt.Cluster.MigrateCamera(camera, to) }
+
+// Shift implements Driver.
+func (rt *Runtime) Shift(camera string, rate, crossEdgeFraction, zipfSkew *float64) {
+	must(rt.Cluster.ShiftWorkload(camera, rate, crossEdgeFraction, zipfSkew))
+}
+
+// Retire implements Driver.
+func (rt *Runtime) Retire(edge string) { must(rt.Cluster.RetireEdge(edge)) }
+
+// Crash implements Driver: a durable fleet fail-stops the edge's partition
+// through the fault injector; an unsharded one darkens its data plane.
+func (rt *Runtime) Crash(edge string) bool {
+	if inj := rt.Cluster.Injector(); inj != nil {
+		return inj.Crash(rt.edge(edge))
+	}
+	down, err := rt.Cluster.SetEdgeOutage(edge, true)
+	must(err)
+	return down
+}
+
+// Restart implements Driver: WAL recovery on a durable fleet, the end of
+// the outage on an unsharded one.
+func (rt *Runtime) Restart(edge string) {
+	if inj := rt.Cluster.Injector(); inj != nil {
+		inj.Restart(rt.edge(edge))
+		return
+	}
+	_, err := rt.Cluster.SetEdgeOutage(edge, false)
+	must(err)
+}
+
+// ArmTwoPCCrash implements Driver on the fault injector (Validate admits
+// twopc_crash only on sharded fleets, which it makes durable).
+func (rt *Runtime) ArmTwoPCCrash(edge, point string, round int, restartAfter time.Duration) {
+	p := twopc.PointParticipantPrepared
+	switch point {
+	case PointAfterPrepare:
+		p = twopc.PointAfterPrepare
+	case PointAfterDecision:
+		p = twopc.PointAfterDecision
+	}
+	rt.Cluster.Injector().Arm(faults.TwoPCCrash{Edge: rt.edge(edge), Point: p, Round: round, RestartAfter: restartAfter})
+}
+
+// SetLink implements Driver: the cloud uplink through the cluster, a peer
+// path through the fault injector.
+func (rt *Runtime) SetLink(a, b string, down bool) {
+	if b == "cloud" {
+		must(rt.Cluster.SetCloudLink(a, down))
+		return
+	}
+	rt.Cluster.Injector().SetLink(rt.edge(a), rt.edge(b), down)
+}
+
+// Checkpoint implements Driver.
+func (rt *Runtime) Checkpoint(edge string) { must(rt.Cluster.CheckpointNow(edge)) }
+
+// clusterConfig compiles the scenario's topology into the static cluster
+// configuration. The scenario must have passed Validate.
 func (s *Scenario) clusterConfig(clk vclock.Clock, cams []Camera, idx map[string]int) cluster.Config {
 	t := s.Topology
 	sharded := s.Sharded()
@@ -222,53 +247,15 @@ func (s *Scenario) clusterConfig(clk vclock.Clock, cams []Camera, idx map[string
 		specs[i] = s.cameraSpec(cam, idx[cam.ID])
 	}
 
-	// The timeline's fault events compile to a faults.Plan: the injector
-	// executes them with WAL-backed recovery. Unsharded fleets keep
-	// edge_crash and cloud link_fault events in the runtime instead.
-	var plan *faults.Plan
+	// A sharded fleet that crashes or partitions edges needs durable
+	// partitions and the fault injector that recovers them.
 	durable := t.Durable || t.CheckpointEvery > 0
-	if sharded {
-		p := faults.Plan{ReplayCost: time.Duration(t.ReplayCost)}
-		for _, ev := range s.SortedTimeline() {
-			switch ev.Do {
-			case KindEdgeCrash:
-				p.Crashes = append(p.Crashes, faults.EdgeCrash{
-					Edge:         edgeIdx[ev.Edge],
-					At:           time.Duration(ev.At),
-					RestartAfter: time.Duration(ev.RestartAfter),
-				})
-			case KindTwoPCCrash:
-				var point twopc.TwoPCPoint
-				switch ev.Point {
-				case PointParticipantPrepared:
-					point = twopc.PointParticipantPrepared
-				case PointAfterPrepare:
-					point = twopc.PointAfterPrepare
-				case PointAfterDecision:
-					point = twopc.PointAfterDecision
-				}
-				p.TwoPC = append(p.TwoPC, faults.TwoPCCrash{
-					Edge:         edgeIdx[ev.Edge],
-					Point:        point,
-					Round:        ev.Round,
-					RestartAfter: time.Duration(ev.RestartAfter),
-				})
-			case KindLinkFault:
-				if ev.B == "cloud" {
-					continue // handled by the runtime on both fleet kinds
-				}
-				p.Links = append(p.Links, faults.LinkFault{
-					A:    edgeIdx[ev.A],
-					B:    edgeIdx[ev.B],
-					At:   time.Duration(ev.At),
-					Heal: time.Duration(ev.Heal),
-				})
-			case KindCheckpoint:
-				durable = true
-			}
-		}
-		if !p.Empty() {
-			plan = &p
+	for _, ev := range s.Timeline {
+		switch ev.Do {
+		case KindEdgeCrash, KindTwoPCCrash, KindCheckpoint:
+			durable = durable || sharded
+		case KindLinkFault:
+			durable = durable || ev.B != "cloud"
 		}
 	}
 
@@ -289,9 +276,9 @@ func (s *Scenario) clusterConfig(clk vclock.Clock, cams []Camera, idx map[string
 		Protocol:          proto,
 		ZipfSkew:          t.ZipfSkew,
 		ShardOwners:       owners,
-		Faults:            plan,
 		Durable:           durable,
 		CheckpointEvery:   time.Duration(t.CheckpointEvery),
+		ReplayCost:        time.Duration(t.ReplayCost),
 		Batcher: cluster.BatcherConfig{
 			MaxBatch:   t.Batcher.MaxBatch,
 			SLO:        time.Duration(t.Batcher.SLO),

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"croesus/internal/obs"
 	"croesus/internal/vclock"
 	"croesus/internal/workload"
 )
@@ -251,6 +252,88 @@ func TestUnshardedTimelineFaults(t *testing.T) {
 	_, f2 := run()
 	if f1 != f2 {
 		t.Fatalf("unsharded faulty run diverged:\n%s\nvs\n%s", f1, f2)
+	}
+}
+
+// TestTwoPCCrashFiresAtItsInstant: a twopc_crash arms its trigger at its
+// own instant, so the crash — and the recovery restart_after later —
+// land after it, not at the first matching round of the run.
+func TestTwoPCCrashFiresAtItsInstant(t *testing.T) {
+	s := &Scenario{
+		Version: 1,
+		Seed:    11,
+		Topology: Topology{
+			Edges: []Edge{{ID: "north"}, {ID: "mid"}, {ID: "south"}},
+			Cameras: []Camera{
+				{ID: "cam0", Profile: "street-vehicles", Edge: "north", Frames: 50},
+				{ID: "cam1", Profile: "park-dog", Edge: "mid", Frames: 50},
+				{ID: "cam2", Profile: "mall-person", Edge: "south", Frames: 50},
+			},
+			CrossEdgeFraction: 0.3,
+			Batcher:           Batcher{MaxBatch: 8, SLO: Duration(80 * time.Millisecond)},
+		},
+		Timeline: []Event{
+			{At: Duration(6 * time.Second), Do: KindTwoPCCrash, Edge: "south", Point: PointParticipantPrepared, Round: 1, RestartAfter: Duration(time.Second)},
+		},
+	}
+	o := obs.New()
+	rt, err := NewObserved(s, vclock.NewSim(), nil, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Cluster.Close()
+	if rep := rt.Run(); rep.Faults.Crashes != 1 {
+		t.Fatalf("crashes = %d, want the one scripted 2PC crash", rep.Faults.Crashes)
+	}
+	first := time.Duration(-1)
+	for _, sp := range o.Trace.Spans() {
+		if sp.Name == obs.SpanWALReplay && sp.Tags == obs.Tags("edge", "south") && (first < 0 || sp.Start < first) {
+			first = sp.Start
+		}
+	}
+	if first < 0 {
+		t.Fatal("south never replayed its WAL")
+	}
+	if first < 7*time.Second {
+		t.Errorf("south's first wal.replay starts at %s, before the crash at 6s plus its 1s restart", first)
+	}
+}
+
+// TestOverlappingEdgeCrashesUnsharded: a crash that finds its edge already
+// dark is a no-op and owns no restart, so it cannot end the first outage
+// early.
+func TestOverlappingEdgeCrashesUnsharded(t *testing.T) {
+	dropped := func(timeline ...Event) int {
+		s := &Scenario{
+			Version: 1,
+			Seed:    9,
+			Topology: Topology{
+				Edges: []Edge{{ID: "e0"}, {ID: "e1"}},
+				Cameras: []Camera{
+					{ID: "cam0", Profile: "street-vehicles", Edge: "e0", Frames: 30},
+					{ID: "cam1", Profile: "park-dog", Edge: "e1", Frames: 30},
+				},
+				Batcher: Batcher{MaxBatch: 8, SLO: Duration(80 * time.Millisecond)},
+			},
+			Timeline: timeline,
+		}
+		rep, err := Run(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := rep.Dynamic; d.EdgeOutages != 1 || d.OutageRestores != 1 {
+			t.Fatalf("outages/restores = %d/%d, want 1/1", d.EdgeOutages, d.OutageRestores)
+		}
+		return rep.Dynamic.FramesDropped
+	}
+	first := Event{At: Duration(2 * time.Second), Do: KindEdgeCrash, Edge: "e0", RestartAfter: Duration(4 * time.Second)}
+	second := Event{At: Duration(3 * time.Second), Do: KindEdgeCrash, Edge: "e0", RestartAfter: Duration(500 * time.Millisecond)}
+	alone := dropped(first)
+	if alone == 0 {
+		t.Fatal("the crash dropped no frames; the comparison is vacuous")
+	}
+	if both := dropped(first, second); both != alone {
+		t.Errorf("overlapping crashes dropped %d frames, the first crash alone %d", both, alone)
 	}
 }
 

@@ -12,10 +12,10 @@
 //
 // Scenarios have a versioned JSON encoding (Decode/Encode, currently
 // version 1) so they live in files next to experiments; internal/scenario
-// also owns the runtime that drives a cluster.Cluster through the
-// timeline (run.go). A scenario is the only way to build a fleet: it
-// compiles to a cluster.Config, the cluster's internal form, and no other
-// package builds one.
+// also owns the one timeline player, Play (play.go), and the runtime that
+// drives a cluster.Cluster through it (run.go). A scenario is the only
+// way to build a fleet: it compiles to a cluster.Config, the cluster's
+// internal form, and no other package builds one.
 package scenario
 
 import (
@@ -160,8 +160,10 @@ const (
 	// remaining edges in index order, then the edge is permanently
 	// excluded from placement. No frame is dropped by a clean retirement.
 	KindEdgeRetire = "edge_retire"
-	// KindTwoPCCrash fail-stops Edge at the Round-th occurrence of the
-	// scripted 2PC Point. Needs durable partitions (sharded).
+	// KindTwoPCCrash arms a trigger at At: Edge fail-stops at the
+	// Round-th occurrence of the scripted 2PC Point from then on (0 means
+	// the first), restarting after RestartAfter. Needs durable partitions
+	// (sharded).
 	KindTwoPCCrash = "twopc_crash"
 	// KindLinkFault partitions the peer path A↔B (or, with B "cloud",
 	// A's cloud uplink) from At until Heal.
@@ -322,7 +324,7 @@ func (s *Scenario) Cameras() ([]Camera, map[string]int, error) {
 }
 
 // SortedTimeline returns the timeline in clock order (stable on ties) —
-// the playback order every runner uses.
+// the order Play schedules it in.
 func (s *Scenario) SortedTimeline() []Event {
 	out := append([]Event{}, s.Timeline...)
 	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })

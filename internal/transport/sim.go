@@ -6,10 +6,12 @@ import (
 	"croesus/internal/netsim"
 )
 
-// Sim is the simulated transport: every path is a netsim.Link with the
-// standard fleet topology (clients adjacent to their edge, a cross-country
-// — or same-site — cloud uplink per edge, a metro peer mesh), charging
-// modeled transfer time on the fleet's clock.
+// Sim provisions and owns every network path of one simulated fleet: a
+// client→edge and an edge→cloud path per edge, plus the full inter-edge
+// peer mesh. Every path is a netsim.Link with the standard fleet topology
+// (clients adjacent to their edge, a cross-country — or same-site — cloud
+// uplink per edge, a metro peer mesh), charging modeled transfer time on
+// the fleet's clock.
 type Sim struct {
 	clientEdge []*netsim.Link
 	edgeCloud  []*netsim.Link
@@ -19,10 +21,8 @@ type Sim struct {
 // NewSim returns an unprovisioned simulated transport.
 func NewSim() *Sim { return &Sim{} }
 
-// Name returns "sim".
-func (s *Sim) Name() string { return "sim" }
-
-// Provision builds the fleet's links.
+// Provision builds the fleet's links. Call it exactly once, before any
+// path is used.
 func (s *Sim) Provision(edges []EdgeProfile) error {
 	if len(edges) == 0 {
 		return fmt.Errorf("transport: no edges to provision")
@@ -60,7 +60,8 @@ func (s *Sim) ClientEdge(i int) Path { return s.clientEdge[i] }
 // EdgeCloud returns edge i's cloud uplink.
 func (s *Sim) EdgeCloud(i int) Path { return s.edgeCloud[i] }
 
-// Peer returns edge from's one-way link to edge to (nil on the diagonal).
+// Peer returns edge from's one-way link to edge to, or nil when from == to
+// (a partition's home needs no hop).
 func (s *Sim) Peer(from, to int) Path {
 	if l := s.peers[from][to]; l != nil {
 		return l
@@ -89,5 +90,5 @@ func (s *Sim) Stats() Stats {
 	return st
 }
 
-// Close is a no-op.
+// Close is a no-op: the links hold no resources.
 func (s *Sim) Close() error { return nil }

@@ -1,11 +1,11 @@
 // Package transport is the network seam between the fleet runtime and its
 // modeled network. The cluster runtime (internal/cluster, driven by
-// internal/scenario) speaks to the network only through the Path and
-// Transport interfaces defined here: every client→edge frame delivery,
-// every edge→cloud validation transfer, and every inter-edge 2PC message
-// crosses a Path, and a severed link is a Path's SetDown.
+// internal/scenario) speaks to the network only through the Path
+// interface defined here: every client→edge frame delivery, every
+// edge→cloud validation transfer, and every inter-edge 2PC message crosses
+// a Path, and a severed link is a Path's SetDown.
 //
-// Sim is the one Transport: it wraps the netsim links of the simulated
+// Sim provisions a fleet's paths: the netsim links of the simulated
 // fleet. Paths charge modeled propagation + bandwidth time on the fleet's
 // clock — the virtual clock for byte-identical replay, or a scaled real
 // clock for a wall-clock run of the same fleet. Real bytes cross real
@@ -48,8 +48,8 @@ type Path interface {
 // *netsim.Link is the simulated Path.
 var _ Path = (*netsim.Link)(nil)
 
-// EdgeProfile is what a Transport needs to know about one edge to
-// provision its paths.
+// EdgeProfile is what Sim needs to know about one edge to provision its
+// paths.
 type EdgeProfile struct {
 	// ID names the edge's paths.
 	ID string
@@ -57,32 +57,10 @@ type EdgeProfile struct {
 	SameSite bool
 }
 
-// Stats summarizes a transport's lifetime activity.
+// Stats summarizes a Sim's lifetime activity.
 type Stats struct {
 	// Bytes and Messages count traffic delivered across all paths.
 	Bytes, Messages int64
-}
-
-// Transport provisions and owns every network path of one fleet: a
-// client→edge and an edge→cloud path per edge, plus the full inter-edge
-// peer mesh. Provision is called exactly once, before any path is used.
-type Transport interface {
-	// Name identifies the transport in metric tags: "sim".
-	Name() string
-	// Provision builds the paths for a fleet of the given edges.
-	Provision(edges []EdgeProfile) error
-	// ClientEdge returns the client→edge path of edge i.
-	ClientEdge(i int) Path
-	// EdgeCloud returns the edge→cloud path of edge i.
-	EdgeCloud(i int) Path
-	// Peer returns edge from's one-way path to edge to, or nil when
-	// from == to (a partition's home needs no hop).
-	Peer(from, to int) Path
-	// Stats reports lifetime traffic.
-	Stats() Stats
-	// Close releases the transport's resources. Paths must not be used
-	// after Close.
-	Close() error
 }
 
 // Null is a zero-cost Path for hops some outer layer already paid for: the
