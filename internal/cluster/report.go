@@ -95,9 +95,10 @@ type ClusterReport struct {
 	CrossEdgeFraction float64
 	TwoPC             twopc.DistCounters
 
-	// Faults summarizes the injected failure schedule and its recovery
-	// work — crashes, restarts, transactions failed by faults, in-doubt
-	// resolutions, recovery-time percentiles. Nil without a fault plan.
+	// Faults summarizes the injected failures and their recovery work —
+	// crashes, restarts, transactions failed by faults, in-doubt
+	// resolutions, recovery-time percentiles. Nil unless the fleet is
+	// durable.
 	Faults *faults.Report
 
 	// Dynamic tallies scenario-driven fleet churn — joins, leaves,

@@ -12,17 +12,17 @@
 //
 // The Injector implements twopc.FaultOracle (the protocol consults it
 // before trusting a partition), executes the state transitions, and
-// performs recovery. A crashed edge loses its
-// volatile state — lock grants, staged 2PC blocks, uncommitted eager
-// writes; what survives is its write-ahead log. Restart replays the log
-// with Partition.Recover (charging a per-record replay cost in virtual time),
-// reinstalls the committed state, and resolves each prepared-but-undecided
-// commit round by inquiring its coordinator: a durable commit decision for
-// that exact (txn, round) applies the staged writes (minus any a later
-// record superseded), a dead or local coordinator's log without one means
-// presumed abort, and a round whose coordinator is live but undecided — or
-// unreachable behind a partitioned peer link — stays staged until a later
-// sweep, the peer's restart, or the end-of-run repair resolves it.
+// performs recovery. A crashed edge loses its volatile state — lock grants,
+// staged 2PC blocks, uncommitted eager writes; what survives is its
+// write-ahead log. Restart replays the log with Partition.Recover (charging
+// a per-record replay cost in virtual time), reinstalls the committed
+// state, and resolves each prepared-but-undecided commit round by inquiring
+// its coordinator: a durable commit decision for that exact (txn, round)
+// applies the staged writes (minus any a later record superseded), a dead
+// or local coordinator's log without one means presumed abort, and a round
+// whose coordinator is live but undecided — or unreachable behind a
+// partitioned peer link — stays staged until a later sweep, the peer's
+// restart, or the end-of-run repair resolves it.
 package faults
 
 import (

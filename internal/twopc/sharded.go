@@ -86,7 +86,8 @@ func (s *ShardedStore) Delete(key string) bool {
 }
 
 // TwoPCPoint names a scripted instant inside an atomic-commitment round —
-// the places a fault plan can fail-stop an edge (internal/faults).
+// the places an armed 2PC crash trigger can fail-stop an edge
+// (internal/faults).
 type TwoPCPoint int
 
 // The scripted 2PC points.
@@ -531,8 +532,8 @@ func (c *ShardedCC) release(owner lock.Owner, rt route) {
 // through the fleet ShardedStore as the section executed (locks make the
 // early application unobservable), so the round here is the protocol's
 // message cost, the WAL logging that makes the commit durable, and the
-// scripted crash points of the fault plan. ErrCrashed means the commit did
-// not happen — the caller must undo the section's eager writes. round
+// scripted 2PC crash points. ErrCrashed means the commit did not
+// happen — the caller must undo the section's eager writes. round
 // (RoundInitial or RoundFinal) disambiguates the up-to-two independent
 // rounds one transaction runs, so each round's WAL markers, staged blocks,
 // and decisions stand alone. rt is the route the section's locks were
