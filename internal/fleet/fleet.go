@@ -110,9 +110,10 @@ type fleetEdge struct {
 }
 
 // fleetRun is the orchestrator's mutable state for one run, and the
-// process deployment's scenario.Driver: scenario.Play schedules the
-// timeline on clk, and each verb acts on the processes through their
-// control channels, signals and respawns.
+// process deployment's scenario.Driver: scenario.Play plays the timeline
+// through Schedule, one event after another at its scaled wall instant,
+// and each verb acts on the processes through their control channels,
+// signals and respawns.
 type fleetRun struct {
 	s    *scenario.Scenario
 	o    Options
@@ -392,7 +393,9 @@ func (f *fleetRun) play() *Result {
 		})
 	}
 
-	scenario.Play(f.s, f.clk, f)
+	// Play returns once every event's instant effect has run, so the
+	// cameras that joined mid-run are in f.cams below.
+	scenario.Play(f.s, f)
 
 	// Wait for every camera stream to finish.
 	f.mu.Lock()
@@ -508,14 +511,20 @@ func (f *fleetRun) camDeadline() time.Time {
 	return f.start.Add(f.scaled(longest) + timeout + 15*time.Second)
 }
 
-// Schedule implements scenario.Driver: fn runs on its own goroutine at
-// the event's scaled wall instant.
-func (f *fleetRun) Schedule(at time.Duration, label string, fn func()) {
-	f.clk.Go(func() {
-		f.clk.Sleep(at - f.clk.Now())
-		f.logf("fleet: t=%s %s", at, label)
-		fn()
-	})
+// Schedule implements scenario.Driver: it sleeps to the event's scaled
+// wall instant and runs fn on the caller, so events apply one after
+// another in timeline order and a slow verb (a join waits for its client)
+// holds back the events after it. Only an undo — a respawn after
+// restart_after, a heal — runs on its own goroutine.
+func (f *fleetRun) Schedule(at time.Duration, label string, fn func() (time.Duration, func())) {
+	f.clk.Sleep(at - f.clk.Now())
+	f.logf("fleet: t=%s %s", at, label)
+	if after, undo := fn(); undo != nil {
+		f.clk.Go(func() {
+			f.clk.Sleep(after)
+			undo()
+		})
+	}
 }
 
 // Join implements scenario.Driver: the camera's client starts now.

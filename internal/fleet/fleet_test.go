@@ -5,7 +5,9 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+	"time"
 
+	"croesus/internal/cluster"
 	"croesus/internal/scenario"
 	"croesus/internal/wire"
 )
@@ -149,6 +151,61 @@ func TestFleetSpawnCrash(t *testing.T) {
 	}
 	if served == 0 {
 		t.Error("edges served no frames")
+	}
+}
+
+// TestFleetJoinThenMigrate plays a mid-run camera_join and, at the same
+// instant, a migrate_camera of the joined camera on real processes. Events
+// apply in timeline order, so the migration finds the camera its join
+// started, and the run waits for the joined camera's stream: its frames
+// reach the merged report, on the migration's destination.
+func TestFleetJoinThenMigrate(t *testing.T) {
+	bin := buildFleetBinaries(t)
+	s := &scenario.Scenario{
+		Name: "fleet-join-migrate",
+		Seed: 42,
+		Topology: scenario.Topology{
+			Edges:   []scenario.Edge{{ID: "e0"}, {ID: "e1"}},
+			Cameras: []scenario.Camera{{ID: "cam0", Profile: "park-dog", Edge: "e0", Frames: 20}},
+		},
+		Timeline: []scenario.Event{
+			{At: scenario.Duration(time.Second), Do: scenario.KindCameraJoin,
+				Join: &scenario.Camera{ID: "late", Profile: "street-vehicles", Edge: "e0", Frames: 20}},
+			{At: scenario.Duration(time.Second), Do: scenario.KindMigrateCamera, Camera: "late", To: "e1"},
+		},
+	}
+	res, err := Run(s, Options{
+		BinDir:    bin,
+		WorkDir:   t.TempDir(),
+		TimeScale: 0.1,
+		Logf:      t.Logf,
+	})
+	if err != nil {
+		t.Fatalf("fleet run: %v", err)
+	}
+	r := res.Report
+	if r == nil || r.Dynamic == nil {
+		t.Fatal("no merged report")
+	}
+	if d := r.Dynamic; d.Joins != 1 || d.Migrations != 1 || d.MigrationsFailed != 0 {
+		t.Errorf("dynamic = %+v, want 1 join and 1 migration", *d)
+	}
+	var late *cluster.CameraReport
+	for i := range r.Cameras {
+		if r.Cameras[i].Camera == "late" {
+			late = &r.Cameras[i]
+		}
+	}
+	if late == nil {
+		t.Fatalf("joined camera missing from the report: %d cameras", len(r.Cameras))
+	}
+	if late.Edge != "e1" {
+		t.Errorf("joined camera on edge %q, want e1", late.Edge)
+	}
+	for _, cr := range res.Clients {
+		if cr.Camera == "late" && cr.Answered == 0 {
+			t.Errorf("joined camera answered no frames: %+v", cr)
+		}
 	}
 }
 

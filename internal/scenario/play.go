@@ -1,10 +1,6 @@
 package scenario
 
-import (
-	"time"
-
-	"croesus/internal/vclock"
-)
+import "time"
 
 // Driver is one deployment's side of a timeline: Schedule runs a function
 // at a timeline instant, and each verb applies one effect to the live
@@ -14,8 +10,12 @@ import (
 // report.
 type Driver interface {
 	// Schedule runs fn at clock time at, marking a phase boundary named
-	// label first. Play calls it once per event, in timeline order.
-	Schedule(at time.Duration, label string, fn func())
+	// label first. fn applies the event's instant effect; when that effect
+	// lasts (a crash with restart_after, a link fault with heal) it returns
+	// the undo and the delay after which it is due, and Schedule runs the
+	// undo then without holding back later events. Play calls Schedule once per
+	// event, in timeline order, and a driver may run fn before returning.
+	Schedule(at time.Duration, label string, fn func() (undoAfter time.Duration, undo func()))
 
 	// Join starts a camera that joins mid-run; Stop retires one.
 	Join(cam Camera)
@@ -46,18 +46,19 @@ type Driver interface {
 
 // Play hands s's timeline to d: it sorts the events once (stable on ties)
 // and schedules each at its instant. The scheduled function is the one
-// place an event kind becomes verbs. Effects that last — an edge crash
-// with restart_after, a link fault with heal — sleep on clk for their
-// duration and then undo themselves, and a crash that found its edge
-// already down owns no restart: the crash that downed it does.
-func Play(s *Scenario, clk vclock.Clock, d Driver) {
+// place an event kind becomes verbs. An effect that lasts — an edge crash
+// with restart_after, a link fault with heal — hands its undo back to the
+// driver, and a crash that found its edge already down owns no restart:
+// the crash that downed it does.
+func Play(s *Scenario, d Driver) {
 	for _, ev := range s.SortedTimeline() {
-		d.Schedule(time.Duration(ev.At), ev.Label(), func() { apply(ev, clk, d) })
+		d.Schedule(time.Duration(ev.At), ev.Label(), func() (time.Duration, func()) { return apply(ev, d) })
 	}
 }
 
-// apply runs one event's verbs at its instant.
-func apply(ev Event, clk vclock.Clock, d Driver) {
+// apply runs one event's verbs at its instant and returns its undo, if
+// the effect lasts, with the delay after which the undo is due.
+func apply(ev Event, d Driver) (time.Duration, func()) {
 	switch ev.Do {
 	case KindCameraJoin:
 		d.Join(*ev.Join)
@@ -71,18 +72,17 @@ func apply(ev Event, clk vclock.Clock, d Driver) {
 		d.Retire(ev.Edge)
 	case KindEdgeCrash:
 		if d.Crash(ev.Edge) && ev.RestartAfter > 0 {
-			clk.Sleep(time.Duration(ev.RestartAfter))
-			d.Restart(ev.Edge)
+			return time.Duration(ev.RestartAfter), func() { d.Restart(ev.Edge) }
 		}
 	case KindTwoPCCrash:
 		d.ArmTwoPCCrash(ev.Edge, ev.Point, ev.Round, time.Duration(ev.RestartAfter))
 	case KindLinkFault:
 		d.SetLink(ev.A, ev.B, true)
 		if ev.Heal > ev.At {
-			clk.Sleep(time.Duration(ev.Heal - ev.At))
-			d.SetLink(ev.A, ev.B, false)
+			return time.Duration(ev.Heal - ev.At), func() { d.SetLink(ev.A, ev.B, false) }
 		}
 	case KindCheckpoint:
 		d.Checkpoint(ev.Edge)
 	}
+	return 0, nil
 }

@@ -23,11 +23,14 @@ func (r *recorder) log(format string, args ...any) {
 	r.calls = append(r.calls, fmt.Sprintf("%s %s", r.clk.Now(), fmt.Sprintf(format, args...)))
 }
 
-func (r *recorder) Schedule(at time.Duration, label string, fn func()) {
+func (r *recorder) Schedule(at time.Duration, label string, fn func() (time.Duration, func())) {
 	r.scheduled = append(r.scheduled, label)
 	r.clk.Go(func() {
 		r.clk.Sleep(at - r.clk.Now())
-		fn()
+		if after, undo := fn(); undo != nil {
+			r.clk.Sleep(after)
+			undo()
+		}
 	})
 }
 
@@ -68,7 +71,7 @@ func TestPlayTimeline(t *testing.T) {
 	}}
 	clk := vclock.NewSim()
 	r := &recorder{clk: clk, dark: map[string]bool{"dark": true}}
-	Play(s, clk, r)
+	Play(s, r)
 	clk.Wait()
 
 	wantScheduled := []string{

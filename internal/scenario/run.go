@@ -46,8 +46,9 @@ type Runtime struct {
 	Scenario *Scenario
 	Cluster  *cluster.Cluster
 
-	clk vclock.Clock
-	idx map[string]int // camera id → index in Scenario.Cameras (and shard)
+	clk   vclock.Clock
+	idx   map[string]int // camera id → index in Scenario.Cameras (and shard)
+	edges map[string]int // edge id → cluster index
 }
 
 // New validates the scenario, compiles it to a cluster configuration, and
@@ -70,13 +71,13 @@ func NewObserved(s *Scenario, clk vclock.Clock, _ *transport.Sim, o *obs.Obs) (*
 	if err != nil {
 		return nil, err
 	}
-	cfg := s.clusterConfig(clk, cams, idx)
+	cfg, edges := s.clusterConfig(clk, cams, idx)
 	cfg.Obs = o
 	c, err := cluster.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Runtime{Scenario: s, Cluster: c, clk: clk, idx: idx}, nil
+	return &Runtime{Scenario: s, Cluster: c, clk: clk, idx: idx, edges: edges}, nil
 }
 
 // Run plays the timeline against the fleet and blocks until the run
@@ -84,7 +85,7 @@ func NewObserved(s *Scenario, clk vclock.Clock, _ *transport.Sim, o *obs.Obs) (*
 func (rt *Runtime) Run() *cluster.ClusterReport {
 	c := rt.Cluster
 	c.Start()
-	Play(rt.Scenario, rt.clk, rt)
+	Play(rt.Scenario, rt)
 	c.StartCameras()
 	return c.Drain()
 }
@@ -136,19 +137,15 @@ func must(err error) {
 	}
 }
 
-// edge is the cluster index of a topology edge.
-func (rt *Runtime) edge(id string) int {
-	for i, e := range rt.Scenario.Topology.Edges {
-		if e.ID == id {
-			return i
+// Schedule implements Driver on the cluster's clock: an event's undo
+// sleeps on the event's own goroutine.
+func (rt *Runtime) Schedule(at time.Duration, label string, fn func() (time.Duration, func())) {
+	rt.Cluster.Schedule(at, label, func() {
+		if after, undo := fn(); undo != nil {
+			rt.clk.Sleep(after)
+			undo()
 		}
-	}
-	panic(fmt.Sprintf("scenario: unknown edge %q", id)) // validated
-}
-
-// Schedule implements Driver on the cluster's clock.
-func (rt *Runtime) Schedule(at time.Duration, label string, fn func()) {
-	rt.Cluster.Schedule(at, label, fn)
+	})
 }
 
 // Join implements Driver.
@@ -175,7 +172,7 @@ func (rt *Runtime) Retire(edge string) { must(rt.Cluster.RetireEdge(edge)) }
 // through the fault injector; an unsharded one darkens its data plane.
 func (rt *Runtime) Crash(edge string) bool {
 	if inj := rt.Cluster.Injector(); inj != nil {
-		return inj.Crash(rt.edge(edge))
+		return inj.Crash(rt.edges[edge])
 	}
 	down, err := rt.Cluster.SetEdgeOutage(edge, true)
 	must(err)
@@ -186,7 +183,7 @@ func (rt *Runtime) Crash(edge string) bool {
 // the outage on an unsharded one.
 func (rt *Runtime) Restart(edge string) {
 	if inj := rt.Cluster.Injector(); inj != nil {
-		inj.Restart(rt.edge(edge))
+		inj.Restart(rt.edges[edge])
 		return
 	}
 	_, err := rt.Cluster.SetEdgeOutage(edge, false)
@@ -203,7 +200,7 @@ func (rt *Runtime) ArmTwoPCCrash(edge, point string, round int, restartAfter tim
 	case PointAfterDecision:
 		p = twopc.PointAfterDecision
 	}
-	rt.Cluster.Injector().Arm(faults.TwoPCCrash{Edge: rt.edge(edge), Point: p, Round: round, RestartAfter: restartAfter})
+	rt.Cluster.Injector().Arm(faults.TwoPCCrash{Edge: rt.edges[edge], Point: p, Round: round, RestartAfter: restartAfter})
 }
 
 // SetLink implements Driver: the cloud uplink through the cluster, a peer
@@ -213,15 +210,16 @@ func (rt *Runtime) SetLink(a, b string, down bool) {
 		must(rt.Cluster.SetCloudLink(a, down))
 		return
 	}
-	rt.Cluster.Injector().SetLink(rt.edge(a), rt.edge(b), down)
+	rt.Cluster.Injector().SetLink(rt.edges[a], rt.edges[b], down)
 }
 
 // Checkpoint implements Driver.
 func (rt *Runtime) Checkpoint(edge string) { must(rt.Cluster.CheckpointNow(edge)) }
 
 // clusterConfig compiles the scenario's topology into the static cluster
-// configuration. The scenario must have passed Validate.
-func (s *Scenario) clusterConfig(clk vclock.Clock, cams []Camera, idx map[string]int) cluster.Config {
+// configuration, returning it with the edge id → cluster index map. The
+// scenario must have passed Validate.
+func (s *Scenario) clusterConfig(clk vclock.Clock, cams []Camera, idx map[string]int) (cluster.Config, map[string]int) {
 	t := s.Topology
 	sharded := s.Sharded()
 
@@ -285,5 +283,5 @@ func (s *Scenario) clusterConfig(clk vclock.Clock, cams []Camera, idx map[string
 			MaxPending: t.Batcher.MaxPending,
 			CloudSpeed: t.Batcher.CloudSpeed,
 		},
-	}
+	}, edgeIdx
 }
