@@ -2,7 +2,9 @@
 // SLO-aware batched cloud validator on the virtual clock (or, with
 // -timescale, a scaled wall clock) and prints the fleet report: per-camera
 // accuracy and latency percentiles, fleet throughput, and the batcher's
-// batching/shedding counters.
+// batching/shedding counters. The scenario's verdict (Scenario.Check: the
+// counts its timeline scripts) goes to stderr as "invariants: OK" or the
+// first violation, and a violation exits 1.
 //
 // The fleet is a declarative scenario file — topology plus event timeline
 // (camera joins/leaves, migrations, workload shifts, faults, checkpoints);
@@ -111,6 +113,11 @@ func main() {
 	fmt.Fprintf(os.Stderr, "(scenario %q: %s of fleet time in %s of wall time)\n",
 		s.Name, rep.Elapsed.Round(time.Millisecond), time.Since(start).Round(time.Millisecond))
 	writeTrace(*traceOut, o)
+	if err := s.Check(rep); err != nil {
+		fmt.Fprintf(os.Stderr, "invariants: %v\n", err)
+		os.Exit(1)
+	}
+	fmt.Fprintln(os.Stderr, "invariants: OK")
 }
 
 // writeTrace exports the collected spans: Chrome trace_event JSON, or

@@ -10,9 +10,10 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from the current code")
 
-// goldenReport runs testdata/<name>.json on the simulator and compares the
-// report with testdata/<name>.golden byte for byte — CI runs the binary
-// against the same pairs. If a change legitimately shifts the numbers,
+// goldenReport runs testdata/<name>.json on the simulator, holds the report
+// to the scenario's verdict, and compares it with testdata/<name>.golden
+// byte for byte — CI runs the binary against the same pairs. If a change
+// legitimately shifts the numbers,
 // regenerate every fixture in the tree with
 //
 //	go test ./internal/experiments ./cmd/croesus-cluster -run Golden -update
@@ -25,6 +26,9 @@ func goldenReport(t *testing.T, name string) *croesus.ClusterReport {
 	rep, err := croesus.RunScenario(s)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if err := s.Check(rep); err != nil {
+		t.Error(err)
 	}
 	got, path := rep.Format(), "testdata/"+name+".golden"
 	if *updateGolden {
@@ -47,6 +51,13 @@ func goldenReport(t *testing.T, name string) *croesus.ClusterReport {
 // scenario file must reproduce the same report byte for byte.
 func TestScenarioGolden(t *testing.T) {
 	goldenReport(t, "migrate")
+}
+
+// TestFleetCrashGolden pins the crash/WAL-recovery scenario that
+// croesus-fleet also plays on real processes: its sim report, byte for
+// byte.
+func TestFleetCrashGolden(t *testing.T) {
+	goldenReport(t, "fleet-crash")
 }
 
 // TestGraphScenarioGolden pins the inference-graph scenario smoke run:
@@ -78,6 +89,9 @@ func TestGraphScenarioOnTCP(t *testing.T) {
 	if rep.Frames == 0 {
 		t.Fatal("wall-clock graph run processed no frames")
 	}
+	if err := s.Check(rep); err != nil {
+		t.Error(err)
+	}
 	if len(rep.Sections) != 3 {
 		t.Fatalf("wall-clock graph run reports %d section rows, want 3", len(rep.Sections))
 	}
@@ -86,8 +100,8 @@ func TestGraphScenarioOnTCP(t *testing.T) {
 // TestScenarioGoldenOnTCP (the name predates the deletion of the in-process
 // TCP switch) runs the very same checked-in scenario file on a scaled wall
 // clock. The run is truly concurrent, so it is not byte-pinned; instead it
-// must complete the whole fleet with validated, 2PC, fault, and migration
-// counters populated.
+// must pass the scenario's verdict and complete the fleet with validated
+// frames and 2PC activity.
 func TestScenarioGoldenOnTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock run in -short mode")
@@ -106,10 +120,7 @@ func TestScenarioGoldenOnTCP(t *testing.T) {
 	if got := rep.TwoPC.CrossEdgeCommits + rep.TwoPC.LocalCommits + rep.TwoPC.RemoteCommits; got == 0 {
 		t.Error("wall-clock run counted no 2PC/commit activity")
 	}
-	if rep.Faults == nil || rep.Faults.Crashes == 0 || rep.Faults.Restarts == 0 {
-		t.Errorf("timeline faults did not execute on the wall clock: %+v", rep.Faults)
-	}
-	if rep.Dynamic == nil || rep.Dynamic.Migrations != 1 {
-		t.Errorf("timeline migration did not execute on the wall clock: %+v", rep.Dynamic)
+	if err := s.Check(rep); err != nil {
+		t.Error(err)
 	}
 }

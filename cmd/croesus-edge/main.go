@@ -50,7 +50,7 @@ func main() {
 		minConf     = flag.Float64("minconf", 0.05, "minimum detection confidence kept at input processing")
 		overlap     = flag.Float64("overlap", 0.10, "label-matching overlap threshold for cloud corrections")
 		protocol    = flag.String("protocol", "ms-ia", "multi-stage protocol: ms-ia or ms-sr")
-		slots       = flag.Int("slots", 4, "concurrent edge inferences across all clients")
+		slots       = flag.Int("slots", core.DefaultEdgeSlots, "concurrent edge inferences across all clients")
 		timeScale   = flag.Float64("timescale", 1.0, "inference latency multiplier")
 		keys        = flag.Int("keys", 1000, "database key space for the per-detection transactions")
 		walPath     = flag.String("wal", "", "write-ahead log path: log each committed section's writes plus a commit marker in one batch, replay the committed sections at startup (crash durability)")

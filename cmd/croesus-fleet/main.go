@@ -3,7 +3,9 @@
 // croesus-client per camera, plays the scenario's event timeline over each
 // process's control channel, and merges the per-process reports into the
 // same ClusterReport the simulated fleet prints — so one scenario file
-// runs unchanged on the sim and on a real multi-process fleet.
+// runs unchanged on the sim and on a real multi-process fleet, and is held
+// to the same verdict (Scenario.Check): stderr carries "invariants: OK" or
+// the first violation, and a violation exits 1, as a failed WAL verify does.
 //
 // The timeline is played by scenario.Play, the same player the simulated
 // fleet uses; the process driver's verbs map each event to real actions:
@@ -115,8 +117,16 @@ func main() {
 			fatalf("-json: %v", err)
 		}
 	}
+	verdict := s.Check(res.Report)
+	if verdict != nil {
+		fmt.Fprintf(os.Stderr, "invariants: %v\n", verdict)
+	} else {
+		fmt.Fprintln(os.Stderr, "invariants: OK")
+	}
 	if !res.DurabilityOK {
 		fmt.Fprintln(os.Stderr, "croesus-fleet: FAIL — a WAL verify did not match its edge's live store")
+	}
+	if verdict != nil || !res.DurabilityOK {
 		os.Exit(1)
 	}
 }

@@ -72,7 +72,7 @@ type EdgeSpec struct {
 	// Speed is the machine speed factor (1.0 = reference; a t3a.small is
 	// ≈ 0.45).
 	Speed float64
-	// Slots bounds concurrent edge inferences.
+	// Slots bounds concurrent edge inferences (0: core.DefaultEdgeSlots).
 	Slots int
 	// SameSite co-locates this edge with the cloud (short link) instead
 	// of the default cross-country path.
@@ -398,7 +398,7 @@ func New(cfg Config) (*Cluster, error) {
 			es.Speed = 1
 		}
 		if es.Slots == 0 {
-			es.Slots = 2
+			es.Slots = core.DefaultEdgeSlots
 		}
 		specs[i] = es
 		profiles[i] = transport.EdgeProfile{ID: es.ID, SameSite: es.SameSite}
@@ -558,7 +558,6 @@ func (c *Cluster) buildPipe(edge *EdgeNode, source core.TxnSource, camID string)
 		EdgeModel:   edge.Model,
 		CloudModel:  c.cloudModel,
 		EdgeSpeed:   edge.Spec.Speed,
-		EdgeSlots:   edge.Spec.Slots,
 		EdgeCompute: edge.Compute,
 		ClientEdge:  edge.ClientEdge,
 		EdgeCloud:   edge.EdgeCloud,

@@ -24,6 +24,15 @@ import (
 	"croesus/internal/video"
 )
 
+// DefaultEdgeSlots bounds an edge machine's concurrent inferences when its
+// deployment sets no other bound: a pipeline's private edge pool, a
+// scenario edge without "slots", and a croesus-edge process without -slots
+// all run this many.
+const DefaultEdgeSlots = 2
+
+// cloudSlots bounds a pipeline's concurrent cloud inferences.
+const cloudSlots = 8
+
 // Mode names one of the three built-in graph shapes a pipeline runs when
 // Config.Graph is nil (see Mode.Graph) — the systems the paper evaluates.
 type Mode int
@@ -95,12 +104,9 @@ type Config struct {
 	// ≈ 0.45.
 	EdgeSpeed  float64
 	CloudSpeed float64
-	// EdgeSlots and CloudSlots bound concurrent inferences per node.
-	EdgeSlots  int
-	CloudSlots int
 	// EdgeCompute, when set, is a shared edge compute pool used instead
-	// of a private EdgeSlots semaphore — the cluster runtime shares one
-	// per edge node across all cameras placed on it, so co-located
+	// of a private DefaultEdgeSlots semaphore — the cluster runtime shares
+	// one per edge node across all cameras placed on it, so co-located
 	// streams contend for the same machine.
 	EdgeCompute *vclock.Semaphore
 
@@ -195,12 +201,6 @@ func (c Config) Defaults() Config {
 	if c.CloudSpeed == 0 {
 		c.CloudSpeed = 1
 	}
-	if c.EdgeSlots == 0 {
-		c.EdgeSlots = 2
-	}
-	if c.CloudSlots == 0 {
-		c.CloudSlots = 8
-	}
 	if c.ClientEdge == nil {
 		c.ClientEdge = netsim.ClientEdgeLink()
 	}
@@ -266,12 +266,12 @@ func New(cfg Config) (*Pipeline, error) {
 	}
 	edgeSlots := cfg.EdgeCompute
 	if edgeSlots == nil {
-		edgeSlots = vclock.NewSemaphore(cfg.Clock, cfg.EdgeSlots)
+		edgeSlots = vclock.NewSemaphore(cfg.Clock, DefaultEdgeSlots)
 	}
 	p := &Pipeline{
 		cfg:       cfg,
 		edgeSlots: edgeSlots,
-		cloudSlot: vclock.NewSemaphore(cfg.Clock, cfg.CloudSlots),
+		cloudSlot: vclock.NewSemaphore(cfg.Clock, cloudSlots),
 	}
 	if cfg.Graph == nil {
 		if err := p.compileMode(); err != nil {

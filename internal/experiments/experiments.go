@@ -149,7 +149,6 @@ var registry = []struct {
 	{"cluster-2pc", Cluster2PC},
 	{"cluster-faults", ClusterFaults},
 	{"cluster-migrate", ClusterMigrate},
-	{"fleet-crash", FleetCrash},
 	{"graph-depth", GraphDepth},
 	{"ablation-policy", AblationPolicy},
 	{"ablation-sequencer", AblationSequencer},

@@ -53,8 +53,8 @@ func TestTableFormatAndMarkdown(t *testing.T) {
 
 func TestIDsAndByID(t *testing.T) {
 	ids := IDs()
-	if len(ids) != 21 {
-		t.Fatalf("IDs = %d, want 21", len(ids))
+	if len(ids) != 20 {
+		t.Fatalf("IDs = %d, want 20", len(ids))
 	}
 	if _, ok := ByID("nope", quick()); ok {
 		t.Error("unknown ID accepted")

@@ -17,7 +17,7 @@ var goldenIDs = []string{
 	"figure2", "table1", "figure3", "table2", "figure4", "figure5",
 	"figure6a", "figure6b", "figure6c",
 	"cluster-scale", "cluster-shed", "cluster-2pc", "cluster-faults",
-	"cluster-migrate", "fleet-crash", "graph-depth",
+	"cluster-migrate", "graph-depth",
 	"ablation-2pc", "ablation-policy", "ablation-sequencer",
 	"ablation-smoothing", "ablation-chain",
 }

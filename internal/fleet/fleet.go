@@ -66,8 +66,11 @@ type Result struct {
 
 // ValidateForFleet checks that a scenario can run on the multi-process
 // fleet: standalone edge processes share no keyspace, so sharded
-// scenarios (cross-edge transactions, 2PC crash points, peer-link
-// faults) and inference graphs need the in-process deployments.
+// scenarios (cross-edge transactions, key-shape shifts, 2PC crash points,
+// peer-link faults) and inference graphs need the in-process deployments;
+// and no process flag carries an edge's speed or topology.op_cost, so a
+// scenario that sets them would run differently on processes than on the
+// sim.
 func ValidateForFleet(s *scenario.Scenario) error {
 	if err := s.Validate(); err != nil {
 		return err
@@ -79,6 +82,14 @@ func ValidateForFleet(s *scenario.Scenario) error {
 	if t.Graph != nil {
 		return fmt.Errorf("fleet: inference graphs need the in-process deployments (sim or tcp)")
 	}
+	if t.OpCost != 0 {
+		return fmt.Errorf("fleet: op_cost needs the in-process deployments — an edge process charges no clock time per database operation")
+	}
+	for _, e := range t.Edges {
+		if e.Speed != 0 && e.Speed != 1 {
+			return fmt.Errorf("fleet: edge %q speed %g needs the in-process deployments — an edge process runs at speed 1", e.ID, e.Speed)
+		}
+	}
 	for _, ev := range s.Timeline {
 		switch ev.Do {
 		case scenario.KindTwoPCCrash:
@@ -86,6 +97,10 @@ func ValidateForFleet(s *scenario.Scenario) error {
 		case scenario.KindLinkFault:
 			if ev.B != "cloud" {
 				return fmt.Errorf("fleet: edge↔edge link faults need the in-process sharded fleet; fault the cloud uplink with b: \"cloud\"")
+			}
+		case scenario.KindWorkloadShift:
+			if ev.CrossEdgeFraction != nil || ev.ZipfSkew != nil {
+				return fmt.Errorf("fleet: workload_shift of cross_edge_fraction or zipf_skew reshapes sharded keys, which standalone edge processes do not share")
 			}
 		}
 	}

@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"croesus/internal/cluster"
+	"croesus/internal/node"
 	"croesus/internal/scenario"
 	"croesus/internal/wire"
 )
@@ -76,8 +76,9 @@ func buildFleetBinaries(t *testing.T) string {
 // TestFleetSpawnCrash plays fleet-crash.json — a SIGKILL crash with WAL
 // respawn, a workload shift, a migration, a cloud-link fault with heal, a
 // checkpoint, and a camera leave — on real croesus-edge / croesus-cloud /
-// croesus-client processes, and checks the merged report, the durability
-// verdict, and the merged trace.
+// croesus-client processes. The merged report must pass the scenario's
+// verdict; on top of it come what only processes show: the durability
+// verdict, the merged trace, redials, and the WAL replay at respawn.
 func TestFleetSpawnCrash(t *testing.T) {
 	bin := buildFleetBinaries(t)
 	s, err := scenario.Load(filepath.Join("..", "..", "cmd", "croesus-cluster", "testdata", "fleet-crash.json"))
@@ -94,6 +95,9 @@ func TestFleetSpawnCrash(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fleet run: %v", err)
 	}
+	if err := s.Check(res.Report); err != nil {
+		t.Fatal(err)
+	}
 
 	if !res.DurabilityOK {
 		t.Errorf("durability verdict not clean: %+v", res.Edges)
@@ -101,34 +105,11 @@ func TestFleetSpawnCrash(t *testing.T) {
 	if len(res.Incidents) != 0 {
 		t.Errorf("trace incidents: %v", res.Incidents)
 	}
-	r := res.Report
-	if r == nil {
-		t.Fatal("no merged report")
-	}
-	if f := r.Faults; f == nil || f.Crashes != 1 || f.Restarts != 1 || f.ReplayedRecords == 0 {
-		t.Errorf("faults = %+v, want 1 crash, 1 restart, replayed records", f)
-	}
-	if len(r.Cameras) != 3 {
-		t.Fatalf("report has %d cameras, want 3", len(r.Cameras))
-	}
-	if r.Frames == 0 || r.Validated == 0 {
-		t.Errorf("frames = %d, validated = %d, want both > 0", r.Frames, r.Validated)
-	}
-	if r.FinalP50 <= 0 {
-		t.Error("final p50 latency is zero")
-	}
-	d := r.Dynamic
-	if d == nil {
-		t.Fatal("no dynamic report")
-	}
-	if d.Migrations != 1 || d.WorkloadShifts != 1 || d.CloudLinkOutages != 1 || d.Leaves != 1 {
-		t.Errorf("dynamic = %+v, want 1 migration, shift, cloud-link outage, and leave", *d)
-	}
 
 	// Cameras are named by edge id, as the sim names them; cam2 ends on
 	// its migration's destination.
 	wantEdge := map[string]string{"cam0": "e0", "cam1": "e1", "cam2": "e1"}
-	for _, c := range r.Cameras {
+	for _, c := range res.Report.Cameras {
 		if c.Edge != wantEdge[c.Camera] {
 			t.Errorf("camera %s on edge %q, want %q", c.Camera, c.Edge, wantEdge[c.Camera])
 		}
@@ -138,10 +119,7 @@ func TestFleetSpawnCrash(t *testing.T) {
 			t.Errorf("cam2 migrated but never redialed: %+v", cr)
 		}
 	}
-
-	var served int64
 	for _, er := range res.Edges {
-		served += er.Served
 		if !er.DurableOK {
 			t.Errorf("edge %s durability: %s", er.Edge, er.DurableErr)
 		}
@@ -149,16 +127,14 @@ func TestFleetSpawnCrash(t *testing.T) {
 			t.Errorf("e0 replayed no WAL records on respawn: %+v", er)
 		}
 	}
-	if served == 0 {
-		t.Error("edges served no frames")
-	}
 }
 
 // TestFleetJoinThenMigrate plays a mid-run camera_join and, at the same
 // instant, a migrate_camera of the joined camera on real processes. Events
 // apply in timeline order, so the migration finds the camera its join
-// started, and the run waits for the joined camera's stream: its frames
-// reach the merged report, on the migration's destination.
+// started, and the run waits for the joined camera's stream: the report
+// passes the verdict, and the joined camera's frames reach it on the
+// migration's destination.
 func TestFleetJoinThenMigrate(t *testing.T) {
 	bin := buildFleetBinaries(t)
 	s := &scenario.Scenario{
@@ -183,24 +159,16 @@ func TestFleetJoinThenMigrate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fleet run: %v", err)
 	}
-	r := res.Report
-	if r == nil || r.Dynamic == nil {
-		t.Fatal("no merged report")
+	if err := s.Check(res.Report); err != nil {
+		t.Fatal(err)
 	}
-	if d := r.Dynamic; d.Joins != 1 || d.Migrations != 1 || d.MigrationsFailed != 0 {
-		t.Errorf("dynamic = %+v, want 1 join and 1 migration", *d)
+	if d := res.Report.Dynamic; d.MigrationsFailed != 0 {
+		t.Errorf("dynamic = %+v, want the migration to succeed", *d)
 	}
-	var late *cluster.CameraReport
-	for i := range r.Cameras {
-		if r.Cameras[i].Camera == "late" {
-			late = &r.Cameras[i]
+	for _, c := range res.Report.Cameras {
+		if c.Camera == "late" && c.Edge != "e1" {
+			t.Errorf("joined camera on edge %q, want e1", c.Edge)
 		}
-	}
-	if late == nil {
-		t.Fatalf("joined camera missing from the report: %d cameras", len(r.Cameras))
-	}
-	if late.Edge != "e1" {
-		t.Errorf("joined camera on edge %q, want e1", late.Edge)
 	}
 	for _, cr := range res.Clients {
 		if cr.Camera == "late" && cr.Answered == 0 {
@@ -209,37 +177,50 @@ func TestFleetJoinThenMigrate(t *testing.T) {
 	}
 }
 
-// TestValidateForFleet rejects what standalone processes cannot run.
+// TestValidateForFleet rejects what standalone processes cannot run, or
+// would run differently from the sim: no flag carries an edge's speed or
+// the per-operation cost to a croesus-edge process.
 func TestValidateForFleet(t *testing.T) {
-	base := func() *scenario.Scenario {
-		return &scenario.Scenario{
-			Topology: scenario.Topology{
-				Edges:   []scenario.Edge{{ID: "e0"}, {ID: "e1"}},
-				Cameras: []scenario.Camera{{ID: "a", Profile: "park-dog", Edge: "e0"}},
-			},
-		}
-	}
-	ok := base()
-	if err := ValidateForFleet(ok); err != nil {
-		t.Fatalf("plain scenario rejected: %v", err)
-	}
-
-	sharded := base()
-	sharded.Topology.Sharded = true
-	if err := ValidateForFleet(sharded); err == nil {
-		t.Error("sharded scenario accepted")
-	}
-
-	crash := base()
-	crash.Timeline = []scenario.Event{{At: 1, Do: scenario.KindEdgeCrash, Edge: "e0"}}
-	if err := ValidateForFleet(crash); err != nil {
-		t.Errorf("crash rejected: %v", err)
-	}
-
-	peer := base()
-	peer.Topology.Sharded = true
-	peer.Timeline = []scenario.Event{{At: 1, Do: scenario.KindLinkFault, A: "e0", B: "e1"}}
-	if err := ValidateForFleet(peer); err == nil {
-		t.Error("edge↔edge link fault accepted")
+	half, zipf := 0.5, 1.2
+	for _, tc := range []struct {
+		name string
+		edit func(s *scenario.Scenario)
+		ok   bool
+	}{
+		{"plain", func(*scenario.Scenario) {}, true},
+		{"sharded", func(s *scenario.Scenario) { s.Topology.Sharded = true }, false},
+		{"graph", func(s *scenario.Scenario) {
+			s.Topology.Graph = &node.GraphSpec{Nodes: []node.GraphNodeSpec{{Tier: "edge"}, {Tier: "cloud"}}}
+		}, false},
+		{"edge crash", func(s *scenario.Scenario) {
+			s.Timeline = []scenario.Event{{At: 1, Do: scenario.KindEdgeCrash, Edge: "e0"}}
+		}, true},
+		{"edge↔edge link fault", func(s *scenario.Scenario) {
+			s.Topology.Sharded = true
+			s.Timeline = []scenario.Event{{At: 1, Do: scenario.KindLinkFault, A: "e0", B: "e1"}}
+		}, false},
+		{"edge speed 1", func(s *scenario.Scenario) { s.Topology.Edges[0].Speed = 1 }, true},
+		{"edge speed 0.5", func(s *scenario.Scenario) { s.Topology.Edges[1].Speed = 0.5 }, false},
+		{"op_cost", func(s *scenario.Scenario) { s.Topology.OpCost = scenario.Duration(time.Millisecond) }, false},
+		{"rate shift", func(s *scenario.Scenario) {
+			s.Timeline = []scenario.Event{{At: 1, Do: scenario.KindWorkloadShift, Rate: &half}}
+		}, true},
+		{"key-shape shift", func(s *scenario.Scenario) {
+			s.Topology.Durable = true
+			s.Timeline = []scenario.Event{{At: 1, Do: scenario.KindWorkloadShift, ZipfSkew: &zipf}}
+		}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := &scenario.Scenario{
+				Topology: scenario.Topology{
+					Edges:   []scenario.Edge{{ID: "e0"}, {ID: "e1"}},
+					Cameras: []scenario.Camera{{ID: "a", Profile: "park-dog", Edge: "e0"}},
+				},
+			}
+			tc.edit(s)
+			if err := ValidateForFleet(s); (err == nil) != tc.ok {
+				t.Errorf("ValidateForFleet = %v, want ok = %v", err, tc.ok)
+			}
+		})
 	}
 }

@@ -3,6 +3,8 @@ package scenario
 import (
 	"testing"
 	"time"
+
+	"croesus/internal/cluster"
 )
 
 // wallClockScenario is a small sharded fleet that exercises every counter
@@ -36,7 +38,7 @@ func wallClockScenario() *Scenario {
 // in-process TCP switch) runs the scenario on a scaled wall clock over the
 // modeled links, where the fleet's goroutines truly overlap — the run the
 // race detector can see into — and checks that it completes with populated
-// validated / shed / 2PC counters and the timeline's link fault counted.
+// validated / shed / 2PC counters and passes the scenario's verdict.
 func TestScenarioRunsOnLoopbackTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock run in -short mode")
@@ -61,8 +63,8 @@ func TestScenarioRunsOnLoopbackTCP(t *testing.T) {
 	if got := rep.TwoPC.CrossEdgeCommits + rep.TwoPC.RemoteCommits + rep.TwoPC.LocalCommits; got == 0 {
 		t.Error("no 2PC/commit activity counted — cross-edge transactions did not run")
 	}
-	if rep.Dynamic == nil || rep.Dynamic.CloudLinkOutages != 1 {
-		t.Errorf("cloud-link outage not counted: %+v", rep.Dynamic)
+	if err := s.Check(rep); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -70,7 +72,7 @@ func TestScenarioRunsOnLoopbackTCP(t *testing.T) {
 // in-process TCP switch) runs one scenario value on both clocks back to
 // back: the virtual-clock run is deterministic (two replays byte-identical)
 // and the wall-clock run of the very same scenario completes with the same
-// fleet shape.
+// fleet shape; both pass the scenario's verdict.
 func TestScenarioRunsOnBothTransports(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock run in -short mode")
@@ -90,6 +92,11 @@ func TestScenarioRunsOnBothTransports(t *testing.T) {
 	wall, err := RunWith(s, Options{TimeScale: 0.05})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, rep := range []*cluster.ClusterReport{sim1, wall} {
+		if err := s.Check(rep); err != nil {
+			t.Error(err)
+		}
 	}
 	if len(wall.Cameras) != len(sim1.Cameras) || wall.Frames != sim1.Frames {
 		t.Errorf("fleet shape differs across clocks: wall %d cams / %d frames, sim %d / %d",

@@ -42,7 +42,8 @@ type EdgeConfig struct {
 	// rejected.
 	Graph *node.GraphSpec
 	// Slots bounds concurrent edge inferences across every connected
-	// client (default 4) — the server's compute pool.
+	// client (default core.DefaultEdgeSlots, as on a simulated edge) — the
+	// server's compute pool.
 	Slots int
 	// Source supplies the per-detection transactions; nil runs the
 	// detection pipeline without a database.
@@ -141,7 +142,7 @@ func NewEdgeServer(cfg EdgeConfig) (*EdgeServer, error) {
 		cfg.OverlapMin = 0.10
 	}
 	if cfg.Slots == 0 {
-		cfg.Slots = 4
+		cfg.Slots = core.DefaultEdgeSlots
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}

@@ -295,6 +295,21 @@ func TestGraphOverCloudSocket(t *testing.T) {
 	}
 }
 
+// TestEdgeSlotsDefault: an edge server left at the default runs as many
+// inference slots as a simulated edge does, so one scenario runs the same
+// compute pool on the sim and on croesus-edge processes (the scenario
+// documents "slots" as default 2).
+func TestEdgeSlotsDefault(t *testing.T) {
+	s, err := NewEdgeServer(EdgeConfig{EdgeModel: detect.TinyYOLOSim(42), TimeScale: testScale})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.cfg.Slots != 2 {
+		t.Errorf("default edge slots = %d, want 2, as a simulated edge runs", s.cfg.Slots)
+	}
+}
+
 // TestNewEdgeServerRejectsBadConfig: a standalone edge refuses the
 // configurations scenario.Validate refuses for a simulated one, with an
 // error rather than a panic or a silently empty validation interval.
