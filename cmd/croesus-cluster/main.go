@@ -16,6 +16,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -26,7 +27,11 @@ import (
 	"croesus"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the command; its exit code comes back to main only after its
+// defers (the CPU and heap profiles) have run.
+func run() int {
 	var (
 		scenarioPath = flag.String("scenario", "", "the declarative scenario file to run (topology + event timeline); required")
 		validateOnly = flag.Bool("validate", false, "dry run: load and validate -scenario (including its graph block), print the resolved section plan, and exit without running the fleet")
@@ -39,18 +44,18 @@ func main() {
 	flag.Parse()
 	if *scenarioPath == "" {
 		fmt.Fprintln(os.Stderr, "croesus-cluster: -scenario is required")
-		os.Exit(2)
+		return 2
 	}
 	if *timeScale < 0 {
 		fmt.Fprintf(os.Stderr, "croesus-cluster: -timescale %g is negative\n", *timeScale)
-		os.Exit(2)
+		return 2
 	}
 	// Load runs the full decode + validation pass (strict fields, topology
 	// references, graph shape); reaching this point means the file would run.
 	s, err := croesus.LoadScenario(*scenarioPath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "croesus-cluster: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 
 	if *validateOnly {
@@ -68,18 +73,18 @@ func main() {
 		fmt.Printf("topology: %d edges, %d cameras, protocol %s, %d timeline events\n",
 			len(s.Topology.Edges), len(s.Topology.Cameras), proto, len(s.Timeline))
 		fmt.Printf("section plan (%d sections):\n%s", len(g.Nodes), g.Plan())
-		return
+		return 0
 	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "croesus-cluster: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
 			fmt.Fprintf(os.Stderr, "croesus-cluster: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -95,7 +100,7 @@ func main() {
 		addr, err := croesus.ServeDebug(*debugAddr, o.Reg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "croesus-cluster: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Fprintf(os.Stderr, "debug endpoint: http://%s/metrics\n", addr)
 	}
@@ -104,7 +109,7 @@ func main() {
 	rep, err := croesus.RunScenarioWith(s, croesus.ScenarioOptions{TimeScale: *timeScale, Obs: o})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "croesus-cluster: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 	// The report goes to stdout alone (on the virtual clock it is
 	// byte-reproducible and diffable against a golden); wall time is a side
@@ -112,38 +117,37 @@ func main() {
 	fmt.Print(rep.Format())
 	fmt.Fprintf(os.Stderr, "(scenario %q: %s of fleet time in %s of wall time)\n",
 		s.Name, rep.Elapsed.Round(time.Millisecond), time.Since(start).Round(time.Millisecond))
-	writeTrace(*traceOut, o)
+	if err := writeTrace(*traceOut, o); err != nil {
+		fmt.Fprintf(os.Stderr, "croesus-cluster: %v\n", err)
+		return 1
+	}
 	if err := s.Check(rep); err != nil {
 		fmt.Fprintf(os.Stderr, "invariants: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 	fmt.Fprintln(os.Stderr, "invariants: OK")
+	return 0
 }
 
 // writeTrace exports the collected spans: Chrome trace_event JSON, or
 // sorted JSONL when path ends in .jsonl.
-func writeTrace(path string, o *croesus.Obs) {
+func writeTrace(path string, o *croesus.Obs) error {
 	if path == "" || o == nil {
-		return
+		return nil
 	}
 	f, err := os.Create(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "croesus-cluster: %v\n", err)
-		os.Exit(1)
+		return err
 	}
 	spans := o.Trace.Spans()
-	if err := croesus.WriteTraceFile(f, path, spans); err != nil {
-		fmt.Fprintf(os.Stderr, "croesus-cluster: writing trace: %v\n", err)
-		os.Exit(1)
-	}
-	if err := f.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "croesus-cluster: writing trace: %v\n", err)
-		os.Exit(1)
+	if err := errors.Join(croesus.WriteTraceFile(f, path, spans), f.Close()); err != nil {
+		return fmt.Errorf("writing trace: %w", err)
 	}
 	if d := o.Trace.Dropped(); d > 0 {
 		fmt.Fprintf(os.Stderr, "trace: %d spans dropped at the tracer's capacity — the file is incomplete\n", d)
 	}
 	fmt.Fprintf(os.Stderr, "trace: %d spans written to %s\n", len(spans), path)
+	return nil
 }
 
 // writeMemProfile snapshots the heap to path at exit (no-op when unset).

@@ -123,4 +123,10 @@ func TestScenarioGoldenOnTCP(t *testing.T) {
 	if err := s.Check(rep); err != nil {
 		t.Error(err)
 	}
+	// The verdict admits a failed migration (edges down past the retry
+	// budget); this timeline's one migration has live edges on both ends,
+	// so on a wall clock too its handoff must succeed.
+	if rep.Dynamic == nil || rep.Dynamic.MigrationsFailed != 0 {
+		t.Errorf("wall-clock migration failed: %+v", rep.Dynamic)
+	}
 }

@@ -326,7 +326,6 @@ func runHotspotBatches(o Opts, keyRange int, kind ccKind, sequenced bool, cloudG
 			clk.Wait()
 		} else {
 			for i, in := range insts {
-				in := in
 				arrive := time.Duration(randsrc.Mix64(uint64(o.Seed)<<20|uint64(b*batchSize+i)) % uint64(time.Millisecond))
 				clk.Go(func() {
 					clk.Sleep(arrive)

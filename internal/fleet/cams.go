@@ -27,10 +27,6 @@ func (f *fleetRun) startProcCam(camID, edgeAddr, profile string, seed int64, fra
 	ready := filepath.Join(f.dir, "client-"+camID+".ready")
 	os.Remove(ready)
 	reportPath := filepath.Join(f.dir, "client-"+camID+".json")
-	timeout := f.o.FrameTimeout
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
 	args := []string{
 		"-edge", edgeAddr,
 		"-video", profile,
@@ -38,7 +34,7 @@ func (f *fleetRun) startProcCam(camID, edgeAddr, profile string, seed int64, fra
 		"-frames", strconv.Itoa(frames),
 		"-seed", strconv.FormatInt(seed, 10),
 		"-timescale", fmt.Sprintf("%g", f.ts),
-		"-frame-timeout", timeout.String(),
+		"-frame-timeout", f.o.FrameTimeout.String(),
 		"-control", "127.0.0.1:0",
 		"-ready-file", ready,
 		"-report", reportPath,

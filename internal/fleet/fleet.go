@@ -155,10 +155,7 @@ type fleetRun struct {
 
 // scaled converts a modeled duration to wall time under the run's scale.
 func (f *fleetRun) scaled(d time.Duration) time.Duration {
-	if f.ts > 0 && f.ts != 1 {
-		return time.Duration(float64(d) * f.ts)
-	}
-	return d
+	return time.Duration(float64(d) * f.ts)
 }
 
 // Run deploys the scenario on real processes, plays its timeline, and
@@ -183,6 +180,9 @@ func Run(s *scenario.Scenario, o Options) (*Result, error) {
 	logf := o.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
+	}
+	if o.FrameTimeout <= 0 {
+		o.FrameTimeout = 30 * time.Second
 	}
 	f := &fleetRun{
 		s: s, o: o, ts: ts, dir: dir, logf: logf,
@@ -215,6 +215,7 @@ func (f *fleetRun) spawnFleet() error {
 
 	// Cloud first: the edges dial it at startup.
 	{
+		os.Remove(filepath.Join(f.dir, "cloud.ready")) // a reused workdir's is stale
 		args := []string{
 			"-addr", "127.0.0.1:0",
 			"-seed", strconv.FormatInt(seed, 10),
@@ -260,8 +261,6 @@ func (f *fleetRun) spawnFleet() error {
 		if f.o.Trace {
 			fe.trace = filepath.Join(f.dir, "trace-edge-"+e.ID+".jsonl")
 		}
-		e := e
-		i := i
 		fe.respawn = func(addr string) (*proc, *ReadyInfo, error) {
 			ready := filepath.Join(f.dir, fmt.Sprintf("edge-%s.ready", e.ID))
 			os.Remove(ready)
@@ -413,15 +412,9 @@ func (f *fleetRun) play() *Result {
 	scenario.Play(f.s, f)
 
 	// Wait for every camera stream to finish.
-	f.mu.Lock()
-	handles := make([]*procCam, 0, len(f.cams))
-	for _, h := range f.cams {
-		handles = append(handles, h)
-	}
-	f.mu.Unlock()
 	timeout := f.camDeadline()
 	var clients []ClientReport
-	for _, h := range handles {
+	for _, h := range f.handles() {
 		left := time.Until(timeout)
 		if left < time.Second {
 			left = time.Second
@@ -502,6 +495,17 @@ func (f *fleetRun) play() *Result {
 	return res
 }
 
+// handles snapshots the camera streams started so far.
+func (f *fleetRun) handles() []*procCam {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	hs := make([]*procCam, 0, len(f.cams))
+	for _, h := range f.cams {
+		hs = append(hs, h)
+	}
+	return hs
+}
+
 // camDeadline estimates the latest wall instant any camera can still be
 // streaming: the longest stream at its base rate, plus the frame timeout.
 func (f *fleetRun) camDeadline() time.Time {
@@ -519,11 +523,7 @@ func (f *fleetRun) camDeadline() time.Time {
 			longest = d
 		}
 	}
-	timeout := f.o.FrameTimeout
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
-	return f.start.Add(f.scaled(longest) + timeout + 15*time.Second)
+	return f.start.Add(f.scaled(longest) + f.o.FrameTimeout + 15*time.Second)
 }
 
 // Schedule implements scenario.Driver: it sleeps to the event's scaled
@@ -811,13 +811,7 @@ func (f *fleetRun) collectTrace(res *Result) {
 	for _, fe := range f.edges {
 		add(fe.trace)
 	}
-	f.mu.Lock()
-	handles := make([]*procCam, 0, len(f.cams))
-	for _, h := range f.cams {
-		handles = append(handles, h)
-	}
-	f.mu.Unlock()
-	for _, h := range handles {
+	for _, h := range f.handles() {
 		add(h.trace)
 	}
 	res.TraceFiles = files

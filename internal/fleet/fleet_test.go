@@ -77,8 +77,9 @@ func buildFleetBinaries(t *testing.T) string {
 // respawn, a workload shift, a migration, a cloud-link fault with heal, a
 // checkpoint, and a camera leave — on real croesus-edge / croesus-cloud /
 // croesus-client processes. The merged report must pass the scenario's
-// verdict; on top of it come what only processes show: the durability
-// verdict, the merged trace, redials, and the WAL replay at respawn.
+// verdict; on top of it come cloud validation, a migration that succeeds,
+// and what only processes show: the durability verdict, the merged trace,
+// redials, frames served, and the WAL replay at respawn.
 func TestFleetSpawnCrash(t *testing.T) {
 	bin := buildFleetBinaries(t)
 	s, err := scenario.Load(filepath.Join("..", "..", "cmd", "croesus-cluster", "testdata", "fleet-crash.json"))
@@ -98,6 +99,13 @@ func TestFleetSpawnCrash(t *testing.T) {
 	if err := s.Check(res.Report); err != nil {
 		t.Fatal(err)
 	}
+	r := res.Report
+	if r.Validated == 0 || r.FinalP50 <= 0 {
+		t.Errorf("validated = %d, final p50 = %v, want both > 0", r.Validated, r.FinalP50)
+	}
+	if r.Dynamic.MigrationsFailed != 0 {
+		t.Errorf("cam2's migration failed: %+v", *r.Dynamic)
+	}
 
 	if !res.DurabilityOK {
 		t.Errorf("durability verdict not clean: %+v", res.Edges)
@@ -109,7 +117,7 @@ func TestFleetSpawnCrash(t *testing.T) {
 	// Cameras are named by edge id, as the sim names them; cam2 ends on
 	// its migration's destination.
 	wantEdge := map[string]string{"cam0": "e0", "cam1": "e1", "cam2": "e1"}
-	for _, c := range res.Report.Cameras {
+	for _, c := range r.Cameras {
 		if c.Edge != wantEdge[c.Camera] {
 			t.Errorf("camera %s on edge %q, want %q", c.Camera, c.Edge, wantEdge[c.Camera])
 		}
@@ -119,13 +127,18 @@ func TestFleetSpawnCrash(t *testing.T) {
 			t.Errorf("cam2 migrated but never redialed: %+v", cr)
 		}
 	}
+	var served int64
 	for _, er := range res.Edges {
+		served += er.Served
 		if !er.DurableOK {
 			t.Errorf("edge %s durability: %s", er.Edge, er.DurableErr)
 		}
 		if er.Edge == "e0" && er.WALReplayed == 0 {
 			t.Errorf("e0 replayed no WAL records on respawn: %+v", er)
 		}
+	}
+	if served == 0 {
+		t.Error("edges served no frames")
 	}
 }
 

@@ -2,9 +2,19 @@ package scenario
 
 import (
 	"fmt"
+	"time"
 
 	"croesus/internal/cluster"
 )
+
+// settle is how long after an outage's scripted end a repeat fault on the
+// same target is sure to fire: a restart is not instant (the sim charges
+// WAL replay, a real edge respawns), and two wall-clock timers that close
+// may fire in either order. A repeat inside it may be absorbed.
+const settle = time.Second
+
+// never is the end of an outage that may not end.
+const never = time.Duration(1<<63 - 1)
 
 // Check is the run verdict: it works out from the timeline what a report
 // of this scenario must show, on any deployment (the sim, a wall clock,
@@ -17,7 +27,8 @@ import (
 // by it; a twopc_crash fires only if its edge reaches the 2PC point after
 // it is armed; an edge_retire migrates whatever cameras its edge holds
 // then; and a crash without restart_after is restarted only by the sim's
-// end-of-run repair. A durable edge's restart must replay WAL records.
+// end-of-run repair. Frames must flow, and a durable edge's restart must
+// replay WAL records.
 func (s *Scenario) Check(r *cluster.ClusterReport) error {
 	if r == nil {
 		return fmt.Errorf("scenario %q: no report", s.Name)
@@ -27,31 +38,39 @@ func (s *Scenario) Check(r *cluster.ClusterReport) error {
 		return err
 	}
 	n := map[string]int{} // events per kind
-	// Each [2]int is a [lo, hi] range: count raises hi for every event,
-	// and lo for a sure one that is the first on its target.
+	// Each [2]int is a [lo, hi] range: every event raises hi, and a sure
+	// one raises lo once its target is free — settle past the scripted
+	// end of every earlier outage there. Some outages may never end: a
+	// leave, a crash without restart_after, an unhealed link, and an armed
+	// twopc_crash, which may fire at any later instant.
 	var leaves, uplinks, crashes [2]int
-	seen := map[string]bool{}
-	count := func(c *[2]int, target string, sure bool) {
-		if sure && !seen[target] {
-			c[0]++
-		}
-		c[1]++
-		seen[target] = true
-	}
+	free := map[string]time.Duration{}
 	permanent := 0 // crash events that restart nothing
 	for _, ev := range s.SortedTimeline() {
 		n[ev.Do]++
+		c, target, sure, end := &leaves, "leave:"+ev.Camera, true, never
 		switch {
 		case ev.Do == KindCameraLeave:
-			count(&leaves, "leave:"+ev.Camera, true)
 		case ev.Do == KindLinkFault && ev.B == "cloud":
-			count(&uplinks, "uplink:"+ev.A, true)
+			c, target = &uplinks, "uplink:"+ev.A
+			if ev.Heal > ev.At {
+				end = time.Duration(ev.Heal) + settle
+			}
 		case ev.Do == KindEdgeCrash || ev.Do == KindTwoPCCrash:
-			count(&crashes, "crash:"+ev.Edge, ev.Do == KindEdgeCrash)
+			c, target, sure = &crashes, "crash:"+ev.Edge, ev.Do == KindEdgeCrash
 			if ev.RestartAfter <= 0 {
 				permanent++
+			} else if sure {
+				end = time.Duration(ev.At+ev.RestartAfter) + settle
 			}
+		default:
+			continue
 		}
+		if sure && time.Duration(ev.At) >= free[target] {
+			c[0]++
+		}
+		c[1]++
+		free[target] = max(free[target], end)
 	}
 
 	var d cluster.DynamicReport
@@ -87,6 +106,9 @@ func (s *Scenario) Check(r *cluster.ClusterReport) error {
 			}
 			return fmt.Errorf("scenario %q: %s %d, the timeline scripts %s", s.Name, c.what, c.got, want)
 		}
+	}
+	if r.Frames == 0 {
+		return fmt.Errorf("scenario %q: no frames completed", s.Name)
 	}
 	if f := r.Faults; f != nil && f.Restarts > 0 && f.ReplayedRecords == 0 {
 		return fmt.Errorf("scenario %q: %d restarts replayed no WAL records", s.Name, f.Restarts)

@@ -72,6 +72,7 @@ func verdictScenario() *Scenario {
 func verdictReport() *cluster.ClusterReport {
 	return &cluster.ClusterReport{
 		Cameras: make([]cluster.CameraReport, 3),
+		Frames:  30,
 		Dynamic: &cluster.DynamicReport{
 			Joins: 1, Leaves: 1, WorkloadShifts: 1, Retired: 1, Migrations: 2, CloudLinkOutages: 1,
 		},
@@ -96,6 +97,7 @@ func TestCheckCatchesEachProperty(t *testing.T) {
 	}{
 		{"no report", func(*cluster.ClusterReport) *cluster.ClusterReport { return nil }, "no report"},
 		{"a camera missing", func(r *cluster.ClusterReport) *cluster.ClusterReport { r.Cameras = r.Cameras[1:]; return r }, "cameras 2"},
+		{"no frames", func(r *cluster.ClusterReport) *cluster.ClusterReport { r.Frames = 0; return r }, "no frames"},
 		{"join not run", func(r *cluster.ClusterReport) *cluster.ClusterReport { r.Dynamic.Joins = 0; return r }, "joins 0"},
 		{"leave not run", func(r *cluster.ClusterReport) *cluster.ClusterReport { r.Dynamic.Leaves = 0; return r }, "leaves 0"},
 		{"shift not run", func(r *cluster.ClusterReport) *cluster.ClusterReport { r.Dynamic.WorkloadShifts = 0; return r }, "workload shifts 0"},
@@ -137,26 +139,37 @@ func TestCheckCatchesEachProperty(t *testing.T) {
 	}
 }
 
-// TestCheckRanges pins the counts that may legitimately come up short: a
-// repeat fault on a target that may still be down, an armed 2PC crash that
-// never fires, and a crash that never restarts.
+// TestCheckRanges pins the counts that may legitimately come up short — a
+// repeat fault on a target that may still be down (inside an earlier
+// outage, within settle of its end, or after an armed 2PC crash), an armed
+// 2PC crash that never fires, and a crash that never restarts — and the
+// repeats that must count because the earlier outage has ended.
 func TestCheckRanges(t *testing.T) {
+	sec := func(n float64) Duration { return Duration(n * float64(time.Second)) }
 	s := &Scenario{
 		Version: 1,
 		Name:    "ranges",
 		Topology: Topology{
-			Edges:   []Edge{{ID: "e0"}, {ID: "e1"}},
+			Edges:   []Edge{{ID: "e0"}, {ID: "e1"}, {ID: "e2"}},
 			Cameras: []Camera{{ID: "cam0", Profile: "park-dog", Edge: "e0"}},
 			Sharded: true,
 		},
 		Timeline: []Event{
-			{At: Duration(time.Second), Do: KindEdgeCrash, Edge: "e0", RestartAfter: Duration(4 * time.Second)},
-			{At: Duration(2 * time.Second), Do: KindEdgeCrash, Edge: "e0", RestartAfter: Duration(time.Second)},
-			{At: Duration(2 * time.Second), Do: KindTwoPCCrash, Edge: "e1", Point: PointAfterPrepare},
-			{At: Duration(3 * time.Second), Do: KindLinkFault, A: "e0", B: "cloud"},
-			{At: Duration(3 * time.Second), Do: KindLinkFault, A: "e0", B: "cloud"},
-			{At: Duration(4 * time.Second), Do: KindCameraLeave, Camera: "cam0"},
-			{At: Duration(5 * time.Second), Do: KindCameraLeave, Camera: "cam0"},
+			{At: sec(1), Do: KindEdgeCrash, Edge: "e0", RestartAfter: sec(4)},
+			{At: sec(2), Do: KindEdgeCrash, Edge: "e0", RestartAfter: sec(1)}, // inside e0's outage
+			{At: sec(2), Do: KindTwoPCCrash, Edge: "e1", Point: PointAfterPrepare},
+			{At: sec(10), Do: KindEdgeCrash, Edge: "e1", RestartAfter: sec(1)}, // the 2PC crash may hold e1
+			// e2: an outage over 1s–2s, a repeat after it, and one within
+			// settle of the repeat's end.
+			{At: sec(1), Do: KindEdgeCrash, Edge: "e2", RestartAfter: sec(1)},
+			{At: sec(5), Do: KindEdgeCrash, Edge: "e2", RestartAfter: sec(1)},
+			{At: sec(6.5), Do: KindEdgeCrash, Edge: "e2", RestartAfter: sec(1)},
+			{At: sec(3), Do: KindLinkFault, A: "e0", B: "cloud"},
+			{At: sec(3), Do: KindLinkFault, A: "e0", B: "cloud"}, // never healed
+			{At: sec(1), Do: KindLinkFault, A: "e1", B: "cloud", Heal: sec(2)},
+			{At: sec(6), Do: KindLinkFault, A: "e1", B: "cloud", Heal: sec(7)}, // after the heal
+			{At: sec(4), Do: KindCameraLeave, Camera: "cam0"},
+			{At: sec(5), Do: KindCameraLeave, Camera: "cam0"},
 		},
 	}
 	if err := s.Validate(); err != nil {
@@ -165,6 +178,7 @@ func TestCheckRanges(t *testing.T) {
 	report := func(crashes, restarts int64, uplinks, leaves int) *cluster.ClusterReport {
 		return &cluster.ClusterReport{
 			Cameras: make([]cluster.CameraReport, 1),
+			Frames:  10,
 			Dynamic: &cluster.DynamicReport{CloudLinkOutages: uplinks, Leaves: leaves},
 			Faults:  &faults.Report{Counters: faults.Counters{Crashes: crashes, Restarts: restarts, ReplayedRecords: 1}},
 		}
@@ -173,20 +187,20 @@ func TestCheckRanges(t *testing.T) {
 		name              string
 		crashes, restarts int64
 		uplinks, leaves   int
-		ok                bool
+		want              string // "" passes
 	}{
-		{"every repeat absorbed, the 2PC crash unfired", 1, 1, 1, 1, true},
-		{"nothing absorbed, the 2PC crash fired and stayed down", 3, 2, 2, 2, true},
-		{"the first crash missing", 0, 0, 1, 1, false},
-		{"more crashes than scripted", 4, 4, 1, 1, false},
-		{"a restarting crash left down", 2, 0, 1, 1, false},
-		{"no uplink fault", 1, 1, 0, 1, false},
-		{"no leave", 1, 1, 1, 0, false},
-		{"a third leave", 1, 1, 1, 3, false},
+		{"every repeat that may be absorbed absorbed, the 2PC crash unfired", 3, 3, 3, 1, ""},
+		{"nothing absorbed, the 2PC crash fired and stayed down", 7, 6, 4, 2, ""},
+		{"a crash after its edge restarted dropped", 2, 2, 3, 1, "crashes 2, the timeline scripts 3 to 7"},
+		{"more crashes than scripted", 8, 8, 3, 1, "crashes 8"},
+		{"a restarting crash left down", 4, 2, 3, 1, "restarts 2"},
+		{"an uplink fault after its heal dropped", 3, 3, 2, 1, "cloud-link outages 2, the timeline scripts 3 to 4"},
+		{"no leave", 3, 3, 3, 0, "leaves 0"},
+		{"a third leave", 3, 3, 3, 3, "leaves 3"},
 	} {
 		err := s.Check(report(tc.crashes, tc.restarts, tc.uplinks, tc.leaves))
-		if (err == nil) != tc.ok {
-			t.Errorf("%s: verdict = %v, want ok = %v", tc.name, err, tc.ok)
+		if (err == nil) != (tc.want == "") || (err != nil && !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("%s: verdict = %v, want an error naming %q", tc.name, err, tc.want)
 		}
 	}
 }
