@@ -173,14 +173,8 @@ type System struct {
 
 // NewSystem builds a store, lock manager, and transaction manager on clk.
 func NewSystem(clk Clock) *System {
-	st := store.New()
-	locks := lock.NewManager(clk)
-	return &System{
-		Clock:   clk,
-		Store:   st,
-		Locks:   locks,
-		Manager: txn.NewManager(clk, st, locks),
-	}
+	a := node.New(clk, twopc.MSIA)
+	return &System{Clock: clk, Store: a.Store, Locks: a.Locks, Manager: a.Mgr}
 }
 
 // MSIA returns the invariant-confluence protocol bound to this system.

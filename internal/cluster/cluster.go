@@ -410,8 +410,6 @@ func New(cfg Config) (*Cluster, error) {
 		e := &EdgeNode{
 			Spec:       es,
 			Model:      detect.TinyYOLOSim(cfg.Seed),
-			Store:      store.New(),
-			Locks:      lock.NewManager(cfg.Clock),
 			ClientEdge: tr.ClientEdge(i),
 			EdgeCloud:  tr.EdgeCloud(i),
 			Compute:    vclock.NewSemaphore(cfg.Clock, es.Slots),
@@ -441,15 +439,14 @@ func New(cfg Config) (*Cluster, error) {
 			return nil, err
 		}
 	} else {
-		// Unsharded edges are standalone nodes: the shared fleet-node
-		// assembly (the same one the real TCP edge servers use) wires the
-		// manager and protocol over each edge's private store and locks.
+		// Unsharded edges are standalone nodes, assembled as the real TCP
+		// edge servers are.
 		for _, e := range c.edges {
-			asm := node.NewOver(cfg.Clock, e.Store, e.Locks, cfg.Protocol)
+			asm := node.New(cfg.Clock, cfg.Protocol)
 			if cfg.Obs != nil {
-				asm.Observe(cfg.Obs, obs.Tags("edge", e.Spec.ID, "protocol", cfg.Protocol.String()))
+				asm.Observe(cfg.Obs, e.Spec.ID)
 			}
-			e.Mgr, e.CC = asm.Mgr, asm.CC
+			e.Store, e.Locks, e.Mgr, e.CC = asm.Store, asm.Locks, asm.Mgr, asm.CC
 		}
 	}
 
@@ -647,22 +644,17 @@ func (c *Cluster) buildCamera(cs CameraSpec, idx int, startAt time.Duration) (*c
 	return cam, nil
 }
 
-// provisionShards converts the freshly built edges into one sharded
-// database: each edge's store and locks become a twopc.Partition, a mesh of
-// inter-edge links carries cross-edge lock and commit traffic, one
-// fleet-wide txn.Manager (whose backend routes every key through the shard
-// map) spans all edges, and each edge gets a ShardedCC bound to its home
-// partition. A durable fleet (Durable or checkpointing) additionally gets per-partition write-ahead logs and a fault injector, so
-// scripted crashes are survivable: committed state recovers from the log,
-// retraction restores are journaled, and in-doubt 2PC blocks resolve
-// against coordinator logs.
+// provisionShards makes the freshly built edges one sharded database
+// (node.NewFleet): edge i hosts partition i, a mesh of inter-edge links
+// carries cross-edge lock and commit traffic, one fleet-wide txn.Manager
+// (whose backend routes every key through the shard map) spans all edges,
+// and each edge gets a ShardedCC bound to its home partition. A durable
+// fleet (Durable or checkpointing) additionally gets per-partition
+// write-ahead logs and a fault injector, so scripted crashes are
+// survivable: committed state recovers from the log, retraction restores
+// are journaled, and in-doubt 2PC blocks resolve against coordinator logs.
 func (c *Cluster) provisionShards() error {
 	n := len(c.edges)
-	parts := make([]*twopc.Partition, n)
-	for i, e := range c.edges {
-		parts[i] = twopc.NewPartitionOver(i, e.Store, e.Locks)
-		e.Partition = parts[i]
-	}
 	owners := c.cfg.ShardOwners
 	if owners == nil {
 		owners = make([]int, c.nShards)
@@ -675,16 +667,16 @@ func (c *Cluster) provisionShards() error {
 		return fmt.Errorf("cluster: %w", err)
 	}
 	c.shardMap = smap
-	c.dist = &twopc.DistStats{}
-	shardedStore := &twopc.ShardedStore{Parts: parts, Partitioner: smap.Lookup, Map: smap, Clk: c.cfg.Clock}
-	c.fleetMgr = txn.NewManager(c.cfg.Clock, nil, nil)
-	c.fleetMgr.DB = shardedStore
-	proto := c.cfg.Protocol.String()
+	fleet := node.NewFleet(c.cfg.Clock, n, nil, smap, c.cfg.Protocol)
+	c.fleetMgr, c.dist = fleet.Mgr, fleet.Stats
 	if c.cfg.Obs != nil {
-		c.dist.Bind(c.cfg.Obs, obs.Tags("protocol", proto))
-		c.fleetMgr.Tracer = c.cfg.Obs.Tracer()
-		c.fleetMgr.TraceTags = obs.Tags("protocol", proto)
+		ids := make([]string, n)
+		for i, e := range c.edges {
+			ids[i] = e.Spec.ID
+		}
+		fleet.Observe(c.cfg.Obs, ids)
 	}
+	parts := fleet.Parts
 	for i, e := range c.edges {
 		e.Peers = make([]transport.Path, n)
 		for j := range c.edges {
@@ -693,24 +685,8 @@ func (c *Cluster) provisionShards() error {
 			}
 			e.Peers[j] = c.transport.Peer(i, j)
 		}
-		e.Mgr = c.fleetMgr
-		e.CC = &twopc.ShardedCC{
-			Clk:         c.cfg.Clock,
-			M:           c.fleetMgr,
-			Home:        i,
-			Parts:       parts,
-			Links:       e.Peers,
-			Partitioner: smap.Lookup,
-			Map:         smap,
-			Protocol:    c.cfg.Protocol,
-			Stats:       c.dist,
-		}
-		if c.cfg.Obs != nil {
-			cc := e.CC.(*twopc.ShardedCC)
-			cc.Obs = c.cfg.Obs
-			cc.Tags = obs.Tags("edge", e.Spec.ID, "protocol", proto)
-			parts[i].WALAppends = c.cfg.Obs.Counter(obs.MetricWALAppends, obs.Tags("edge", e.Spec.ID))
-		}
+		e.Partition, e.Store, e.Locks = parts[i], parts[i].Store, parts[i].Locks
+		e.Mgr, e.CC = fleet.Mgr, fleet.CC(i, e.Peers)
 	}
 	if !c.cfg.Durable {
 		return nil
@@ -730,9 +706,7 @@ func (c *Cluster) provisionShards() error {
 		}
 		linkRows[i] = e.Peers
 	}
-	// Retraction cascades re-install before-images through the journaling
-	// backend so a recovered partition agrees with the live store.
-	c.fleetMgr.RestoreDB = twopc.JournaledShardedStore{ShardedStore: shardedStore}
+	fleet.Journal()
 	inj, err := faults.NewInjector(c.cfg.Clock, c.cfg.ReplayCost, parts, linkRows)
 	if err != nil {
 		return fmt.Errorf("cluster: %w", err)

@@ -8,18 +8,16 @@ import (
 
 	"croesus/internal/core"
 	"croesus/internal/detect"
-	"croesus/internal/lock"
-	"croesus/internal/store"
+	"croesus/internal/node"
+	"croesus/internal/twopc"
 	"croesus/internal/txn"
 	"croesus/internal/vclock"
 	"croesus/internal/video"
 )
 
-// newTestManager builds a standalone storage stack, as NewSystem does in
-// the public API.
+// newTestManager builds a standalone edge's transaction manager.
 func newTestManager(clk vclock.Clock) *txn.Manager {
-	st := store.New()
-	return txn.NewManager(clk, st, lock.NewManager(clk))
+	return node.New(clk, twopc.MSIA).Mgr
 }
 
 // fourCamTwoEdge is the canonical test fleet: four cameras with distinct

@@ -9,6 +9,7 @@ import (
 	"croesus/internal/lock"
 	"croesus/internal/metrics"
 	"croesus/internal/netsim"
+	"croesus/internal/node"
 	"croesus/internal/store"
 	"croesus/internal/transport"
 	"croesus/internal/twopc"
@@ -28,13 +29,13 @@ func AblationPolicy(o Opts) Table {
 		Header: []string{"policy", "abort rate", "lock waits", "batch makespan"},
 	}
 	for _, p := range []struct {
-		name string
-		kind ccKind
+		name   string
+		policy txn.Policy
 	}{
-		{"Wait", ccMSSRWait},
-		{"NoWait", ccMSSRNoWait},
+		{"Wait", txn.Wait},
+		{"NoWait", txn.NoWait},
 	} {
-		r := runHotspotBatches(o, 1000, p.kind, false, 300*time.Millisecond)
+		r := runHotspotBatches(o, 1000, twopc.MSSR, p.policy, false, 300*time.Millisecond)
 		t.Rows = append(t.Rows, []string{
 			p.name,
 			pct(float64(r.aborts) / float64(r.total)),
@@ -63,7 +64,7 @@ func AblationSequencer(o Opts) Table {
 		{"sequencer (conflict-free waves)", true},
 		{"unsequenced (all concurrent)", false},
 	} {
-		r := runHotspotBatches(o, 300, ccMSIA, s.sequenced, 50*time.Millisecond)
+		r := runHotspotBatches(o, 300, twopc.MSIA, txn.Wait, s.sequenced, 50*time.Millisecond)
 		t.Rows = append(t.Rows, []string{
 			s.name,
 			fmt.Sprintf("%d", r.aborts),
@@ -153,21 +154,11 @@ func AblationTwoPC(o Opts) Table {
 	}
 	for _, proto := range []twopc.Protocol{twopc.MSSR, twopc.MSIA} {
 		clk := vclock.NewSim()
-		parts := make([]*twopc.Partition, 3)
-		links := make([]transport.Path, len(parts))
-		for i := range parts {
-			parts[i] = twopc.NewPartitionOver(i, store.New(), lock.NewManager(clk))
-			if i != 0 {
-				links[i] = netsim.EdgeCloudSameSite()
-			}
-		}
-		route := twopc.HashPartitioner(len(parts))
-		mgr := txn.NewManager(clk, nil, nil)
-		mgr.DB = &twopc.ShardedStore{Parts: parts, Partitioner: route}
-		cc := &twopc.ShardedCC{
-			Clk: clk, M: mgr, Home: 0, Parts: parts, Links: links,
-			Partitioner: route, Protocol: proto, Stats: &twopc.DistStats{},
-		}
+		route := twopc.HashPartitioner(3)
+		fleet := node.NewFleet(clk, 3, route, nil, proto)
+		links := make([]transport.Path, 3)
+		links[1], links[2] = netsim.EdgeCloudSameSite(), netsim.EdgeCloudSameSite()
+		mgr, parts, cc := fleet.Mgr, fleet.Parts, fleet.CC(0, links)
 		const n = 40
 		// probe is a lock owner no transaction uses: the initial commit is
 		// visible early when a foreign owner can lock the key and read it.

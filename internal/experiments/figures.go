@@ -6,11 +6,12 @@ import (
 
 	"croesus/internal/core"
 	"croesus/internal/detect"
-	"croesus/internal/lock"
 	"croesus/internal/netsim"
+	"croesus/internal/node"
 	"croesus/internal/randsrc"
 	"croesus/internal/store"
 	"croesus/internal/threshold"
+	"croesus/internal/twopc"
 	"croesus/internal/txn"
 	"croesus/internal/vclock"
 	"croesus/internal/video"
@@ -247,21 +248,15 @@ func Figure6a(o Opts) Table {
 		},
 	}
 	prof := video.MallSurveillance()
-	for _, cc := range []struct {
-		name string
-		kind ccKind
-	}{
-		{"MS-IA", ccMSIA},
-		{"MS-SR", ccMSSRWait},
-	} {
+	for _, p := range []twopc.Protocol{twopc.MSIA, twopc.MSSR} {
 		r := run(o, runSpec{
 			prof: prof, mode: core.ModeCroesus,
 			thetaL: 0.30, thetaU: 0.70,
-			cc: cc.kind, opCost: 150 * time.Microsecond,
+			protocol: p, opCost: 150 * time.Microsecond,
 		})
 		n, mean := r.locks.HoldStats()
 		t.Rows = append(t.Rows, []string{
-			cc.name,
+			p.String(),
 			mean.Round(10 * time.Microsecond).String(),
 			fmt.Sprintf("%d", n),
 			ms(r.summary.MeanInitialLatency),
@@ -281,27 +276,20 @@ type hotspotBatchResult struct {
 // runHotspotBatches executes nBatches batches of batchSize hot-spot update
 // transactions. When sequenced is true, MS-IA runs under the batch
 // sequencer; otherwise all transactions in a batch run concurrently under
-// the given CC, each arriving at a seeded offset within the batch's first
-// millisecond (so arrival order is not age order, and wait-die has older
-// transactions to queue), with cloudGap of simulated time between each
-// transaction's initial and final sections (the window in which MS-SR holds
-// its locks).
-func runHotspotBatches(o Opts, keyRange int, kind ccKind, sequenced bool, cloudGap time.Duration) hotspotBatchResult {
+// protocol p (MS-SR acquiring under policy), each arriving at a seeded
+// offset within the batch's first millisecond (so arrival order is not age
+// order, and wait-die has older transactions to queue), with cloudGap of
+// simulated time between each transaction's initial and final sections
+// (the window in which MS-SR holds its locks).
+func runHotspotBatches(o Opts, keyRange int, p twopc.Protocol, policy txn.Policy, sequenced bool, cloudGap time.Duration) hotspotBatchResult {
 	o = o.defaults()
 	const nBatches, batchSize, opsPerTxn = 3, 50, 5
 	clk := vclock.NewSim()
-	st := store.New()
-	locks := lock.NewManager(clk)
-	mgr := txn.NewManager(clk, st, locks)
-	var cc txn.CC
-	switch kind {
-	case ccMSSRWait:
-		cc = &txn.MSSR{M: mgr, Policy: txn.Wait}
-	case ccMSSRNoWait:
-		cc = &txn.MSSR{M: mgr, Policy: txn.NoWait}
-	default:
-		cc = &txn.MSIA{M: mgr}
+	asm := node.New(clk, p)
+	if sr, ok := asm.CC.(*txn.MSSR); ok {
+		sr.Policy = policy
 	}
+	mgr, cc := asm.Mgr, asm.CC
 	rng := randsrc.New(o.Seed)
 	res := hotspotBatchResult{}
 	start := time.Duration(0)
@@ -340,7 +328,7 @@ func runHotspotBatches(o Opts, keyRange int, kind ccKind, sequenced bool, cloudG
 		}
 	}
 	res.aborts = int(mgr.Stats().Aborts)
-	res.lockWaits, _ = locks.WaitStats()
+	res.lockWaits, _ = asm.Locks.WaitStats()
 	res.elapsed = clk.Now() - start
 	return res
 }
@@ -382,8 +370,8 @@ func Figure6b(o Opts) Table {
 		},
 	}
 	for _, keyRange := range []int{100, 300, 1000, 3000, 10000, 30000, 100000} {
-		mssr := runHotspotBatches(o, keyRange, ccMSSRNoWait, false, 300*time.Millisecond)
-		msia := runHotspotBatches(o, keyRange, ccMSIA, true, 300*time.Millisecond)
+		mssr := runHotspotBatches(o, keyRange, twopc.MSSR, txn.NoWait, false, 300*time.Millisecond)
+		msia := runHotspotBatches(o, keyRange, twopc.MSIA, txn.Wait, true, 300*time.Millisecond)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", keyRange),
 			pct(float64(mssr.aborts) / float64(mssr.total)),

@@ -8,20 +8,12 @@ import (
 	"croesus/internal/detect"
 	"croesus/internal/lock"
 	"croesus/internal/netsim"
-	"croesus/internal/store"
+	"croesus/internal/node"
 	"croesus/internal/threshold"
+	"croesus/internal/twopc"
 	"croesus/internal/txn"
 	"croesus/internal/vclock"
 	"croesus/internal/video"
-)
-
-// ccKind selects the concurrency control protocol for a run.
-type ccKind int
-
-const (
-	ccMSIA ccKind = iota
-	ccMSSRWait
-	ccMSSRNoWait
 )
 
 // runSpec describes one pipeline execution.
@@ -34,7 +26,7 @@ type runSpec struct {
 	sameSite  bool    // edge and cloud co-located
 	cloudSize detect.YOLOSize
 	preproc   netsim.Preprocessor
-	cc        ccKind
+	protocol  twopc.Protocol
 	opCost    time.Duration
 }
 
@@ -60,18 +52,7 @@ func run(o Opts, s runSpec) runResult {
 	frames := video.NewGenerator(s.prof, o.Seed).Generate(o.Frames)
 
 	clk := vclock.NewSim()
-	st := store.New()
-	locks := lock.NewManager(clk)
-	mgr := txn.NewManager(clk, st, locks)
-	var cc txn.CC
-	switch s.cc {
-	case ccMSSRWait:
-		cc = &txn.MSSR{M: mgr, Policy: txn.Wait}
-	case ccMSSRNoWait:
-		cc = &txn.MSSR{M: mgr, Policy: txn.NoWait}
-	default:
-		cc = &txn.MSIA{M: mgr}
-	}
+	asm := node.New(clk, s.protocol)
 	source := core.NewWorkloadSource(1000, o.Seed)
 	source.Clk = clk
 	source.OpCost = s.opCost
@@ -100,8 +81,8 @@ func run(o Opts, s runSpec) runResult {
 		ThetaL:     s.thetaL,
 		ThetaU:     s.thetaU,
 		Source:     source,
-		CC:         cc,
-		Mgr:        mgr,
+		CC:         asm.CC,
+		Mgr:        asm.Mgr,
 	}
 	p, err := core.New(cfg)
 	if err != nil {
@@ -113,8 +94,8 @@ func run(o Opts, s runSpec) runResult {
 	return runResult{
 		summary:  sum,
 		outcomes: outs,
-		locks:    locks,
-		mgr:      mgr,
+		locks:    asm.Locks,
+		mgr:      asm.Mgr,
 		edgeLink: clientEdge,
 		cloud:    edgeCloud,
 	}

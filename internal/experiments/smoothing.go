@@ -5,10 +5,9 @@ import (
 
 	"croesus/internal/core"
 	"croesus/internal/detect"
-	"croesus/internal/lock"
+	"croesus/internal/node"
 	"croesus/internal/smoothing"
-	"croesus/internal/store"
-	"croesus/internal/txn"
+	"croesus/internal/twopc"
 	"croesus/internal/vclock"
 	"croesus/internal/video"
 )
@@ -30,7 +29,7 @@ func AblationSmoothing(o Opts) Table {
 
 	runWith := func(sm core.Smoother, thetaL, thetaU float64) core.Summary {
 		clk := vclock.NewSim()
-		mgr := txn.NewManager(clk, store.New(), lock.NewManager(clk))
+		asm := node.New(clk, twopc.MSIA)
 		cloud := detect.YOLOv3Sim(detect.YOLO416, o.Seed)
 		p, err := core.New(core.Config{
 			Clock:      clk,
@@ -38,8 +37,8 @@ func AblationSmoothing(o Opts) Table {
 			CloudModel: cloud,
 			ThetaL:     thetaL, ThetaU: thetaU,
 			Source:   core.NewWorkloadSource(1000, o.Seed),
-			CC:       &txn.MSIA{M: mgr},
-			Mgr:      mgr,
+			CC:       asm.CC,
+			Mgr:      asm.Mgr,
 			Smoother: sm,
 		})
 		if err != nil {

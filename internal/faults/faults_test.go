@@ -8,6 +8,7 @@ import (
 
 	"croesus/internal/lock"
 	"croesus/internal/netsim"
+	"croesus/internal/node"
 	"croesus/internal/store"
 	"croesus/internal/transport"
 	"croesus/internal/twopc"
@@ -19,39 +20,24 @@ import (
 // home of the returned ShardedCC, edge 1 is remote over a 5ms link.
 func miniFleet(t *testing.T, clk vclock.Clock) (*twopc.ShardedCC, []*twopc.Partition, [][]transport.Path) {
 	t.Helper()
-	dir := t.TempDir()
-	parts := make([]*twopc.Partition, 2)
-	for i := range parts {
-		p := twopc.NewPartitionOver(i, store.New(), lock.NewManager(clk))
-		if _, err := p.OpenWAL(filepath.Join(dir, "edge.wal"+string(rune('0'+i))), false); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { p.CloseWAL() })
-		parts[i] = p
-	}
-	mk := func() *netsim.Link { return &netsim.Link{Name: "peer", Propagation: 5 * time.Millisecond} }
-	links := [][]transport.Path{{nil, mk()}, {mk(), nil}}
 	partitioner := func(key string) int {
 		if key[0] == '1' {
 			return 1
 		}
 		return 0
 	}
-	shardedStore := &twopc.ShardedStore{Parts: parts, Partitioner: partitioner}
-	mgr := txn.NewManager(clk, nil, nil)
-	mgr.DB = shardedStore
-	mgr.RestoreDB = twopc.JournaledShardedStore{ShardedStore: shardedStore}
-	cc := &twopc.ShardedCC{
-		Clk:         clk,
-		M:           mgr,
-		Home:        0,
-		Parts:       parts,
-		Links:       links[0],
-		Partitioner: partitioner,
-		Protocol:    twopc.MSIA,
-		Stats:       &twopc.DistStats{},
+	fleet := node.NewFleet(clk, 2, partitioner, nil, twopc.MSIA)
+	dir := t.TempDir()
+	for i, p := range fleet.Parts {
+		if _, err := p.OpenWAL(filepath.Join(dir, "edge.wal"+string(rune('0'+i))), false); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { p.CloseWAL() })
 	}
-	return cc, parts, links
+	fleet.Journal()
+	mk := func() *netsim.Link { return &netsim.Link{Name: "peer", Propagation: 5 * time.Millisecond} }
+	links := [][]transport.Path{{nil, mk()}, {mk(), nil}}
+	return fleet.CC(0, links[0]), fleet.Parts, links
 }
 
 func writeTxn(key string, v int64) *txn.Txn {

@@ -1,10 +1,11 @@
-// Package node is the shared fleet-node assembly layer: the storage and
-// transaction stack every Croesus edge runs, whatever delivers its frames.
-// Both deployments build on it — internal/cluster assembles its simulated
-// edge nodes here, and internal/tcpnet its real TCP edge servers — so
-// protocol selection and the store/locks/manager wiring exist exactly once
-// instead of being duplicated per deployment. A durable edge (croesus-edge
-// -wal) is assembled here too, as a one-partition twopc fleet (NewDurable).
+// Package node is the one place a Croesus data stack is assembled: the
+// store, lock table, transaction manager and concurrency control every edge
+// runs, whatever delivers its frames (§4). New builds a standalone edge —
+// internal/cluster's unsharded edges, internal/tcpnet's edge servers, the
+// experiments and the public facade all take it. NewFleet builds the
+// sharded stack of §4.5: partitions under one fleet-wide manager, each
+// edge committing through its own twopc.ShardedCC (Fleet.CC). A durable
+// edge (croesus-edge -wal) is a fleet of one partition (NewDurable).
 package node
 
 import (
@@ -32,10 +33,11 @@ func ParseProtocol(s string) (twopc.Protocol, error) {
 	}
 }
 
-// Assembly is one standalone edge node's data stack: its store, lock
-// manager, transaction manager, and the protocol's concurrency control.
-// Sharded fleets replace Mgr/CC with fleet-wide machinery (twopc) but keep
-// the same Store and Locks underneath.
+// Assembly is one edge node's data stack: its store, lock manager,
+// transaction manager, and the protocol's concurrency control. A
+// standalone edge (New) runs txn.MSIA or txn.MSSR over a private manager; a
+// durable one (NewDurable) commits through a one-partition Fleet's manager
+// and ShardedCC over the same Store and Locks.
 type Assembly struct {
 	Store *store.Store
 	Locks *lock.Manager
@@ -44,67 +46,129 @@ type Assembly struct {
 	// Part is a durable node's one partition, which owns the write-ahead
 	// log; nil on a volatile node (see NewDurable).
 	Part *twopc.Partition
+
+	p     twopc.Protocol
+	fleet *Fleet // a durable node's one-partition fleet
 }
 
-// New assembles a fresh edge node on clk.
+// New assembles a fresh standalone edge node on clk: a store, a lock
+// manager, a manager over them, and p's concurrency control (MS-SR
+// acquires with wait-die).
 func New(clk vclock.Clock, p twopc.Protocol) *Assembly {
-	return NewOver(clk, store.New(), lock.NewManager(clk), p)
-}
-
-// NewOver assembles an edge node over an existing store and lock manager —
-// how the cluster runtime reuses the stores it pre-provisioned per edge.
-func NewOver(clk vclock.Clock, st *store.Store, locks *lock.Manager, p twopc.Protocol) *Assembly {
+	st, locks := store.New(), lock.NewManager(clk)
 	mgr := txn.NewManager(clk, st, locks)
-	var cc txn.CC
+	var cc txn.CC = &txn.MSIA{M: mgr}
 	if p == twopc.MSSR {
 		cc = &txn.MSSR{M: mgr, Policy: txn.Wait}
-	} else {
-		cc = &txn.MSIA{M: mgr}
 	}
-	return &Assembly{Store: st, Locks: locks, Mgr: mgr, CC: cc}
+	return &Assembly{Store: st, Locks: locks, Mgr: mgr, CC: cc, p: p}
 }
 
 // NewDurable assembles a fresh edge node whose writes survive a crash: a
-// fleet of one partition logging to the write-ahead log at walPath, whose
-// commits take the path a simulated durable partition's do. The manager
-// writes through the plain twopc.ShardedStore, and a twopc.ShardedCC over
-// the partition (its one link nil: the partition is local) logs each
-// section boundary as its redo records plus a commit marker, in one batch —
-// MS-IA at every boundary, MS-SR once, at the last. Only retraction restores and aborted
-// sections' undo journal write by write, through the manager's RestoreDB,
-// as non-transactional records. An existing log is replayed into the store
-// first; the replay is returned for its record count and torn-tail flag.
-// noSync skips the fsync per batch.
+// Fleet of one partition logging to the write-ahead log at walPath, whose
+// commits take a simulated durable partition's path. Its link-less
+// ShardedCC logs each section boundary as its redo records plus a commit
+// marker, in one batch — MS-IA at every boundary, MS-SR once, at the last;
+// only retraction restores and aborted sections' undo journal write by
+// write (Fleet.Journal). An existing log is replayed into the store first;
+// the replay is returned for its record count and torn-tail flag. noSync
+// skips the fsync per batch.
 func NewDurable(clk vclock.Clock, p twopc.Protocol, walPath string, noSync bool) (*Assembly, *wal.RecoverResult, error) {
-	st, locks := store.New(), lock.NewManager(clk)
-	part := twopc.NewPartitionOver(0, st, locks)
+	f := NewFleet(clk, 1, func(string) int { return 0 }, nil, p)
+	part := f.Parts[0]
 	res, err := part.OpenWAL(walPath, noSync)
 	if err != nil {
 		return nil, nil, err
 	}
-	db := &twopc.ShardedStore{Parts: []*twopc.Partition{part}, Partitioner: onePartition}
-	mgr := txn.NewManager(clk, st, locks)
-	mgr.DB = db
-	mgr.RestoreDB = twopc.JournaledShardedStore{ShardedStore: db}
-	cc := &twopc.ShardedCC{
-		Clk:         clk,
-		M:           mgr,
-		Parts:       db.Parts,
-		Links:       make([]transport.Path, 1), // the partition is local
-		Partitioner: onePartition,
-		Protocol:    p,
-		Stats:       &twopc.DistStats{},
-	}
-	return &Assembly{Store: st, Locks: locks, Mgr: mgr, CC: cc, Part: part}, res, nil
+	f.Journal()
+	// Readers of the edge's manager see the partition's store and locks.
+	f.Mgr.Store, f.Mgr.Locks = part.Store, part.Locks
+	cc := f.CC(0, make([]transport.Path, 1)) // the partition is local
+	return &Assembly{Store: part.Store, Locks: part.Locks, Mgr: f.Mgr, CC: cc, Part: part, p: p, fleet: f}, res, nil
 }
 
-func onePartition(string) int { return 0 }
+// Observe binds the node to o under edge's tags. A standalone node sends
+// its retraction spans to o's tracer; a durable one binds what a simulated
+// durable partition does (Fleet.Observe): its 2PC counters, WAL appends,
+// and retraction and lock-wait spans.
+func (a *Assembly) Observe(o *obs.Obs, edge string) {
+	if a.fleet == nil {
+		a.Mgr.Tracer, a.Mgr.TraceTags = o.Tracer(), obs.Tags("edge", edge, "protocol", a.p.String())
+		return
+	}
+	a.fleet.Observe(o, []string{edge})
+	a.fleet.observeCC(a.CC.(*twopc.ShardedCC))
+}
 
-// Observe sends the node's retraction spans — and, on a durable node, its
-// lock-wait spans — to o's tracer under the tag string tags.
-func (a *Assembly) Observe(o *obs.Obs, tags string) {
-	a.Mgr.Tracer, a.Mgr.TraceTags = o.Tracer(), tags
-	if cc, ok := a.CC.(*twopc.ShardedCC); ok {
-		cc.Obs, cc.Tags = o, tags
+// Fleet is the sharded data stack of §4.5: partitions, each over its own
+// store and lock manager; one fleet-wide manager whose backend, the
+// ShardedStore, routes every key to its partition, so the undo log and the
+// dependency index span the fleet; and the 2PC counters every edge's
+// ShardedCC shares.
+type Fleet struct {
+	Parts []*twopc.Partition
+	DB    *twopc.ShardedStore
+	Mgr   *txn.Manager
+	Stats *twopc.DistStats
+
+	clk   vclock.Clock
+	p     twopc.Protocol
+	obs   *obs.Obs
+	edges []string // partition i's edge ID, for tags
+}
+
+// NewFleet assembles n fresh partitions on clk under protocol p. Keys
+// route through smap when it is given — a mutable shard map, which also
+// enrolls transactions in shard migration — and through route otherwise.
+func NewFleet(clk vclock.Clock, n int, route func(key string) int, smap *twopc.ShardMap, p twopc.Protocol) *Fleet {
+	parts := make([]*twopc.Partition, n)
+	for i := range parts {
+		parts[i] = twopc.NewPartitionOver(i, store.New(), lock.NewManager(clk))
+	}
+	db := &twopc.ShardedStore{Parts: parts, Partitioner: route}
+	if smap != nil {
+		db.Partitioner, db.Map, db.Clk = smap.Lookup, smap, clk
+	}
+	mgr := txn.NewManager(clk, nil, nil)
+	mgr.DB = db
+	return &Fleet{Parts: parts, DB: db, Mgr: mgr, Stats: &twopc.DistStats{}, clk: clk, p: p}
+}
+
+// CC returns the concurrency control of the edge homed on partition home:
+// links[i] is its one-way path to partition i (nil for home and for
+// co-located partitions). Every edge's CC shares the fleet's manager,
+// partitions and counters.
+func (f *Fleet) CC(home int, links []transport.Path) *twopc.ShardedCC {
+	cc := &twopc.ShardedCC{Clk: f.clk, M: f.Mgr, Home: home, Parts: f.Parts, Links: links,
+		Partitioner: f.DB.Partitioner, Map: f.DB.Map, Protocol: f.p, Stats: f.Stats}
+	f.observeCC(cc)
+	return cc
+}
+
+// Journal sends retraction restores and aborted sections' undo through the
+// journaling store, so a durable fleet's recovered partition agrees with
+// its live store. Call it once the partitions log.
+func (f *Fleet) Journal() {
+	f.Mgr.RestoreDB = twopc.JournaledShardedStore{ShardedStore: f.DB}
+}
+
+// Observe binds the fleet to o: the 2PC counters and the manager's
+// retraction spans under the protocol's tag, and partition i's WAL appends
+// under edges[i]. CCs made after it send their lock-wait and 2PC spans
+// under their home's edge and the protocol.
+func (f *Fleet) Observe(o *obs.Obs, edges []string) {
+	tags := obs.Tags("protocol", f.p.String())
+	f.Stats.Bind(o, tags)
+	f.Mgr.Tracer, f.Mgr.TraceTags = o.Tracer(), tags
+	for i, part := range f.Parts {
+		part.WALAppends = o.Counter(obs.MetricWALAppends, obs.Tags("edge", edges[i]))
+	}
+	f.obs, f.edges = o, edges
+}
+
+// observeCC sends cc's spans to the fleet's Obs, once it has one.
+func (f *Fleet) observeCC(cc *twopc.ShardedCC) {
+	if f.obs != nil {
+		cc.Obs, cc.Tags = f.obs, obs.Tags("edge", f.edges[cc.Home], "protocol", f.p.String())
 	}
 }

@@ -8,8 +8,8 @@ import (
 
 	"croesus/internal/core"
 	"croesus/internal/detect"
-	"croesus/internal/lock"
 	"croesus/internal/store"
+	"croesus/internal/transport"
 	"croesus/internal/twopc"
 	"croesus/internal/txn"
 	"croesus/internal/vclock"
@@ -44,15 +44,14 @@ func TestParseProtocol(t *testing.T) {
 	}
 }
 
-// TestNewOverBindsStack checks that NewOver wires the protocol's CC and the
-// manager over exactly the store and lock manager it was handed.
-func TestNewOverBindsStack(t *testing.T) {
+// TestNewBindsStack checks that New wires the protocol's CC and a manager
+// over exactly the assembly's store and lock manager, fresh per call.
+func TestNewBindsStack(t *testing.T) {
 	clk := vclock.NewSim()
-	st, locks := store.New(), lock.NewManager(clk)
 
-	sr := NewOver(clk, st, locks, twopc.MSSR)
-	if sr.Store != st || sr.Locks != locks || sr.Mgr.Store != st || sr.Mgr.Locks != locks {
-		t.Fatal("MS-SR assembly is not over the store and locks passed in")
+	sr := New(clk, twopc.MSSR)
+	if sr.Store == nil || sr.Locks == nil || sr.Mgr.Store != sr.Store || sr.Mgr.Locks != sr.Locks || sr.Mgr.DB != nil {
+		t.Fatal("MS-SR assembly's manager is not over its own store and locks")
 	}
 	cc, ok := sr.CC.(*txn.MSSR)
 	if !ok {
@@ -62,15 +61,96 @@ func TestNewOverBindsStack(t *testing.T) {
 		t.Errorf("MS-SR CC = {Policy: %v, M bound: %v}, want wait-die over the assembly's manager", cc.Policy, cc.M == sr.Mgr)
 	}
 
-	ia := NewOver(clk, st, locks, twopc.MSIA)
-	if ia.Store != st || ia.Locks != locks || ia.Mgr.Store != st || ia.Mgr.Locks != locks {
-		t.Fatal("MS-IA assembly is not over the store and locks passed in")
+	ia := New(clk, twopc.MSIA)
+	if ia.Mgr.Store != ia.Store || ia.Mgr.Locks != ia.Locks {
+		t.Fatal("MS-IA assembly's manager is not over its own store and locks")
+	}
+	if ia.Store == sr.Store || ia.Locks == sr.Locks || ia.Mgr == sr.Mgr {
+		t.Error("two assemblies share a store, lock manager or manager")
 	}
 	if cc, ok := ia.CC.(*txn.MSIA); !ok || cc.M != ia.Mgr {
 		t.Fatalf("MS-IA assembly CC = %T, want *txn.MSIA over the assembly's manager", ia.CC)
 	}
 	if sr.Part != nil || ia.Part != nil {
 		t.Error("a volatile assembly has a partition")
+	}
+}
+
+// TestNewFleetRoutes checks that a fleet routes keys through the shard map
+// when it has one, and through the static partitioner otherwise, in its
+// store and in every CC alike.
+func TestNewFleetRoutes(t *testing.T) {
+	clk := vclock.NewSim()
+	route := func(key string) int { return int(key[0]-'0') % 2 }
+	plain := NewFleet(clk, 2, route, nil, twopc.MSIA)
+	if plain.DB.Map != nil || plain.DB.Clk != nil {
+		t.Error("an unmapped fleet's store has a shard map")
+	}
+	if cc := plain.CC(1, nil); cc.Map != nil || cc.Partitioner("1x") != 1 || cc.Partitioner("0x") != 0 {
+		t.Error("an unmapped fleet's CC does not route through the partitioner")
+	}
+	if plain.DB.Partitioner("3") != 1 {
+		t.Error("an unmapped fleet's store does not route through the partitioner")
+	}
+
+	smap, err := twopc.NewShardMap([]int{1, 0}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped := NewFleet(clk, 2, route, smap, twopc.MSSR)
+	if mapped.DB.Map != smap || mapped.DB.Clk != clk {
+		t.Fatal("a mapped fleet's store does not hold the shard map and clock")
+	}
+	cc := mapped.CC(0, nil)
+	if cc.Map != smap || cc.Protocol != twopc.MSSR {
+		t.Errorf("a mapped fleet's CC = {Map: %v, Protocol: %v}, want the shard map under MS-SR", cc.Map == smap, cc.Protocol)
+	}
+	for _, key := range []string{"0", "1", "cam/x", "zz"} {
+		want := smap.Lookup(key)
+		if got := mapped.DB.Partitioner(key); got != want {
+			t.Errorf("store routes %q to %d, the shard map to %d", key, got, want)
+		}
+		if got := cc.Partitioner(key); got != want {
+			t.Errorf("CC routes %q to %d, the shard map to %d", key, got, want)
+		}
+	}
+}
+
+// TestNewFleetBindsStack checks that each partition owns a store and lock
+// manager of its own, that the manager writes through the fleet's store,
+// and that every home's CC shares the manager, partitions and counters.
+func TestNewFleetBindsStack(t *testing.T) {
+	clk := vclock.NewSim()
+	f := NewFleet(clk, 3, twopc.HashPartitioner(3), nil, twopc.MSIA)
+	if len(f.Parts) != 3 || f.Mgr.DB != f.DB || f.Stats == nil {
+		t.Fatal("the fleet's manager does not write through its sharded store")
+	}
+	seen := map[any]bool{}
+	for i, part := range f.Parts {
+		if part.ID != i || f.DB.Parts[i] != part {
+			t.Errorf("partition %d is not the store's partition %d", part.ID, i)
+		}
+		if part.Store == nil || part.Locks == nil || seen[part.Store] || seen[part.Locks] {
+			t.Errorf("partition %d shares its store or lock manager", i)
+		}
+		seen[part.Store], seen[part.Locks] = true, true
+	}
+	if f.Mgr.RestoreDB != nil {
+		t.Error("a fleet journals restores before Journal")
+	}
+	links := make([]transport.Path, 3)
+	a, b := f.CC(0, links), f.CC(2, links)
+	if a == b || a.Home != 0 || b.Home != 2 {
+		t.Fatalf("CC homes = %d, %d; want two CCs homed 0 and 2", a.Home, b.Home)
+	}
+	for _, cc := range []*twopc.ShardedCC{a, b} {
+		if cc.M != f.Mgr || &cc.Parts[0] != &f.Parts[0] || cc.Stats != f.Stats || cc.Clk != clk {
+			t.Errorf("CC homed %d does not share the fleet's manager, partitions and counters", cc.Home)
+		}
+	}
+	f.Journal()
+	if js, ok := f.Mgr.RestoreDB.(twopc.JournaledShardedStore); !ok || js.ShardedStore != f.DB {
+		t.Errorf("after Journal, RestoreDB = %T, want the journaling wrapper of the fleet's store", f.Mgr.RestoreDB)
 	}
 }
 
@@ -101,11 +181,11 @@ func TestNewDurableBindsStack(t *testing.T) {
 		if asm.Part == nil || asm.Part.Store != asm.Store || asm.Part.Locks != asm.Locks || !asm.Part.Durable() {
 			t.Fatalf("%v: the partition is not the durable owner of the assembly's store and locks", p)
 		}
-		if asm.Mgr.Store != asm.Store {
-			t.Errorf("%v: the manager's store is not the assembly's", p)
+		if asm.Mgr.Store != asm.Store || asm.Mgr.Locks != asm.Locks {
+			t.Errorf("%v: the manager's store or locks are not the assembly's", p)
 		}
-		if _, ok := asm.Mgr.DB.(*twopc.ShardedStore); !ok {
-			t.Errorf("%v: Mgr.DB = %T, want the plain *twopc.ShardedStore", p, asm.Mgr.DB)
+		if db, ok := asm.Mgr.DB.(*twopc.ShardedStore); !ok || len(db.Parts) != 1 || db.Parts[0] != asm.Part {
+			t.Errorf("%v: Mgr.DB = %T, want the plain *twopc.ShardedStore over the one partition", p, asm.Mgr.DB)
 		}
 		if _, ok := asm.Mgr.RestoreDB.(twopc.JournaledShardedStore); !ok {
 			t.Errorf("%v: Mgr.RestoreDB = %T, want twopc.JournaledShardedStore", p, asm.Mgr.RestoreDB)

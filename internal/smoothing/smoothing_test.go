@@ -5,9 +5,8 @@ import (
 
 	"croesus/internal/core"
 	"croesus/internal/detect"
-	"croesus/internal/lock"
-	"croesus/internal/store"
-	"croesus/internal/txn"
+	"croesus/internal/node"
+	"croesus/internal/twopc"
 	"croesus/internal/vclock"
 	"croesus/internal/video"
 )
@@ -136,8 +135,7 @@ func TestSmoothingImprovesPipeline(t *testing.T) {
 	frames := video.NewGenerator(prof, 11).Generate(100)
 	runWith := func(sm core.Smoother, thetaL, thetaU float64) core.Summary {
 		clk := vclock.NewSim()
-		st := store.New()
-		mgr := txn.NewManager(clk, st, lock.NewManager(clk))
+		asm := node.New(clk, twopc.MSIA)
 		cloud := detect.YOLOv3Sim(detect.YOLO416, 42)
 		p, err := core.New(core.Config{
 			Clock:      clk,
@@ -145,8 +143,8 @@ func TestSmoothingImprovesPipeline(t *testing.T) {
 			CloudModel: cloud,
 			ThetaL:     thetaL, ThetaU: thetaU,
 			Source:   core.NewWorkloadSource(500, 7),
-			CC:       &txn.MSIA{M: mgr},
-			Mgr:      mgr,
+			CC:       asm.CC,
+			Mgr:      asm.Mgr,
 			Smoother: sm,
 		})
 		if err != nil {

@@ -8,12 +8,14 @@ import (
 
 	"croesus/internal/core"
 	"croesus/internal/detect"
+	"croesus/internal/obs"
 	"croesus/internal/twopc"
 	"croesus/internal/video"
 )
 
-// startDurableEdge brings up an edge-only server journaling to walPath.
-func startDurableEdge(t *testing.T, walPath string) (*Client, *EdgeServer, func()) {
+// startDurableEdge brings up an edge-only server journaling to walPath,
+// observed by o when it is not nil.
+func startDurableEdge(t *testing.T, walPath string, o *obs.Obs) (*Client, *EdgeServer, func()) {
 	t.Helper()
 	edge, err := NewEdgeServer(EdgeConfig{
 		EdgeModel: detect.TinyYOLOSim(42),
@@ -23,6 +25,7 @@ func startDurableEdge(t *testing.T, walPath string) (*Client, *EdgeServer, func(
 		Source:    core.NewWorkloadSource(500, 7),
 		WALPath:   walPath,
 		WALNoSync: true,
+		Obs:       o,
 	})
 	if err != nil {
 		t.Fatalf("edge: %v", err)
@@ -43,7 +46,7 @@ func startDurableEdge(t *testing.T, walPath string) (*Client, *EdgeServer, func(
 // the fleet's crash/recover event.
 func TestEdgeWALReplayAcrossRestart(t *testing.T) {
 	walPath := filepath.Join(t.TempDir(), "edge.wal")
-	client, edge, cleanup := startDurableEdge(t, walPath)
+	client, edge, cleanup := startDurableEdge(t, walPath, nil)
 
 	frames := video.NewGenerator(video.ParkDog(), 11).Generate(6)
 	for _, f := range frames {
@@ -95,6 +98,34 @@ func TestEdgeWALReplayAcrossRestart(t *testing.T) {
 	}
 	if n, err := edge2.VerifyWAL(); err != nil {
 		t.Fatalf("durability verify after replay (%d records): %v", n, err)
+	}
+}
+
+// An observed durable edge exports the series a simulated durable
+// partition does, under the simulator's labels: its WAL appends by edge,
+// and the commit counters by protocol.
+func TestDurableEdgeExportsWALAndCommitSeries(t *testing.T) {
+	o := obs.New()
+	client, _, cleanup := startDurableEdge(t, filepath.Join(t.TempDir(), "edge.wal"), o)
+	defer cleanup()
+	frames := video.NewGenerator(video.ParkDog(), 11).Generate(4)
+	for _, f := range frames {
+		if err := client.Submit(f, 0); err != nil {
+			t.Fatalf("submit %d: %v", f.Index, err)
+		}
+	}
+	for _, f := range frames {
+		if _, err := client.WaitFrame(f.Index, 10*time.Second); err != nil {
+			t.Fatalf("frame %d: %v", f.Index, err)
+		}
+	}
+	for _, m := range []struct{ name, tags string }{
+		{obs.MetricWALAppends, obs.Tags("edge", "edge")},
+		{obs.MetricCommitsLocal, obs.Tags("protocol", "MS-IA")},
+	} {
+		if n := o.Reg.Counter(m.name, m.tags).Value(); n <= 0 {
+			t.Errorf("%s{%s} = %d after %d frames, want > 0", m.name, m.tags, n, len(frames))
+		}
 	}
 }
 
@@ -179,7 +210,7 @@ func TestEdgeWALCheckpoint(t *testing.T) {
 // The drain control (edge_retire) refuses new frames; the client's wait
 // times out and the edge counts the refusal.
 func TestEdgeDrainRefusesFrames(t *testing.T) {
-	client, edge, cleanup := startDurableEdge(t, filepath.Join(t.TempDir(), "edge.wal"))
+	client, edge, cleanup := startDurableEdge(t, filepath.Join(t.TempDir(), "edge.wal"), nil)
 	defer cleanup()
 
 	edge.SetDraining(true)

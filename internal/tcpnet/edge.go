@@ -52,7 +52,8 @@ type EdgeConfig struct {
 	// Obs, when set, threads the observability layer through every client
 	// session's pipeline and the transaction manager: per-stage spans on
 	// the wall clock plus fleet counters, latency histograms, and the
-	// inference-queue-depth gauge — what -debug-addr serves.
+	// inference-queue-depth gauge — what -debug-addr serves. A durable edge
+	// adds a sim partition's series: WAL appends and the commit counters.
 	Obs *obs.Obs
 	// EdgeID tags this server's metrics and spans (default "edge").
 	EdgeID string
@@ -173,7 +174,7 @@ func NewEdgeServer(cfg EdgeConfig) (*EdgeServer, error) {
 	s.cloudPath = transport.NewShapedPath(cfg.EdgeCloudShape, clk)
 	if cfg.Obs != nil {
 		s.queueDepth = cfg.Obs.Gauge(obs.MetricEdgeQueueDepth, obs.Tags("edge", cfg.EdgeID))
-		s.asm.Observe(cfg.Obs, obs.Tags("edge", cfg.EdgeID, "protocol", cfg.Protocol.String()))
+		s.asm.Observe(cfg.Obs, cfg.EdgeID)
 	}
 	if cfg.Graph != nil {
 		// One standalone edge: the graph validates against a fleet of 1,
