@@ -228,7 +228,7 @@ func BenchmarkSequencerWaves(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		txn.Waves(insts, txn.StageInitial)
+		txn.Waves(insts)
 	}
 }
 

@@ -36,12 +36,6 @@ type BatcherConfig struct {
 	// and the edge keeps its own answer — Croesus' degradation mode
 	// instead of an unbounded backlog behind the cloud GPU.
 	MaxPending int
-	// BatchAlpha is the marginal cost of each additional frame in a
-	// batch as a fraction of its standalone inference latency; the
-	// slowest frame is charged in full. GPU batching amortizes weight
-	// loading and kernel launches, which is what makes a shared cloud
-	// validator economical at all.
-	BatchAlpha float64
 	// Obs, when set, receives batch.queue/batch.run/batch.shed spans and
 	// live queue-depth / inflight gauges plus a batches counter.
 	Obs *obs.Obs
@@ -63,11 +57,15 @@ func (c BatcherConfig) defaults() BatcherConfig {
 	if c.MaxPending == 0 {
 		c.MaxPending = 4 * c.MaxBatch
 	}
-	if c.BatchAlpha == 0 {
-		c.BatchAlpha = 0.35
-	}
 	return c
 }
+
+// batchAlpha is the marginal cost of each additional frame in a batch as
+// a fraction of its standalone inference latency; the slowest frame is
+// charged in full. GPU batching amortizes weight loading and kernel
+// launches, which is what makes a shared cloud validator economical at
+// all.
+const batchAlpha = 0.35
 
 // BatcherStats summarizes a batcher's lifetime activity.
 type BatcherStats struct {
@@ -141,9 +139,6 @@ func NewBatcher(cfg BatcherConfig) (*Batcher, error) {
 	if cfg.MaxBatch < 0 || cfg.MaxPending < 0 || cfg.Slots < 0 {
 		return nil, fmt.Errorf("cluster: BatcherConfig counts must be non-negative, got MaxBatch=%d MaxPending=%d Slots=%d",
 			cfg.MaxBatch, cfg.MaxPending, cfg.Slots)
-	}
-	if cfg.BatchAlpha < 0 {
-		return nil, fmt.Errorf("cluster: BatcherConfig.BatchAlpha must be non-negative, got %g", cfg.BatchAlpha)
 	}
 	if cfg.CloudSpeed < 0 {
 		return nil, fmt.Errorf("cluster: BatcherConfig.CloudSpeed must be non-negative, got %g", cfg.CloudSpeed)
@@ -283,7 +278,7 @@ func (b *Batcher) runBatch(batch []*pendingReq) {
 	b.slots.Acquire()
 	start := clk.Now()
 	// Batched inference: the slowest frame is charged in full, every
-	// additional frame at BatchAlpha of its standalone latency.
+	// additional frame at batchAlpha of its standalone latency.
 	var maxLat, sumLat time.Duration
 	results := make([][]detect.Detection, len(batch))
 	for i, pr := range batch {
@@ -294,7 +289,7 @@ func (b *Batcher) runBatch(batch []*pendingReq) {
 		}
 		sumLat += r.Latency
 	}
-	lat := maxLat + time.Duration(float64(sumLat-maxLat)*b.cfg.BatchAlpha)
+	lat := maxLat + time.Duration(float64(sumLat-maxLat)*batchAlpha)
 	clk.Sleep(scaleDur(lat, b.cfg.CloudSpeed))
 	b.slots.Release()
 	end := clk.Now()

@@ -73,7 +73,7 @@ func TestSizeFlush(t *testing.T) {
 	}
 	// With an hour-long SLO, dispatch must have been size-triggered:
 	// nobody waited for the deadline, and each request completed in the
-	// amortized batch time (10ms + 0.35·30ms with the default α).
+	// amortized batch time (10ms + 0.35·30ms with batchAlpha).
 	if st.MaxFlushWait != 0 {
 		t.Fatalf("simultaneous arrivals waited %v for dispatch", st.MaxFlushWait)
 	}
@@ -192,16 +192,16 @@ func TestShedLowestMargin(t *testing.T) {
 func TestBatchAmortization(t *testing.T) {
 	clk := vclock.NewSim()
 	lat := 20 * time.Millisecond
-	b := mustBatcher(t, BatcherConfig{Clock: clk, Model: fixedModel{latency: lat}, MaxBatch: 4, SLO: time.Hour, BatchAlpha: 0.25})
+	b := mustBatcher(t, BatcherConfig{Clock: clk, Model: fixedModel{latency: lat}, MaxBatch: 4, SLO: time.Hour})
 	reqs := make([]core.ValidationRequest, 4)
 	for i := range reqs {
 		reqs[i] = core.ValidationRequest{Frame: frameAt(i), Margin: 0.5}
 	}
 	results := submit(clk, b, reqs, 0)
-	// 20ms + 0.25 · 60ms = 35ms for the whole batch, observed by every
+	// 20ms + 0.35 · 60ms = 41ms for the whole batch, observed by every
 	// member since all arrived at t=0.
 	for i, r := range results {
-		if want := 35 * time.Millisecond; r.CloudDetect != want {
+		if want := 41 * time.Millisecond; r.CloudDetect != want {
 			t.Fatalf("request %d finished after %v, want %v", i, r.CloudDetect, want)
 		}
 	}
@@ -265,7 +265,6 @@ func TestNewBatcherValidation(t *testing.T) {
 		{"negative MaxBatch", func(c *BatcherConfig) { c.MaxBatch = -1 }},
 		{"negative MaxPending", func(c *BatcherConfig) { c.MaxPending = -1 }},
 		{"negative Slots", func(c *BatcherConfig) { c.Slots = -1 }},
-		{"negative BatchAlpha", func(c *BatcherConfig) { c.BatchAlpha = -0.5 }},
 		{"negative CloudSpeed", func(c *BatcherConfig) { c.CloudSpeed = -1 }},
 		{"pending below batch", func(c *BatcherConfig) { c.MaxBatch = 8; c.MaxPending = 4 }},
 	}

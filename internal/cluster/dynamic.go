@@ -468,7 +468,7 @@ func (c *Cluster) edgeOutage(i int) bool {
 
 // SetCloudLink partitions (or heals) one edge's cloud uplink: while down,
 // its validate-interval frames are lost in transit and finalize locally
-// with the edge answer — exactly the paper's timeout path.
+// at once with the edge answer — the paper's loss path.
 func (c *Cluster) SetCloudLink(edgeID string, down bool) error {
 	i, err := c.edgeByID(edgeID)
 	if err != nil {

@@ -6,8 +6,8 @@ import (
 )
 
 // EdgeUplink adapts one edge node's uplink to the fleet's shared cloud
-// Batcher: it charges the edge→cloud hop (core.Uplink: preprocessing,
-// transfer, loss injection) on the calling frame's goroutine, hands the
+// Batcher: it charges the edge→cloud hop (core.Uplink: preprocessing and
+// transfer) on the calling frame's goroutine, hands the
 // request to the batcher, and charges the label-return transfer on the
 // way back. It implements core.Validator, so a cluster pipeline differs
 // from a single-edge one only by this injection.
@@ -20,14 +20,11 @@ type EdgeUplink struct {
 func (u *EdgeUplink) Validate(req core.ValidationRequest) core.ValidationResult {
 	if u.Uplink.Link.IsDown() {
 		// The edge→cloud uplink is partitioned (a scenario link fault):
-		// the frame never reaches the batcher and the edge finalizes
-		// locally after its timeout — the paper's loss path.
+		// the frame never reaches the batcher and the edge finalizes at
+		// once with its own labels — the paper's loss path.
 		return core.ValidationResult{Status: core.ValidationLost}
 	}
-	edgeCloud, lost := u.Uplink.Ship(req.Frame)
-	if lost {
-		return core.ValidationResult{Status: core.ValidationLost, EdgeCloud: edgeCloud}
-	}
+	edgeCloud := u.Uplink.Ship(req.Frame)
 
 	res := u.Batcher.Validate(req)
 	res.EdgeCloud = edgeCloud

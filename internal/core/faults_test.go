@@ -2,30 +2,48 @@ package core
 
 import (
 	"testing"
-	"time"
 
 	"croesus/internal/detect"
 	"croesus/internal/lock"
+	"croesus/internal/netsim"
 	"croesus/internal/store"
 	"croesus/internal/txn"
 	"croesus/internal/vclock"
 )
 
-func buildLossy(t *testing.T, lossProb float64) (*Pipeline, *txn.Manager) {
+// lossyValidator loses every frame whose index is a multiple of every —
+// the ValidationLost a partitioned uplink or a dropped cloud connection
+// returns — and sends the rest to the cloud model.
+type lossyValidator struct {
+	every int
+	cloud Validator
+}
+
+func (v lossyValidator) Validate(req ValidationRequest) ValidationResult {
+	if req.Frame.Index%v.every == 0 {
+		return ValidationResult{Status: ValidationLost}
+	}
+	return v.cloud.Validate(req)
+}
+
+func buildLossy(t *testing.T, every int) (*Pipeline, *txn.Manager) {
 	t.Helper()
 	s := vclock.NewSim()
 	mgr := txn.NewManager(s, store.New(), lock.NewManager(s))
+	cloud := &DirectValidator{
+		Clock: s,
+		Link:  netsim.EdgeCloudCrossCountry(),
+		Model: detect.YOLOv3Sim(detect.YOLO416, 42),
+		Slots: vclock.NewSemaphore(s, 1),
+	}
 	p, err := New(Config{
-		Clock:         s,
-		EdgeModel:     detect.TinyYOLOSim(42),
-		CloudModel:    detect.YOLOv3Sim(detect.YOLO416, 42),
-		ThetaL:        0.0,
-		ThetaU:        1.0, // validate everything: maximum cloud exposure
-		Source:        NewWorkloadSource(500, 7),
-		CC:            &txn.MSIA{M: mgr},
-		Mgr:           mgr,
-		CloudLossProb: lossProb,
-		CloudTimeout:  2 * time.Second,
+		Clock:     s,
+		EdgeModel: detect.TinyYOLOSim(42),
+		// θU = 1 validates everything: maximum cloud exposure.
+		Graph:  ModeCroesus.Graph(1.0, lossyValidator{every: every, cloud: cloud}),
+		Source: NewWorkloadSource(500, 7),
+		CC:     &txn.MSIA{M: mgr},
+		Mgr:    mgr,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -34,9 +52,8 @@ func buildLossy(t *testing.T, lossProb float64) (*Pipeline, *txn.Manager) {
 }
 
 func TestCloudLossFallsBackLocally(t *testing.T) {
-	p, mgr := buildLossy(t, 0.5)
-	frames := parkFrames(30)
-	outs := p.ProcessVideo(frames)
+	p, mgr := buildLossy(t, 2)
+	outs := p.ProcessVideo(parkFrames(30))
 
 	lost, delivered := 0, 0
 	for _, o := range outs {
@@ -45,23 +62,20 @@ func TestCloudLossFallsBackLocally(t *testing.T) {
 		}
 		if o.CloudLost {
 			lost++
-			// A lost frame finalizes with the edge labels and pays the
-			// timeout instead of the cloud leg.
+			// A lost frame finalizes with the edge labels and never
+			// reaches the cloud model.
 			if len(o.FinalVisible) != len(o.InitialVisible) {
 				t.Errorf("frame %d: lost frame changed its label set", o.FrameIndex)
 			}
 			if o.Breakdown.CloudDetect != 0 {
 				t.Errorf("frame %d: lost frame has cloud detect time", o.FrameIndex)
 			}
-			if o.FinalLatency < 2*time.Second {
-				t.Errorf("frame %d: lost frame final %v below the timeout", o.FrameIndex, o.FinalLatency)
-			}
 		} else {
 			delivered++
 		}
 	}
 	if lost == 0 || delivered == 0 {
-		t.Fatalf("loss injection inert: lost=%d delivered=%d", lost, delivered)
+		t.Fatalf("loss inert: lost=%d delivered=%d", lost, delivered)
 	}
 
 	// Liveness: every initially-committed transaction resolved.
@@ -72,35 +86,31 @@ func TestCloudLossFallsBackLocally(t *testing.T) {
 }
 
 func TestCloudLossDeterministic(t *testing.T) {
-	run := func() []bool {
-		p, _ := buildLossy(t, 0.3)
-		outs := p.ProcessVideo(parkFrames(20))
-		lost := make([]bool, len(outs))
-		for i, o := range outs {
-			lost[i] = o.CloudLost
-		}
-		return lost
+	run := func() []FrameOutcome {
+		p, _ := buildLossy(t, 3)
+		return p.ProcessVideo(parkFrames(20))
 	}
 	a, b := run(), run()
 	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("frame %d loss differs across identical runs", i)
+		if a[i].CloudLost != b[i].CloudLost || a[i].FinalLatency != b[i].FinalLatency {
+			t.Fatalf("frame %d differs across identical runs", i)
 		}
 	}
 }
 
+// The built-in graph's DirectValidator loses nothing: with every frame
+// validated, none is marked lost.
 func TestZeroLossIsNoop(t *testing.T) {
-	p, _ := buildLossy(t, 0)
-	outs := p.ProcessVideo(parkFrames(10))
-	for _, o := range outs {
+	p, _, _ := buildPipeline(t, ModeCroesus, 0, 1)
+	for _, o := range p.ProcessVideo(parkFrames(10)) {
 		if o.CloudLost {
-			t.Fatal("frame lost with zero loss probability")
+			t.Fatalf("frame %d lost by a validator that loses nothing", o.FrameIndex)
 		}
 	}
 }
 
 func TestFullLossStillAnswersEveryFrame(t *testing.T) {
-	p, _ := buildLossy(t, 1.0)
+	p, _ := buildLossy(t, 1)
 	outs := p.ProcessVideo(parkFrames(10))
 	for _, o := range outs {
 		if o.SentToCloud && !o.CloudLost {

@@ -134,7 +134,8 @@ type FrameOutcome struct {
 
 	SentToCloud bool
 	// CloudLost marks a validated frame whose cloud reply never arrived
-	// (failure injection); the edge finalized locally after its timeout.
+	// (a partitioned uplink or a lost cloud connection); the edge
+	// finalized locally with its own labels.
 	CloudLost bool
 	// Shed marks a frame dropped by the validator's admission control
 	// (overload); the edge finalized locally with its own labels — the

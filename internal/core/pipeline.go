@@ -164,14 +164,6 @@ type Config struct {
 	// filled, and writes to it are not seen by the pipeline.
 	OnInitial func(f *video.Frame, out *FrameOutcome)
 
-	// CloudLossProb injects edge→cloud failures into the built-in graph's
-	// DirectValidator: each validated frame is lost with this probability (deterministically per frame index), in
-	// which case the edge waits CloudTimeout and finalizes locally with
-	// the edge labels assumed correct — availability over freshness.
-	CloudLossProb float64
-	// CloudTimeout bounds the wait for cloud labels (default 3 s).
-	CloudTimeout time.Duration
-
 	// Obs, when set, enables span tracing and metrics for this pipeline.
 	// TagKV is the alternating key/value tag list ({edge, camera,
 	// protocol}) stamped on its spans and metrics. Instrumentation only
@@ -218,9 +210,6 @@ func (c Config) Defaults() Config {
 	}
 	if c.OverlapMin == 0 {
 		c.OverlapMin = 0.10
-	}
-	if c.CloudTimeout == 0 {
-		c.CloudTimeout = DefaultCloudTimeout
 	}
 	return c
 }
@@ -352,8 +341,6 @@ func (p *Pipeline) compileMode() error {
 		Slots:      p.cloudSlot,
 		EdgeSpeed:  cfg.EdgeSpeed,
 		CloudSpeed: cfg.CloudSpeed,
-		LossProb:   cfg.CloudLossProb,
-		Timeout:    cfg.CloudTimeout,
 	})
 	return nil
 }

@@ -179,7 +179,8 @@ func TestCroesusAccuracyBetweenBaselines(t *testing.T) {
 		return Summarize("park", mode, "dog", outs, truth, 0.1)
 	}
 	// The validate band (0.40, 0.62) covers the edge model's high-error
-	// confidence region while keeping BU partial (see cmd/croesus-calibrate).
+	// confidence region while keeping BU partial (see internal/metrics'
+	// TestEdgeConfidenceCalibration).
 	edge := run(ModeEdgeOnly, 0, 0)
 	croesus := run(ModeCroesus, 0.40, 0.62)
 	cloud := run(ModeCloudOnly, 0, 0)

@@ -109,7 +109,7 @@ func TestWorkloadSourceCorrectCaseTerminates(t *testing.T) {
 	}
 	// Inserted items carry the original label.
 	for _, k := range m.Store.Keys("item:") {
-		if v, _ := m.Store.Get(k); store.AsString(v) != "dog" {
+		if v, _ := m.Store.Get(k); string(v) != "dog" {
 			t.Errorf("key %s = %q, want dog", k, v)
 		}
 	}
@@ -124,7 +124,7 @@ func TestWorkloadSourceCorrectedCaseOverwrites(t *testing.T) {
 		t.Errorf("apologies = %d, want 1", st.Apologies)
 	}
 	for _, k := range m.Store.Keys("item:") {
-		if v, _ := m.Store.Get(k); store.AsString(v) != "cat" {
+		if v, _ := m.Store.Get(k); string(v) != "cat" {
 			t.Errorf("key %s = %q, want corrected label", k, v)
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"croesus/internal/detect"
 	"croesus/internal/netsim"
 	"croesus/internal/obs"
-	"croesus/internal/randsrc"
 	"croesus/internal/transport"
 	"croesus/internal/vclock"
 	"croesus/internal/video"
@@ -25,7 +24,8 @@ const (
 	// correct — Croesus' degradation mode.
 	ValidationShed
 	// ValidationLost means the request (or its reply) was lost in
-	// transit; the edge times out and finalizes locally.
+	// transit — a partitioned uplink or a dropped cloud connection; the
+	// edge finalizes locally.
 	ValidationLost
 )
 
@@ -97,31 +97,21 @@ type Validator interface {
 	Validate(req ValidationRequest) ValidationResult
 }
 
-// DefaultCloudTimeout bounds how long an edge waits for cloud labels
-// before finalizing locally.
-const DefaultCloudTimeout = 3 * time.Second
-
 // Uplink models the edge→cloud hop every validator implementation
-// shares: frame preprocessing, the link transfer, deterministic transit
-// loss, and the loss timeout. Keeping it in one place guarantees the
-// single-edge and fleet simulations cross the hop identically.
+// shares: frame preprocessing and the link transfer. Keeping it in one
+// place guarantees the single-edge and fleet simulations cross the hop
+// identically.
 type Uplink struct {
 	Clock   vclock.Clock
 	Link    transport.Path
 	Preproc netsim.Preprocessor
 	// EdgeSpeed scales preprocessing cost.
 	EdgeSpeed float64
-	// LossProb injects deterministic per-frame transit loss; Timeout is
-	// how long the edge waits before declaring the frame lost (default
-	// DefaultCloudTimeout).
-	LossProb float64
-	Timeout  time.Duration
 }
 
-// Ship carries one frame across the hop, sleeping out the transfer (and,
-// on loss, the timeout). It returns the transfer time and whether the
-// frame was lost.
-func (u Uplink) Ship(f *video.Frame) (edgeCloud time.Duration, lost bool) {
+// Ship carries one frame across the hop, sleeping out the transfer, and
+// returns the transfer time.
+func (u Uplink) Ship(f *video.Frame) time.Duration {
 	clk := u.Clock
 	preproc := u.Preproc
 	if preproc == nil {
@@ -131,16 +121,7 @@ func (u Uplink) Ship(f *video.Frame) (edgeCloud time.Duration, lost bool) {
 	bytes, prepCost := preproc.Process(f.SizeBytes)
 	clk.Sleep(scale(prepCost, u.EdgeSpeed))
 	u.Link.Send(clk, bytes)
-	edgeCloud = clk.Now() - t0
-	if LostInTransit(u.LossProb, f.Index) {
-		timeout := u.Timeout
-		if timeout == 0 {
-			timeout = DefaultCloudTimeout
-		}
-		clk.Sleep(timeout)
-		return edgeCloud, true
-	}
-	return edgeCloud, false
+	return clk.Now() - t0
 }
 
 // DirectValidator is the unbatched validation path: preprocess, cross the
@@ -156,10 +137,6 @@ type DirectValidator struct {
 	// EdgeSpeed scales preprocessing cost; CloudSpeed scales inference.
 	EdgeSpeed  float64
 	CloudSpeed float64
-	// LossProb injects deterministic per-frame transit loss; Timeout is
-	// how long the edge waits before declaring the frame lost.
-	LossProb float64
-	Timeout  time.Duration
 }
 
 // Validate implements Validator.
@@ -167,13 +144,8 @@ func (v *DirectValidator) Validate(req ValidationRequest) ValidationResult {
 	clk := v.Clock
 	var res ValidationResult
 
-	up := Uplink{Clock: clk, Link: v.Link, Preproc: v.Preproc, EdgeSpeed: v.EdgeSpeed, LossProb: v.LossProb, Timeout: v.Timeout}
-	edgeCloud, lost := up.Ship(req.Frame)
-	res.EdgeCloud = edgeCloud
-	if lost {
-		res.Status = ValidationLost
-		return res
-	}
+	up := Uplink{Clock: clk, Link: v.Link, Preproc: v.Preproc, EdgeSpeed: v.EdgeSpeed}
+	res.EdgeCloud = up.Ship(req.Frame)
 
 	tq := clk.Now()
 	v.Slots.Acquire()
@@ -214,15 +186,4 @@ func ValidationMargin(dets []detect.Detection, thetaL, thetaU float64) float64 {
 		}
 	}
 	return best
-}
-
-// LostInTransit decides frame loss deterministically from the frame
-// index, so failure-injection runs are reproducible across modes and
-// validator implementations.
-func LostInTransit(prob float64, frameIdx int) bool {
-	if prob <= 0 {
-		return false
-	}
-	z := randsrc.Mix64(uint64(frameIdx+1) * 0x9E3779B97F4A7C15)
-	return float64(z>>11)/float64(1<<53) < prob
 }

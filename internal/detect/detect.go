@@ -134,9 +134,6 @@ func NewSim(p SimParams) *SimModel {
 // Name returns the model name.
 func (m *SimModel) Name() string { return m.p.ModelName }
 
-// Params returns a copy of the model's parameters.
-func (m *SimModel) Params() SimParams { return m.p }
-
 // frameRNG derives a deterministic RNG for (seed, frame index) by hashing
 // the pair into a seed, so detections don't depend on call order. The RNG
 // is pooled (randsrc); the caller must Put it back when done.

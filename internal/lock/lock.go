@@ -343,13 +343,6 @@ func (m *Manager) HoldStats() (count int64, mean time.Duration) {
 	return m.holdCount, m.holdTotal / time.Duration(m.holdCount)
 }
 
-// ResetHoldStats clears hold-time accounting.
-func (m *Manager) ResetHoldStats() {
-	m.holdMu.Lock()
-	defer m.holdMu.Unlock()
-	m.holdTotal, m.holdCount = 0, 0
-}
-
 func (m *Manager) recordHold(d time.Duration) {
 	m.holdMu.Lock()
 	m.holdTotal += d
@@ -383,17 +376,6 @@ func (m *Manager) Outstanding() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.locks)
-}
-
-// Held reports whether owner currently holds key (any mode) — for tests.
-func (m *Manager) Held(owner Owner, key string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	kl, ok := m.locks[key]
-	if !ok {
-		return false
-	}
-	return kl.findHolder(owner) >= 0
 }
 
 // Normalize sorts requests by key and merges duplicates; a key requested in

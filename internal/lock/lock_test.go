@@ -120,11 +120,9 @@ func TestTryAcquireAllAtomicity(t *testing.T) {
 	if ok {
 		t.Fatal("TryAcquireAll succeeded despite conflict on b")
 	}
-	// Nothing may remain held by owner 1.
-	for _, k := range []string{"a", "b", "c"} {
-		if m.Held(1, k) {
-			t.Errorf("owner 1 still holds %q after failed TryAcquireAll", k)
-		}
+	// Nothing may remain held by owner 1: only owner 9's b is locked.
+	if n := m.Outstanding(); n != 1 {
+		t.Errorf("%d keys locked after failed TryAcquireAll, want 1 (b)", n)
 	}
 	m.Release(9, "b")
 	if !m.TryAcquireAll(1, []Request{{"a", Exclusive}, {"b", Shared}}) {
@@ -241,10 +239,6 @@ func TestHoldStats(t *testing.T) {
 	}
 	if mean != 200*time.Millisecond {
 		t.Fatalf("mean hold = %v, want 200ms", mean)
-	}
-	m.ResetHoldStats()
-	if n, _ := m.HoldStats(); n != 0 {
-		t.Error("ResetHoldStats did not clear")
 	}
 }
 

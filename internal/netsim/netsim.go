@@ -73,13 +73,6 @@ func (l *Link) Traffic() (bytes, messages int64) {
 	return l.bytes, l.messages
 }
 
-// ResetTraffic clears the accounting counters.
-func (l *Link) ResetTraffic() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.bytes, l.messages = 0, 0
-}
-
 // CostUSD estimates the monetary cost of the traffic sent over this link at
 // the given $/GiB rate — the paper motivates thresholding partly by cloud
 // egress pricing.

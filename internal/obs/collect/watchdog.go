@@ -63,19 +63,19 @@ type WatchdogConfig struct {
 	// validations per window (default 0.25).
 	MaxMissRate float64
 	MaxShedRate float64
-	// QueueStuckLen flags a queue as stuck after this many consecutive
-	// queue-wait spans with non-decreasing duration, the last at least
-	// QueueStuckMin long (defaults 8 and 10ms).
-	QueueStuckLen int
-	QueueStuckMin time.Duration
 	// Tolerance is the causality slack for child-before-parent (default
 	// DefaultTolerance). Feed aligned spans — raw per-process clocks
 	// make the check meaningless.
 	Tolerance time.Duration
-	// Registry, when set, counts incidents into
-	// obs.MetricWatchdogIncidents tagged by kind.
-	Registry *obs.Registry
 }
+
+// queueStuckLen flags a queue as stuck after this many consecutive
+// queue-wait spans with non-decreasing duration, the last at least
+// queueStuckMin long.
+const (
+	queueStuckLen = 8
+	queueStuckMin = 10 * time.Millisecond
+)
 
 // Watchdog consumes a span stream (aligned, in any order) and maintains
 // standing invariants and per-window SLO compliance. Feed spans as they
@@ -113,12 +113,6 @@ func NewWatchdog(cfg WatchdogConfig) *Watchdog {
 	if cfg.MaxShedRate <= 0 {
 		cfg.MaxShedRate = 0.25
 	}
-	if cfg.QueueStuckLen <= 0 {
-		cfg.QueueStuckLen = 8
-	}
-	if cfg.QueueStuckMin <= 0 {
-		cfg.QueueStuckMin = 10 * time.Millisecond
-	}
 	if cfg.Tolerance <= 0 {
 		cfg.Tolerance = DefaultTolerance
 	}
@@ -133,9 +127,6 @@ func NewWatchdog(cfg WatchdogConfig) *Watchdog {
 
 func (w *Watchdog) report(in Incident) {
 	w.incidents = append(w.incidents, in)
-	if w.cfg.Registry != nil {
-		w.cfg.Registry.Counter(obs.MetricWatchdogIncidents, obs.Tags("kind", in.Kind)).Inc()
-	}
 }
 
 // Feed consumes one span. Order-independent for the causality checks;
@@ -194,7 +185,7 @@ func (w *Watchdog) feedQueue(s obs.Span) {
 	}
 	w.queueLast = dur
 	w.queueProc = s.Proc
-	if !w.queueStuck && w.queueRun >= w.cfg.QueueStuckLen && dur >= w.cfg.QueueStuckMin {
+	if !w.queueStuck && w.queueRun >= queueStuckLen && dur >= queueStuckMin {
 		w.queueStuck = true // report once per run
 		w.report(Incident{
 			Kind: IncidentQueueStuck, Proc: s.Proc, Trace: s.Trace, At: s.End,

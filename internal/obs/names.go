@@ -66,9 +66,6 @@ const (
 	MetricWALReplayed    = "croesus_wal_records_replayed_total"
 	MetricMigrations     = "croesus_shard_migrations_total"
 	// MetricDroppedSeries counts metric series the registry refused to
-	// create past the per-metric cardinality cap (Registry.SetMaxSeries).
+	// create past the per-metric cardinality cap (DefaultMaxSeries).
 	MetricDroppedSeries = "croesus_obs_dropped_series_total"
-	// MetricWatchdogIncidents counts incidents raised by the streaming
-	// SLO/invariant watchdog, tagged kind=<incident kind>.
-	MetricWatchdogIncidents = "croesus_watchdog_incidents_total"
 )

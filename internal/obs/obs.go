@@ -68,11 +68,6 @@ type SpanContext struct {
 // Valid reports whether the context carries a trace.
 func (c SpanContext) Valid() bool { return c.Trace != 0 }
 
-// Child returns a context whose children will parent to span id.
-func (c SpanContext) Child(id uint64) SpanContext {
-	return SpanContext{Trace: c.Trace, Span: id, Parent: c.Span}
-}
-
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
@@ -133,9 +128,6 @@ type Tracer struct {
 	dropped int64
 	proc    string
 }
-
-// NewTracer returns a Tracer with the default capacity.
-func NewTracer() *Tracer { return &Tracer{cap: DefaultTracerCap} }
 
 // NewTracerCap returns a Tracer holding at most n spans (n ≤ 0 means the
 // default).
@@ -227,7 +219,7 @@ type Obs struct {
 }
 
 // New returns an Obs with a fresh tracer and registry.
-func New() *Obs { return &Obs{Trace: NewTracer(), Reg: NewRegistry()} }
+func New() *Obs { return &Obs{Trace: &Tracer{cap: DefaultTracerCap}, Reg: NewRegistry()} }
 
 // Span records a span on the bundled tracer. Nil-safe.
 func (o *Obs) Span(name, tags string, start, end time.Duration) {

@@ -204,32 +204,6 @@ func NewRegistry() *Registry {
 	}
 }
 
-// SetMaxSeries adjusts the per-metric cardinality cap (n ≤ 0 restores the
-// default). Existing series are never evicted; the cap only stops new
-// ones.
-func (r *Registry) SetMaxSeries(n int) {
-	if r == nil {
-		return
-	}
-	if n <= 0 {
-		n = DefaultMaxSeries
-	}
-	r.mu.Lock()
-	r.maxSeries = n
-	r.mu.Unlock()
-}
-
-// DroppedSeries reports how many series resolutions the cardinality cap
-// refused.
-func (r *Registry) DroppedSeries() int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped.Value()
-}
-
 // admit enforces the cardinality cap for a new series of metric name.
 // Callers hold r.mu. When the metric is at its cap the drop is counted in
 // MetricDroppedSeries and admit reports false — the caller returns a nil

@@ -124,25 +124,5 @@ func (c *Corrector) Apply(frameIdx int, dets []detect.Detection) []detect.Detect
 	return out
 }
 
-// Tracked reports how many track memories are live at the given frame.
-func (c *Corrector) Tracked(frameIdx int) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, mem := range c.track {
-		if frameIdx-mem.lastFrame <= c.TTL {
-			n++
-		}
-	}
-	return n
-}
-
-// Reset forgets everything.
-func (c *Corrector) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.track = make(map[int]*memory)
-}
-
 // Corrector implements core.Smoother.
 var _ core.Smoother = (*Corrector)(nil)

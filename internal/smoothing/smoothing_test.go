@@ -81,9 +81,6 @@ func TestMemoryExpiresAfterTTL(t *testing.T) {
 	if got := c.Apply(20, []detect.Detection{det(2, "cat", 0.5)}); got[0].Label != "cat" {
 		t.Fatal("memory survived past TTL")
 	}
-	if n := c.Tracked(20); n != 0 {
-		t.Errorf("Tracked = %d after TTL", n)
-	}
 }
 
 func TestMinHitsGate(t *testing.T) {
@@ -110,16 +107,6 @@ func TestVerdictFlipResetsVotes(t *testing.T) {
 	c.Learn(2, []core.LabelMatch{{Case: core.MatchCorrected, EdgeIdx: 0, Cloud: det(5, "sheep", 0.9)}}, edge)
 	if got := c.Apply(3, []detect.Detection{det(5, "cat", 0.5)}); got[0].Label != "cat" {
 		t.Fatalf("flipped memory applied with a single vote: %q", got[0].Label)
-	}
-}
-
-func TestReset(t *testing.T) {
-	c := New()
-	edge := []detect.Detection{det(1, "cat", 0.5)}
-	c.Learn(1, []core.LabelMatch{{Case: core.MatchCorrected, EdgeIdx: 0, Cloud: det(1, "dog", 0.9)}}, edge)
-	c.Reset()
-	if got := c.Apply(2, []detect.Detection{det(1, "cat", 0.5)}); got[0].Label != "cat" {
-		t.Fatal("memory survived Reset")
 	}
 }
 

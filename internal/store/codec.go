@@ -26,9 +26,6 @@ func AsInt64(v Value) int64 {
 // StringValue encodes a string as a Value.
 func StringValue(s string) Value { return Value(s) }
 
-// AsString decodes a string Value.
-func AsString(v Value) string { return string(v) }
-
 // keyCache interns "prefix:n" strings per prefix in dense tables. Workload
 // choosers draw millions of keys from small, fixed keyspaces, so building
 // the string per draw (an Itoa plus a concat) dominates their allocation

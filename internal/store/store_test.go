@@ -14,7 +14,7 @@ func TestPutGetDelete(t *testing.T) {
 	}
 	s.Put("a", StringValue("hello"))
 	v, ok := s.Get("a")
-	if !ok || AsString(v) != "hello" {
+	if !ok || string(v) != "hello" {
 		t.Fatalf("Get = %q, %v", v, ok)
 	}
 	if !s.Delete("a") {
@@ -50,12 +50,12 @@ func TestValueIsolation(t *testing.T) {
 	s.Put("k", buf)
 	buf[0] = 'X' // mutating the caller's slice must not affect the store
 	v, _ := s.Get("k")
-	if AsString(v) != "abc" {
+	if string(v) != "abc" {
 		t.Fatalf("store aliased caller buffer: %q", v)
 	}
 	v[0] = 'Y' // mutating a read result must not affect the store
 	v2, _ := s.Get("k")
-	if AsString(v2) != "abc" {
+	if string(v2) != "abc" {
 		t.Fatalf("read result aliased store: %q", v2)
 	}
 }
@@ -83,7 +83,7 @@ func TestSnapshotRestore(t *testing.T) {
 	s.Delete("b")
 	s.Put("c", StringValue("3"))
 	s.Restore(snap)
-	if v, _ := s.Get("a"); AsString(v) != "1" {
+	if v, _ := s.Get("a"); string(v) != "1" {
 		t.Errorf("a = %q after restore", v)
 	}
 	if _, ok := s.Get("c"); ok {

@@ -201,17 +201,6 @@ func (c *Client) WaitFrame(idx int, timeout time.Duration) (*FrameResult, error)
 	return r, nil
 }
 
-// Results returns a snapshot of all frame results.
-func (c *Client) Results() []*FrameResult {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]*FrameResult, 0, len(c.results))
-	for _, r := range c.results {
-		out = append(out, r)
-	}
-	return out
-}
-
 // Close says goodbye and closes the connection.
 func (c *Client) Close() error {
 	c.conn.Send(&wire.Envelope{Kind: wire.KindBye})

@@ -69,17 +69,6 @@ type CloudServer struct {
 	wg      sync.WaitGroup
 }
 
-// NewCloudServer returns a server for the model with default batching.
-func NewCloudServer(model detect.Model, timeScale float64) *CloudServer {
-	s, err := NewCloudServerWith(CloudConfig{Model: model, TimeScale: timeScale})
-	if err != nil {
-		// Only reachable with a nil model; preserved panic-free signature
-		// for the default path.
-		panic(err)
-	}
-	return s
-}
-
 // NewCloudServerWith returns a server on the full configuration.
 func NewCloudServerWith(cfg CloudConfig) (*CloudServer, error) {
 	if cfg.TimeScale <= 0 {

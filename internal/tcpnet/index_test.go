@@ -32,7 +32,7 @@ func TestEdgeIndexFollowsInFlightWindow(t *testing.T) {
 		outstanding = 8
 		scale       = 1e-7 // modelled inference costs nothing: the software path sets the pace
 	)
-	cloud := NewCloudServer(detect.YOLOv3Sim(detect.YOLO416, 42), scale)
+	cloud := newCloudServer(t, detect.YOLOv3Sim(detect.YOLO416, 42), scale)
 	cloudAddr, err := cloud.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

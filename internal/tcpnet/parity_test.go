@@ -13,7 +13,7 @@ import (
 // TestMSSROverTCP runs the real deployment under multi-stage
 // serializability — fleet parity the old hardcoded-MS-IA edge lacked.
 func TestMSSROverTCP(t *testing.T) {
-	cloud := NewCloudServer(detect.YOLOv3Sim(detect.YOLO416, 42), testScale)
+	cloud := newCloudServer(t, detect.YOLOv3Sim(detect.YOLO416, 42), testScale)
 	cloudAddr, err := cloud.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +141,7 @@ func TestCloudShedsUnderOverloadOverTCP(t *testing.T) {
 // multi-edge parity point: both edges' requests coalesce in the one shared
 // batcher.
 func TestMultiEdgeSharedCloud(t *testing.T) {
-	cloud := NewCloudServer(detect.YOLOv3Sim(detect.YOLO416, 42), testScale)
+	cloud := newCloudServer(t, detect.YOLOv3Sim(detect.YOLO416, 42), testScale)
 	cloudAddr, err := cloud.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -13,12 +13,23 @@ import (
 
 const testScale = 0.01 // 1.12s cloud inference → 11ms in tests
 
+// newCloudServer returns a cloud server for the model with default
+// batching.
+func newCloudServer(t *testing.T, model detect.Model, timeScale float64) *CloudServer {
+	t.Helper()
+	s, err := NewCloudServerWith(CloudConfig{Model: model, TimeScale: timeScale})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // startStack brings up cloud + edge on loopback and returns a connected
 // client plus a cleanup function.
 func startStack(t *testing.T, thetaL, thetaU float64, withTxns bool) (*Client, *EdgeServer, *CloudServer, func()) {
 	t.Helper()
 	cloudModel := detect.YOLOv3Sim(detect.YOLO416, 42)
-	cloud := NewCloudServer(cloudModel, testScale)
+	cloud := newCloudServer(t, cloudModel, testScale)
 	cloudAddr, err := cloud.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("cloud listen: %v", err)
@@ -176,7 +187,7 @@ func TestCloudUnavailableFallsBackToEdge(t *testing.T) {
 
 func TestConcurrentClients(t *testing.T) {
 	cloudModel := detect.YOLOv3Sim(detect.YOLO416, 42)
-	cloud := NewCloudServer(cloudModel, testScale)
+	cloud := newCloudServer(t, cloudModel, testScale)
 	cloudAddr, _ := cloud.Listen("127.0.0.1:0")
 	defer cloud.Close()
 	edge, _ := NewEdgeServer(EdgeConfig{
@@ -240,7 +251,7 @@ func TestWaitUnknownFrame(t *testing.T) {
 // uses, so every frame commits three boundaries and the cloud sees every
 // frame.
 func TestGraphOverCloudSocket(t *testing.T) {
-	cloud := NewCloudServer(detect.YOLOv3Sim(detect.YOLO416, 42), testScale)
+	cloud := newCloudServer(t, detect.YOLOv3Sim(detect.YOLO416, 42), testScale)
 	cloudAddr, err := cloud.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("cloud listen: %v", err)

@@ -110,7 +110,6 @@ type ShapedPath struct {
 	down     bool
 	bytes    int64
 	messages int64
-	drops    int64
 }
 
 // NewShapedPath builds a path shaped by shaper, reading modeled time from
@@ -132,7 +131,6 @@ func (p *ShapedPath) Send(clk vclock.Clock, n int) {
 func (p *ShapedPath) Charge(n int) time.Duration {
 	p.mu.Lock()
 	if p.down {
-		p.drops++
 		p.mu.Unlock()
 		return 0
 	}
@@ -172,13 +170,6 @@ func (p *ShapedPath) Traffic() (int64, int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.bytes, p.messages
-}
-
-// Drops reports messages blackholed by the severed flag.
-func (p *ShapedPath) Drops() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.drops
 }
 
 var _ Path = (*ShapedPath)(nil)

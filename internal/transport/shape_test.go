@@ -112,8 +112,8 @@ func TestShapedPathOverNull(t *testing.T) {
 	}
 	p.SetDown(true)
 	p.Send(clk, 1000)
-	if p.Drops() != 1 {
-		t.Fatalf("drops: %d, want 1", p.Drops())
+	if b, m := p.Traffic(); b != 1000 || m != 1 {
+		t.Fatalf("severed send counted as traffic: %d bytes, %d messages", b, m)
 	}
 	p.SetDown(false)
 	if p.IsDown() {

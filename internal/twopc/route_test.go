@@ -100,7 +100,7 @@ var keySink string
 // A shard map builds its shards' intent keys once; looking one up for a
 // transaction allocates nothing.
 func TestShardMapIntentKeys(t *testing.T) {
-	m := IdentityShardMap(300)
+	m := identityShardMap(300)
 	for s := 0; s < 301; s++ {
 		if k, want := m.intentKey(s), "s"+strconv.Itoa(s)+"/!intent"; k != want {
 			t.Errorf("intentKey(%d) = %q, want %q", s, k, want)

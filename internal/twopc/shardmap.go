@@ -91,17 +91,6 @@ func (m *ShardMap) intentKey(shard int) string {
 	return ShardIntentKey(shard)
 }
 
-// IdentityShardMap returns the classic one-shard-per-partition map: logical
-// shard i lives on partition i.
-func IdentityShardMap(n int) *ShardMap {
-	owners := make([]int, n)
-	for i := range owners {
-		owners[i] = i
-	}
-	m, _ := NewShardMap(owners, n)
-	return m
-}
-
 // Shards returns the number of logical shards.
 func (m *ShardMap) Shards() int {
 	m.mu.Lock()
@@ -209,10 +198,6 @@ type ShardMigration struct {
 	// allocates from a high range) so wait-die treats the migration as
 	// younger than every transaction and logs can't collide.
 	Owner uint64
-	// RetryEvery and MaxAttempts pace retries when an involved edge is
-	// down or crashes mid-handoff (defaults 250ms / 20).
-	RetryEvery  time.Duration
-	MaxAttempts int
 	// Obs, when set, records migrate.quiesce / migrate.cutover spans
 	// under the Tags tag string.
 	Obs  *obs.Obs
@@ -222,14 +207,12 @@ type ShardMigration struct {
 	Moved int
 }
 
-func (g *ShardMigration) defaults() {
-	if g.RetryEvery == 0 {
-		g.RetryEvery = 250 * time.Millisecond
-	}
-	if g.MaxAttempts == 0 {
-		g.MaxAttempts = 20
-	}
-}
+// migrationRetryEvery and migrationMaxAttempts pace a migration's retries
+// when an involved edge is down or crashes mid-handoff.
+const (
+	migrationRetryEvery  = 250 * time.Millisecond
+	migrationMaxAttempts = 20
+)
 
 // ErrMigrationFailed reports a migration that exhausted its retry budget
 // (the involved edges never stayed up long enough to hand the shard over).
@@ -239,7 +222,6 @@ var ErrMigrationFailed = fmt.Errorf("twopc: shard migration failed")
 // be a clock participant. On success the map routes the shard to To and the
 // source partition holds none of its keys.
 func (g *ShardMigration) Run() error {
-	g.defaults()
 	if g.From == g.To {
 		return nil
 	}
@@ -248,11 +230,11 @@ func (g *ShardMigration) Run() error {
 		if err == nil {
 			return nil
 		}
-		if attempt >= g.MaxAttempts {
+		if attempt >= migrationMaxAttempts {
 			return fmt.Errorf("%w: shard %d %d→%d after %d attempts: %v",
 				ErrMigrationFailed, g.Shard, g.From, g.To, attempt, err)
 		}
-		g.Clk.Sleep(g.RetryEvery)
+		g.Clk.Sleep(migrationRetryEvery)
 	}
 }
 

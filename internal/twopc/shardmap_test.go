@@ -15,6 +15,17 @@ import (
 	"croesus/internal/workload"
 )
 
+// identityShardMap is the one-shard-per-partition map: logical shard i
+// lives on partition i.
+func identityShardMap(n int) *ShardMap {
+	owners := make([]int, n)
+	for i := range owners {
+		owners[i] = i
+	}
+	m, _ := NewShardMap(owners, n)
+	return m
+}
+
 // mappedFleet builds a two-partition fleet routed through a shard map
 // (shard 0 → partition 0, shard 1 → partition 1) with symmetric 5ms peer
 // links, and one ShardedCC per home edge.
@@ -23,7 +34,7 @@ func mappedFleet(clk vclock.Clock) (*ShardMap, []*ShardedCC, []*Partition) {
 		NewPartitionOver(0, store.New(), lock.NewManager(clk)),
 		NewPartitionOver(1, store.New(), lock.NewManager(clk)),
 	}
-	smap := IdentityShardMap(2)
+	smap := identityShardMap(2)
 	mgr := txn.NewManager(clk, nil, nil)
 	mgr.DB = &ShardedStore{Parts: parts, Partitioner: smap.Lookup, Map: smap, Clk: clk}
 	link01 := &netsim.Link{Name: "0-1", Propagation: 5 * time.Millisecond}
@@ -57,7 +68,7 @@ func shardTxn(name string, keys ...string) *txn.Txn {
 // sorts before every data key of its shard so AcquireAll's sorted batches
 // quiesce the shard before touching its data locks.
 func TestShardMapLookupAndIntentOrdering(t *testing.T) {
-	smap := IdentityShardMap(3)
+	smap := identityShardMap(3)
 	if got := smap.Lookup(workload.ShardKey(2, "item", 5)); got != 2 {
 		t.Errorf("s2 key routed to %d", got)
 	}

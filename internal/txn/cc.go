@@ -75,13 +75,6 @@ func (m *Manager) MarkAborted(in *Instance) {
 	m.mu.Unlock()
 }
 
-// MarkFinalCommitted moves an initially-committed instance to
-// final-committed (retraction is sticky) and records the commit — the
-// last-boundary hook. It reports whether the instance ended retracted.
-func (m *Manager) MarkFinalCommitted(in *Instance) (retracted bool) {
-	return m.MarkSectionCommitted(in, in.T.LastSection())
-}
-
 // Policy selects how MS-SR acquires initial-section locks.
 type Policy int
 

@@ -11,8 +11,8 @@ import (
 // transactions do not overlap").
 //
 // A batch is partitioned greedily into waves: within a wave no two
-// instances conflict (on the given stage's declared sets), so a wave runs
-// concurrently; waves run one after another. Conflict is the §4.1
+// instances conflict (on their initial sections' declared sets), so a wave
+// runs concurrently; waves run one after another. Conflict is the §4.1
 // definition: a shared key with at least one writer.
 type Sequencer struct {
 	CC  CC
@@ -27,16 +27,12 @@ func newFootprint() footprint {
 	return footprint{reads: map[string]bool{}, writes: map[string]bool{}}
 }
 
-func footprintOf(in *Instance, stage Stage) footprint {
-	set := in.T.InitialRW
-	if stage == StageFinal {
-		set = in.T.FinalRW
-	}
+func footprintOf(in *Instance) footprint {
 	fp := newFootprint()
-	for _, k := range set.Reads {
+	for _, k := range in.T.InitialRW.Reads {
 		fp.reads[k] = true
 	}
-	for _, k := range set.Writes {
+	for _, k := range in.T.InitialRW.Writes {
 		fp.writes[k] = true
 	}
 	return fp
@@ -67,11 +63,11 @@ func (a footprint) absorb(b footprint) {
 
 // Waves partitions instances into conflict-free groups, preserving batch
 // order within each group. Exported for tests and ablation benches.
-func Waves(instances []*Instance, stage Stage) [][]*Instance {
+func Waves(instances []*Instance) [][]*Instance {
 	var waves [][]*Instance
 	var waveFPs []footprint
 	for _, in := range instances {
-		fp := footprintOf(in, stage)
+		fp := footprintOf(in)
 		placed := false
 		for w := range waves {
 			if !waveFPs[w].conflicts(fp) {
@@ -96,21 +92,12 @@ func Waves(instances []*Instance, stage Stage) [][]*Instance {
 // and the batch completes without aborts even under a NoWait-configured CC.
 // Errors are reported per instance, index-aligned with the input.
 func (s *Sequencer) RunInitialBatch(instances []*Instance) []error {
-	return s.runBatch(instances, StageInitial)
-}
-
-// RunFinalBatch executes the final sections of a batch wave by wave.
-func (s *Sequencer) RunFinalBatch(instances []*Instance) []error {
-	return s.runBatch(instances, StageFinal)
-}
-
-func (s *Sequencer) runBatch(instances []*Instance, stage Stage) []error {
 	errs := make([]error, len(instances))
 	index := make(map[*Instance]int, len(instances))
 	for i, in := range instances {
 		index[in] = i
 	}
-	for _, wave := range Waves(instances, stage) {
+	for _, wave := range Waves(instances) {
 		// Wave members run as clock participants so section bodies may
 		// sleep and block on gates; the caller joins on per-member gates.
 		gates := make([]vclock.Gate, len(wave))
@@ -119,13 +106,7 @@ func (s *Sequencer) runBatch(instances []*Instance, stage Stage) []error {
 			gates[i] = s.Clk.NewGate()
 			s.Clk.Go(func() {
 				defer gates[i].Fire()
-				var err error
-				if stage == StageInitial {
-					err = s.CC.RunInitial(in)
-				} else {
-					err = s.CC.RunFinal(in)
-				}
-				errs[index[in]] = err
+				errs[index[in]] = s.CC.RunInitial(in)
 			})
 		}
 		for _, g := range gates {

@@ -57,14 +57,14 @@ func TestWavesConflictFree(t *testing.T) {
 		body := workload.UpdateOps(rng, "hot", 20, 5)
 		insts = append(insts, m.NewInstance(opsTxn("t", body), nil))
 	}
-	waves := Waves(insts, StageInitial)
+	waves := Waves(insts)
 	total := 0
 	for _, wave := range waves {
 		total += len(wave)
 		// Within a wave, no two instances conflict.
 		for i := 0; i < len(wave); i++ {
 			for j := i + 1; j < len(wave); j++ {
-				a, b := footprintOf(wave[i], StageInitial), footprintOf(wave[j], StageInitial)
+				a, b := footprintOf(wave[i]), footprintOf(wave[j])
 				if a.conflicts(b) {
 					t.Fatalf("wave contains conflicting instances %d and %d", i, j)
 				}
@@ -164,6 +164,8 @@ func TestSequencerPreservesEffects(t *testing.T) {
 	}
 }
 
+// TestSequencerRunsFinals: instances committed by the sequencer's initial
+// batch finalize through the CC.
 func TestSequencerRunsFinals(t *testing.T) {
 	s := vclock.NewSim()
 	m := newTestManager(s)
@@ -182,8 +184,8 @@ func TestSequencerRunsFinals(t *testing.T) {
 				t.Fatalf("initial: %v", err)
 			}
 		}
-		for _, err := range seq.RunFinalBatch(insts) {
-			if err != nil {
+		for _, in := range insts {
+			if err := seq.CC.RunFinal(in); err != nil {
 				t.Fatalf("final: %v", err)
 			}
 		}
@@ -239,7 +241,7 @@ func TestWavesPartitionProperty(t *testing.T) {
 			body := workload.UpdateOps(rng, "p", 8, 3)
 			insts = append(insts, m.NewInstance(opsTxn("p", body), nil))
 		}
-		waves := Waves(insts, StageInitial)
+		waves := Waves(insts)
 		seen := map[ID]bool{}
 		for _, wave := range waves {
 			for i := 0; i < len(wave); i++ {
@@ -248,7 +250,7 @@ func TestWavesPartitionProperty(t *testing.T) {
 				}
 				seen[wave[i].ID] = true
 				for j := i + 1; j < len(wave); j++ {
-					if footprintOf(wave[i], StageInitial).conflicts(footprintOf(wave[j], StageInitial)) {
+					if footprintOf(wave[i]).conflicts(footprintOf(wave[j])) {
 						return false
 					}
 				}
@@ -257,6 +259,54 @@ func TestWavesPartitionProperty(t *testing.T) {
 		return len(seen) == n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+}
+
+// opsFootprint is the footprint the sequencer sees for a transaction
+// whose initial section runs body.
+func opsFootprint(body []workload.Op) footprint {
+	return footprintOf(&Instance{T: opsTxn("t", body)})
+}
+
+// TestFootprintConflicts pins the §4.1 conflict rule the sequencer
+// partitions waves by: a shared key with at least one writer.
+func TestFootprintConflicts(t *testing.T) {
+	w := opsFootprint([]workload.Op{{Kind: workload.OpInsert, Key: "x"}})
+	r := opsFootprint([]workload.Op{{Kind: workload.OpRead, Key: "x"}})
+	r2 := opsFootprint([]workload.Op{{Kind: workload.OpRead, Key: "y"}})
+	if !w.conflicts(r) || !r.conflicts(w) {
+		t.Error("write-read on same key must conflict")
+	}
+	if r.conflicts(r) {
+		t.Error("read-read must not conflict")
+	}
+	if w.conflicts(r2) {
+		t.Error("disjoint keys must not conflict")
+	}
+	if !w.conflicts(w) {
+		t.Error("write-write must conflict")
+	}
+}
+
+// Property: footprint.conflicts is symmetric.
+func TestFootprintConflictsSymmetryProperty(t *testing.T) {
+	gen := func(raw []uint8) footprint {
+		var ops []workload.Op
+		for i := 0; i+1 < len(raw) && len(ops) < 8; i += 2 {
+			kind := workload.OpRead
+			if raw[i]%2 == 0 {
+				kind = workload.OpInsert
+			}
+			ops = append(ops, workload.Op{Kind: kind, Key: string(rune('a' + raw[i+1]%6))})
+		}
+		return opsFootprint(ops)
+	}
+	f := func(ra, rb []uint8) bool {
+		a, b := gen(ra), gen(rb)
+		return a.conflicts(b) == b.conflicts(a)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }

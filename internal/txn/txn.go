@@ -390,7 +390,6 @@ type Manager struct {
 	// cascade re-installs reach each partition's write-ahead log —
 	// otherwise a recovered edge would resurrect the retracted writes.
 	RestoreDB Backend
-	Strict    bool // enforce declared read/write sets in Ctx (default on)
 	// Tracer, when set, records retraction-cascade spans (timestamps from
 	// Clk — a schedule-neutral read); TraceTags is the canonical tag
 	// string stamped on them.
@@ -432,7 +431,6 @@ func NewManager(clk vclock.Clock, st *store.Store, locks *lock.Manager) *Manager
 		Clk:        clk,
 		Store:      st,
 		Locks:      locks,
-		Strict:     true,
 		lastWriter: make(map[string]*Instance),
 		sweepAt:    sweepSlack,
 	}
@@ -528,7 +526,7 @@ func (c *Ctx) rwset() RWSet {
 // Get reads a key within the declared set.
 func (c *Ctx) Get(key string) (store.Value, bool) {
 	m := c.inst.mgr
-	if m.Strict && !c.rwset().canRead(key) {
+	if !c.rwset().canRead(key) {
 		panic(fmt.Sprintf("txn %q %s section read of undeclared key %q", c.inst.T.Name, c.stage, key))
 	}
 	m.noteAccess(c.inst, key)
@@ -538,7 +536,7 @@ func (c *Ctx) Get(key string) (store.Value, bool) {
 // Put writes a key within the declared set, undo-logging the before-image.
 func (c *Ctx) Put(key string, v store.Value) {
 	m := c.inst.mgr
-	if m.Strict && !c.rwset().canWrite(key) {
+	if !c.rwset().canWrite(key) {
 		panic(fmt.Sprintf("txn %q %s section write of undeclared key %q", c.inst.T.Name, c.stage, key))
 	}
 	m.writeWithUndo(c.inst, key, v, false)
@@ -547,7 +545,7 @@ func (c *Ctx) Put(key string, v store.Value) {
 // Delete removes a key within the declared set, undo-logging it.
 func (c *Ctx) Delete(key string) {
 	m := c.inst.mgr
-	if m.Strict && !c.rwset().canWrite(key) {
+	if !c.rwset().canWrite(key) {
 		panic(fmt.Sprintf("txn %q %s section delete of undeclared key %q", c.inst.T.Name, c.stage, key))
 	}
 	m.writeWithUndo(c.inst, key, nil, true)

@@ -343,7 +343,7 @@ func TestStrictRWSetEnforcement(t *testing.T) {
 	s.Run(func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("undeclared write did not panic under Strict")
+				t.Error("undeclared write did not panic")
 			}
 		}()
 		cc.RunInitial(inst)

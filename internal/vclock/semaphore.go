@@ -64,10 +64,3 @@ func (s *Semaphore) Release() {
 	s.inUse--
 	s.mu.Unlock()
 }
-
-// InUse reports the number of currently held slots.
-func (s *Semaphore) InUse() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.inUse
-}

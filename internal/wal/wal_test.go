@@ -173,7 +173,7 @@ func TestLoggedStoreWritesThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.Delete("nope")
-	if v, _ := st.Get("k"); store.AsString(v) != "v" {
+	if v, _ := st.Get("k"); string(v) != "v" {
 		t.Error("live store missing write")
 	}
 	l.Close()
@@ -181,7 +181,7 @@ func TestLoggedStoreWritesThrough(t *testing.T) {
 	if err != nil || res.Records != 2 {
 		t.Fatalf("res=%+v err=%v", res, err)
 	}
-	if v, _ := res.Store.Get("k"); store.AsString(v) != "v" {
+	if v, _ := res.Store.Get("k"); string(v) != "v" {
 		t.Error("recovered store missing write")
 	}
 }

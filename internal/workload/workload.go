@@ -2,7 +2,7 @@
 // experiments: the YCSB-Workload-A-style transaction bodies attached to each
 // detection ("6 operations, half of these mutate the state of the database
 // by inserting data items, and the other half read from previously added
-// items"), and the hot-spot update batches of the Figure 6(b) contention
+// items"), and the hot-spot update bodies of the Figure 6(b) contention
 // experiment.
 package workload
 
@@ -12,8 +12,6 @@ import (
 	"strconv"
 	"sync"
 
-	"croesus/internal/lock"
-	"croesus/internal/randsrc"
 	"croesus/internal/store"
 )
 
@@ -46,23 +44,6 @@ type Uniform struct {
 // Pick returns a uniformly random key.
 func (u Uniform) Pick(rng *rand.Rand) string {
 	return store.ItoaKey(u.Prefix, rng.Intn(u.N))
-}
-
-// HotSpot picks from a small hot range with probability HotProb, otherwise
-// from the full range.
-type HotSpot struct {
-	Prefix  string
-	N       int // total keys
-	Hot     int // hot keys (first Hot of N)
-	HotProb float64
-}
-
-// Pick returns a hot-spot-skewed key.
-func (h HotSpot) Pick(rng *rand.Rand) string {
-	if rng.Float64() < h.HotProb {
-		return store.ItoaKey(h.Prefix, rng.Intn(h.Hot))
-	}
-	return store.ItoaKey(h.Prefix, rng.Intn(h.N))
 }
 
 // ShardKey builds the fleet-wide sharded key "s<shard>/<prefix>:<i>". The
@@ -252,63 +233,4 @@ func UpdateOps(rng *rand.Rand, prefix string, keyRange, nOps int) []Op {
 		ops[i] = Op{Kind: OpInsert, Key: store.ItoaKey(prefix, rng.Intn(keyRange))}
 	}
 	return ops
-}
-
-// LockRequests converts operations to lock requests: reads take shared
-// locks, inserts exclusive. Duplicates are merged by lock.Normalize.
-func LockRequests(ops []Op) []lock.Request {
-	reqs := make([]lock.Request, len(ops))
-	for i, op := range ops {
-		mode := lock.Shared
-		if op.Kind == OpInsert {
-			mode = lock.Exclusive
-		}
-		reqs[i] = lock.Request{Key: op.Key, Mode: mode}
-	}
-	return lock.Normalize(reqs)
-}
-
-// Batch is a group of transaction bodies executed together, as in the
-// Figure 6(b) experiment ("transactions are executed in batches of 50
-// transactions per batch where each transaction has 5 update operations").
-type Batch struct {
-	Bodies [][]Op
-}
-
-// MakeBatches generates nBatches batches of batchSize transactions, each
-// with opsPerTxn updates over keyRange keys.
-func MakeBatches(seed int64, nBatches, batchSize, keyRange, opsPerTxn int) []Batch {
-	rng := randsrc.New(seed)
-	batches := make([]Batch, nBatches)
-	for b := range batches {
-		bodies := make([][]Op, batchSize)
-		for i := range bodies {
-			bodies[i] = UpdateOps(rng, "hot", keyRange, opsPerTxn)
-		}
-		batches[b] = Batch{Bodies: bodies}
-	}
-	return batches
-}
-
-// Conflicts reports whether two bodies touch a common key with at least one
-// write — the conflict definition of the multi-stage model (§4.1).
-func Conflicts(a, b []Op) bool {
-	writesA := map[string]bool{}
-	readsA := map[string]bool{}
-	for _, op := range a {
-		if op.Kind == OpInsert {
-			writesA[op.Key] = true
-		} else {
-			readsA[op.Key] = true
-		}
-	}
-	for _, op := range b {
-		if writesA[op.Key] {
-			return true
-		}
-		if op.Kind == OpInsert && readsA[op.Key] {
-			return true
-		}
-	}
-	return false
 }

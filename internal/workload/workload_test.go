@@ -6,9 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"testing/quick"
-
-	"croesus/internal/lock"
 )
 
 func TestDetectionOpsShape(t *testing.T) {
@@ -32,42 +29,6 @@ func TestDetectionOpsShape(t *testing.T) {
 	if inserts != 3 || reads != 3 {
 		t.Errorf("inserts=%d reads=%d, want 3/3 (YCSB-A half/half)", inserts, reads)
 	}
-}
-
-func TestHotSpotSkew(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	h := HotSpot{Prefix: "k", N: 10000, Hot: 10, HotProb: 0.9}
-	hot := 0
-	const n = 5000
-	for i := 0; i < n; i++ {
-		key := h.Pick(rng)
-		var id int
-		if _, err := fscanKey(key, &id); err != nil {
-			t.Fatalf("bad key %q", key)
-		}
-		if id < 10 {
-			hot++
-		}
-	}
-	frac := float64(hot) / n
-	if frac < 0.85 || frac > 0.95 {
-		t.Errorf("hot fraction = %.3f, want ≈ 0.9", frac)
-	}
-}
-
-func fscanKey(key string, id *int) (int, error) {
-	i := strings.LastIndexByte(key, ':')
-	var err error
-	*id, err = atoi(key[i+1:])
-	return 1, err
-}
-
-func atoi(s string) (int, error) {
-	n := 0
-	for _, c := range s {
-		n = n*10 + int(c-'0')
-	}
-	return n, nil
 }
 
 func TestShardKeyRoundTrip(t *testing.T) {
@@ -189,98 +150,6 @@ func TestZipfMatchesMathRand(t *testing.T) {
 				t.Fatalf("n=%d s=%g draw %d: index %d, math/rand gives %d", tc.n, tc.s, i, got, want)
 			}
 		}
-	}
-}
-
-func TestLockRequests(t *testing.T) {
-	ops := []Op{
-		{OpRead, "a"}, {OpInsert, "a"}, {OpRead, "b"}, {OpInsert, "c"},
-	}
-	reqs := LockRequests(ops)
-	want := map[string]lock.Mode{"a": lock.Exclusive, "b": lock.Shared, "c": lock.Exclusive}
-	if len(reqs) != 3 {
-		t.Fatalf("reqs = %v", reqs)
-	}
-	for _, r := range reqs {
-		if want[r.Key] != r.Mode {
-			t.Errorf("key %q mode %v, want %v", r.Key, r.Mode, want[r.Key])
-		}
-	}
-}
-
-func TestMakeBatchesShape(t *testing.T) {
-	batches := MakeBatches(7, 4, 50, 1000, 5)
-	if len(batches) != 4 {
-		t.Fatalf("batches = %d", len(batches))
-	}
-	for _, b := range batches {
-		if len(b.Bodies) != 50 {
-			t.Fatalf("batch size = %d", len(b.Bodies))
-		}
-		for _, body := range b.Bodies {
-			if len(body) != 5 {
-				t.Fatalf("ops per txn = %d", len(body))
-			}
-			for _, op := range body {
-				if op.Kind != OpInsert {
-					t.Fatal("hot-spot bodies must be updates")
-				}
-			}
-		}
-	}
-}
-
-func TestMakeBatchesDeterministic(t *testing.T) {
-	a := MakeBatches(9, 2, 10, 100, 5)
-	b := MakeBatches(9, 2, 10, 100, 5)
-	for i := range a {
-		for j := range a[i].Bodies {
-			for k := range a[i].Bodies[j] {
-				if a[i].Bodies[j][k] != b[i].Bodies[j][k] {
-					t.Fatal("batches differ across identical seeds")
-				}
-			}
-		}
-	}
-}
-
-func TestConflicts(t *testing.T) {
-	w := []Op{{OpInsert, "x"}}
-	r := []Op{{OpRead, "x"}}
-	r2 := []Op{{OpRead, "y"}}
-	if !Conflicts(w, r) || !Conflicts(r, w) {
-		t.Error("write-read on same key must conflict")
-	}
-	if Conflicts(r, r) {
-		t.Error("read-read must not conflict")
-	}
-	if Conflicts(w, r2) {
-		t.Error("disjoint keys must not conflict")
-	}
-	if !Conflicts(w, w) {
-		t.Error("write-write must conflict")
-	}
-}
-
-// Property: Conflicts is symmetric.
-func TestConflictsSymmetryProperty(t *testing.T) {
-	gen := func(raw []uint8) []Op {
-		var ops []Op
-		for i := 0; i+1 < len(raw) && len(ops) < 8; i += 2 {
-			kind := OpRead
-			if raw[i]%2 == 0 {
-				kind = OpInsert
-			}
-			ops = append(ops, Op{kind, string(rune('a' + raw[i+1]%6))})
-		}
-		return ops
-	}
-	f := func(ra, rb []uint8) bool {
-		a, b := gen(ra), gen(rb)
-		return Conflicts(a, b) == Conflicts(b, a)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
 	}
 }
 
