@@ -221,21 +221,27 @@ func (c Config) defaults() Config {
 	return c
 }
 
-// cameraRuntime binds one camera to its edge, pipeline, and frames. The
-// mutable half (pacing, workload shape, placement) is guarded by mu: the
-// feeder reads it per frame, timeline events rewrite it mid-run.
+// cameraRuntime binds one camera to its edge, pipeline, and video. The
+// mutable half (pacing, workload shape, placement, the running score) is
+// guarded by mu: the feeder reads it per frame, timeline events rewrite it
+// mid-run, frame goroutines score into it as they finalize.
 type cameraRuntime struct {
 	spec  CameraSpec
 	shard int // logical shard, or -1 in unsharded fleets
 	src   *core.WorkloadSource
 
-	mu       sync.Mutex
-	edge     *EdgeNode
-	pipe     *core.Pipeline
-	frames   []*video.Frame
+	mu   sync.Mutex
+	edge *EdgeNode
+	pipe *core.Pipeline
+	// gen captures the camera's frames one at a time, as they fall due;
+	// only the feeder calls it.
+	gen *video.Generator
+	// tally scores each frame against the cloud model's labels as it
+	// finalizes; outcomes keep the rest of it, without the label sets.
+	tally    core.Tally
 	outcomes []core.FrameOutcome
 	done     []bool // outcome slot filled (vs dropped by an outage)
-	fed      int    // frames scheduled so far (prefix of frames)
+	fed      int    // frames scheduled so far (a prefix of the stream)
 	dropped  int    // frames lost to an edge outage
 	left     bool   // camera retired mid-run
 	rate     float64
@@ -622,16 +628,16 @@ func (c *Cluster) buildCamera(cs CameraSpec, idx int, startAt time.Duration) (*c
 	if err != nil {
 		return nil, fmt.Errorf("cluster: camera %q: %w", cs.ID, err)
 	}
-	frames := video.NewGenerator(cs.Profile, cs.Seed).Generate(cs.Frames)
 	cam := &cameraRuntime{
 		spec:      cs,
 		shard:     shard,
 		src:       source,
 		edge:      edge,
 		pipe:      pipe,
-		frames:    frames,
-		outcomes:  make([]core.FrameOutcome, len(frames)),
-		done:      make([]bool, len(frames)),
+		gen:       video.NewGenerator(cs.Profile, cs.Seed),
+		tally:     core.Tally{QueryClass: cs.Profile.QueryClass, OverlapMin: c.cfg.OverlapMin},
+		outcomes:  make([]core.FrameOutcome, cs.Frames),
+		done:      make([]bool, cs.Frames),
 		rate:      1,
 		nextAt:    startAt,
 		interval:  cs.Profile.FrameInterval(),
@@ -771,7 +777,9 @@ func (c *Cluster) Close() { c.closeDurability() }
 // Outcomes returns the per-frame outcomes of one camera after Run, or
 // nil if the camera is unknown. Frames are in capture order; a camera that
 // left mid-run (or lost frames to an edge outage) reports only the frames
-// it actually captured.
+// it actually captured. Label sets are scored when a frame finalizes and
+// are not kept: EdgeDetections, InitialVisible, FinalVisible and Apologies
+// are nil.
 func (c *Cluster) Outcomes(cameraID string) []core.FrameOutcome {
 	cam := c.findCam(cameraID)
 	if cam == nil {
@@ -871,7 +879,7 @@ func (c *Cluster) workDone() {
 // frames captured while the edge is in an (unsharded) outage.
 func (c *Cluster) feed(cam *cameraRuntime) {
 	clk := c.clk
-	for i := range cam.frames {
+	for i := 0; i < cam.spec.Frames; i++ {
 		cam.mu.Lock()
 		due := cam.nextAt
 		left := cam.left
@@ -882,6 +890,9 @@ func (c *Cluster) feed(cam *cameraRuntime) {
 		if d := due - clk.Now(); d > 0 {
 			clk.Sleep(d)
 		}
+		// Captured whether or not the edge is up, so the stream is
+		// Generate's frame for frame.
+		f := cam.gen.Next()
 		cam.mu.Lock()
 		if cam.left {
 			cam.mu.Unlock()
@@ -908,12 +919,14 @@ func (c *Cluster) feed(cam *cameraRuntime) {
 			continue
 		}
 		cam.mu.Unlock()
-		f := cam.frames[i]
 		f.At = due
 		i := i
 		clk.Go(func() {
 			out := pipe.ProcessFrame(f)
+			ref := c.cloudModel.Detect(f).Detections
 			cam.mu.Lock()
+			cam.tally.Add(&out, ref)
+			out.EdgeDetections, out.InitialVisible, out.FinalVisible, out.Apologies = nil, nil, nil, nil
 			cam.outcomes[i] = out
 			cam.done[i] = true
 			cam.mu.Unlock()

@@ -227,8 +227,10 @@ func TestOverloadSheds(t *testing.T) {
 		t.Errorf("batcher counted %d shed, fleet summaries %d", rep.Batcher.Shed, rep.Shed)
 	}
 
-	// Shed frames degrade to the edge answer: the final render is the
-	// initial render, and the client still got both commits.
+	// Shed frames degrade to the edge answer and the client still gets
+	// both commits. (That a shed frame keeps its labels is core's
+	// TestGraphExecutor shed row: the fleet scores label sets as frames
+	// finalize and does not keep them.)
 	sawShed := false
 	for _, cs := range cams {
 		for _, o := range c.Outcomes(cs.ID) {
@@ -236,9 +238,6 @@ func TestOverloadSheds(t *testing.T) {
 				continue
 			}
 			sawShed = true
-			if !reflect.DeepEqual(o.FinalVisible, o.InitialVisible) {
-				t.Fatalf("shed frame %d of %s changed its labels", o.FrameIndex, cs.ID)
-			}
 			if o.FinalLatency < o.InitialLatency {
 				t.Fatalf("shed frame %d of %s has final latency %v < initial %v", o.FrameIndex, cs.ID, o.FinalLatency, o.InitialLatency)
 			}

@@ -9,7 +9,6 @@ import (
 	"croesus/internal/faults"
 	"croesus/internal/metrics"
 	"croesus/internal/twopc"
-	"croesus/internal/video"
 )
 
 // CameraReport summarizes one camera's run: the standard single-pipeline
@@ -159,21 +158,14 @@ func (c *Cluster) report(elapsed, endAt time.Duration) *ClusterReport {
 	secFrames := 0
 	phaseFinal := make([]metrics.LatencyStats, len(phases))
 	for _, cam := range c.cams {
-		// A camera that left mid-run (or lost frames to an outage) is
-		// scored on the frames it actually captured — in place: the fleet
-		// has drained, so the lock only orders this read after the last
-		// feeder's writes.
+		// A camera that left mid-run (or lost frames to an outage) reports
+		// the frames it actually captured, each scored as it finalized:
+		// the fleet has drained, so the lock only orders these reads after
+		// the last frame's writes.
 		cam.mu.Lock()
 		outs, done := cam.outcomes[:cam.fed], cam.done[:cam.fed]
-		frames := make([]*video.Frame, 0, cam.fed)
-		for i := range outs {
-			if done[i] {
-				frames = append(frames, cam.frames[i])
-			}
-		}
-		dropped, left, edge := cam.dropped, cam.left && cam.fed < len(cam.frames), cam.edge
-		truth := core.TruthFromModel(c.cloudModel, frames)
-		sum := core.SummarizeDone(cam.spec.ID, core.ModeCroesus, cam.spec.Profile.QueryClass, outs, done, truth, c.cfg.OverlapMin)
+		dropped, left, edge := cam.dropped, cam.left && cam.fed < cam.spec.Frames, cam.edge
+		sum := cam.tally.Summary(cam.spec.ID, core.ModeCroesus)
 
 		var init, final metrics.LatencyStats
 		for i := range outs {

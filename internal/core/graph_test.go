@@ -122,6 +122,11 @@ func TestGraphExecutor(t *testing.T) {
 			sentToCloud: true,
 			shed:        true,
 			txns:        1,
+			check: func(t *testing.T, out FrameOutcome) {
+				if !reflect.DeepEqual(out.FinalVisible, out.InitialVisible) {
+					t.Errorf("shed frame changed its labels: initial %v, final %v", out.InitialVisible, out.FinalVisible)
+				}
+			},
 		},
 		{
 			name:        "a validator that loses the request finalises with the edge labels",

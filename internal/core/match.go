@@ -88,7 +88,6 @@ type InitialInput struct {
 	FrameIndex int
 	Trigger    detect.Detection
 	Labels     []detect.Detection
-	Aux        any
 }
 
 // FinalInput is the input to a final section: the original edge trigger

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"croesus/internal/detect"
@@ -197,66 +198,76 @@ type Summary struct {
 // cloud model's output, as in the paper's evaluation); queryClass is the
 // video's object query.
 func Summarize(videoName string, mode Mode, queryClass string, outcomes []FrameOutcome, truth func(int) []detect.Detection, overlapMin float64) Summary {
-	return SummarizeDone(videoName, mode, queryClass, outcomes, nil, truth, overlapMin)
+	t := Tally{QueryClass: queryClass, OverlapMin: overlapMin}
+	for i := range outcomes {
+		t.Add(&outcomes[i], truth(outcomes[i].FrameIndex))
+	}
+	return t.Summary(videoName, mode)
 }
 
-// SummarizeDone is Summarize over the outcomes whose done flag is set, for
-// a caller whose outcome slots are filled sparsely (a fleet camera that lost
-// frames to an outage) and who would otherwise copy the filled ones out. A
-// nil done scores every outcome.
-func SummarizeDone(videoName string, mode Mode, queryClass string, outcomes []FrameOutcome, done []bool, truth func(int) []detect.Detection, overlapMin float64) Summary {
-	s := Summary{Video: videoName, Mode: mode}
-	var initCounts, finalCounts metrics.Counts
-	var sent int
-	var sumInit, sumFinal time.Duration
-	for i := range outcomes {
-		if done != nil && !done[i] {
-			continue
+// Tally is Summarize as a running fold, for a caller that scores each frame
+// as it finalizes and keeps neither the frame nor its label sets: Add
+// scores one outcome, Summary divides out the means. Every running sum is
+// an integer — match counts and durations — so the order frames are added
+// in cannot change the Summary.
+type Tally struct {
+	QueryClass string
+	OverlapMin float64
+
+	// s holds the counts, and in its Mean fields the sums Summary divides.
+	s              Summary
+	initial, final metrics.Counts
+	sent           int
+}
+
+// Add scores one frame's outcome against its reference labels.
+func (t *Tally) Add(o *FrameOutcome, ref []detect.Detection) {
+	s := &t.s
+	s.Frames++
+	t.initial.Add(metrics.ScoreClass(o.InitialVisible, ref, t.QueryClass, t.OverlapMin))
+	t.final.Add(metrics.ScoreClass(o.FinalVisible, ref, t.QueryClass, t.OverlapMin))
+	if o.SentToCloud {
+		t.sent++
+		switch {
+		case o.Shed:
+			s.Shed++
+		case o.CloudLost:
+			s.CloudLost++
+		default:
+			s.Validated++
 		}
-		s.Frames++
-		o := &outcomes[i]
-		ref := truth(o.FrameIndex)
-		initCounts.Add(metrics.ScoreClass(o.InitialVisible, ref, queryClass, overlapMin))
-		finalCounts.Add(metrics.ScoreClass(o.FinalVisible, ref, queryClass, overlapMin))
-		if o.SentToCloud {
-			sent++
-			switch {
-			case o.Shed:
-				s.Shed++
-			case o.CloudLost:
-				s.CloudLost++
-			default:
-				s.Validated++
-			}
-		}
-		sumInit += o.InitialLatency
-		sumFinal += o.FinalLatency
-		s.MeanBreakdown.add(o.Breakdown)
-		if s.MeanSections == nil {
-			s.MeanSections = make([]SectionOutcome, len(o.Sections))
-		}
-		for k := range o.Sections {
-			if k < len(s.MeanSections) {
-				s.MeanSections[k].add(o.Sections[k])
-			}
-		}
-		s.TxnsTriggered += o.TxnsTriggered
-		s.Corrections += o.Corrections
-		s.Apologies += len(o.Apologies)
-		s.InitialAborts += o.InitialAborts
 	}
-	n := s.Frames
-	if n > 0 {
-		s.BU = float64(sent) / float64(n)
-		s.MeanInitialLatency = sumInit / time.Duration(n)
-		s.MeanFinalLatency = sumFinal / time.Duration(n)
+	s.MeanInitialLatency += o.InitialLatency
+	s.MeanFinalLatency += o.FinalLatency
+	s.MeanBreakdown.add(o.Breakdown)
+	for len(s.MeanSections) < len(o.Sections) {
+		s.MeanSections = append(s.MeanSections, SectionOutcome{})
+	}
+	for k := range o.Sections {
+		s.MeanSections[k].add(o.Sections[k])
+	}
+	s.TxnsTriggered += o.TxnsTriggered
+	s.Corrections += o.Corrections
+	s.Apologies += len(o.Apologies)
+	s.InitialAborts += o.InitialAborts
+}
+
+// Summary returns the run so far as one video's Summary.
+func (t *Tally) Summary(videoName string, mode Mode) Summary {
+	s := t.s
+	s.Video, s.Mode = videoName, mode
+	s.MeanSections = slices.Clone(t.s.MeanSections)
+	if n := s.Frames; n > 0 {
+		s.BU = float64(t.sent) / float64(n)
+		s.MeanInitialLatency /= time.Duration(n)
+		s.MeanFinalLatency /= time.Duration(n)
 		s.MeanBreakdown.div(n)
 		for k := range s.MeanSections {
 			s.MeanSections[k].div(n)
 		}
 	}
-	s.F1Initial = initCounts.F1()
-	s.F1Final = finalCounts.F1()
+	s.F1Initial = t.initial.F1()
+	s.F1Final = t.final.F1()
 	return s
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -70,6 +72,34 @@ func TestSummarizeAggregates(t *testing.T) {
 	}
 	if s.TxnsTriggered != 3 || s.Corrections != 1 {
 		t.Errorf("txns=%d corrections=%d", s.TxnsTriggered, s.Corrections)
+	}
+}
+
+// TestTallyIgnoresArrivalOrder: a fleet scores frames in the order they
+// finalize, not the order they were captured. Folding a shuffled run through
+// Tally must give exactly Summarize's result over the captured order — F1,
+// the means, and the per-section means alike.
+func TestTallyIgnoresArrivalOrder(t *testing.T) {
+	p, _, _ := buildPipeline(t, ModeCroesus, 0.4, 0.62)
+	frames := parkFrames(40)
+	outs := p.ProcessVideo(frames)
+	truth := TruthFromModel(p.Config().CloudModel, frames)
+	want := Summarize("park", ModeCroesus, "dog", outs, truth, 0.1)
+	if want.Validated == 0 || want.Corrections == 0 || len(want.MeanSections) != 2 || want.MeanSections[1].Latency == 0 {
+		t.Fatalf("run too plain to tell orders apart: %+v", want)
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		shuffled := append([]FrameOutcome(nil), outs...)
+		rand.New(rand.NewSource(seed)).Shuffle(len(shuffled), func(i, j int) {
+			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+		})
+		tally := Tally{QueryClass: "dog", OverlapMin: 0.1}
+		for i := range shuffled {
+			tally.Add(&shuffled[i], truth(shuffled[i].FrameIndex))
+		}
+		if got := tally.Summary("park", ModeCroesus); !reflect.DeepEqual(got, want) {
+			t.Fatalf("shuffle %d: Tally gave\n  %+v\nSummarize gave\n  %+v", seed, got, want)
+		}
 	}
 }
 

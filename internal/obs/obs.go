@@ -25,13 +25,6 @@ import (
 	"time"
 )
 
-// TraceSchemaVersion is the version of the JSONL span schema written by
-// WriteJSONL and read by internal/obs/collect — bump it when a field
-// changes meaning. v1 was the PR-6 schema (name, tags, start, end); v2
-// adds the optional identity fields (trace, span, parent, proc) that link
-// spans across process boundaries.
-const TraceSchemaVersion = 2
-
 // Span is one traced interval: a stage of a frame's or transaction's life,
 // bounded by two timestamps from the run's Clock. Tags is a pre-rendered,
 // canonical "k=v,k=v" string (keys sorted — see Tags) so spans compare and

@@ -28,9 +28,12 @@ import (
 	"croesus/internal/wal"
 )
 
-// The two atomic-commitment rounds of a multi-stage transaction. MS-IA
-// runs RoundInitial at the initial commit and RoundFinal at the final;
-// MS-SR runs a single RoundFinal covering both sections' writes.
+// A transaction's atomic-commitment rounds are numbered by section index:
+// the round that commits section k's boundary is round k. MS-IA runs one
+// round per section, 0 through N−1 in an N-section graph; MS-SR runs a
+// single round, at the last section's index, covering every section's
+// writes. RoundInitial is section 0's round and RoundFinal section 1's,
+// the last one of the two-section graph.
 const (
 	RoundInitial uint8 = iota
 	RoundFinal

@@ -533,10 +533,10 @@ func (c *ShardedCC) release(owner lock.Owner, rt route) {
 // early application unobservable), so the round here is the protocol's
 // message cost, the WAL logging that makes the commit durable, and the
 // scripted 2PC crash points. ErrCrashed means the commit did not
-// happen — the caller must undo the section's eager writes. round
-// (RoundInitial or RoundFinal) disambiguates the up-to-two independent
-// rounds one transaction runs, so each round's WAL markers, staged blocks,
-// and decisions stand alone. rt is the route the section's locks were
+// happen — the caller must undo the section's eager writes. round, the
+// index of the section being committed, disambiguates the rounds one
+// transaction runs (one per section boundary under MS-IA), so each round's
+// WAL markers, staged blocks, and decisions stand alone. rt is the route the section's locks were
 // granted under, and its exclusive requests are the write set: the commit
 // must land where the locks (and the eager writes) are, even if the live
 // map has since moved an *unrelated* shard — the held shard intents
