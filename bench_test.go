@@ -6,7 +6,7 @@ package croesus
 //
 //	go test -bench=. -benchmem
 //
-// For full-scale experiment output use cmd/croesus-bench instead; the
+// For full-scale experiment output use croesus bench instead; the
 // benchmarks here use reduced frame counts so the whole suite stays fast.
 
 import (

@@ -16,7 +16,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from th
 // legitimately shifts the numbers,
 // regenerate every fixture in the tree with
 //
-//	go test ./internal/experiments ./cmd/croesus-cluster -run Golden -update
+//	go test ./internal/experiments ./cmd/croesus -run Golden -update
 func goldenReport(t *testing.T, name string) *croesus.ClusterReport {
 	t.Helper()
 	s, err := croesus.LoadScenario("testdata/" + name + ".json")
@@ -54,7 +54,7 @@ func TestScenarioGolden(t *testing.T) {
 }
 
 // TestFleetCrashGolden pins the crash/WAL-recovery scenario that
-// croesus-fleet also plays on real processes: its sim report, byte for
+// croesus fleet also plays on real processes: its sim report, byte for
 // byte.
 func TestFleetCrashGolden(t *testing.T) {
 	goldenReport(t, "fleet-crash")

@@ -26,8 +26,6 @@
 package croesus
 
 import (
-	"io"
-
 	"croesus/internal/cluster"
 	"croesus/internal/core"
 	"croesus/internal/detect"
@@ -35,7 +33,6 @@ import (
 	"croesus/internal/lock"
 	"croesus/internal/netsim"
 	"croesus/internal/node"
-	"croesus/internal/obs"
 	"croesus/internal/scenario"
 	"croesus/internal/store"
 	"croesus/internal/threshold"
@@ -375,7 +372,7 @@ type (
 	// ScenarioDuration is a JSON-friendly duration ("80ms").
 	ScenarioDuration = scenario.Duration
 	// ScenarioOptions select the clock a scenario runs on — virtual, or a
-	// scaled wall clock (TimeScale > 0) — and the observability layer.
+	// scaled wall clock (TimeScale > 0).
 	ScenarioOptions = scenario.Options
 
 	// TransportPath is one directed fleet network path.
@@ -412,37 +409,6 @@ func RunScenario(s *Scenario) (*ClusterReport, error) { return scenario.Run(s) }
 // wall clock, where goroutines truly overlap.
 func RunScenarioWith(s *Scenario, o ScenarioOptions) (*ClusterReport, error) {
 	return scenario.RunWith(s, o)
-}
-
-// ---------------------------------------------------------------------------
-// Observability: deterministic tracing + fleet metrics (internal/obs)
-
-type (
-	// Obs bundles a span tracer and a metrics registry; set it on
-	// ScenarioOptions.Obs to thread observability through a fleet. Nil
-	// disables all instrumentation.
-	Obs = obs.Obs
-	// ObsSpan is one traced interval on the run's clock.
-	ObsSpan = obs.Span
-	// ObsRegistry holds tagged counters, gauges, and latency histograms.
-	ObsRegistry = obs.Registry
-)
-
-// NewObs returns an observability layer with a fresh tracer and registry.
-func NewObs() *Obs { return obs.New() }
-
-// WriteTraceFile writes a trace: JSONL when name ends in ".jsonl", a
-// Chrome trace_event JSON file (openable in Perfetto / chrome://tracing)
-// otherwise. Spans are sorted, so a deterministic run's file is
-// byte-identical across replays.
-func WriteTraceFile(w io.Writer, name string, spans []ObsSpan) error {
-	return obs.WriteTraceFile(w, name, spans)
-}
-
-// ServeDebug serves /metrics (Prometheus text), /debug/vars (expvar), and
-// /debug/pprof on addr in the background, returning the bound address.
-func ServeDebug(addr string, reg *ObsRegistry) (string, error) {
-	return obs.ServeDebug(addr, reg)
 }
 
 // ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@
 // "the south cabinet loses power", "the north corridor camera is re-homed
 // to the south cabinet mid-shift", and "rush hour doubles the crossing
 // traffic" are data, not code. The last scenario is also printed as its
-// JSON encoding, which is exactly what `croesus-cluster -scenario` runs.
+// JSON encoding, which is exactly what `croesus cluster -scenario` runs.
 //
 // Every scenario also runs unmodified on a wall clock, where the fleet's
 // goroutines truly overlap, with -timescale:
@@ -133,7 +133,7 @@ func main() {
 	run(day)
 
 	if data, err := day.Encode(); err == nil {
-		fmt.Println("--- the city-day scenario as croesus-cluster -scenario input ---")
+		fmt.Println("--- the city-day scenario as croesus cluster -scenario input ---")
 		os.Stdout.Write(data)
 		fmt.Println()
 	}

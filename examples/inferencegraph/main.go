@@ -12,7 +12,7 @@
 // visible line by line.
 //
 // The graph scenario is also printed as its JSON encoding — exactly what
-// `croesus-cluster -scenario` (and `-validate`) accepts — and runs
+// `croesus cluster -scenario` (and `-validate`) accepts — and runs
 // unmodified on a wall clock with -timescale:
 //
 //	go run ./examples/inferencegraph
@@ -93,6 +93,6 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("the graph scenario as croesus-cluster -scenario JSON:")
+	fmt.Println("the graph scenario as croesus cluster -scenario JSON:")
 	os.Stdout.Write(data)
 }

@@ -11,10 +11,10 @@ import (
 	"testing"
 )
 
-// unreachedAllowed names the exported functions and methods that
+// unreachedAllowed names the exported declarations that
 // TestNoExportOnlyTestsReach accepts although no non-test code names them,
-// keyed "<dir>.<Recv>.<Name>" (or "<dir>.<Name>" for a function), each
-// with its reason.
+// keyed "<dir>.<Recv>.<Name>" for a method (or "<dir>.<Name>" for a
+// function, const, var or type), each with its reason.
 var unreachedAllowed = map[string]string{
 	"internal/lock.Manager.Outstanding":        "the lock-leak assertion of five packages' tests: a read of the live lock table",
 	"internal/txn.Manager.History":             "the boundary-commit record the serializability test reads, kept for the one property oracle (ROADMAP item 2)",
@@ -24,10 +24,11 @@ var unreachedAllowed = map[string]string{
 }
 
 // TestNoExportOnlyTestsReach guards against production code that only
-// tests call: every exported function or method declared in non-test Go
-// under internal/, cmd/ or benchmark/ must be named by some non-test Go
-// file in the module other than by its own declaration (a call, a method
-// value, an interface method of the same name, ...). A name is matched as
+// tests reach: every exported top-level function, method, const, var or
+// type declared in non-test Go under internal/, cmd/ or benchmark/ must be
+// named by some non-test Go file in the module other than by its own
+// declaration (a call, a method value, an interface method of the same
+// name, a conversion, ...). A name is matched as
 // an identifier, so comments and strings never count as a use. Delete an
 // export that fails here, move it into a _test.go helper, or add it to
 // unreachedAllowed with the reason it stays.
@@ -55,21 +56,40 @@ func TestNoExportOnlyTestsReach(t *testing.T) {
 		}
 		own := map[*ast.Ident]bool{}
 		scanned := strings.HasPrefix(path, "internal/") || strings.HasPrefix(path, "cmd/") || strings.HasPrefix(path, "benchmark/")
+		dir := filepath.ToSlash(filepath.Dir(path)) + "."
+		declare := func(key string, id *ast.Ident) {
+			own[id] = true
+			if scanned {
+				decls = append(decls, decl{key: key + id.Name, pos: fset.Position(id.Pos()).String()})
+			}
+		}
 		for _, dd := range f.Decls {
-			fd, ok := dd.(*ast.FuncDecl)
-			if !ok || !fd.Name.IsExported() {
-				continue
+			switch dd := dd.(type) {
+			case *ast.FuncDecl:
+				if !dd.Name.IsExported() {
+					continue
+				}
+				key := dir
+				if dd.Recv != nil && len(dd.Recv.List) > 0 {
+					key += recvName(dd.Recv.List[0].Type) + "."
+				}
+				declare(key, dd.Name)
+			case *ast.GenDecl:
+				for _, spec := range dd.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						if spec.Name.IsExported() {
+							declare(dir, spec.Name)
+						}
+					case *ast.ValueSpec:
+						for _, id := range spec.Names {
+							if id.IsExported() {
+								declare(dir, id)
+							}
+						}
+					}
+				}
 			}
-			own[fd.Name] = true
-			if !scanned {
-				continue
-			}
-			key := filepath.ToSlash(filepath.Dir(path)) + "."
-			if fd.Recv != nil && len(fd.Recv.List) > 0 {
-				key += recvName(fd.Recv.List[0].Type) + "."
-			}
-			key += fd.Name.Name
-			decls = append(decls, decl{key: key, pos: fset.Position(fd.Pos()).String()})
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok && !own[id] {

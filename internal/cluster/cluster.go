@@ -953,6 +953,11 @@ func (c *Cluster) Drain() *ClusterReport {
 	if c.injector != nil {
 		c.injector.Finish()
 	}
+	// No transaction is in flight any more, so no cascade can reach what
+	// the managers still keep for one.
+	for _, e := range c.edges {
+		e.Mgr.Sweep()
+	}
 	// The makespan ends at the last frame's final commit, not at
 	// clk.Now(): stale SLO timers may still run the clock forward after
 	// the fleet has drained. It starts at Start's timestamp, not at

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"slices"
 	"time"
 
 	"croesus/internal/detect"
@@ -97,28 +96,6 @@ type SectionOutcome struct {
 	Latency time.Duration
 }
 
-func (s *SectionOutcome) add(o SectionOutcome) {
-	s.Hop += o.Hop
-	s.Detect += o.Detect
-	s.Txn += o.Txn
-	s.LockWait += o.LockWait
-	s.TwoPC += o.TwoPC
-	s.Latency += o.Latency
-}
-
-func (s *SectionOutcome) div(n int) {
-	if n == 0 {
-		return
-	}
-	d := time.Duration(n)
-	s.Hop /= d
-	s.Detect /= d
-	s.Txn /= d
-	s.LockWait /= d
-	s.TwoPC /= d
-	s.Latency /= d
-}
-
 // FrameOutcome is the client-observable result of one frame.
 type FrameOutcome struct {
 	FrameIndex int
@@ -176,9 +153,6 @@ type Summary struct {
 	MeanInitialLatency time.Duration
 	MeanFinalLatency   time.Duration
 	MeanBreakdown      Breakdown
-	// MeanSections is the mean per-section decomposition, one entry per
-	// graph node.
-	MeanSections []SectionOutcome
 
 	TxnsTriggered int
 	Corrections   int
@@ -240,12 +214,6 @@ func (t *Tally) Add(o *FrameOutcome, ref []detect.Detection) {
 	s.MeanInitialLatency += o.InitialLatency
 	s.MeanFinalLatency += o.FinalLatency
 	s.MeanBreakdown.add(o.Breakdown)
-	for len(s.MeanSections) < len(o.Sections) {
-		s.MeanSections = append(s.MeanSections, SectionOutcome{})
-	}
-	for k := range o.Sections {
-		s.MeanSections[k].add(o.Sections[k])
-	}
 	s.TxnsTriggered += o.TxnsTriggered
 	s.Corrections += o.Corrections
 	s.Apologies += len(o.Apologies)
@@ -256,15 +224,11 @@ func (t *Tally) Add(o *FrameOutcome, ref []detect.Detection) {
 func (t *Tally) Summary(videoName string, mode Mode) Summary {
 	s := t.s
 	s.Video, s.Mode = videoName, mode
-	s.MeanSections = slices.Clone(t.s.MeanSections)
 	if n := s.Frames; n > 0 {
 		s.BU = float64(t.sent) / float64(n)
 		s.MeanInitialLatency /= time.Duration(n)
 		s.MeanFinalLatency /= time.Duration(n)
 		s.MeanBreakdown.div(n)
-		for k := range s.MeanSections {
-			s.MeanSections[k].div(n)
-		}
 	}
 	s.F1Initial = t.initial.F1()
 	s.F1Final = t.final.F1()

@@ -77,15 +77,15 @@ func TestSummarizeAggregates(t *testing.T) {
 
 // TestTallyIgnoresArrivalOrder: a fleet scores frames in the order they
 // finalize, not the order they were captured. Folding a shuffled run through
-// Tally must give exactly Summarize's result over the captured order — F1,
-// the means, and the per-section means alike.
+// Tally must give exactly Summarize's result over the captured order — F1
+// and the means alike.
 func TestTallyIgnoresArrivalOrder(t *testing.T) {
 	p, _, _ := buildPipeline(t, ModeCroesus, 0.4, 0.62)
 	frames := parkFrames(40)
 	outs := p.ProcessVideo(frames)
 	truth := TruthFromModel(p.Config().CloudModel, frames)
 	want := Summarize("park", ModeCroesus, "dog", outs, truth, 0.1)
-	if want.Validated == 0 || want.Corrections == 0 || len(want.MeanSections) != 2 || want.MeanSections[1].Latency == 0 {
+	if want.Validated == 0 || want.Corrections == 0 {
 		t.Fatalf("run too plain to tell orders apart: %+v", want)
 	}
 	for seed := int64(1); seed <= 5; seed++ {

@@ -26,7 +26,7 @@ import (
 
 // DefaultEdgeSlots bounds an edge machine's concurrent inferences when its
 // deployment sets no other bound: a pipeline's private edge pool, a
-// scenario edge without "slots", and a croesus-edge process without -slots
+// scenario edge without "slots", and a croesus edge process without -slots
 // all run this many.
 const DefaultEdgeSlots = 2
 

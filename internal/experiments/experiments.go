@@ -1,6 +1,6 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§5) on the simulated substrate. Each experiment returns a
-// Table whose rows mirror what the paper reports; cmd/croesus-bench prints
+// Table whose rows mirror what the paper reports; croesus bench prints
 // them (optionally as Markdown), and the root bench_test.go exposes each
 // as a testing.B benchmark.
 //

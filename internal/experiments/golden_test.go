@@ -27,7 +27,7 @@ var goldenIDs = []string{
 // sweeps, which the fleet scenario goldens do not reach. Regenerate these
 // and the scenario goldens together with
 //
-//	go test ./internal/experiments ./cmd/croesus-cluster -run Golden -update
+//	go test ./internal/experiments ./cmd/croesus -run Golden -update
 func TestExperimentGoldens(t *testing.T) {
 	for _, id := range goldenIDs {
 		id := id

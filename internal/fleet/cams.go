@@ -11,7 +11,7 @@ import (
 	"croesus/internal/wire"
 )
 
-// procCam is one camera: a spawned croesus-client driven over its control
+// procCam is one camera: a spawned croesus client driven over its control
 // channel. The client writes its ClientReport JSON to reportPath at exit
 // (normal end, quit op, or SIGTERM).
 type procCam struct {
@@ -22,7 +22,7 @@ type procCam struct {
 	trace      string
 }
 
-// startProcCam spawns one croesus-client for a camera.
+// startProcCam spawns one croesus client for a camera.
 func (f *fleetRun) startProcCam(camID, edgeAddr, profile string, seed int64, frames int) (*procCam, error) {
 	ready := filepath.Join(f.dir, "client-"+camID+".ready")
 	os.Remove(ready)
@@ -45,7 +45,7 @@ func (f *fleetRun) startProcCam(camID, edgeAddr, profile string, seed int64, fra
 		trace = filepath.Join(f.dir, "trace-client-"+camID+".jsonl")
 		args = append(args, "-trace", trace)
 	}
-	p, err := startProc("client-"+camID, filepath.Join(f.o.BinDir, "croesus-client"), args,
+	p, err := startProc("client-"+camID, "client", args,
 		filepath.Join(f.dir, "client-"+camID+".log"))
 	if err != nil {
 		return nil, err

@@ -39,10 +39,10 @@ type CamConfig struct {
 	OnFrame func(FrameRecord)
 }
 
-// CamStream is croesus-client's camera streaming loop: it paces frames at the profile's
-// capture rate, survives edge restarts by redialing (frames submitted
-// while the edge is dark are dropped, matching the in-process fleet's
-// outage semantics), and takes live control ops — rate shifts
+// CamStream is croesus client's camera streaming loop: it paces frames at
+// the profile's capture rate, survives edge restarts by redialing (frames
+// submitted while the edge is dark are dropped, matching the in-process
+// fleet's outage semantics), and takes live control ops — rate shifts
 // (workload_shift), redials to a new edge (migrate_camera), and a
 // graceful stop (camera_leave / SIGTERM).
 type CamStream struct {

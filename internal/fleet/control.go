@@ -1,7 +1,7 @@
 // Package fleet is the multi-process deployment of the Croesus
-// reproduction: an orchestrator (cmd/croesus-fleet) that reads the same
-// versioned scenario JSON as croesus-cluster, runs it against *real*
-// croesus-edge / croesus-cloud / croesus-client processes, plays the
+// reproduction: an orchestrator (croesus fleet) that reads the same
+// versioned scenario JSON as croesus cluster, runs it against *real* edge,
+// cloud and client processes (the same croesus executable), plays the
 // timeline over a control channel on each process, and folds the
 // per-process reports and trace streams into one cluster.ClusterReport.
 //
@@ -9,13 +9,13 @@
 //
 //   - control.go — the control protocol: a tiny request/reply RPC carried
 //     by wire.Control / wire.ControlReply envelopes in the same binary
-//     codec as the data plane. Every fleet binary serves it (handlers.go);
+//     codec as the data plane. Every fleet process serves it (handlers.go);
 //     the orchestrator drives it.
-//   - camstream.go — croesus-client's camera streaming loop: pacing,
+//   - camstream.go — croesus client's camera streaming loop: pacing,
 //     reconnect across edge crashes, live rate shifts and redials.
 //   - procs.go — process management: spawn with ready-file address
 //     discovery, SIGKILL crashes, respawns, graceful SIGTERM stops.
-//   - cams.go — the orchestrator's handle on one spawned croesus-client.
+//   - cams.go — the orchestrator's handle on one spawned croesus client.
 //   - fleet.go — the orchestrator: scenario validation for the
 //     multi-process fleet, the process deployment's scenario.Driver (its
 //     verbs, which scenario.Play calls at each event's scaled wall

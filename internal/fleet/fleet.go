@@ -19,9 +19,6 @@ import (
 
 // Options configures a fleet run.
 type Options struct {
-	// BinDir holds the croesus-edge / croesus-cloud / croesus-client
-	// binaries.
-	BinDir string
 	// WorkDir holds WALs, ready files, logs, reports, and traces
 	// (default: a fresh temp dir).
 	WorkDir string
@@ -159,7 +156,9 @@ func (f *fleetRun) scaled(d time.Duration) time.Duration {
 }
 
 // Run deploys the scenario on real processes, plays its timeline, and
-// collects the merged report.
+// collects the merged report. Every process is this executable, re-run
+// with its role (cloud, edge or client) as the first argument, so the
+// executable must serve those subcommands as cmd/croesus does.
 func Run(s *scenario.Scenario, o Options) (*Result, error) {
 	if err := ValidateForFleet(s); err != nil {
 		return nil, err
@@ -240,7 +239,7 @@ func (f *fleetRun) spawnFleet() error {
 			trace = filepath.Join(f.dir, "trace-cloud.jsonl")
 			args = append(args, "-trace", trace)
 		}
-		p, err := startProc("cloud", filepath.Join(f.o.BinDir, "croesus-cloud"), args, filepath.Join(f.dir, "cloud.log"))
+		p, err := startProc("cloud", "cloud", args, filepath.Join(f.dir, "cloud.log"))
 		if err != nil {
 			return err
 		}
@@ -298,7 +297,7 @@ func (f *fleetRun) spawnFleet() error {
 			if fe.trace != "" {
 				args = append(args, "-trace", fe.trace)
 			}
-			p, err := startProc("edge-"+e.ID, filepath.Join(f.o.BinDir, "croesus-edge"), args,
+			p, err := startProc("edge-"+e.ID, "edge", args,
 				filepath.Join(f.dir, fmt.Sprintf("edge-%s.log", e.ID)))
 			if err != nil {
 				return nil, nil, err

@@ -7,9 +7,9 @@ import (
 	"croesus/internal/wire"
 )
 
-// EdgeHandlers wires an edge server to the control protocol. quit, when
-// non-nil, runs (in its own goroutine) after a quit op is acknowledged —
-// the binary's graceful-shutdown trigger.
+// EdgeHandlers wires an edge server to the control protocol. quit runs
+// (in its own goroutine) when a quit op arrives — the process's
+// graceful-shutdown trigger.
 func EdgeHandlers(id string, srv *tcpnet.EdgeServer, quit func()) *Handler {
 	h := NewHandler("edge")
 	h.On(OpReport, func(wire.Control) (any, error) {
@@ -67,8 +67,9 @@ func CloudHandlers(srv *tcpnet.CloudServer, quit func()) *Handler {
 	return h
 }
 
-// ClientHandlers wires a camera stream to the control protocol.
-func ClientHandlers(cs *CamStream, quit func()) *Handler {
+// ClientHandlers wires a camera stream to the control protocol; a quit op
+// stops the stream, which ends the client's run.
+func ClientHandlers(cs *CamStream) *Handler {
 	h := NewHandler("client")
 	h.On(OpReport, func(wire.Control) (any, error) {
 		return cs.Report(), nil
@@ -87,20 +88,13 @@ func ClientHandlers(cs *CamStream, quit func()) *Handler {
 		cs.Redial(c.Addr)
 		return nil, nil
 	})
-	registerQuit(h, func() {
-		cs.Stop()
-		if quit != nil {
-			quit()
-		}
-	})
+	registerQuit(h, cs.Stop)
 	return h
 }
 
 func registerQuit(h *Handler, quit func()) {
 	h.On(OpQuit, func(wire.Control) (any, error) {
-		if quit != nil {
-			go quit()
-		}
+		go quit()
 		return nil, nil
 	})
 }

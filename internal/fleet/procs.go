@@ -68,13 +68,19 @@ type proc struct {
 	err  error
 }
 
-// startProc launches bin with args, tee-ing output to logPath.
-func startProc(name, bin string, args []string, logPath string) (*proc, error) {
+// startProc launches this executable as the role subcommand (edge, cloud
+// or client) with args, tee-ing output to logPath: the binary that runs a
+// fleet is also its processes.
+func startProc(name, role string, args []string, logPath string) (*proc, error) {
+	exe, err := os.Executable()
+	if err != nil {
+		return nil, fmt.Errorf("fleet: start %s: %w", name, err)
+	}
 	logf, err := os.OpenFile(logPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	cmd := exec.Command(bin, args...)
+	cmd := exec.Command(exe, append([]string{role}, args...)...)
 	cmd.Stdout = logf
 	cmd.Stderr = logf
 	if err := cmd.Start(); err != nil {

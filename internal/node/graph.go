@@ -244,7 +244,7 @@ func (g *GraphSpec) Compile(nEdges int, seed int64) (*core.Graph, error) {
 }
 
 // Plan renders the resolved section plan — one line per node with its
-// tier, model, and routing — for croesus-cluster -validate.
+// tier, model, and routing — for croesus cluster -validate.
 func (g *GraphSpec) Plan() string {
 	var b strings.Builder
 	for k := range g.Nodes {

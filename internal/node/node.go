@@ -5,7 +5,7 @@
 // experiments and the public facade all take it. NewFleet builds the
 // sharded stack of §4.5: partitions under one fleet-wide manager, each
 // edge committing through its own twopc.ShardedCC (Fleet.CC). A durable
-// edge (croesus-edge -wal) is a fleet of one partition (NewDurable).
+// edge (croesus edge -wal) is a fleet of one partition (NewDurable).
 package node
 
 import (

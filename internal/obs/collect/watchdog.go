@@ -9,7 +9,7 @@ import (
 )
 
 // Incident kinds. Causality kinds (parent_missing, child_before_parent,
-// span_leak) indicate a broken trace — croesus-trace -check treats them
+// span_leak) indicate a broken trace — croesus trace -check treats them
 // as hard failures; SLO kinds report service degradation.
 const (
 	IncidentParentMissing     = "parent_missing"

@@ -14,7 +14,7 @@ import (
 // sim and holds its report to the verdict its own timeline implies.
 func TestCheckShippedScenarios(t *testing.T) {
 	var paths []string
-	for _, dir := range []string{filepath.Join("..", "..", "cmd", "croesus-cluster", "testdata"), "testdata"} {
+	for _, dir := range []string{filepath.Join("..", "..", "cmd", "croesus", "testdata"), "testdata"} {
 		m, err := filepath.Glob(filepath.Join(dir, "*.json"))
 		if err != nil {
 			t.Fatal(err)

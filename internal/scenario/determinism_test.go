@@ -19,7 +19,7 @@ import (
 // traces, across GOMAXPROCS 1/2/8.
 
 func scenarioFile(name string) string {
-	return filepath.Join("..", "..", "cmd", "croesus-cluster", "testdata", name)
+	return filepath.Join("..", "..", "cmd", "croesus", "testdata", name)
 }
 
 // runOnce replays one scenario on a fresh sim clock and returns the rendered

@@ -11,7 +11,6 @@ package tcpnet
 
 import (
 	"errors"
-	"log"
 	"net"
 	"strconv"
 	"sync"
@@ -241,11 +240,4 @@ func (s *CloudServer) Close() error {
 		return err
 	}
 	return nil
-}
-
-// StdLogf returns a stderr logger for the deployment binaries.
-func StdLogf(prefix string) func(string, ...any) {
-	return func(format string, args ...any) {
-		log.Printf(prefix+": "+format, args...)
-	}
 }

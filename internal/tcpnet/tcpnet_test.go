@@ -308,7 +308,7 @@ func TestGraphOverCloudSocket(t *testing.T) {
 
 // TestEdgeSlotsDefault: an edge server left at the default runs as many
 // inference slots as a simulated edge does, so one scenario runs the same
-// compute pool on the sim and on croesus-edge processes (the scenario
+// compute pool on the sim and on croesus edge processes (the scenario
 // documents "slots" as default 2).
 func TestEdgeSlotsDefault(t *testing.T) {
 	s, err := NewEdgeServer(EdgeConfig{EdgeModel: detect.TinyYOLOSim(42), TimeScale: testScale})

@@ -51,7 +51,7 @@ func TestShaperInfiniteBandwidth(t *testing.T) {
 
 // At low utilization the shaper's delay is exactly the modeled link's
 // transfer time — the property that makes a shaped fleet comparable to sim.
-// The shaper is built the way croesus-fleet hands it to an edge: as a spec.
+// The shaper is built the way croesus fleet hands it to an edge: as a spec.
 func TestShaperMatchesLinkTransferTime(t *testing.T) {
 	for _, l := range []*netsim.Link{
 		netsim.ClientEdgeLink(),

@@ -9,7 +9,7 @@
 // fleet. Paths charge modeled propagation + bandwidth time on the fleet's
 // clock — the virtual clock for byte-identical replay, or a scaled real
 // clock for a wall-clock run of the same fleet. Real bytes cross real
-// sockets only in the process deployment (internal/tcpnet, croesus-fleet),
+// sockets only in the process deployment (internal/tcpnet, croesus fleet),
 // whose per-node pipelines use Null where the node's own socket carried the
 // bytes and ShapedPath where a modeled link profile is injected on top.
 package transport

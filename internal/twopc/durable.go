@@ -1,5 +1,5 @@
 // Durable partitions: the one write-ahead-log backend, serving both the
-// simulated sharded fleet and a standalone croesus-edge (a one-partition
+// simulated sharded fleet and a standalone croesus edge (a one-partition
 // fleet, node.NewDurable, that commits through ShardedCC like any other).
 // When a Partition carries a WAL, every section commit it participates in
 // is logged — single-partition commits as a data batch closed by a commit
@@ -32,12 +32,9 @@ import (
 // the round that commits section k's boundary is round k. MS-IA runs one
 // round per section, 0 through N−1 in an N-section graph; MS-SR runs a
 // single round, at the last section's index, covering every section's
-// writes. RoundInitial is section 0's round and RoundFinal section 1's,
-// the last one of the two-section graph.
-const (
-	RoundInitial uint8 = iota
-	RoundFinal
-)
+// writes. RoundInitial is section 0's round; any later round is its
+// section's index.
+const RoundInitial uint8 = 0
 
 // CommitRound identifies one atomic-commitment round of one transaction —
 // the key every piece of durable 2PC state lives under.

@@ -29,7 +29,7 @@ func TestRestagedCommitSkipsSupersededWrites(t *testing.T) {
 
 	// The pre-crash participant staged this block durably (data records +
 	// prepare marker), then the edge crashed and recovery restaged it.
-	cr := CommitRound{ID: 9, Round: RoundFinal}
+	cr := CommitRound{ID: 9, Round: 1}
 	recs := []wal.Record{
 		{Op: wal.OpPut, Txn: uint64(cr.ID), Round: cr.Round, Key: "k", Value: store.Int64Value(1)},
 		{Op: wal.OpPut, Txn: uint64(cr.ID), Round: cr.Round, Key: "j", Value: store.Int64Value(2)},
@@ -79,7 +79,7 @@ func TestRestagedCommitSkipsSupersededWrites(t *testing.T) {
 }
 
 // journaledPart opens a durable one-partition fleet — the shape of a
-// standalone croesus-edge's store — logging to a fresh temp file.
+// standalone croesus edge's store — logging to a fresh temp file.
 func journaledPart(t *testing.T, clk vclock.Clock) (*Partition, JournaledShardedStore) {
 	t.Helper()
 	p := NewPartitionOver(0, store.New(), lock.NewManager(clk))
@@ -191,7 +191,7 @@ func TestVerifyWALRejects(t *testing.T) {
 			f.Close()
 		}, "torn tail"},
 		{"unresolved in-doubt block", func(p *Partition) {
-			cr := CommitRound{ID: 5, Round: RoundFinal}
+			cr := CommitRound{ID: 5, Round: 1}
 			p.StagePrepare(cr, 1, []wal.Record{{Op: wal.OpPut, Txn: uint64(cr.ID), Round: cr.Round, Key: "b", Value: store.Int64Value(3)}})
 		}, "in-doubt"},
 	} {

@@ -649,6 +649,15 @@ func (m *Manager) retire(in *Instance) {
 	}
 }
 
+// Sweep runs a sweep now rather than when the waiting list next fills: a
+// caller whose work has drained calls it so that the manager keeps no
+// settled transaction.
+func (m *Manager) Sweep() {
+	m.mu.Lock()
+	m.sweep()
+	m.mu.Unlock()
+}
+
 // sweep marks every instance a live one reaches over dependents edges and
 // settles the waiting instances left unmarked. Caller holds m.mu.
 func (m *Manager) sweep() {

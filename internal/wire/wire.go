@@ -1,5 +1,5 @@
-// Package wire defines the message protocol spoken between the real
-// TCP deployment binaries (croesus-client, croesus-edge, croesus-cloud).
+// Package wire defines the message protocol spoken between the processes
+// of the real TCP deployment (croesus client, edge and cloud).
 // Every connection carries a stream of Envelopes; the Kind field selects
 // the payload, keeping decoding trivial and version drift visible. The
 // framing and per-kind encoding live in codec.go: one length-prefixed
@@ -102,7 +102,7 @@ type CloudResponse struct {
 }
 
 // Control is one orchestrator command on a node's control channel
-// (croesus-fleet → croesus-edge/-cloud/-client). Op selects the command;
+// (croesus fleet → croesus edge/cloud/client). Op selects the command;
 // the remaining fields are its operands — unused ones stay zero. The
 // defined ops:
 //
