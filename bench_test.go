@@ -17,8 +17,10 @@ import (
 	"croesus/internal/experiments"
 	"croesus/internal/lock"
 	"croesus/internal/metrics"
+	"croesus/internal/node"
 	"croesus/internal/store"
 	"croesus/internal/threshold"
+	"croesus/internal/twopc"
 	"croesus/internal/txn"
 	"croesus/internal/vclock"
 	"croesus/internal/video"
@@ -167,11 +169,11 @@ func BenchmarkLockAcquireRelease(b *testing.B) {
 	}
 }
 
-// benchTxn runs one two-section transaction through a CC on a real clock.
-func benchTxn(b *testing.B, mk func(m *txn.Manager) txn.CC) {
-	clk := vclock.NewReal()
-	m := txn.NewManager(clk, store.New(), lock.NewManager(clk))
-	cc := mk(m)
+// benchTxn runs one two-section transaction through an edge's CC under p
+// on a real clock.
+func benchTxn(b *testing.B, p twopc.Protocol) {
+	asm := node.New(vclock.NewReal(), p)
+	m, cc := asm.Mgr, asm.CC
 	body := &txn.Txn{
 		Name:      "bench",
 		InitialRW: txn.RWSet{Writes: []string{"a", "b", "c"}},
@@ -201,11 +203,11 @@ func benchTxn(b *testing.B, mk func(m *txn.Manager) txn.CC) {
 }
 
 func BenchmarkMSIATransaction(b *testing.B) {
-	benchTxn(b, func(m *txn.Manager) txn.CC { return &txn.MSIA{M: m} })
+	benchTxn(b, twopc.MSIA)
 }
 
 func BenchmarkMSSRTransaction(b *testing.B) {
-	benchTxn(b, func(m *txn.Manager) txn.CC { return &txn.MSSR{M: m, Policy: txn.Wait} })
+	benchTxn(b, twopc.MSSR)
 }
 
 func BenchmarkSequencerWaves(b *testing.B) {
@@ -246,7 +248,7 @@ func BenchmarkPipelineVideo(b *testing.B) {
 			CloudModel: YOLOv3Sim(YOLO416, 42),
 			ThetaL:     0.4, ThetaU: 0.62,
 			Source: NewWorkloadSource(1000, 7),
-			CC:     &txn.MSIA{M: sys.Manager},
+			CC:     sys.MSIA(),
 			Mgr:    sys.Manager,
 		})
 		if err != nil {

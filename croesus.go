@@ -166,19 +166,19 @@ type System struct {
 	Store   *Store
 	Locks   *LockManager
 	Manager *TxnManager
+
+	cc CC
 }
 
-// NewSystem builds a store, lock manager, and transaction manager on clk.
+// NewSystem builds a store, lock manager, transaction manager and MS-IA
+// concurrency control on clk.
 func NewSystem(clk Clock) *System {
 	a := node.New(clk, twopc.MSIA)
-	return &System{Clock: clk, Store: a.Store, Locks: a.Locks, Manager: a.Mgr}
+	return &System{Clock: clk, Store: a.Store, Locks: a.Locks, Manager: a.Mgr, cc: a.CC}
 }
 
 // MSIA returns the invariant-confluence protocol bound to this system.
-func (s *System) MSIA() CC { return &txn.MSIA{M: s.Manager} }
-
-// MSSRWait returns MS-SR with blocking (wait-die) acquisition.
-func (s *System) MSSRWait() CC { return &txn.MSSR{M: s.Manager, Policy: txn.Wait} }
+func (s *System) MSIA() CC { return s.cc }
 
 // ---------------------------------------------------------------------------
 // Network

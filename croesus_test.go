@@ -8,6 +8,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"croesus/internal/node"
+	"croesus/internal/twopc"
 )
 
 func TestFacadePipelineEndToEnd(t *testing.T) {
@@ -58,8 +61,8 @@ func TestFacadePipelineEndToEnd(t *testing.T) {
 
 func TestFacadeMultiStageTxn(t *testing.T) {
 	clk := NewSimClock()
-	sys := NewSystem(clk)
-	cc := sys.MSSRWait()
+	sys := node.New(clk, twopc.MSSR)
+	cc := sys.CC
 	sys.Store.Put("k", Value("v0"))
 
 	tx := &Txn{
@@ -77,7 +80,7 @@ func TestFacadeMultiStageTxn(t *testing.T) {
 			return nil
 		},
 	}
-	inst := sys.Manager.NewInstance(tx, nil)
+	inst := sys.Mgr.NewInstance(tx, nil)
 	clk.Run(func() {
 		if err := cc.RunInitial(inst); err != nil {
 			t.Errorf("initial: %v", err)

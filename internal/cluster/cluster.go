@@ -93,9 +93,9 @@ type EdgeNode struct {
 	// Partition is this edge's shard of the fleet keyspace (sharded
 	// fleets only); it wraps Store and Locks.
 	Partition *twopc.Partition
-	// CC is the concurrency-control protocol this edge's cameras run
-	// their transactions under.
-	CC txn.CC
+	// CC is the concurrency control this edge's cameras run their
+	// transactions under.
+	CC *twopc.ShardedCC
 	// ClientEdge and EdgeCloud are this edge's network paths, provisioned
 	// by the fleet's transport (netsim links on the fleet clock);
 	// Peers[i] is the one-way path to edge i (nil for itself), carrying
@@ -726,7 +726,7 @@ func (c *Cluster) provisionShards() error {
 	}
 	c.injector = inj
 	for _, e := range c.edges {
-		e.CC.(*twopc.ShardedCC).Faults = inj
+		e.CC.Faults = inj
 	}
 	return nil
 }

@@ -10,15 +10,9 @@ import (
 	"croesus/internal/detect"
 	"croesus/internal/node"
 	"croesus/internal/twopc"
-	"croesus/internal/txn"
 	"croesus/internal/vclock"
 	"croesus/internal/video"
 )
-
-// newTestManager builds a standalone edge's transaction manager.
-func newTestManager(clk vclock.Clock) *txn.Manager {
-	return node.New(clk, twopc.MSIA).Mgr
-}
 
 // fourCamTwoEdge is the canonical test fleet: four cameras with distinct
 // profiles and seeds over two edges.
@@ -169,7 +163,7 @@ func singlePipelineF1(t *testing.T, cs CameraSpec) float64 {
 	clk := vclock.NewSim()
 	frames := video.NewGenerator(cs.Profile, cs.Seed).Generate(cs.Frames)
 	cloud := detect.YOLOv3Sim(detect.YOLO416, 42)
-	mgr := newTestManager(clk)
+	asm := node.New(clk, twopc.MSIA)
 	p, err := core.New(core.Config{
 		Clock:      clk,
 		Mode:       core.ModeCroesus,
@@ -178,8 +172,8 @@ func singlePipelineF1(t *testing.T, cs CameraSpec) float64 {
 		ThetaL:     0.40,
 		ThetaU:     0.62,
 		Source:     core.NewWorkloadSource(1000, cs.Seed),
-		CC:         &txn.MSIA{M: mgr},
-		Mgr:        mgr,
+		CC:         asm.CC,
+		Mgr:        asm.Mgr,
 	})
 	if err != nil {
 		t.Fatal(err)

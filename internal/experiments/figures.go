@@ -286,9 +286,7 @@ func runHotspotBatches(o Opts, keyRange int, p twopc.Protocol, policy txn.Policy
 	const nBatches, batchSize, opsPerTxn = 3, 50, 5
 	clk := vclock.NewSim()
 	asm := node.New(clk, p)
-	if sr, ok := asm.CC.(*txn.MSSR); ok {
-		sr.Policy = policy
-	}
+	asm.CC.Policy = policy
 	mgr, cc := asm.Mgr, asm.CC
 	rng := randsrc.New(o.Seed)
 	res := hotspotBatchResult{}

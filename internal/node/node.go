@@ -1,11 +1,13 @@
 // Package node is the one place a Croesus data stack is assembled: the
 // store, lock table, transaction manager and concurrency control every edge
-// runs, whatever delivers its frames (§4). New builds a standalone edge —
-// internal/cluster's unsharded edges, internal/tcpnet's edge servers, the
-// experiments and the public facade all take it. NewFleet builds the
-// sharded stack of §4.5: partitions under one fleet-wide manager, each
-// edge committing through its own twopc.ShardedCC (Fleet.CC). A durable
-// edge (croesus edge -wal) is a fleet of one partition (NewDurable).
+// runs, whatever delivers its frames (§4). Every edge commits through a
+// twopc.ShardedCC, under either protocol. New builds a standalone edge, a
+// fleet of one link-less partition — internal/cluster's unsharded edges,
+// internal/tcpnet's edge servers, the experiments and the public facade
+// all take it. NewDurable is New whose partition logs to a write-ahead
+// log (croesus edge -wal). NewFleet builds the sharded stack of §4.5:
+// partitions under one fleet-wide manager, each edge committing through its
+// own ShardedCC (Fleet.CC).
 package node
 
 import (
@@ -34,70 +36,63 @@ func ParseProtocol(s string) (twopc.Protocol, error) {
 }
 
 // Assembly is one edge node's data stack: its store, lock manager,
-// transaction manager, and the protocol's concurrency control. A
-// standalone edge (New) runs txn.MSIA or txn.MSSR over a private manager; a
-// durable one (NewDurable) commits through a one-partition Fleet's manager
-// and ShardedCC over the same Store and Locks.
+// transaction manager, and the protocol's concurrency control. Every node
+// is a Fleet of one link-less partition whose ShardedCC commits both
+// protocols (New); a durable one also logs that partition (NewDurable).
 type Assembly struct {
 	Store *store.Store
 	Locks *lock.Manager
 	Mgr   *txn.Manager
-	CC    txn.CC
+	CC    *twopc.ShardedCC
 	// Part is a durable node's one partition, which owns the write-ahead
 	// log; nil on a volatile node (see NewDurable).
 	Part *twopc.Partition
 
-	p     twopc.Protocol
-	fleet *Fleet // a durable node's one-partition fleet
+	fleet *Fleet // the node's one-partition fleet
 }
 
-// New assembles a fresh standalone edge node on clk: a store, a lock
-// manager, a manager over them, and p's concurrency control (MS-SR
-// acquires with wait-die).
+// New assembles a fresh standalone edge node on clk: a Fleet of one
+// partition, its store and lock manager, the fleet's manager over them,
+// and a link-less ShardedCC under protocol p (MS-SR acquires with
+// wait-die; set CC.Policy for no-wait).
 func New(clk vclock.Clock, p twopc.Protocol) *Assembly {
-	st, locks := store.New(), lock.NewManager(clk)
-	mgr := txn.NewManager(clk, st, locks)
-	var cc txn.CC = &txn.MSIA{M: mgr}
-	if p == twopc.MSSR {
-		cc = &txn.MSSR{M: mgr, Policy: txn.Wait}
-	}
-	return &Assembly{Store: st, Locks: locks, Mgr: mgr, CC: cc, p: p}
-}
-
-// NewDurable assembles a fresh edge node whose writes survive a crash: a
-// Fleet of one partition logging to the write-ahead log at walPath, whose
-// commits take a simulated durable partition's path. Its link-less
-// ShardedCC logs each section boundary as its redo records plus a commit
-// marker, in one batch — MS-IA at every boundary, MS-SR once, at the last;
-// only retraction restores and aborted sections' undo journal write by
-// write (Fleet.Journal). An existing log is replayed into the store first;
-// the replay is returned for its record count and torn-tail flag. noSync
-// skips the fsync per batch.
-func NewDurable(clk vclock.Clock, p twopc.Protocol, walPath string, noSync bool) (*Assembly, *wal.RecoverResult, error) {
 	f := NewFleet(clk, 1, func(string) int { return 0 }, nil, p)
 	part := f.Parts[0]
+	// Readers of the edge's manager see the partition's store and locks.
+	f.Mgr.Store, f.Mgr.Locks = part.Store, part.Locks
+	cc := f.CC(0, make([]transport.Path, 1)) // the partition is local
+	return &Assembly{Store: part.Store, Locks: part.Locks, Mgr: f.Mgr, CC: cc, fleet: f}
+}
+
+// NewDurable assembles a fresh edge node whose writes survive a crash: New's
+// node, whose partition logs to the write-ahead log at walPath, so its
+// commits take a simulated durable partition's path. Its ShardedCC logs
+// each section boundary as its redo records plus a commit marker, in one
+// batch — MS-IA at every boundary, MS-SR once, at the last; only
+// retraction restores and aborted sections' undo journal write by write
+// (Fleet.Journal). An existing log is replayed into the store first; the
+// replay is returned for its record count and torn-tail flag. noSync skips
+// the fsync per batch.
+func NewDurable(clk vclock.Clock, p twopc.Protocol, walPath string, noSync bool) (*Assembly, *wal.RecoverResult, error) {
+	a := New(clk, p)
+	part := a.fleet.Parts[0]
 	res, err := part.OpenWAL(walPath, noSync)
 	if err != nil {
 		return nil, nil, err
 	}
-	f.Journal()
-	// Readers of the edge's manager see the partition's store and locks.
-	f.Mgr.Store, f.Mgr.Locks = part.Store, part.Locks
-	cc := f.CC(0, make([]transport.Path, 1)) // the partition is local
-	return &Assembly{Store: part.Store, Locks: part.Locks, Mgr: f.Mgr, CC: cc, Part: part, p: p, fleet: f}, res, nil
+	a.fleet.Journal()
+	a.Part = part
+	return a, res, nil
 }
 
-// Observe binds the node to o under edge's tags. A standalone node sends
-// its retraction spans to o's tracer; a durable one binds what a simulated
-// durable partition does (Fleet.Observe): its 2PC counters, WAL appends,
-// and retraction and lock-wait spans.
+// Observe binds the node to o under edge's tags, as the simulator binds a
+// partition of its fleet (Fleet.Observe): its 2PC counters, WAL appends,
+// and retraction and lock-wait spans. The manager serves this edge alone,
+// so its retraction spans carry the edge's tag as the CC's spans do.
 func (a *Assembly) Observe(o *obs.Obs, edge string) {
-	if a.fleet == nil {
-		a.Mgr.Tracer, a.Mgr.TraceTags = o.Tracer(), obs.Tags("edge", edge, "protocol", a.p.String())
-		return
-	}
 	a.fleet.Observe(o, []string{edge})
-	a.fleet.observeCC(a.CC.(*twopc.ShardedCC))
+	a.fleet.observeCC(a.CC)
+	a.Mgr.TraceTags = a.CC.Tags
 }
 
 // Fleet is the sharded data stack of §4.5: partitions, each over its own

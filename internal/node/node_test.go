@@ -44,35 +44,37 @@ func TestParseProtocol(t *testing.T) {
 	}
 }
 
-// TestNewBindsStack checks that New wires the protocol's CC and a manager
-// over exactly the assembly's store and lock manager, fresh per call.
+// TestNewBindsStack checks that New builds a one-partition, link-less fleet:
+// the manager writes through the fleet's store to the partition's store and
+// locks, which are the assembly's, and the CC is a ShardedCC under the
+// protocol, wait-die for MS-SR, over that manager and partition. Two calls
+// share nothing, and neither has a durable partition.
 func TestNewBindsStack(t *testing.T) {
 	clk := vclock.NewSim()
-
-	sr := New(clk, twopc.MSSR)
-	if sr.Store == nil || sr.Locks == nil || sr.Mgr.Store != sr.Store || sr.Mgr.Locks != sr.Locks || sr.Mgr.DB != nil {
-		t.Fatal("MS-SR assembly's manager is not over its own store and locks")
-	}
-	cc, ok := sr.CC.(*txn.MSSR)
-	if !ok {
-		t.Fatalf("MS-SR assembly CC = %T, want *txn.MSSR", sr.CC)
-	}
-	if cc.Policy != txn.Wait || cc.M != sr.Mgr {
-		t.Errorf("MS-SR CC = {Policy: %v, M bound: %v}, want wait-die over the assembly's manager", cc.Policy, cc.M == sr.Mgr)
-	}
-
-	ia := New(clk, twopc.MSIA)
-	if ia.Mgr.Store != ia.Store || ia.Mgr.Locks != ia.Locks {
-		t.Fatal("MS-IA assembly's manager is not over its own store and locks")
-	}
-	if ia.Store == sr.Store || ia.Locks == sr.Locks || ia.Mgr == sr.Mgr {
-		t.Error("two assemblies share a store, lock manager or manager")
-	}
-	if cc, ok := ia.CC.(*txn.MSIA); !ok || cc.M != ia.Mgr {
-		t.Fatalf("MS-IA assembly CC = %T, want *txn.MSIA over the assembly's manager", ia.CC)
-	}
-	if sr.Part != nil || ia.Part != nil {
-		t.Error("a volatile assembly has a partition")
+	var prev *Assembly
+	for _, p := range protocols {
+		asm := New(clk, p)
+		if asm.Store == nil || asm.Locks == nil || asm.Mgr.Store != asm.Store || asm.Mgr.Locks != asm.Locks {
+			t.Fatalf("%v: the manager is not over the assembly's store and locks", p)
+		}
+		db, ok := asm.Mgr.DB.(*twopc.ShardedStore)
+		if !ok || len(db.Parts) != 1 || db.Parts[0].Store != asm.Store || db.Parts[0].Locks != asm.Locks {
+			t.Fatalf("%v: Mgr.DB = %T, want a *twopc.ShardedStore over one partition holding the assembly's store and locks", p, asm.Mgr.DB)
+		}
+		if asm.Mgr.RestoreDB != nil {
+			t.Errorf("%v: a volatile node journals its restores", p)
+		}
+		cc := asm.CC
+		if cc.M != asm.Mgr || cc.Protocol != p || cc.Policy != txn.Wait || len(cc.Parts) != 1 || cc.Parts[0] != db.Parts[0] || len(cc.Links) != 1 || cc.Links[0] != nil {
+			t.Errorf("%v: CC is not a link-less wait-die %v ShardedCC over the one partition", p, p)
+		}
+		if asm.Part != nil || db.Parts[0].Durable() {
+			t.Errorf("%v: a volatile assembly has a durable partition", p)
+		}
+		if prev != nil && (asm.Store == prev.Store || asm.Locks == prev.Locks || asm.Mgr == prev.Mgr || asm.CC == prev.CC) {
+			t.Error("two assemblies share a store, lock manager, manager or CC")
+		}
+		prev = asm
 	}
 }
 
@@ -190,11 +192,7 @@ func TestNewDurableBindsStack(t *testing.T) {
 		if _, ok := asm.Mgr.RestoreDB.(twopc.JournaledShardedStore); !ok {
 			t.Errorf("%v: Mgr.RestoreDB = %T, want twopc.JournaledShardedStore", p, asm.Mgr.RestoreDB)
 		}
-		cc, ok := asm.CC.(*twopc.ShardedCC)
-		if !ok {
-			t.Fatalf("%v: CC = %T, want *twopc.ShardedCC", p, asm.CC)
-		}
-		if cc.M != asm.Mgr || cc.Protocol != p || len(cc.Parts) != 1 || cc.Parts[0] != asm.Part || len(cc.Links) != 1 || cc.Links[0] != nil {
+		if cc := asm.CC; cc.M != asm.Mgr || cc.Protocol != p || len(cc.Parts) != 1 || cc.Parts[0] != asm.Part || len(cc.Links) != 1 || cc.Links[0] != nil {
 			t.Errorf("%v: CC is not a link-less %v ShardedCC over the one partition", p, p)
 		}
 	}

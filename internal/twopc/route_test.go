@@ -59,7 +59,7 @@ func TestPlanSortsAndMerges(t *testing.T) {
 		{Key: k0, Mode: lock.Shared},
 		{Key: k1a, Mode: lock.Exclusive},
 		{Key: k1b, Mode: lock.Exclusive},
-	}, nil)
+	}, nil, nil)
 	want := route{
 		{part: 0, reqs: []lock.Request{{Key: ShardIntentKey(0), Mode: lock.Shared}, {Key: k0, Mode: lock.Shared}}},
 		{part: 1, reqs: []lock.Request{{Key: ShardIntentKey(1), Mode: lock.Shared}, {Key: k1a, Mode: lock.Exclusive}, {Key: k1b, Mode: lock.Exclusive}, {Key: k1c, Mode: lock.Shared}}},

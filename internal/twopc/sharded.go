@@ -2,13 +2,15 @@
 // pipeline-facing txn.CC seam. Each edge node of a cluster hosts one
 // Partition of a single fleet-wide database; a per-edge ShardedCC routes
 // every triggered transaction's declared RW-set through the owning
-// partitions — local keys run exactly as on a standalone edge, cross-edge
+// partitions — local keys take no hop and no 2PC round, cross-edge
 // keys acquire remote locks over the inter-edge links in global partition
 // order and commit with a two-phase commit at the section boundaries the
 // multi-stage protocol dictates (MS-IA at both commits, MS-SR once at the
 // final commit). Undo logging, dependency tracking, and retraction cascades
 // live in the one fleet-wide txn.Manager, so a retraction started on one
-// edge undoes dependent writes on every other edge it reached.
+// edge undoes dependent writes on every other edge it reached. A standalone
+// edge is a fleet of one link-less partition (internal/node), so ShardedCC
+// is every edge's concurrency control, for both protocols.
 //
 // When the fleet is durable (partitions carry WALs) and a FaultOracle is
 // installed, the protocol additionally survives fail-stop crashes: every
@@ -22,6 +24,7 @@ package twopc
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -261,7 +264,12 @@ type ShardedCC struct {
 	// touches while it waited.
 	Map      *ShardMap
 	Protocol Protocol
-	Stats    *DistStats
+	// Policy is how MS-SR acquires: wait-die over every section's locks up
+	// front (txn.Wait, the default), or Algorithm 1's no-wait
+	// try-acquisition, which aborts on any conflict (txn.NoWait). MS-IA
+	// ignores it.
+	Policy txn.Policy
+	Stats  *DistStats
 	// Faults, when set, injects scripted failures and supplies the
 	// liveness/epoch oracle the protocol consults before trusting a
 	// partition (nil: fault-free fleet).
@@ -303,12 +311,36 @@ type batch struct {
 
 func exclusive(r lock.Request) bool { return r.Mode == lock.Exclusive }
 
+// has reports whether any batch of rt requests key.
+func (rt route) has(key string) bool {
+	for _, b := range rt {
+		for _, r := range b.reqs {
+			if r.Key == key {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// merge returns rt with more's batches added; a partition in both routes
+// keeps rt's (the earlier) crash epoch and the union of their requests.
+func (rt route) merge(more route) route {
+	out := slices.Clone(rt)
+	for _, b := range more {
+		i, ok := slices.BinarySearchFunc(out, b.part, func(x batch, part int) int { return x.part - part })
+		if ok {
+			out[i].reqs = lock.NormalizeInPlace(slices.Concat(out[i].reqs, b.reqs))
+		} else {
+			out = slices.Insert(out, i, b)
+		}
+	}
+	return out
+}
+
 // maxMapRetries bounds how many times one transaction re-plans after waking
 // into a moved shard map before giving up with a plain abort.
 const maxMapRetries = 4
-
-// Name returns the protocol name, e.g. "sharded-MS-IA".
-func (c *ShardedCC) Name() string { return "sharded-" + c.Protocol.String() }
 
 // hopTo pays one one-way message delay to the edge hosting partition pi.
 func (c *ShardedCC) hopTo(pi int) {
@@ -380,8 +412,10 @@ func (c *ShardedCC) mapEpoch() int64 {
 // partition, which keeps each batch in key order. The route's batches are
 // appended to buf[:0], so a caller whose route does not outlive it can keep
 // them on its stack. reqs is only read: a template's cached requests are
-// never appended to.
-func (c *ShardedCC) plan(reqs []lock.Request, buf route) route {
+// never appended to. held is a route whose locks the transaction already
+// holds: its shard intents are not requested again (a second grant of a
+// held lock would be released with the new batch).
+func (c *ShardedCC) plan(reqs []lock.Request, held, buf route) route {
 	if b, ok := c.onePart(reqs); ok {
 		return append(buf[:0], b)
 	}
@@ -398,7 +432,9 @@ func (c *ShardedCC) plan(reqs []lock.Request, buf route) route {
 		// drops any that remain.
 		if s, ok := workload.ShardOf(r.Key); ok && s != prev {
 			prev = s
-			all = append(all, lock.Request{Key: c.Map.intentKey(s), Mode: lock.Shared})
+			if k := c.Map.intentKey(s); !held.has(k) {
+				all = append(all, lock.Request{Key: k, Mode: lock.Shared})
+			}
 		}
 	}
 	all = lock.NormalizeInPlace(all)
@@ -487,7 +523,8 @@ func (c *ShardedCC) routeStale(epoch int64, rt route) bool {
 // only release later. Wait-die breaks that: at each partition the
 // transaction may wait only while older than every holder, otherwise it
 // dies (ok and fault both false). Fleet-wide monotonic IDs make the age
-// comparison valid across edges.
+// comparison valid across edges. Under the no-wait policy MS-SR never
+// waits: a conflict on any partition fails the acquisition the same way.
 func (c *ShardedCC) acquire(owner lock.Owner, rt route) (ok, fault bool) {
 	for i, b := range rt {
 		if !c.reachable(b.part) {
@@ -497,10 +534,13 @@ func (c *ShardedCC) acquire(owner lock.Owner, rt route) (ok, fault bool) {
 		locks := c.Parts[b.part].Locks
 		c.hopTo(b.part)
 		granted := true
-		if c.Protocol == MSSR {
-			granted = locks.AcquireAllWaitDie(owner, b.reqs)
-		} else {
+		switch {
+		case c.Protocol == MSIA:
 			locks.AcquireAll(owner, b.reqs)
+		case c.Policy == txn.NoWait:
+			granted = locks.TryAcquireAll(owner, b.reqs)
+		default:
+			granted = locks.AcquireAllWaitDie(owner, b.reqs)
 		}
 		c.hopTo(b.part)
 		if c.Links[b.part] != nil {
@@ -686,7 +726,7 @@ func (c *ShardedCC) abortTxn(in *txn.Instance, reason string) {
 // the route the locks were granted under and — on failure — whether the
 // failure was a fault (unreachable partition) rather than a wait-die death
 // or map churn.
-func (c *ShardedCC) acquireRouted(owner lock.Owner, reqs []lock.Request, buf route) (rt route, ok, fault bool) {
+func (c *ShardedCC) acquireRouted(owner lock.Owner, reqs []lock.Request, held, buf route) (rt route, ok, fault bool) {
 	for attempt := 0; ; attempt++ {
 		mapEpoch := c.mapEpoch()
 		// Planning snapshots crash epochs BEFORE acquisition: a partition
@@ -694,7 +734,7 @@ func (c *ShardedCC) acquireRouted(owner lock.Owner, reqs []lock.Request, buf rou
 		// a contended lock must still be detected (its lock table and any
 		// state the wait spanned died with it), so the checks downstream
 		// compare against the pre-wait world.
-		rt = c.plan(reqs, buf)
+		rt = c.plan(reqs, held, buf)
 		if ok, fault = c.acquire(owner, rt); !ok {
 			return rt, false, fault
 		}
@@ -711,9 +751,9 @@ func (c *ShardedCC) acquireRouted(owner lock.Owner, reqs []lock.Request, buf rou
 
 // timedAcquire wraps acquireRouted, charging the wait to the instance's
 // breakdown accumulator and emitting a lock.wait (or lock.abort) span.
-func (c *ShardedCC) timedAcquire(in *txn.Instance, owner lock.Owner, reqs []lock.Request, buf route) (rt route, ok, fault bool) {
+func (c *ShardedCC) timedAcquire(in *txn.Instance, owner lock.Owner, reqs []lock.Request, held, buf route) (rt route, ok, fault bool) {
 	t0 := c.Clk.Now()
-	rt, ok, fault = c.acquireRouted(owner, reqs, buf)
+	rt, ok, fault = c.acquireRouted(owner, reqs, held, buf)
 	t1 := c.Clk.Now()
 	in.AddLockWait(t1 - t0)
 	if t1 > t0 {
@@ -771,45 +811,44 @@ func (c *ShardedCC) RunSection(in *txn.Instance, k int) error {
 // runFirstSection is section 0 on the fleet: acquire (everything for
 // MS-SR, the section's own set for MS-IA), execute, commit the boundary —
 // deferred for an MS-SR transaction with later sections, immediate
-// otherwise.
+// otherwise. Under the no-wait policy MS-SR follows Algorithm 1 literally:
+// it takes the later sections' other keys after the body and before the
+// commit, and any conflict aborts the transaction.
 func (c *ShardedCC) runFirstSection(in *txn.Instance, last int) error {
 	if s := in.State(); s != txn.StatePending {
 		return fmt.Errorf("txn %d: RunInitial in state %s", in.ID, s)
 	}
 	owner := lock.Owner(in.ID)
-	var reqs []lock.Request
-	if c.Protocol == MSSR {
-		reqs = in.T.AllRequests()
-	} else {
-		reqs = in.T.SectionAt(0).RW.Requests()
-	}
+	reqs, extra := c.firstRequests(in.T)
 	var buf [4]batch
-	rt, ok, fault := c.timedAcquire(in, owner, reqs, buf[:0])
+	rt, ok, fault := c.timedAcquire(in, owner, reqs, nil, buf[:0])
 	if !ok {
-		c.M.MarkAborted(in)
-		c.Stats.add(func(d *DistCounters) { d.Aborts++ })
-		if fault {
-			c.noteFault()
-		}
+		c.abortFirst(in, owner, nil, fault)
 		return txn.ErrAborted
 	}
 	if c.epochsBroken(rt) {
 		// A partition crashed while we waited for its locks: nothing was
 		// written yet, so this is a plain abort, not a retraction.
-		c.release(owner, rt)
-		c.M.MarkAborted(in)
-		c.Stats.add(func(d *DistCounters) { d.Aborts++ })
-		c.noteFault()
+		c.abortFirst(in, owner, rt, true)
 		return txn.ErrAborted
 	}
 
 	if err := c.M.ExecSection(in, txn.StageInitial); err != nil {
 		// The writes never reach a commit round (or the log): undo them
 		// under the locks that hid them.
-		c.M.MarkAborted(in)
-		c.release(owner, rt)
-		c.Stats.add(func(d *DistCounters) { d.Aborts++ })
+		c.abortFirst(in, owner, rt, false)
 		return err
+	}
+	if len(extra) > 0 {
+		// Algorithm 1: every later section's locks are taken before the
+		// first commit, so the remaining sections are sure to commit.
+		var xbuf [4]batch
+		xrt, ok, fault := c.timedAcquire(in, owner, extra, rt, xbuf[:0])
+		if !ok {
+			c.abortFirst(in, owner, rt, fault)
+			return txn.ErrAborted
+		}
+		rt = rt.merge(xrt)
 	}
 
 	if c.Protocol == MSSR && last > 0 {
@@ -822,7 +861,7 @@ func (c *ShardedCC) runFirstSection(in *txn.Instance, last int) error {
 		}
 		c.held[in.ID] = held
 		c.mu.Unlock()
-		c.M.MarkInitialCommitted(in)
+		c.M.MarkSectionCommitted(in, 0)
 		return nil
 	}
 	// The route's write set is the section's (single-section MS-SR: every
@@ -842,6 +881,43 @@ func (c *ShardedCC) runFirstSection(in *txn.Instance, last int) error {
 	return nil
 }
 
+// firstRequests returns the locks section 0 takes before its body and the
+// ones it adds after it. MS-IA takes its own set; MS-SR every section's, at
+// once under wait-die, or under no-wait section 0's keys first (each in the
+// strongest mode any section takes it) and then every other key.
+func (c *ShardedCC) firstRequests(t *txn.Txn) (first, extra []lock.Request) {
+	if c.Protocol == MSIA {
+		return t.SectionAt(0).RW.Requests(), nil
+	}
+	all := t.AllRequests()
+	if c.Policy == txn.Wait {
+		return all, nil
+	}
+	own := t.SectionAt(0).RW.Requests()
+	for _, r := range all {
+		if _, ok := slices.BinarySearchFunc(own, r.Key, byKey); ok {
+			first = append(first, r)
+		} else {
+			extra = append(extra, r)
+		}
+	}
+	return first, extra
+}
+
+func byKey(r lock.Request, key string) int { return strings.Compare(r.Key, key) }
+
+// abortFirst aborts a transaction in its first section: its writes are
+// undone under the locks rt holds, which are then released, and the abort
+// is counted, as a fault when one caused it.
+func (c *ShardedCC) abortFirst(in *txn.Instance, owner lock.Owner, rt route, fault bool) {
+	c.M.MarkAborted(in)
+	c.release(owner, rt)
+	c.Stats.add(func(d *DistCounters) { d.Aborts++ })
+	if fault {
+		c.noteFault()
+	}
+}
+
 // RunFinal implements txn.CC: final section, concluding atomic commitment,
 // release of every remaining lock. A transaction that lost a partition to a
 // crash between its commits is retracted — never half-committed — and the
@@ -856,7 +932,11 @@ func (c *ShardedCC) RunFinal(in *txn.Instance) error { return c.RunSection(in, i
 func (c *ShardedCC) runHeldSection(in *txn.Instance, k, last int) error {
 	owner := lock.Owner(in.ID)
 	switch s := in.State(); s {
-	case txn.StateInitialCommitted, txn.StateRetracted:
+	case txn.StateInitialCommitted:
+		if err := in.CheckOrder(k); err != nil {
+			return err
+		}
+	case txn.StateRetracted:
 	default:
 		return fmt.Errorf("txn %d: RunSection(%d) in state %s", in.ID, k, s)
 	}
@@ -890,8 +970,9 @@ func (c *ShardedCC) runHeldSection(in *txn.Instance, k, last int) error {
 		return txn.ErrRetracted
 	}
 	// A body error does not stop the boundary from committing (the
-	// multi-stage contract, as in txn.MSSR), so the commit round runs and
-	// logs whatever the sections wrote.
+	// multi-stage contract: an initially committed transaction commits
+	// every later boundary), so the commit round runs and logs whatever the
+	// sections wrote.
 	err := c.M.ExecSection(in, txn.Stage(k))
 	if k == last {
 		// One 2PC covers every section's writes (Algorithm 1): the held
@@ -924,6 +1005,9 @@ func (c *ShardedCC) runOwnSection(in *txn.Instance, k, last int) error {
 	owner := lock.Owner(in.ID)
 	switch s := in.State(); s {
 	case txn.StateInitialCommitted:
+		if err := in.CheckOrder(k); err != nil {
+			return err
+		}
 	case txn.StateRetracted:
 		return txn.ErrRetracted
 	default:
@@ -934,7 +1018,7 @@ func (c *ShardedCC) runOwnSection(in *txn.Instance, k, last int) error {
 		secName = fmt.Sprintf("section %d", k)
 	}
 	var buf [4]batch
-	rt, ok, _ := c.timedAcquire(in, owner, in.T.SectionAt(k).RW.Requests(), buf[:0])
+	rt, ok, _ := c.timedAcquire(in, owner, in.T.SectionAt(k).RW.Requests(), nil, buf[:0])
 	if !ok {
 		// The section cannot reach its partitions (or the shard map
 		// churned past the retry budget); the multi-stage guarantee
@@ -948,8 +1032,8 @@ func (c *ShardedCC) runOwnSection(in *txn.Instance, k, last int) error {
 		c.release(owner, rt)
 		return txn.ErrRetracted
 	}
-	// The boundary commits even when the body errs (as in txn.MSIA), so
-	// the commit round logs what the body wrote.
+	// The boundary commits even when the body errs (the multi-stage
+	// contract), so the commit round logs what the body wrote.
 	err := c.M.ExecSection(in, txn.Stage(k))
 	if cerr := c.timedCommit(in, uint8(k), rt); cerr != nil {
 		c.abortTxn(in, "commit of "+secName+" interrupted by edge failure")

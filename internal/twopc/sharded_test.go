@@ -256,6 +256,80 @@ func TestLocksReleasedAfterAbort(t *testing.T) {
 	}
 }
 
+// Under the no-wait policy an MS-SR conflict on the remote partition of a
+// two-partition route aborts the transaction, whether the key is in section
+// 0's set or only a later section's (taken after the body, before the
+// commit). Either abort is counted once, undoes the body's local write and
+// leaves no lock on either partition; once the conflict is gone the same
+// transaction commits both partitions in one round.
+func TestMSSRNoWaitAbortsOnRemoteConflict(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		initial, final txn.RWSet
+	}{
+		{"initial set", txn.RWSet{Writes: []string{"0a", "1x"}}, txn.RWSet{Reads: []string{"0a"}}},
+		{"later section", txn.RWSet{Writes: []string{"0a"}}, txn.RWSet{Writes: []string{"1x"}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clk := vclock.NewSim()
+			cc, parts := testFleet(clk)
+			parts = parts[:2]
+			cc.Parts, cc.Links = parts, cc.Links[:2]
+			cc.Protocol, cc.Policy = MSSR, txn.NoWait
+			victim := &txn.Txn{
+				Name:      "victim",
+				InitialRW: tc.initial,
+				FinalRW:   tc.final,
+				Initial: func(c *txn.Ctx) error {
+					c.Put("0a", store.Int64Value(1))
+					return nil
+				},
+				Final: func(c *txn.Ctx) error {
+					c.Put("1x", store.Int64Value(2))
+					return nil
+				},
+			}
+			const blocker = lock.Owner(1 << 62)
+			if !parts[1].Locks.TryAcquire(blocker, "1x", lock.Exclusive) {
+				t.Fatal("blocker could not lock 1x")
+			}
+			in := cc.M.NewInstance(victim, nil)
+			clk.Run(func() {
+				if err := cc.RunInitial(in); !errors.Is(err, txn.ErrAborted) {
+					t.Errorf("RunInitial = %v, want ErrAborted", err)
+				}
+			})
+			parts[1].Locks.Release(blocker, "1x")
+			if in.State() != txn.StateAborted {
+				t.Errorf("state = %v, want aborted", in.State())
+			}
+			if _, ok := parts[0].Store.Get("0a"); ok {
+				t.Error("the aborted body's local write survived")
+			}
+			if got, want := cc.Stats.Snapshot().Aborts, int64(1); got != want {
+				t.Errorf("2PC aborts = %d, want %d", got, want)
+			}
+			if got := cc.M.Stats().Aborts; got != 1 {
+				t.Errorf("manager aborts = %d, want 1", got)
+			}
+			wantLocksFree(t, parts)
+
+			if tc.final.Writes == nil {
+				victim.Final = func(*txn.Ctx) error { return nil }
+			}
+			clk.Run(func() {
+				if err := runBoth(cc, victim); err != nil {
+					t.Errorf("retry without the conflict: %v", err)
+				}
+			})
+			if st := cc.Stats.Snapshot(); st.CrossEdgeCommits != 1 || st.TwoPCRounds != 1 {
+				t.Errorf("retry ran %d cross-edge commits in %d rounds, want one of each", st.CrossEdgeCommits, st.TwoPCRounds)
+			}
+			wantLocksFree(t, parts)
+		})
+	}
+}
+
 // A read-only transaction locks its key remotely (request, grant, release per
 // acquisition) and pays nothing else: no round, no prepare, no commit.
 func TestEmptyWriteSetCostsNothing(t *testing.T) {

@@ -1,6 +1,7 @@
 package twopc
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -201,4 +202,43 @@ func TestMigrateShardDeterministic(t *testing.T) {
 	if s1 != s2 || c1 != c2 {
 		t.Fatalf("concurrent migration not deterministic:\n%s\n%+v\nvs\n%s\n%+v", s1, c1, s2, c2)
 	}
+}
+
+// Under MS-SR's no-wait policy on a mapped fleet, the later sections' keys
+// are taken after section 0's without asking again for a shard intent that
+// section 0 already holds: when a later key conflicts, the abort releases
+// every lock exactly once and leaves the shard's intent free.
+func TestMSSRNoWaitKeepsHeldShardIntents(t *testing.T) {
+	clk := vclock.NewSim()
+	_, ccs, parts := mappedFleet(clk)
+	cc := ccs[0]
+	cc.Protocol, cc.Policy = MSSR, txn.NoWait
+	a, b := workload.ShardKey(1, "item", 1), workload.ShardKey(1, "item", 2)
+	const blocker = lock.Owner(1 << 62)
+	if !parts[1].Locks.TryAcquire(blocker, b, lock.Exclusive) {
+		t.Fatal("blocker could not lock the later section's key")
+	}
+	in := cc.M.NewInstance(&txn.Txn{
+		Name:      "victim",
+		InitialRW: txn.RWSet{Writes: []string{a}},
+		FinalRW:   txn.RWSet{Writes: []string{b}},
+		Initial: func(c *txn.Ctx) error {
+			c.Put(a, store.Int64Value(1))
+			return nil
+		},
+		Final: func(c *txn.Ctx) error {
+			c.Put(b, store.Int64Value(2))
+			return nil
+		},
+	}, nil)
+	clk.Run(func() {
+		if err := cc.RunInitial(in); !errors.Is(err, txn.ErrAborted) {
+			t.Errorf("RunInitial = %v, want ErrAborted", err)
+		}
+	})
+	parts[1].Locks.Release(blocker, b)
+	if _, ok := parts[1].Store.Get(a); ok {
+		t.Error("the aborted body's write survived")
+	}
+	wantLocksFree(t, parts)
 }

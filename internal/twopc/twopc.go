@@ -58,9 +58,9 @@ type Partition struct {
 }
 
 // Protocol selects the multi-stage concurrency-control protocol (§4): it
-// governs lock scope, matching txn.MSIA and txn.MSSR semantics, for a
-// standalone edge node and for ShardedCC alike. The zero value is MS-IA,
-// the paper's default.
+// governs the lock scope and the commit rounds of ShardedCC, which every
+// edge commits through, a one-partition standalone edge and a sharded fleet
+// alike. The zero value is MS-IA, the paper's default.
 type Protocol int
 
 // Multi-stage protocols.

@@ -1,10 +1,6 @@
 package txn
 
-import (
-	"slices"
-
-	"croesus/internal/lock"
-)
+import "slices"
 
 // CC is a multi-stage concurrency-control protocol. The pipeline wraps the
 // initial section in RunInitial (triggered by edge labels) and the final
@@ -13,7 +9,6 @@ import (
 // boundary through RunSection; RunInitial and RunFinal are exactly
 // RunSection(in, 0) and RunSection(in, last).
 type CC interface {
-	Name() string
 	// RunInitial executes the initial section under the protocol's rules.
 	// It returns ErrAborted when locks could not be acquired (no-wait
 	// policy) or the error returned by the section body; on nil the
@@ -30,23 +25,16 @@ type CC interface {
 	RunSection(in *Instance, k int) error
 }
 
-// The methods below are the seam for CC implementations living outside this
-// package (twopc.ShardedCC drives fleet-sharded transactions through them):
-// they expose exactly the section-execution and lifecycle transitions the
-// in-package protocols use, so an external protocol keeps undo logging,
-// dependency tracking, stats, and the commit history consistent with MSSR
-// and MSIA.
+// The methods below are the seam a CC drives a transaction through: they
+// expose exactly the section-execution and lifecycle transitions a
+// protocol needs, so twopc.ShardedCC, every edge's concurrency control,
+// keeps undo logging, dependency tracking, stats, and the commit history
+// consistent with the manager.
 
 // ExecSection runs the stage's body with a fresh section context. It
 // performs no locking and no state transition — the caller is the protocol.
 func (m *Manager) ExecSection(in *Instance, stage Stage) error {
 	return in.T.SectionAt(int(stage)).Body(in.sectionCtx(stage))
-}
-
-// MarkInitialCommitted moves a pending instance to initial-committed and
-// records the commit — the first-boundary hook (MarkSectionCommitted(0)).
-func (m *Manager) MarkInitialCommitted(in *Instance) {
-	m.MarkSectionCommitted(in, 0)
 }
 
 // MarkAborted undoes the instance's writes, moves it to aborted and records
@@ -75,7 +63,7 @@ func (m *Manager) MarkAborted(in *Instance) {
 	m.mu.Unlock()
 }
 
-// Policy selects how MS-SR acquires initial-section locks.
+// Policy selects how MS-SR acquires its locks (twopc.ShardedCC.Policy).
 type Policy int
 
 // Lock acquisition policies.
@@ -95,22 +83,23 @@ const (
 	NoWait
 )
 
-// MSSR implements multi-stage serializability with Two Stage 2PL
-// (Algorithm 1): the initial section acquires its own locks, executes, then
-// acquires the final section's locks before the initial commit; every lock
-// is held until the final commit. This guarantees:
+// MSSR is a reference implementation of multi-stage serializability with
+// Two Stage 2PL (Algorithm 1) over a bare manager, for callers that cannot
+// build an edge through internal/node (this package's own tests and the
+// benchmark's layer measurements); every edge commits through
+// twopc.ShardedCC. It acquires every section's locks under wait-die before
+// the first section executes and holds them to the last commit, which
+// guarantees:
 //
 //	(a) for conflicting tk, tj with si_k <h si_j: si_k <h sf_k <h sf_j, and
 //	(b) if sf_k conflicts with si_j, then sf_k <h si_j,
 //
-// at the cost of holding locks across the edge→cloud round trip.
+// at the cost of holding locks across the edge→cloud round trip. Policy
+// must be Wait: the no-wait policy is twopc.ShardedCC's.
 type MSSR struct {
 	M      *Manager
 	Policy Policy
 }
-
-// Name returns the protocol name.
-func (p *MSSR) Name() string { return "MS-SR/TSPL" }
 
 // RunInitial performs the first half of Algorithm 1 and leaves every lock
 // held for RunFinal.
@@ -120,49 +109,15 @@ func (p *MSSR) RunInitial(in *Instance) error { return p.RunSection(in, 0) }
 // lock held since the initial section.
 func (p *MSSR) RunFinal(in *Instance) error { return p.RunSection(in, in.T.LastSection()) }
 
-// strengthen returns init with each request upgraded to Exclusive when the
-// final section writes the same key.
-func strengthen(init, final []lock.Request) []lock.Request {
-	finalMode := make(map[string]lock.Mode, len(final))
-	for _, r := range final {
-		finalMode[r.Key] = r.Mode
-	}
-	out := make([]lock.Request, len(init))
-	for i, r := range init {
-		if m, ok := finalMode[r.Key]; ok && m == lock.Exclusive {
-			r.Mode = lock.Exclusive
-		}
-		out[i] = r
-	}
-	return lock.Normalize(out)
-}
-
-// newKeys returns the requests in want whose keys are absent from held.
-func newKeys(held, want []lock.Request) []lock.Request {
-	heldKeys := make(map[string]bool, len(held))
-	for _, r := range held {
-		heldKeys[r.Key] = true
-	}
-	var out []lock.Request
-	for _, r := range want {
-		if !heldKeys[r.Key] {
-			out = append(out, r)
-		}
-	}
-	return lock.Normalize(out)
-}
-
-// MSIA implements multi-stage invariant confluence with apologies
-// (Algorithm 2): each section acquires only its own locks and releases them
-// at its own commit, so the initial commit never waits on the cloud and
-// lock hold times stay in the order of the section execution itself —
+// MSIA is a reference implementation of multi-stage invariant confluence
+// with apologies (Algorithm 2) over a bare manager, kept for the same
+// callers as MSSR: each section acquires only its own locks and releases
+// them at its own commit, so the initial commit never waits on the cloud
+// and lock hold times stay in the order of the section execution itself —
 // the contrast measured in Figure 6(a).
 type MSIA struct {
 	M *Manager
 }
-
-// Name returns the protocol name.
-func (p *MSIA) Name() string { return "MS-IA" }
 
 // RunInitial locks the initial set, executes, initial-commits, releases.
 func (p *MSIA) RunInitial(in *Instance) error { return p.RunSection(in, 0) }

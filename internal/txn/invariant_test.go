@@ -1,4 +1,4 @@
-package txn
+package txn_test
 
 import (
 	"errors"
@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"croesus/internal/store"
+	"croesus/internal/twopc"
+	. "croesus/internal/txn"
 	"croesus/internal/vclock"
 )
 
@@ -59,8 +61,7 @@ func TestMSIATokenConservationProperty(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)*104729 + 1))
 		clk := vclock.NewSim()
-		m := newTestManager(clk)
-		cc := &MSIA{M: m}
+		m, cc := newEdge(clk, twopc.MSIA)
 
 		const perPlayer = 100
 		for _, k := range keys {

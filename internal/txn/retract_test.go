@@ -10,6 +10,10 @@ import (
 	"croesus/internal/vclock"
 )
 
+func newTestManager(clk vclock.Clock) *Manager {
+	return NewManager(clk, store.New(), lock.NewManager(clk))
+}
+
 // transferTxn moves tokens between players in the initial section; the
 // final section receives the corrected recipient and fixes errors — the AR
 // game of §4.4.
@@ -283,41 +287,44 @@ func TestApologizeCountsStats(t *testing.T) {
 
 func a0String(in *Instance) string { return in.Apologies()[0].String() }
 
-func TestLockLeakFreedomAfterWorkload(t *testing.T) {
-	// After a mix of commits, aborts and retractions, every lock must be
-	// released: a fresh owner can grab any touched key immediately.
-	s := vclock.NewSim()
-	m := newTestManager(s)
-	msia := &MSIA{M: m}
-	mssr := &MSSR{M: m, Policy: NoWait}
-	keys := []string{"a", "b", "c", "d"}
-	s.Run(func() {
-		for i := 0; i < 30; i++ {
-			tx := &Txn{
-				Name:      "mix",
-				InitialRW: RWSet{Writes: []string{keys[i%4], keys[(i+1)%4]}},
-				FinalRW:   RWSet{Writes: []string{keys[(i+2)%4]}},
-				Initial:   func(c *Ctx) error { return nil },
-				Final:     func(c *Ctx) error { return nil },
+// TestMSSRReleasesOnceAfterRetraction: the reference MS-SR holds every
+// section's locks from section 0, and a caller keeps running the later
+// sections of a transaction that was retracted mid-graph (the graph
+// executor does). Whether a cascade retracted it between boundaries or its
+// own middle section did, each later section returns ErrRetracted and the
+// locks are released exactly once.
+func TestMSSRReleasesOnceAfterRetraction(t *testing.T) {
+	for _, selfRetract := range []bool{false, true} {
+		s := vclock.NewSim()
+		m := newTestManager(s)
+		cc := &MSSR{M: m, Policy: Wait}
+		body := func(c *Ctx) error { return nil }
+		tx := &Txn{Name: "three", Sections: []SectionSpec{
+			{RW: RWSet{Writes: []string{"a"}}, Body: body},
+			{RW: RWSet{Writes: []string{"b"}}, Body: func(c *Ctx) error {
+				if selfRetract {
+					c.Retract("erroneous")
+				}
+				return nil
+			}},
+			{RW: RWSet{Writes: []string{"c"}}, Body: body},
+		}}
+		in := m.NewInstance(tx, nil)
+		s.Run(func() {
+			if err := cc.RunSection(in, 0); err != nil {
+				t.Fatalf("selfRetract=%v: section 0: %v", selfRetract, err)
 			}
-			inst := m.NewInstance(tx, nil)
-			var cc CC = msia
-			if i%2 == 0 {
-				cc = mssr
+			if !selfRetract {
+				m.Retract(in, "cascade")
 			}
-			if err := cc.RunInitial(inst); err == nil {
-				cc.RunFinal(inst)
-				if i%5 == 0 {
-					m.Retract(inst, "test retraction")
+			for k := 1; k <= 2; k++ {
+				if err := cc.RunSection(in, k); !errors.Is(err, ErrRetracted) {
+					t.Errorf("selfRetract=%v: section %d = %v, want ErrRetracted", selfRetract, k, err)
 				}
 			}
-		}
-	})
-	for _, k := range keys {
-		if !m.Locks.TryAcquire(77777, k, lock.Exclusive) {
-			t.Errorf("lock %q leaked", k)
-		} else {
-			m.Locks.Release(77777, k)
+		})
+		if n := m.Locks.Outstanding(); n != 0 {
+			t.Errorf("selfRetract=%v: %d locks leaked", selfRetract, n)
 		}
 	}
 }

@@ -128,19 +128,6 @@ func (t *Txn) AllRequests() []lock.Request {
 	return t.AllRW().Requests()
 }
 
-// laterRequests returns the normalized union of the lock requests of
-// sections from..last — the locks MS-SR must add before the first commit.
-func (t *Txn) laterRequests(from int) []lock.Request {
-	if from == t.LastSection() {
-		return t.SectionAt(from).RW.Requests()
-	}
-	var all []lock.Request
-	for k := from; k < t.NumSections(); k++ {
-		all = append(all, t.SectionAt(k).RW.Requests()...)
-	}
-	return lock.Normalize(all)
-}
-
 // SetSectionIn installs section k's input before the section runs (the
 // graph executor's per-node labels). Sections 0 and last alias the classic
 // InitialIn and FinalIn fields.
@@ -187,7 +174,7 @@ func (in *Instance) CommittedSections() int {
 // final-committed (retraction is sticky), middle boundaries record the
 // commit without a state change. It reports whether the instance is
 // (terminally) retracted at this boundary. This is the per-boundary seam
-// external protocols (twopc.ShardedCC) drive.
+// protocols drive.
 func (m *Manager) MarkSectionCommitted(in *Instance, k int) (retracted bool) {
 	last := in.T.LastSection()
 	m.mu.Lock()
@@ -220,30 +207,32 @@ func (m *Manager) MarkSectionCommitted(in *Instance, k int) (retracted bool) {
 }
 
 // RunSection executes section k of an N-section transaction under MS-SR:
-// section 0 acquires the union of every section's locks (wait-die or
-// no-wait per the policy) and every later section runs under those held
-// locks until the last boundary releases them.
+// section 0 acquires the union of every section's locks under wait-die,
+// and every later section runs under those held locks until the last
+// boundary releases them.
 func (p *MSSR) RunSection(in *Instance, k int) error {
 	last := in.T.LastSection()
 	if k == 0 {
 		return p.runFirst(in)
 	}
-	releaseHeld := func() {
+	release := func() {
 		in.mu.Lock()
-		held := in.heldReqs
-		in.heldReqs = nil
+		held := in.holding
+		in.holding = false
 		in.mu.Unlock()
-		p.M.Locks.ReleaseAll(lock.Owner(in.ID), held)
+		if held {
+			p.M.Locks.ReleaseAll(lock.Owner(in.ID), in.T.AllRequests())
+		}
 	}
 	switch s := in.State(); s {
 	case StateInitialCommitted:
 	case StateRetracted:
-		releaseHeld() // a cascade got here first; don't leak the 2PL locks
+		release() // a cascade got here first; don't leak the 2PL locks
 		return ErrRetracted
 	default:
 		return fmt.Errorf("txn %d: RunSection(%d) in state %s", in.ID, k, s)
 	}
-	if err := sectionInOrder(in, k); err != nil {
+	if err := in.CheckOrder(k); err != nil {
 		return err
 	}
 	ctx := in.sectionCtx(Stage(k))
@@ -253,10 +242,8 @@ func (p *MSSR) RunSection(in *Instance, k int) error {
 	// apology logic failing, not a concurrency abort; the boundary still
 	// commits (unless the section retracted the transaction, terminally).
 	retracted := p.M.MarkSectionCommitted(in, k)
-	if k == last {
-		releaseHeld()
-	} else if retracted {
-		releaseHeld()
+	if k == last || retracted {
+		release()
 	}
 	if err == nil && retracted {
 		return ErrRetracted
@@ -268,123 +255,36 @@ func (p *MSSR) RunSection(in *Instance, k int) error {
 // first boundary with every lock still held (a single-section transaction
 // releases immediately — there is nothing left to protect).
 func (p *MSSR) runFirst(in *Instance) error {
+	if p.Policy != Wait {
+		return fmt.Errorf("txn %d: txn.MSSR acquires by wait-die only; no-wait is twopc.ShardedCC's policy", in.ID)
+	}
 	if s := in.State(); s != StatePending {
 		return fmt.Errorf("txn %d: RunInitial in state %s", in.ID, s)
 	}
 	owner := lock.Owner(in.ID)
-	// Keys needed by later sections are taken at the stronger mode from
-	// the start, so the later-lock step never needs an in-place upgrade.
-	later := in.T.laterRequests(1)
-	initReqs := strengthen(in.T.SectionAt(0).RW.Requests(), later)
-	extraReqs := newKeys(initReqs, later)
-	allReqs := lock.Normalize(append(append([]lock.Request{}, initReqs...), extraReqs...))
-
+	reqs := in.T.AllRequests()
 	tAcq := p.M.now()
-	if p.Policy == Wait {
-		if !p.M.Locks.AcquireAllWaitDie(owner, allReqs) {
-			now := p.M.now()
-			in.AddLockWait(now - tAcq)
-			p.M.Tracer.EmitCtx(in.Trace, obs.SpanLockAbort, p.M.TraceTags, tAcq, now)
-			p.M.MarkAborted(in)
-			return ErrAborted
-		}
-	} else {
-		if !p.M.Locks.TryAcquireAll(owner, initReqs) {
-			in.AddLockWait(p.M.now() - tAcq)
-			p.M.MarkAborted(in)
-			return ErrAborted
-		}
+	if !p.M.Locks.AcquireAllWaitDie(owner, reqs) {
+		now := p.M.now()
+		in.AddLockWait(now - tAcq)
+		p.M.Tracer.EmitCtx(in.Trace, obs.SpanLockAbort, p.M.TraceTags, tAcq, now)
+		p.M.MarkAborted(in)
+		return ErrAborted
 	}
 	in.AddLockWait(p.M.now() - tAcq)
 
 	ctx := in.sectionCtx(StageInitial)
 	if err := in.T.SectionAt(0).Body(ctx); err != nil {
 		p.M.MarkAborted(in)
-		if p.Policy == Wait {
-			p.M.Locks.ReleaseAll(owner, allReqs)
-		} else {
-			p.M.Locks.ReleaseAll(owner, initReqs)
-		}
-		return err
-	}
-
-	if p.Policy == NoWait {
-		// Algorithm 1: every later section's locks must be acquired before
-		// the first commit, guaranteeing the remaining sections will commit.
-		tExtra := p.M.now()
-		if !p.M.Locks.TryAcquireAll(owner, extraReqs) {
-			in.AddLockWait(p.M.now() - tExtra)
-			p.M.MarkAborted(in)
-			p.M.Locks.ReleaseAll(owner, initReqs)
-			return ErrAborted
-		}
-		in.AddLockWait(p.M.now() - tExtra)
-	}
-
-	if in.T.LastSection() == 0 {
-		retracted := p.M.MarkSectionCommitted(in, 0)
-		p.M.Locks.ReleaseAll(owner, allReqs)
-		if retracted {
-			return ErrRetracted
-		}
-		return nil
-	}
-	in.mu.Lock()
-	in.heldReqs = allReqs
-	in.mu.Unlock()
-	p.M.MarkSectionCommitted(in, 0)
-	return nil
-}
-
-// RunSection executes section k under MS-IA: acquire section k's own
-// locks (blocking), execute, commit the boundary, release — every boundary
-// is independent, which is what lets a later retraction cascade back
-// through the already-visible earlier boundaries.
-func (p *MSIA) RunSection(in *Instance, k int) error {
-	if k == 0 {
-		return p.runFirst(in)
-	}
-	switch s := in.State(); s {
-	case StateInitialCommitted:
-	case StateRetracted:
-		return ErrRetracted
-	default:
-		return fmt.Errorf("txn %d: RunSection(%d) in state %s", in.ID, k, s)
-	}
-	if err := sectionInOrder(in, k); err != nil {
-		return err
-	}
-	owner := lock.Owner(in.ID)
-	reqs := in.T.SectionAt(k).RW.Requests()
-	tAcq := p.M.now()
-	p.M.Locks.AcquireAll(owner, reqs)
-	in.AddLockWait(p.M.now() - tAcq)
-	ctx := in.sectionCtx(Stage(k))
-	err := in.T.SectionAt(k).Body(ctx)
-	retracted := p.M.MarkSectionCommitted(in, k)
-	p.M.Locks.ReleaseAll(owner, reqs)
-	if err == nil && retracted {
-		return ErrRetracted
-	}
-	return err
-}
-
-// runFirst is MS-IA's section 0: lock, execute, commit, release.
-func (p *MSIA) runFirst(in *Instance) error {
-	if s := in.State(); s != StatePending {
-		return fmt.Errorf("txn %d: RunInitial in state %s", in.ID, s)
-	}
-	owner := lock.Owner(in.ID)
-	reqs := in.T.SectionAt(0).RW.Requests()
-	tAcq := p.M.now()
-	p.M.Locks.AcquireAll(owner, reqs)
-	in.AddLockWait(p.M.now() - tAcq)
-	ctx := in.sectionCtx(StageInitial)
-	err := in.T.SectionAt(0).Body(ctx)
-	if err != nil {
-		p.M.MarkAborted(in)
 		p.M.Locks.ReleaseAll(owner, reqs)
 		return err
+	}
+	if in.T.LastSection() > 0 {
+		in.mu.Lock()
+		in.holding = true
+		in.mu.Unlock()
+		p.M.MarkSectionCommitted(in, 0)
+		return nil
 	}
 	retracted := p.M.MarkSectionCommitted(in, 0)
 	p.M.Locks.ReleaseAll(owner, reqs)
@@ -394,10 +294,46 @@ func (p *MSIA) runFirst(in *Instance) error {
 	return nil
 }
 
-// sectionInOrder rejects an out-of-order boundary on an explicitly
-// N-section transaction (classic two-section transactions are already
-// fully ordered by the state machine).
-func sectionInOrder(in *Instance, k int) error {
+// RunSection executes section k under MS-IA: acquire section k's own
+// locks (blocking), execute, commit the boundary, release — every boundary
+// is independent, which is what lets a later retraction cascade back
+// through the already-visible earlier boundaries. Only a failed section 0
+// aborts instead of committing.
+func (p *MSIA) RunSection(in *Instance, k int) error {
+	switch s := in.State(); {
+	case k == 0 && s != StatePending:
+		return fmt.Errorf("txn %d: RunInitial in state %s", in.ID, s)
+	case k > 0 && s == StateRetracted:
+		return ErrRetracted
+	case k > 0 && s != StateInitialCommitted:
+		return fmt.Errorf("txn %d: RunSection(%d) in state %s", in.ID, k, s)
+	}
+	if err := in.CheckOrder(k); err != nil {
+		return err
+	}
+	owner := lock.Owner(in.ID)
+	reqs := in.T.SectionAt(k).RW.Requests()
+	tAcq := p.M.now()
+	p.M.Locks.AcquireAll(owner, reqs)
+	in.AddLockWait(p.M.now() - tAcq)
+	err := in.T.SectionAt(k).Body(in.sectionCtx(Stage(k)))
+	if err != nil && k == 0 {
+		p.M.MarkAborted(in)
+		p.M.Locks.ReleaseAll(owner, reqs)
+		return err
+	}
+	retracted := p.M.MarkSectionCommitted(in, k)
+	p.M.Locks.ReleaseAll(owner, reqs)
+	if err == nil && retracted {
+		return ErrRetracted
+	}
+	return err
+}
+
+// CheckOrder rejects an out-of-order boundary k on an explicitly N-section
+// transaction (classic two-section transactions are already fully ordered
+// by the state machine). Every CC calls it before running a later section.
+func (in *Instance) CheckOrder(k int) error {
 	if len(in.T.Sections) == 0 {
 		return nil
 	}

@@ -1,4 +1,4 @@
-package txn
+package txn_test
 
 import (
 	"errors"
@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"croesus/internal/store"
+	"croesus/internal/twopc"
+	. "croesus/internal/txn"
 	"croesus/internal/vclock"
 )
 
@@ -41,8 +43,7 @@ func threeSectionTxn(retract bool) *Txn {
 // final-committed with all three boundaries recorded.
 func TestThreeSectionCommit(t *testing.T) {
 	s := vclock.NewSim()
-	m := newTestManager(s)
-	cc := &MSIA{M: m}
+	m, cc := newEdge(s, twopc.MSIA)
 	in := m.NewInstance(threeSectionTxn(false), nil)
 
 	s.Run(func() {
@@ -84,8 +85,7 @@ func TestThreeSectionCommit(t *testing.T) {
 // dependent.
 func TestThreeSectionCascadingRetraction(t *testing.T) {
 	s := vclock.NewSim()
-	m := newTestManager(s)
-	cc := &MSIA{M: m}
+	m, cc := newEdge(s, twopc.MSIA)
 	m.Store.Put("s0", store.Int64Value(100))
 	m.Store.Put("s1", store.Int64Value(200))
 
@@ -152,9 +152,8 @@ func TestThreeSectionCascadingRetraction(t *testing.T) {
 // transaction aborts anywhere in the window and succeeds after it.
 func TestMSSRHoldsLocksAcrossAllSections(t *testing.T) {
 	s := vclock.NewSim()
-	m := newTestManager(s)
-	cc := &MSSR{M: m, Policy: Wait}
-	rival := &MSSR{M: m, Policy: NoWait}
+	m, cc := newEdge(s, twopc.MSSR)
+	rival := rivalCC(cc, twopc.MSSR, NoWait)
 
 	conflicting := func() *Instance {
 		return m.NewInstance(&Txn{
@@ -205,9 +204,8 @@ func TestMSSRHoldsLocksAcrossAllSections(t *testing.T) {
 // section's key is free both before and after its own boundary.
 func TestMSIAReleasesLocksPerBoundary(t *testing.T) {
 	s := vclock.NewSim()
-	m := newTestManager(s)
-	cc := &MSIA{M: m}
-	rival := &MSSR{M: m, Policy: NoWait}
+	m, cc := newEdge(s, twopc.MSIA)
+	rival := rivalCC(cc, twopc.MSSR, NoWait)
 
 	in := m.NewInstance(threeSectionTxn(false), nil)
 	s.Run(func() {
@@ -239,22 +237,23 @@ func TestMSIAReleasesLocksPerBoundary(t *testing.T) {
 }
 
 // TestSectionOutOfOrder: an explicitly N-section transaction must commit
-// its boundaries in order; skipping one is a programming error, reported,
-// not silently absorbed.
+// its boundaries in order under either protocol; skipping one is a
+// programming error, reported, not silently absorbed.
 func TestSectionOutOfOrder(t *testing.T) {
-	s := vclock.NewSim()
-	m := newTestManager(s)
-	cc := &MSIA{M: m}
-	in := m.NewInstance(threeSectionTxn(false), nil)
-	s.Run(func() {
-		if err := cc.RunSection(in, 0); err != nil {
-			t.Fatalf("section 0: %v", err)
-		}
-		err := cc.RunSection(in, 2)
-		if err == nil || !strings.Contains(err.Error(), "out of order") {
-			t.Fatalf("skipping section 1 = %v, want out-of-order error", err)
-		}
-	})
+	for _, p := range protocols {
+		s := vclock.NewSim()
+		m, cc := newEdge(s, p)
+		in := m.NewInstance(threeSectionTxn(false), nil)
+		s.Run(func() {
+			if err := cc.RunSection(in, 0); err != nil {
+				t.Fatalf("%s: section 0: %v", p, err)
+			}
+			err := cc.RunSection(in, 2)
+			if err == nil || !strings.Contains(err.Error(), "out of order") {
+				t.Fatalf("%s: skipping section 1 = %v, want out-of-order error", p, err)
+			}
+		})
+	}
 }
 
 // TestClassicTxnIsTwoSections: a Txn with no Sections keeps the canonical

@@ -1,4 +1,4 @@
-package txn
+package txn_test
 
 import (
 	"errors"
@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"croesus/internal/store"
+	"croesus/internal/twopc"
+	. "croesus/internal/txn"
 	"croesus/internal/vclock"
 )
 
@@ -50,8 +52,7 @@ func (s rmwSpec) txn() *Txn {
 // serialApply replays the specs one at a time, in order, on a fresh store.
 func serialApply(order []rmwSpec) map[string]int64 {
 	clk := vclock.NewSim()
-	m := newTestManager(clk)
-	cc := &MSSR{M: m, Policy: Wait}
+	m, cc := newEdge(clk, twopc.MSSR)
 	clk.Run(func() {
 		for _, s := range order {
 			inst := m.NewInstance(s.txn(), nil)
@@ -98,8 +99,7 @@ func TestMSSRSerializabilityProperty(t *testing.T) {
 		}
 
 		clk := vclock.NewSim()
-		m := newTestManager(clk)
-		cc := &MSSR{M: m, Policy: Wait}
+		m, cc := newEdge(clk, twopc.MSSR)
 		var mu sync.Mutex
 		bySuccessID := map[ID]rmwSpec{}
 		for i := range specs {

@@ -247,9 +247,9 @@ type Instance struct {
 	// reaches the instance in that window must leave it non-terminal.
 	inBody    bool
 	apologies []Apology
-	heldReqs  []lock.Request // MS-SR: locks held from the first to the last commit
-	sectionIn map[int]any    // middle-section inputs (0 and last alias InitialIn/FinalIn)
-	committed int            // section boundaries committed so far
+	sectionIn map[int]any // middle-section inputs (0 and last alias InitialIn/FinalIn)
+	committed int         // section boundaries committed so far
+	holding   bool        // MSSR: every section's locks are held until the last commit
 
 	// The instance's part of the manager's dependency index, guarded by
 	// mgr.mu (not mu). undo holds every write of every section in write
@@ -362,12 +362,12 @@ type Stats struct {
 	Apologies      int64
 }
 
-// Backend is the key-value storage a Manager writes through. The local
-// single-edge deployment uses the embedded *store.Store directly; a
-// distributed concurrency-control implementation (twopc.ShardedCC) installs
-// a router that forwards each operation to the partition owning the key, so
-// undo logging, dependency tracking, and retraction cascades work unchanged
-// over a keyspace sharded across edge nodes.
+// Backend is the key-value storage a Manager writes through. A manager
+// with no DB uses the embedded *store.Store directly; every edge's manager
+// (internal/node) writes through twopc's router, which forwards each
+// operation to the partition owning the key, so undo logging, dependency
+// tracking, and retraction cascades work unchanged over a keyspace sharded
+// across edge nodes, or over a standalone edge's one partition.
 type Backend interface {
 	Get(key string) (store.Value, bool)
 	Put(key string, v store.Value) uint64

@@ -1,4 +1,6 @@
-package txn
+// The protocol tests run over the concurrency control every edge commits
+// through: node.New's one-partition twopc.ShardedCC, under both protocols.
+package txn_test
 
 import (
 	"errors"
@@ -7,12 +9,28 @@ import (
 	"time"
 
 	"croesus/internal/lock"
+	"croesus/internal/node"
 	"croesus/internal/store"
+	"croesus/internal/twopc"
+	. "croesus/internal/txn"
 	"croesus/internal/vclock"
 )
 
-func newTestManager(clk vclock.Clock) *Manager {
-	return NewManager(clk, store.New(), lock.NewManager(clk))
+var protocols = []twopc.Protocol{twopc.MSIA, twopc.MSSR}
+
+// newEdge assembles a standalone edge on clk under p and returns its
+// manager and CC.
+func newEdge(clk vclock.Clock, p twopc.Protocol) (*Manager, *twopc.ShardedCC) {
+	asm := node.New(clk, p)
+	return asm.Mgr, asm.CC
+}
+
+// rivalCC returns a second CC over cc's partitions and manager, under
+// protocol p and policy — a concurrent client of the same edge that
+// acquires differently.
+func rivalCC(cc *twopc.ShardedCC, p twopc.Protocol, policy Policy) *twopc.ShardedCC {
+	return &twopc.ShardedCC{Clk: cc.Clk, M: cc.M, Home: cc.Home, Parts: cc.Parts, Links: cc.Links,
+		Partitioner: cc.Partitioner, Protocol: p, Policy: policy, Stats: cc.Stats}
 }
 
 // incrementTxn reads x in the initial section and writes x+1 in the final
@@ -36,8 +54,7 @@ func incrementTxn(captured *int64) *Txn {
 
 func TestMSIASingleTransactionLifecycle(t *testing.T) {
 	s := vclock.NewSim()
-	m := newTestManager(s)
-	cc := &MSIA{M: m}
+	m, cc := newEdge(s, twopc.MSIA)
 	var captured int64
 	inst := m.NewInstance(incrementTxn(&captured), nil)
 	s.Run(func() {
@@ -65,18 +82,14 @@ func TestMSIASingleTransactionLifecycle(t *testing.T) {
 }
 
 func TestFinalBeforeInitialRejected(t *testing.T) {
-	for _, mk := range []func(*Manager) CC{
-		func(m *Manager) CC { return &MSIA{M: m} },
-		func(m *Manager) CC { return &MSSR{M: m} },
-	} {
+	for _, p := range protocols {
 		s := vclock.NewSim()
-		m := newTestManager(s)
-		cc := mk(m)
+		m, cc := newEdge(s, p)
 		var captured int64
 		inst := m.NewInstance(incrementTxn(&captured), nil)
 		s.Run(func() {
 			if err := cc.RunFinal(inst); err == nil {
-				t.Errorf("%s: RunFinal before RunInitial succeeded", cc.Name())
+				t.Errorf("%s: RunFinal before RunInitial succeeded", p)
 			}
 		})
 	}
@@ -84,8 +97,7 @@ func TestFinalBeforeInitialRejected(t *testing.T) {
 
 func TestDoubleInitialRejected(t *testing.T) {
 	s := vclock.NewSim()
-	m := newTestManager(s)
-	cc := &MSIA{M: m}
+	m, cc := newEdge(s, twopc.MSIA)
 	var captured int64
 	inst := m.NewInstance(incrementTxn(&captured), nil)
 	s.Run(func() {
@@ -121,8 +133,7 @@ func runInitialWaitDie(s *vclock.Sim, m *Manager, cc CC, mk func() *Txn) *Instan
 // younger transaction when needed), so x ends at exactly 2.
 func TestMSSRPreventsLostUpdate(t *testing.T) {
 	s := vclock.NewSim()
-	m := newTestManager(s)
-	cc := &MSSR{M: m, Policy: Wait}
+	m, cc := newEdge(s, twopc.MSSR)
 	m.Store.Put("x", store.Int64Value(0))
 
 	for i := 0; i < 2; i++ {
@@ -147,8 +158,7 @@ func TestMSSRPreventsLostUpdate(t *testing.T) {
 // invariant check repairs the damage — apply-then-check.
 func TestMSIAAllowsAnomalyThenApologyFixes(t *testing.T) {
 	s := vclock.NewSim()
-	m := newTestManager(s)
-	cc := &MSIA{M: m}
+	m, cc := newEdge(s, twopc.MSIA)
 	m.Store.Put("x", store.Int64Value(0))
 
 	mkTxn := func() *Txn {
@@ -205,8 +215,8 @@ func TestMSIAAllowsAnomalyThenApologyFixes(t *testing.T) {
 
 func TestMSSRNoWaitAborts(t *testing.T) {
 	s := vclock.NewSim()
-	m := newTestManager(s)
-	cc := &MSSR{M: m, Policy: NoWait}
+	m, cc := newEdge(s, twopc.MSSR)
+	cc.Policy = NoWait
 	body := &Txn{
 		Name:      "w",
 		InitialRW: RWSet{Writes: []string{"hot"}},
@@ -249,8 +259,8 @@ func TestMSSRNoWaitAborts(t *testing.T) {
 // defining cost of Algorithm 1.
 func TestMSSRFinalLocksAcquiredBeforeInitialCommit(t *testing.T) {
 	s := vclock.NewSim()
-	m := newTestManager(s)
-	cc := &MSSR{M: m, Policy: NoWait}
+	m, cc := newEdge(s, twopc.MSSR)
+	cc.Policy = NoWait
 	blocker := m.NewInstance(&Txn{
 		Name:      "blocker",
 		InitialRW: RWSet{Writes: []string{"finalkey"}},
@@ -279,8 +289,8 @@ func TestMSSRUpgradeKeyInBothSections(t *testing.T) {
 	// A key read by the initial section and written by the final section
 	// must be locked exclusively from the start and released exactly once.
 	s := vclock.NewSim()
-	m := newTestManager(s)
-	cc := &MSSR{M: m, Policy: NoWait}
+	m, cc := newEdge(s, twopc.MSSR)
+	cc.Policy = NoWait
 	tx := &Txn{
 		Name:      "upgrade",
 		InitialRW: RWSet{Reads: []string{"k"}},
@@ -303,9 +313,9 @@ func TestMSSRUpgradeKeyInBothSections(t *testing.T) {
 
 func TestInitialSectionErrorAborts(t *testing.T) {
 	s := vclock.NewSim()
-	m := newTestManager(s)
 	boom := errors.New("boom")
-	for _, cc := range []CC{&MSIA{M: m}, &MSSR{M: m, Policy: Wait}} {
+	for _, p := range protocols {
+		m, cc := newEdge(s, p)
 		inst := m.NewInstance(&Txn{
 			Name:      "failing",
 			InitialRW: RWSet{Writes: []string{"k"}},
@@ -315,15 +325,15 @@ func TestInitialSectionErrorAborts(t *testing.T) {
 		}, nil)
 		s.Run(func() {
 			if err := cc.RunInitial(inst); !errors.Is(err, boom) {
-				t.Errorf("%s: err = %v, want boom", cc.Name(), err)
+				t.Errorf("%s: err = %v, want boom", p, err)
 			}
 		})
 		if inst.State() != StateAborted {
-			t.Errorf("%s: state = %v", cc.Name(), inst.State())
+			t.Errorf("%s: state = %v", p, inst.State())
 		}
 		// Locks must be free afterwards.
 		if !m.Locks.TryAcquire(9999, "k", lock.Exclusive) {
-			t.Errorf("%s: lock leaked after abort", cc.Name())
+			t.Errorf("%s: lock leaked after abort", p)
 		}
 		m.Locks.Release(9999, "k")
 	}
@@ -331,8 +341,7 @@ func TestInitialSectionErrorAborts(t *testing.T) {
 
 func TestStrictRWSetEnforcement(t *testing.T) {
 	s := vclock.NewSim()
-	m := newTestManager(s)
-	cc := &MSIA{M: m}
+	m, cc := newEdge(s, twopc.MSIA)
 	inst := m.NewInstance(&Txn{
 		Name:      "rogue",
 		InitialRW: RWSet{Reads: []string{"a"}},
@@ -353,8 +362,7 @@ func TestStrictRWSetEnforcement(t *testing.T) {
 func TestWriteDeclaredKeyAllowsRead(t *testing.T) {
 	// A key in Writes is implicitly readable (canRead falls through).
 	s := vclock.NewSim()
-	m := newTestManager(s)
-	cc := &MSIA{M: m}
+	m, cc := newEdge(s, twopc.MSIA)
 	inst := m.NewInstance(&Txn{
 		Name:      "rw",
 		InitialRW: RWSet{Writes: []string{"k"}},
@@ -376,8 +384,7 @@ func TestWriteDeclaredKeyAllowsRead(t *testing.T) {
 
 func TestHistoryOrdering(t *testing.T) {
 	s := vclock.NewSim()
-	m := newTestManager(s)
-	cc := &MSSR{M: m, Policy: Wait}
+	m, cc := newEdge(s, twopc.MSSR)
 	var firstID, secondID ID
 	s.Go(func() {
 		var captured int64
@@ -408,5 +415,43 @@ func TestHistoryOrdering(t *testing.T) {
 		pos[key(firstID, StageFinal)] < pos[key(secondID, StageInitial)] &&
 		pos[key(secondID, StageInitial)] < pos[key(secondID, StageFinal)]) {
 		t.Errorf("MS-SR ordering violated: first=%d second=%d history=%v", firstID, secondID, m.History())
+	}
+}
+
+func TestLockLeakFreedomAfterWorkload(t *testing.T) {
+	// After a mix of commits, aborts and retractions, every lock must be
+	// released: a fresh owner can grab any touched key immediately.
+	s := vclock.NewSim()
+	m, msia := newEdge(s, twopc.MSIA)
+	mssr := rivalCC(msia, twopc.MSSR, NoWait)
+	keys := []string{"a", "b", "c", "d"}
+	s.Run(func() {
+		for i := 0; i < 30; i++ {
+			tx := &Txn{
+				Name:      "mix",
+				InitialRW: RWSet{Writes: []string{keys[i%4], keys[(i+1)%4]}},
+				FinalRW:   RWSet{Writes: []string{keys[(i+2)%4]}},
+				Initial:   func(c *Ctx) error { return nil },
+				Final:     func(c *Ctx) error { return nil },
+			}
+			inst := m.NewInstance(tx, nil)
+			var cc CC = msia
+			if i%2 == 0 {
+				cc = mssr
+			}
+			if err := cc.RunInitial(inst); err == nil {
+				cc.RunFinal(inst)
+				if i%5 == 0 {
+					m.Retract(inst, "test retraction")
+				}
+			}
+		}
+	})
+	for _, k := range keys {
+		if !m.Locks.TryAcquire(77777, k, lock.Exclusive) {
+			t.Errorf("lock %q leaked", k)
+		} else {
+			m.Locks.Release(77777, k)
+		}
 	}
 }
