@@ -29,7 +29,7 @@ import (
 // logs each section commit as one batch, and a SIGKILLed edge respawned
 // on the same path replays its committed sections — never half of one
 // between checkpoints; a checkpoint snapshots running sections'
-// uncommitted writes too, see ROADMAP item 3(d)),
+// uncommitted writes too, see ROADMAP item 10),
 // and -shape-client/-shape-cloud (the sim's modeled link parameters on
 // the real hops).
 func runEdge(args []string, stdout, stderr io.Writer) int {

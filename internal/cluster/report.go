@@ -7,7 +7,7 @@ import (
 
 	"croesus/internal/core"
 	"croesus/internal/faults"
-	"croesus/internal/metrics"
+	"croesus/internal/obs"
 	"croesus/internal/twopc"
 )
 
@@ -143,20 +143,20 @@ type SectionReport struct {
 func (c *Cluster) report(elapsed, endAt time.Duration) *ClusterReport {
 	r := &ClusterReport{Policy: "round-robin", Elapsed: elapsed}
 	phases := c.phaseReports(endAt)
-	var fleetInit, fleetFinal metrics.LatencyStats
+	var fleetInit, fleetFinal obs.Histogram
 	// Component stats index: compute, queue, lock, 2PC, network — the
 	// order CriticalPath() returns them in.
-	var comp [5]metrics.LatencyStats
+	var comp [5]obs.Histogram
 	// The per-section block belongs to fleets that declare a graph; the
 	// two-stage fleet's sections are the initial and final rows above it.
 	nSec := 0
 	if c.graph != nil {
 		nSec = len(c.graph.Nodes)
 	}
-	secLat := make([]metrics.LatencyStats, nSec)
+	secLat := make([]obs.Histogram, nSec)
 	secSum := make([]core.SectionOutcome, nSec)
 	secFrames := 0
-	phaseFinal := make([]metrics.LatencyStats, len(phases))
+	phaseFinal := make([]obs.Histogram, len(phases))
 	for _, cam := range c.cams {
 		// A camera that left mid-run (or lost frames to an outage) reports
 		// the frames it actually captured, each scored as it finalized:
@@ -167,25 +167,23 @@ func (c *Cluster) report(elapsed, endAt time.Duration) *ClusterReport {
 		dropped, left, edge := cam.dropped, cam.left && cam.fed < cam.spec.Frames, cam.edge
 		sum := cam.tally.Summary(cam.spec.ID, core.ModeCroesus)
 
-		var init, final metrics.LatencyStats
+		var init, final obs.Histogram
 		for i := range outs {
 			if !done[i] {
 				continue
 			}
-			init.Add(outs[i].InitialLatency)
-			final.Add(outs[i].FinalLatency)
-			fleetInit.Add(outs[i].InitialLatency)
-			fleetFinal.Add(outs[i].FinalLatency)
+			init.Observe(outs[i].InitialLatency)
+			final.Observe(outs[i].FinalLatency)
 			cc, cq, cl, ct, cn := outs[i].Breakdown.CriticalPath()
-			comp[0].Add(cc)
-			comp[1].Add(cq)
-			comp[2].Add(cl)
-			comp[3].Add(ct)
-			comp[4].Add(cn)
+			comp[0].Observe(cc)
+			comp[1].Observe(cq)
+			comp[2].Observe(cl)
+			comp[3].Observe(ct)
+			comp[4].Observe(cn)
 			if nSec > 0 {
 				secFrames++
 				for k, sec := range outs[i].Sections {
-					secLat[k].Add(sec.Latency)
+					secLat[k].Observe(sec.Latency)
 					secSum[k].Hop += sec.Hop
 					secSum[k].Detect += sec.Detect
 					secSum[k].Txn += sec.Txn
@@ -203,23 +201,25 @@ func (c *Cluster) report(elapsed, endAt time.Duration) *ClusterReport {
 							phases[pi].Validated++
 						}
 					}
-					phaseFinal[pi].Add(outs[i].FinalLatency)
+					phaseFinal[pi].Observe(outs[i].FinalLatency)
 				}
 			}
 		}
 		cam.mu.Unlock()
+		fleetInit.Merge(&init)
+		fleetFinal.Merge(&final)
 		r.Cameras = append(r.Cameras, CameraReport{
 			Camera:     cam.spec.ID,
 			Edge:       edge.Spec.ID,
 			Summary:    sum,
 			Dropped:    dropped,
 			Left:       left,
-			InitialP50: init.Percentile(50),
-			InitialP95: init.Percentile(95),
-			InitialP99: init.Percentile(99),
-			FinalP50:   final.Percentile(50),
-			FinalP95:   final.Percentile(95),
-			FinalP99:   final.Percentile(99),
+			InitialP50: init.Quantile(0.50),
+			InitialP95: init.Quantile(0.95),
+			InitialP99: init.Quantile(0.99),
+			FinalP50:   final.Quantile(0.50),
+			FinalP95:   final.Quantile(0.95),
+			FinalP99:   final.Quantile(0.99),
 		})
 		r.Frames += sum.Frames
 		r.Validated += sum.Validated
@@ -231,8 +231,8 @@ func (c *Cluster) report(elapsed, endAt time.Duration) *ClusterReport {
 		r.MeanF1Final += sum.F1Final
 	}
 	for pi := range phases {
-		phases[pi].FinalP50 = phaseFinal[pi].Percentile(50)
-		phases[pi].FinalP99 = phaseFinal[pi].Percentile(99)
+		phases[pi].FinalP50 = phaseFinal[pi].Quantile(0.50)
+		phases[pi].FinalP99 = phaseFinal[pi].Quantile(0.99)
 	}
 	if n := len(r.Cameras); n > 0 {
 		r.MeanF1Final /= float64(n)
@@ -240,26 +240,26 @@ func (c *Cluster) report(elapsed, endAt time.Duration) *ClusterReport {
 	if elapsed > 0 {
 		r.ThroughputFPS = float64(r.Frames) / elapsed.Seconds()
 	}
-	r.InitialP50 = fleetInit.Percentile(50)
-	r.InitialP95 = fleetInit.Percentile(95)
-	r.InitialP99 = fleetInit.Percentile(99)
-	r.FinalP50 = fleetFinal.Percentile(50)
-	r.FinalP95 = fleetFinal.Percentile(95)
-	r.FinalP99 = fleetFinal.Percentile(99)
+	r.InitialP50 = fleetInit.Quantile(0.50)
+	r.InitialP95 = fleetInit.Quantile(0.95)
+	r.InitialP99 = fleetInit.Quantile(0.99)
+	r.FinalP50 = fleetFinal.Quantile(0.50)
+	r.FinalP95 = fleetFinal.Quantile(0.95)
+	r.FinalP99 = fleetFinal.Quantile(0.99)
 	r.CriticalPath = CriticalPath{
-		ComputeP50: comp[0].Percentile(50), ComputeP99: comp[0].Percentile(99),
-		QueueP50: comp[1].Percentile(50), QueueP99: comp[1].Percentile(99),
-		LockP50: comp[2].Percentile(50), LockP99: comp[2].Percentile(99),
-		TwoPCP50: comp[3].Percentile(50), TwoPCP99: comp[3].Percentile(99),
-		NetworkP50: comp[4].Percentile(50), NetworkP99: comp[4].Percentile(99),
+		ComputeP50: comp[0].Quantile(0.50), ComputeP99: comp[0].Quantile(0.99),
+		QueueP50: comp[1].Quantile(0.50), QueueP99: comp[1].Quantile(0.99),
+		LockP50: comp[2].Quantile(0.50), LockP99: comp[2].Quantile(0.99),
+		TwoPCP50: comp[3].Quantile(0.50), TwoPCP99: comp[3].Quantile(0.99),
+		NetworkP50: comp[4].Quantile(0.50), NetworkP99: comp[4].Quantile(0.99),
 	}
 	for k := range secLat {
 		sr := SectionReport{
 			Index:      k,
 			Name:       c.graph.Nodes[k].Name,
 			Tier:       c.graph.Nodes[k].Tier.String(),
-			LatencyP50: secLat[k].Percentile(50),
-			LatencyP99: secLat[k].Percentile(99),
+			LatencyP50: secLat[k].Quantile(0.50),
+			LatencyP99: secLat[k].Quantile(0.99),
 		}
 		if secFrames > 0 {
 			n := time.Duration(secFrames)

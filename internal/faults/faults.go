@@ -30,7 +30,6 @@ import (
 	"sync"
 	"time"
 
-	"croesus/internal/metrics"
 	"croesus/internal/obs"
 	"croesus/internal/transport"
 	"croesus/internal/twopc"
@@ -121,7 +120,7 @@ type Injector struct {
 	crashedAt  []time.Duration
 	armed      []trigger
 	counters   Counters
-	recovery   metrics.LatencyStats
+	recovery   obs.Histogram
 }
 
 // NewInjector builds the injector for a fleet. replayCost is the virtual
@@ -402,7 +401,7 @@ func (i *Injector) restart(e int, charge bool) {
 		// Only scheduled recoveries sample the latency distribution: the
 		// end-of-run repair in Finish pays no outage or replay cost, and
 		// its crash-to-drain interval would say nothing about recovery.
-		i.recovery.Add(i.clk.Now() - i.crashedAt[e])
+		i.recovery.Observe(i.clk.Now() - i.crashedAt[e])
 	}
 	i.mu.Unlock()
 	i.obs.Span(obs.SpanWALReplay, i.edgeTag(e), tReplay, i.clk.Now())
@@ -528,9 +527,9 @@ func (i *Injector) Report() *Report {
 	defer i.mu.Unlock()
 	return &Report{
 		Counters:    i.counters,
-		RecoveryP50: i.recovery.Percentile(50),
-		RecoveryP95: i.recovery.Percentile(95),
-		RecoveryP99: i.recovery.Percentile(99),
+		RecoveryP50: i.recovery.Quantile(0.50),
+		RecoveryP95: i.recovery.Quantile(0.95),
+		RecoveryP99: i.recovery.Quantile(0.99),
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 
 	"croesus/internal/cluster"
 	"croesus/internal/faults"
-	"croesus/internal/metrics"
+	"croesus/internal/obs"
 	"croesus/internal/txn"
 )
 
@@ -95,9 +95,9 @@ func mergeReport(elapsed time.Duration, scale float64, clients []ClientReport, c
 		Policy:  "fleet",
 		Elapsed: norm(elapsed),
 	}
-	var fleetInit, fleetFinal metrics.LatencyStats
+	var fleetInit, fleetFinal obs.Histogram
 	for _, cr := range clients {
-		var init, final metrics.LatencyStats
+		var init, final obs.Histogram
 		rep := cluster.CameraReport{Camera: cr.Camera, Edge: camEdge[cr.Camera], Left: cr.Stopped, Dropped: cr.Dropped}
 		rep.Summary.Video = cr.Video
 		for _, f := range cr.Frames {
@@ -105,10 +105,8 @@ func mergeReport(elapsed time.Duration, scale float64, clients []ClientReport, c
 				continue
 			}
 			rep.Summary.Frames++
-			init.Add(norm(f.InitialLatency))
-			final.Add(norm(f.FinalLatency))
-			fleetInit.Add(norm(f.InitialLatency))
-			fleetFinal.Add(norm(f.FinalLatency))
+			init.Observe(norm(f.InitialLatency))
+			final.Observe(norm(f.FinalLatency))
 			if f.SentToCloud {
 				if f.Shed {
 					rep.Summary.Shed++
@@ -122,12 +120,14 @@ func mergeReport(elapsed time.Duration, scale float64, clients []ClientReport, c
 		if rep.Summary.Frames > 0 {
 			rep.Summary.BU = float64(rep.Summary.Validated+rep.Summary.Shed) / float64(rep.Summary.Frames)
 		}
-		rep.InitialP50 = init.Percentile(50)
-		rep.InitialP95 = init.Percentile(95)
-		rep.InitialP99 = init.Percentile(99)
-		rep.FinalP50 = final.Percentile(50)
-		rep.FinalP95 = final.Percentile(95)
-		rep.FinalP99 = final.Percentile(99)
+		fleetInit.Merge(&init)
+		fleetFinal.Merge(&final)
+		rep.InitialP50 = init.Quantile(0.50)
+		rep.InitialP95 = init.Quantile(0.95)
+		rep.InitialP99 = init.Quantile(0.99)
+		rep.FinalP50 = final.Quantile(0.50)
+		rep.FinalP95 = final.Quantile(0.95)
+		rep.FinalP99 = final.Quantile(0.99)
 		r.Cameras = append(r.Cameras, rep)
 		r.Frames += rep.Summary.Frames
 		r.Validated += rep.Summary.Validated
@@ -139,12 +139,12 @@ func mergeReport(elapsed time.Duration, scale float64, clients []ClientReport, c
 	if r.Elapsed > 0 {
 		r.ThroughputFPS = float64(r.Frames) / r.Elapsed.Seconds()
 	}
-	r.InitialP50 = fleetInit.Percentile(50)
-	r.InitialP95 = fleetInit.Percentile(95)
-	r.InitialP99 = fleetInit.Percentile(99)
-	r.FinalP50 = fleetFinal.Percentile(50)
-	r.FinalP95 = fleetFinal.Percentile(95)
-	r.FinalP99 = fleetFinal.Percentile(99)
+	r.InitialP50 = fleetInit.Quantile(0.50)
+	r.InitialP95 = fleetInit.Quantile(0.95)
+	r.InitialP99 = fleetInit.Quantile(0.99)
+	r.FinalP50 = fleetFinal.Quantile(0.50)
+	r.FinalP95 = fleetFinal.Quantile(0.95)
+	r.FinalP99 = fleetFinal.Quantile(0.99)
 	for _, er := range edges {
 		r.TxnsTriggered += int(er.Txn.InitialCommits)
 		r.Lost += int(er.Dropped)
@@ -153,20 +153,20 @@ func mergeReport(elapsed time.Duration, scale float64, clients []ClientReport, c
 		r.Batcher = cloud.Batcher
 	}
 	if len(crashes) > 0 || dyn.CloudLinkOutages > 0 {
-		var rec metrics.LatencyStats
+		var rec obs.Histogram
 		f := &faults.Report{}
 		f.LinkOutages = int64(dyn.CloudLinkOutages)
 		for _, c := range crashes {
 			f.Crashes++
 			if c.downFor > 0 {
 				f.Restarts++
-				rec.Add(norm(c.downFor))
+				rec.Observe(norm(c.downFor))
 			}
 			f.ReplayedRecords += int64(c.replayed)
 		}
-		f.RecoveryP50 = rec.Percentile(50)
-		f.RecoveryP95 = rec.Percentile(95)
-		f.RecoveryP99 = rec.Percentile(99)
+		f.RecoveryP50 = rec.Quantile(0.50)
+		f.RecoveryP95 = rec.Quantile(0.95)
+		f.RecoveryP99 = rec.Quantile(0.99)
 		r.Faults = f
 	}
 	if dyn != (cluster.DynamicReport{}) {

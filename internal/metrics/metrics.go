@@ -1,14 +1,11 @@
 // Package metrics implements the evaluation machinery of the paper:
-// bounding-box matching between detection sets, precision / recall /
-// F-score, and latency statistics.
+// bounding-box matching between detection sets, and precision, recall and
+// F-score.
 package metrics
 
 import (
 	"fmt"
-	"math"
 	"slices"
-	"sort"
-	"time"
 
 	"croesus/internal/detect"
 )
@@ -195,74 +192,4 @@ func filterClassInto(out, dets []detect.Detection, class string) []detect.Detect
 		}
 	}
 	return out
-}
-
-// LatencyStats summarizes a sample of durations. It is not
-// goroutine-safe: Add mutates the sample slice and the percentile
-// readers sort it in place, so callers must confine a value to one
-// goroutine or serialize access externally (the pipeline accumulates
-// per-camera and merges at report time for exactly this reason).
-type LatencyStats struct {
-	samples []time.Duration
-	sorted  bool
-}
-
-// Add records one sample.
-func (s *LatencyStats) Add(d time.Duration) {
-	s.samples = append(s.samples, d)
-	s.sorted = false
-}
-
-// N reports the number of samples.
-func (s *LatencyStats) N() int { return len(s.samples) }
-
-// Mean returns the arithmetic mean (0 with no samples).
-func (s *LatencyStats) Mean() time.Duration {
-	if len(s.samples) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, d := range s.samples {
-		sum += d
-	}
-	return sum / time.Duration(len(s.samples))
-}
-
-// sortedView sorts the samples in place (once per batch of Adds) and
-// returns them. Every order-statistic reader goes through this single
-// helper so the lazy re-sort logic lives in exactly one place.
-func (s *LatencyStats) sortedView() []time.Duration {
-	if !s.sorted {
-		sort.Slice(s.samples, func(i, j int) bool { return s.samples[i] < s.samples[j] })
-		s.sorted = true
-	}
-	return s.samples
-}
-
-// Percentile returns the p-th percentile (0 < p <= 100) by
-// nearest-rank; 0 with no samples.
-func (s *LatencyStats) Percentile(p float64) time.Duration {
-	if len(s.samples) == 0 {
-		return 0
-	}
-	v := s.sortedView()
-	rank := int(math.Ceil(p / 100 * float64(len(v))))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(v) {
-		rank = len(v)
-	}
-	return v[rank-1]
-}
-
-// Max returns the maximum sample.
-func (s *LatencyStats) Max() time.Duration { return s.Percentile(100) }
-
-// Min returns the minimum sample.
-func (s *LatencyStats) Min() time.Duration {
-	if len(s.samples) == 0 {
-		return 0
-	}
-	return s.sortedView()[0]
 }

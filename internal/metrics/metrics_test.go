@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"croesus/internal/detect"
 	"croesus/internal/video"
@@ -160,31 +159,4 @@ func boxesFromBytes(raw []uint8) []detect.Detection {
 		out = append(out, det("a", x, y, 0.15, 0.15))
 	}
 	return out
-}
-
-func TestLatencyStats(t *testing.T) {
-	var s LatencyStats
-	if s.Mean() != 0 || s.Percentile(50) != 0 || s.Min() != 0 {
-		t.Error("empty stats must be zero")
-	}
-	for i := 1; i <= 10; i++ {
-		s.Add(time.Duration(i) * time.Millisecond)
-	}
-	if s.N() != 10 {
-		t.Errorf("N = %d", s.N())
-	}
-	if s.Mean() != 5500*time.Microsecond {
-		t.Errorf("Mean = %v, want 5.5ms", s.Mean())
-	}
-	if s.Percentile(50) != 5*time.Millisecond {
-		t.Errorf("P50 = %v, want 5ms", s.Percentile(50))
-	}
-	if s.Max() != 10*time.Millisecond || s.Min() != time.Millisecond {
-		t.Errorf("Min/Max = %v/%v", s.Min(), s.Max())
-	}
-	// Adding after a percentile query must still work.
-	s.Add(100 * time.Millisecond)
-	if s.Max() != 100*time.Millisecond {
-		t.Errorf("Max after re-add = %v", s.Max())
-	}
 }

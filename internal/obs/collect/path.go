@@ -138,22 +138,14 @@ type PathSummary struct {
 // Summarize aggregates the per-trace breakdowns.
 func Summarize(paths []PathBreakdown) PathSummary {
 	sum := PathSummary{Traces: len(paths), Components: make(map[string]time.Duration)}
-	if len(paths) == 0 {
-		return sum
-	}
-	totals := make([]time.Duration, 0, len(paths))
+	var totals obs.Histogram
 	for _, p := range paths {
-		totals = append(totals, p.Total)
+		totals.Observe(p.Total)
 		for k, v := range p.Components {
 			sum.Components[k] += v
 		}
 	}
-	sort.Slice(totals, func(i, j int) bool { return totals[i] < totals[j] })
-	pct := func(q float64) time.Duration {
-		i := int(q * float64(len(totals)-1))
-		return totals[i]
-	}
-	sum.P50, sum.P90, sum.P99, sum.Max = pct(0.50), pct(0.90), pct(0.99), totals[len(totals)-1]
+	sum.P50, sum.P90, sum.P99, sum.Max = totals.Quantile(0.50), totals.Quantile(0.90), totals.Quantile(0.99), totals.Max()
 	return sum
 }
 

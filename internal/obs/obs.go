@@ -273,8 +273,8 @@ func (o *Obs) Gauge(name, tags string) *Gauge {
 	return o.Reg.Gauge(name, tags)
 }
 
-// Histogram resolves a latency histogram on the bundled registry with the
-// default buckets. Nil-safe.
+// Histogram resolves a latency histogram on the bundled registry.
+// Nil-safe.
 func (o *Obs) Histogram(name, tags string) *Histogram {
 	if o == nil {
 		return nil

@@ -20,75 +20,6 @@ func TestTagsCanonical(t *testing.T) {
 	}
 }
 
-func TestHistogramBucketBoundaries(t *testing.T) {
-	h := NewHistogram([]float64{0.010, 0.100, 1})
-	// Exactly on a bound lands in that bucket (le semantics).
-	h.Observe(10 * time.Millisecond)
-	// Just above a bound spills to the next bucket.
-	h.Observe(10*time.Millisecond + time.Nanosecond)
-	// Past the last bound lands in +Inf.
-	h.Observe(2 * time.Second)
-
-	got := h.Buckets()
-	want := []int64{1, 2, 2, 3} // cumulative: le=0.01, le=0.1, le=1, +Inf
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("bucket %d = %d, want %d (all %v)", i, got[i], want[i], got)
-		}
-	}
-	if h.Count() != 3 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	wantSum := 10*time.Millisecond + 10*time.Millisecond + time.Nanosecond + 2*time.Second
-	if h.Sum() != wantSum {
-		t.Fatalf("sum = %v, want %v", h.Sum(), wantSum)
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	a := NewHistogram([]float64{0.01, 0.1})
-	b := NewHistogram([]float64{0.01, 0.1})
-	a.Observe(5 * time.Millisecond)
-	b.Observe(50 * time.Millisecond)
-	b.Observe(5 * time.Second)
-	if err := a.Merge(b); err != nil {
-		t.Fatalf("merge: %v", err)
-	}
-	got := a.Buckets()
-	want := []int64{1, 2, 3}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("merged bucket %d = %d, want %d", i, got[i], want[i])
-		}
-	}
-	if a.Count() != 3 {
-		t.Fatalf("merged count = %d", a.Count())
-	}
-
-	c := NewHistogram([]float64{0.5})
-	if err := a.Merge(c); err == nil {
-		t.Fatal("merge of mismatched layouts succeeded")
-	}
-
-	// Per-section series stay distinct: a registry resolves one histogram
-	// per section tag, and merging the same section across two edges'
-	// registries folds counts without bleeding into a neighboring section.
-	west, east := NewRegistry(), NewRegistry()
-	for _, r := range []*Registry{west, east} {
-		r.Histogram(MetricSectionLatency, Tags("edge", "e0", "section", "1")).Observe(8 * time.Millisecond)
-		r.Histogram(MetricSectionLatency, Tags("edge", "e0", "section", "2")).Observe(80 * time.Millisecond)
-	}
-	for _, sec := range []string{"1", "2"} {
-		tag := Tags("edge", "e0", "section", sec)
-		if err := west.Histogram(MetricSectionLatency, tag).Merge(east.Histogram(MetricSectionLatency, tag)); err != nil {
-			t.Fatalf("section %s merge: %v", sec, err)
-		}
-		if n := west.Histogram(MetricSectionLatency, tag).Count(); n != 2 {
-			t.Fatalf("section %s merged count = %d, want 2 (one per fleet half)", sec, n)
-		}
-	}
-}
-
 func TestRegistryPrometheusText(t *testing.T) {
 	r := NewRegistry()
 	r.Counter(MetricFrames, Tags("edge", "e0")).Add(3)
@@ -105,10 +36,11 @@ func TestRegistryPrometheusText(t *testing.T) {
 	for _, want := range []string{
 		`croesus_frames_total{edge="e0"} 3`,
 		`croesus_edge_queue_depth{edge="e0"} 2`,
-		`croesus_final_latency_seconds_bucket{edge="e0",le="0.05"} 1`,
+		`croesus_final_latency_seconds_bucket{edge="e0",le="0.039848023"} 0`,
+		`croesus_final_latency_seconds_bucket{edge="e0",le="0.099993329"} 1`,
 		`croesus_final_latency_seconds_bucket{edge="e0",le="+Inf"} 1`,
 		`croesus_final_latency_seconds_count{edge="e0"} 1`,
-		`croesus_section_latency_seconds_bucket{edge="e0",section="0",le="0.01"} 1`,
+		`croesus_section_latency_seconds_bucket{edge="e0",section="0",le="0.015879709"} 1`,
 		`croesus_section_latency_seconds_count{edge="e0",section="1"} 1`,
 		`croesus_section_commits_total{edge="e0",section="1"} 1`,
 		"# TYPE croesus_frames_total counter",
@@ -149,8 +81,10 @@ func TestNilSafety(t *testing.T) {
 	}
 	var h *Histogram
 	h.Observe(time.Second)
-	if err := h.Merge(NewHistogram(nil)); err != nil {
-		t.Fatalf("nil merge: %v", err)
+	h.Merge(&Histogram{})
+	(&Histogram{}).Merge(h)
+	if h.Count() != 0 || h.Quantile(0.5) != 0 || h.Max() != 0 {
+		t.Fatal("nil histogram not inert")
 	}
 }
 

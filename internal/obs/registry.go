@@ -2,13 +2,11 @@ package obs
 
 import (
 	"expvar"
-	"fmt"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing metric. The nil counter is a
@@ -60,113 +58,6 @@ func (g *Gauge) Value() int64 {
 		return 0
 	}
 	return g.v.Load()
-}
-
-// DefaultLatencyBuckets are the fixed histogram bounds, in seconds,
-// used for every latency histogram in the fleet: 1ms to 10s in a
-// 1-2.5-5 ladder, wide enough for both the simulator's modeled
-// latencies and the scaled TCP deployment.
-var DefaultLatencyBuckets = []float64{
-	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
-}
-
-// Histogram is a fixed-bucket latency histogram. Bounds are upper bucket
-// edges in seconds; an observation lands in the first bucket whose bound
-// is ≥ the value (Prometheus "le" semantics), or the implicit +Inf
-// bucket. Counts and the nanosecond sum are atomics, so Observe is safe
-// from any goroutine and never blocks.
-type Histogram struct {
-	bounds []float64 // upper edges, seconds, strictly increasing
-	counts []atomic.Int64
-	inf    atomic.Int64
-	sumNS  atomic.Int64
-	n      atomic.Int64
-}
-
-// NewHistogram returns a histogram with the given upper bounds in
-// seconds (nil means DefaultLatencyBuckets). Bounds must be strictly
-// increasing.
-func NewHistogram(bounds []float64) *Histogram {
-	if bounds == nil {
-		bounds = DefaultLatencyBuckets
-	}
-	h := &Histogram{bounds: bounds, counts: make([]atomic.Int64, len(bounds))}
-	return h
-}
-
-// Observe records one duration.
-func (h *Histogram) Observe(d time.Duration) {
-	if h == nil {
-		return
-	}
-	sec := d.Seconds()
-	for i, b := range h.bounds {
-		if sec <= b {
-			h.counts[i].Add(1)
-			h.sumNS.Add(int64(d))
-			h.n.Add(1)
-			return
-		}
-	}
-	h.inf.Add(1)
-	h.sumNS.Add(int64(d))
-	h.n.Add(1)
-}
-
-// Count reports the total number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.n.Load()
-}
-
-// Sum reports the sum of all observations.
-func (h *Histogram) Sum() time.Duration {
-	if h == nil {
-		return 0
-	}
-	return time.Duration(h.sumNS.Load())
-}
-
-// Buckets returns the cumulative bucket counts in "le" order, one per
-// bound plus the final +Inf bucket.
-func (h *Histogram) Buckets() []int64 {
-	if h == nil {
-		return nil
-	}
-	out := make([]int64, len(h.bounds)+1)
-	var cum int64
-	for i := range h.counts {
-		cum += h.counts[i].Load()
-		out[i] = cum
-	}
-	out[len(h.bounds)] = cum + h.inf.Load()
-	return out
-}
-
-// Merge folds other's observations into h. Bucket layouts must match;
-// mismatched layouts are reported as an error so callers cannot silently
-// corrupt a histogram.
-func (h *Histogram) Merge(other *Histogram) error {
-	if h == nil || other == nil {
-		return nil
-	}
-	if len(h.bounds) != len(other.bounds) {
-		return fmt.Errorf("obs: merge of mismatched histograms (%d vs %d buckets)", len(h.bounds), len(other.bounds))
-	}
-	for i := range h.bounds {
-		if h.bounds[i] != other.bounds[i] {
-			return fmt.Errorf("obs: merge of mismatched histograms (bound %d: %v vs %v)", i, h.bounds[i], other.bounds[i])
-		}
-	}
-	for i := range other.counts {
-		h.counts[i].Add(other.counts[i].Load())
-	}
-	h.inf.Add(other.inf.Load())
-	h.sumNS.Add(other.sumNS.Load())
-	h.n.Add(other.n.Load())
-	return nil
 }
 
 // Registry holds the fleet's metrics, keyed by name plus canonical tag
@@ -273,8 +164,8 @@ func (r *Registry) Gauge(name, tags string) *Gauge {
 	return g
 }
 
-// Histogram returns (creating if needed) the default-bucket latency
-// histogram for name+tags. Nil-safe.
+// Histogram returns (creating if needed) the latency histogram for
+// name+tags. Nil-safe.
 func (r *Registry) Histogram(name, tags string) *Histogram {
 	if r == nil {
 		return nil
@@ -287,7 +178,7 @@ func (r *Registry) Histogram(name, tags string) *Histogram {
 		if !r.admit(name) {
 			return nil
 		}
-		h = NewHistogram(nil)
+		h = &Histogram{}
 		r.hists[k] = h
 	}
 	return h
@@ -396,13 +287,7 @@ func (r *Registry) PrometheusText() string {
 	for k, h := range r.hists {
 		name, tags := splitKey(k)
 		f := fam(name, "histogram")
-		cum := h.Buckets()
-		for i, b := range h.bounds {
-			f.lines = append(f.lines, name+"_bucket"+promLabels(tags, formatFloat(b))+" "+strconv.FormatInt(cum[i], 10))
-		}
-		f.lines = append(f.lines, name+"_bucket"+promLabels(tags, "+Inf")+" "+strconv.FormatInt(cum[len(cum)-1], 10))
-		f.lines = append(f.lines, name+"_sum"+promLabels(tags, "")+" "+formatFloat(h.Sum().Seconds()))
-		f.lines = append(f.lines, name+"_count"+promLabels(tags, "")+" "+strconv.FormatInt(h.Count(), 10))
+		f.lines = h.promLines(f.lines, name, tags)
 	}
 	r.mu.Unlock()
 

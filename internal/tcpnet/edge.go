@@ -65,7 +65,7 @@ type EdgeConfig struct {
 	// SIGKILLed edge respawned on the same path recovers its committed
 	// state, and never half a section between checkpoints (a checkpoint
 	// snapshots running sections' uncommitted writes too; ROADMAP item
-	// 3(d)).
+	// 10).
 	WALPath string
 	// WALNoSync skips the per-append fsync. Process-crash durability is
 	// unaffected (the bytes are in the page cache); only a machine crash

@@ -383,7 +383,7 @@ func (p *Partition) StagedCoords() []int {
 // caller retries after the round's decision lands. A local section that
 // has not reached its commit round does not stop a checkpoint, so the
 // snapshot holds its eager writes: a crash before that commit recovers
-// them, possibly half a section (ROADMAP item 3(d)).
+// them, possibly half a section (ROADMAP item 10).
 func (p *Partition) Checkpoint() (records int, ok bool, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

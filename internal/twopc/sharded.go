@@ -750,18 +750,20 @@ func (c *ShardedCC) acquireRouted(owner lock.Owner, reqs []lock.Request, held, b
 }
 
 // timedAcquire wraps acquireRouted, charging the wait to the instance's
-// breakdown accumulator and emitting a lock.wait (or lock.abort) span.
+// breakdown accumulator. A grant that waited emits a lock.wait span; a
+// failed acquisition always emits a lock.abort span, even a zero-length
+// one (a no-wait conflict or a wait-die death fails at once), so every
+// abort the reports count has its span.
 func (c *ShardedCC) timedAcquire(in *txn.Instance, owner lock.Owner, reqs []lock.Request, held, buf route) (rt route, ok, fault bool) {
 	t0 := c.Clk.Now()
 	rt, ok, fault = c.acquireRouted(owner, reqs, held, buf)
 	t1 := c.Clk.Now()
 	in.AddLockWait(t1 - t0)
-	if t1 > t0 {
-		name := obs.SpanLockWait
-		if !ok {
-			name = obs.SpanLockAbort
-		}
-		c.Obs.SpanCtx(in.Trace, name, c.Tags, t0, t1)
+	switch {
+	case !ok:
+		c.Obs.SpanCtx(in.Trace, obs.SpanLockAbort, c.Tags, t0, t1)
+	case t1 > t0:
+		c.Obs.SpanCtx(in.Trace, obs.SpanLockWait, c.Tags, t0, t1)
 	}
 	return rt, ok, fault
 }

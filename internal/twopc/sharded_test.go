@@ -9,6 +9,7 @@ import (
 
 	"croesus/internal/lock"
 	"croesus/internal/netsim"
+	"croesus/internal/obs"
 	"croesus/internal/store"
 	"croesus/internal/transport"
 	"croesus/internal/txn"
@@ -327,6 +328,47 @@ func TestMSSRNoWaitAbortsOnRemoteConflict(t *testing.T) {
 			}
 			wantLocksFree(t, parts)
 		})
+	}
+}
+
+// A lock conflict that fails at once — a no-wait conflict, or a wait-die
+// death against an older holder — leaves exactly one lock.abort span, of
+// zero length, for the one abort the counters record.
+func TestImmediateLockAbortLeavesSpan(t *testing.T) {
+	for _, policy := range []txn.Policy{txn.NoWait, txn.Wait} {
+		clk := vclock.NewSim()
+		cc, parts := testFleet(clk)
+		cc.Protocol, cc.Policy = MSSR, policy
+		cc.Obs = obs.New()
+		// Owner 0 is older than every instance, so a wait-die requester
+		// dies rather than waits.
+		const holder = lock.Owner(0)
+		if !parts[0].Locks.TryAcquire(holder, "0a", lock.Exclusive) {
+			t.Fatal("holder could not lock 0a")
+		}
+		victim := &txn.Txn{
+			Name:      "victim",
+			InitialRW: txn.RWSet{Writes: []string{"0a"}},
+			Initial:   func(*txn.Ctx) error { return nil },
+			Final:     func(*txn.Ctx) error { return nil },
+		}
+		clk.Run(func() {
+			if err := cc.RunInitial(cc.M.NewInstance(victim, nil)); !errors.Is(err, txn.ErrAborted) {
+				t.Errorf("policy %v: RunInitial = %v, want ErrAborted", policy, err)
+			}
+		})
+		if got := cc.M.Stats().Aborts; got != 1 {
+			t.Errorf("policy %v: aborts = %d, want 1", policy, got)
+		}
+		var aborts []obs.Span
+		for _, sp := range cc.Obs.Tracer().Spans() {
+			if sp.Name == obs.SpanLockAbort {
+				aborts = append(aborts, sp)
+			}
+		}
+		if len(aborts) != 1 || aborts[0].End != aborts[0].Start {
+			t.Errorf("policy %v: lock.abort spans = %+v, want one of zero length", policy, aborts)
+		}
 	}
 }
 
