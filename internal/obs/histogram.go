@@ -48,11 +48,7 @@ func bucketEdge(i int) time.Duration {
 // The zero value is an empty histogram. Every method is safe from any
 // goroutine, and a nil Histogram is a no-op.
 type Histogram struct {
-	mu sync.Mutex
-	s  sketch
-}
-
-type sketch struct {
+	mu       sync.Mutex
 	counts   []int64 // counts[i] is bucket base+i
 	base     int
 	zero     int64 // durations ≤ 0
@@ -62,17 +58,28 @@ type sketch struct {
 }
 
 // add counts c observations in bucket i, growing counts to cover it.
-func (s *sketch) add(i int, c int64) {
-	if len(s.counts) == 0 {
-		s.base = i
+// Callers hold h.mu, as for widen.
+func (h *Histogram) add(i int, c int64) {
+	if len(h.counts) == 0 {
+		h.base = i
 	}
-	if i < s.base || i >= s.base+len(s.counts) {
-		base, end := min(s.base, i), max(s.base+len(s.counts), i+1)
+	if i < h.base || i >= h.base+len(h.counts) {
+		base, end := min(h.base, i), max(h.base+len(h.counts), i+1)
 		grown := make([]int64, end-base)
-		copy(grown[s.base-base:], s.counts)
-		s.counts, s.base = grown, base
+		copy(grown[h.base-base:], h.counts)
+		h.counts, h.base = grown, base
 	}
-	s.counts[i-s.base] += c
+	h.counts[i-h.base] += c
+}
+
+// widen extends [min, max] to cover [lo, hi]; call it before counting.
+func (h *Histogram) widen(lo, hi time.Duration) {
+	if h.n == 0 || lo < h.min {
+		h.min = lo
+	}
+	if h.n == 0 || hi > h.max {
+		h.max = hi
+	}
 }
 
 // Observe records one duration.
@@ -82,20 +89,14 @@ func (h *Histogram) Observe(d time.Duration) {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	s := &h.s
-	if s.n == 0 || d < s.min {
-		s.min = d
-	}
-	if s.n == 0 || d > s.max {
-		s.max = d
-	}
-	s.n++
-	s.sum += d
+	h.widen(d, d)
+	h.n++
+	h.sum += d
 	if d <= 0 {
-		s.zero++
+		h.zero++
 		return
 	}
-	s.add(bucketOf(d), 1)
+	h.add(bucketOf(d), 1)
 }
 
 // Merge folds other's observations into h: h becomes the sketch of both
@@ -105,49 +106,29 @@ func (h *Histogram) Merge(other *Histogram) {
 		return
 	}
 	other.mu.Lock()
-	o := other.s
-	o.counts = slices.Clone(o.counts)
+	counts, base, zero, n, sum, lo, hi := slices.Clone(other.counts), other.base, other.zero, other.n, other.sum, other.min, other.max
 	other.mu.Unlock()
-	if o.n == 0 {
+	if n == 0 {
 		return
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	s := &h.s
-	if s.n == 0 || o.min < s.min {
-		s.min = o.min
-	}
-	if s.n == 0 || o.max > s.max {
-		s.max = o.max
-	}
-	s.n += o.n
-	s.sum += o.sum
-	s.zero += o.zero
-	for i, c := range o.counts {
+	h.widen(lo, hi)
+	h.n += n
+	h.sum += sum
+	h.zero += zero
+	for i, c := range counts {
 		if c != 0 {
-			s.add(o.base+i, c)
+			h.add(base+i, c)
 		}
 	}
 }
 
-// Count reports the total number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
+// totals reports the number and the sum of all observations.
+func (h *Histogram) totals() (n int64, sum time.Duration) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.s.n
-}
-
-// Sum reports the sum of all observations.
-func (h *Histogram) Sum() time.Duration {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.s.sum
+	return h.n, h.sum
 }
 
 // Max reports the largest observation, exactly (0 when empty).
@@ -157,35 +138,34 @@ func (h *Histogram) Max() time.Duration {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.s.max
+	return h.max
 }
 
 // Quantile returns the q-quantile (0 < q ≤ 1) by nearest rank: the
 // representative of the bucket that holds the ⌈q·n⌉-th smallest
 // observation, clamped to [min, max]. It lies within α of that
-// observation, and is exact when every observation shares one bucket's
-// value (a single sample, or only zeros). 0 when empty.
+// observation, and is exact when all observations are equal (a single
+// sample, or a cell of zeros). 0 when empty.
 func (h *Histogram) Quantile(q float64) time.Duration {
 	if h == nil {
 		return 0
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	s := &h.s
-	if s.n == 0 {
+	if h.n == 0 {
 		return 0
 	}
-	rank := min(max(int64(math.Ceil(q*float64(s.n))), 1), s.n)
+	rank := min(max(int64(math.Ceil(q*float64(h.n))), 1), h.n)
 	var v time.Duration
-	if seen := s.zero; seen < rank {
-		for i, c := range s.counts {
+	if seen := h.zero; seen < rank {
+		for i, c := range h.counts {
 			if seen += c; seen >= rank {
-				v = time.Duration(math.Round((1 - alpha) * math.Exp(float64(s.base+i)*lnGamma)))
+				v = time.Duration(math.Round((1 - alpha) * math.Exp(float64(h.base+i)*lnGamma)))
 				break
 			}
 		}
 	}
-	return min(max(v, s.min), s.max)
+	return min(max(v, h.min), h.max)
 }
 
 // promLines appends the Prometheus histogram lines of h, named name with
@@ -194,17 +174,16 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 func (h *Histogram) promLines(lines []string, name, tags string) []string {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	s := &h.s
-	cum, i := s.zero, 0
+	cum, i := h.zero, 0
 	for _, rung := range promLadder {
-		for ; i < len(s.counts) && s.base+i <= rung; i++ {
-			cum += s.counts[i]
+		for ; i < len(h.counts) && h.base+i <= rung; i++ {
+			cum += h.counts[i]
 		}
 		le := strconv.FormatFloat(float64(bucketEdge(rung))/1e9, 'g', -1, 64)
 		lines = append(lines, name+"_bucket"+promLabels(tags, le)+" "+strconv.FormatInt(cum, 10))
 	}
 	return append(lines,
-		name+"_bucket"+promLabels(tags, "+Inf")+" "+strconv.FormatInt(s.n, 10),
-		name+"_sum"+promLabels(tags, "")+" "+formatFloat(s.sum.Seconds()),
-		name+"_count"+promLabels(tags, "")+" "+strconv.FormatInt(s.n, 10))
+		name+"_bucket"+promLabels(tags, "+Inf")+" "+strconv.FormatInt(h.n, 10),
+		name+"_sum"+promLabels(tags, "")+" "+strconv.FormatFloat(h.sum.Seconds(), 'g', -1, 64),
+		name+"_count"+promLabels(tags, "")+" "+strconv.FormatInt(h.n, 10))
 }

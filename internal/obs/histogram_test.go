@@ -79,8 +79,8 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 				t.Fatalf("set %d (n=%d): q%.2f = %d, want %d ± %d within [%d, %d]", si, len(set), q, got, want, tol, lo, hi)
 			}
 		}
-		if h.Count() != int64(len(set)) || h.Max() != hi {
-			t.Fatalf("set %d: count/max = %d/%v, want %d/%v", si, h.Count(), h.Max(), len(set), hi)
+		if n, _ := h.totals(); n != int64(len(set)) || h.Max() != hi {
+			t.Fatalf("set %d: count/max = %d/%v, want %d/%v", si, n, h.Max(), len(set), hi)
 		}
 		if len(set) == 1 || lo == hi {
 			for _, q := range quantiles {
@@ -110,8 +110,8 @@ func TestHistogramMerge(t *testing.T) {
 		for _, k := range rng.Perm(len(parts)) {
 			merged.Merge(sketchOf(parts[k]))
 		}
-		if !reflect.DeepEqual(merged.s, whole.s) {
-			t.Fatalf("set %d split %d ways: merged %+v, whole %+v", si, len(parts), merged.s, whole.s)
+		if !reflect.DeepEqual(merged, whole) {
+			t.Fatalf("set %d split %d ways: merged %+v, whole %+v", si, len(parts), merged, whole)
 		}
 		for _, q := range quantiles {
 			if merged.Quantile(q) != whole.Quantile(q) {
@@ -131,7 +131,7 @@ func TestHistogramMerge(t *testing.T) {
 	for _, sec := range []string{"1", "2"} {
 		tag := Tags("edge", "e0", "section", sec)
 		west.Histogram(MetricSectionLatency, tag).Merge(east.Histogram(MetricSectionLatency, tag))
-		if n := west.Histogram(MetricSectionLatency, tag).Count(); n != 2 {
+		if n, _ := west.Histogram(MetricSectionLatency, tag).totals(); n != 2 {
 			t.Fatalf("section %s merged count = %d, want 2 (one per fleet half)", sec, n)
 		}
 	}
@@ -151,8 +151,8 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 		if !strings.Contains(text, le) {
 			t.Fatalf("rung %d (%v): want %s in\n%s", j, edge, le, text)
 		}
-		if h.Count() != 2 || h.Sum() != 2*edge+1 {
-			t.Fatalf("rung %d: count/sum = %d/%v", j, h.Count(), h.Sum())
+		if n, sum := h.totals(); n != 2 || sum != 2*edge+1 {
+			t.Fatalf("rung %d: count/sum = %d/%v", j, n, sum)
 		}
 	}
 	if promLadder[0] != bucketOf(time.Millisecond) || bucketEdge(promLadder[0]) < time.Millisecond {
@@ -188,7 +188,8 @@ func TestHistogramConcurrentObserveScrapeMerge(t *testing.T) {
 			}
 		}(w)
 	}
-	into := &Histogram{}
+	into, extra := &Histogram{}, sketchOf([]time.Duration{0, time.Second})
+	const merges = 50
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
@@ -201,13 +202,13 @@ func TestHistogramConcurrentObserveScrapeMerge(t *testing.T) {
 	}()
 	go func() {
 		defer wg.Done()
-		for i := 0; i < 50; i++ {
+		for i := 0; i < merges; i++ {
 			into.Merge(h)
-			h.Merge(&Histogram{})
+			h.Merge(extra)
 		}
 	}()
 	wg.Wait()
-	if h.Count() != writers*each || h.Max() != writers*each*time.Microsecond {
-		t.Fatalf("count/max = %d/%v after %d observations", h.Count(), h.Max(), writers*each)
+	if n, _ := h.totals(); n != writers*each+2*merges || h.Max() != time.Second || h.Quantile(0.001) != 0 {
+		t.Fatalf("count/max/min = %d/%v/%v after %d observations and %d merges", n, h.Max(), h.Quantile(0.001), writers*each, merges)
 	}
 }

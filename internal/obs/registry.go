@@ -62,8 +62,8 @@ func (g *Gauge) Value() int64 {
 
 // Registry holds the fleet's metrics, keyed by name plus canonical tag
 // string. Resolution (Counter/Gauge/Histogram) takes a mutex and is meant
-// for setup paths; the returned handles are lock-free and should be kept
-// by hot paths. Collectors registered with RegisterCollector run at
+// for setup paths; the returned handles (lock-free counters and gauges, a
+// histogram behind its own mutex) should be kept by hot paths. Collectors registered with RegisterCollector run at
 // scrape time to pull values from subsystems that keep their own
 // counters (transport stats, fault counters).
 type Registry struct {
@@ -247,8 +247,6 @@ func splitKey(k string) (name, tags string) {
 	return k, ""
 }
 
-func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
 // PrometheusText runs the registered collectors and renders the whole
 // registry in the Prometheus text exposition format. Output is sorted by
 // metric name and label set, so two scrapes of identical state are
@@ -327,8 +325,9 @@ func (r *Registry) Snapshot() map[string]int64 {
 		out[k] = g.Value()
 	}
 	for k, h := range r.hists {
-		out[k+"_count"] = h.Count()
-		out[k+"_sum_ns"] = int64(h.Sum())
+		n, sum := h.totals()
+		out[k+"_count"] = n
+		out[k+"_sum_ns"] = int64(sum)
 	}
 	return out
 }
