@@ -17,7 +17,6 @@ import (
 // function, const, var or type), each with its reason.
 var unreachedAllowed = map[string]string{
 	"internal/lock.Manager.Outstanding":        "the lock-leak assertion of five packages' tests: a read of the live lock table",
-	"internal/txn.Manager.History":             "the boundary-commit record the serializability test reads, kept for the one property oracle (ROADMAP item 2)",
 	"internal/randsrc.source.Int63":            "rand.Source interface method, called through math/rand",
 	"internal/scenario.Duration.MarshalJSON":   "json.Marshaler interface method, called through encoding/json",
 	"internal/scenario.Duration.UnmarshalJSON": "json.Unmarshaler interface method, called through encoding/json",

@@ -237,16 +237,18 @@ type cameraRuntime struct {
 	// only the feeder calls it.
 	gen *video.Generator
 	// tally scores each frame against the cloud model's labels as it
-	// finalizes; outcomes keep the rest of it, without the label sets.
-	tally    core.Tally
-	outcomes []core.FrameOutcome
-	done     []bool // outcome slot filled (vs dropped by an outage)
-	fed      int    // frames scheduled so far (a prefix of the stream)
-	dropped  int    // frames lost to an edge outage
-	left     bool   // camera retired mid-run
-	rate     float64
-	nextAt   time.Duration
-	interval time.Duration
+	// finalizes, and initLat and finalLat fold its two latencies; records
+	// keep the little the report's phases, the makespan and Outcomes read
+	// back per frame.
+	tally             core.Tally
+	initLat, finalLat obs.Histogram
+	records           []frameRecord
+	fed               int  // frames scheduled so far (a prefix of the stream)
+	dropped           int  // frames lost to an edge outage
+	left              bool // camera retired mid-run
+	rate              float64
+	nextAt            time.Duration
+	interval          time.Duration
 	// migrateTo is a pending re-home: the feeder rebinds the pipeline to
 	// that edge before the next frame, or MigrateCamera/feed apply it
 	// directly when the feeder has already exited. -1 when none.
@@ -274,6 +276,8 @@ type Cluster struct {
 	// when the fleet runs the two-stage graph, which each edge builds over
 	// its own uplink (EdgeNode.graph).
 	graph *core.Graph
+	// acc folds each frame's critical path and sections as it finalizes.
+	acc fleetAcc
 
 	// Sharded-keyspace state (nil/zero in unsharded fleets): the one
 	// fleet-wide manager, the shared distributed-commit counters, and the
@@ -369,6 +373,10 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	tr := transport.NewSim()
 	c := &Cluster{cfg: cfg, clk: cfg.Clock, cloudModel: cloudModel, batcher: batcher, transport: tr, graph: graph}
+	if graph != nil {
+		c.acc.secLat = make([]obs.Histogram, len(graph.Nodes))
+		c.acc.secSum = make([]core.SectionOutcome, len(graph.Nodes))
+	}
 	if cfg.Obs != nil {
 		// The transport keeps its own lifetime counters; a pull collector
 		// mirrors them into the registry at scrape time.
@@ -636,8 +644,7 @@ func (c *Cluster) buildCamera(cs CameraSpec, idx int, startAt time.Duration) (*c
 		pipe:      pipe,
 		gen:       video.NewGenerator(cs.Profile, cs.Seed),
 		tally:     core.Tally{QueryClass: cs.Profile.QueryClass, OverlapMin: c.cfg.OverlapMin},
-		outcomes:  make([]core.FrameOutcome, cs.Frames),
-		done:      make([]bool, cs.Frames),
+		records:   make([]frameRecord, cs.Frames),
 		rate:      1,
 		nextAt:    startAt,
 		interval:  cs.Profile.FrameInterval(),
@@ -777,9 +784,10 @@ func (c *Cluster) Close() { c.closeDurability() }
 // Outcomes returns the per-frame outcomes of one camera after Run, or
 // nil if the camera is unknown. Frames are in capture order; a camera that
 // left mid-run (or lost frames to an edge outage) reports only the frames
-// it actually captured. Label sets are scored when a frame finalizes and
-// are not kept: EdgeDetections, InitialVisible, FinalVisible and Apologies
-// are nil.
+// it actually captured. Each frame is scored and folded into the report
+// when it finalizes, and only its frameRecord is kept, so an outcome fills
+// FrameIndex, CapturedAt, SentToCloud, Shed, CloudLost, InitialLatency and
+// FinalLatency; its label sets, counts, Breakdown and Sections are zero.
 func (c *Cluster) Outcomes(cameraID string) []core.FrameOutcome {
 	cam := c.findCam(cameraID)
 	if cam == nil {
@@ -788,10 +796,19 @@ func (c *Cluster) Outcomes(cameraID string) []core.FrameOutcome {
 	cam.mu.Lock()
 	defer cam.mu.Unlock()
 	out := make([]core.FrameOutcome, 0, cam.fed)
-	for i := 0; i < cam.fed; i++ {
-		if cam.done[i] {
-			out = append(out, cam.outcomes[i])
+	for i, r := range cam.records[:cam.fed] {
+		if !r.done {
+			continue
 		}
+		out = append(out, core.FrameOutcome{
+			FrameIndex:     i,
+			CapturedAt:     r.capturedAt,
+			SentToCloud:    r.sent,
+			Shed:           r.shed,
+			CloudLost:      r.lost,
+			InitialLatency: r.initial,
+			FinalLatency:   r.final,
+		})
 	}
 	return out
 }
@@ -924,11 +941,12 @@ func (c *Cluster) feed(cam *cameraRuntime) {
 		clk.Go(func() {
 			out := pipe.ProcessFrame(f)
 			ref := c.cloudModel.Detect(f).Detections
+			c.acc.fold(&out)
+			cam.initLat.Observe(out.InitialLatency)
+			cam.finalLat.Observe(out.FinalLatency)
 			cam.mu.Lock()
 			cam.tally.Add(&out, ref)
-			out.EdgeDetections, out.InitialVisible, out.FinalVisible, out.Apologies = nil, nil, nil, nil
-			cam.outcomes[i] = out
-			cam.done[i] = true
+			cam.records[i] = recordOf(&out)
 			cam.mu.Unlock()
 		})
 	}
@@ -966,12 +984,9 @@ func (c *Cluster) Drain() *ClusterReport {
 	end := c.startAt
 	for _, cam := range c.cams {
 		cam.mu.Lock()
-		for i := 0; i < cam.fed; i++ {
-			if !cam.done[i] {
-				continue
-			}
-			if t := cam.outcomes[i].CapturedAt + cam.outcomes[i].FinalLatency; t > end {
-				end = t
+		for _, r := range cam.records[:cam.fed] {
+			if r.done && r.capturedAt+r.final > end {
+				end = r.capturedAt + r.final
 			}
 		}
 		cam.mu.Unlock()

@@ -5,23 +5,30 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"croesus/internal/vclock"
 	"croesus/internal/video"
 )
 
 // TestRunRetainsBoundedHeap: what a run leaves alive, counted from before
-// the fleet is built, is its report inputs (label-free outcomes, latency
-// samples) and its data stacks, not every transaction it ever ran nor its
-// video. Each edge's txn.Manager forgets an instance once nothing in flight
-// can retract it; before it did, this fleet retained 7.5 KiB per frame past
-// set-up. Frames are generated as they are captured and scored as they
-// finalize; when the fleet generated every camera's video at set-up and
-// kept every frame's label sets for the report, it retained 3.3 KiB per
-// frame counted this way. Drain sweeps every manager once, so the settled
-// transactions a manager still waited to sweep go too: 2.0 KiB per frame
-// before that, 1.1 now (also under -race).
+// the fleet is built, is its report accumulators (a 32 B record per frame
+// and the latency sketches) and its data stacks, not every transaction it
+// ever ran nor its video. Each edge's txn.Manager forgets an instance once
+// nothing in flight can retract it; before it did, this fleet retained
+// 7.5 KiB per frame past set-up. Frames are generated as they are captured
+// and scored as they finalize; when the fleet generated every camera's
+// video at set-up and kept every frame's label sets for the report, it
+// retained 3.3 KiB per frame counted this way. Drain sweeps every manager
+// once, so the settled transactions a manager still waited to sweep go
+// too: 2.0 KiB per frame before that, 1.1 KiB while the fleet kept every
+// frame's outcome and each manager a 4 096-entry commit history. With
+// neither it retains about 700 B (690–745 under -race); the bound is that
+// plus a quarter.
 func TestRunRetainsBoundedHeap(t *testing.T) {
+	if n := unsafe.Sizeof(frameRecord{}); n > 40 {
+		t.Errorf("a frame record is %d B, want ≤ 40", n)
+	}
 	const cameras, frames = 16, 64
 	profiles := []video.Profile{video.ParkDog(), video.StreetVehicles(), video.MallSurveillance(), video.AirportRunway()}
 	cfg := Config{
@@ -49,8 +56,8 @@ func TestRunRetainsBoundedHeap(t *testing.T) {
 	}
 	perFrame := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(rep.Frames)
 	t.Logf("%d frames, %d transactions: %.0f B of heap retained per frame", rep.Frames, rep.TxnsTriggered, perFrame)
-	if perFrame > 1536 {
-		t.Errorf("run retains %.0f B per frame, want ≤ 1.5 KiB", perFrame)
+	if perFrame > 896 {
+		t.Errorf("run retains %.0f B per frame, want ≤ 896 B", perFrame)
 	}
 	runtime.KeepAlive(c)
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"croesus/internal/core"
@@ -137,89 +138,109 @@ type SectionReport struct {
 	MeanTwoPC    time.Duration
 }
 
-// report scores every camera and aggregates the fleet. elapsed is the
-// run's makespan; endAt the absolute virtual time it ended (phase windows
-// are absolute).
+// frameRecord is what a camera keeps of one frame once it has finalized:
+// its capture time, its two latencies and its cloud outcome — what the
+// phase rows, the makespan and Outcomes read back. Everything else the
+// report needs is folded into the camera's and the fleet's sketches as the
+// frame finalizes. 32 B.
+type frameRecord struct {
+	capturedAt, initial, final time.Duration
+	done                       bool // finalized (vs dropped by an outage)
+	sent, shed, lost           bool
+}
+
+func recordOf(o *core.FrameOutcome) frameRecord {
+	return frameRecord{capturedAt: o.CapturedAt, initial: o.InitialLatency, final: o.FinalLatency,
+		done: true, sent: o.SentToCloud, shed: o.Shed, lost: o.CloudLost}
+}
+
+// fleetAcc folds every finalized frame of the fleet into the report's
+// fleet-wide critical-path and per-section aggregates. Sketch counts are
+// integers and sums integer durations, so the order frames finalize in
+// cannot move a report cell.
+type fleetAcc struct {
+	// comp holds the critical-path components: compute, queue, lock, 2PC,
+	// network — the order core.Breakdown.CriticalPath returns them in.
+	comp [5]obs.Histogram
+
+	// The per-section block belongs to fleets that declare a graph (nil
+	// secLat otherwise); the two-stage fleet's sections are the initial
+	// and final rows. mu guards the sums and the frame count.
+	secLat    []obs.Histogram
+	mu        sync.Mutex
+	secSum    []core.SectionOutcome
+	secFrames int
+}
+
+func (a *fleetAcc) fold(o *core.FrameOutcome) {
+	cc, cq, cl, ct, cn := o.Breakdown.CriticalPath()
+	for i, d := range [...]time.Duration{cc, cq, cl, ct, cn} {
+		a.comp[i].Observe(d)
+	}
+	if a.secLat == nil {
+		return
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.secFrames++
+	for k, sec := range o.Sections {
+		a.secLat[k].Observe(sec.Latency)
+		a.secSum[k].Hop += sec.Hop
+		a.secSum[k].Detect += sec.Detect
+		a.secSum[k].Txn += sec.Txn
+		a.secSum[k].LockWait += sec.LockWait
+		a.secSum[k].TwoPC += sec.TwoPC
+	}
+}
+
+// report scores every camera and aggregates the fleet from the sketches
+// folded as frames finalized. elapsed is the run's makespan; endAt the
+// absolute virtual time it ended (phase windows are absolute).
 func (c *Cluster) report(elapsed, endAt time.Duration) *ClusterReport {
 	r := &ClusterReport{Policy: "round-robin", Elapsed: elapsed}
 	phases := c.phaseReports(endAt)
 	var fleetInit, fleetFinal obs.Histogram
-	// Component stats index: compute, queue, lock, 2PC, network — the
-	// order CriticalPath() returns them in.
-	var comp [5]obs.Histogram
-	// The per-section block belongs to fleets that declare a graph; the
-	// two-stage fleet's sections are the initial and final rows above it.
-	nSec := 0
-	if c.graph != nil {
-		nSec = len(c.graph.Nodes)
-	}
-	secLat := make([]obs.Histogram, nSec)
-	secSum := make([]core.SectionOutcome, nSec)
-	secFrames := 0
 	phaseFinal := make([]obs.Histogram, len(phases))
 	for _, cam := range c.cams {
 		// A camera that left mid-run (or lost frames to an outage) reports
-		// the frames it actually captured, each scored as it finalized:
-		// the fleet has drained, so the lock only orders these reads after
-		// the last frame's writes.
+		// the frames it actually captured: the fleet has drained, so the
+		// lock only orders these reads after the last frame's writes.
 		cam.mu.Lock()
-		outs, done := cam.outcomes[:cam.fed], cam.done[:cam.fed]
 		dropped, left, edge := cam.dropped, cam.left && cam.fed < cam.spec.Frames, cam.edge
 		sum := cam.tally.Summary(cam.spec.ID, core.ModeCroesus)
-
-		var init, final obs.Histogram
-		for i := range outs {
-			if !done[i] {
+		for _, rec := range cam.records[:cam.fed] {
+			if !rec.done {
 				continue
 			}
-			init.Observe(outs[i].InitialLatency)
-			final.Observe(outs[i].FinalLatency)
-			cc, cq, cl, ct, cn := outs[i].Breakdown.CriticalPath()
-			comp[0].Observe(cc)
-			comp[1].Observe(cq)
-			comp[2].Observe(cl)
-			comp[3].Observe(ct)
-			comp[4].Observe(cn)
-			if nSec > 0 {
-				secFrames++
-				for k, sec := range outs[i].Sections {
-					secLat[k].Observe(sec.Latency)
-					secSum[k].Hop += sec.Hop
-					secSum[k].Detect += sec.Detect
-					secSum[k].Txn += sec.Txn
-					secSum[k].LockWait += sec.LockWait
-					secSum[k].TwoPC += sec.TwoPC
-				}
-			}
 			for pi := range phases {
-				if outs[i].CapturedAt >= phases[pi].Start && (pi == len(phases)-1 || outs[i].CapturedAt < phases[pi].End) {
+				if rec.capturedAt >= phases[pi].Start && (pi == len(phases)-1 || rec.capturedAt < phases[pi].End) {
 					phases[pi].Frames++
-					if outs[i].SentToCloud {
-						if outs[i].Shed {
+					if rec.sent {
+						if rec.shed {
 							phases[pi].Shed++
-						} else if !outs[i].CloudLost {
+						} else if !rec.lost {
 							phases[pi].Validated++
 						}
 					}
-					phaseFinal[pi].Observe(outs[i].FinalLatency)
+					phaseFinal[pi].Observe(rec.final)
 				}
 			}
 		}
 		cam.mu.Unlock()
-		fleetInit.Merge(&init)
-		fleetFinal.Merge(&final)
+		fleetInit.Merge(&cam.initLat)
+		fleetFinal.Merge(&cam.finalLat)
 		r.Cameras = append(r.Cameras, CameraReport{
 			Camera:     cam.spec.ID,
 			Edge:       edge.Spec.ID,
 			Summary:    sum,
 			Dropped:    dropped,
 			Left:       left,
-			InitialP50: init.Quantile(0.50),
-			InitialP95: init.Quantile(0.95),
-			InitialP99: init.Quantile(0.99),
-			FinalP50:   final.Quantile(0.50),
-			FinalP95:   final.Quantile(0.95),
-			FinalP99:   final.Quantile(0.99),
+			InitialP50: cam.initLat.Quantile(0.50),
+			InitialP95: cam.initLat.Quantile(0.95),
+			InitialP99: cam.initLat.Quantile(0.99),
+			FinalP50:   cam.finalLat.Quantile(0.50),
+			FinalP95:   cam.finalLat.Quantile(0.95),
+			FinalP99:   cam.finalLat.Quantile(0.99),
 		})
 		r.Frames += sum.Frames
 		r.Validated += sum.Validated
@@ -246,6 +267,7 @@ func (c *Cluster) report(elapsed, endAt time.Duration) *ClusterReport {
 	r.FinalP50 = fleetFinal.Quantile(0.50)
 	r.FinalP95 = fleetFinal.Quantile(0.95)
 	r.FinalP99 = fleetFinal.Quantile(0.99)
+	comp := &c.acc.comp
 	r.CriticalPath = CriticalPath{
 		ComputeP50: comp[0].Quantile(0.50), ComputeP99: comp[0].Quantile(0.99),
 		QueueP50: comp[1].Quantile(0.50), QueueP99: comp[1].Quantile(0.99),
@@ -253,24 +275,26 @@ func (c *Cluster) report(elapsed, endAt time.Duration) *ClusterReport {
 		TwoPCP50: comp[3].Quantile(0.50), TwoPCP99: comp[3].Quantile(0.99),
 		NetworkP50: comp[4].Quantile(0.50), NetworkP99: comp[4].Quantile(0.99),
 	}
-	for k := range secLat {
+	c.acc.mu.Lock()
+	for k := range c.acc.secLat {
 		sr := SectionReport{
 			Index:      k,
 			Name:       c.graph.Nodes[k].Name,
 			Tier:       c.graph.Nodes[k].Tier.String(),
-			LatencyP50: secLat[k].Quantile(0.50),
-			LatencyP99: secLat[k].Quantile(0.99),
+			LatencyP50: c.acc.secLat[k].Quantile(0.50),
+			LatencyP99: c.acc.secLat[k].Quantile(0.99),
 		}
-		if secFrames > 0 {
-			n := time.Duration(secFrames)
-			sr.MeanHop = secSum[k].Hop / n
-			sr.MeanDetect = secSum[k].Detect / n
-			sr.MeanTxn = secSum[k].Txn / n
-			sr.MeanLockWait = secSum[k].LockWait / n
-			sr.MeanTwoPC = secSum[k].TwoPC / n
+		if n := time.Duration(c.acc.secFrames); n > 0 {
+			sum := c.acc.secSum[k]
+			sr.MeanHop = sum.Hop / n
+			sr.MeanDetect = sum.Detect / n
+			sr.MeanTxn = sum.Txn / n
+			sr.MeanLockWait = sum.LockWait / n
+			sr.MeanTwoPC = sum.TwoPC / n
 		}
 		r.Sections = append(r.Sections, sr)
 	}
+	c.acc.mu.Unlock()
 	r.Batcher = c.batcher.Stats()
 	r.Sharded = c.cfg.Sharded
 	r.Protocol = c.cfg.Protocol.String()

@@ -168,12 +168,13 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	return min(max(v, h.min), h.max)
 }
 
-// promLines appends the Prometheus histogram lines of h, named name with
-// the canonical tags, to lines: one cumulative `_bucket` per promLadder
-// rung, then +Inf, `_sum` and `_count`, all read under one lock.
-func (h *Histogram) promLines(lines []string, name, tags string) []string {
+// promLines returns the Prometheus histogram lines of h, named name with
+// the canonical tags: one cumulative `_bucket` per promLadder rung, then
+// +Inf, `_sum` and `_count`, all read under one lock.
+func (h *Histogram) promLines(name, tags string) []string {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	lines := make([]string, 0, len(promLadder)+3)
 	cum, i := h.zero, 0
 	for _, rung := range promLadder {
 		for ; i < len(h.counts) && h.base+i <= rung; i++ {

@@ -146,7 +146,7 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 		h := &Histogram{}
 		h.Observe(edge)
 		h.Observe(edge + 1)
-		text := strings.Join(h.promLines(nil, "x", ""), "\n")
+		text := strings.Join(h.promLines("x", ""), "\n")
 		le := fmt.Sprintf(`x_bucket{le="%s"} 1`, strings.TrimRight(fmt.Sprintf("%.9f", edge.Seconds()), "0"))
 		if !strings.Contains(text, le) {
 			t.Fatalf("rung %d (%v): want %s in\n%s", j, edge, le, text)

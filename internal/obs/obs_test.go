@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -61,6 +63,59 @@ func TestRegistryPrometheusText(t *testing.T) {
 	r2.Histogram("lat_seconds", "").Observe(time.Millisecond)
 	if r2.PrometheusText() != r2.PrometheusText() {
 		t.Fatal("scrape output not deterministic")
+	}
+}
+
+// TestPrometheusHistogramSeriesOrder parses a two-series histogram family
+// and checks the exposition order Prometheus expects: series by label set,
+// and within each its buckets in ascending le, then +Inf, _sum and _count.
+func TestPrometheusHistogramSeriesOrder(t *testing.T) {
+	r := NewRegistry()
+	const name = "lat_seconds"
+	for _, d := range []time.Duration{3 * time.Millisecond, 40 * time.Millisecond, 2 * time.Second} {
+		r.Histogram(name, Tags("edge", "e1")).Observe(d)
+	}
+	r.Histogram(name, Tags("edge", "e0")).Observe(7 * time.Millisecond)
+
+	type line struct{ series, kind, le string }
+	var got []line
+	for _, l := range strings.Split(strings.TrimSpace(r.PrometheusText()), "\n") {
+		if strings.HasPrefix(l, "#") {
+			continue
+		}
+		metric, labels, ok := strings.Cut(strings.Fields(l)[0], "{")
+		if !ok {
+			t.Fatalf("series without labels: %q", l)
+		}
+		labels = strings.TrimSuffix(labels, "}")
+		ln := line{kind: strings.TrimPrefix(metric, name)}
+		labels, le, _ := strings.Cut(labels, `,le="`)
+		ln.series, ln.le = labels, strings.TrimSuffix(le, `"`)
+		got = append(got, ln)
+	}
+	var want []line
+	for _, series := range []string{`edge="e0"`, `edge="e1"`} {
+		for _, rung := range promLadder {
+			want = append(want, line{series, "_bucket", strconv.FormatFloat(float64(bucketEdge(rung))/1e9, 'g', -1, 64)})
+		}
+		want = append(want, line{series, "_bucket", "+Inf"}, line{series, "_sum", ""}, line{series, "_count", ""})
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("scrape order:\n got  %v\n want %v", got, want)
+	}
+	prev := 0.0
+	for i, l := range got {
+		if l.kind != "_bucket" || l.le == "+Inf" {
+			continue
+		}
+		le, err := strconv.ParseFloat(l.le, 64)
+		if err != nil {
+			t.Fatalf("line %d: le %q: %v", i, l.le, err)
+		}
+		if i > 0 && got[i-1].series == l.series && le <= prev {
+			t.Fatalf("line %d: le %s after %g, want ascending", i, l.le, prev)
+		}
+		prev = le
 	}
 }
 

@@ -257,9 +257,15 @@ func (r *Registry) PrometheusText() string {
 	}
 	r.runCollectors()
 
+	// A family's series sort by label set; each keeps its own line order
+	// (a histogram's buckets by ascending le, then +Inf, _sum, _count).
+	type series struct {
+		labels string
+		lines  []string
+	}
 	type family struct {
-		typ   string
-		lines []string
+		typ    string
+		series []series
 	}
 	fams := make(map[string]*family)
 	fam := func(name, typ string) *family {
@@ -274,18 +280,18 @@ func (r *Registry) PrometheusText() string {
 	r.mu.Lock()
 	for k, c := range r.counters {
 		name, tags := splitKey(k)
-		f := fam(name, "counter")
-		f.lines = append(f.lines, name+promLabels(tags, "")+" "+strconv.FormatInt(c.Value(), 10))
+		f, labels := fam(name, "counter"), promLabels(tags, "")
+		f.series = append(f.series, series{labels, []string{name + labels + " " + strconv.FormatInt(c.Value(), 10)}})
 	}
 	for k, g := range r.gauges {
 		name, tags := splitKey(k)
-		f := fam(name, "gauge")
-		f.lines = append(f.lines, name+promLabels(tags, "")+" "+strconv.FormatInt(g.Value(), 10))
+		f, labels := fam(name, "gauge"), promLabels(tags, "")
+		f.series = append(f.series, series{labels, []string{name + labels + " " + strconv.FormatInt(g.Value(), 10)}})
 	}
 	for k, h := range r.hists {
 		name, tags := splitKey(k)
 		f := fam(name, "histogram")
-		f.lines = h.promLines(f.lines, name, tags)
+		f.series = append(f.series, series{promLabels(tags, ""), h.promLines(name, tags)})
 	}
 	r.mu.Unlock()
 
@@ -299,10 +305,12 @@ func (r *Registry) PrometheusText() string {
 	for _, name := range names {
 		f := fams[name]
 		b.WriteString("# TYPE " + name + " " + f.typ + "\n")
-		sort.Strings(f.lines)
-		for _, l := range f.lines {
-			b.WriteString(l)
-			b.WriteByte('\n')
+		sort.Slice(f.series, func(i, j int) bool { return f.series[i].labels < f.series[j].labels })
+		for _, s := range f.series {
+			for _, l := range s.lines {
+				b.WriteString(l)
+				b.WriteByte('\n')
+			}
 		}
 	}
 	return b.String()

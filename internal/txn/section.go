@@ -191,7 +191,9 @@ func (m *Manager) MarkSectionCommitted(in *Instance, k int) (retracted bool) {
 	in.committed = k + 1
 	in.mu.Unlock()
 
-	m.recordHistory(HistoryEntry{Txn: in.ID, Stage: Stage(k)})
+	if m.onCommit != nil {
+		m.onCommit(in.ID, Stage(k))
+	}
 	if k == 0 {
 		m.stats.InitialCommits++
 	}

@@ -100,6 +100,7 @@ func TestMSSRSerializabilityProperty(t *testing.T) {
 
 		clk := vclock.NewSim()
 		m, cc := newEdge(clk, twopc.MSSR)
+		m.RecordHistory()
 		var mu sync.Mutex
 		bySuccessID := map[ID]rmwSpec{}
 		for i := range specs {

@@ -39,6 +39,7 @@ func runTransferTrial(t *testing.T, seed int64, nJobs int, sweepAlways bool) swe
 	rng := rand.New(rand.NewSource(seed))
 	clk := vclock.NewSim()
 	m := newTestManager(clk)
+	m.RecordHistory()
 	cc := &MSIA{M: m}
 	swept := func() {
 		if sweepAlways {
@@ -433,41 +434,5 @@ func TestWritesAfterSelfRetract(t *testing.T) {
 	// replay by itself, then root and replay together.
 	if st := m.Stats(); st.Retractions != 3 {
 		t.Errorf("Retractions = %d, want 3", st.Retractions)
-	}
-}
-
-// TestHistoryKeepsTheLatestCommits: History is a bounded window over the
-// boundary commits, oldest first.
-func TestHistoryKeepsTheLatestCommits(t *testing.T) {
-	clk := vclock.NewSim()
-	m := newTestManager(clk)
-	cc := &MSIA{M: m}
-	noop := &Txn{Name: "noop", Initial: func(*Ctx) error { return nil }, Final: func(*Ctx) error { return nil }}
-	const txns = historyCap/2 + 300 // two boundary commits each: 600 more than fit
-	clk.Run(func() {
-		for i := 0; i < txns; i++ {
-			in := m.NewInstance(noop, nil)
-			if err := cc.RunInitial(in); err != nil {
-				t.Fatal(err)
-			}
-			if i == 100 {
-				if h := m.History(); len(h) != 201 || h[0] != (HistoryEntry{Txn: 1, Stage: StageInitial}) {
-					t.Fatalf("short history: %d entries starting %+v", len(h), h[0])
-				}
-			}
-			if err := cc.RunFinal(in); err != nil {
-				t.Fatal(err)
-			}
-		}
-	})
-	h := m.History()
-	if len(h) != historyCap {
-		t.Fatalf("History has %d entries, want the last %d", len(h), historyCap)
-	}
-	for i, e := range h {
-		n := 2*txns - historyCap + i // position in the full sequence
-		if want := (HistoryEntry{Txn: ID(n/2 + 1), Stage: Stage(n % 2)}); e != want {
-			t.Fatalf("History[%d] = %+v, want %+v", i, e, want)
-		}
 	}
 }

@@ -400,8 +400,9 @@ type Manager struct {
 	nextID  ID
 	nextSeq uint64
 	stats   Stats
-	history []HistoryEntry // ring of the last historyCap boundary commits
-	commits int            // boundary commits ever recorded (history's write cursor)
+	// onCommit, when set, sees every boundary commit in commit order, under
+	// mu. Only tests set it: production keeps no commit history.
+	onCommit func(ID, Stage)
 
 	// The dependency index (see the package comment). Its edges are
 	// lastWriter and every Instance's dependents; live lists the
@@ -413,16 +414,6 @@ type Manager struct {
 	waiting    []*Instance
 	sweepAt    int    // len(waiting) at which the next sweep runs
 	visits     uint64 // graph walks so far (sweeps and cascades); the current walk's mark
-}
-
-// historyCap bounds History to the most recent boundary commits.
-const historyCap = 4096
-
-// HistoryEntry records one section commit, for verifying the ordering
-// guarantees of MS-SR and MS-IA in tests.
-type HistoryEntry struct {
-	Txn   ID
-	Stage Stage
 }
 
 // NewManager returns a Manager over the given clock, store, and locks.
@@ -475,28 +466,6 @@ func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.stats
-}
-
-// History returns the most recent section commits (up to historyCap),
-// oldest first.
-func (m *Manager) History() []HistoryEntry {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.history) < historyCap {
-		return append([]HistoryEntry{}, m.history...)
-	}
-	oldest := m.commits % historyCap
-	return append(append(make([]HistoryEntry, 0, historyCap), m.history[oldest:]...), m.history[:oldest]...)
-}
-
-// recordHistory appends one boundary commit to the ring. Caller holds m.mu.
-func (m *Manager) recordHistory(e HistoryEntry) {
-	if len(m.history) < historyCap {
-		m.history = append(m.history, e)
-	} else {
-		m.history[m.commits%historyCap] = e
-	}
-	m.commits++
 }
 
 // Ctx is the handle a section body uses to access the database. All writes

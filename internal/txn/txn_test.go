@@ -385,6 +385,7 @@ func TestWriteDeclaredKeyAllowsRead(t *testing.T) {
 func TestHistoryOrdering(t *testing.T) {
 	s := vclock.NewSim()
 	m, cc := newEdge(s, twopc.MSSR)
+	m.RecordHistory()
 	var firstID, secondID ID
 	s.Go(func() {
 		var captured int64
