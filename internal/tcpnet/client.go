@@ -29,22 +29,32 @@ type FrameResult struct {
 }
 
 // Client streams frames to an edge server and collects both commit
-// responses per frame.
+// responses per frame. It keeps one record per frame in flight, from Submit
+// until WaitFrame, so its memory follows the in-flight window and not the
+// number of frames sent: wait each submitted frame exactly once.
 type Client struct {
 	conn *wire.Conn
 
 	mu      sync.Mutex
-	started map[int]time.Time
-	results map[int]*FrameResult
-	done    map[int]chan struct{}
+	pending map[int]*pending
+	pad     []byte // zeros, shared by every Submit; replaced, never written, when it grows
 	readErr error
 
 	// Tracing (EnableTrace): the client opens each frame's trace and
 	// records a client.frame span covering submit → final reply.
-	o      *obs.Obs
-	oclk   vclock.Clock
-	cam    string
-	traceT map[int]time.Duration // trace-clock submit times
+	o    *obs.Obs
+	oclk vclock.Clock
+	cam  string
+}
+
+// pending is one in-flight frame: what the read loop fills in and what
+// WaitFrame hands back. Fields are guarded by Client.mu.
+type pending struct {
+	res    FrameResult
+	start  time.Time     // wall-clock submit time
+	traceT time.Duration // trace-clock submit time (tracing only)
+	final  bool          // the final reply arrived; done is closed
+	done   chan struct{}
 }
 
 // Dial connects to the edge server.
@@ -53,12 +63,7 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl := &Client{
-		conn:    wire.NewConn(c),
-		started: make(map[int]time.Time),
-		results: make(map[int]*FrameResult),
-		done:    make(map[int]chan struct{}),
-	}
+	cl := &Client{conn: wire.NewConn(c), pending: make(map[int]*pending)}
 	go cl.readLoop()
 	return cl, nil
 }
@@ -72,7 +77,6 @@ func Dial(addr string) (*Client, error) {
 func (c *Client) EnableTrace(o *obs.Obs, clk vclock.Clock, cam string) {
 	c.mu.Lock()
 	c.o, c.oclk, c.cam = o, clk, cam
-	c.traceT = make(map[int]time.Duration)
 	c.mu.Unlock()
 }
 
@@ -82,17 +86,17 @@ func (c *Client) traceIDs(idx int) (trace, root uint64) {
 	return trace, obs.HashID("span", obs.U64(trace), obs.SpanClientFrame)
 }
 
+// readLoop fills in the records of frames in flight. A reply for a frame
+// no longer tracked (its wait timed out) is dropped.
 func (c *Client) readLoop() {
 	for {
 		env, err := c.conn.Recv()
 		if err != nil {
 			c.mu.Lock()
 			c.readErr = err
-			for _, ch := range c.done {
-				select {
-				case <-ch:
-				default:
-					close(ch)
+			for _, p := range c.pending {
+				if !p.final {
+					close(p.done)
 				}
 			}
 			c.mu.Unlock()
@@ -102,103 +106,104 @@ func (c *Client) readLoop() {
 		case wire.KindInitialReply:
 			r := env.InitialReply
 			c.mu.Lock()
-			fr := c.result(r.FrameIndex)
-			fr.Initial = r.Labels
-			fr.SentToCloud = r.SentToCloud
-			fr.InitialLatency = time.Since(c.started[r.FrameIndex])
+			if p := c.pending[r.FrameIndex]; p != nil {
+				p.res.Initial = r.Labels
+				p.res.SentToCloud = r.SentToCloud
+				p.res.InitialLatency = time.Since(p.start)
+			}
 			c.mu.Unlock()
 		case wire.KindFinalReply:
 			r := env.FinalReply
 			c.mu.Lock()
-			fr := c.result(r.FrameIndex)
-			fr.Final = r.Labels
-			fr.Corrections = r.Corrections
-			fr.Apologies = r.Apologies
-			fr.Shed = r.Shed
-			fr.FinalLatency = time.Since(c.started[r.FrameIndex])
-			if c.o != nil {
-				if t0, ok := c.traceT[r.FrameIndex]; ok {
-					delete(c.traceT, r.FrameIndex)
+			if p := c.pending[r.FrameIndex]; p != nil && !p.final {
+				p.res.Final = r.Labels
+				p.res.Corrections = r.Corrections
+				p.res.Apologies = r.Apologies
+				p.res.Shed = r.Shed
+				p.res.FinalLatency = time.Since(p.start)
+				if c.o != nil {
 					trace, root := c.traceIDs(r.FrameIndex)
 					c.o.EmitSpan(obs.Span{
 						Name: obs.SpanClientFrame, Tags: obs.Tags("camera", c.cam),
-						Start: t0, End: c.oclk.Now(),
+						Start: p.traceT, End: c.oclk.Now(),
 						Trace: trace, ID: root,
 					})
 				}
-			}
-			if ch, ok := c.done[r.FrameIndex]; ok {
-				close(ch)
+				p.final = true
+				close(p.done)
 			}
 			c.mu.Unlock()
 		}
 	}
 }
 
-// result returns (creating if needed) the record for a frame. Callers hold
-// c.mu.
-func (c *Client) result(idx int) *FrameResult {
-	fr, ok := c.results[idx]
-	if !ok {
-		fr = &FrameResult{FrameIndex: idx}
-		c.results[idx] = fr
-	}
-	return fr
-}
-
-// Submit sends one frame; the result arrives asynchronously.
+// Submit sends one frame; the result arrives asynchronously and is
+// collected, once, by WaitFrame. padding zero bytes ride along to size the
+// frame on the wire.
 func (c *Client) Submit(f *video.Frame, padding int) error {
-	ch := make(chan struct{})
+	p := &pending{res: FrameResult{FrameIndex: f.Index}, done: make(chan struct{})}
 	c.mu.Lock()
 	if c.readErr != nil {
 		err := c.readErr
 		c.mu.Unlock()
 		return err
 	}
-	c.started[f.Index] = time.Now()
-	c.done[f.Index] = ch
+	p.start = time.Now()
+	c.pending[f.Index] = p
 	var tc *wire.TraceCtx
 	if c.o != nil {
 		trace, root := c.traceIDs(f.Index)
-		c.traceT[f.Index] = c.oclk.Now()
+		p.traceT = c.oclk.Now()
 		tc = &wire.TraceCtx{Trace: trace, Parent: root}
+	}
+	var pad []byte
+	if padding > 0 {
+		if len(c.pad) < padding {
+			c.pad = make([]byte, padding)
+		}
+		pad = c.pad[:padding]
 	}
 	c.mu.Unlock()
 
-	var pad []byte
-	if padding > 0 {
-		pad = make([]byte, padding)
-	}
+	// Send copies pad into its encode buffer before it returns.
 	return c.conn.Send(&wire.Envelope{Kind: wire.KindFrame, Frame: &wire.Frame{Frame: *f, Padding: pad, Trace: tc}})
 }
 
 // WaitFrame blocks until the frame's final reply arrives (or the
-// connection fails / the timeout expires) and returns its result.
+// connection fails / the timeout expires) and returns its result. It
+// forgets the frame whatever the outcome, so each submitted frame is waited
+// once: a second WaitFrame on it returns an error, and a reply arriving
+// after a timeout is dropped.
 func (c *Client) WaitFrame(idx int, timeout time.Duration) (*FrameResult, error) {
 	c.mu.Lock()
-	ch, ok := c.done[idx]
+	p := c.pending[idx]
 	c.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("tcpnet: frame %d was never submitted", idx)
+	if p == nil {
+		return nil, fmt.Errorf("tcpnet: frame %d was never submitted or was already waited", idx)
 	}
+	t := time.NewTimer(timeout)
+	defer t.Stop()
 	select {
-	case <-ch:
-	case <-time.After(timeout):
-		return nil, fmt.Errorf("tcpnet: frame %d timed out after %v", idx, timeout)
+	case <-p.done:
+	case <-t.C:
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// A dead connection wakes every waiter; a frame whose final reply
-	// never arrived (possibly never any reply — r is nil) reports the
-	// connection error, not a partial result.
-	r := c.results[idx]
-	if c.readErr != nil && (r == nil || r.Final == nil) {
+	if c.pending[idx] != p {
+		return nil, fmt.Errorf("tcpnet: frame %d was already waited", idx)
+	}
+	delete(c.pending, idx)
+	switch {
+	case p.final:
+		r := p.res
+		return &r, nil
+	case c.readErr != nil:
+		// A dead connection wakes every waiter; a frame whose final reply
+		// never arrived reports the connection error, not a partial result.
 		return nil, c.readErr
+	default:
+		return nil, fmt.Errorf("tcpnet: frame %d timed out after %v", idx, timeout)
 	}
-	if r == nil {
-		return nil, fmt.Errorf("tcpnet: frame %d has no result", idx)
-	}
-	return r, nil
 }
 
 // Close says goodbye and closes the connection.

@@ -111,7 +111,7 @@ type EdgeServer struct {
 
 	mu       sync.Mutex
 	ln       net.Listener
-	conns    map[net.Conn]struct{}
+	conns    map[net.Conn]*session
 	closed   bool
 	draining bool
 	served   int64
@@ -156,7 +156,7 @@ func NewEdgeServer(cfg EdgeConfig) (*EdgeServer, error) {
 		cfg:     cfg,
 		clk:     clk,
 		compute: vclock.NewSemaphore(clk, cfg.Slots),
-		conns:   make(map[net.Conn]struct{}),
+		conns:   make(map[net.Conn]*session),
 	}
 	if cfg.WALPath == "" {
 		s.asm = node.New(clk, cfg.Protocol)
@@ -219,16 +219,17 @@ func (s *EdgeServer) acceptLoop(ln net.Listener) {
 		if err != nil {
 			return
 		}
+		sess := &session{srv: s, wc: wire.NewConn(conn), frames: make(map[int]inflight)}
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
 			conn.Close()
 			return
 		}
-		s.conns[conn] = struct{}{}
+		s.conns[conn] = sess
 		s.mu.Unlock()
 		s.wg.Add(1)
-		go s.serveClient(conn)
+		go s.serveClient(conn, sess)
 	}
 }
 
@@ -318,13 +319,25 @@ type session struct {
 	cloud *cloudSession
 	pipe  *core.Pipeline
 
-	mu      sync.Mutex
-	started map[int]time.Time
-	padding map[int][]byte
-	traces  map[int]*wire.TraceCtx // per-frame wire trace context (tracing only)
+	mu     sync.Mutex
+	frames map[int]inflight // frames in the pipeline, by index
 }
 
-func (s *EdgeServer) serveClient(conn net.Conn) {
+// inflight is what a session keeps of one frame while the pipeline runs it.
+type inflight struct {
+	start   time.Time
+	padding []byte
+	trace   *wire.TraceCtx // the client's trace context (tracing only)
+}
+
+// frame returns the record of a frame in the pipeline.
+func (ss *session) frame(idx int) inflight {
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	return ss.frames[idx]
+}
+
+func (s *EdgeServer) serveClient(conn net.Conn, sess *session) {
 	defer s.wg.Done()
 	defer func() {
 		s.mu.Lock()
@@ -332,13 +345,6 @@ func (s *EdgeServer) serveClient(conn net.Conn) {
 		s.mu.Unlock()
 		conn.Close()
 	}()
-	sess := &session{
-		srv:     s,
-		wc:      wire.NewConn(conn),
-		started: make(map[int]time.Time),
-		padding: make(map[int][]byte),
-		traces:  make(map[int]*wire.TraceCtx),
-	}
 	if s.cfg.CloudAddr != "" {
 		cloud, err := dialCloud(s.cfg.CloudAddr)
 		if err != nil {
@@ -427,10 +433,7 @@ func (s *EdgeServer) buildPipeline(sess *session) (*core.Pipeline, error) {
 // client's echoed replies and the cloud's child spans agree on it
 // without coordination.
 func (ss *session) spanCtx(f *video.Frame) obs.SpanContext {
-	ss.mu.Lock()
-	tc := ss.traces[f.Index]
-	ss.mu.Unlock()
-	if tc != nil && tc.Trace != 0 {
+	if tc := ss.frame(f.Index).trace; tc != nil && tc.Trace != 0 {
 		return obs.SpanContext{
 			Trace:  tc.Trace,
 			Span:   obs.HashID("span", obs.U64(tc.Trace), obs.SpanFrameRoot),
@@ -474,19 +477,15 @@ func (ss *session) handleFrame(f *wire.Frame) {
 	}
 	frame := f.Frame
 	ss.mu.Lock()
-	ss.started[frame.Index] = time.Now()
-	ss.padding[frame.Index] = f.Padding
-	ss.traces[frame.Index] = f.Trace
+	ss.frames[frame.Index] = inflight{start: time.Now(), padding: f.Padding, trace: f.Trace}
 	ss.mu.Unlock()
 
 	out := ss.pipe.ProcessFrame(&frame)
 
 	echo := ss.echoCtx(&frame)
 	ss.mu.Lock()
-	start := ss.started[frame.Index]
-	delete(ss.started, frame.Index)
-	delete(ss.padding, frame.Index)
-	delete(ss.traces, frame.Index)
+	start := ss.frames[frame.Index].start
+	delete(ss.frames, frame.Index)
 	ss.mu.Unlock()
 
 	apologies := make([]string, 0, len(out.Apologies))
@@ -518,9 +517,7 @@ func (ss *session) handleFrame(f *wire.Frame) {
 // leaves for the client the moment the initial sections commit, before any
 // cloud round trip — the paper's low-latency answer.
 func (ss *session) onInitial(f *video.Frame, out *core.FrameOutcome) {
-	ss.mu.Lock()
-	start := ss.started[f.Index]
-	ss.mu.Unlock()
+	start := ss.frame(f.Index).start
 	if err := ss.wc.Send(&wire.Envelope{Kind: wire.KindInitialReply, InitialReply: &wire.InitialReply{
 		FrameIndex:  f.Index,
 		Labels:      out.InitialVisible,
@@ -544,9 +541,6 @@ func (ss *session) Validate(req core.ValidationRequest) core.ValidationResult {
 	if ss.cloud == nil || ss.srv.cloudPath.IsDown() {
 		return core.ValidationResult{Status: core.ValidationLost}
 	}
-	ss.mu.Lock()
-	pad := ss.padding[req.Frame.Index]
-	ss.mu.Unlock()
 	var tc *wire.TraceCtx
 	o := ss.srv.cfg.Obs
 	if o != nil && req.Trace.Valid() {
@@ -558,7 +552,7 @@ func (ss *session) Validate(req core.ValidationRequest) core.ValidationResult {
 	resp, err := ss.cloud.validate(&wire.CloudRequest{
 		FrameIndex: req.Frame.Index,
 		Frame:      *req.Frame,
-		Padding:    pad,
+		Padding:    ss.frame(req.Frame.Index).padding,
 		Margin:     req.Margin,
 		Section:    req.Section,
 		Trace:      tc,

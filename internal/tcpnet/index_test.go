@@ -25,7 +25,8 @@ func indexEntries(m *txn.Manager) int {
 // EdgeServer, eight outstanding at a time over real sockets, trigger some
 // 20 000 transactions; once the last frame is answered the manager indexes a
 // few hundred entries at most (it kept all of them for ever before the
-// dependency index was swept).
+// dependency index was swept), and neither the client nor the edge session
+// keeps a record of any waited frame.
 func TestEdgeIndexFollowsInFlightWindow(t *testing.T) {
 	const (
 		nFrames     = 5000
@@ -71,6 +72,13 @@ func TestEdgeIndexFollowsInFlightWindow(t *testing.T) {
 				t.Fatalf("submit %d: %v", i, err)
 			}
 		}
+	}
+	// Every frame was waited: neither end keeps anything of it.
+	if n := clientEntries(client); n != 0 {
+		t.Errorf("client holds %d per-frame entries after %d waited frames, want 0", n, nFrames)
+	}
+	if n := sessionEntries(edge); n != 0 {
+		t.Errorf("edge session holds %d per-frame entries after %d answered frames, want 0", n, nFrames)
 	}
 	client.Close()
 	if err := edge.Close(); err != nil {
