@@ -56,7 +56,8 @@ func (s *Store) Get(key string) (Value, bool) {
 }
 
 // Peek returns the value stored at key without copying it and without
-// counting a read — for a write-ahead log capturing a commit's redo image.
+// counting a read — for a write-ahead log capturing a commit's redo image
+// and a transaction's undo log capturing a before-image.
 // The caller must not modify the slice. Stored values are never modified in
 // place (Put and Restore store fresh copies), so it stays valid after later
 // writes to the key.

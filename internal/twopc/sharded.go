@@ -78,6 +78,11 @@ func (s *ShardedStore) Get(key string) (store.Value, bool) {
 	return s.Parts[s.Partitioner(key)].Store.Get(key)
 }
 
+// Peek implements txn.Backend.
+func (s *ShardedStore) Peek(key string) (store.Value, bool) {
+	return s.Parts[s.Partitioner(key)].Store.Peek(key)
+}
+
 // Put implements txn.Backend.
 func (s *ShardedStore) Put(key string, v store.Value) uint64 {
 	return s.Parts[s.route(key)].Store.Put(key, v)

@@ -328,3 +328,37 @@ func TestMSSRReleasesOnceAfterRetraction(t *testing.T) {
 		}
 	}
 }
+
+// TestRetractionRestoresOriginalBytes guards the undo log's before-images,
+// which alias the store's own values rather than copy them: a key
+// overwritten by two committed sections (the second depends on the first)
+// must get its exact original bytes back when both are retracted. Every
+// value has the same length, so a store that rewrote a value in place would
+// leave the log pointing at the later bytes.
+func TestRetractionRestoresOriginalBytes(t *testing.T) {
+	s := vclock.NewSim()
+	m := newTestManager(s)
+	cc := &MSIA{M: m}
+	orig := store.Value("original-v0")
+	m.Store.Put("k", orig)
+	overwrite := func(name, v string) *Txn {
+		return &Txn{
+			Name:      name,
+			InitialRW: RWSet{Writes: []string{"k"}},
+			Initial:   func(c *Ctx) error { c.Put("k", store.Value(v)); return nil },
+			Final:     func(c *Ctx) error { return nil },
+		}
+	}
+	t1 := m.NewInstance(overwrite("first", "overwrite-1"), nil)
+	t2 := m.NewInstance(overwrite("second", "overwrite-2"), nil)
+	s.Run(func() {
+		mustRun(t, cc, t1, t2)
+		m.Retract(t1, "erroneous trigger")
+	})
+	if t1.State() != StateRetracted || t2.State() != StateRetracted {
+		t.Fatalf("states = %v, %v; want both retracted", t1.State(), t2.State())
+	}
+	if got, _ := m.Store.Get("k"); string(got) != string(orig) {
+		t.Errorf("k = %q after retraction, want %q", got, orig)
+	}
+}

@@ -370,6 +370,9 @@ type Stats struct {
 // across edge nodes, or over a standalone edge's one partition.
 type Backend interface {
 	Get(key string) (store.Value, bool)
+	// Peek reads without copying or counting a read; the caller must not
+	// modify the value (store.Store.Peek).
+	Peek(key string) (store.Value, bool)
 	Put(key string, v store.Value) uint64
 	Delete(key string) bool
 }
@@ -574,7 +577,9 @@ func (m *Manager) link(inst *Instance, key string) {
 
 func (m *Manager) writeWithUndo(inst *Instance, key string, v store.Value, del bool) {
 	db := m.db()
-	prev, existed := db.Get(key)
+	// Stored values are never modified in place, so the before-image can
+	// alias the store's own bytes.
+	prev, existed := db.Peek(key)
 	m.mu.Lock()
 	m.link(inst, key)
 	m.nextSeq++
