@@ -374,8 +374,11 @@ func (p *Partition) StagedCoords() []int {
 // and any recovery-restaged in-doubt blocks (data records plus prepare
 // marker, minus writes newer records already superseded) — atomically
 // replacing the old log. Recovery from the new log reaches exactly the
-// state recovery from the old one would, but replays only the live records:
-// this is what bounds replay time on a long-running fleet.
+// state recovery from the old one would, but replays only the live records.
+// The snapshot is bounded by the keyspace; the decision cache is not: every
+// commit decision this partition ever coordinated is kept and written again
+// at every checkpoint, so a long-running fleet's log, and with it replay
+// time, still grows with the rounds it has decided (ROADMAP item 21).
 //
 // A checkpoint is skipped (ok false) while a *live* 2PC block is staged:
 // its eager writes are in the store but its pre-images are not, so a

@@ -15,6 +15,14 @@ func (m *Manager) indexSize() (lastWriter, live, waiting int) {
 	return len(m.lastWriter), len(m.live), len(m.waiting)
 }
 
+// schedule reports the waiting list's length, the length at which the next
+// sweep runs, and how many instances sweeps have visited so far.
+func (m *Manager) schedule() (waiting, sweepAt int, swept uint64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.waiting), m.sweepAt, m.swept
+}
+
 // forceSweep runs a sweep now, whatever the schedule says.
 func (m *Manager) forceSweep() {
 	m.mu.Lock()

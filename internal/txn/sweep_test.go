@@ -31,6 +31,16 @@ type sweepOutcome struct {
 // exactly repeatable. With sweepAlways the index is swept after every call
 // that can retire an instance; otherwise the manager's own schedule runs.
 func runTransferTrial(t *testing.T, seed int64, nJobs int, sweepAlways bool) sweepOutcome {
+	var after func(*Manager)
+	if sweepAlways {
+		after = (*Manager).forceSweep
+	}
+	return playTransfers(t, seed, nJobs, after)
+}
+
+// playTransfers is runTransferTrial's generator; after, when set, runs
+// after every call that can retire an instance.
+func playTransfers(t *testing.T, seed int64, nJobs int, after func(*Manager)) sweepOutcome {
 	const (
 		nPlayers    = 6
 		perPlayer   = 1000
@@ -42,8 +52,8 @@ func runTransferTrial(t *testing.T, seed int64, nJobs int, sweepAlways bool) swe
 	m.RecordHistory()
 	cc := &MSIA{M: m}
 	swept := func() {
-		if sweepAlways {
-			m.forceSweep()
+		if after != nil {
+			after(m)
 		}
 	}
 
@@ -148,7 +158,7 @@ func runTransferTrial(t *testing.T, seed int64, nJobs int, sweepAlways bool) swe
 		total += store.AsInt64(v)
 	}
 	if total != nPlayers*perPlayer {
-		t.Errorf("seed %d (sweepAlways=%v): token supply = %d, want %d", seed, sweepAlways, total, nPlayers*perPlayer)
+		t.Errorf("seed %d: token supply = %d, want %d", seed, total, nPlayers*perPlayer)
 	}
 	out := sweepOutcome{stats: m.Stats(), store: m.Store.Snapshot(), history: m.History()}
 	for _, in := range insts {
@@ -161,8 +171,10 @@ func runTransferTrial(t *testing.T, seed int64, nJobs int, sweepAlways bool) swe
 // TestSweepScheduleUnobservable: a sweep removes only state no cascade can
 // reach, so sweeping at every opportunity and sweeping on the manager's own
 // schedule must leave the same counters, store, history, instance states and
-// apologies. Small batches never reach the default threshold (sweep-always
-// against never); the large ones cross it several times.
+// apologies. The manager sweeps at its first retirement and then once the
+// waiting list reaches 2·kept + live + 1, so small batches sweep a few times
+// and the large ones hundreds of times, each at other instants than the
+// sweep-always run's.
 func TestSweepScheduleUnobservable(t *testing.T) {
 	for trial := 0; trial < 24; trial++ {
 		seed := int64(trial)*104729 + 1
@@ -434,5 +446,74 @@ func TestWritesAfterSelfRetract(t *testing.T) {
 	// replay by itself, then root and replay together.
 	if st := m.Stats(); st.Retractions != 3 {
 		t.Errorf("Retractions = %d, want 3", st.Retractions)
+	}
+}
+
+// TestSweepScheduleAmortized: over long streams of the transfer generator,
+// with its cycles, retractions and aborts, the manager's own schedule never
+// lets the waiting list reach its threshold, and the instances its sweeps
+// visit stay within a small constant times the starts plus retirements that
+// paid for them.
+func TestSweepScheduleAmortized(t *testing.T) {
+	const nJobs = 3000
+	for seed := int64(1); seed <= 4; seed++ {
+		var (
+			m        *Manager
+			calls    int
+			overflow string // the first time the waiting list reached its threshold
+		)
+		out := playTransfers(t, seed, nJobs, func(mm *Manager) {
+			m = mm
+			calls++
+			if waiting, sweepAt, _ := mm.schedule(); waiting > 0 && waiting >= sweepAt && overflow == "" {
+				overflow = fmt.Sprintf("after call %d, %d instances wait at threshold %d", calls, waiting, sweepAt)
+			}
+		})
+		if overflow != "" {
+			t.Errorf("seed %d: %s", seed, overflow)
+		}
+		if out.stats.Retractions == 0 || out.stats.Aborts == 0 {
+			t.Fatalf("seed %d: generator ran no retraction or no abort: %+v", seed, out.stats)
+		}
+		// Every instance starts (touches the index) and retires at most once.
+		_, _, swept := m.schedule()
+		paid := uint64(2 * nJobs)
+		t.Logf("seed %d: sweeps visited %d instances for %d starts plus retirements (%.2f each)", seed, swept, paid, float64(swept)/float64(paid))
+		if swept > 4*paid {
+			t.Errorf("seed %d: sweeps visited %d instances, want ≤ 4 per start plus retirement (%d)", seed, swept, 4*paid)
+		}
+	}
+}
+
+// TestFreshManagerSweepsAtFirstRetirement: a new manager does not wait for
+// a batch of retirements before its first sweep, so one finished
+// transaction leaves nothing indexed.
+func TestFreshManagerSweepsAtFirstRetirement(t *testing.T) {
+	clk := vclock.NewSim()
+	m := newTestManager(clk)
+	cc := &MSIA{M: m}
+	rw := RWSet{Reads: []string{"a"}, Writes: []string{"b"}}
+	in := m.NewInstance(&Txn{
+		Name: "first", InitialRW: rw, FinalRW: rw,
+		Initial: func(c *Ctx) error {
+			c.Get("a")
+			c.Put("b", store.Int64Value(1))
+			return nil
+		},
+		Final: func(*Ctx) error { return nil },
+	}, nil)
+	clk.Run(func() {
+		if err := cc.RunInitial(in); err != nil {
+			t.Fatal(err)
+		}
+		if _, live, waiting := m.indexSize(); live != 1 || waiting != 0 {
+			t.Fatalf("after the initial commit: live %d, waiting %d; want 1 and 0", live, waiting)
+		}
+		if err := cc.RunFinal(in); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if lw, live, waiting := m.indexSize(); lw+live+waiting != 0 {
+		t.Errorf("after the first retirement: lastWriter %d, live %d, waiting %d; want a sweep to have left 0", lw, live, waiting)
 	}
 }

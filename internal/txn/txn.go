@@ -34,6 +34,19 @@
 // (instances that touch each other's keys form cycles, so counting
 // references would not); since it removes only state no cascade can reach,
 // when it runs is not observable.
+//
+// The sweep runs as often as its cost allows. A sweep walks the live
+// instances and the terminal ones they reach (the kept ones, which stay
+// waiting), so the next one runs once the waiting list reaches
+// 2·kept + live + 1: at least kept + live + 1 retirements happen first, and
+// they pay for walking the kept and live instances again and for checking
+// the 2·kept + live + 1 waiting ones, while each instance that went live
+// since pays for itself once. An edge is added when its target touches a
+// key, and every target of a marked instance is marked, so the edges a sweep
+// follows number at most the keys its marked instances touched: with bounded
+// read/write sets the work per start plus retirement is O(1). A fresh
+// manager sweeps at its first retirement, and the settled garbage a manager
+// holds follows its live window rather than a fixed allowance.
 package txn
 
 import (
@@ -415,8 +428,10 @@ type Manager struct {
 	lastWriter map[string]*Instance
 	live       []*Instance
 	waiting    []*Instance
-	sweepAt    int    // len(waiting) at which the next sweep runs
-	visits     uint64 // graph walks so far (sweeps and cascades); the current walk's mark
+	sweepAt    int         // len(waiting) at which the next sweep runs; 0 sweeps at the first retirement
+	marks      []*Instance // the sweep's mark stack, empty between sweeps and kept for the next one
+	visits     uint64      // graph walks so far (sweeps and cascades); the current walk's mark
+	swept      uint64      // instances sweeps have visited so far (marked or checked), for tests
 }
 
 // NewManager returns a Manager over the given clock, store, and locks.
@@ -426,7 +441,6 @@ func NewManager(clk vclock.Clock, st *store.Store, locks *lock.Manager) *Manager
 		Store:      st,
 		Locks:      locks,
 		lastWriter: make(map[string]*Instance),
-		sweepAt:    sweepSlack,
 	}
 }
 
@@ -597,15 +611,10 @@ func (m *Manager) writeWithUndo(inst *Instance, key string, v store.Value, del b
 	}
 }
 
-// sweepSlack is how many terminal instances may wait beyond twice the last
-// sweep's survivors before the next sweep: each sweep walks everything the
-// live instances reach, so letting the waiting list double first keeps the
-// walks amortized against the retirements that paid for them.
-const sweepSlack = 64
-
 // retire takes a terminal instance off the live list and queues it for the
-// next sweep, running that sweep when enough have queued. An instance that
-// never touched the index is on no list and stays off. Caller holds m.mu.
+// next sweep, running that sweep once the waiting list reaches sweepAt (see
+// the package comment). An instance that never touched the index is on no
+// list and stays off. Caller holds m.mu.
 func (m *Manager) retire(in *Instance) {
 	if in.livePos == 0 {
 		return
@@ -625,32 +634,44 @@ func (m *Manager) retire(in *Instance) {
 
 // Sweep runs a sweep now rather than when the waiting list next fills: a
 // caller whose work has drained calls it so that the manager keeps no
-// settled transaction.
+// settled transaction. An index left empty is replaced, since a Go map
+// keeps the buckets of every key it ever held.
 func (m *Manager) Sweep() {
 	m.mu.Lock()
 	m.sweep()
+	if len(m.lastWriter) == 0 {
+		m.lastWriter = make(map[string]*Instance)
+	}
 	m.mu.Unlock()
 }
 
-// sweep marks every instance a live one reaches over dependents edges and
-// settles the waiting instances left unmarked. Caller holds m.mu.
+// sweep marks every instance a live one reaches over dependents edges,
+// settles the waiting instances left unmarked, and sets the next threshold
+// from what it walked: the kept instances and the live ones. It allocates
+// nothing once the mark stack has grown to the manager's window. Caller
+// holds m.mu.
 func (m *Manager) sweep() {
 	m.visits++
-	stack := make([]*Instance, len(m.live), len(m.live)+len(m.waiting))
-	copy(stack, m.live)
+	stack := append(m.marks[:0], m.live...)
 	for _, in := range stack {
 		in.mark = m.visits
 	}
+	marked := len(stack)
 	for len(stack) > 0 {
-		in := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+		top := len(stack) - 1
+		in := stack[top]
+		stack[top] = nil // the stack outlives the sweep; it must pin nothing
+		stack = stack[:top]
 		for _, d := range in.dependents {
 			if d.mark != m.visits {
 				d.mark = m.visits
 				stack = append(stack, d)
+				marked++
 			}
 		}
 	}
+	m.marks = stack
+	m.swept += uint64(marked + len(m.waiting))
 	kept := m.waiting[:0]
 	for _, in := range m.waiting {
 		if in.mark == m.visits {
@@ -663,7 +684,7 @@ func (m *Manager) sweep() {
 		m.waiting[i] = nil
 	}
 	m.waiting = kept
-	m.sweepAt = 2*len(kept) + sweepSlack
+	m.sweepAt = 2*len(kept) + len(m.live) + 1
 }
 
 // settle forgets an instance no cascade can reach any more: its undo log,
