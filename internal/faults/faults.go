@@ -22,7 +22,10 @@
 // or local coordinator's log without one means presumed abort, and a round
 // whose coordinator is live but undecided — or unreachable behind a
 // partitioned peer link — stays staged until a later sweep, the peer's
-// restart, or the end-of-run repair resolves it.
+// restart, or the end-of-run repair resolves it. Each resolved block is
+// acknowledged to its coordinator, which forgets the round once its last
+// participant has logged it; a recovered coordinator learns which
+// participants it still awaits from the fleet before it sweeps.
 package faults
 
 import (
@@ -198,10 +201,9 @@ func (i *Injector) Finish() {
 		}
 	}
 	for pi, p := range i.parts {
-		for _, coord := range p.StagedCoords() {
+		for coord := range i.parts {
 			for _, cr := range p.StagedBy(coord) {
-				commit, _ := i.parts[coord].Decision(cr)
-				i.resolveStaged(pi, cr, commit)
+				i.resolveStaged(pi, coord, cr, i.parts[coord].Decided(cr))
 			}
 		}
 	}
@@ -350,13 +352,13 @@ func (i *Injector) restart(e int, charge bool) {
 
 	if charge {
 		path := i.parts[e].WALPath()
-		records, coords, err := wal.Probe(path)
+		records, inDoubt, err := wal.Probe(path)
 		if err != nil {
 			panic(fmt.Sprintf("faults: sizing recovery of edge %d from %s: %v", e, path, err))
 		}
 		cost := time.Duration(records) * i.replayCost
-		for _, coord := range coords {
-			if coord != e && !i.peerDown(e, coord) {
+		for _, d := range inDoubt {
+			if coord := d.Coord; coord != e && !i.peerDown(e, coord) {
 				if l := i.links[e][coord]; l != nil {
 					cost += 2 * l.TransferTime(256)
 				}
@@ -379,7 +381,7 @@ func (i *Injector) restart(e int, charge bool) {
 		commit, known := i.inquire(e, d.Coord, cr, deadLogs)
 		i.parts[e].Restage(cr, d.Coord, d.Writes)
 		if known {
-			i.resolveStaged(e, cr, commit)
+			i.resolveStaged(e, d.Coord, cr, commit)
 		}
 		// Unknown — a live coordinator whose round may still be in flight,
 		// or a coordinator behind a partitioned link — keeps the block
@@ -407,8 +409,46 @@ func (i *Injector) restart(e int, charge bool) {
 	i.obs.Span(obs.SpanWALReplay, i.edgeTag(e), tReplay, i.clk.Now())
 
 	// Peers may hold blocks whose coordinator was e; its decisions are
-	// durable again, so they can resolve now.
+	// durable again, so they can resolve now, once e knows whom it awaits.
+	i.await(e, res.Decided)
 	i.sweep(e)
+}
+
+// await tells recovered coordinator e, for each decision its log brought
+// back, which participants still hold the round's block unresolved: staged
+// in a live partition's memory, or in doubt in a down partition's log (it
+// resolves at that partition's restart). A round no one holds any more —
+// every participant logged it before e crashed — is forgotten at once.
+func (i *Injector) await(e int, decided []wal.TxnRound) {
+	if len(decided) == 0 {
+		return
+	}
+	holders := make(map[twopc.CommitRound][]int)
+	for pi, q := range i.parts {
+		if pi == e {
+			continue
+		}
+		if !i.Down(pi) {
+			for _, cr := range q.StagedBy(e) {
+				holders[cr] = append(holders[cr], pi)
+			}
+			continue
+		}
+		_, inDoubt, err := wal.Probe(q.WALPath())
+		if err != nil {
+			panic(fmt.Sprintf("faults: reading edge %d's log for coordinator %d: %v", pi, e, err))
+		}
+		for _, d := range inDoubt {
+			if d.Coord == e {
+				cr := twopc.CommitRound{ID: txn.ID(d.Txn), Round: d.Round}
+				holders[cr] = append(holders[cr], pi)
+			}
+		}
+	}
+	for _, k := range decided {
+		cr := twopc.CommitRound{ID: txn.ID(k.Txn), Round: k.Round}
+		i.parts[e].Await(cr, holders[cr])
+	}
 }
 
 // inquire asks an in-doubt commit round's coordinator for its outcome. A
@@ -425,8 +465,7 @@ func (i *Injector) restart(e int, charge bool) {
 // the restart's recovery cost.
 func (i *Injector) inquire(at, coord int, cr twopc.CommitRound, deadLogs map[int]map[wal.TxnRound]bool) (commit, known bool) {
 	if at == coord {
-		c, k := i.parts[at].Decision(cr)
-		return c && k, true // our own recovered log: no record ⇒ the round died with us
+		return i.parts[at].Decided(cr), true // our own recovered log: no record ⇒ the round died with us
 	}
 	if i.peerDown(at, coord) {
 		return false, false // coordinator unreachable: stay in doubt
@@ -436,8 +475,8 @@ func (i *Injector) inquire(at, coord int, cr twopc.CommitRound, deadLogs map[int
 		l.Charge(256)
 	}
 	if !i.Down(coord) {
-		c, k := i.parts[coord].Decision(cr)
-		return c && k, k // undecided on a live coordinator: still in flight
+		d := i.parts[coord].Decided(cr)
+		return d, d // undecided on a live coordinator: still in flight
 	}
 	d, ok := deadLogs[coord]
 	if !ok {
@@ -451,9 +490,12 @@ func (i *Injector) inquire(at, coord int, cr twopc.CommitRound, deadLogs map[int
 	return d[cr.TxnRound()], true // a dead coordinator's log is final: absence ⇒ abort
 }
 
-// resolveStaged delivers the decision for one staged block and counts it.
-func (i *Injector) resolveStaged(pi int, cr twopc.CommitRound, commit bool) {
+// resolveStaged delivers the decision for one staged block at partition
+// pi, acknowledges the logged outcome to the round's coordinator, and
+// counts it.
+func (i *Injector) resolveStaged(pi, coord int, cr twopc.CommitRound, commit bool) {
 	i.parts[pi].DeliverDecision(cr, commit)
+	i.parts[coord].Acked(cr, pi)
 	i.mu.Lock()
 	i.counters.InDoubt++
 	if commit {
@@ -478,8 +520,7 @@ func (i *Injector) sweep(coord int) {
 			continue // partitioned from the coordinator: stays in doubt
 		}
 		for _, cr := range p.StagedBy(coord) {
-			commit, _ := i.parts[coord].Decision(cr)
-			i.resolveStaged(pi, cr, commit)
+			i.resolveStaged(pi, coord, cr, i.parts[coord].Decided(cr))
 		}
 	}
 }

@@ -408,3 +408,84 @@ func TestArmCountsFromArming(t *testing.T) {
 		t.Errorf("durability: %v", err)
 	}
 }
+
+// The hazard of presumed abort's forget step: a coordinator that forgets a
+// round before every participant has logged its decision answers a late
+// inquiry with presumed abort, and a committed write vanishes. Here the
+// participant fail-stops right after its yes vote, so the commit cannot be
+// delivered to it; while it is down the coordinator checkpoints, crashes,
+// and recovers from that checkpoint. The participant's recovery must still
+// find the commit, and only then may the coordinator forget the round.
+func TestForgetWaitsForEveryParticipant(t *testing.T) {
+	clk := vclock.NewSim()
+	cc, parts, links := miniFleet(t, clk)
+	inj, err := NewInjector(clk, 0, parts, links)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc.Faults = inj
+	inj.Arm(TwoPCCrash{Edge: 1, Point: twopc.PointParticipantPrepared, Round: 1, RestartAfter: 400 * time.Millisecond})
+	crashAt(clk, inj, 0, 200*time.Millisecond, 100*time.Millisecond)
+
+	// The initial section writes on both partitions (a 2PC round the
+	// participant's crash interrupts); the final one on the home partition
+	// alone, so the transaction commits.
+	body := func(c *txn.Ctx) error {
+		c.Put("0y", store.Int64Value(5))
+		if c.Stage() == txn.StageInitial {
+			c.Put("1y", store.Int64Value(5))
+		}
+		return nil
+	}
+	tx := &txn.Txn{
+		Name:      "cross-then-home",
+		InitialRW: txn.RWSet{Writes: []string{"0y", "1y"}},
+		FinalRW:   txn.RWSet{Writes: []string{"0y"}},
+		Initial:   body,
+		Final:     body,
+	}
+	sleepUntil := func(at time.Duration) { clk.Sleep(at - clk.Now()) }
+	clk.Go(func() {
+		in := cc.M.NewInstance(tx, nil)
+		if err := cc.RunInitial(in); err != nil {
+			t.Fatalf("initial section: %v", err)
+		}
+		if err := cc.RunFinal(in); err != nil {
+			t.Fatalf("final section: %v", err)
+		}
+		cr := twopc.CommitRound{ID: in.ID, Round: twopc.RoundInitial}
+		if !inj.Down(1) {
+			t.Fatal("the participant did not crash at its yes vote")
+		}
+		if !parts[0].Decided(cr) {
+			t.Error("the coordinator forgot a round its participant has not logged")
+		}
+		sleepUntil(100 * time.Millisecond)
+		if !inj.Checkpoint(0) {
+			t.Fatal("the coordinator's checkpoint was skipped")
+		}
+		sleepUntil(350 * time.Millisecond) // the coordinator is back
+		if inj.Down(0) || !inj.Down(1) {
+			t.Fatal("want the coordinator recovered and the participant still down")
+		}
+		if !parts[0].Decided(cr) {
+			t.Error("the coordinator recovered from its checkpoint without the decision")
+		}
+		sleepUntil(600 * time.Millisecond) // the participant is back
+		if v, ok := parts[1].Store.Get("1y"); !ok || store.AsInt64(v) != 5 {
+			t.Errorf("the participant's committed write is %v %v, want 5: the round resolved to abort", v, ok)
+		}
+		if parts[0].Decided(cr) {
+			t.Error("the coordinator still keeps the round after its last participant logged it")
+		}
+	})
+	clk.Wait()
+	inj.Finish()
+
+	if c := inj.Counters(); c.InDoubt != 1 || c.InDoubtCommitted != 1 {
+		t.Errorf("in-doubt resolution = %+v, want the one block committed", c)
+	}
+	if err := inj.VerifyDurability(); err != nil {
+		t.Errorf("durability: %v", err)
+	}
+}

@@ -29,7 +29,8 @@ func StringValue(s string) Value { return Value(s) }
 // keyCache interns "prefix:n" strings per prefix in dense tables. Workload
 // choosers draw millions of keys from small, fixed keyspaces, so building
 // the string per draw (an Itoa plus a concat) dominates their allocation
-// profile; the table pays each string once.
+// profile; the table pays each string once, when it is first drawn. An
+// entry not yet built is "" (no key is empty).
 var (
 	keyCacheMu sync.RWMutex
 	keyCache   = make(map[string][]string)
@@ -40,15 +41,15 @@ var (
 const keyCacheMax = 1 << 16
 
 // ItoaKey builds "prefix:n" keys without fmt in hot paths. Keys with small
-// n are interned, so repeated draws from a bounded keyspace allocate
-// nothing.
+// n are interned on first use, so repeated draws from a bounded keyspace
+// allocate nothing.
 func ItoaKey(prefix string, n int) string {
 	if n < 0 || n >= keyCacheMax {
 		return prefix + ":" + strconv.Itoa(n)
 	}
 	keyCacheMu.RLock()
 	tab := keyCache[prefix]
-	if n < len(tab) {
+	if n < len(tab) && tab[n] != "" {
 		s := tab[n]
 		keyCacheMu.RUnlock()
 		return s
@@ -56,27 +57,20 @@ func ItoaKey(prefix string, n int) string {
 	keyCacheMu.RUnlock()
 
 	keyCacheMu.Lock()
+	defer keyCacheMu.Unlock()
 	tab = keyCache[prefix]
 	if n >= len(tab) {
-		size := len(tab) * 2
-		if size < 1024 {
-			size = 1024
-		}
+		size := max(len(tab)*2, 1024)
 		for size <= n {
 			size *= 2
 		}
-		if size > keyCacheMax {
-			size = keyCacheMax
-		}
-		grown := make([]string, size)
+		grown := make([]string, min(size, keyCacheMax))
 		copy(grown, tab)
-		for i := len(tab); i < size; i++ {
-			grown[i] = prefix + ":" + strconv.Itoa(i)
-		}
 		keyCache[prefix] = grown
 		tab = grown
 	}
-	s := tab[n]
-	keyCacheMu.Unlock()
-	return s
+	if tab[n] == "" {
+		tab[n] = prefix + ":" + strconv.Itoa(n)
+	}
+	return tab[n]
 }

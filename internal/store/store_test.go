@@ -143,3 +143,26 @@ func TestItoaKey(t *testing.T) {
 		t.Errorf("ItoaKey = %q", k)
 	}
 }
+
+// A prefix's first draw interns only the key drawn, not its whole table,
+// and a repeat draw of a built key allocates nothing.
+func TestItoaKeyInternsOnFirstDraw(t *testing.T) {
+	const prefix = "fresh-prefix"
+	if k := ItoaKey(prefix, 700); k != prefix+":700" {
+		t.Fatalf("ItoaKey = %q", k)
+	}
+	keyCacheMu.RLock()
+	built := 0
+	for _, s := range keyCache[prefix] {
+		if s != "" {
+			built++
+		}
+	}
+	keyCacheMu.RUnlock()
+	if built != 1 {
+		t.Errorf("first draw built %d keys of the prefix, want 1", built)
+	}
+	if n := testing.AllocsPerRun(100, func() { ItoaKey(prefix, 700) }); n != 0 {
+		t.Errorf("repeat draw allocates %v times, want 0", n)
+	}
+}

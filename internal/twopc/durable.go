@@ -4,10 +4,12 @@
 // When a Partition carries a WAL, every section commit it participates in
 // is logged — single-partition commits as a data batch closed by a commit
 // marker, multi-partition commits as the participant's staged block (data
-// records + prepare marker) followed by the coordinator's decision — so a
-// crashed edge rebuilds exactly the committed state with Recover and
-// resolves prepared-but-undecided rounds against the coordinator's log
-// (presumed abort: no durable commit decision for that round means abort).
+// records + prepare marker) followed by the coordinator's decision and the
+// participant's outcome marker — so a crashed edge rebuilds exactly the
+// committed state with Recover and resolves prepared-but-undecided rounds
+// against the coordinator's log (presumed abort: no durable commit
+// decision for that round means abort). A coordinator forgets a decision
+// once every participant has logged it.
 // Callers open a log only through OpenWAL and judge one only through
 // VerifyWAL.
 //
@@ -20,6 +22,7 @@ package twopc
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"croesus/internal/lock"
@@ -61,13 +64,12 @@ type walStage struct {
 	// writes are not in the rebuilt store and must be applied if the
 	// decision turns out to be commit. A live block's writes were applied
 	// eagerly under locks during section execution and need no re-apply.
+	// While a restaged block waits, a data record appended for one of its
+	// keys (a retraction restore, a later transaction's commit — the crash
+	// freed this block's locks) supersedes that staged write, which is
+	// dropped from recs: last-writer-wins by log position, exactly as
+	// wal.Recover resolves.
 	fromRecovery bool
-	// stagedAt is the partition's data-record sequence at restage time:
-	// a key that logged a newer data record while the block sat in doubt
-	// (a retraction restore, a later transaction's commit — the crash
-	// freed this block's locks) supersedes the staged write, exactly as
-	// wal.Recover resolves by log position.
-	stagedAt int64
 }
 
 // Durable reports whether this partition logs to a WAL. That is settled
@@ -106,8 +108,10 @@ func (p *Partition) OpenWAL(path string, noSync bool) (*wal.RecoverResult, error
 
 // Recover rebuilds a crashed partition from its own log: the store is
 // replaced by the replayed committed state and the decision cache by the
-// logged decisions. Prepared-but-undecided rounds come back in InDoubt,
-// to be re-staged (Restage) and resolved against their coordinators.
+// commit decisions it logged as a coordinator and has not retired, each
+// awaiting participants not yet known (see Await). Prepared-but-undecided
+// rounds come back in InDoubt, to be re-staged (Restage) and resolved
+// against their coordinators.
 func (p *Partition) Recover() (*wal.RecoverResult, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -120,9 +124,9 @@ func (p *Partition) recoverLocked(path string) (*wal.RecoverResult, error) {
 		return nil, err
 	}
 	p.Store.Restore(res.Store.Snapshot())
-	p.decisions = make(map[CommitRound]bool, len(res.Decisions))
-	for k, c := range res.Decisions {
-		p.decisions[CommitRound{ID: txn.ID(k.Txn), Round: k.Round}] = c
+	p.decisions = make(map[CommitRound][]int, len(res.Decided))
+	for _, k := range res.Decided {
+		p.decisions[CommitRound{ID: txn.ID(k.Txn), Round: k.Round}] = nil
 	}
 	return res, nil
 }
@@ -173,10 +177,11 @@ func (p *Partition) VerifyWAL() (*wal.RecoverResult, error) {
 // mustAppend logs records or panics: a write the log cannot take must not
 // be served as durable, so a WAL write error fail-stops the edge (in the
 // simulation it is a harness bug — an unwritable temp dir — not a modeled
-// fault). Data records also advance the partition's live last-writer
-// index, which deferred in-doubt resolutions consult. The partition lock
-// is held across the append so a concurrent Checkpoint cannot swap the log
-// out from under a half-written batch.
+// fault). Pending end records join the batch, so they cost no write of
+// their own, and while a restaged block waits, data records drop the
+// staged writes they supersede. The partition lock is held across the
+// append so a concurrent Checkpoint cannot swap the log out from under a
+// half-written batch.
 func (p *Partition) mustAppend(recs ...wal.Record) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -187,19 +192,29 @@ func (p *Partition) appendLocked(recs ...wal.Record) {
 	if p.WAL == nil {
 		return
 	}
-	for _, r := range recs {
-		if r.Op == wal.OpPut || r.Op == wal.OpDelete {
-			p.walDataSeq++
-			if p.walLastData == nil {
-				p.walLastData = make(map[string]int64)
+	if p.restaged > 0 {
+		for _, r := range recs {
+			if r.Op == wal.OpPut || r.Op == wal.OpDelete {
+				p.supersede(r.Key)
 			}
-			p.walLastData[r.Key] = p.walDataSeq
 		}
 	}
+	recs = append(recs, p.ends...) // past every caller's len: no record of theirs moves
+	p.ends = p.ends[:0]
 	if err := p.WAL.AppendBatch(recs); err != nil {
 		panic(fmt.Sprintf("twopc: partition %d wal append: %v", p.ID, err))
 	}
 	p.WALAppends.Add(int64(len(recs)))
+}
+
+// supersede drops key's staged write from every restaged block: a newer
+// data record for it is being logged.
+func (p *Partition) supersede(key string) {
+	for _, st := range p.walStaged {
+		if st.fromRecovery {
+			st.recs = slices.DeleteFunc(st.recs, func(w wal.Record) bool { return w.Key == key })
+		}
+	}
 }
 
 // RedoRecords captures the redo batch for a section commit: the current
@@ -245,57 +260,106 @@ func (p *Partition) LogLocalCommit(cr CommitRound, reqs []lock.Request) {
 // durable batch, and the block remembered in memory until the decision.
 func (p *Partition) StagePrepare(cr CommitRound, coord int, recs []wal.Record) {
 	p.mustAppend(append(recs, wal.Record{Op: wal.OpPrepare, Txn: uint64(cr.ID), Round: cr.Round, Coord: coord})...)
+	p.stage(cr, &walStage{coord: coord, recs: recs})
+}
+
+func (p *Partition) stage(cr CommitRound, st *walStage) {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.walStaged == nil {
 		p.walStaged = make(map[CommitRound]*walStage)
 	}
-	p.walStaged[cr] = &walStage{coord: coord, recs: recs}
-	p.mu.Unlock()
+	if old := p.walStaged[cr]; old != nil && old.fromRecovery {
+		p.restaged--
+	}
+	if st.fromRecovery {
+		p.restaged++
+	}
+	p.walStaged[cr] = st
 }
 
-// LogDecision records this partition's durable commit/abort decision as the
-// coordinator of cr's atomic commitment. Participants in doubt inquire here.
-func (p *Partition) LogDecision(cr CommitRound, commit bool) {
-	op := wal.OpAbort
-	if commit {
-		op = wal.OpCommit
-	}
-	p.mustAppend(wal.Record{Op: op, Txn: uint64(cr.ID), Round: cr.Round})
-	p.mu.Lock()
-	if p.decisions == nil {
-		p.decisions = make(map[CommitRound]bool)
-	}
-	p.decisions[cr] = commit
-	p.mu.Unlock()
-}
-
-// Decision reports the outcome this partition decided (as coordinator) for
-// exactly the round cr, and whether any decision is known. Unknown means
-// presumed abort for an inquiring participant; the same transaction's other
-// commit round never answers for this one.
-func (p *Partition) Decision(cr CommitRound) (commit, known bool) {
+// LogDecision durably logs this partition's commit decision as the
+// coordinator of cr's atomic commitment (presumed abort: an abort is never
+// logged). Participants in doubt inquire here until the round is forgotten;
+// the caller names the participants still to log the decision with Await.
+func (p *Partition) LogDecision(cr CommitRound) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	commit, known = p.decisions[cr]
-	return commit, known
+	p.appendLocked(wal.Record{Op: wal.OpCommit, Txn: uint64(cr.ID), Round: cr.Round})
+	if p.decisions == nil {
+		p.decisions = make(map[CommitRound][]int)
+	}
+	p.decisions[cr] = nil
 }
 
-// DeliverDecision completes a staged block: the decision marker is logged
+// Await names the participants of cr, a decision this partition holds,
+// whose decision marker is not yet durable; Acked retires them one by one.
+// With none the round is forgotten at once: it leaves the cache, and its
+// end record rides the partition's next batch, so neither a checkpoint nor
+// recovery brings it back.
+func (p *Partition) Await(cr CommitRound, parts []int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if _, ok := p.decisions[cr]; !ok {
+		return // lost to a crash since it was logged: recovery owns it
+	}
+	if len(parts) == 0 {
+		p.forgetLocked(cr)
+		return
+	}
+	p.decisions[cr] = slices.Clone(parts)
+}
+
+// Acked notes that participant part has durably logged cr's decision
+// marker; the round is forgotten once no awaited participant is left.
+func (p *Partition) Acked(cr CommitRound, part int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	parts := p.decisions[cr]
+	i := slices.Index(parts, part)
+	if i < 0 {
+		return
+	}
+	if parts = slices.Delete(parts, i, i+1); len(parts) > 0 {
+		p.decisions[cr] = parts
+		return
+	}
+	p.forgetLocked(cr)
+}
+
+func (p *Partition) forgetLocked(cr CommitRound) {
+	delete(p.decisions, cr)
+	if p.WAL != nil {
+		p.ends = append(p.ends, wal.Record{Op: wal.OpEnd, Txn: uint64(cr.ID), Round: cr.Round})
+	}
+}
+
+// Decided reports whether this partition holds a commit decision, as
+// coordinator, for exactly the round cr. No means presumed abort to an
+// inquiring participant once the round can no longer be in flight; the
+// same transaction's other commit round never answers for this one.
+func (p *Partition) Decided(cr CommitRound) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	_, ok := p.decisions[cr]
+	return ok
+}
+
+// DeliverDecision completes a staged block: the outcome marker is logged
 // and the block cleared. A recovery-restaged commit applies its writes (the
-// rebuilt store does not have them) — except writes whose key logged a
-// newer data record while the block sat in doubt, which are superseded
-// (last-writer-wins by log position, matching wal.Recover). A live block's
-// writes were applied eagerly during the section, and an aborted live
-// block was already undone by the coordinator's retraction.
+// rebuilt store does not have them), less those a newer data record
+// superseded while it sat in doubt (see walStage). A live block's writes
+// were applied eagerly during the section, and an aborted live block was
+// already undone by the coordinator's retraction. The coordinator's own
+// live block logs no marker on commit: its decision record, logged on this
+// same log, already commits it here.
 func (p *Partition) DeliverDecision(cr CommitRound, commit bool) {
 	p.mu.Lock()
 	st := p.walStaged[cr]
-	delete(p.walStaged, cr)
-	var lastData map[string]int64
-	if st != nil && commit && st.fromRecovery {
-		lastData = make(map[string]int64, len(st.recs))
-		for _, r := range st.recs {
-			lastData[r.Key] = p.walLastData[r.Key]
+	if st != nil {
+		delete(p.walStaged, cr)
+		if st.fromRecovery {
+			p.restaged--
 		}
 	}
 	p.mu.Unlock()
@@ -304,9 +368,6 @@ func (p *Partition) DeliverDecision(cr CommitRound, commit bool) {
 	}
 	if commit && st.fromRecovery {
 		for _, r := range st.recs {
-			if lastData[r.Key] > st.stagedAt {
-				continue // superseded while in doubt
-			}
 			switch r.Op {
 			case wal.OpPut:
 				p.Store.Put(r.Key, r.Value)
@@ -315,25 +376,20 @@ func (p *Partition) DeliverDecision(cr CommitRound, commit bool) {
 			}
 		}
 	}
-	op := wal.OpAbort
-	if commit {
-		op = wal.OpCommit
+	switch {
+	case !commit:
+		p.mustAppend(wal.Record{Op: wal.OpAbort, Txn: uint64(cr.ID), Round: cr.Round})
+	case st.coord != p.ID || st.fromRecovery:
+		p.mustAppend(wal.Record{Op: wal.OpDelivered, Txn: uint64(cr.ID), Round: cr.Round})
 	}
-	p.mustAppend(wal.Record{Op: op, Txn: uint64(cr.ID), Round: cr.Round})
 }
 
 // Restage re-installs an in-doubt block found by crash recovery, to be
-// resolved by DeliverDecision once the coordinator's outcome is known. The
-// current data-record sequence is stamped so a resolution — possibly much
-// later, deferred across a link partition — can tell which staged writes
-// newer records superseded in the meantime.
+// resolved by DeliverDecision once the coordinator's outcome is known —
+// possibly much later, deferred across a link partition. It takes recs:
+// data records logged meanwhile drop the writes they supersede from it.
 func (p *Partition) Restage(cr CommitRound, coord int, recs []wal.Record) {
-	p.mu.Lock()
-	if p.walStaged == nil {
-		p.walStaged = make(map[CommitRound]*walStage)
-	}
-	p.walStaged[cr] = &walStage{coord: coord, recs: recs, fromRecovery: true, stagedAt: p.walDataSeq}
-	p.mu.Unlock()
+	p.stage(cr, &walStage{coord: coord, recs: recs, fromRecovery: true})
 }
 
 // StagedBy lists the staged commit rounds coordinated by coord, ascending
@@ -341,9 +397,14 @@ func (p *Partition) Restage(cr CommitRound, coord int, recs []wal.Record) {
 func (p *Partition) StagedBy(coord int) []CommitRound {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	return sortedRounds(p.walStaged, func(st *walStage) bool { return st.coord == coord })
+}
+
+// sortedRounds returns the rounds of m whose values keep accepts, ascending.
+func sortedRounds[V any](m map[CommitRound]V, keep func(V) bool) []CommitRound {
 	var out []CommitRound
-	for cr, st := range p.walStaged {
-		if st.coord == coord {
+	for cr, v := range m {
+		if keep(v) {
 			out = append(out, cr)
 		}
 	}
@@ -351,34 +412,17 @@ func (p *Partition) StagedBy(coord int) []CommitRound {
 	return out
 }
 
-// StagedCoords lists the distinct coordinators of every staged block,
-// ascending — what an end-of-run sweep iterates to drain the fleet.
-func (p *Partition) StagedCoords() []int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	seen := map[int]bool{}
-	for _, st := range p.walStaged {
-		seen[st.coord] = true
-	}
-	out := make([]int, 0, len(seen))
-	for c := range seen {
-		out = append(out, c)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // Checkpoint rewrites this partition's write-ahead log as a compact
 // equivalent — the full committed store snapshot as non-transactional puts,
-// the durable decision cache (so in-doubt peers can still inquire here),
-// and any recovery-restaged in-doubt blocks (data records plus prepare
-// marker, minus writes newer records already superseded) — atomically
-// replacing the old log. Recovery from the new log reaches exactly the
-// state recovery from the old one would, but replays only the live records.
-// The snapshot is bounded by the keyspace; the decision cache is not: every
-// commit decision this partition ever coordinated is kept and written again
-// at every checkpoint, so a long-running fleet's log, and with it replay
-// time, still grows with the rounds it has decided (ROADMAP item 21).
+// the commit decisions some participant has yet to log (so in-doubt peers
+// can still inquire here), and any recovery-restaged in-doubt blocks (data
+// records plus prepare marker, minus writes newer records superseded) —
+// atomically replacing the old log. Recovery from the new log reaches
+// exactly the state recovery from the old one would, but replays only the
+// live records: the snapshot is bounded by the keyspace, the decisions by
+// the rounds in flight (decisions are forgotten once every participant has
+// logged them), and the blocks by the rounds in doubt. This is what bounds
+// replay time on a long-running fleet.
 //
 // A checkpoint is skipped (ok false) while a *live* 2PC block is staged:
 // its eager writes are in the store but its pre-images are not, so a
@@ -409,37 +453,13 @@ func (p *Partition) Checkpoint() (records int, ok bool, err error) {
 	for _, k := range keys {
 		recs = append(recs, wal.Record{Op: wal.OpPut, Key: k, Value: snap[k]})
 	}
-	crs := make([]CommitRound, 0, len(p.decisions))
-	for cr := range p.decisions {
-		crs = append(crs, cr)
+	for _, cr := range sortedRounds(p.decisions, func([]int) bool { return true }) {
+		recs = append(recs, wal.Record{Op: wal.OpCommit, Txn: uint64(cr.ID), Round: cr.Round})
 	}
-	sort.Slice(crs, func(i, j int) bool { return crs[i].less(crs[j]) })
-	for _, cr := range crs {
-		op := wal.OpAbort
-		if p.decisions[cr] {
-			op = wal.OpCommit
-		}
-		recs = append(recs, wal.Record{Op: op, Txn: uint64(cr.ID), Round: cr.Round})
-	}
-	staged := make([]CommitRound, 0, len(p.walStaged))
-	for cr := range p.walStaged {
-		staged = append(staged, cr)
-	}
-	sort.Slice(staged, func(i, j int) bool { return staged[i].less(staged[j]) })
-	// Per-block live write sets, superseded writes already dropped; the
-	// blocks re-stage over the new log's positions below.
-	liveRecs := make([][]wal.Record, len(staged))
-	for i, cr := range staged {
+	for _, cr := range sortedRounds(p.walStaged, func(*walStage) bool { return true }) {
 		st := p.walStaged[cr]
-		for _, r := range st.recs {
-			if p.walLastData[r.Key] > st.stagedAt {
-				continue
-			}
-			liveRecs[i] = append(liveRecs[i], r)
-		}
-		block := append(append([]wal.Record{}, liveRecs[i]...),
-			wal.Record{Op: wal.OpPrepare, Txn: uint64(cr.ID), Round: cr.Round, Coord: st.coord})
-		recs = append(recs, block...)
+		recs = append(recs, st.recs...)
+		recs = append(recs, wal.Record{Op: wal.OpPrepare, Txn: uint64(cr.ID), Round: cr.Round, Coord: st.coord})
 	}
 
 	path := p.WAL.Path()
@@ -456,29 +476,7 @@ func (p *Partition) Checkpoint() (records int, ok bool, err error) {
 	}
 	log.NoSync = noSync
 	p.WAL = log
-
-	// Rebuild the last-writer index over the new log's positions and
-	// re-stamp the restaged blocks, preserving log-order supersession.
-	p.walDataSeq = 0
-	p.walLastData = make(map[string]int64, len(keys))
-	bump := func(rs []wal.Record) {
-		for _, r := range rs {
-			if r.Op == wal.OpPut || r.Op == wal.OpDelete {
-				p.walDataSeq++
-				p.walLastData[r.Key] = p.walDataSeq
-			}
-		}
-	}
-	for _, k := range keys {
-		p.walDataSeq++
-		p.walLastData[k] = p.walDataSeq
-	}
-	for i, cr := range staged {
-		st := p.walStaged[cr]
-		st.recs = liveRecs[i]
-		bump(st.recs)
-		st.stagedAt = p.walDataSeq
-	}
+	p.ends = p.ends[:0] // the new log holds no forgotten round to end
 	return len(recs), true, nil
 }
 
@@ -494,13 +492,13 @@ func (p *Partition) CloseWAL() error {
 }
 
 // CrashReset drops every piece of volatile protocol state — staged blocks,
-// prepare votes, the decision cache — modeling the fail-stop loss of the
-// edge process's memory. The WAL (and the store object, which recovery
+// prepare votes, the decision cache, unlogged end records — modeling the
+// fail-stop loss of the edge process's memory. The WAL (and the store object, which recovery
 // rebuilds in place) survive.
 func (p *Partition) CrashReset() {
 	p.mu.Lock()
-	p.walStaged = nil
-	p.decisions = nil
+	p.walStaged, p.restaged = nil, 0
+	p.decisions, p.ends = nil, nil
 	p.mu.Unlock()
 }
 

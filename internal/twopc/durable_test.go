@@ -9,6 +9,7 @@ import (
 
 	"croesus/internal/lock"
 	"croesus/internal/store"
+	"croesus/internal/txn"
 	"croesus/internal/vclock"
 	"croesus/internal/wal"
 )
@@ -74,7 +75,80 @@ func TestRestagedCommitSkipsSupersededWrites(t *testing.T) {
 		}
 	}
 	if !res.Decisions[cr.TxnRound()] {
-		t.Error("commit decision missing from the log")
+		t.Error("commit marker missing from the log")
+	}
+}
+
+// Presumed abort's forget step: once every participant has logged a
+// round's commit, the coordinator drops the decision, and the end record
+// that retires it rides the coordinator's next batch instead of a write of
+// its own. A checkpoint then carries no decision, and recovery brings none
+// back — nor a single-partition commit or a participant's marker, which
+// are outcomes, not decisions.
+func TestDecidedRoundsAreForgotten(t *testing.T) {
+	clk := vclock.NewSim()
+	cc, parts := testFleet(clk)
+	dir := t.TempDir()
+	for i, p := range parts {
+		if _, err := p.OpenWAL(filepath.Join(dir, "p.wal"+string(rune('0'+i))), false); err != nil {
+			t.Fatal(err)
+		}
+		defer p.CloseWAL()
+	}
+	logged := func(p *Partition) []wal.TxnRound {
+		t.Helper()
+		res, err := wal.Recover(p.WALPath())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Decided
+	}
+	run := func(tx *txn.Txn) (id txn.ID) {
+		clk.Run(func() {
+			in := cc.M.NewInstance(tx, nil)
+			id = in.ID
+			if err := cc.RunInitial(in); err != nil {
+				t.Errorf("%s RunInitial: %v", tx.Name, err)
+			} else if err := cc.RunFinal(in); err != nil {
+				t.Errorf("%s RunFinal: %v", tx.Name, err)
+			}
+		})
+		return id
+	}
+
+	id := run(shardedCrossTxn()) // coordinated by partition 0, which writes nothing
+	for r := range 2 {
+		if cr := (CommitRound{ID: id, Round: uint8(r)}); parts[0].Decided(cr) {
+			t.Errorf("the coordinator keeps round %d after every participant logged it", r)
+		}
+	}
+	// Round 0's end rode round 1's decision; round 1's waits for a batch.
+	final := CommitRound{ID: id, Round: 1}.TxnRound()
+	if got := logged(parts[0]); len(got) != 1 || got[0] != final {
+		t.Errorf("coordinator's log decides %v, want only the final round, whose end is not yet logged", got)
+	}
+	run(&txn.Txn{
+		Name:      "local",
+		InitialRW: txn.RWSet{Writes: []string{"0c"}},
+		Initial: func(c *txn.Ctx) error {
+			c.Put("0c", store.Int64Value(3))
+			return nil
+		},
+		Final: func(c *txn.Ctx) error { return nil },
+	})
+	if got := logged(parts[0]); len(got) != 0 {
+		t.Errorf("coordinator's log still decides %v after its next batch", got)
+	}
+	if n, ok, err := parts[0].Checkpoint(); err != nil || !ok || n != parts[0].Store.Len() {
+		t.Errorf("checkpoint wrote %d records (ok %v, err %v), want one per key (%d) and no decision", n, ok, err, parts[0].Store.Len())
+	}
+	for i, p := range parts {
+		res, err := p.VerifyWAL()
+		if err != nil {
+			t.Errorf("partition %d: %v", i, err)
+		} else if len(res.Decided) != 0 {
+			t.Errorf("partition %d recovers decisions %v", i, res.Decided)
+		}
 	}
 }
 

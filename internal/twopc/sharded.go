@@ -665,8 +665,9 @@ func (c *ShardedCC) commitSection(id txn.ID, round uint8, rt route) error {
 		// doubt and resolve by presumed abort.
 		return ErrCrashed
 	}
-	if c.Parts[c.Home].Durable() {
-		c.Parts[c.Home].LogDecision(cr, true)
+	home := c.Parts[c.Home]
+	if home.Durable() {
+		home.LogDecision(cr)
 	}
 	delivered := c.at2PC(c.Home, PointAfterDecision)
 
@@ -674,15 +675,22 @@ func (c *ShardedCC) commitSection(id txn.ID, round uint8, rt route) error {
 	// coordinator fail-stopped right after logging the decision (the
 	// transaction is committed either way — that is what the durable
 	// decision means; participants learn it from the coordinator's log).
+	// Every participant it reaches logs the decision before this returns,
+	// so the coordinator awaits only the ones it could not reach, and with
+	// none it forgets the round here.
 	if delivered {
+		var waitBuf [8]int
+		waiting := waitBuf[:0]
 		live := involved[:0] // filtered in place: involved is not read again
 		for _, b := range involved {
 			if !c.reachable(b.part) {
-				continue // resolves from the coordinator's log at recovery
+				waiting = append(waiting, b.part) // resolves from the coordinator's log at recovery
+				continue
 			}
 			c.Parts[b.part].DeliverDecision(cr, true)
 			live = append(live, b)
 		}
+		home.Await(cr, waiting)
 		maxOne := chargeFanOut(c.Links, live, 1, func() {
 			c.Stats.add(func(d *DistCounters) { d.CommitRPCs++ })
 		})

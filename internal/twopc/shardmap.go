@@ -30,7 +30,6 @@ import (
 
 	"croesus/internal/lock"
 	"croesus/internal/obs"
-	"croesus/internal/store"
 	"croesus/internal/transport"
 	"croesus/internal/txn"
 	"croesus/internal/vclock"
@@ -336,7 +335,6 @@ func (g *ShardMigration) attempt() error {
 	src, dst := g.Parts[g.From], g.Parts[g.To]
 	puts := make([]wal.Record, 0, len(keys))
 	dels := make([]wal.Record, 0, len(keys))
-	vals := make([]storeVal, 0, len(keys))
 	for _, k := range keys {
 		v, ok := src.Store.Get(k)
 		if !ok {
@@ -344,30 +342,26 @@ func (g *ShardMigration) attempt() error {
 		}
 		puts = append(puts, wal.Record{Op: wal.OpPut, Txn: g.Owner, Round: cr.Round, Key: k, Value: v})
 		dels = append(dels, wal.Record{Op: wal.OpDelete, Txn: g.Owner, Round: cr.Round, Key: k})
-		vals = append(vals, storeVal{key: k, val: v})
 	}
 	// Atomic commitment of the handoff, coordinated by the destination:
 	// both sides stage durably, the destination's decision is the commit
 	// point, and recovery semantics are exactly a 2PC round's — a crash
 	// before the decision presume-aborts the move (keys stay at the
-	// source), one after it completes the move from the logs.
+	// source), one after it completes the move from the logs. Both sides
+	// log the outcome at once, so the destination forgets the round too.
 	dst.StagePrepare(cr, g.To, puts)
 	src.StagePrepare(cr, g.To, dels)
-	dst.LogDecision(cr, true)
+	dst.LogDecision(cr)
 	dst.DeliverDecision(cr, true)
 	src.DeliverDecision(cr, true)
-	for _, kv := range vals {
-		dst.Store.Put(kv.key, kv.val)
-		src.Store.Delete(kv.key)
+	dst.Await(cr, nil)
+	for _, r := range puts {
+		dst.Store.Put(r.Key, r.Value)
+		src.Store.Delete(r.Key)
 	}
-	g.Moved = len(vals)
+	g.Moved = len(puts)
 	g.Map.unfreeze(g.Shard, g.To)
 	release()
 	g.Obs.Span(obs.SpanCutover, g.Tags, tCutover, g.Clk.Now())
 	return nil
-}
-
-type storeVal struct {
-	key string
-	val store.Value
 }

@@ -40,19 +40,21 @@ type Partition struct {
 	durable     bool
 
 	mu sync.Mutex
-	// walStaged and decisions are the durable-fleet protocol state:
-	// prepared-but-undecided blocks and the commit/abort outcomes this
-	// partition decided as a coordinator, keyed per commit round — a
-	// multi-stage transaction's two rounds are independent 2PC instances.
+	// walStaged holds the prepared-but-undecided blocks this partition
+	// participates in, keyed per commit round (a multi-stage transaction's
+	// rounds are independent 2PC instances); restaged counts those crash
+	// recovery re-installed. Only while there are any do data appends look
+	// for staged writes they supersede (see walStage).
 	walStaged map[CommitRound]*walStage
-	decisions map[CommitRound]bool
-	// walDataSeq counts the data records this partition has logged and
-	// walLastData remembers each key's latest; together they are the live
-	// mirror of the last-writer-wins rule wal.Recover resolves by log
-	// position, letting a deferred in-doubt resolution skip writes a
-	// later record superseded. They survive CrashReset like the log does.
-	walDataSeq  int64
-	walLastData map[string]int64
+	restaged  int
+	// decisions holds the commit decisions this partition coordinates that
+	// a participant has not yet durably logged, each with those participants
+	// (nil: not yet known, while phase 2 delivers or after recovery). Once
+	// none is left the round is forgotten, and its end record waits in ends
+	// for the next batch: it is never forced, and a crash that loses it
+	// brings the round back to be retired again.
+	decisions map[CommitRound][]int
+	ends      []wal.Record
 	// redo is LogLocalCommit's record buffer, reused under mu.
 	redo []wal.Record
 }

@@ -30,6 +30,10 @@ var formatGolden = []struct {
 		"1200000043705a5b040700000000000000010000000000000000"},
 	{Record{Op: OpAbort, Txn: 1<<40 + 9, Round: 0},
 		"120000001866f279050900000000010000000000000000000000"},
+	{Record{Op: OpDelivered, Txn: 7, Round: 1},
+		"12000000c01b8e5e060700000000000000010000000000000000"},
+	{Record{Op: OpEnd, Txn: 7, Round: 1},
+		"1200000021addcb1070700000000000000010000000000000000"},
 }
 
 // TestAppendBatchFormatPinned writes one batch holding a record of each op
@@ -79,6 +83,47 @@ func TestAppendBatchFormatPinned(t *testing.T) {
 		if !reflect.DeepEqual(got[i], recs[i]) {
 			t.Errorf("record %d decoded as %+v, want %+v", i, got[i], recs[i])
 		}
+	}
+}
+
+// TestPinnedBytesRecover replays the pinned rows of the ops every earlier
+// build wrote (put through abort), concatenated into one log, and finds the
+// state those builds recovered: the prepared block applied at its commit,
+// both outcomes recorded, and the commit kept as a coordinator's decision
+// (conservatively: it closes a prepared block, so it may be one).
+func TestPinnedBytesRecover(t *testing.T) {
+	var raw []byte
+	for _, g := range formatGolden {
+		if g.rec.Op > OpAbort {
+			continue
+		}
+		b, err := hex.DecodeString(g.hex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw = append(raw, b...)
+	}
+	path := tmpLog(t)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Recover(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Records != 5 || res.Truncated || len(res.InDoubt) != 0 || res.Incomplete != 0 {
+		t.Errorf("replay: %d records, truncated %v, in doubt %v, incomplete %d; want 5 clean records",
+			res.Records, res.Truncated, res.InDoubt, res.Incomplete)
+	}
+	if snap := res.Store.Snapshot(); len(snap) != 1 || string(snap["s1/item:3"]) != "v1" {
+		t.Errorf("store = %v, want only s1/item:3 = v1", snap)
+	}
+	committed, aborted := TxnRound{Txn: 7, Round: 1}, TxnRound{Txn: 1<<40 + 9}
+	if want := map[TxnRound]bool{committed: true, aborted: false}; !reflect.DeepEqual(res.Decisions, want) {
+		t.Errorf("decisions = %v, want %v", res.Decisions, want)
+	}
+	if !reflect.DeepEqual(res.Decided, []TxnRound{committed}) {
+		t.Errorf("decided = %v, want [%v]", res.Decided, committed)
 	}
 }
 

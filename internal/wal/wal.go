@@ -18,8 +18,13 @@
 // Beyond plain put/delete, the log carries the two-phase-commit life cycle
 // of the sharded fleet (internal/twopc): a participant stages a
 // transaction's writes as data records followed by an OpPrepare marker; the
-// decision lands as an OpCommit or OpAbort marker (on the coordinator's own
-// log the OpCommit doubles as the durable commit decision). One multi-stage
+// coordinator's durable commit decision is an OpCommit on its own log (which
+// also closes the coordinator's own staged block, when it has one); a
+// participant logs the outcome it is delivered as an OpDelivered or OpAbort
+// marker; and once every participant has logged that marker the coordinator
+// retires the decision with an OpEnd, so recovery does not bring it back. A
+// single-partition commit is a data block closed by an OpCommit with no
+// prepare, which is no decision anyone inquires about. One multi-stage
 // transaction runs up to two independent atomic-commitment rounds (the
 // initial and the final commit), so every transactional record also names
 // its round, and recovery tracks blocks and decisions by (txn, round) —
@@ -47,15 +52,29 @@ import (
 // Op is a logged operation kind.
 type Op byte
 
-// Logged operation kinds. OpPut and OpDelete are data records; OpPrepare,
-// OpCommit, and OpAbort are two-phase-commit markers carrying only a
-// transaction id (and, for OpPrepare, the coordinating partition).
+// Logged operation kinds. OpPut and OpDelete are data records; the rest are
+// commit markers carrying only a transaction id and round (and, for
+// OpPrepare, the coordinating partition). Kinds are append-only: a log
+// written by an earlier build must stay readable.
 const (
 	OpPut     Op = 1
 	OpDelete  Op = 2
 	OpPrepare Op = 3
-	OpCommit  Op = 4
-	OpAbort   Op = 5
+	// OpCommit commits its round's block on this log. Closing a data block
+	// with no prepare it is a single-partition commit; otherwise (bare, or
+	// closing the coordinator's own prepared block) it is the coordinator's
+	// durable commit decision, which in-doubt participants inquire about.
+	// Logs of earlier builds also used it for a participant's delivered
+	// commit; recovery keeps those as decisions, conservatively.
+	OpCommit Op = 4
+	OpAbort  Op = 5
+	// OpDelivered is a participant's commit marker: the coordinator's commit
+	// decision reached it, and its staged block applies. It is no decision.
+	OpDelivered Op = 6
+	// OpEnd retires a coordinator's commit decision once every participant
+	// has logged its marker (presumed abort's forget step): no one can still
+	// inquire, so recovery drops the decision.
+	OpEnd Op = 7
 )
 
 // Record is one logged entry.
@@ -208,7 +227,7 @@ func decodePayload(payload []byte) (Record, error) {
 		return Record{}, ErrCorrupt
 	}
 	op := Op(payload[0])
-	if op < OpPut || op > OpAbort {
+	if op < OpPut || op > OpEnd {
 		return Record{}, fmt.Errorf("%w: bad op %d", ErrCorrupt, op)
 	}
 	rec := Record{
@@ -317,10 +336,15 @@ type RecoverResult struct {
 	// but whose prepare/commit marker did not (a crash mid-commit). Their
 	// writes are dropped: presumed abort.
 	Incomplete int
-	// Decisions maps (txn, round) to the logged outcome (true = commit).
-	// On a coordinator's log these are the durable decisions an in-doubt
-	// participant inquires about.
+	// Decisions maps (txn, round) to the outcome a marker on this log
+	// records (true = commit): a coordinator's decision, a participant's
+	// delivered outcome or a single-partition commit.
 	Decisions map[TxnRound]bool
+	// Decided lists, ascending, the commit decisions this log holds as a
+	// coordinator's (OpCommit records that close no single-partition
+	// block) and that no OpEnd has retired: the rounds an in-doubt
+	// participant may still inquire about.
+	Decided []TxnRound
 }
 
 // Recover rebuilds a partition from the log at path. Non-transactional data
@@ -345,6 +369,7 @@ func Recover(path string) (*RecoverResult, error) {
 	}
 	res := &RecoverResult{Store: store.New(), Decisions: make(map[TxnRound]bool)}
 	pending := make(map[TxnRound]*block)
+	decided := make(map[TxnRound]bool)
 	seq := 0
 	lastApplied := map[string]int{} // key → log position of the write that set it
 	apply := func(rec Record, at int) {
@@ -354,6 +379,17 @@ func Recover(path string) (*RecoverResult, error) {
 			res.Store.Put(rec.Key, rec.Value)
 		case OpDelete:
 			res.Store.Delete(rec.Key)
+		}
+	}
+	commit := func(k TxnRound) {
+		res.Decisions[k] = true
+		if b := pending[k]; b != nil {
+			for i, w := range b.writes {
+				if lastApplied[w.Key] < b.seqs[i] {
+					apply(w, b.seqs[i])
+				}
+			}
+			delete(pending, k)
 		}
 	}
 	n, truncated, err := Replay(path, func(rec Record) error {
@@ -381,18 +417,17 @@ func Recover(path string) (*RecoverResult, error) {
 			b.prepared = true
 			b.coord = rec.Coord
 		case OpCommit:
-			res.Decisions[k] = true
-			if b := pending[k]; b != nil {
-				for i, w := range b.writes {
-					if lastApplied[w.Key] < b.seqs[i] {
-						apply(w, b.seqs[i])
-					}
-				}
-				delete(pending, k)
+			if b := pending[k]; b == nil || b.prepared {
+				decided[k] = true
 			}
+			commit(k)
+		case OpDelivered:
+			commit(k)
 		case OpAbort:
 			res.Decisions[k] = false
 			delete(pending, k)
+		case OpEnd:
+			delete(decided, k)
 		}
 		return nil
 	})
@@ -413,18 +448,28 @@ func Recover(path string) (*RecoverResult, error) {
 		}
 		res.InDoubt = append(res.InDoubt, InDoubt{Txn: k.Txn, Round: k.Round, Coord: b.coord, Writes: live})
 	}
-	sort.Slice(res.InDoubt, func(i, j int) bool {
-		a, b := res.InDoubt[i], res.InDoubt[j]
-		return TxnRound{Txn: a.Txn, Round: a.Round}.Less(TxnRound{Txn: b.Txn, Round: b.Round})
-	})
+	sortInDoubt(res.InDoubt)
+	res.Decided = make([]TxnRound, 0, len(decided))
+	for k := range decided {
+		res.Decided = append(res.Decided, k)
+	}
+	sort.Slice(res.Decided, func(i, j int) bool { return res.Decided[i].Less(res.Decided[j]) })
 	return res, nil
 }
 
+func sortInDoubt(ds []InDoubt) {
+	sort.Slice(ds, func(i, j int) bool {
+		a, b := ds[i], ds[j]
+		return TxnRound{Txn: a.Txn, Round: a.Round}.Less(TxnRound{Txn: b.Txn, Round: b.Round})
+	})
+}
+
 // Probe sizes a recovery without materializing any state: the intact
-// record count (what replay will cost) and the coordinators of
-// prepared-but-undecided commit rounds (one inquiry round trip each), in
-// ascending (txn, round) order. Like Recover it truncates a torn tail.
-func Probe(path string) (records int, inDoubtCoords []int, err error) {
+// record count (what replay will cost) and the prepared-but-undecided
+// commit rounds with their coordinators (one inquiry round trip each; their
+// Writes are left empty), ascending by (txn, round). Like Recover it
+// truncates a torn tail.
+func Probe(path string) (records int, inDoubt []InDoubt, err error) {
 	type pend struct {
 		coord    int
 		prepared bool
@@ -444,7 +489,7 @@ func Probe(path string) (records int, inDoubtCoords []int, err error) {
 				pending[k] = p
 			}
 			p.prepared, p.coord = true, rec.Coord
-		case OpCommit, OpAbort:
+		case OpCommit, OpDelivered, OpAbort:
 			delete(pending, k)
 		}
 		return nil
@@ -452,23 +497,20 @@ func Probe(path string) (records int, inDoubtCoords []int, err error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	keys := make([]TxnRound, 0, len(pending))
 	for k, p := range pending {
 		if p.prepared {
-			keys = append(keys, k)
+			inDoubt = append(inDoubt, InDoubt{Txn: k.Txn, Round: k.Round, Coord: p.coord})
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
-	for _, k := range keys {
-		inDoubtCoords = append(inDoubtCoords, pending[k].coord)
-	}
-	return records, inDoubtCoords, nil
+	sortInDoubt(inDoubt)
+	return records, inDoubt, nil
 }
 
 // Decisions scans the log at path for decision markers only — the inquiry
 // a recovering participant makes against its coordinator's log to resolve
 // an in-doubt commit round. Absence of an entry for the exact (txn, round)
-// means presumed abort.
+// means presumed abort; a retired (OpEnd) decision is absent, since no
+// participant can still be in doubt about it.
 func Decisions(path string) (map[TxnRound]bool, error) {
 	out := make(map[TxnRound]bool)
 	_, _, err := Replay(path, func(rec Record) error {
@@ -477,6 +519,8 @@ func Decisions(path string) (map[TxnRound]bool, error) {
 			out[rec.TxnRound()] = true
 		case OpAbort:
 			out[rec.TxnRound()] = false
+		case OpEnd:
+			delete(out, rec.TxnRound())
 		}
 		return nil
 	})
@@ -488,7 +532,7 @@ func Decisions(path string) (map[TxnRound]bool, error) {
 
 // Rewrite atomically replaces the log at path with one containing exactly
 // recs (written at path.tmp, then renamed over): the primitive under
-// twopc.Partition.Checkpoint, which also carries the decision cache and
+// twopc.Partition.Checkpoint, which also carries the unretired decisions and
 // in-doubt blocks forward. Any open Log on the old path must be closed
 // first and reopened after — appends through a stale handle would land on
 // the orphaned inode. The log must be externally quiesced for the swap.

@@ -288,6 +288,62 @@ func TestRecoverTxnBlocks(t *testing.T) {
 	}
 }
 
+// Only a coordinator's commit decisions come back as Decided, and an end
+// record retires one: a single-partition commit (a data block closed with
+// no prepare) and a participant's delivered marker are outcomes, not
+// decisions anyone inquires about.
+func TestRecoverKeepsUnretiredDecisionsOnly(t *testing.T) {
+	path := tmpLog(t)
+	l, _ := Open(path)
+	l.AppendBatch([]Record{ // single-partition commit
+		{Op: OpPut, Txn: 1, Key: "a", Value: store.Int64Value(1)},
+		{Op: OpCommit, Txn: 1},
+	})
+	l.AppendBatch([]Record{ // participant block, coordinated elsewhere
+		{Op: OpPut, Txn: 2, Key: "b", Value: store.Int64Value(2)},
+		{Op: OpPrepare, Txn: 2, Coord: 3},
+	})
+	l.Append(Record{Op: OpDelivered, Txn: 2})
+	l.AppendBatch([]Record{ // the coordinator's own block
+		{Op: OpPut, Txn: 4, Key: "c", Value: store.Int64Value(4)},
+		{Op: OpPrepare, Txn: 4, Coord: 0},
+	})
+	l.Append(Record{Op: OpCommit, Txn: 4}) // its decision commits it here
+	l.Append(Record{Op: OpCommit, Txn: 5}) // a round it coordinates without a block
+	l.Append(Record{Op: OpCommit, Txn: 6}) // ... and one it retires
+	l.Append(Record{Op: OpEnd, Txn: 6})
+	l.Append(Record{Op: OpEnd, Txn: 4}) // every participant logged txn 4
+	l.Close()
+
+	res, err := Recover(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, want := range map[string]int64{"a": 1, "b": 2, "c": 4} {
+		if v, ok := res.Store.Get(k); !ok || store.AsInt64(v) != want {
+			t.Errorf("%s = %v %v, want %d", k, v, ok, want)
+		}
+	}
+	if want := []TxnRound{{Txn: 5}}; len(res.Decided) != 1 || res.Decided[0] != want[0] {
+		t.Errorf("decided = %v, want %v", res.Decided, want)
+	}
+	for _, txn := range []uint64{1, 2, 4, 5, 6} {
+		if !res.Decisions[TxnRound{Txn: txn}] {
+			t.Errorf("txn %d's commit outcome missing from Decisions", txn)
+		}
+	}
+	d, err := Decisions(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := d[TxnRound{Txn: 6}]; ok {
+		t.Error("an inquiry still finds retired txn 6")
+	}
+	if !d[TxnRound{Txn: 5}] {
+		t.Error("an inquiry misses txn 5's decision")
+	}
+}
+
 // One multi-stage transaction runs two independent commit rounds. A
 // committed initial round must never answer for an in-doubt final round:
 // recovery keys blocks and decisions by (txn, round), so the final-round
@@ -462,22 +518,22 @@ func TestProbeSizesRecovery(t *testing.T) {
 	})
 	l.Close()
 
-	records, coords, err := Probe(path)
+	records, inDoubt, err := Probe(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if records != 7 {
 		t.Errorf("records = %d, want 7", records)
 	}
-	if len(coords) != 1 || coords[0] != 1 {
-		t.Errorf("in-doubt coords = %v, want [1]", coords)
+	if len(inDoubt) != 1 || inDoubt[0].Txn != 6 || inDoubt[0].Coord != 1 {
+		t.Errorf("in-doubt = %+v, want txn 6 under coord 1", inDoubt)
 	}
 	// Probe must agree with Recover on what is in doubt.
 	res, err := Recover(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.InDoubt) != len(coords) {
-		t.Errorf("Probe found %d in-doubt, Recover %d", len(coords), len(res.InDoubt))
+	if len(res.InDoubt) != len(inDoubt) {
+		t.Errorf("Probe found %d in-doubt, Recover %d", len(inDoubt), len(res.InDoubt))
 	}
 }
