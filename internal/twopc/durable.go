@@ -4,14 +4,13 @@
 // When a Partition carries a WAL, every section commit it participates in
 // is logged — single-partition commits as a data batch closed by a commit
 // marker, multi-partition commits as the participant's staged block (data
-// records + prepare marker) followed by the coordinator's decision and the
+// records + prepare marker), the coordinator's decision and the
 // participant's outcome marker — so a crashed edge rebuilds exactly the
 // committed state with Recover and resolves prepared-but-undecided rounds
 // against the coordinator's log (presumed abort: no durable commit
-// decision for that round means abort). A coordinator forgets a decision
-// once every participant has logged it.
-// Callers open a log only through OpenWAL and judge one only through
-// VerifyWAL.
+// decision for that round means abort; a decision is forgotten once every
+// participant has logged it). Callers open a log only through OpenWAL and
+// judge one only through VerifyWAL.
 //
 // A multi-stage transaction runs up to two independent atomic-commitment
 // rounds (MS-IA commits at both section boundaries), so all durable state
@@ -400,11 +399,11 @@ func (p *Partition) StagedBy(coord int) []CommitRound {
 	return sortedRounds(p.walStaged, func(st *walStage) bool { return st.coord == coord })
 }
 
-// sortedRounds returns the rounds of m whose values keep accepts, ascending.
+// sortedRounds returns, ascending, the rounds of m that keep (nil: all) accepts.
 func sortedRounds[V any](m map[CommitRound]V, keep func(V) bool) []CommitRound {
 	var out []CommitRound
 	for cr, v := range m {
-		if keep(v) {
+		if keep == nil || keep(v) {
 			out = append(out, cr)
 		}
 	}
@@ -453,10 +452,10 @@ func (p *Partition) Checkpoint() (records int, ok bool, err error) {
 	for _, k := range keys {
 		recs = append(recs, wal.Record{Op: wal.OpPut, Key: k, Value: snap[k]})
 	}
-	for _, cr := range sortedRounds(p.decisions, func([]int) bool { return true }) {
+	for _, cr := range sortedRounds(p.decisions, nil) {
 		recs = append(recs, wal.Record{Op: wal.OpCommit, Txn: uint64(cr.ID), Round: cr.Round})
 	}
-	for _, cr := range sortedRounds(p.walStaged, func(*walStage) bool { return true }) {
+	for _, cr := range sortedRounds(p.walStaged, nil) {
 		st := p.walStaged[cr]
 		recs = append(recs, st.recs...)
 		recs = append(recs, wal.Record{Op: wal.OpPrepare, Txn: uint64(cr.ID), Round: cr.Round, Coord: st.coord})

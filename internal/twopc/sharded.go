@@ -679,8 +679,7 @@ func (c *ShardedCC) commitSection(id txn.ID, round uint8, rt route) error {
 	// so the coordinator awaits only the ones it could not reach, and with
 	// none it forgets the round here.
 	if delivered {
-		var waitBuf [8]int
-		waiting := waitBuf[:0]
+		var waiting []int
 		live := involved[:0] // filtered in place: involved is not read again
 		for _, b := range involved {
 			if !c.reachable(b.part) {
